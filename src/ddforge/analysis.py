@@ -92,12 +92,19 @@ def _family_param_string(family: dict) -> str:
     return ",".join(parts)
 
 
-def _sequence_factory(family_spec):
+def _scan_sequences(family_spec, t_grid) -> list[PulseSequence]:
+    """One schedule per duration.
+
+    A dict spec is built once and re-timed: schedule instants are fractions
+    of the total duration, so the build does not depend on it.  A callable
+    spec is called once per duration.
+    """
     if callable(family_spec):
-        return family_spec
+        return [family_spec(t) for t in t_grid]
     params = dict(family_spec)
     name = params.pop("name")
-    return lambda t: build_sequence(name, t, **params)
+    base = build_sequence(name, t_grid[0], **params)
+    return [base] + [base.with_duration(t) for t in t_grid[1:]]
 
 
 def evaluate_point(seq: PulseSequence, ops, precision: str = "double", dps: int = highprec.DEFAULT_DPS) -> dict:
@@ -126,7 +133,6 @@ def evaluate_scan(
     eigenphases leave the principal branch; as a guard, alpha * t_max must
     stay below 1.
     """
-    factory = _sequence_factory(family_spec)
     seeds = [model_spec.seed] if seeds is None else list(seeds)
     models = []
     for seed in seeds:
@@ -140,12 +146,12 @@ def evaluate_scan(
             t=max(t_grid),
         )
 
+    sequences = _scan_sequences(family_spec, t_grid)
     tasks = [(i, k) for i in range(len(t_grid)) for k in range(len(models))]
 
     def run(task):
         i, k = task
-        seq = factory(t_grid[i])
-        return task, evaluate_point(seq, models[k], precision, dps)
+        return task, evaluate_point(sequences[i], models[k], precision, dps)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -153,7 +159,7 @@ def evaluate_scan(
     else:
         results = dict(map(run, tasks))
 
-    sample = factory(t_grid[0])
+    sample = sequences[0]
     rows = []
     for i, t in enumerate(t_grid):
         row = {

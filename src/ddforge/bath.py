@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-
-from .sequences import PauliAxis
 
 GAMMAS = ("0", "x", "y", "z")
 
@@ -118,6 +117,18 @@ class BathOperators:
     def dim(self) -> int:
         return self.a0.shape[0]
 
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """(evals, evecs) of total_hamiltonian, computed on first use, read-only.
+
+        Every double-precision composition under this model shares it, so H
+        is assembled and diagonalised once per model, not once per schedule.
+        """
+        evals, evecs = np.linalg.eigh(total_hamiltonian(self))
+        evals.flags.writeable = False
+        evecs.flags.writeable = False
+        return evals, evecs
+
 
 def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -169,14 +180,6 @@ def total_hamiltonian(ops: BathOperators) -> np.ndarray:
 def alpha(ops: BathOperators) -> float:
     """Largest spectral norm over the four bath operators."""
     return max(spectral_norm(a) for _, a in ops.items())
-
-
-def pulse_matrix(axis: PauliAxis) -> np.ndarray:
-    """Bare 2x2 Pauli matrix of an ideal pi pulse."""
-    axis = PauliAxis(axis)
-    if axis is PauliAxis.I:
-        raise ValueError("no pulse about the identity")
-    return SIGMA[axis.value]
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:

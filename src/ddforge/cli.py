@@ -3,7 +3,8 @@
 Subcommands: gen | order | counts | crossover | predict-magnus | compare.
 Option precedence is flags over --config file values over built-in defaults;
 DDFORGE_SEED provides the default bath seed.  Exit codes: 0 success, 2 usage
-error, 3 numeric-domain (branch) error, 4 I/O error.
+error, 3 numeric-domain error (an eigenphase near the branch cut, a failed
+log reconstruction or any other ArithmeticError), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -334,6 +335,9 @@ def main(argv=None) -> int:
     except effective.BranchAmbiguityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("advice: shrink the duration grid (--at-max) or use --precision extended", file=sys.stderr)
+        return EXIT_BRANCH
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BRANCH
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

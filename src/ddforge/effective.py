@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import SIGMA
-from .evolution import control_product, sequence_unitary
+from .bath import _GAMMA_SIGMA, SIGMA
+from .evolution import apply_qubit_factor, control_product, sequence_unitary
 
 BRANCH_MARGIN = 0.1
 _CLUSTER_TOL = 1e-8
@@ -103,10 +103,9 @@ def pauli_decompose(m: np.ndarray, t: float = 1.0) -> EffectiveHamiltonian:
 def pauli_reassemble(eff: EffectiveHamiltonian) -> np.ndarray:
     """Inverse of pauli_decompose: sum_g sigma_g (x) (a_g t)."""
     d = eff.a0.shape[0]
-    gamma_sigma = {"0": "I", "x": "X", "y": "Y", "z": "Z"}
     out = np.zeros((2 * d, 2 * d), dtype=complex)
     for g, a in eff.items():
-        out += np.kron(SIGMA[gamma_sigma[g]], a * eff.t)
+        out += np.kron(SIGMA[_GAMMA_SIGMA[g]], a * eff.t)
     return out
 
 
@@ -138,9 +137,8 @@ def sequence_effective(seq, ops) -> EffectiveHamiltonian:
     principal log and splits it into Pauli blocks.
     """
     result = sequence_unitary(seq, ops)
-    ctrl = np.kron(control_product(seq), np.eye(ops.dim, dtype=complex))
     try:
-        m = unitary_log(ctrl.conj().T @ result.u)
+        m = unitary_log(apply_qubit_factor(control_product(seq).conj().T, result.u))
     except BranchAmbiguityError as exc:
         raise BranchAmbiguityError(
             f"{exc} (schedule {seq.label!r} at t={seq.total_duration:g})",

@@ -1,18 +1,23 @@
 """Exact unitary composition of pulse schedules and a preservation fidelity.
 
-Free segments are propagated with exp(-i H dt) through one Hermitian
-eigendecomposition of H, reused across all segments of a schedule; ideal
-pulses are bare Pauli factors on the qubit slot.  Everything stays dense;
-dimensions of interest are 2d <= 128.
+Free segments are propagated with exp(-i H dt) through the model's one
+Hermitian eigensystem (``BathOperators.eigensystem``), computed once per
+model and shared by every schedule composed under it; the factor
+evecs * exp(-i evals dt) is formed once per distinct segment length.  Ideal
+pulses sigma_a (x) I_d act on the qubit slot as exact row permutations and
+sign (or +-i) changes of the running product, with the same values as the
+dense Pauli factor.  Everything stays dense; dimensions of interest are
+2d <= 128.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .bath import SIGMA, BathOperators, total_hamiltonian
+from .bath import SIGMA, BathOperators
 from .sequences import PauliAxis, PulseSequence
 
 HERMITICITY_TOL = 1e-10
@@ -38,6 +43,55 @@ def pulse_unitary(axis: PauliAxis, d: int) -> np.ndarray:
     if axis is PauliAxis.I:
         raise ValueError("no pulse about the identity")
     return np.kron(SIGMA[axis.value], np.eye(d, dtype=complex))
+
+
+def _qubit_rows(q: np.ndarray, d: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Row permutation and row phases that apply q (x) I_d from the left.
+
+    q must be a phase times a Pauli matrix: one nonzero entry per row, each
+    in {+-1, +-i}.  Either part is None when it would be the identity.
+    """
+    q = np.asarray(q)
+    if q.shape != (2, 2) or np.count_nonzero(q) != 2:
+        raise ValueError("expected a phase times a Pauli matrix")
+    cols = np.abs(q).argmax(axis=1)
+    phases = q[(0, 1), cols]
+    if cols[0] == cols[1] or not all(z in (1, -1, 1j, -1j) for z in phases):
+        raise ValueError("expected a phase times a Pauli matrix")
+    perm = None
+    if cols.tolist() != [0, 1]:
+        perm = np.concatenate([c * d + np.arange(d) for c in cols])
+        perm.flags.writeable = False
+    scale = None
+    if np.any(phases != 1):
+        scale = np.repeat(phases.astype(complex), d)[:, None]
+        scale.flags.writeable = False
+    return perm, scale
+
+
+def _apply_rows(rows, u: np.ndarray) -> np.ndarray:
+    perm, scale = rows
+    if perm is not None:
+        u = u.take(perm, axis=0)
+    if scale is not None:
+        u = u * scale
+    return u
+
+
+def apply_qubit_factor(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(q (x) I_d) @ u for a phase times a Pauli matrix q, without a matmul.
+
+    Every output row block is one input block times 1, -1, i or -i, so the
+    result holds exactly the values of the dense product.
+    """
+    return _apply_rows(_qubit_rows(q, u.shape[0] // 2), u)
+
+
+@lru_cache(maxsize=None)
+def _pulse_rows(axis: PauliAxis, d: int):
+    # X swaps the qubit row blocks, Z negates the lower one and Y maps
+    # (top, bottom) to (-i bottom, i top).
+    return _qubit_rows(SIGMA[axis.value], d)
 
 
 def control_product(seq: PulseSequence) -> np.ndarray:
@@ -79,22 +133,28 @@ def sequence_unitary(seq: PulseSequence, ops: BathOperators) -> UnitaryResult:
     Later factors multiply on the left; zero-length segments (boundary
     pulses) are skipped.  The result is unitary to 1e-10.
     """
-    h = total_hamiltonian(ops)
-    evals, evecs = np.linalg.eigh(h)
+    evals, evecs = ops.eigensystem
     evecs_h = evecs.conj().T
+    factors = {}
+
+    def segment(u, dt):
+        factor = factors.get(dt)
+        if factor is None:
+            factor = factors[dt] = evecs * np.exp(-1j * evals * dt)
+        return factor @ (evecs_h @ u)
+
     d = ops.dim
+    rows = {axis: _pulse_rows(axis, d) for axis in (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)}
     u = np.eye(2 * d, dtype=complex)
     prev = 0.0
     for p in seq.pulses:
         frac = p.t_frac
         if frac > prev:
-            dt = (frac - prev) * seq.total_duration
-            u = (evecs * np.exp(-1j * evals * dt)) @ (evecs_h @ u)
-        u = pulse_unitary(p.axis, d) @ u
+            u = segment(u, (frac - prev) * seq.total_duration)
+        u = _apply_rows(rows[p.axis], u)
         prev = frac
     if prev < 1.0:
-        dt = (1.0 - prev) * seq.total_duration
-        u = (evecs * np.exp(-1j * evals * dt)) @ (evecs_h @ u)
+        u = segment(u, (1.0 - prev) * seq.total_duration)
     return UnitaryResult(u=u, total_duration=seq.total_duration, pulse_count=seq.pulse_count, label=seq.label)
 
 

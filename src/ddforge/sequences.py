@@ -134,18 +134,23 @@ def merge_pulses(items: Iterable[tuple[Instant, PauliAxis]]) -> tuple[Pulse, ...
     the exact representative is kept).  Each coincident group composes
     through the Pauli algebra; identity results are dropped.
     """
+    merged = _merge_raw((instant, PauliAxis(axis)) for instant, axis in items)
+    return tuple(Pulse(i, a) for i, a in merged)
+
+
+def _merge_raw(items: Iterable[tuple[Instant, PauliAxis]]) -> list[tuple[Instant, PauliAxis]]:
+    """merge_pulses on PauliAxis-typed pairs, returning unvalidated pairs."""
     ordered = sorted(items, key=lambda p: float(p[0]))
     merged: list[tuple[Instant, PauliAxis]] = []
     for instant, axis in ordered:
-        axis = PauliAxis(axis)
         if merged and merged[-1][0] == instant:
             prev_instant, prev_axis = merged[-1]
             if isinstance(prev_instant, Fraction):
                 instant = prev_instant
-            merged[-1] = (instant, compose_axes(prev_axis, axis))
+            merged[-1] = (instant, _PRODUCT[(prev_axis, axis)])
         else:
             merged.append((instant, axis))
-    return tuple(Pulse(i, a) for i, a in merged if a is not PauliAxis.I)
+    return [(i, a) for i, a in merged if a is not PauliAxis.I]
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +228,12 @@ def icpmg(cycles: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxis.
 
 def _embed(items: Sequence[tuple[Instant, PauliAxis]], block: int, nblocks: int) -> list[tuple[Instant, PauliAxis]]:
     """Rescale relative instants into the block-th of nblocks equal windows."""
-    offset = Fraction(block, nblocks)
-    width = Fraction(1, nblocks)
     out = []
     for instant, axis in items:
         if isinstance(instant, Fraction):
-            out.append((offset + width * instant, axis))
+            # (block + instant) / nblocks, exactly and in lowest terms.
+            den = instant.denominator
+            out.append((Fraction(block * den + instant.numerator, nblocks * den), axis))
         else:
             out.append(((block + instant) / nblocks, axis))
     return out
@@ -243,7 +248,8 @@ def _concatenate(
 
     The written recursion is an operator product, so the rightmost factor
     acts first; per level the junction axes are applied in reversed written
-    order.  Coincident pulses merge at every level.
+    order.  Coincident pulses merge at every level; levels pass raw
+    (instant, axis) pairs and only the emitted schedule is validated.
     """
     nblocks = len(junction_axes)
     time_order = list(reversed(junction_axes))
@@ -253,8 +259,8 @@ def _concatenate(
         for b in range(nblocks):
             nxt.append((Fraction(b, nblocks), time_order[b]))
             nxt.extend(_embed(current, b, nblocks))
-        current = [(p.instant, p.axis) for p in merge_pulses(nxt)]
-    return merge_pulses(current)
+        current = _merge_raw(nxt)
+    return tuple(Pulse(i, a) for i, a in current)
 
 
 def cdd_full(level: int, total_duration: float = 1.0, base: PulseSequence | None = None) -> PulseSequence:

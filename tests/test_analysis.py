@@ -118,6 +118,34 @@ class TestOrderScan:
         parallel = evaluate_scan({"name": "udd", "n": 2}, GENERIC, grid, jobs=4)
         assert serial == parallel
 
+    def test_one_schedule_build_per_scan(self, monkeypatch):
+        from ddforge import analysis
+        from ddforge.sequences import build_sequence
+
+        calls = []
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return build_sequence(*args, **kwargs)
+
+        grid = default_t_grid(1.0)
+        monkeypatch.setattr(analysis, "build_sequence", counting_build)
+        rows = evaluate_scan({"name": "cudd", "m": 2, "n": 2}, GENERIC, grid, seeds=[7, 8])
+        assert len(calls) == 1
+        per_point = evaluate_scan(lambda t: build_sequence("cudd", t, m=2, n=2), GENERIC, grid, seeds=[7, 8])
+        assert rows == per_point
+
+    def test_callable_called_once_per_duration(self):
+        calls = []
+
+        def family(t):
+            calls.append(t)
+            return udd_sequence(2, t)
+
+        grid = default_t_grid(1.0, points=4)
+        evaluate_scan(family, GENERIC, grid, seeds=[1, 2, 3])
+        assert calls == list(grid)
+
     def test_seed_ensemble_mean(self):
         grid = default_t_grid(1.0, points=4)
         single_a = evaluate_scan({"name": "none"}, GENERIC, grid, seeds=[1])

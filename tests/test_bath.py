@@ -118,6 +118,46 @@ class TestBathOperators:
             )
 
 
+class TestEigensystem:
+    def test_not_computed_by_build_model(self):
+        ops = build_model(ModelSpec(d=4, seed=3))
+        assert "eigensystem" not in vars(ops)
+
+    def test_matches_total_hamiltonian(self):
+        ops = build_model(ModelSpec(d=4, seed=3))
+        evals, evecs = ops.eigensystem
+        ref_evals, ref_evecs = np.linalg.eigh(total_hamiltonian(ops))
+        assert np.array_equal(evals, ref_evals) and np.array_equal(evecs, ref_evecs)
+
+    def test_read_only(self):
+        evals, evecs = build_model(ModelSpec(d=4, seed=3)).eigensystem
+        with pytest.raises(ValueError):
+            evals[0] = 0.0
+        with pytest.raises(ValueError):
+            evecs[0, 0] = 0.0
+
+    def test_computed_once_per_model(self, monkeypatch):
+        from ddforge.evolution import sequence_unitary
+        from ddforge.sequences import cpmg, udd_sequence
+
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        ops = build_model(ModelSpec(d=4, seed=3))
+        other = build_model(ModelSpec(d=4, seed=4))
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for seq in (cpmg(0.1), udd_sequence(3, 0.1), udd_sequence(3, 0.2)):
+            sequence_unitary(seq, ops)
+        assert len(calls) == 1
+        sequence_unitary(cpmg(0.1), other)
+        assert len(calls) == 2
+        assert ops.eigensystem is ops.eigensystem
+
+
 class TestTotalHamiltonian:
     def test_identity_bath(self):
         d = 3

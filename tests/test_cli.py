@@ -184,6 +184,14 @@ class TestCompare:
         assert code == 0
         assert "UDD-2" in out and "CPMG" in out
 
+    def test_numeric_failure_exit_code(self, capsys):
+        # CDD-6 at t = 0.01 fails the log reconstruction check on the double
+        # path; that must end in exit 3 with an error line, not a traceback.
+        code, _, err = run(capsys, "compare", "--seq", "cdd,m=6", "--t", "0.01", "--seed", "7")
+        assert code == 3
+        assert err.startswith("error: ")
+        assert "residual" in err
+
     def test_needs_seq(self, capsys):
         code, _, err = run(capsys, "compare", "--t", "0.01")
         assert code == 2

@@ -6,13 +6,14 @@ import pytest
 from ddforge.bath import SIGMA, BathOperators, ModelSpec, build_model, total_hamiltonian
 from ddforge.evolution import (
     UnitaryResult,
+    apply_qubit_factor,
     control_product,
     entanglement_fidelity,
     expm_segment,
     pulse_unitary,
     sequence_unitary,
 )
-from ddforge.sequences import PauliAxis, PulseSequence, cpmg, spin_echo, udd_sequence
+from ddforge.sequences import PauliAxis, PulseSequence, cdd_full, cpmg, cudd, spin_echo, udd_sequence
 
 RNG = np.random.default_rng(2024)
 
@@ -87,6 +88,81 @@ class TestPulseUnitary:
     def test_rejects_identity(self):
         with pytest.raises(ValueError):
             pulse_unitary(PauliAxis.I, 2)
+
+
+def random_complex(rows, cols):
+    return RNG.normal(size=(rows, cols)) + 1j * RNG.normal(size=(rows, cols))
+
+
+def dense_sequence_unitary(seq, ops):
+    # Reference composition: a fresh eigendecomposition of H and every pulse
+    # as a dense (sigma_a (x) I_d) matmul.
+    evals, evecs = np.linalg.eigh(total_hamiltonian(ops))
+    evecs_h = evecs.conj().T
+    d = ops.dim
+    u = np.eye(2 * d, dtype=complex)
+    prev = 0.0
+    for p in seq.pulses:
+        frac = p.t_frac
+        if frac > prev:
+            dt = (frac - prev) * seq.total_duration
+            u = (evecs * np.exp(-1j * evals * dt)) @ (evecs_h @ u)
+        u = pulse_unitary(p.axis, d) @ u
+        prev = frac
+    if prev < 1.0:
+        dt = (1.0 - prev) * seq.total_duration
+        u = (evecs * np.exp(-1j * evals * dt)) @ (evecs_h @ u)
+    return u
+
+
+class TestRowOperations:
+    @pytest.mark.parametrize("d", [1, 3, 4])
+    @pytest.mark.parametrize("axis", [PauliAxis.X, PauliAxis.Y, PauliAxis.Z])
+    def test_pulse_equals_dense_product(self, axis, d):
+        u = random_complex(2 * d, 2 * d)
+        assert np.array_equal(apply_qubit_factor(SIGMA[axis.value], u), pulse_unitary(axis, d) @ u)
+
+    @pytest.mark.parametrize("phase", [1, -1, 1j, -1j])
+    @pytest.mark.parametrize("pauli", ["I", "X", "Y", "Z"])
+    def test_phased_pauli_equals_dense_product(self, pauli, phase):
+        q = phase * SIGMA[pauli]
+        u = random_complex(6, 6)
+        assert np.array_equal(apply_qubit_factor(q, u), np.kron(q, np.eye(3)) @ u)
+
+    def test_control_frame_removal_is_exact(self):
+        ops = build_model(ModelSpec(d=4, seed=5))
+        seq = cudd(2, 2, 0.1)
+        u = sequence_unitary(seq, ops).u
+        ctrl = np.kron(control_product(seq), np.eye(4))
+        assert np.array_equal(apply_qubit_factor(control_product(seq).conj().T, u), ctrl.conj().T @ u)
+
+    def test_input_is_not_modified(self):
+        u = random_complex(4, 4)
+        before = u.copy()
+        for pauli in ("X", "Y", "Z"):
+            apply_qubit_factor(SIGMA[pauli], u)
+        assert np.array_equal(u, before)
+
+    @pytest.mark.parametrize(
+        "q", [np.eye(2) * 0.5, np.ones((2, 2)), np.diag([1, 1j + 1]), np.array([[1, 0], [1, 0]]), np.eye(3)]
+    )
+    def test_rejects_non_pauli_factor(self, q):
+        with pytest.raises(ValueError, match="Pauli"):
+            apply_qubit_factor(q, random_complex(4, 4))
+
+
+class TestCompositionExactness:
+    @pytest.mark.parametrize("d", [4, 16])
+    @pytest.mark.parametrize("seq", [udd_sequence(3, 0.01), cudd(2, 2, 0.01), cdd_full(3, 0.01)],
+                             ids=["UDD-3", "CUDD(2,2)", "CDD-3"])
+    def test_bit_equal_to_dense_reference(self, seq, d):
+        ops = build_model(ModelSpec(d=d, seed=7))
+        assert sequence_unitary(seq, ops).u.tobytes() == dense_sequence_unitary(seq, ops).tobytes()
+
+    def test_repeat_calls_share_one_eigensystem(self):
+        ops = build_model(ModelSpec(d=4, seed=7))
+        first = sequence_unitary(cdd_full(2, 0.01), ops).u
+        assert sequence_unitary(cdd_full(2, 0.01), ops).u.tobytes() == first.tobytes()
 
 
 class TestSequenceUnitary:

@@ -161,6 +161,45 @@ class TestCddFull:
         assert all(p.axis is not PauliAxis.I for p in seq.pulses)
 
 
+def merged_per_level(base, junction_axes, levels):
+    # Reference concatenation: validated Pulses through merge_pulses at every
+    # level, with block windows embedded by Fraction arithmetic.
+    nblocks = len(junction_axes)
+    current = list(base)
+    for _ in range(levels):
+        nxt = []
+        for b, axis in enumerate(reversed(junction_axes)):
+            nxt.append((F(b, nblocks), axis))
+            for instant, ax in current:
+                if isinstance(instant, Fraction):
+                    nxt.append((F(b, nblocks) + F(1, nblocks) * instant, ax))
+                else:
+                    nxt.append(((b + instant) / nblocks, ax))
+        current = [(p.instant, p.axis) for p in merge_pulses(nxt)]
+    return list(merge_pulses(current))
+
+
+def typed_schedule(pulses):
+    return [(type(p.instant), p.instant, p.axis) for p in pulses]
+
+
+class TestConcatenationCompile:
+    @pytest.mark.parametrize("level", range(0, 6))
+    def test_cdd_matches_per_level_merge(self, level):
+        want = merged_per_level([], [X, Z, X, Z], level)
+        assert typed_schedule(cdd_full(level).pulses) == typed_schedule(want)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("level", range(0, 5))
+    def test_uhrig_base_matches_per_level_merge(self, m, level):
+        # m = 3 gives float instants, m <= 2 exact ones.
+        base = udd_sequence(m)
+        want = merged_per_level(schedule(base), [X, X], level)
+        assert typed_schedule(cdd_xx(level, base=base).pulses) == typed_schedule(want)
+        want = merged_per_level(schedule(base), [X, Z, X, Z], level)
+        assert typed_schedule(cdd_full(level, base=base).pulses) == typed_schedule(want)
+
+
 class TestCddXX:
     def test_level_one(self):
         assert schedule(cdd_xx(1)) == [(F(0), X), (F(1, 2), X)]
