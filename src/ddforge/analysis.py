@@ -2,9 +2,11 @@
 
 An order scan evaluates the residual-coupling functionals of one schedule
 family on a logarithmic duration grid and fits the log-log slope, which
-estimates the suppression order directly.  Grid points (and bath seeds, when
-an ensemble is requested) are independent work items; results aggregate in
-grid order regardless of completion order.
+estimates the suppression order directly.  In double precision a schedule
+built once is composed and extracted for a whole stack of grid durations per
+bath model in one pass (``evolution.stack_points`` durations per stack); in
+extended precision every grid point and bath seed is its own work item.
+Results aggregate in grid order regardless of completion order.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from . import highprec
 from .bath import ModelSpec, alpha, build_model
 from .effective import BranchAmbiguityError, error_functionals, sequence_effective
+from .evolution import control_product, stack_points
 from .sequences import PulseSequence, build_sequence
 
 FUNCTIONALS = ("E_flip", "E_dephase", "E_total")
@@ -92,6 +95,12 @@ def _family_param_string(family: dict) -> str:
     return ",".join(parts)
 
 
+def _build_once(family_spec: dict, t: float) -> PulseSequence:
+    params = dict(family_spec)
+    name = params.pop("name")
+    return build_sequence(name, t, **params)
+
+
 def _scan_sequences(family_spec, t_grid) -> list[PulseSequence]:
     """One schedule per duration.
 
@@ -101,10 +110,45 @@ def _scan_sequences(family_spec, t_grid) -> list[PulseSequence]:
     """
     if callable(family_spec):
         return [family_spec(t) for t in t_grid]
-    params = dict(family_spec)
-    name = params.pop("name")
-    base = build_sequence(name, t_grid[0], **params)
+    base = _build_once(family_spec, t_grid[0])
     return [base] + [base.with_duration(t) for t in t_grid[1:]]
+
+
+def _scan_stacks(family_spec, t_grid, per_stack: int) -> list[tuple]:
+    """(schedule, control product, grid indices, durations) stacks covering the grid.
+
+    A dict spec is built once and its grid split into runs of at most
+    per_stack durations.  A callable spec is called once per duration, and
+    each of its schedules is a stack of one at its own duration.
+    """
+    if callable(family_spec):
+        return [(seq, control_product(seq), [i], [seq.total_duration])
+                for i, seq in enumerate(family_spec(t) for t in t_grid)]
+    base = _build_once(family_spec, t_grid[0])
+    ctrl = control_product(base)
+    return [(base, ctrl, list(range(s, min(s + per_stack, len(t_grid)))), t_grid[s:s + per_stack])
+            for s in range(0, len(t_grid), per_stack)]
+
+
+def _collect(outputs, per_round: int) -> dict:
+    """Merge task outputs, raising the first failure of each round in grid order.
+
+    Tasks arrive one grid stack (or point) at a time across all bath models,
+    so every round of per_round tasks covers whole grid points.  Stacks
+    record their failures instead of raising; checking them at round ends
+    stops a failing scan where evaluating it point by point would, with the
+    same error.
+    """
+    results, pending = {}, []
+    for n, items in enumerate(outputs, 1):
+        pending += items
+        if n % per_round == 0:
+            for _, value in sorted(pending, key=lambda item: item[0]):
+                if isinstance(value, Exception):
+                    raise value
+            results.update(pending)
+            pending = []
+    return results
 
 
 def evaluate_point(seq: PulseSequence, ops, precision: str = "double", dps: int = highprec.DEFAULT_DPS) -> dict:
@@ -146,22 +190,37 @@ def evaluate_scan(
             t=max(t_grid),
         )
 
-    sequences = _scan_sequences(family_spec, t_grid)
-    tasks = [(i, k) for i in range(len(t_grid)) for k in range(len(models))]
+    if precision == "double":
+        stacks = _scan_stacks(family_spec, t_grid, stack_points(model_spec.d))
+        sample = stacks[0][0]
+        tasks = [(stack, k) for stack in stacks for k in range(len(models))]
 
-    def run(task):
-        i, k = task
-        return task, evaluate_point(sequences[i], models[k], precision, dps)
+        def run(task):
+            (seq, ctrl, indices, durations), k = task
+            eff, errors = sequence_effective(seq, models[k], durations, ctrl=ctrl)
+            funcs = error_functionals(eff)
+            return [
+                ((i, k), error if error is not None else {key: float(funcs[key][j]) for key in FUNCTIONALS})
+                for j, (i, error) in enumerate(zip(indices, errors))
+            ]
+    else:
+        sequences = _scan_sequences(family_spec, t_grid)
+        sample = sequences[0]
+        tasks = [(i, k) for i in range(len(t_grid)) for k in range(len(models))]
+
+        def run(task):
+            i, k = task
+            return [(task, evaluate_point(sequences[i], models[k], precision, dps))]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(run, tasks))
+            results = _collect(pool.map(run, tasks), len(models))
     else:
-        results = dict(map(run, tasks))
+        results = _collect(map(run, tasks), len(models))
 
-    sample = sequences[0]
     rows = []
     for i, t in enumerate(t_grid):
+        values = [results[(i, k)] for k in range(len(models))]
         row = {
             "family": sample.family.get("name", sample.label),
             "param": _family_param_string(sample.family),
@@ -169,7 +228,7 @@ def evaluate_scan(
             "alpha_t": model_alpha * t,
         }
         for key in FUNCTIONALS:
-            row[key] = sum(results[(i, k)][key] for k in range(len(models))) / len(models)
+            row[key] = sum(v[key] for v in values) / len(models)
         rows.append(row)
     return rows
 
@@ -240,13 +299,12 @@ def crossover(n_max: int = 40) -> int:
 def dephasing_bound_constant(seq: PulseSequence, ops) -> float:
     """Observed ratio |a_z_eff| / max(|A_z|, t |A_x| |A_y|) (reported, not asserted)."""
     from .bath import spectral_norm
-    from .effective import _norm
 
     eff = sequence_effective(seq, ops)
     bound = max(spectral_norm(ops.az), seq.total_duration * spectral_norm(ops.ax) * spectral_norm(ops.ay))
     if bound == 0.0:
         return math.nan
-    return _norm(eff.az) / bound
+    return spectral_norm(eff.az) / bound
 
 
 def _fmt(value) -> str:

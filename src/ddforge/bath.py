@@ -32,8 +32,18 @@ MAX_DIM = 64
 _SPIN_BATH_RE = re.compile(r"^spin_bath\((\d+)\)$")
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest |eigenvalue| of a Hermitian matrix."""
+def spectral_norm(a: np.ndarray):
+    """Largest |eigenvalue| of a Hermitian matrix.
+
+    A (..., d, d) stack gives an array of one norm per matrix.  Only the
+    lower triangle is read, so the input must be exactly Hermitian.
+    """
+    if a.ndim > 2:
+        norms = np.zeros(a.shape[:-2])
+        nonzero = np.any(a, axis=(-2, -1))
+        if nonzero.any():
+            norms[nonzero] = np.abs(np.linalg.eigvalsh(a[nonzero])).max(axis=-1)
+        return norms
     if a.size == 0 or not np.any(a):
         return 0.0
     return float(np.abs(np.linalg.eigvalsh(a)).max())

@@ -250,8 +250,12 @@ def _cmd_compare(args) -> int:
         if "axis" in params:
             params["axis"] = sequences.PauliAxis(params["axis"])
         seq = sequences.build_sequence(name, t, **params)
-        funcs = analysis.evaluate_point(seq, model, precision, dps)
-        fe = evolution.entanglement_fidelity(evolution.sequence_unitary(seq, model))
+        result = evolution.sequence_unitary(seq, model)
+        if precision == "double":
+            funcs = effective.error_functionals(effective.unitary_effective(seq, result))
+        else:
+            funcs = analysis.evaluate_point(seq, model, precision, dps)
+        fe = evolution.entanglement_fidelity(result)
         print(
             f"{seq.label:>20} {seq.pulse_count:>7} {funcs['E_flip']:>12.4e}"
             f" {funcs['E_dephase']:>12.4e} {funcs['E_total']:>12.4e} {fe:>12.9f}"
@@ -287,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_order.add_argument("--seeds", default=None, help="comma-separated seed ensemble")
     p_order.add_argument("--precision", choices=["double", "extended"], default=None)
     p_order.add_argument("--dps", type=int, default=None, help="decimal digits for extended precision")
-    p_order.add_argument("--jobs", type=int, default=None, help="parallel workers over grid points")
+    p_order.add_argument("--jobs", type=int, default=None, help="parallel worker threads over stacks or grid points")
     p_order.add_argument("--out", default=None, metavar="FILE", help="scan CSV output path")
     p_order.add_argument("--summary", default=None, metavar="FILE", help="fit summary JSON output path")
     _add_common(p_order)

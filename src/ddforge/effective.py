@@ -5,7 +5,8 @@ simultaneously diagonalizing the commuting Hermitian pair (U + U^+)/2 and
 (U - U^+)/(2i): eigenvectors come from the cosine part, refined inside
 degenerate clusters by the sine part, and the eigenphase is atan2(sin, cos).
 Eigenphases must stay clear of the +-pi branch cut; callers shrink the
-duration when they do not.
+duration when they do not.  Both Hermitian eigendecompositions run on
+(G, 2d, 2d) stacks; only the cluster refinement loops over the matrices.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import _GAMMA_SIGMA, SIGMA
-from .evolution import apply_qubit_factor, control_product, sequence_unitary
+from .bath import _GAMMA_SIGMA, SIGMA, spectral_norm
+from .evolution import UnitaryResult, apply_qubit_factor, control_product, sequence_unitary
 
 BRANCH_MARGIN = 0.1
 _CLUSTER_TOL = 1e-8
@@ -30,18 +31,13 @@ class BranchAmbiguityError(ArithmeticError):
         self.t = t
 
 
-def unitary_log(u: np.ndarray, margin: float = BRANCH_MARGIN) -> np.ndarray:
-    """Hermitian M with u = exp(-i M), eigenphases in (-pi, pi).
+def _cluster_phases(w, v, sin_part, vecs, phases) -> None:
+    """Eigenphases of one matrix from its cosine eigensystem (w, v).
 
-    Raises BranchAmbiguityError when any eigenphase of u comes within
-    ``margin`` of +-pi.  The reconstruction exp(-i M) is verified to 1e-9.
+    Inside each cluster of cosine eigenvalues closer than _CLUSTER_TOL the
+    eigenvectors are rotated to diagonalize the sine part; writes the
+    refined eigenvectors into vecs and the eigenphases into phases.
     """
-    u = np.asarray(u, dtype=complex)
-    cos_part = (u + u.conj().T) / 2
-    sin_part = (u - u.conj().T) / (2j)
-    w, v = np.linalg.eigh(cos_part)
-    phases = np.empty_like(w)
-    vecs = np.array(v)
     i = 0
     while i < len(w):
         j = i + 1
@@ -53,49 +49,89 @@ def unitary_log(u: np.ndarray, margin: float = BRANCH_MARGIN) -> np.ndarray:
         vecs[:, i:j] = block @ sv
         phases[i:j] = np.arctan2(sw, w[i:j])
         i = j
-    worst = phases[np.abs(phases).argmax()]
-    if np.abs(worst) > np.pi - margin:
-        raise BranchAmbiguityError(
-            f"eigenphase {worst:+.4f} rad within {margin} of the branch cut; shrink the duration",
-            eigenphase=float(worst),
-        )
-    m = (vecs * (-phases)) @ vecs.conj().T
-    m = (m + m.conj().T) / 2
+
+
+def _principal_logs(u: np.ndarray, margin: float) -> tuple[np.ndarray, list]:
+    """unitary_log of every matrix in a (G, n, n) stack, without raising.
+
+    Returns the (G, n, n) generators and, per matrix, the exception
+    unitary_log would raise for it, or None.  A failed matrix does not stop
+    the others; its generator is meaningless.
+    """
+    u_h = np.swapaxes(u.conj(), -1, -2)
+    cos_part = (u + u_h) / 2
+    sin_part = (u - u_h) / (2j)
+    w, v = np.linalg.eigh(cos_part)
+    phases = np.empty_like(w)
+    vecs = np.array(v)
+    for args in zip(w, v, sin_part, vecs, phases):
+        _cluster_phases(*args)
+    errors = []
+    for item in phases:
+        worst = item[np.abs(item).argmax()]
+        if np.abs(worst) > np.pi - margin:
+            errors.append(BranchAmbiguityError(
+                f"eigenphase {worst:+.4f} rad within {margin} of the branch cut; shrink the duration",
+                eigenphase=float(worst),
+            ))
+        else:
+            errors.append(None)
+    m = (vecs * (-phases)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    m = (m + np.swapaxes(m.conj(), -1, -2)) / 2
     evals, evecs = np.linalg.eigh(m)
-    residual = np.abs((evecs * np.exp(-1j * evals)) @ evecs.conj().T - u).max()
-    if residual > 1e-9:
-        raise ArithmeticError(f"log reconstruction residual {residual:.2e} exceeds 1e-9")
-    return m
+    rebuilt = (evecs * np.exp(-1j * evals)[..., None, :]) @ np.swapaxes(evecs.conj(), -1, -2)
+    for g, residual in enumerate(np.abs(rebuilt - u).max(axis=(-2, -1))):
+        if errors[g] is None and residual > 1e-9:
+            errors[g] = ArithmeticError(f"log reconstruction residual {residual:.2e} exceeds 1e-9")
+    return m, errors
+
+
+def unitary_log(u: np.ndarray, margin: float = BRANCH_MARGIN) -> np.ndarray:
+    """Hermitian M with u = exp(-i M), eigenphases in (-pi, pi).
+
+    Raises BranchAmbiguityError when any eigenphase of u comes within
+    ``margin`` of +-pi.  The reconstruction exp(-i M) is verified to 1e-9.
+    """
+    m, errors = _principal_logs(np.asarray(u, dtype=complex)[None], margin)
+    if errors[0] is not None:
+        raise errors[0]
+    return m[0]
 
 
 @dataclass(frozen=True, eq=False)
 class EffectiveHamiltonian:
-    """Pauli-decomposed generator: H_eff = sum_g sigma_g (x) a_g at duration t."""
+    """Pauli-decomposed generator: H_eff = sum_g sigma_g (x) a_g at duration t.
+
+    A stacked generator holds (G, d, d) blocks and one duration per item in
+    the (G,) array t.
+    """
 
     a0: np.ndarray
     ax: np.ndarray
     ay: np.ndarray
     az: np.ndarray
-    t: float
+    t: float | np.ndarray
 
     def items(self):
         return (("0", self.a0), ("x", self.ax), ("y", self.ay), ("z", self.az))
 
 
-def pauli_decompose(m: np.ndarray, t: float = 1.0) -> EffectiveHamiltonian:
+def pauli_decompose(m: np.ndarray, t=1.0) -> EffectiveHamiltonian:
     """Split a Hermitian 2d x 2d matrix into qubit-Pauli blocks over the bath.
 
     a_g * t = (1/2) tr_qubit[(sigma_g (x) I) m]; the four blocks reassemble
-    m exactly by completeness of the Pauli basis.
+    m exactly by completeness of the Pauli basis.  A (G, 2d, 2d) stack with
+    a (G,) array of durations splits item by item.
     """
-    d = m.shape[0] // 2
-    m00, m01 = m[:d, :d], m[:d, d:]
-    m10, m11 = m[d:, :d], m[d:, d:]
+    d = m.shape[-1] // 2
+    m00, m01 = m[..., :d, :d], m[..., :d, d:]
+    m10, m11 = m[..., d:, :d], m[..., d:, d:]
+    scale = 2 * np.asarray(t)[..., None, None]
     return EffectiveHamiltonian(
-        a0=(m00 + m11) / (2 * t),
-        ax=(m01 + m10) / (2 * t),
-        ay=1j * (m01 - m10) / (2 * t),
-        az=(m00 - m11) / (2 * t),
+        a0=(m00 + m11) / scale,
+        ax=(m01 + m10) / scale,
+        ay=1j * (m01 - m10) / scale,
+        az=(m00 - m11) / scale,
         t=t,
     )
 
@@ -109,43 +145,70 @@ def pauli_reassemble(eff: EffectiveHamiltonian) -> np.ndarray:
     return out
 
 
-def _norm(a: np.ndarray) -> float:
-    if not np.any(a):
-        return 0.0
-    return float(np.abs(np.linalg.eigvalsh((a + a.conj().T) / 2)).max())
-
-
 def error_functionals(eff: EffectiveHamiltonian) -> dict:
     """Amplitude-level residual couplings of an effective generator.
 
     E_flip = t max(|a_x|, |a_y|), E_dephase = t |a_z|, E_total their max;
     the pure-bath block a_0 never acts on the qubit and is excluded.  On
     log-log axes versus duration these scale directly with the suppression
-    order.
+    order.  A stacked generator gives a (G,) array per functional.
     """
-    e_flip = eff.t * max(_norm(eff.ax), _norm(eff.ay))
-    e_dephase = eff.t * _norm(eff.az)
-    return {"E_flip": e_flip, "E_dephase": e_dephase, "E_total": max(e_flip, e_dephase)}
+    e_flip = eff.t * np.maximum(spectral_norm(eff.ax), spectral_norm(eff.ay))
+    e_dephase = eff.t * spectral_norm(eff.az)
+    values = {"E_flip": e_flip, "E_dephase": e_dephase, "E_total": np.maximum(e_flip, e_dephase)}
+    if np.ndim(eff.t) == 0:
+        return {key: float(value) for key, value in values.items()}
+    return values
 
 
-def sequence_effective(seq, ops) -> EffectiveHamiltonian:
+def _deviation_logs(seq, u: np.ndarray, durations, ctrl: np.ndarray) -> tuple[np.ndarray, list]:
+    """Principal logs of ctrl^+ u over a (G, 2d, 2d) stack of one schedule.
+
+    Removes the net control rotation (odd pulse counts otherwise park
+    eigenphases on the branch cut) and tags branch errors with the schedule
+    and the item's duration.
+    """
+    m, errors = _principal_logs(apply_qubit_factor(ctrl.conj().T, u), BRANCH_MARGIN)
+    for g, exc in enumerate(errors):
+        if isinstance(exc, BranchAmbiguityError):
+            errors[g] = BranchAmbiguityError(
+                f"{exc} (schedule {seq.label!r} at t={durations[g]:g})",
+                eigenphase=exc.eigenphase,
+                t=durations[g],
+            )
+    return m, errors
+
+
+def unitary_effective(seq, result: UnitaryResult) -> EffectiveHamiltonian:
+    """Effective generator of a schedule from its composed unitary (double precision)."""
+    m, errors = _deviation_logs(seq, result.u[None], [seq.total_duration], control_product(seq))
+    if errors[0] is not None:
+        raise errors[0]
+    return pauli_decompose(m[0], seq.total_duration)
+
+
+def sequence_effective(seq, ops, durations=None, *, ctrl=None):
     """Effective generator of a schedule under a model (double precision).
 
     Composes the sequence unitary, removes the net control rotation (the
     ordered product of the ideal pulse factors, phase included; odd pulse
     counts otherwise park eigenphases on the branch cut), then takes the
     principal log and splits it into Pauli blocks.
+
+    With ``durations`` the schedule is re-timed to each of them and the
+    whole stack is composed and extracted in one pass.  The result is then
+    a stacked EffectiveHamiltonian with a list holding, per item, the
+    exception a separate call at that duration would raise, or None.
+    ``ctrl``, the schedule's ``control_product``, lets a caller that
+    extracts several stacks of one schedule form it once.
     """
-    result = sequence_unitary(seq, ops)
-    try:
-        m = unitary_log(apply_qubit_factor(control_product(seq).conj().T, result.u))
-    except BranchAmbiguityError as exc:
-        raise BranchAmbiguityError(
-            f"{exc} (schedule {seq.label!r} at t={seq.total_duration:g})",
-            eigenphase=exc.eigenphase,
-            t=seq.total_duration,
-        ) from None
-    return pauli_decompose(m, seq.total_duration)
+    if durations is None:
+        return unitary_effective(seq, sequence_unitary(seq, ops))
+    durations = [float(t) for t in durations]
+    u, errors = sequence_unitary(seq, ops, durations)
+    m, log_errors = _deviation_logs(seq, u, durations, control_product(seq) if ctrl is None else ctrl)
+    errors = [log_error if error is None else error for error, log_error in zip(errors, log_errors)]
+    return pauli_decompose(m, np.array(durations)), errors
 
 
 def magnus_cdd_predict(a0: np.ndarray, az: np.ndarray, tau0: float, level: int):

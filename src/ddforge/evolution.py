@@ -2,12 +2,20 @@
 
 Free segments are propagated with exp(-i H dt) through the model's one
 Hermitian eigensystem (``BathOperators.eigensystem``), computed once per
-model and shared by every schedule composed under it; the factor
-evecs * exp(-i evals dt) is formed once per distinct segment length.  Ideal
-pulses sigma_a (x) I_d act on the qubit slot as exact row permutations and
-sign (or +-i) changes of the running product, with the same values as the
-dense Pauli factor.  Everything stays dense; dimensions of interest are
-2d <= 128.
+model and shared by every schedule composed under it.  Ideal pulses
+sigma_a (x) I_d act on the qubit slot as exact row permutations and sign (or
++-i) changes of the running product, with the same values as the dense Pauli
+factor.  Everything stays dense; dimensions of interest are 2d <= 128.
+
+Schedule instants are fractions of the total duration, so one pass over the
+pulses composes a schedule at a whole grid of durations: the running product
+is a (G, 2d, 2d) stack, each distinct fractional gap forms its G segment
+factors evecs * exp(-i evals gap t_g) once, and every pulse is one row
+operation on the stack.  Each item gets exactly the values a separate
+composition at its duration would.  A single composition is the G = 1 case
+of the same loop.  Callers split a grid into stacks of at most STACK_BYTES of
+matrices (``stack_points``): at d = 4 a whole grid fits, at d = 64 a stack
+holds one point, since larger stacks of 128 x 128 matrices measured slower.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ def _qubit_rows(q: np.ndarray, d: int) -> tuple[np.ndarray | None, np.ndarray | 
 def _apply_rows(rows, u: np.ndarray) -> np.ndarray:
     perm, scale = rows
     if perm is not None:
-        u = u.take(perm, axis=0)
+        u = u.take(perm, axis=-2)
     if scale is not None:
         u = u * scale
     return u
@@ -81,10 +89,12 @@ def _apply_rows(rows, u: np.ndarray) -> np.ndarray:
 def apply_qubit_factor(q: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(q (x) I_d) @ u for a phase times a Pauli matrix q, without a matmul.
 
+    u may be a (..., 2d, 2d) stack; the factor applies to every matrix.
+
     Every output row block is one input block times 1, -1, i or -i, so the
     result holds exactly the values of the dense product.
     """
-    return _apply_rows(_qubit_rows(q, u.shape[0] // 2), u)
+    return _apply_rows(_qubit_rows(q, u.shape[-1] // 2), u)
 
 
 @lru_cache(maxsize=None)
@@ -110,6 +120,26 @@ def control_product(seq: PulseSequence) -> np.ndarray:
 
 UNITARITY_TOL = 1e-10
 
+# Upper bound on the bytes of complex128 matrices composed in one stack.
+STACK_BYTES = 256 * 1024
+
+
+def stack_points(d: int) -> int:
+    """Durations composed in one stack at bath dimension d (at least one)."""
+    return max(1, STACK_BYTES // (16 * (2 * d) ** 2))
+
+
+def _unitarity_defect(u: np.ndarray):
+    """max |u^+ u - I| of a matrix, or per matrix of a (..., n, n) stack."""
+    gram = np.swapaxes(u.conj(), -1, -2) @ u
+    return np.abs(gram - np.eye(u.shape[-1])).max(axis=(-2, -1))
+
+
+def _unitarity_error(defect) -> ValueError | None:
+    if defect > UNITARITY_TOL:
+        return ValueError(f"matrix is not unitary: defect {defect:.2e}")
+    return None
+
 
 @dataclass(frozen=True, eq=False)
 class UnitaryResult:
@@ -121,41 +151,57 @@ class UnitaryResult:
     label: str = ""
 
     def __post_init__(self):
-        defect = np.abs(self.u.conj().T @ self.u - np.eye(self.u.shape[0])).max()
-        if defect > UNITARITY_TOL:
-            raise ValueError(f"matrix is not unitary: defect {defect:.2e}")
+        error = _unitarity_error(_unitarity_defect(self.u))
+        if error is not None:
+            raise error
         self.u.flags.writeable = False
 
 
-def sequence_unitary(seq: PulseSequence, ops: BathOperators) -> UnitaryResult:
-    """Time-ordered product of segment exponentials and pulse factors.
-
-    Later factors multiply on the left; zero-length segments (boundary
-    pulses) are skipped.  The result is unitary to 1e-10.
-    """
+def _compose(seq: PulseSequence, ops: BathOperators, durations: np.ndarray) -> np.ndarray:
+    """The schedule's unitary at each duration: shape durations.shape + (2d, 2d)."""
     evals, evecs = ops.eigensystem
     evecs_h = evecs.conj().T
     factors = {}
 
-    def segment(u, dt):
-        factor = factors.get(dt)
+    def segment(u, gap):
+        factor = factors.get(gap)
         if factor is None:
-            factor = factors[dt] = evecs * np.exp(-1j * evals * dt)
+            phases = np.exp(-1j * evals * (gap * durations)[..., None])
+            factor = factors[gap] = evecs * phases[..., None, :]
         return factor @ (evecs_h @ u)
 
     d = ops.dim
     rows = {axis: _pulse_rows(axis, d) for axis in (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)}
-    u = np.eye(2 * d, dtype=complex)
+    u = np.broadcast_to(np.eye(2 * d, dtype=complex), durations.shape + (2 * d, 2 * d)).copy()
     prev = 0.0
     for p in seq.pulses:
         frac = p.t_frac
         if frac > prev:
-            u = segment(u, (frac - prev) * seq.total_duration)
+            u = segment(u, frac - prev)
         u = _apply_rows(rows[p.axis], u)
         prev = frac
     if prev < 1.0:
-        u = segment(u, (1.0 - prev) * seq.total_duration)
-    return UnitaryResult(u=u, total_duration=seq.total_duration, pulse_count=seq.pulse_count, label=seq.label)
+        u = segment(u, 1.0 - prev)
+    return u
+
+
+def sequence_unitary(seq: PulseSequence, ops: BathOperators, durations=None):
+    """Time-ordered product of segment exponentials and pulse factors.
+
+    Later factors multiply on the left; zero-length segments (boundary
+    pulses) are skipped.  The result is unitary to 1e-10.
+
+    With ``durations`` the schedule is composed re-timed to each of them in
+    one stacked pass, and the result is the read-only (G, 2d, 2d) stack with
+    a list holding, per item, the ValueError its unitarity check failed
+    with, or None.  A failed item does not stop the others.
+    """
+    if durations is None:
+        u = _compose(seq, ops, np.float64(seq.total_duration))
+        return UnitaryResult(u=u, total_duration=seq.total_duration, pulse_count=seq.pulse_count, label=seq.label)
+    u = _compose(seq, ops, np.asarray(durations, dtype=float))
+    u.flags.writeable = False
+    return u, [_unitarity_error(defect) for defect in _unitarity_defect(u)]
 
 
 def entanglement_fidelity(u: UnitaryResult | np.ndarray) -> float:

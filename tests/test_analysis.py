@@ -10,6 +10,7 @@ from ddforge.analysis import (
     crossover,
     default_t_grid,
     dephasing_bound_constant,
+    evaluate_point,
     evaluate_scan,
     fit_order,
     fit_to_dict,
@@ -18,7 +19,7 @@ from ddforge.analysis import (
 )
 from ddforge.bath import ModelSpec, alpha, build_model
 from ddforge.effective import BranchAmbiguityError
-from ddforge.sequences import udd_sequence
+from ddforge.sequences import build_sequence, udd_sequence
 
 GENERIC = ModelSpec(d=4, seed=7)
 PURE_DEPHASING = ModelSpec(d=4, seed=7, preset="pure_dephasing")
@@ -169,6 +170,131 @@ class TestOrderScan:
         assert [r["t"] for r in rows] == [pytest.approx(t) for t in grid]
         assert rows[0]["family"] == "cpmg"
         assert all(set(r) == {"family", "param", "t", "alpha_t", "E_flip", "E_dephase", "E_total"} for r in rows)
+
+
+def per_point_scan(family, model_spec, grid, seeds):
+    # Reference: every (grid point, seed) evaluated on its own, in grid-major
+    # order, averaged over seeds the way evaluate_scan averages.
+    models = [build_model(ModelSpec(d=model_spec.d, seed=s, preset=model_spec.preset)) for s in seeds]
+    params = {k: v for k, v in family.items() if k != "name"}
+    rows = []
+    for t in grid:
+        seq = build_sequence(family["name"], float(t), **params)
+        values = [evaluate_point(seq, ops) for ops in models]
+        rows.append({k: sum(v[k] for v in values) / len(values) for k in ("E_flip", "E_dephase", "E_total")})
+    return rows
+
+
+FAMILIES = pytest.mark.parametrize(
+    "family", [{"name": "udd", "n": 3}, {"name": "cudd", "m": 2, "n": 2}, {"name": "cdd", "m": 3}],
+    ids=["UDD-3", "CUDD(2,2)", "CDD-3"],
+)
+
+
+class TestStackedScan:
+    @pytest.mark.parametrize("d", [4, 16])
+    @FAMILIES
+    def test_rows_equal_per_point_evaluation(self, family, d):
+        spec = ModelSpec(d=d, seed=7)
+        grid = default_t_grid(alpha(build_model(spec)))
+        rows = evaluate_scan(family, spec, grid, seeds=[7, 8])
+        want = per_point_scan(family, spec, grid, [7, 8])
+        for row, ref in zip(rows, want):
+            for key, value in ref.items():
+                assert np.float64(row[key]).tobytes() == np.float64(value).tobytes()
+
+    @FAMILIES
+    def test_callable_spec_equals_dict_spec(self, family):
+        params = {k: v for k, v in family.items() if k != "name"}
+        grid = default_t_grid(alpha(build_model(GENERIC)))
+        rows = evaluate_scan(lambda t: build_sequence(family["name"], t, **params), GENERIC, grid)
+        assert rows == evaluate_scan(family, GENERIC, grid)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "family, spec, seeds, window",
+        [
+            # CDD-4 fails the log reconstruction check at grid point 0 under
+            # seeds 7 and 12 and at point 1 under seed 16; grid-major order
+            # picks seed 12's error in the ensemble.
+            ({"name": "cdd", "m": 4}, ModelSpec(d=4, seed=7), [7], (1e-3, 1e-2)),
+            ({"name": "cdd", "m": 4}, ModelSpec(d=4, seed=16), [16, 12], (1e-3, 1e-2)),
+            # Free evolution under seed 7 crosses the branch margin at t_max.
+            ({"name": "none"}, ModelSpec(d=2, seed=5, preset="spin_bath(1)"), [5, 6, 7], (0.3, 0.999)),
+        ],
+        ids=["CDD-4-seed7", "CDD-4-seeds16,12", "free-branch"],
+    )
+    @pytest.mark.parametrize("one_point_stacks", [False, True], ids=["grid-stacks", "point-stacks"])
+    def test_failure_matches_per_point_path(self, monkeypatch, family, spec, seeds, window, jobs, one_point_stacks):
+        # The scan raises what the first failing (grid point, seed) raises
+        # on its own, whether a stack holds the grid or one point.
+        from ddforge import analysis
+
+        if one_point_stacks:
+            monkeypatch.setattr(analysis, "stack_points", lambda d: 1)
+        grid = default_t_grid(alpha(build_model(spec)), *window)
+        with pytest.raises(ArithmeticError) as per_point:
+            per_point_scan(family, spec, grid, seeds)
+        with pytest.raises(ArithmeticError) as stacked:
+            evaluate_scan(family, spec, grid, seeds=seeds, jobs=jobs)
+        assert type(stacked.value) is type(per_point.value)
+        assert str(stacked.value) == str(per_point.value)
+        assert getattr(stacked.value, "t", None) == getattr(per_point.value, "t", None)
+
+    def test_failing_scan_stops_after_failing_stack(self, monkeypatch):
+        # With one point per stack, the scan stops at the first failing point
+        # as the point-by-point path does, instead of finishing the grid.
+        from ddforge import analysis, effective
+
+        seen = []
+        sequence_unitary = effective.sequence_unitary
+
+        def recording_unitary(seq, ops, durations=None):
+            seen.append(list(durations))
+            return sequence_unitary(seq, ops, durations)
+
+        monkeypatch.setattr(effective, "sequence_unitary", recording_unitary)
+        monkeypatch.setattr(analysis, "stack_points", lambda d: 1)
+        spec = ModelSpec(d=2, seed=7, preset="spin_bath(1)")
+        grid = [0.3, 0.6, 0.999, 0.9995]
+        with pytest.raises(BranchAmbiguityError) as err:
+            evaluate_scan({"name": "none"}, spec, grid)
+        assert err.value.t == 0.999
+        assert seen == [[0.3], [0.6], [0.999]]
+
+    def test_control_product_formed_once_per_scan(self, monkeypatch):
+        from ddforge import analysis, effective, evolution
+
+        calls = []
+        control_product = evolution.control_product
+
+        def counting_control_product(seq):
+            calls.append(seq)
+            return control_product(seq)
+
+        for module in (analysis, effective, evolution):
+            monkeypatch.setattr(module, "control_product", counting_control_product)
+        evaluate_scan({"name": "cdd", "m": 3}, ModelSpec(d=16, seed=7), default_t_grid(1.0), seeds=[7, 8, 9])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("d, sizes", [(4, [8, 8]), (64, [1] * 8)])
+    def test_stack_sizes(self, monkeypatch, d, sizes):
+        # At d = 4 one stack holds the whole grid per bath model; at d = 64
+        # each stack holds one point.
+        from ddforge import effective
+
+        seen = []
+        sequence_unitary = effective.sequence_unitary
+
+        def recording_unitary(seq, ops, durations=None):
+            seen.append(len(durations))
+            return sequence_unitary(seq, ops, durations)
+
+        monkeypatch.setattr(effective, "sequence_unitary", recording_unitary)
+        spec = ModelSpec(d=d, seed=8)
+        grid = default_t_grid(alpha(build_model(spec)))
+        evaluate_scan({"name": "udd", "n": 1}, spec, grid, seeds=[8, 9] if d == 4 else None)
+        assert seen == sizes
 
 
 class TestSuppressionBoundedness:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -192,7 +193,47 @@ class TestCompare:
         assert err.startswith("error: ")
         assert "residual" in err
 
+    def test_one_composition_per_schedule(self, capsys, monkeypatch):
+        # F_e and the functionals come from the same double-precision unitary.
+        from ddforge import effective, evolution
+
+        calls = []
+        sequence_unitary = evolution.sequence_unitary
+
+        def counting_unitary(*args, **kwargs):
+            calls.append(args[0].label)
+            return sequence_unitary(*args, **kwargs)
+
+        for module in (evolution, effective):
+            monkeypatch.setattr(module, "sequence_unitary", counting_unitary)
+        code, _, _ = run(capsys, "compare", "--seq", "cdd,m=3", "--seq", "udd,n=2", "--t", "0.01", "--seed", "7")
+        assert code == 0
+        assert calls == ["CDD-3", "UDD-2"]
+
     def test_needs_seq(self, capsys):
         code, _, err = run(capsys, "compare", "--t", "0.01")
         assert code == 2
         assert "--seq" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# Scan CSVs written by `ddforge order ... --no-meta`, kept byte for byte.
+# No case runs at d = 64: there multi-threaded BLAS changes the last bits.
+GOLDEN_COMMANDS = {
+    "udd3": ["order", "udd", "--n", "3", "--seed", "7"],
+    "cudd22-d16-total": ["order", "cudd", "--m", "2", "--n", "2", "--d", "16", "--seed", "7", "--functional", "total"],
+    "cdd3-seeds": ["order", "cdd", "--m", "3", "--seeds", "7,8,9"],
+    "cpmgx-dephasing-jobs2": ["order", "cpmg", "--axis", "X", "--preset", "pure_dephasing",
+                              "--functional", "dephase", "--seed", "3", "--jobs", "2"],
+    "cpmgudd22-seeds-jobs2": ["order", "cpmg-udd", "--m", "2", "--c", "2", "--seeds", "7,8", "--jobs", "2"],
+    "udd2-extended-jobs2": ["order", "udd", "--n", "2", "--precision", "extended", "--points", "4",
+                            "--seed", "7", "--jobs", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_scan_csv(capsys, tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    code, _, _ = run(capsys, *GOLDEN_COMMANDS[name], "--out", str(out), "--no-meta")
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()

@@ -9,10 +9,11 @@ from ddforge.effective import (
     pauli_decompose,
     pauli_reassemble,
     sequence_effective,
+    unitary_effective,
     unitary_log,
 )
-from ddforge.evolution import expm_segment
-from ddforge.sequences import PulseSequence, cdd_xx, udd_sequence
+from ddforge.evolution import expm_segment, sequence_unitary
+from ddforge.sequences import PulseSequence, cdd_full, cdd_xx, cudd, udd_sequence
 
 RNG = np.random.default_rng(77)
 
@@ -148,6 +149,80 @@ class TestSequenceEffective:
         with pytest.raises(BranchAmbiguityError) as err:
             sequence_effective(PulseSequence(t, ()), ops)
         assert err.value.t == t
+
+
+GRID = np.geomspace(1e-3, 1e-2, 8)
+SCHEDULES = pytest.mark.parametrize(
+    "seq", [udd_sequence(3, 0.01), cudd(2, 2, 0.01), cdd_full(3, 0.01)], ids=["UDD-3", "CUDD(2,2)", "CDD-3"]
+)
+
+
+def symmetrized_norm(a):
+    # Reference: the spectral norm of the Hermitian part, as the functionals
+    # once computed it.
+    if not np.any(a):
+        return 0.0
+    return float(np.abs(np.linalg.eigvalsh((a + a.conj().T) / 2)).max())
+
+
+class TestStackedExtraction:
+    @pytest.mark.parametrize("d", [4, 16])
+    @SCHEDULES
+    def test_items_bit_equal_to_single_extractions(self, seq, d):
+        ops = build_model(ModelSpec(d=d, seed=7))
+        eff, errors = sequence_effective(seq, ops, GRID)
+        assert errors == [None] * len(GRID)
+        funcs = error_functionals(eff)
+        for g, t in enumerate(GRID):
+            single = sequence_effective(seq.with_duration(t), ops)
+            assert eff.t[g] == single.t
+            for (_, block), (_, want) in zip(eff.items(), single.items()):
+                assert block[g].tobytes() == want.tobytes()
+            for key, value in error_functionals(single).items():
+                assert type(value) is float
+                assert funcs[key][g] == value
+
+    def test_branch_error_recorded_per_item(self):
+        d = 4
+        zero = np.zeros((d, d), dtype=complex)
+        ops = BathOperators(a0=zero.copy(), ax=zero.copy(), ay=zero.copy(), az=np.eye(d, dtype=complex))
+        durations = [0.5, np.pi - 0.05, 1.0]
+        _, errors = sequence_effective(PulseSequence(1.0, (), label="free"), ops, durations)
+        assert errors[0] is None and errors[2] is None
+        with pytest.raises(BranchAmbiguityError) as single:
+            sequence_effective(PulseSequence(durations[1], (), label="free"), ops)
+        assert type(errors[1]) is BranchAmbiguityError
+        assert str(errors[1]) == str(single.value) and "(schedule 'free' at t=3.09159)" in str(errors[1])
+        assert errors[1].t == single.value.t == durations[1]
+        assert errors[1].eigenphase == single.value.eigenphase
+
+    @SCHEDULES
+    def test_unitary_effective_matches_sequence_effective(self, seq):
+        ops = build_model(ModelSpec(d=4, seed=7))
+        from_unitary = unitary_effective(seq, sequence_unitary(seq, ops))
+        direct = sequence_effective(seq, ops)
+        for (_, got), (_, want) in zip(from_unitary.items(), direct.items()):
+            assert got.tobytes() == want.tobytes()
+
+
+class TestSpectralNorm:
+    @pytest.mark.parametrize("d", [4, 16])
+    @SCHEDULES
+    def test_pauli_blocks_equal_symmetrized_norm(self, seq, d):
+        # eigvalsh reads one triangle; the extracted blocks are exactly
+        # Hermitian, so symmetrizing first changes no bit.
+        eff = sequence_effective(seq, build_model(ModelSpec(d=d, seed=7)))
+        for _, block in eff.items():
+            assert np.array_equal(block, block.conj().T)
+            got = np.float64(spectral_norm(block))
+            assert got.tobytes() == np.float64(symmetrized_norm(block)).tobytes()
+
+    def test_stack_gives_one_norm_per_matrix(self):
+        stack = np.stack([random_hermitian(5, 0.5), np.zeros((5, 5), dtype=complex), random_hermitian(5, 2.0)])
+        norms = spectral_norm(stack)
+        assert norms.shape == (3,)
+        assert [float(x) for x in norms] == [spectral_norm(a) for a in stack]
+        assert spectral_norm(stack.reshape(3, 1, 5, 5)).shape == (3, 1)
 
 
 class TestMagnusPredictor:

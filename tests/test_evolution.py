@@ -5,6 +5,7 @@ import pytest
 
 from ddforge.bath import SIGMA, BathOperators, ModelSpec, build_model, total_hamiltonian
 from ddforge.evolution import (
+    STACK_BYTES,
     UnitaryResult,
     apply_qubit_factor,
     control_product,
@@ -12,6 +13,7 @@ from ddforge.evolution import (
     expm_segment,
     pulse_unitary,
     sequence_unitary,
+    stack_points,
 )
 from ddforge.sequences import PauliAxis, PulseSequence, cdd_full, cpmg, cudd, spin_echo, udd_sequence
 
@@ -163,6 +165,43 @@ class TestCompositionExactness:
         ops = build_model(ModelSpec(d=4, seed=7))
         first = sequence_unitary(cdd_full(2, 0.01), ops).u
         assert sequence_unitary(cdd_full(2, 0.01), ops).u.tobytes() == first.tobytes()
+
+
+GRID = np.geomspace(1e-3, 1e-2, 8)
+
+
+class TestStackedComposition:
+    @pytest.mark.parametrize("d", [4, 16])
+    @pytest.mark.parametrize("seq", [udd_sequence(3, 0.01), cudd(2, 2, 0.01), cdd_full(3, 0.01)],
+                             ids=["UDD-3", "CUDD(2,2)", "CDD-3"])
+    def test_items_bit_equal_to_single_compositions(self, seq, d):
+        ops = build_model(ModelSpec(d=d, seed=7))
+        stack, errors = sequence_unitary(seq, ops, GRID)
+        assert stack.shape == (len(GRID), 2 * d, 2 * d)
+        assert not stack.flags.writeable
+        assert errors == [None] * len(GRID)
+        for item, t in zip(stack, GRID):
+            assert item.tobytes() == sequence_unitary(seq.with_duration(t), ops).u.tobytes()
+
+    def test_failed_item_is_recorded_not_raised(self):
+        # A scaled eigenvector basis makes every segment factor non-unitary;
+        # each item carries the error its own composition raises.
+        ops = build_model(ModelSpec(d=4, seed=7))
+        evals, evecs = ops.eigensystem
+        ops.__dict__["eigensystem"] = (evals, evecs * 1.001)
+        seq = udd_sequence(2, 0.01)
+        _, errors = sequence_unitary(seq, ops, GRID[:3])
+        for error, t in zip(errors, GRID[:3]):
+            with pytest.raises(ValueError) as single:
+                sequence_unitary(seq.with_duration(t), ops)
+            assert type(error) is ValueError and str(error) == str(single.value)
+
+    def test_stack_size_rule(self):
+        assert stack_points(4) >= 8  # a whole default grid in one stack
+        assert stack_points(64) == 1
+        for d in range(1, 65):
+            n = 2 * d
+            assert stack_points(d) == 1 or stack_points(d) * 16 * n * n <= STACK_BYTES
 
 
 class TestSequenceUnitary:
