@@ -142,12 +142,13 @@ def _cmd_order(args) -> int:
     else:
         seeds = [int(s) for s in str(seeds_opt).split(",")]
     functional = "E_" + _resolve(args, config, "functional", "flip")
+    args.precision = _resolve(args, config, "precision", "double")
     rows = analysis.evaluate_scan(
         family,
         spec,
         grid,
         seeds=seeds,
-        precision=_resolve(args, config, "precision", "double"),
+        precision=args.precision,
         dps=_resolve(args, config, "dps", highprec.DEFAULT_DPS),
         jobs=_resolve(args, config, "jobs", 1),
     )
@@ -240,7 +241,7 @@ def _cmd_compare(args) -> int:
     tokens = args.seq or config.get("seq") or []
     if not tokens:
         raise ValueError("compare needs at least one --seq token, e.g. --seq udd,n=3")
-    precision = _resolve(args, config, "precision", "double")
+    precision = args.precision = _resolve(args, config, "precision", "double")
     dps = _resolve(args, config, "dps", highprec.DEFAULT_DPS)
     print(f"{'label':>20} {'pulses':>7} {'E_flip':>12} {'E_dephase':>12} {'E_total':>12} {'F_e':>12}")
     for token in tokens:
@@ -338,7 +339,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except effective.BranchAmbiguityError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("advice: shrink the duration grid (--at-max) or use --precision extended", file=sys.stderr)
+        # order and compare store their resolved precision on args.
+        switch = "" if getattr(args, "precision", None) == "extended" else " or use --precision extended"
+        print(f"advice: shrink the duration grid (--at-max){switch}", file=sys.stderr)
         return EXIT_BRANCH
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -120,6 +120,22 @@ class TestOrder:
         assert code == 3
         assert "shrink" in err
 
+    def test_branch_advice_follows_precision(self, capsys, tmp_path):
+        # Switching to extended precision is advice for double runs only,
+        # whether the precision came from a flag or from the config file.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"precision": "extended"}))
+        runs = {
+            "double": ("order", "none", "--at-max", "2.0"),
+            "extended": ("order", "none", "--at-max", "2.0", "--precision", "extended"),
+            "extended-config": ("order", "none", "--at-max", "2.0", "--config", str(config)),
+        }
+        for name, argv in runs.items():
+            code, _, err = run(capsys, *argv)
+            assert code == 3
+            assert "advice: shrink the duration grid (--at-max)" in err
+            assert ("--precision extended" in err) == (name == "double")
+
     def test_degenerate_prints_not_defined(self, capsys):
         code, out, _ = run(
             capsys,
