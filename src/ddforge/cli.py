@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_order.add_argument("--out", default=None, metavar="FILE", help="scan CSV output path")
     p_order.add_argument("--summary", default=None, metavar="FILE", help="fit summary JSON output path")
     _add_common(p_order)
-    p_order.set_defaults(func=_cmd_order)
+    p_order.set_defaults(func=_cmd_order, shrink="the duration grid (--at-max)")
 
     p_counts = sub.add_parser("counts", help="pulse-count economics table")
     p_counts.add_argument("--m-max", dest="m_max", type=int, default=None)
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_magnus.add_argument("--tau0", type=float, default=None, help="base block duration (default 0.01)")
     p_magnus.add_argument("--halvings", type=int, default=None, help="number of tau0 halvings (default 3)")
     _add_common(p_magnus)
-    p_magnus.set_defaults(func=_cmd_predict_magnus)
+    p_magnus.set_defaults(func=_cmd_predict_magnus, shrink="the base duration (--tau0)")
 
     p_cmp = sub.add_parser("compare", help="residual couplings of several schedules at one duration")
     _add_model_args(p_cmp)
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--precision", choices=["double", "extended"], default=None)
     p_cmp.add_argument("--dps", type=int, default=None)
     _add_common(p_cmp)
-    p_cmp.set_defaults(func=_cmd_compare)
+    p_cmp.set_defaults(func=_cmd_compare, shrink="the duration (--t)")
 
     return parser
 
@@ -339,9 +339,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except effective.BranchAmbiguityError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # order and compare store their resolved precision on args.
-        switch = "" if getattr(args, "precision", None) == "extended" else " or use --precision extended"
-        print(f"advice: shrink the duration grid (--at-max){switch}", file=sys.stderr)
+        # order and compare store their resolved precision on args;
+        # predict-magnus has no --precision flag.
+        switch = " or use --precision extended" if getattr(args, "precision", None) == "double" else ""
+        print(f"advice: shrink {args.shrink}{switch}", file=sys.stderr)
         return EXIT_BRANCH
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)

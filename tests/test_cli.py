@@ -13,6 +13,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def printed_slope(text):
+    line = [ln for ln in text.splitlines() if ln.startswith("E_flip slope:")][0]
+    return float(line.split()[2])
+
+
 class TestGen:
     def test_cpmg(self, capsys, tmp_path):
         out_file = tmp_path / "schedule.json"
@@ -171,16 +176,19 @@ class TestOrder:
     def test_config_precedence(self, capsys, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"n": 1, "points": 4, "seed": 7, "functional": "flip"}))
-        def printed_slope(text):
-            line = [ln for ln in text.splitlines() if ln.startswith("E_flip slope:")][0]
-            return float(line.split()[2])
-
         code, out, _ = run(capsys, "order", "udd", "--config", str(config))
         assert code == 0
         assert printed_slope(out) == pytest.approx(2.0, abs=0.25)  # n=1 from config
         code, out, _ = run(capsys, "order", "udd", "--config", str(config), "--n", "2")
         assert code == 0
         assert printed_slope(out) == pytest.approx(3.0, abs=0.25)  # flag overrides config
+
+    def test_udd3_slope_in_double(self, capsys):
+        # Near the identity the deviation unitary's log must keep its
+        # accuracy; the default grid then shows the full order n + 1.
+        code, out, _ = run(capsys, "order", "udd", "--n", "3", "--seed", "7")
+        assert code == 0
+        assert printed_slope(out) == pytest.approx(4.0, abs=0.25)
 
 
 class TestPredictMagnus:
@@ -190,6 +198,13 @@ class TestPredictMagnus:
         assert "deviation ratio" in out
         ratios = [float(ln.rsplit(" ", 1)[1]) for ln in out.splitlines() if ln.startswith("deviation ratio")]
         assert all(r == pytest.approx(4.0, abs=0.5) for r in ratios)
+
+    def test_branch_advice_names_tau0(self, capsys):
+        # The two-block step at tau0 = 10 spans t = 20, past the branch cut.
+        code, _, err = run(capsys, "predict-magnus", "--tau0", "10", "--seed", "7", "--halvings", "0")
+        assert code == 3
+        assert "advice: shrink the base duration (--tau0)\n" in err
+        assert "--at-max" not in err and "--precision" not in err
 
 
 class TestCompare:
@@ -202,12 +217,13 @@ class TestCompare:
         assert "UDD-2" in out and "CPMG" in out
 
     def test_numeric_failure_exit_code(self, capsys):
-        # CDD-6 at t = 0.01 fails the log reconstruction check on the double
-        # path; that must end in exit 3 with an error line, not a traceback.
-        code, _, err = run(capsys, "compare", "--seq", "cdd,m=6", "--t", "0.01", "--seed", "7")
+        # UDD-1 at t = 3 puts an eigenphase on the branch cut; that must end
+        # in exit 3 with an error line and advice naming compare's options.
+        code, _, err = run(capsys, "compare", "--seq", "udd,n=1", "--t", "3", "--seed", "7")
         assert code == 3
-        assert err.startswith("error: ")
-        assert "residual" in err
+        assert err.startswith("error: eigenphase ")
+        assert "advice: shrink the duration (--t) or use --precision extended\n" in err
+        assert "--at-max" not in err
 
     def test_one_composition_per_schedule(self, capsys, monkeypatch):
         # F_e and the functionals come from the same double-precision unitary.
@@ -230,6 +246,22 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "--t", "0.01")
         assert code == 2
         assert "--seq" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("order", "cdd", "--m", "4", "--seed", "7"),
+        ("order", "udd2", "--n", "3", "--seed", "7"),
+        ("compare", "--seq", "cdd,m=6", "--t", "0.01", "--seed", "7"),
+    ],
+    ids=["CDD-4", "UDD2-3", "compare-CDD-6"],
+)
+def test_deep_schedules_extract_in_double(capsys, argv):
+    # Long schedules leave ctrl^+ U close to the identity; its log must
+    # still pass the 1e-9 reconstruction check.
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
 
 
 GOLDEN = Path(__file__).parent / "golden"

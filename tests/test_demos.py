@@ -1,16 +1,21 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("0*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
+    # The demos import ddforge from the source tree, installed or not.
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=300
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=300, env=env
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()

@@ -62,8 +62,9 @@ class TestUnitaryLog:
         assert np.abs(np.linalg.eigvalsh(m)).max() == pytest.approx(phase, abs=1e-12)
 
     def test_degenerate_plus_minus_phases(self):
-        # cos is degenerate for phases +q and -q; the sine refinement must
-        # split them.  Conjugate by a random unitary to hide the basis.
+        # Phases +q and -q share cos q; the Cayley form maps them to the
+        # distinct eigenvalues +-tan(q/2).  Conjugate by a random unitary to
+        # hide the basis.
         q = 0.9
         diag = np.diag(np.exp(-1j * np.array([q, -q, q, -q])))
         v = np.linalg.qr(RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4)))[0]
@@ -71,6 +72,42 @@ class TestUnitaryLog:
         m = unitary_log(u)
         evals, evecs = np.linalg.eigh(m)
         assert np.abs((evecs * np.exp(-1j * evals)) @ evecs.conj().T - u).max() < 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-1, 1e-2, 1e-3, 1e-4])
+    def test_roundtrip_near_identity(self, scale):
+        # Decoupled schedules leave ctrl^+ U this close to the identity; the
+        # error must stay at rounding level relative to the generator.
+        h = random_hermitian(8, scale)
+        m = unitary_log(expm_segment(h, 1.0))
+        assert np.abs(m - h).max() < 1e-11 * scale
+
+    def test_small_flip_under_larger_bath_block(self):
+        # A 1e-9 flip coupling under a 1e-2 pure-bath term: the residual the
+        # order fits read must survive the log to 1e-6 relative.
+        a0, ax = random_hermitian(4, 1e-2), random_hermitian(4, 1e-9)
+        h = np.kron(np.eye(2), a0) + np.kron(SIGMA["X"], ax)
+        eff = pauli_decompose(unitary_log(expm_segment(h, 1.0)), t=1.0)
+        assert spectral_norm(eff.ax - ax) < 1e-6 * spectral_norm(ax)
+
+    def test_minus_identity_in_stack(self):
+        # An eigenvalue exactly at -1 makes 2I + W singular; only that item
+        # fails, and the others get the logs they get on their own.
+        from ddforge.effective import _principal_logs
+
+        good = [expm_segment(random_hermitian(4, s), 1.0) for s in (0.5, 2.0)]
+        m, errors = _principal_logs(np.stack([good[0], -np.eye(4, dtype=complex), good[1]]), 0.1)
+        assert errors[0] is None and errors[2] is None
+        assert type(errors[1]) is BranchAmbiguityError
+        assert errors[1].eigenphase == np.pi
+        for g, u in zip((0, 2), good):
+            assert m[g].tobytes() == unitary_log(u).tobytes()
+
+    def test_non_unitary_input_fails_reconstruction(self):
+        u = expm_segment(random_hermitian(4, 0.5), 1.0)
+        u[0, 1] += 1e-6
+        with pytest.raises(ArithmeticError, match="log reconstruction residual") as err:
+            unitary_log(u)
+        assert type(err.value) is ArithmeticError
 
     def test_hermitian_output(self):
         u = expm_segment(random_hermitian(8, 2.0), 1.0)
