@@ -2,10 +2,10 @@
 
 An order scan evaluates the residual-coupling functionals of one schedule
 family on a logarithmic duration grid and fits the log-log slope, which
-estimates the suppression order directly.  In double precision a schedule
+estimates the suppression order directly.  In either precision a schedule
 built once is composed and extracted for a whole stack of grid durations per
-bath model in one pass (``evolution.stack_points`` durations per stack); in
-extended precision every grid point and bath seed is its own work item.
+bath model in one pass (``evolution.stack_points`` durations per stack), by
+the double pipeline or by the double-double engine of ``highprec``.
 Results aggregate in grid order regardless of completion order.
 """
 
@@ -95,25 +95,6 @@ def _family_param_string(family: dict) -> str:
     return ",".join(parts)
 
 
-def _build_once(family_spec: dict, t: float) -> PulseSequence:
-    params = dict(family_spec)
-    name = params.pop("name")
-    return build_sequence(name, t, **params)
-
-
-def _scan_sequences(family_spec, t_grid) -> list[PulseSequence]:
-    """One schedule per duration.
-
-    A dict spec is built once and re-timed: schedule instants are fractions
-    of the total duration, so the build does not depend on it.  A callable
-    spec is called once per duration.
-    """
-    if callable(family_spec):
-        return [family_spec(t) for t in t_grid]
-    base = _build_once(family_spec, t_grid[0])
-    return [base] + [base.with_duration(t) for t in t_grid[1:]]
-
-
 def _scan_stacks(family_spec, t_grid, per_stack: int) -> list[tuple]:
     """(schedule, control product, grid indices, durations) stacks covering the grid.
 
@@ -124,7 +105,8 @@ def _scan_stacks(family_spec, t_grid, per_stack: int) -> list[tuple]:
     if callable(family_spec):
         return [(seq, control_product(seq), [i], [seq.total_duration])
                 for i, seq in enumerate(family_spec(t) for t in t_grid)]
-    base = _build_once(family_spec, t_grid[0])
+    params = dict(family_spec)
+    base = build_sequence(params.pop("name"), t_grid[0], **params)
     ctrl = control_product(base)
     return [(base, ctrl, list(range(s, min(s + per_stack, len(t_grid)))), t_grid[s:s + per_stack])
             for s in range(0, len(t_grid), per_stack)]
@@ -173,10 +155,13 @@ def evaluate_scan(
     """Residual functionals across a duration grid, one row per duration.
 
     With several seeds the functionals are averaged over the bath ensemble.
-    Raises BranchAmbiguityError (tagged with the offending duration) when
+    Extended rows also carry ``floor``, the engine's estimated absolute error
+    of each functional, averaged the same way.  Raises BranchAmbiguityError (tagged with the offending duration) when
     eigenphases leave the principal branch; as a guard, alpha * t_max must
     stay below 1.
     """
+    if precision not in ("double", "extended"):
+        raise ValueError(f"unknown precision {precision!r}")
     seeds = [model_spec.seed] if seeds is None else list(seeds)
     models = []
     for seed in seeds:
@@ -190,27 +175,21 @@ def evaluate_scan(
             t=max(t_grid),
         )
 
-    if precision == "double":
-        stacks = _scan_stacks(family_spec, t_grid, stack_points(model_spec.d))
-        sample = stacks[0][0]
-        tasks = [(stack, k) for stack in stacks for k in range(len(models))]
+    stacks = _scan_stacks(family_spec, t_grid, stack_points(model_spec.d))
+    sample = stacks[0][0]
+    tasks = [(stack, k) for stack in stacks for k in range(len(models))]
 
-        def run(task):
-            (seq, ctrl, indices, durations), k = task
+    def run(task):
+        (seq, ctrl, indices, durations), k = task
+        if precision == "double":
             eff, errors = sequence_effective(seq, models[k], durations, ctrl=ctrl)
             funcs = error_functionals(eff)
-            return [
-                ((i, k), error if error is not None else {key: float(funcs[key][j]) for key in FUNCTIONALS})
-                for j, (i, error) in enumerate(zip(indices, errors))
-            ]
-    else:
-        sequences = _scan_sequences(family_spec, t_grid)
-        sample = sequences[0]
-        tasks = [(i, k) for i in range(len(t_grid)) for k in range(len(models))]
-
-        def run(task):
-            i, k = task
-            return [(task, evaluate_point(sequences[i], models[k], precision, dps))]
+        else:
+            funcs, errors = highprec.sequence_error_functionals(seq, models[k], dps, durations)
+        return [
+            ((i, k), error if error is not None else {key: float(value[j]) for key, value in funcs.items()})
+            for j, (i, error) in enumerate(zip(indices, errors))
+        ]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -227,7 +206,7 @@ def evaluate_scan(
             "t": t,
             "alpha_t": model_alpha * t,
         }
-        for key in FUNCTIONALS:
+        for key in values[0]:
             row[key] = sum(v[key] for v in values) / len(models)
         rows.append(row)
     return rows

@@ -139,15 +139,6 @@ class BathOperators:
         evecs.flags.writeable = False
         return evals, evecs
 
-    @cached_property
-    def extended_eigensystems(self) -> dict:
-        """Eigensystems of the extended-precision engine, keyed by digits.
-
-        ``highprec`` fills it on first use at each precision and shares each
-        entry with every schedule composed under this model.
-        """
-        return {}
-
 
 def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

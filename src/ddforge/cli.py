@@ -4,7 +4,8 @@ Subcommands: gen | order | counts | crossover | predict-magnus | compare.
 Option precedence is flags over --config file values over built-in defaults;
 DDFORGE_SEED provides the default bath seed.  Exit codes: 0 success, 2 usage
 error, 3 numeric-domain error (an eigenphase near the branch cut, a failed
-log reconstruction or any other ArithmeticError), 4 I/O error.
+log reconstruction, an extended-precision value too close to the engine's
+roundoff floor to be resolved, or any other ArithmeticError), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -100,6 +101,25 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
+def _dps(args, config) -> int:
+    dps = _resolve(args, config, "dps", None)
+    if dps is not None:
+        print("warning: --dps has no effect; the extended engine always carries double-double", file=sys.stderr)
+    return highprec.DEFAULT_DPS if dps is None else dps
+
+
+# Within this factor of the extended engine's floor a value's error may reach 1e-3 of it.
+FLOOR_MARGIN = 1e3
+
+
+def _check_floor(rows, keys) -> None:
+    for row in rows:
+        for key in keys:
+            if 0 < row[key] < FLOOR_MARGIN * row["floor"]:
+                raise ArithmeticError(f"{key} = {row[key]:.3g} at t={row['t']:g} is within {FLOOR_MARGIN:g}x"
+                                      f" of the extended engine's roundoff floor {row['floor']:.2g}; not resolved")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -149,11 +169,13 @@ def _cmd_order(args) -> int:
         grid,
         seeds=seeds,
         precision=args.precision,
-        dps=_resolve(args, config, "dps", highprec.DEFAULT_DPS),
+        dps=_dps(args, config),
         jobs=_resolve(args, config, "jobs", 1),
     )
-    fit = analysis.fit_order([r["t"] for r in rows], [r[functional] for r in rows])
     out = _resolve(args, config, "out", None)
+    if args.precision == "extended":
+        _check_floor(rows, analysis.FUNCTIONALS if out else (functional,))
+    fit = analysis.fit_order([r["t"] for r in rows], [r[functional] for r in rows])
     if out:
         with _open_out(out) as fh:
             analysis.write_scan_csv(rows, fh, meta=not args.no_meta)
@@ -222,14 +244,11 @@ def _cmd_predict_magnus(args) -> int:
 
 
 def _parse_seq_token(token: str) -> dict:
-    parts = token.split(",")
-    family = {"name": parts[0]}
-    for part in parts[1:]:
+    name, *parts = token.split(",")
+    family = {"name": name}
+    for part in parts:
         key, _, value = part.partition("=")
-        if key == "axis":
-            family[key] = value
-        else:
-            family[key] = int(value)
+        family[key] = sequences.PauliAxis(value) if key == "axis" else int(value)
     return family
 
 
@@ -242,24 +261,25 @@ def _cmd_compare(args) -> int:
     if not tokens:
         raise ValueError("compare needs at least one --seq token, e.g. --seq udd,n=3")
     precision = args.precision = _resolve(args, config, "precision", "double")
-    dps = _resolve(args, config, "dps", highprec.DEFAULT_DPS)
-    print(f"{'label':>20} {'pulses':>7} {'E_flip':>12} {'E_dephase':>12} {'E_total':>12} {'F_e':>12}")
+    dps = _dps(args, config)
+    print(f"{'label':>20} {'pulses':>7} {'E_flip':>12} {'E_dephase':>12} {'E_total':>12} {'F_e':>12}"
+          f" {'F_e(ctrl)':>12}")
     for token in tokens:
-        family = _parse_seq_token(token)
-        params = dict(family)
-        name = params.pop("name")
-        if "axis" in params:
-            params["axis"] = sequences.PauliAxis(params["axis"])
-        seq = sequences.build_sequence(name, t, **params)
+        params = _parse_seq_token(token)
+        seq = sequences.build_sequence(params.pop("name"), t, **params)
         result = evolution.sequence_unitary(seq, model)
         if precision == "double":
             funcs = effective.error_functionals(effective.unitary_effective(seq, result))
         else:
             funcs = analysis.evaluate_point(seq, model, precision, dps)
+            _check_floor([{**funcs, "t": t}], analysis.FUNCTIONALS)
         fe = evolution.entanglement_fidelity(result)
+        # Against the net control rotation, which F_e (against I) reads as a loss.
+        ctrl = evolution.control_product(seq).conj().T
+        fe_ctrl = evolution.entanglement_fidelity(evolution.apply_qubit_factor(ctrl, result.u))
         print(
             f"{seq.label:>20} {seq.pulse_count:>7} {funcs['E_flip']:>12.4e}"
-            f" {funcs['E_dephase']:>12.4e} {funcs['E_total']:>12.4e} {fe:>12.9f}"
+            f" {funcs['E_dephase']:>12.4e} {funcs['E_total']:>12.4e} {fe:>12.9f} {fe_ctrl:>12.9f}"
         )
     return EXIT_OK
 
@@ -291,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_order.add_argument("--points", type=int, default=None, help="grid points (default 8)")
     p_order.add_argument("--seeds", default=None, help="comma-separated seed ensemble")
     p_order.add_argument("--precision", choices=["double", "extended"], default=None)
-    p_order.add_argument("--dps", type=int, default=None, help="decimal digits for extended precision")
+    p_order.add_argument("--dps", type=int, default=None, help="deprecated, no effect (must be at least 16)")
     p_order.add_argument("--jobs", type=int, default=None, help="parallel worker threads over stacks or grid points")
     p_order.add_argument("--out", default=None, metavar="FILE", help="scan CSV output path")
     p_order.add_argument("--summary", default=None, metavar="FILE", help="fit summary JSON output path")
@@ -322,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--seq", action="append", default=None, help="schedule token, e.g. udd,n=3 (repeatable)")
     p_cmp.add_argument("--t", type=float, default=None, help="common total duration (default 0.01)")
     p_cmp.add_argument("--precision", choices=["double", "extended"], default=None)
-    p_cmp.add_argument("--dps", type=int, default=None)
+    p_cmp.add_argument("--dps", type=int, default=None, help="deprecated, no effect (must be at least 16)")
     _add_common(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare, shrink="the duration (--t)")
 

@@ -32,6 +32,25 @@ class BranchAmbiguityError(ArithmeticError):
         self.t = t
 
 
+def shifted_solve(w: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, list]:
+    """(2I + W)^-1 B over a (G, n, n) stack (B = W by default), and the singular items, left zero.
+
+    numpy fails a whole stack when one item has an eigenvalue of I + W at -1.
+    """
+    b = w if b is None else b
+    a = w + 2 * np.eye(w.shape[-1])
+    try:
+        return np.linalg.solve(a, b), []
+    except np.linalg.LinAlgError:
+        x, singular = np.zeros_like(b), []
+        for g in range(len(a)):
+            try:
+                x[g] = np.linalg.solve(a[g], b[g])
+            except np.linalg.LinAlgError:
+                singular.append(g)
+        return x, singular
+
+
 def _principal_logs(u: np.ndarray, margin: float) -> tuple[np.ndarray, list]:
     """unitary_log of every matrix in a (G, n, n) stack, without raising.
 
@@ -39,20 +58,9 @@ def _principal_logs(u: np.ndarray, margin: float) -> tuple[np.ndarray, list]:
     unitary_log would raise for it, or None.  A failed matrix does not stop
     the others; its generator is meaningless.
     """
-    eye = np.eye(u.shape[-1])
-    w = u - eye
-    singular = []
-    try:
-        k = -1j * np.linalg.solve(w + 2 * eye, w)
-    except np.linalg.LinAlgError:
-        # An eigenvalue exactly at -1 makes 2I + W singular, and numpy then
-        # fails the whole stack; solve the items one by one instead.
-        k = np.zeros_like(w)
-        for g, item in enumerate(w):
-            try:
-                k[g] = -1j * np.linalg.solve(item + 2 * eye, item)
-            except np.linalg.LinAlgError:
-                singular.append(g)
+    w = u - np.eye(u.shape[-1])
+    k, singular = shifted_solve(w)
+    k = -1j * k
     k = (k + np.swapaxes(k.conj(), -1, -2)) / 2
     lam, v = np.linalg.eigh(k)
     v_h = np.swapaxes(v.conj(), -1, -2)

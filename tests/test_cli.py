@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -242,6 +245,18 @@ class TestCompare:
         assert code == 0
         assert calls == ["CDD-3", "UDD-2"]
 
+    def test_fidelity_against_control_rotation(self, capsys):
+        # An odd pulse count leaves a net pi rotation: F_e against the
+        # identity reads about 0, F_e(ctrl) shows what decoherence remains.
+        code, out, _ = run(capsys, "compare", "--seq", "udd,n=3", "--seq", "udd,n=4", "--t", "0.01", "--seed", "7")
+        assert code == 0
+        header, udd3, udd4 = out.splitlines()
+        assert header.split()[-2:] == ["F_e", "F_e(ctrl)"]
+        fe3, fe3_ctrl = map(float, udd3.split()[-2:])
+        fe4, fe4_ctrl = map(float, udd4.split()[-2:])
+        assert fe3 < 1e-3 and fe3_ctrl > 0.9999
+        assert fe4 == fe4_ctrl  # even count: the control rotation is the identity
+
     def test_needs_seq(self, capsys):
         code, _, err = run(capsys, "compare", "--t", "0.01")
         assert code == 2
@@ -285,3 +300,27 @@ def test_golden_scan_csv(capsys, tmp_path, name):
     code, _, _ = run(capsys, *GOLDEN_COMMANDS[name], "--out", str(out), "--no-meta")
     assert code == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+class TestDeprecatedDps:
+    @pytest.mark.parametrize("command", [
+        ("order", "udd", "--n", "2", "--precision", "extended", "--points", "4", "--seed", "7"),
+        ("compare", "--seq", "udd,n=2", "--t", "0.01", "--seed", "7", "--precision", "extended"),
+    ], ids=["order", "compare"])
+    def test_accepted_with_a_warning(self, capsys, command):
+        code, plain, err = run(capsys, *command)
+        assert code == 0 and err == ""
+        code, out, err = run(capsys, *command, "--dps", "50")
+        assert code == 0
+        assert err.startswith("warning: --dps has no effect")
+        assert out == plain
+
+
+def test_cli_import_leaves_mpmath_out():
+    # mpmath is a test-only oracle; the package must not load it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = "import sys, ddforge.cli; print('mpmath' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -1,7 +1,9 @@
+import json
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
-from mpmath.libmp import fzero
 
 from ddforge import highprec
 from ddforge.analysis import default_t_grid, evaluate_scan
@@ -11,7 +13,11 @@ from ddforge.effective import BranchAmbiguityError, error_functionals, sequence_
 from ddforge.evolution import control_product, pulse_unitary
 from ddforge.highprec import sequence_effective as sequence_effective_hp
 from ddforge.highprec import sequence_error_functionals
-from ddforge.sequences import PulseSequence, cudd, udd_sequence
+from ddforge.sequences import PulseSequence, build_sequence, cdd_full, cudd, udd_sequence
+
+REFERENCES = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "references" / "order.json").read_text()
+)["points"]
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +43,16 @@ class TestCrossValidation:
         assert hi["E_flip"] == pytest.approx(lo["E_flip"], rel=1e-8)
         assert hi["E_dephase"] == pytest.approx(lo["E_dephase"], rel=1e-9)
 
+    def test_blocks_match_double_where_signal_is_clean(self, ops):
+        # Each Pauli block on its own, not only the norms the functionals
+        # keep: CDD-2 pulses about X, Y and Z, so every frame enters.  The
+        # double blocks are good to a few eps of the largest one, a_0.
+        seq = cdd_full(2, 0.05)
+        lo = sequence_effective(seq, ops)
+        hi = sequence_effective_hp(seq, ops)
+        for (g, a), (_, b) in zip(hi.items(), lo.items()):
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(lo.a0).max(), g
+
     def test_exact_instants_used(self, ops):
         # Rational instants must be converted exactly, not through floats.
         seq = cudd(2, 2, total_duration=0.02)
@@ -54,16 +70,18 @@ class TestBelowDoubleFloor:
         assert e2 / e1 == pytest.approx(2**5, rel=0.05)
 
     def test_dps_controls_floor(self, ops):
+        # dps is accepted for compatibility and changes nothing: the engine
+        # always carries double-double.
         seq = udd_sequence(4, 1e-3)
-        coarse = sequence_error_functionals(seq, ops, dps=30)["E_flip"]
-        fine = sequence_error_functionals(seq, ops, dps=50)["E_flip"]
-        assert coarse == pytest.approx(fine, rel=1e-8)
+        coarse = sequence_error_functionals(seq, ops, dps=30)
+        fine = sequence_error_functionals(seq, ops, dps=50)
+        assert coarse == fine
 
 
 class TestThreadSafety:
     def test_threaded_extended_scan_matches_serial(self, ops):
-        # mpmath precision is process-global; the engine serializes its
-        # workdps blocks so threaded scans cannot interleave precisions.
+        # Stacks of one scan run on worker threads; the engine keeps no
+        # shared state, so the result cannot depend on the interleaving.
         from ddforge.analysis import evaluate_scan
         from ddforge.bath import ModelSpec
 
@@ -88,29 +106,33 @@ class TestBranchBehaviour:
 
 
 # ---------------------------------------------------------------------------
-# The raw-tuple engine against the mpmath.matrix loop it replaced
+# The double-double engine against an mpmath oracle at 50 digits
 # ---------------------------------------------------------------------------
 
-def _entries(a: mp.matrix) -> list:
-    """Rows of (re, im) raw mpf tuples of an mpmath matrix; a real entry has im = 0."""
-    return [
-        [
-            a[i, j]._mpc_ if hasattr(a[i, j], "_mpc_") else (a[i, j]._mpf_, fzero)
-            for j in range(a.cols)
-        ]
-        for i in range(a.rows)
-    ]
+ORACLE_DPS = 50
+
+
+def _to_mp(a: np.ndarray) -> mp.matrix:
+    n, m = a.shape
+    out = mp.matrix(n, m)
+    for i in range(n):
+        for j in range(m):
+            v = complex(a[i, j])
+            if v != 0:
+                out[i, j] = mp.mpc(v.real, v.imag)
+    return out
 
 
 def _matrix_loop_generator(seq, ops, dps):
     """Reference: the generator M as composed and logged with mpmath.matrix products.
 
     One eigendecomposition per call, dense pulse and control-frame factors,
-    every segment factor rebuilt where it is used.
+    every segment factor rebuilt where it is used, and the Mercator series
+    on U - I: an algorithm independent of the engine's.
     """
     d = ops.dim
     with mp.workdps(dps):
-        h = highprec._to_mp(total_hamiltonian(ops))
+        h = _to_mp(total_hamiltonian(ops))
         evals, q = mp.eighe(h)
         q_h = q.transpose_conj()
         t = mp.mpf(seq.total_duration)
@@ -125,11 +147,11 @@ def _matrix_loop_generator(seq, ops, dps):
             frac = mp.mpf(p.instant.numerator) / p.instant.denominator if p.is_exact else mp.mpf(p.instant)
             if frac > prev:
                 u = segment((frac - prev) * t) * u
-            u = highprec._to_mp(pulse_unitary(p.axis, d)) * u
+            u = _to_mp(pulse_unitary(p.axis, d)) * u
             prev = frac
         if prev < 1:
             u = segment((1 - prev) * t) * u
-        u = highprec._to_mp(np.kron(control_product(seq), np.eye(d))).transpose_conj() * u
+        u = _to_mp(np.kron(control_product(seq), np.eye(d))).transpose_conj() * u
 
         n = u.rows
         x = u - mp.eye(n)
@@ -146,8 +168,17 @@ def _matrix_loop_generator(seq, ops, dps):
             if norm < floor:
                 break
         m = 1j * total
-        m = (m + m.transpose_conj()) * mp.mpf("0.5")
-        return _entries(m)
+        return (m + m.transpose_conj()) * mp.mpf("0.5")
+
+
+def _pauli_sums(entry, d):
+    """tr_qubit[(sigma_g (x) I) M] / 2 = a_g t for g = 0, x, y, z, as d x d lists of mpc."""
+    def block(g, i, j):
+        m00, m11 = entry(i, j), entry(i + d, j + d)
+        m01, m10 = entry(i, j + d), entry(i + d, j)
+        return {"0": m00 + m11, "x": m01 + m10, "y": 1j * (m01 - m10), "z": m00 - m11}[g] / 2
+
+    return {g: [[block(g, i, j) for j in range(d)] for i in range(d)] for g in "0xyz"}
 
 
 IDENTITY_FAMILIES = {
@@ -161,6 +192,15 @@ IDENTITY_MODELS = {
     "spin1": ModelSpec(d=2, seed=3, preset="spin_bath(1)"),
     "d4": ModelSpec(d=4, seed=7),
 }
+_ORACLE = {}
+
+
+def _oracle_blocks(family, model, seq, ops):
+    key = (family, model, seq.total_duration)
+    if key not in _ORACLE:
+        m = _matrix_loop_generator(seq, ops, ORACLE_DPS)
+        _ORACLE[key] = _pauli_sums(lambda i, j: m[i, j], ops.dim)
+    return _ORACLE[key]
 
 
 class TestMatrixLoopIdentity:
@@ -169,54 +209,41 @@ class TestMatrixLoopIdentity:
     @pytest.mark.parametrize("family", sorted(IDENTITY_FAMILIES))
     def test_generator_equals_matrix_loop(self, monkeypatch, family, model, dps):
         # Every extended point of a two-duration scan, serial and threaded,
-        # holds exactly the mpf tuples of the reference loop.
+        # has its four Pauli blocks (from the double-double log, before any
+        # rounding) within 1e-28 of the mpmath oracle at 50 digits; dps
+        # changes nothing.
         captured = []
-        generator = highprec._generator
+        generators = highprec._generators
 
-        def spy(seq, ops, dps_):
-            m = generator(seq, ops, dps_)
-            captured.append((seq, ops, m))
-            return m
+        def spy(seq, ops, durations):
+            out = generators(seq, ops, durations)
+            captured.append((seq, ops, list(durations), out[0]))
+            return out
 
-        monkeypatch.setattr(highprec, "_generator", spy)
+        monkeypatch.setattr(highprec, "_generators", spy)
         spec = IDENTITY_MODELS[model]
         grid = default_t_grid(alpha(build_model(spec)), 1e-3, 4e-3, 4)[::3]
         for jobs in (1, 2):
             evaluate_scan(IDENTITY_FAMILIES[family], spec, grid, precision="extended", dps=dps, jobs=jobs)
-        assert sorted(seq.total_duration for seq, _, _ in captured) == sorted([*grid, *grid])
-        references = {}
-        for seq, ops, m in captured:
-            key = seq.total_duration
-            if key not in references:
-                references[key] = _matrix_loop_generator(seq, ops, dps)
-            assert m == references[key]
+        assert [durations for _, _, durations, _ in captured] == [list(grid)] * 2
+        worst = 0
+        with mp.workdps(ORACLE_DPS):
+            for seq, ops, durations, (hi, lo) in captured:
+                n = 2 * ops.dim
+                for g, t in enumerate(durations):
+                    reference = _oracle_blocks(family, model, seq.with_duration(t), ops)
 
+                    def entry(i, j):
+                        # log = X + iY embeds as [[X, -Y], [Y, X]], and M = i log.
+                        x = mp.mpf(hi[g, i, j]) + mp.mpf(lo[g, i, j])
+                        y = mp.mpf(hi[g, n + i, j]) + mp.mpf(lo[g, n + i, j])
+                        return 1j * mp.mpc(x, y)
 
-class TestEigensystem:
-    def test_once_per_model_and_precision(self, monkeypatch):
-        calls = []
-        eighe = mp.eighe
-
-        def counting_eighe(*args, **kwargs):
-            calls.append(mp.mp.dps)
-            return eighe(*args, **kwargs)
-
-        monkeypatch.setattr(mp, "eighe", counting_eighe)
-        model = build_model(ModelSpec(d=2, seed=3, preset="spin_bath(1)"))
-        assert "extended_eigensystems" not in vars(model)
-        assert calls == []
-        for t in (0.004, 0.006, 0.008):
-            sequence_effective_hp(udd_sequence(3, t), model, dps=30)
-        sequence_effective_hp(cudd(2, 2, total_duration=0.005), model, dps=30)
-        assert calls == [30]
-        sequence_effective_hp(udd_sequence(3, 0.004), model, dps=40)
-        assert calls == [30, 40]
-        cached = model.extended_eigensystems
-        assert sorted(cached) == [30, 40]
-        assert cached[30][1] != cached[40][1]
-        other = build_model(ModelSpec(d=2, seed=3, preset="spin_bath(1)"))
-        sequence_effective_hp(udd_sequence(3, 0.004), other, dps=30)
-        assert calls == [30, 40, 30]
+                    blocks = _pauli_sums(entry, ops.dim)
+                    for key, block in blocks.items():
+                        for row, ref_row in zip(block, reference[key]):
+                            worst = max(worst, *(abs(a - b) for a, b in zip(row, ref_row)))
+        assert worst < 1e-28
 
 
 class TestSeriesLog:
@@ -259,3 +286,78 @@ class TestPrecisionFloor:
         err = capsys.readouterr().err
         assert code == 2
         assert "at least 16 digits" in err
+
+
+class TestStacking:
+    @pytest.mark.parametrize("family", ["udd4", "cudd22", "cdd3", "se"])
+    def test_items_equal_single_point_calls(self, ops, family):
+        # A scan's grid composes as one stack; each item must hold exactly
+        # what a separate call at its duration gives.
+        grid = list(default_t_grid(alpha(ops), 1e-3, 1e-2, 5))
+        params = dict(IDENTITY_FAMILIES[family])
+        seq = build_sequence(params.pop("name"), grid[0], **params)
+        stacked, _, _ = highprec._evaluate(seq, ops, highprec.DEFAULT_DPS, grid)
+        funcs, errors = sequence_error_functionals(seq, ops, durations=grid)
+        assert errors == [None] * len(grid)
+        for g, t in enumerate(grid):
+            single = sequence_effective_hp(seq.with_duration(t), ops)
+            for (_, a), (_, b) in zip(stacked.items(), single.items()):
+                assert a[g].tobytes() == b.tobytes()
+            point = sequence_error_functionals(seq.with_duration(t), ops)
+            assert point == {key: float(value[g]) for key, value in funcs.items()}
+
+    def test_scan_rows_carry_the_floor(self):
+        spec = ModelSpec(d=4, seed=7)
+        grid = default_t_grid(alpha(build_model(spec)), points=4)
+        rows = evaluate_scan({"name": "udd", "n": 3}, spec, grid, precision="extended", seeds=[7, 8])
+        assert all(0 < row["floor"] < 1e-30 for row in rows)
+
+
+class TestFloor:
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    @pytest.mark.parametrize("at", [1e-3, 1e-2])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_floor_bounds_oracle_error(self, m, at, seed):
+        # The E_dephase of CDD-3/4 is 1e-40 to 1e-21, down to and below the
+        # engine's reach; against the mpmath references (50 digits) the
+        # error stays below a tenth of the reported floor (measured: below
+        # 0.8% of it on all 260 stored d = 4 points).
+        ops = build_model(ModelSpec(d=4, seed=seed))
+        funcs = sequence_error_functionals(cdd_full(m, at / alpha(ops)), ops)
+        reference = REFERENCES[f"cdd(m={m})|generic|d4|seed{seed}|at={at:.0e}"]["E_dephase"]
+        assert abs(funcs["E_dephase"] - reference) < 0.1 * funcs["floor"]
+
+    def test_cli_exits_when_a_fitted_value_is_below_the_floor(self, capsys):
+        # CDD-4's E_dephase at alpha*t = 1e-3 is 3.9e-39, far below the
+        # engine's floor; the scan must not fit it silently.
+        code = main(["order", "cdd", "--m", "4", "--precision", "extended", "--functional", "dephase",
+                     "--seed", "7", "--points", "4"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: E_dephase = ")
+        assert "roundoff floor" in captured.err
+        assert "slope" not in captured.out
+
+    def test_cli_checks_written_functionals(self, capsys, tmp_path):
+        # The flip fit alone is resolved; a CSV would also carry E_dephase.
+        argv = ["order", "cdd", "--m", "4", "--precision", "extended", "--seed", "7", "--points", "4"]
+        assert main(argv) == 0
+        assert main([*argv, "--out", str(tmp_path / "scan.csv")]) == 3
+        assert not (tmp_path / "scan.csv").exists()
+        capsys.readouterr()
+
+    def test_compare_checks_printed_functionals(self, capsys):
+        code = main(["compare", "--seq", "cdd,m=4", "--t", "0.001", "--seed", "7", "--precision", "extended"])
+        assert code == 3
+        assert "roundoff floor" in capsys.readouterr().err
+
+
+class TestLargeBath:
+    def test_d64_udd3_point_matches_reference(self):
+        # mpmath cannot finish a d = 64 point; the reference comes from the
+        # independent double-double engine perfbench/ddarith.py.
+        ops = build_model(ModelSpec(d=64, seed=7))
+        funcs = sequence_error_functionals(udd_sequence(3, 1e-3 / alpha(ops)), ops)
+        reference = REFERENCES["udd(n=3)|generic|d64|seed7|at=1e-03"]
+        for key, value in reference.items():
+            assert funcs[key] == pytest.approx(value, rel=1e-6)
