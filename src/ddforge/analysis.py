@@ -23,7 +23,7 @@ import numpy as np
 from . import highprec
 from .bath import ModelSpec, alpha, build_model
 from .effective import BranchAmbiguityError, error_functionals, sequence_effective
-from .evolution import control_product, stack_points
+from .evolution import stack_points
 from .sequences import PulseSequence, build_sequence
 
 FUNCTIONALS = ("E_flip", "E_dephase", "E_total")
@@ -96,19 +96,17 @@ def _family_param_string(family: dict) -> str:
 
 
 def _scan_stacks(family_spec, t_grid, per_stack: int) -> list[tuple]:
-    """(schedule, control product, grid indices, durations) stacks covering the grid.
+    """(schedule, grid indices, durations) stacks covering the grid.
 
     A dict spec is built once and its grid split into runs of at most
     per_stack durations.  A callable spec is called once per duration, and
     each of its schedules is a stack of one at its own duration.
     """
     if callable(family_spec):
-        return [(seq, control_product(seq), [i], [seq.total_duration])
-                for i, seq in enumerate(family_spec(t) for t in t_grid)]
+        return [(seq, [i], [seq.total_duration]) for i, seq in enumerate(family_spec(t) for t in t_grid)]
     params = dict(family_spec)
     base = build_sequence(params.pop("name"), t_grid[0], **params)
-    ctrl = control_product(base)
-    return [(base, ctrl, list(range(s, min(s + per_stack, len(t_grid)))), t_grid[s:s + per_stack])
+    return [(base, list(range(s, min(s + per_stack, len(t_grid)))), t_grid[s:s + per_stack])
             for s in range(0, len(t_grid), per_stack)]
 
 
@@ -180,9 +178,9 @@ def evaluate_scan(
     tasks = [(stack, k) for stack in stacks for k in range(len(models))]
 
     def run(task):
-        (seq, ctrl, indices, durations), k = task
+        (seq, indices, durations), k = task
         if precision == "double":
-            eff, errors = sequence_effective(seq, models[k], durations, ctrl=ctrl)
+            eff, errors = sequence_effective(seq, models[k], durations)
             funcs = error_functionals(eff)
         else:
             funcs, errors = highprec.sequence_error_functionals(seq, models[k], dps, durations)
@@ -292,30 +290,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_csv(rows: list[dict], stream: io.TextIOBase, meta: bool, columns) -> None:
+    if meta:
+        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        stream.write(f"# generated {stamp}\n")
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(row[c]) for c in columns])
+
+
 def write_scan_csv(rows: list[dict], stream: io.TextIOBase, meta: bool = True) -> None:
     """Write scan rows as CSV ('.' decimal, 17 significant digits).
 
     The optional meta line carries a timestamp and is the only
     non-reproducible output; disable it for byte-identical reruns.
     """
-    if meta:
-        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        stream.write(f"# generated {stamp}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
+    _write_csv(rows, stream, meta, CSV_COLUMNS)
 
 
 def write_counts_csv(rows: list[dict], stream: io.TextIOBase, meta: bool = True) -> None:
-    if meta:
-        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        stream.write(f"# generated {stamp}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    columns = ("m", "claimed_order", "cdd", "cudd", "udd2")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
+    _write_csv(rows, stream, meta, ("m", "claimed_order", "cdd", "cudd", "udd2"))
 
 
 def fit_to_dict(fit: OrderFit) -> dict:

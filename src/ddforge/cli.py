@@ -6,6 +6,7 @@ DDFORGE_SEED provides the default bath seed.  Exit codes: 0 success, 2 usage
 error, 3 numeric-domain error (an eigenphase near the branch cut, a failed
 log reconstruction, an extended-precision value too close to the engine's
 roundoff floor to be resolved, or any other ArithmeticError), 4 I/O error.
+A double-precision ``compare`` value that close to its floor only warns.
 """
 
 from __future__ import annotations
@@ -108,16 +109,18 @@ def _dps(args, config) -> int:
     return highprec.DEFAULT_DPS if dps is None else dps
 
 
-# Within this factor of the extended engine's floor a value's error may reach 1e-3 of it.
+# Within this factor of an engine's floor a value's error may reach 1e-3 of it.
 FLOOR_MARGIN = 1e3
 
 
+def _near_floor(row, keys, engine: str) -> list:
+    return [f"{key} = {row[key]:.3g} at t={row['t']:g} is within {FLOOR_MARGIN:g}x of the {engine} roundoff"
+            f" floor {row['floor']:.2g}" for key in keys if 0 < row[key] < FLOOR_MARGIN * row["floor"]]
+
+
 def _check_floor(rows, keys) -> None:
-    for row in rows:
-        for key in keys:
-            if 0 < row[key] < FLOOR_MARGIN * row["floor"]:
-                raise ArithmeticError(f"{key} = {row[key]:.3g} at t={row['t']:g} is within {FLOOR_MARGIN:g}x"
-                                      f" of the extended engine's roundoff floor {row['floor']:.2g}; not resolved")
+    for message in (m for row in rows for m in _near_floor(row, keys, "extended engine's")):
+        raise ArithmeticError(f"{message}; not resolved")
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +272,10 @@ def _cmd_compare(args) -> int:
         seq = sequences.build_sequence(params.pop("name"), t, **params)
         result = evolution.sequence_unitary(seq, model)
         if precision == "double":
-            funcs = effective.error_functionals(effective.unitary_effective(seq, result))
+            eff = effective.unitary_effective(seq, result)
+            funcs = effective.error_functionals(eff)
+            for message in _near_floor({**funcs, "floor": eff.floor, "t": t}, analysis.FUNCTIONALS, "double"):
+                print(f"warning: {seq.label}: {message}; use --precision extended", file=sys.stderr)
         else:
             funcs = analysis.evaluate_point(seq, model, precision, dps)
             _check_floor([{**funcs, "t": t}], analysis.FUNCTIONALS)

@@ -1,26 +1,29 @@
 """Effective-generator extraction and the concatenation-step predictor.
 
-The principal Hermitian generator M with U = exp(-i M) comes from the Cayley
-form: with W = U - I, K = -i (2I + W)^-1 W = tan(-M/2) is Hermitian, so one
+The principal Hermitian generator M with I + W = exp(-i M) comes from the
+Cayley form: K = -i (2I + W)^-1 W = tan(-M/2) is Hermitian, so one
 eigendecomposition K = V diag(lam) V^+ gives the eigenphases 2 arctan(lam)
-of U and M = -2 V diag(arctan lam) V^+.  Near the identity, where
-decoupled schedules leave ctrl^+ U, this stays accurate to about eps
-absolute in U with no eigenvalue-gap condition; residuals below that floor
-(UDD-4, CUDD(3,3) at short durations) need the extended path.  Eigenphases
-must stay clear of the +-pi branch cut; callers shrink the duration when
-they do not.  The solve and the eigendecomposition run on (G, 2d, 2d) stacks.
+and M = -2 V diag(arctan lam) V^+.  A schedule is logged from its
+toggling-frame deviation W = ctrl^+ U - I, and the reconstruction is checked
+against W, so the error stays near eps |W| with no eigenvalue-gap condition;
+each point reports that floor, FLOOR_UNIT |M| ceil(log2 segments).
+Eigenphases must stay clear of the +-pi branch cut; callers shrink the
+duration when they do not.  All of it runs on (G, 2d, 2d) stacks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bath import _GAMMA_SIGMA, SIGMA, spectral_norm
-from .evolution import UnitaryResult, apply_qubit_factor, control_product, sequence_unitary
+from .evolution import UnitaryResult, segment_plan, sequence_deviation, sequence_unitary
 
 BRANCH_MARGIN = 0.1
+# Roundoff per level of the pairwise reduction, relative to |M|: on the 660 points of
+# perfbench/references/order.json (d = 4, 64) errors stay below 0.83 floors (0.16 within 1e6); 2^-52 gave 13.
+FLOOR_UNIT = 2.0**-48
 
 
 class BranchAmbiguityError(ArithmeticError):
@@ -51,14 +54,13 @@ def shifted_solve(w: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarra
         return x, singular
 
 
-def _principal_logs(u: np.ndarray, margin: float) -> tuple[np.ndarray, list]:
-    """unitary_log of every matrix in a (G, n, n) stack, without raising.
+def _principal_logs(w: np.ndarray, margin: float) -> tuple[np.ndarray, list, np.ndarray]:
+    """unitary_log of I + W for every W in a (G, n, n) stack, without raising.
 
-    Returns the (G, n, n) generators and, per matrix, the exception
-    unitary_log would raise for it, or None.  A failed matrix does not stop
-    the others; its generator is meaningless.
+    Returns the (G, n, n) generators, per matrix the exception unitary_log
+    would raise for it, or None, and the (G,) largest |eigenphase|, |M|.  A
+    failed matrix does not stop the others; its generator is meaningless.
     """
-    w = u - np.eye(u.shape[-1])
     k, singular = shifted_solve(w)
     k = -1j * k
     k = (k + np.swapaxes(k.conj(), -1, -2)) / 2
@@ -78,11 +80,11 @@ def _principal_logs(u: np.ndarray, margin: float) -> tuple[np.ndarray, list]:
             errors.append(None)
     m = (v * (-phases)[..., None, :]) @ v_h
     m = (m + np.swapaxes(m.conj(), -1, -2)) / 2
-    rebuilt = (v * ((1 + 1j * lam) / (1 - 1j * lam))[..., None, :]) @ v_h
-    for g, residual in enumerate(np.abs(rebuilt - u).max(axis=(-2, -1))):
+    rebuilt = (v * (2j * lam / (1 - 1j * lam))[..., None, :]) @ v_h
+    for g, residual in enumerate(np.abs(rebuilt - w).max(axis=(-2, -1))):
         if errors[g] is None and residual > 1e-9:
             errors[g] = ArithmeticError(f"log reconstruction residual {residual:.2e} exceeds 1e-9")
-    return m, errors
+    return m, errors, np.abs(phases).max(axis=-1)
 
 
 def unitary_log(u: np.ndarray, margin: float = BRANCH_MARGIN) -> np.ndarray:
@@ -91,7 +93,8 @@ def unitary_log(u: np.ndarray, margin: float = BRANCH_MARGIN) -> np.ndarray:
     Raises BranchAmbiguityError when any eigenphase of u comes within
     ``margin`` of +-pi.  The reconstruction exp(-i M) is verified to 1e-9.
     """
-    m, errors = _principal_logs(np.asarray(u, dtype=complex)[None], margin)
+    u = np.asarray(u, dtype=complex)
+    m, errors, _ = _principal_logs(u[None] - np.eye(u.shape[-1]), margin)
     if errors[0] is not None:
         raise errors[0]
     return m[0]
@@ -102,7 +105,8 @@ class EffectiveHamiltonian:
     """Pauli-decomposed generator: H_eff = sum_g sigma_g (x) a_g at duration t.
 
     A stacked generator holds (G, d, d) blocks and one duration per item in
-    the (G,) array t.
+    the (G,) array t.  ``floor``, when set, estimates the absolute roundoff
+    of the blocks times t, so of each residual functional.
     """
 
     a0: np.ndarray
@@ -110,6 +114,7 @@ class EffectiveHamiltonian:
     ay: np.ndarray
     az: np.ndarray
     t: float | np.ndarray
+    floor: float | np.ndarray | None = None
 
     def items(self):
         return (("0", self.a0), ("x", self.ax), ("y", self.ay), ("z", self.az))
@@ -160,14 +165,9 @@ def error_functionals(eff: EffectiveHamiltonian) -> dict:
     return values
 
 
-def _deviation_logs(seq, u: np.ndarray, durations, ctrl: np.ndarray) -> tuple[np.ndarray, list]:
-    """Principal logs of ctrl^+ u over a (G, 2d, 2d) stack of one schedule.
-
-    Removes the net control rotation (odd pulse counts otherwise park
-    eigenphases on the branch cut) and tags branch errors with the schedule
-    and the item's duration.
-    """
-    m, errors = _principal_logs(apply_qubit_factor(ctrl.conj().T, u), BRANCH_MARGIN)
+def _deviation_effective(seq, w: np.ndarray, durations) -> tuple[EffectiveHamiltonian, list]:
+    """Stacked generator of a schedule from its (G, 2d, 2d) deviations; branch errors tagged with seq and t."""
+    m, errors, phase = _principal_logs(w, BRANCH_MARGIN)
     for g, exc in enumerate(errors):
         if isinstance(exc, BranchAmbiguityError):
             errors[g] = BranchAmbiguityError(
@@ -175,39 +175,39 @@ def _deviation_logs(seq, u: np.ndarray, durations, ctrl: np.ndarray) -> tuple[np
                 eigenphase=exc.eigenphase,
                 t=durations[g],
             )
-    return m, errors
+    levels = max(1, (len(segment_plan(seq).frames) - 1).bit_length())
+    return replace(pauli_decompose(m, np.array(durations)), floor=FLOOR_UNIT * phase * levels), errors
 
 
 def unitary_effective(seq, result: UnitaryResult) -> EffectiveHamiltonian:
-    """Effective generator of a schedule from its composed unitary (double precision)."""
-    m, errors = _deviation_logs(seq, result.u[None], [seq.total_duration], control_product(seq))
+    """Effective generator of a schedule (double precision) from the deviation its sequence_unitary carries."""
+    if result.w is None:
+        raise ValueError("the unitary carries no deviation; compose it with sequence_unitary")
+    eff, errors = _deviation_effective(seq, result.w[None], [seq.total_duration])
     if errors[0] is not None:
         raise errors[0]
-    return pauli_decompose(m[0], seq.total_duration)
+    return EffectiveHamiltonian(*(a[0] for _, a in eff.items()), t=seq.total_duration, floor=float(eff.floor[0]))
 
 
-def sequence_effective(seq, ops, durations=None, *, ctrl=None):
+def sequence_effective(seq, ops, durations=None):
     """Effective generator of a schedule under a model (double precision).
 
-    Composes the sequence unitary, removes the net control rotation (the
-    ordered product of the ideal pulse factors, phase included; odd pulse
-    counts otherwise park eigenphases on the branch cut), then takes the
-    principal log and splits it into Pauli blocks.
+    Composes the toggling-frame deviation W = ctrl^+ U - I, which the net
+    control rotation (odd pulse counts would park eigenphases on the branch
+    cut) never enters, and splits the principal log of I + W into Pauli
+    blocks.  The generator carries its floor.
 
     With ``durations`` the schedule is re-timed to each of them and the
     whole stack is composed and extracted in one pass.  The result is then
     a stacked EffectiveHamiltonian with a list holding, per item, the
     exception a separate call at that duration would raise, or None.
-    ``ctrl``, the schedule's ``control_product``, lets a caller that
-    extracts several stacks of one schedule form it once.
     """
     if durations is None:
         return unitary_effective(seq, sequence_unitary(seq, ops))
     durations = [float(t) for t in durations]
-    u, errors = sequence_unitary(seq, ops, durations)
-    m, log_errors = _deviation_logs(seq, u, durations, control_product(seq) if ctrl is None else ctrl)
-    errors = [log_error if error is None else error for error, log_error in zip(errors, log_errors)]
-    return pauli_decompose(m, np.array(durations)), errors
+    w, errors = sequence_deviation(seq, ops, durations)
+    eff, log_errors = _deviation_effective(seq, w, durations)
+    return eff, [log_error if error is None else error for error, log_error in zip(errors, log_errors)]
 
 
 def magnus_cdd_predict(a0: np.ndarray, az: np.ndarray, tau0: float, level: int):

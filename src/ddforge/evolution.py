@@ -1,21 +1,21 @@
-"""Exact unitary composition of pulse schedules and a preservation fidelity.
+"""Exact composition of pulse schedules in the toggling frame, and a preservation fidelity.
 
-Free segments are propagated with exp(-i H dt) through the model's one
-Hermitian eigensystem (``BathOperators.eigensystem``), computed once per
-model and shared by every schedule composed under it.  Ideal pulses
-sigma_a (x) I_d act on the qubit slot as exact row permutations and sign (or
-+-i) changes of the running product, with the same values as the dense Pauli
-factor.  Everything stays dense; dimensions of interest are 2d <= 128.
+A schedule's unitary is U = (ctrl (x) I)(I + W), ctrl the control product of
+its ideal pulses and I + W the ordered product of its free segments in the
+toggling frame (Haeberlen & Waugh, Phys. Rev. 175, 453 (1968)): a segment
+after pulses with Pauli product F gives I + E, E = F^+ expm1(-i H gap t) F,
+formed from the model's one eigensystem (``BathOperators.eigensystem``) once
+per distinct gap and frame, F applied as exact row permutations and
+phases.  Composing W, not U, keeps a decoupled schedule's small deviation
+to rounding relative to |W| instead of to 1.
 
-Schedule instants are fractions of the total duration, so one pass over the
-pulses composes a schedule at a whole grid of durations: the running product
-is a (G, 2d, 2d) stack, each distinct fractional gap forms its G segment
-factors evecs * exp(-i evals gap t_g) once, and every pulse is one row
-operation on the stack.  Each item gets exactly the values a separate
-composition at its duration would.  A single composition is the G = 1 case
-of the same loop.  Callers split a grid into stacks of at most STACK_BYTES of
-matrices (``stack_points``): at d = 4 a whole grid fits, at d = 64 a stack
-holds one point, since larger stacks of 128 x 128 matrices measured slower.
+Factors reduce pairwise, (I + A)(I + B) = I + (A + B + A B) with the later A
+on the left, in chunks of ``stack_points(d)`` segments (256 at d = 4) that
+fold in time order, so rounding grows as log N in the segment count; at
+d = 64 a chunk is one segment and this is the update W <- E + W + E W.  One
+pass composes a whole stack of durations, and as the reduction's shape
+depends on the schedule and d only, each item holds exactly what a
+separate composition gives.
 """
 
 from __future__ import annotations
@@ -31,16 +31,12 @@ from .sequences import PauliAxis, PulseSequence
 HERMITICITY_TOL = 1e-10
 
 
-def _check_hermitian(h: np.ndarray) -> None:
+def expm_segment(h: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i h dt) for Hermitian h via eigendecomposition."""
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("expected a square matrix")
     if np.abs(h - h.conj().T).max() > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-
-
-def expm_segment(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) for Hermitian h via eigendecomposition."""
-    _check_hermitian(h)
     evals, evecs = np.linalg.eigh(h)
     return (evecs * np.exp(-1j * evals * dt)) @ evecs.conj().T
 
@@ -53,86 +49,91 @@ def pulse_unitary(axis: PauliAxis, d: int) -> np.ndarray:
     return np.kron(SIGMA[axis.value], np.eye(d, dtype=complex))
 
 
-def _qubit_rows(q: np.ndarray, d: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Row permutation and row phases that apply q (x) I_d from the left.
+def apply_qubit_factor(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(q (x) I_d) @ u for a phase times a Pauli matrix q, without a matmul.
 
-    q must be a phase times a Pauli matrix: one nonzero entry per row, each
-    in {+-1, +-i}.  Either part is None when it would be the identity.
+    u may be a (..., 2d, 2d) stack; the factor applies to every matrix.
+    Every output row block is one input block times 1, -1, i or -i, so the
+    result holds exactly the values of the dense product.
     """
-    q = np.asarray(q)
+    q, d = np.asarray(q), u.shape[-1] // 2
     if q.shape != (2, 2) or np.count_nonzero(q) != 2:
         raise ValueError("expected a phase times a Pauli matrix")
     cols = np.abs(q).argmax(axis=1)
     phases = q[(0, 1), cols]
     if cols[0] == cols[1] or not all(z in (1, -1, 1j, -1j) for z in phases):
         raise ValueError("expected a phase times a Pauli matrix")
-    perm = None
     if cols.tolist() != [0, 1]:
-        perm = np.concatenate([c * d + np.arange(d) for c in cols])
-        perm.flags.writeable = False
-    scale = None
+        u = u.take(np.concatenate([c * d + np.arange(d) for c in cols]), axis=-2)
     if np.any(phases != 1):
-        scale = np.repeat(phases.astype(complex), d)[:, None]
-        scale.flags.writeable = False
-    return perm, scale
-
-
-def _apply_rows(rows, u: np.ndarray) -> np.ndarray:
-    perm, scale = rows
-    if perm is not None:
-        u = u.take(perm, axis=-2)
-    if scale is not None:
-        u = u * scale
+        u = u * np.repeat(phases.astype(complex), d)[:, None]
     return u
 
 
-def apply_qubit_factor(q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(q (x) I_d) @ u for a phase times a Pauli matrix q, without a matmul.
+# Pauli codes: bit 0 marks an X part, bit 1 a Z part; a product, phase aside, XORs them.
+_CODE_AXIS = "IXZY"
+_POWERS_OF_I = (1, 1j, -1, -1j)
+# sigma_a sigma_b = i^_PHASE[a, b] sigma_(a ^ b) for codes a and b.
+_PHASE = np.array([[0, 0, 0, 0], [0, 0, 3, 1], [0, 1, 0, 3], [0, 3, 1, 0]])
 
-    u may be a (..., 2d, 2d) stack; the factor applies to every matrix.
 
-    Every output row block is one input block times 1, -1, i or -i, so the
-    result holds exactly the values of the dense product.
+@dataclass(frozen=True, eq=False)
+class SegmentPlan:
+    """A schedule's nonzero free segments in time order, and its control product ctrl.
+
+    Segment k runs after pulses with product i^phases[k] sigma_(frames[k]), and its
+    (gap, frame) pair p = pairs[k] has the gap gap_values[pair_gaps[p]] and the frame pair_frames[p].
     """
-    return _apply_rows(_qubit_rows(q, u.shape[-1] // 2), u)
+
+    frames: np.ndarray
+    phases: np.ndarray
+    gap_values: np.ndarray
+    pairs: np.ndarray
+    pair_gaps: np.ndarray
+    pair_frames: np.ndarray
+    ctrl: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def _pulse_rows(axis: PauliAxis, d: int):
-    # X swaps the qubit row blocks, Z negates the lower one and Y maps
-    # (top, bottom) to (-i bottom, i top).
-    return _qubit_rows(SIGMA[axis.value], d)
+def segment_plan(seq: PulseSequence) -> SegmentPlan:
+    """The schedule's SegmentPlan, formed in one pass over the pulses on first use and kept with it."""
+    if "_segment_plan" in seq.__dict__:
+        return seq.__dict__["_segment_plan"]
+    pulses = seq.pulses
+    bounds = np.concatenate(([0.0], np.fromiter((float(p.instant) for p in pulses), float, len(pulses)), [1.0]))
+    codes = np.fromiter((_CODE_AXIS.index(p.axis) for p in pulses), np.int8, len(pulses))
+    # Interval j, before pulse j, runs in the frame of pulses 0..j-1.
+    frames = np.concatenate(([0], np.bitwise_xor.accumulate(codes)))
+    phases = np.concatenate(([0], np.cumsum(_PHASE[codes, frames[:-1]]) % 4))
+    keep = slice(int(bool(pulses) and pulses[0].instant == 0), len(pulses) + (not pulses or pulses[-1].instant != 1))
+    gap_values, gaps = np.unique(np.diff(bounds)[keep], return_inverse=True)
+    keys, pairs = np.unique(gaps * 4 + frames[keep], return_inverse=True)
+    ctrl = _POWERS_OF_I[phases[-1]] * SIGMA[_CODE_AXIS[frames[-1]]]
+    plan = SegmentPlan(frames[keep], phases[keep], gap_values, pairs, keys // 4, keys % 4, ctrl)
+    object.__setattr__(seq, "_segment_plan", plan)
+    return plan
 
 
 def control_product(seq: PulseSequence) -> np.ndarray:
-    """Ordered 2x2 product of the ideal pulse factors alone.
-
-    This is the net control rotation the schedule would apply with the bath
-    switched off (phase included).  Odd pulse counts leave a net pi rotation
-    that is control action, not decoherence; effective-generator extraction
-    removes it first.
-    """
-    out = SIGMA["I"].copy()
-    for p in seq.pulses:
-        out = SIGMA[p.axis.value] @ out
-    return out
+    """Ordered 2x2 product of the ideal pulse factors alone (phase included): the net control rotation."""
+    return segment_plan(seq).ctrl.copy()
 
 
 UNITARITY_TOL = 1e-10
 
-# Upper bound on the bytes of complex128 matrices composed in one stack.
+# Upper bound on the bytes of complex128 matrices composed in one stack, and
+# on the segment factors of one chunk reduced at once.
 STACK_BYTES = 256 * 1024
 
 
 def stack_points(d: int) -> int:
-    """Durations composed in one stack at bath dimension d (at least one)."""
+    """Durations composed in one stack at bath dimension d (at least one); also segments per chunk."""
     return max(1, STACK_BYTES // (16 * (2 * d) ** 2))
 
 
-def _unitarity_defect(u: np.ndarray):
-    """max |u^+ u - I| of a matrix, or per matrix of a (..., n, n) stack."""
-    gram = np.swapaxes(u.conj(), -1, -2) @ u
-    return np.abs(gram - np.eye(u.shape[-1])).max(axis=(-2, -1))
+def _unitarity_defect(w: np.ndarray):
+    """max |(I + w)^+ (I + w) - I| = max |w + w^+ + w^+ w| per matrix of a (..., n, n) stack."""
+    w_h = np.swapaxes(w.conj(), -1, -2)
+    return np.abs(w + w_h + w_h @ w).max(axis=(-2, -1))
 
 
 def _unitarity_error(defect) -> ValueError | None:
@@ -143,65 +144,94 @@ def _unitarity_error(defect) -> ValueError | None:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryResult:
-    """Composed sequence unitary with schedule metadata; unitary to 1e-10."""
+    """Composed sequence unitary with schedule metadata; unitary to 1e-10.  ``w``: its deviation, if known."""
 
     u: np.ndarray
     total_duration: float
     pulse_count: int
     label: str = ""
+    w: np.ndarray | None = None
 
     def __post_init__(self):
-        error = _unitarity_error(_unitarity_defect(self.u))
+        error = _unitarity_error(_unitarity_defect(self.u - np.eye(len(self.u)) if self.w is None else self.w))
         if error is not None:
             raise error
         self.u.flags.writeable = False
 
 
-def _compose(seq: PulseSequence, ops: BathOperators, durations: np.ndarray) -> np.ndarray:
-    """The schedule's unitary at each duration: shape durations.shape + (2d, 2d)."""
-    evals, evecs = ops.eigensystem
-    evecs_h = evecs.conj().T
-    factors = {}
+@lru_cache(maxsize=None)
+def _frame_rows(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per Pauli code f, the rows and row phases with (sigma_f (x) I_d) v = v[rows[f]] * phases[f]."""
+    frames = np.array([np.kron(SIGMA[axis], np.eye(d)) for axis in _CODE_AXIS])
+    rows = np.abs(frames).argmax(axis=-1)
+    return rows, np.take_along_axis(frames, rows[..., None], axis=-1)
 
-    def segment(u, gap):
-        factor = factors.get(gap)
-        if factor is None:
-            phases = np.exp(-1j * evals * (gap * durations)[..., None])
-            factor = factors[gap] = evecs * phases[..., None, :]
-        return factor @ (evecs_h @ u)
 
-    d = ops.dim
-    rows = {axis: _pulse_rows(axis, d) for axis in (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)}
-    u = np.broadcast_to(np.eye(2 * d, dtype=complex), durations.shape + (2 * d, 2 * d)).copy()
-    prev = 0.0
-    for p in seq.pulses:
-        frac = p.t_frac
-        if frac > prev:
-            u = segment(u, frac - prev)
-        u = _apply_rows(rows[p.axis], u)
-        prev = frac
-    if prev < 1.0:
-        u = segment(u, 1.0 - prev)
-    return u
+def _pairwise(f: np.ndarray) -> np.ndarray:
+    """W with I + W = (I + F_L-1) ... (I + F_0) for a (G, L, n, n) stack of factors in time order."""
+    while f.shape[1] > 1:
+        m = f.shape[1] // 2
+        later, earlier = f[:, 1:2 * m:2], f[:, 0:2 * m:2]
+        paired = later + earlier + later @ earlier
+        # An odd factor out waits, in its place at the end, for the next level.
+        f = np.concatenate([paired, f[:, 2 * m:]], axis=1) if f.shape[1] % 2 else paired
+    return f[:, 0]
+
+
+def sequence_deviation(seq: PulseSequence, ops: BathOperators, durations) -> tuple[np.ndarray, list]:
+    """The deviation W = ctrl^+ U - I of a schedule re-timed to each duration.
+
+    Returns the read-only (G, 2d, 2d) stack and a list holding, per item, the
+    ValueError its unitarity check (on W + W^+ + W^+ W, to 1e-10) failed
+    with, or None.  A failed item does not stop the others.
+    """
+    plan, durations = segment_plan(seq), np.asarray(durations, dtype=float)
+    (evals, evecs), (rows, phases) = ops.eigensystem, _frame_rows(ops.dim)
+    chunk, n, segments = stack_points(ops.dim), 2 * ops.dim, len(plan.pairs)
+    expm1 = np.expm1(-1j * (durations[:, None] * plan.gap_values)[..., None] * evals)
+    if chunk == 1:
+        # Large factors, so one per distinct gap (not per pair), taken into each frame F as F E F^+.
+        factors, w = {}, None
+        for gap, frame in zip(plan.pair_gaps[plan.pairs], plan.pair_frames[plan.pairs]):
+            if gap not in factors:
+                factors[gap] = (evecs * expm1[:, gap, None, :]) @ evecs.conj().T
+            e = factors[gap][:, rows[frame][:, None], rows[frame]] * (phases[frame] * phases[frame].conj().T)
+            w = e if w is None else e + w + e @ w
+    else:
+        # Each (gap, frame) pair's factor V_f expm1(-i lam gap t) V_f^+, V_f = F^+ V.
+        v = (evecs[rows] * phases)[plan.pair_frames]
+        table = (v * expm1[:, plan.pair_gaps, None, :]) @ np.swapaxes(v.conj(), -1, -2)
+        # Durations reduced together, so that a chunk of factors stays within STACK_BYTES.
+        per = max(1, STACK_BYTES // (16 * n * n * min(chunk, segments)))
+        w = np.empty((len(durations), n, n), dtype=complex)
+        for g in range(0, len(durations), per):
+            for s in range(0, segments, chunk):
+                f = _pairwise(table[g:g + per].take(plan.pairs[s:s + chunk], axis=1))
+                w[g:g + per] = f if s == 0 else f + w[g:g + per] + f @ w[g:g + per]
+    w.flags.writeable = False
+    return w, [_unitarity_error(defect) for defect in _unitarity_defect(w)]
 
 
 def sequence_unitary(seq: PulseSequence, ops: BathOperators, durations=None):
-    """Time-ordered product of segment exponentials and pulse factors.
+    """Time-ordered product of segment exponentials and pulse factors, unitary to 1e-10.
 
     Later factors multiply on the left; zero-length segments (boundary
-    pulses) are skipped.  The result is unitary to 1e-10.
+    pulses) are skipped.  The control product is applied to the deviation
+    of ``sequence_deviation`` as exact rows, and the result carries W.
 
     With ``durations`` the schedule is composed re-timed to each of them in
     one stacked pass, and the result is the read-only (G, 2d, 2d) stack with
     a list holding, per item, the ValueError its unitarity check failed
     with, or None.  A failed item does not stop the others.
     """
-    if durations is None:
-        u = _compose(seq, ops, np.float64(seq.total_duration))
-        return UnitaryResult(u=u, total_duration=seq.total_duration, pulse_count=seq.pulse_count, label=seq.label)
-    u = _compose(seq, ops, np.asarray(durations, dtype=float))
-    u.flags.writeable = False
-    return u, [_unitarity_error(defect) for defect in _unitarity_defect(u)]
+    w, errors = sequence_deviation(seq, ops, [seq.total_duration] if durations is None else durations)
+    u = apply_qubit_factor(segment_plan(seq).ctrl, w + np.eye(w.shape[-1]))
+    if durations is not None:
+        u.flags.writeable = False
+        return u, errors
+    if errors[0] is not None:
+        raise errors[0]
+    return UnitaryResult(u[0], seq.total_duration, seq.pulse_count, seq.label, w[0])
 
 
 def entanglement_fidelity(u: UnitaryResult | np.ndarray) -> float:

@@ -13,7 +13,8 @@ parts; the two that carry the leading bits are exact (Ozaki, Ogita, Oishi &
 Rump, Numer. Algorithms 59, 95 (2012)).  Composition is in deviation form in the
 toggling frame: ctrl^+ U = I + W and each segment sets W <- E + W + E W with
 E = F^+ expm1(-i H dt) F, F the Pauli frame of the pulses so far (an exact
-signed permutation) and expm1 a Taylor series summed once per distinct gap.
+signed permutation, read from ``evolution.segment_plan``) and expm1 a Taylor
+series summed once per distinct gap.
 The log is 2 atanh(Z), Z = (2I + W)^-1 W: a double solve refined once, then
 the odd series; eigenphases beyond about 1.4 rad, the +-pi branch cut
 included, raise BranchAmbiguityError.  Each item reports a floor,
@@ -25,11 +26,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .bath import SIGMA, BathOperators, spectral_norm, total_hamiltonian
 from .effective import BranchAmbiguityError, EffectiveHamiltonian, error_functionals, shifted_solve
+from .evolution import _CODE_AXIS, _POWERS_OF_I, segment_plan
 from .sequences import PulseSequence
 
 DEFAULT_DPS = 40
@@ -148,9 +151,10 @@ def _embed(m: np.ndarray) -> np.ndarray:
     return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
-def _frame(axis: str, d: int) -> np.ndarray:
-    """sigma_axis (x) I_d, real-embedded: a signed permutation, so products with it are exact."""
-    return _embed(np.kron(SIGMA[axis], np.eye(d)))
+@lru_cache(maxsize=None)
+def _frame(axis: str, d: int, phase: int = 0) -> np.ndarray:
+    """i^phase sigma_axis (x) I_d, real-embedded: a signed permutation, so products with it are exact."""
+    return _embed(np.kron(_POWERS_OF_I[phase] * SIGMA[axis], np.eye(d)))
 
 
 def _conjugate(x, frame: np.ndarray):
@@ -163,15 +167,11 @@ def _conjugate(x, frame: np.ndarray):
 def _compose(seq: PulseSequence, ops: BathOperators, durations: list):
     """W with ctrl^+ U = I + W per duration, the segment count, and the items a series could not reach."""
     d = ops.dim
-    pulses = {axis: _frame(axis, d) for axis in "XYZ"}
-    segments, frame, prev = [], np.eye(4 * d), Fraction(0)
-    for p in seq.pulses:
-        if p.instant > prev:
-            segments.append((Fraction(p.instant) - prev, frame))
-        frame, prev = pulses[p.axis.value] @ frame, Fraction(p.instant)
-    if prev < 1:
-        segments.append((1 - prev, frame))
-    gaps = sorted({gap for gap, _ in segments})
+    plan = segment_plan(seq)
+    bounds = [Fraction(0), *(Fraction(p.instant) for p in seq.pulses), Fraction(1)]
+    lengths = (b - a for a, b in zip(bounds, bounds[1:]) if b > a)
+    segments = list(zip(lengths, plan.frames.tolist(), plan.phases.tolist()))
+    gaps = sorted({gap for gap, _, _ in segments})
     h = total_hamiltonian(ops)
     radius = spectral_norm(h)
     scale = 2.0 ** math.ceil(math.log2(radius)) if radius > 0 else 1.0
@@ -192,9 +192,10 @@ def _compose(seq: PulseSequence, ops: BathOperators, durations: list):
         factors[gap] = _mul(powers[0], (x[0][i], x[1][i]))
         for j in range(1, int(extra[i].max(initial=0)) + 1):
             factors[gap] = _add(factors[gap], _mul(powers[j], (coefs[j][0][i], coefs[j][1][i])))
+    # Segment k's frame is the embedded pulse product before it, phase included.
+    conjugated = {key: _conjugate(factors[key[0]], _frame(_CODE_AXIS[key[1]], d, key[2])) for key in set(segments)}
     w = None
-    for gap, frame in segments:
-        e = _conjugate(factors[gap], frame)
+    for e in (conjugated[key] for key in segments):
         w = e if w is None else _add(_add(e, w), _matmul(e, w))
     return w, len(segments), (extra < 0).any(axis=0)
 

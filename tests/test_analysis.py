@@ -191,6 +191,17 @@ FAMILIES = pytest.mark.parametrize(
 )
 
 
+@pytest.mark.parametrize("family", [{"name": "cdd", "m": 7}, {"name": "udd2", "n": 11}], ids=["CDD-7", "UDD2-11"])
+def test_deep_schedules_scan_in_double(family):
+    # The paper's deepest schedules (15,292 and 19,019 pulses) compose and
+    # extract over a whole grid without a numeric failure.
+    spec = ModelSpec(d=4, seed=7)
+    grid = default_t_grid(alpha(build_model(spec)), at_min=1e-2, at_max=1e-1)
+    rows = evaluate_scan(family, spec, grid)
+    assert len(rows) == len(grid)
+    assert all(math.isfinite(r[k]) and r[k] >= 0 for r in rows for k in ("E_flip", "E_dephase", "E_total"))
+
+
 class TestStackedScan:
     @pytest.mark.parametrize("d", [4, 16])
     @FAMILIES
@@ -246,13 +257,13 @@ class TestStackedScan:
         from ddforge import analysis, effective
 
         seen = []
-        sequence_unitary = effective.sequence_unitary
+        sequence_deviation = effective.sequence_deviation
 
-        def recording_unitary(seq, ops, durations=None):
+        def recording_deviation(seq, ops, durations):
             seen.append(list(durations))
-            return sequence_unitary(seq, ops, durations)
+            return sequence_deviation(seq, ops, durations)
 
-        monkeypatch.setattr(effective, "sequence_unitary", recording_unitary)
+        monkeypatch.setattr(effective, "sequence_deviation", recording_deviation)
         monkeypatch.setattr(analysis, "stack_points", lambda d: 1)
         spec = ModelSpec(d=2, seed=7, preset="spin_bath(1)")
         grid = [0.3, 0.6, 0.999, 0.9995]
@@ -262,19 +273,20 @@ class TestStackedScan:
         assert seen == [[0.3], [0.6], [0.999]]
 
     def test_control_product_formed_once_per_scan(self, monkeypatch):
-        from ddforge import analysis, effective, evolution
+        # The control product, the frames and the gaps come from one segment
+        # plan, formed once for the schedule a scan builds and kept with it.
+        from ddforge import evolution
 
-        calls = []
-        control_product = evolution.control_product
+        plans = []
+        segment_plan_class = evolution.SegmentPlan
 
-        def counting_control_product(seq):
-            calls.append(seq)
-            return control_product(seq)
+        def counting_plan(*args):
+            plans.append(segment_plan_class(*args))
+            return plans[-1]
 
-        for module in (analysis, effective, evolution):
-            monkeypatch.setattr(module, "control_product", counting_control_product)
+        monkeypatch.setattr(evolution, "SegmentPlan", counting_plan)
         evaluate_scan({"name": "cdd", "m": 3}, ModelSpec(d=16, seed=7), default_t_grid(1.0), seeds=[7, 8, 9])
-        assert len(calls) == 1
+        assert len(plans) == 1
 
     @pytest.mark.parametrize("d, sizes", [(4, [8, 8]), (64, [1] * 8)])
     def test_stack_sizes(self, monkeypatch, d, sizes):
@@ -283,13 +295,13 @@ class TestStackedScan:
         from ddforge import effective
 
         seen = []
-        sequence_unitary = effective.sequence_unitary
+        sequence_deviation = effective.sequence_deviation
 
-        def recording_unitary(seq, ops, durations=None):
+        def recording_deviation(seq, ops, durations):
             seen.append(len(durations))
-            return sequence_unitary(seq, ops, durations)
+            return sequence_deviation(seq, ops, durations)
 
-        monkeypatch.setattr(effective, "sequence_unitary", recording_unitary)
+        monkeypatch.setattr(effective, "sequence_deviation", recording_deviation)
         spec = ModelSpec(d=d, seed=8)
         grid = default_t_grid(alpha(build_model(spec)))
         evaluate_scan({"name": "udd", "n": 1}, spec, grid, seeds=[8, 9] if d == 4 else None)

@@ -257,6 +257,23 @@ class TestCompare:
         assert fe3 < 1e-3 and fe3_ctrl > 0.9999
         assert fe4 == fe4_ctrl  # even count: the control rotation is the identity
 
+    def test_warns_near_double_floor(self, capsys):
+        # CDD-4's couplings (4.8e-21 and 3.9e-39) and UDD-4's E_flip (4.5e-18)
+        # sit within 1000x of the double floor at t = 0.001; the table still
+        # prints and the exit code stays 0, but each such value is named.
+        argv = ("compare", "--seq", "cdd,m=4", "--seq", "udd,n=4", "--t", "0.001", "--seed", "7")
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        warnings = err.splitlines()
+        assert all(w.startswith("warning: ") and w.endswith("use --precision extended") for w in warnings)
+        assert [w.split()[1:3] for w in warnings] == [
+            ["CDD-4:", "E_flip"], ["CDD-4:", "E_dephase"], ["CDD-4:", "E_total"], ["UDD-4:", "E_flip"]]
+        assert "UDD-4" in out and "CDD-4" in out
+
+    def test_no_warning_above_floor(self, capsys):
+        code, _, err = run(capsys, "compare", "--seq", "udd,n=2", "--seq", "cpmg,axis=Z", "--t", "0.01", "--seed", "7")
+        assert code == 0 and err == ""
+
     def test_needs_seq(self, capsys):
         code, _, err = run(capsys, "compare", "--t", "0.01")
         assert code == 2
@@ -277,6 +294,14 @@ def test_deep_schedules_extract_in_double(capsys, argv):
     # still pass the 1e-9 reconstruction check.
     code, _, err = run(capsys, *argv)
     assert code == 0, err
+
+
+def test_udd4_flip_order_in_double(capsys):
+    # UDD-4 suppresses bit flips to fifth order; the toggling-frame deviation
+    # resolves it in double precision over the default grid.
+    code, out, err = run(capsys, "order", "udd", "--n", "4", "--seed", "7")
+    assert code == 0, err
+    assert printed_slope(out) == pytest.approx(5.0, abs=0.25)
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -1,7 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ddforge.bath import SIGMA, BathOperators, ModelSpec, build_model, spectral_norm
+from ddforge.bath import SIGMA, BathOperators, ModelSpec, alpha, build_model, spectral_norm
 from ddforge.effective import (
     BranchAmbiguityError,
     error_functionals,
@@ -13,7 +16,7 @@ from ddforge.effective import (
     unitary_log,
 )
 from ddforge.evolution import expm_segment, sequence_unitary
-from ddforge.sequences import PulseSequence, cdd_full, cdd_xx, cudd, udd_sequence
+from ddforge.sequences import PauliAxis, PulseSequence, build_sequence, cdd_full, cdd_xx, cudd, udd_sequence
 
 RNG = np.random.default_rng(77)
 
@@ -95,7 +98,7 @@ class TestUnitaryLog:
         from ddforge.effective import _principal_logs
 
         good = [expm_segment(random_hermitian(4, s), 1.0) for s in (0.5, 2.0)]
-        m, errors = _principal_logs(np.stack([good[0], -np.eye(4, dtype=complex), good[1]]), 0.1)
+        m, errors, _ = _principal_logs(np.stack([good[0], -np.eye(4, dtype=complex), good[1]]) - np.eye(4), 0.1)
         assert errors[0] is None and errors[2] is None
         assert type(errors[1]) is BranchAmbiguityError
         assert errors[1].eigenphase == np.pi
@@ -240,6 +243,28 @@ class TestStackedExtraction:
         direct = sequence_effective(seq, ops)
         for (_, got), (_, want) in zip(from_unitary.items(), direct.items()):
             assert got.tobytes() == want.tobytes()
+
+
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references"
+
+
+def test_floor_bounds_error_against_reference():
+    # Every stored d = 4 point of the mpmath oracle: each functional's error
+    # stays below the floor the double point reports.
+    refs = json.loads((REFERENCES / "order.json").read_text())["points"]
+    models = {}
+    for key, want in refs.items():
+        family, preset, dim, seed, at = key.split("|")
+        if dim != "d4":
+            continue
+        name, params = family.rstrip(")").split("(")
+        params = {k: PauliAxis(v) if k == "axis" else int(v) for k, v in (p.split("=") for p in params.split(",") if p)}
+        if (seed, preset) not in models:
+            models[seed, preset] = build_model(ModelSpec(d=4, seed=int(seed[4:]), preset=preset))
+        ops = models[seed, preset]
+        eff = sequence_effective(build_sequence(name, float(at[3:]) / alpha(ops), **params), ops)
+        for functional, value in error_functionals(eff).items():
+            assert abs(value - want[functional]) <= eff.floor, (key, functional)
 
 
 class TestSpectralNorm:

@@ -1,9 +1,13 @@
+import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ddforge.bath import SIGMA, BathOperators, ModelSpec, build_model, total_hamiltonian
+from ddforge.bath import SIGMA, BathOperators, ModelSpec, alpha, build_model, total_hamiltonian
+from ddforge.effective import error_functionals, sequence_effective
 from ddforge.evolution import (
     STACK_BYTES,
     UnitaryResult,
@@ -12,12 +16,24 @@ from ddforge.evolution import (
     entanglement_fidelity,
     expm_segment,
     pulse_unitary,
+    segment_plan,
     sequence_unitary,
     stack_points,
 )
-from ddforge.sequences import PauliAxis, PulseSequence, cdd_full, cpmg, cudd, spin_echo, udd_sequence
+from ddforge.sequences import (
+    PauliAxis,
+    Pulse,
+    PulseSequence,
+    build_sequence,
+    cdd_full,
+    cpmg,
+    cudd,
+    spin_echo,
+    udd_sequence,
+)
 
 RNG = np.random.default_rng(2024)
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references"
 
 
 def random_hermitian(d, scale=1.0):
@@ -157,9 +173,24 @@ class TestCompositionExactness:
     @pytest.mark.parametrize("d", [4, 16])
     @pytest.mark.parametrize("seq", [udd_sequence(3, 0.01), cudd(2, 2, 0.01), cdd_full(3, 0.01)],
                              ids=["UDD-3", "CUDD(2,2)", "CDD-3"])
-    def test_bit_equal_to_dense_reference(self, seq, d):
+    def test_agrees_with_dense_reference(self, seq, d):
+        # The pairwise product rounds in another order than the dense loop;
+        # both stay within a few ulps per segment of the exact product.
         ops = build_model(ModelSpec(d=d, seed=7))
-        assert sequence_unitary(seq, ops).u.tobytes() == dense_sequence_unitary(seq, ops).tobytes()
+        segments = len(segment_plan(seq).frames)
+        diff = np.abs(sequence_unitary(seq, ops).u - dense_sequence_unitary(seq, ops)).max()
+        assert diff <= 16 * segments * np.finfo(float).eps
+
+    def test_udd4_flip_matches_reference(self):
+        # The dense loop forms U and logs U - I, whose floor is eps absolute:
+        # it reads this 4.5e-18 coupling about 7e5 times too large.  The
+        # toggling-frame deviation keeps it to a few parts in 1e3.
+        spec = ModelSpec(d=4, seed=7)
+        ops = build_model(spec)
+        seq = udd_sequence(4, 1e-3 / alpha(ops))
+        refs = json.loads((REFERENCES / "order.json").read_text())["points"]
+        want = refs["udd(n=4)|generic|d4|seed7|at=1e-03"]["E_flip"]
+        assert error_functionals(sequence_effective(seq, ops))["E_flip"] == pytest.approx(want, rel=5e-2)
 
     def test_repeat_calls_share_one_eigensystem(self):
         ops = build_model(ModelSpec(d=4, seed=7))
@@ -168,6 +199,21 @@ class TestCompositionExactness:
 
 
 GRID = np.geomspace(1e-3, 1e-2, 8)
+
+
+class TestDeepSchedules:
+    @pytest.mark.parametrize("name, params", [("cdd", {"m": 7}), ("udd2", {"n": 11})], ids=["CDD-7", "UDD2-11"])
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_fidelity_matches_reference(self, name, params, seed):
+        # Against mpmath at 30 digits, within the benchmark's 16 ulps per pulse.
+        ops = build_model(ModelSpec(d=4, seed=seed))
+        refs = json.loads((REFERENCES / "deep.json").read_text())["points"]
+        label = f"{name}({','.join(f'{k}={v}' for k, v in params.items())})"
+        for at in (1e-2, 1e-1):
+            seq = build_sequence(name, at / alpha(ops), **params)
+            fe = entanglement_fidelity(sequence_unitary(seq, ops))
+            want = refs[f"{label}|generic|d4|seed{seed}|at={at:.0e}"]["F_e"]
+            assert abs(fe - want) <= 16 * seq.pulse_count * np.finfo(float).eps
 
 
 class TestStackedComposition:
@@ -195,6 +241,22 @@ class TestStackedComposition:
             with pytest.raises(ValueError) as single:
                 sequence_unitary(seq.with_duration(t), ops)
             assert type(error) is ValueError and str(error) == str(single.value)
+
+    @pytest.mark.parametrize("segments", [255, 256, 257, 513])
+    def test_items_bit_equal_across_chunk_edges(self, segments):
+        # At d = 4 the pairwise reduction takes 256-segment chunks; cycling
+        # the axes runs every frame and phase across the chunk edges.
+        ops = build_model(ModelSpec(d=4, seed=7))
+        axes = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
+        seq = PulseSequence(0.01, tuple(Pulse(Fraction(k, segments), axes[k % 3]) for k in range(1, segments)))
+        assert stack_points(4) == 256 and len(segment_plan(seq).frames) == segments
+        stack, errors = sequence_unitary(seq, ops, GRID)
+        assert errors == [None] * len(GRID)
+        for item, t in zip(stack, GRID):
+            single = sequence_unitary(seq.with_duration(t), ops).u
+            assert item.tobytes() == single.tobytes()
+        dense = dense_sequence_unitary(seq.with_duration(GRID[-1]), ops)
+        assert np.abs(stack[-1] - dense).max() <= 16 * segments * np.finfo(float).eps
 
     def test_stack_size_rule(self):
         assert stack_points(4) >= 8  # a whole default grid in one stack
