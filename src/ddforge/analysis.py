@@ -153,8 +153,8 @@ def evaluate_scan(
     """Residual functionals across a duration grid, one row per duration.
 
     With several seeds the functionals are averaged over the bath ensemble.
-    Extended rows also carry ``floor``, the engine's estimated absolute error
-    of each functional, averaged the same way.  Raises BranchAmbiguityError (tagged with the offending duration) when
+    Rows also carry ``floor``, the engine's estimated absolute error of each
+    functional, averaged the same way.  Raises BranchAmbiguityError (tagged with the offending duration) when
     eigenphases leave the principal branch; as a guard, alpha * t_max must
     stay below 1.
     """
@@ -181,7 +181,7 @@ def evaluate_scan(
         (seq, indices, durations), k = task
         if precision == "double":
             eff, errors = sequence_effective(seq, models[k], durations)
-            funcs = error_functionals(eff)
+            funcs = {**error_functionals(eff), "floor": eff.floor}
         else:
             funcs, errors = highprec.sequence_error_functionals(seq, models[k], dps, durations)
         return [

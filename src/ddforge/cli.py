@@ -6,7 +6,8 @@ DDFORGE_SEED provides the default bath seed.  Exit codes: 0 success, 2 usage
 error, 3 numeric-domain error (an eigenphase near the branch cut, a failed
 log reconstruction, an extended-precision value too close to the engine's
 roundoff floor to be resolved, or any other ArithmeticError), 4 I/O error.
-A double-precision ``compare`` value that close to its floor only warns.
+A double-precision ``order`` or ``compare`` value that close to its floor
+only warns.
 """
 
 from __future__ import annotations
@@ -176,8 +177,12 @@ def _cmd_order(args) -> int:
         jobs=_resolve(args, config, "jobs", 1),
     )
     out = _resolve(args, config, "out", None)
+    checked = analysis.FUNCTIONALS if out else (functional,)
     if args.precision == "extended":
-        _check_floor(rows, analysis.FUNCTIONALS if out else (functional,))
+        _check_floor(rows, checked)
+    else:
+        for messages in filter(None, (_near_floor(row, checked, "double") for row in rows)):
+            print(f"warning: {'; '.join(messages)}; use --precision extended", file=sys.stderr)
     fit = analysis.fit_order([r["t"] for r in rows], [r[functional] for r in rows])
     if out:
         with _open_out(out) as fh:

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bath import SIGMA, BathOperators
-from .sequences import PauliAxis, PulseSequence
+from .sequences import CODE_AXIS, PauliAxis, PulseSequence
 
 HERMITICITY_TOL = 1e-10
 
@@ -70,8 +70,6 @@ def apply_qubit_factor(q: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u
 
 
-# Pauli codes: bit 0 marks an X part, bit 1 a Z part; a product, phase aside, XORs them.
-_CODE_AXIS = "IXZY"
 _POWERS_OF_I = (1, 1j, -1, -1j)
 # sigma_a sigma_b = i^_PHASE[a, b] sigma_(a ^ b) for codes a and b.
 _PHASE = np.array([[0, 0, 0, 0], [0, 0, 3, 1], [0, 1, 0, 3], [0, 3, 1, 0]])
@@ -95,21 +93,20 @@ class SegmentPlan:
 
 
 def segment_plan(seq: PulseSequence) -> SegmentPlan:
-    """The schedule's SegmentPlan, formed in one pass over the pulses on first use and kept with it."""
+    """The schedule's SegmentPlan, formed from its instants and codes on first use and kept with it."""
     if "_segment_plan" in seq.__dict__:
         return seq.__dict__["_segment_plan"]
-    pulses = seq.pulses
-    bounds = np.concatenate(([0.0], np.fromiter((float(p.instant) for p in pulses), float, len(pulses)), [1.0]))
-    codes = np.fromiter((_CODE_AXIS.index(p.axis) for p in pulses), np.int8, len(pulses))
+    instants, codes, n = seq.instants, seq.codes, seq.pulse_count
+    bounds = np.concatenate(([0.0], instants, [1.0]))
     # Interval j, before pulse j, runs in the frame of pulses 0..j-1.
     frames = np.concatenate(([0], np.bitwise_xor.accumulate(codes)))
     phases = np.concatenate(([0], np.cumsum(_PHASE[codes, frames[:-1]]) % 4))
-    keep = slice(int(bool(pulses) and pulses[0].instant == 0), len(pulses) + (not pulses or pulses[-1].instant != 1))
+    keep = slice(int(n > 0 and instants[0] == 0), n + (n == 0 or instants[-1] != 1))
     gap_values, gaps = np.unique(np.diff(bounds)[keep], return_inverse=True)
     keys, pairs = np.unique(gaps * 4 + frames[keep], return_inverse=True)
-    ctrl = _POWERS_OF_I[phases[-1]] * SIGMA[_CODE_AXIS[frames[-1]]]
+    ctrl = _POWERS_OF_I[phases[-1]] * SIGMA[CODE_AXIS[frames[-1]]]
     plan = SegmentPlan(frames[keep], phases[keep], gap_values, pairs, keys // 4, keys % 4, ctrl)
-    object.__setattr__(seq, "_segment_plan", plan)
+    seq._segment_plan = plan
     return plan
 
 
@@ -162,7 +159,7 @@ class UnitaryResult:
 @lru_cache(maxsize=None)
 def _frame_rows(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Per Pauli code f, the rows and row phases with (sigma_f (x) I_d) v = v[rows[f]] * phases[f]."""
-    frames = np.array([np.kron(SIGMA[axis], np.eye(d)) for axis in _CODE_AXIS])
+    frames = np.array([np.kron(SIGMA[axis], np.eye(d)) for axis in CODE_AXIS])
     rows = np.abs(frames).argmax(axis=-1)
     return rows, np.take_along_axis(frames, rows[..., None], axis=-1)
 

@@ -32,8 +32,8 @@ import numpy as np
 
 from .bath import SIGMA, BathOperators, spectral_norm, total_hamiltonian
 from .effective import BranchAmbiguityError, EffectiveHamiltonian, error_functionals, shifted_solve
-from .evolution import _CODE_AXIS, _POWERS_OF_I, segment_plan
-from .sequences import PulseSequence
+from .evolution import _POWERS_OF_I, segment_plan
+from .sequences import CODE_AXIS, PulseSequence
 
 DEFAULT_DPS = 40
 # dps has no effect; fewer digits than a double carries are still refused.
@@ -168,7 +168,10 @@ def _compose(seq: PulseSequence, ops: BathOperators, durations: list):
     """W with ctrl^+ U = I + W per duration, the segment count, and the items a series could not reach."""
     d = ops.dim
     plan = segment_plan(seq)
-    bounds = [Fraction(0), *(Fraction(p.instant) for p in seq.pulses), Fraction(1)]
+    # Exact instants from their integer numerators, the others from their floats.
+    instants = zip(seq.numerators.tolist(), seq.exact.tolist(), seq.instants.tolist())
+    bounds = [Fraction(0), *(Fraction(num, seq.denominator) if exact else Fraction(x) for num, exact, x in instants)]
+    bounds.append(Fraction(1))
     lengths = (b - a for a, b in zip(bounds, bounds[1:]) if b > a)
     segments = list(zip(lengths, plan.frames.tolist(), plan.phases.tolist()))
     gaps = sorted({gap for gap, _, _ in segments})
@@ -193,7 +196,7 @@ def _compose(seq: PulseSequence, ops: BathOperators, durations: list):
         for j in range(1, int(extra[i].max(initial=0)) + 1):
             factors[gap] = _add(factors[gap], _mul(powers[j], (coefs[j][0][i], coefs[j][1][i])))
     # Segment k's frame is the embedded pulse product before it, phase included.
-    conjugated = {key: _conjugate(factors[key[0]], _frame(_CODE_AXIS[key[1]], d, key[2])) for key in set(segments)}
+    conjugated = {key: _conjugate(factors[key[0]], _frame(CODE_AXIS[key[1]], d, key[2])) for key in set(segments)}
     w = None
     for e in (conjugated[key] for key in segments):
         w = e if w is None else _add(_add(e, w), _matmul(e, w))

@@ -1,13 +1,20 @@
 """Pulse-sequence compiler: ideal pi-pulse schedules with exact rational timing.
 
 All schedules are expressed on the unit interval as fractions of the total
-duration.  Instants are kept as exact `fractions.Fraction` values wherever the
-construction is rational (CPMG, PDD, iterated CPMG, concatenated families,
-the polynomial-timed double-layer family); Uhrig instants for n >= 3 are
+duration.  Instants are exact rationals wherever the construction is
+rational (CPMG, PDD, iterated CPMG, concatenated families, the
+polynomial-timed double-layer family); Uhrig instants for n >= 3 are
 irrational and stored as floats.  Coincident pulses arising from
 concatenation are merged through the single-qubit Pauli algebra modulo
 global phase, so emitted schedules never contain two pulses at one instant
 and never contain an identity pulse.
+
+A schedule is a set of arrays: float64 ``instants`` (what every engine
+reads; an exact instant's is its correctly rounded value), int8 Pauli
+``codes`` (``CODE_AXIS``), and int64 ``numerators`` over one common
+``denominator`` where ``exact``.  Families build, merge (a stable sort and
+a grouped XOR of codes) and check them as arrays; the ``Pulse`` objects of
+``pulses`` are made on first access.
 
 Concatenation products are read as operator products: the rightmost factor
 acts first in time, which places junction pulses at block starts.  Boundary
@@ -16,13 +23,16 @@ pulses at instant 0 (or 1) are retained; they change the net unitary.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 
 class PauliAxis(str, Enum):
@@ -34,24 +44,17 @@ class PauliAxis(str, Enum):
     Z = "Z"
 
 
-# Single-qubit Pauli products modulo global phase.
-_PRODUCT = {}
-for _a in PauliAxis:
-    _PRODUCT[(PauliAxis.I, _a)] = _a
-    _PRODUCT[(_a, PauliAxis.I)] = _a
-    _PRODUCT[(_a, _a)] = PauliAxis.I
-for _a, _b, _c in (
-    (PauliAxis.X, PauliAxis.Y, PauliAxis.Z),
-    (PauliAxis.Y, PauliAxis.Z, PauliAxis.X),
-    (PauliAxis.Z, PauliAxis.X, PauliAxis.Y),
-):
-    _PRODUCT[(_a, _b)] = _c
-    _PRODUCT[(_b, _a)] = _c
+# Pauli codes: bit 0 marks an X part, bit 1 a Z part; a product, phase aside, XORs them.
+CODE_AXIS = "IXZY"
+
+
+def _code(axis: PauliAxis) -> int:
+    return CODE_AXIS.index(PauliAxis(axis).value)
 
 
 def compose_axes(first: PauliAxis, second: PauliAxis) -> PauliAxis:
     """Axis of the product of two Pauli rotations, global phase discarded."""
-    return _PRODUCT[(PauliAxis(first), PauliAxis(second))]
+    return PauliAxis(CODE_AXIS[_code(first) ^ _code(second)])
 
 
 Instant = Fraction | float
@@ -84,47 +87,149 @@ class Pulse:
         return float(self.instant)
 
 
-@dataclass(frozen=True)
+class _Items(NamedTuple):
+    """Pulses as arrays, in any order and unchecked; numerators are 0 where not exact."""
+
+    instants: np.ndarray
+    codes: np.ndarray
+    numerators: np.ndarray
+    exact: np.ndarray
+    denominator: int
+
+
+def _denominator(den: int) -> int:
+    if den >= 2**63:
+        raise ValueError(f"common denominator {den} of the exact instants overflows int64")
+    return den
+
+
+def _ratios(nums: np.ndarray, den: int) -> np.ndarray:
+    """Correctly rounded nums / den: float64 division is, while both are exact in float64."""
+    return nums / den if den <= 2**53 else np.array([n / den for n in nums.tolist()], dtype=float)
+
+
+def _items(pairs: Iterable[tuple[Instant, PauliAxis]]) -> _Items:
+    """Items of (instant, axis) pairs, exact where the instant is a Fraction."""
+    pairs = [(x, x if isinstance(x, Fraction) else None, _code(axis)) for x, axis in pairs]
+    den = _denominator(lcm(*(f.denominator for _, f, _ in pairs if f is not None)))
+    nums = [0 if f is None else f.numerator * (den // f.denominator) for _, f, _ in pairs]
+    return _Items(np.array([float(x) for x, _, _ in pairs], dtype=float), np.array([c for *_, c in pairs], np.int8),
+                  np.array(nums, np.int64), np.array([f is not None for _, f, _ in pairs], bool), den)
+
+
+def _cat(*parts: _Items) -> _Items:
+    den = _denominator(lcm(*(p.denominator for p in parts)))
+    scaled = ((p.instants, p.codes, p.numerators * (den // p.denominator), p.exact) for p in parts)
+    return _Items(*map(np.concatenate, zip(*scaled)), den)
+
+
+def _embed(items: _Items, nblocks: int) -> _Items:
+    """The items rescaled into each of nblocks equal windows, (block + x) / nblocks, block after block."""
+    den = _denominator(items.denominator * nblocks)
+    block = np.arange(nblocks)[:, None]
+    exact = np.concatenate([items.exact] * nblocks)
+    nums = (block * (items.denominator * items.exact) + items.numerators).ravel()
+    instants = np.where(exact, _ratios(nums, den), ((block + items.instants) / nblocks).ravel())
+    return _Items(instants, np.concatenate([items.codes] * nblocks), nums, exact, den)
+
+
+def _steps(items: _Items) -> np.ndarray:
+    """Sign of each step between neighbouring instants; on a float tie the exact values decide."""
+    steps = np.sign(items.instants[1:] - items.instants[:-1])
+    for k in (steps == 0).nonzero()[0]:
+        a, b = (Fraction(int(items.numerators[j]), items.denominator) if items.exact[j]
+                else Fraction(items.instants[j]) for j in (k, k + 1))
+        steps[k] = (a < b) - (b < a)
+    return steps
+
+
+def _merge(items: _Items) -> _Items:
+    """The items sorted, each group of equal instants composed to one pulse, identities dropped.
+
+    A group's instant is exact when any member's is (the members are equal
+    in value), and its code is the XOR of theirs.
+    """
+    order = np.argsort(items.instants, kind="stable")
+    den, items = items.denominator, [a[order] for a in items[:4]]
+    starts = np.concatenate(([True], _steps(_Items(*items, den)) != 0)).nonzero()[0]
+    if len(starts) < len(order):
+        instants, codes, nums, exact = items
+        items = [instants[starts], np.bitwise_xor.reduceat(codes, starts),
+                 np.maximum.reduceat(nums, starts), np.logical_or.reduceat(exact, starts)]
+    keep = items[1] != 0
+    return _Items(*(a[keep] for a in items), den)
+
+
+def _checked(items: _Items) -> _Items:
+    """The items, read-only, if they are strictly increasing in [0, 1] with no identity pulse."""
+    if not items.codes.all():
+        raise ValueError("identity pulses are merged away, not emitted")
+    # An exact instant's float lies in [0, 1] when its value does.
+    if not (items.instants.min(initial=0) >= 0 and items.instants.max(initial=1) <= 1
+            and items.numerators.min(initial=0) >= 0 and items.numerators.max(initial=0) <= items.denominator):
+        raise ValueError("pulse instants outside [0, 1]")
+    if not (items.instants[1:] > items.instants[:-1]).all() and (_steps(items) <= 0).any():
+        raise ValueError("pulse instants must be strictly increasing")
+    for a in items[:4]:
+        a.flags.writeable = False
+    return items
+
+
+def _pulses(items: _Items) -> tuple[Pulse, ...]:
+    arrays = (a.tolist() for a in items[:4])
+    return tuple(Pulse(Fraction(num, items.denominator) if exact else instant, CODE_AXIS[code])
+                 for instant, code, num, exact in zip(*arrays))
+
+
+def _duration(total_duration: float) -> float:
+    if not (math.isfinite(total_duration) and total_duration > 0):
+        raise ValueError(f"total_duration must be positive and finite, got {total_duration}")
+    return total_duration
+
+
 class PulseSequence:
     """An ordered pi-pulse schedule over a total duration.
 
     Invariants: instants strictly increasing in [0, 1]; no identity pulses.
-    Instances are immutable and safe to share across threads.
+    The arrays (see the module docstring) are read-only and nothing else
+    changes after construction, so instances are safe to share across threads.
     """
 
-    total_duration: float
-    pulses: tuple[Pulse, ...]
-    label: str = ""
-    family: dict = field(default_factory=dict)
+    def __init__(self, total_duration: float, pulses: Iterable[Pulse], label: str = "", family: dict | None = None):
+        # The families pass their merged items, from which the pulses are made on first access.
+        if isinstance(pulses, _Items):
+            items, self._pulses = pulses, None
+        else:
+            self._pulses = tuple(pulses)
+            items = _items((p.instant, p.axis) for p in self._pulses)
+        self.total_duration = _duration(total_duration)
+        self.instants, self.codes, self.numerators, self.exact, self.denominator = self._arrays = _checked(items)
+        self.label, self.family = label, {} if family is None else family
 
-    def __post_init__(self):
-        if self.total_duration <= 0:
-            raise ValueError("total_duration must be positive")
-        object.__setattr__(self, "pulses", tuple(self.pulses))
-        for prev, cur in zip(self.pulses, self.pulses[1:]):
-            if not prev.instant < cur.instant:
-                raise ValueError("pulse instants must be strictly increasing")
+    @property
+    def pulses(self) -> tuple[Pulse, ...]:
+        if self._pulses is None:
+            self._pulses = _pulses(self._arrays)
+        return self._pulses
 
     @property
     def pulse_count(self) -> int:
-        return len(self.pulses)
+        return len(self.instants)
 
     def axis_count(self, axis: PauliAxis) -> int:
-        axis = PauliAxis(axis)
-        return sum(1 for p in self.pulses if p.axis is axis)
+        return int(np.count_nonzero(self.codes == _code(axis)))
 
     def filter_axis(self, axis: PauliAxis) -> "PulseSequence":
         """Sub-schedule containing only pulses about the given axis."""
-        axis = PauliAxis(axis)
-        return PulseSequence(
-            total_duration=self.total_duration,
-            pulses=tuple(p for p in self.pulses if p.axis is axis),
-            label=f"{self.label}[{axis.value}]",
-            family=dict(self.family),
-        )
+        axis, keep = PauliAxis(axis), self.codes == _code(axis)
+        items = _Items(*(a[keep] for a in self._arrays[:4]), self.denominator)
+        return PulseSequence(self.total_duration, items, f"{self.label}[{axis.value}]", dict(self.family))
 
     def with_duration(self, total_duration: float) -> "PulseSequence":
-        return PulseSequence(total_duration, self.pulses, self.label, dict(self.family))
+        """The same pulses over another duration, sharing the arrays and whatever is cached with them."""
+        seq = copy.copy(self)
+        seq.total_duration, seq.family = _duration(total_duration), dict(self.family)
+        return seq
 
 
 def merge_pulses(items: Iterable[tuple[Instant, PauliAxis]]) -> tuple[Pulse, ...]:
@@ -134,28 +239,10 @@ def merge_pulses(items: Iterable[tuple[Instant, PauliAxis]]) -> tuple[Pulse, ...
     the exact representative is kept).  Each coincident group composes
     through the Pauli algebra; identity results are dropped.
     """
-    merged = _merge_raw((instant, PauliAxis(axis)) for instant, axis in items)
-    return tuple(Pulse(i, a) for i, a in merged)
+    return _pulses(_merge(_items(items)))
 
 
-def _merge_raw(items: Iterable[tuple[Instant, PauliAxis]]) -> list[tuple[Instant, PauliAxis]]:
-    """merge_pulses on PauliAxis-typed pairs, returning unvalidated pairs."""
-    ordered = sorted(items, key=lambda p: float(p[0]))
-    merged: list[tuple[Instant, PauliAxis]] = []
-    for instant, axis in ordered:
-        if merged and merged[-1][0] == instant:
-            prev_instant, prev_axis = merged[-1]
-            if isinstance(prev_instant, Fraction):
-                instant = prev_instant
-            merged[-1] = (instant, _PRODUCT[(prev_axis, axis)])
-        else:
-            merged.append((instant, axis))
-    return [(i, a) for i, a in merged if a is not PauliAxis.I]
-
-
-# ---------------------------------------------------------------------------
-# Uhrig and classic families
-# ---------------------------------------------------------------------------
+# --- Uhrig and classic families ----------------------------------------------
 
 def udd_instants(n: int) -> list[float]:
     """Uhrig pulse instants sin^2(pi j / (2(n+1))), j = 1..n, as fractions of t.
@@ -167,13 +254,10 @@ def udd_instants(n: int) -> list[float]:
     return [math.sin(math.pi * j / (2 * (n + 1))) ** 2 for j in range(1, n + 1)]
 
 
-def _udd_raw(n: int) -> list[Instant]:
-    # n = 1 and n = 2 are the only Uhrig schedules with rational instants.
-    if n == 1:
-        return [Fraction(1, 2)]
-    if n == 2:
-        return [Fraction(1, 4), Fraction(3, 4)]
-    return list(udd_instants(n))
+def _udd_items(n: int, axis: PauliAxis) -> _Items:
+    # n = 1 and n = 2 are the only Uhrig schedules with rational instants, odd multiples of 1/(2n).
+    instants = [Fraction(2 * j - 1, 2 * n) for j in range(1, n + 1)] if n <= 2 else udd_instants(n)
+    return _items((x, axis) for x in instants)
 
 
 def udd_sequence(n: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
@@ -184,22 +268,20 @@ def udd_sequence(n: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxi
     if n < 1:
         raise ValueError("need at least one pulse")
     axis = PauliAxis(axis)
-    pulses = merge_pulses((x, axis) for x in _udd_raw(n))
-    return PulseSequence(total_duration, pulses, f"UDD-{n}", {"name": "udd", "n": n, "axis": axis.value})
+    return PulseSequence(total_duration, _udd_items(n, axis), f"UDD-{n}", {"name": "udd", "n": n, "axis": axis.value})
 
 
 def spin_echo(total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
     """Single pi pulse at the midpoint."""
     axis = PauliAxis(axis)
-    pulses = merge_pulses([(Fraction(1, 2), axis)])
-    return PulseSequence(total_duration, pulses, "SE", {"name": "se", "axis": axis.value})
+    return PulseSequence(total_duration, _items([(Fraction(1, 2), axis)]), "SE", {"name": "se", "axis": axis.value})
 
 
 def cpmg(total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
     """Two-pulse cycle: free t/4, pulse, free t/2, pulse, free t/4."""
     axis = PauliAxis(axis)
-    pulses = merge_pulses([(Fraction(1, 4), axis), (Fraction(3, 4), axis)])
-    return PulseSequence(total_duration, pulses, "CPMG", {"name": "cpmg", "axis": axis.value})
+    items = _items([(Fraction(1, 4), axis), (Fraction(3, 4), axis)])
+    return PulseSequence(total_duration, items, "CPMG", {"name": "cpmg", "axis": axis.value})
 
 
 def pdd(n: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
@@ -207,8 +289,8 @@ def pdd(n: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> P
     if n < 1:
         raise ValueError("need at least one pulse")
     axis = PauliAxis(axis)
-    pulses = merge_pulses((Fraction(j, n + 1), axis) for j in range(1, n + 1))
-    return PulseSequence(total_duration, pulses, f"PDD-{n}", {"name": "pdd", "n": n, "axis": axis.value})
+    items = _items((Fraction(j, n + 1), axis) for j in range(1, n + 1))
+    return PulseSequence(total_duration, items, f"PDD-{n}", {"name": "pdd", "n": n, "axis": axis.value})
 
 
 def icpmg(cycles: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
@@ -216,51 +298,37 @@ def icpmg(cycles: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxis.
     if cycles < 1:
         raise ValueError("need at least one cycle")
     axis = PauliAxis(axis)
-    pulses = merge_pulses((Fraction(2 * k - 1, 4 * cycles), axis) for k in range(1, 2 * cycles + 1))
-    return PulseSequence(
-        total_duration, pulses, f"iCPMG-{cycles}", {"name": "icpmg", "c": cycles, "axis": axis.value}
-    )
+    items = _items((Fraction(2 * k - 1, 4 * cycles), axis) for k in range(1, 2 * cycles + 1))
+    return PulseSequence(total_duration, items, f"iCPMG-{cycles}", {"name": "icpmg", "c": cycles, "axis": axis.value})
 
 
-# ---------------------------------------------------------------------------
-# Concatenated families
-# ---------------------------------------------------------------------------
+# --- Concatenated families ---------------------------------------------------
 
-def _embed(items: Sequence[tuple[Instant, PauliAxis]], block: int, nblocks: int) -> list[tuple[Instant, PauliAxis]]:
-    """Rescale relative instants into the block-th of nblocks equal windows."""
-    out = []
-    for instant, axis in items:
-        if isinstance(instant, Fraction):
-            # (block + instant) / nblocks, exactly and in lowest terms.
-            den = instant.denominator
-            out.append((Fraction(block * den + instant.numerator, nblocks * den), axis))
-        else:
-            out.append(((block + instant) / nblocks, axis))
-    return out
-
-
-def _concatenate(
-    base: Sequence[tuple[Instant, PauliAxis]],
-    junction_axes: Sequence[PauliAxis],
-    levels: int,
-) -> tuple[Pulse, ...]:
+def _concatenate(items: _Items, junction_axes: str, levels: int) -> _Items:
     """Iterate p -> (J_1 p)(J_2 p)... with junction pulses at block starts.
 
     The written recursion is an operator product, so the rightmost factor
     acts first; per level the junction axes are applied in reversed written
-    order.  Coincident pulses merge at every level; levels pass raw
-    (instant, axis) pairs and only the emitted schedule is validated.
+    order.  Coincident pulses merge at every level.
     """
-    nblocks = len(junction_axes)
-    time_order = list(reversed(junction_axes))
-    current = list(base)
+    heads = [_code(axis) for axis in reversed(junction_axes)]
+    # Each block starts with its junction pulse, at exact relative instant 0 and with its code set per block.
+    junction = _items([(Fraction(0), PauliAxis.I)])
     for _ in range(levels):
-        nxt: list[tuple[Instant, PauliAxis]] = []
-        for b in range(nblocks):
-            nxt.append((Fraction(b, nblocks), time_order[b]))
-            nxt.extend(_embed(current, b, nblocks))
-        current = _merge_raw(nxt)
-    return tuple(Pulse(i, a) for i, a in current)
+        blocks = _embed(_cat(junction, items), len(heads))
+        blocks.codes[::len(items.codes) + 1] = heads
+        items = _merge(blocks)
+    return items
+
+
+def _concatenated(level: int, total_duration: float, base: PulseSequence | None, junction_axes: str, label: str,
+                  family: dict) -> PulseSequence:
+    if level < 0:
+        raise ValueError("level must be non-negative")
+    if base is not None:
+        family["base"] = base.family.get("name", base.label)
+    items = _concatenate(_items([]) if base is None else base._arrays, junction_axes, level)
+    return PulseSequence(total_duration, items, f"{label}-{level}", family)
 
 
 def cdd_full(level: int, total_duration: float = 1.0, base: PulseSequence | None = None) -> PulseSequence:
@@ -270,14 +338,7 @@ def cdd_full(level: int, total_duration: float = 1.0, base: PulseSequence | None
     pulses land at block starts and merge with any coincident base pulses;
     the post-cancellation count grows asymptotically by a factor 4 per level.
     """
-    if level < 0:
-        raise ValueError("level must be non-negative")
-    start = [(p.instant, p.axis) for p in base.pulses] if base is not None else []
-    pulses = _concatenate(start, [PauliAxis.X, PauliAxis.Z, PauliAxis.X, PauliAxis.Z], level)
-    fam = {"name": "cdd", "m": level}
-    if base is not None:
-        fam["base"] = base.family.get("name", base.label)
-    return PulseSequence(total_duration, pulses, f"CDD-{level}", fam)
+    return _concatenated(level, total_duration, base, "XZXZ", "CDD", {"name": "cdd", "m": level})
 
 
 def cdd_xx(level: int, total_duration: float = 1.0, base: PulseSequence | None = None) -> PulseSequence:
@@ -286,14 +347,7 @@ def cdd_xx(level: int, total_duration: float = 1.0, base: PulseSequence | None =
     Over free evolution, level 2 reproduces the two-pulse CPMG cycle and the
     surviving pulse count follows a_n = (2/3)(2^n - (-1)^n).
     """
-    if level < 0:
-        raise ValueError("level must be non-negative")
-    start = [(p.instant, p.axis) for p in base.pulses] if base is not None else []
-    pulses = _concatenate(start, [PauliAxis.X, PauliAxis.X], level)
-    fam = {"name": "cddxx", "n": level}
-    if base is not None:
-        fam["base"] = base.family.get("name", base.label)
-    return PulseSequence(total_duration, pulses, f"CDDxx-{level}", fam)
+    return _concatenated(level, total_duration, base, "XX", "CDDxx", {"name": "cddxx", "n": level})
 
 
 def cudd(m: int, n: int, total_duration: float = 1.0) -> PulseSequence:
@@ -305,9 +359,8 @@ def cudd(m: int, n: int, total_duration: float = 1.0) -> PulseSequence:
         raise ValueError("need at least one pulse per block")
     if n < 0:
         raise ValueError("level must be non-negative")
-    base = udd_sequence(m, 1.0, PauliAxis.Z)
-    seq = cdd_xx(n, total_duration, base)
-    return PulseSequence(total_duration, seq.pulses, f"CUDD(m={m},n={n})", {"name": "cudd", "m": m, "n": n})
+    items = _concatenate(_udd_items(m, PauliAxis.Z), "XX", n)
+    return PulseSequence(total_duration, items, f"CUDD(m={m},n={n})", {"name": "cudd", "m": m, "n": n})
 
 
 def cpmg_udd(m: int, cycles: int = 1, total_duration: float = 1.0) -> PulseSequence:
@@ -321,23 +374,13 @@ def cpmg_udd(m: int, cycles: int = 1, total_duration: float = 1.0) -> PulseSeque
         raise ValueError("need at least one pulse per block")
     if cycles < 1:
         raise ValueError("need at least one cycle")
-    nblocks = 4 * cycles
-    items: list[tuple[Instant, PauliAxis]] = []
-    block = _udd_raw(m)
-    for b in range(nblocks):
-        items.extend(_embed([(x, PauliAxis.Z) for x in block], b, nblocks))
-    items.extend((Fraction(2 * k - 1, 4 * cycles), PauliAxis.X) for k in range(1, 2 * cycles + 1))
-    return PulseSequence(
-        total_duration,
-        merge_pulses(items),
-        f"CPMG-UDD(m={m},c={cycles})",
-        {"name": "cpmg_udd", "m": m, "c": cycles},
-    )
+    outer = _items((Fraction(2 * k - 1, 4 * cycles), PauliAxis.X) for k in range(1, 2 * cycles + 1))
+    items = _merge(_cat(_embed(_udd_items(m, PauliAxis.Z), 4 * cycles), outer))
+    family = {"name": "cpmg_udd", "m": m, "c": cycles}
+    return PulseSequence(total_duration, items, f"CPMG-UDD(m={m},c={cycles})", family)
 
 
-# ---------------------------------------------------------------------------
-# Polynomial-timed double layer
-# ---------------------------------------------------------------------------
+# --- Polynomial-timed double layer -------------------------------------------
 
 def d_approx(x: Instant) -> Instant:
     """Cubic timing profile -2x^3 + 3x^2 on [0, 1]; exact on rational input.
@@ -363,17 +406,12 @@ def udd2_approx(n: int, total_duration: float = 1.0) -> PulseSequence:
     if n < 1:
         raise ValueError("need at least one pulse")
     cells = (n + 1) ** 3
-    items: list[tuple[Instant, PauliAxis]] = []
-    inner = _udd_raw(n)
-    for k in range(cells):
-        items.extend(_embed([(x, PauliAxis.Z) for x in inner], k, cells))
-    items.extend((d_approx(Fraction(j, n + 1)), PauliAxis.X) for j in range(1, n + 1))
-    return PulseSequence(total_duration, merge_pulses(items), f"UDD2-{n}", {"name": "udd2", "n": n})
+    outer = _items((d_approx(Fraction(j, n + 1)), PauliAxis.X) for j in range(1, n + 1))
+    items = _merge(_cat(_embed(_udd_items(n, PauliAxis.Z), cells), outer))
+    return PulseSequence(total_duration, items, f"UDD2-{n}", {"name": "udd2", "n": n})
 
 
-# ---------------------------------------------------------------------------
-# Commensurability and pulse-count formulas
-# ---------------------------------------------------------------------------
+# --- Commensurability and pulse-count formulas -------------------------------
 
 def commensurate_grid(seq: PulseSequence) -> int | None:
     """Smallest D such that every instant is k/D, or None when not commensurate.
@@ -381,10 +419,9 @@ def commensurate_grid(seq: PulseSequence) -> int | None:
     Any float-valued (inexact) instant makes the schedule non-commensurate;
     an empty schedule has D = 1.
     """
-    if any(not p.is_exact for p in seq.pulses):
+    if not seq.exact.all():
         return None
-    dens = [p.instant.denominator for p in seq.pulses]
-    return lcm(*dens) if dens else 1
+    return seq.denominator // math.gcd(seq.denominator, *seq.numerators.tolist())
 
 
 def a_n(n: int) -> int:
@@ -424,22 +461,13 @@ def cdd_count_estimate(m: int) -> int:
     return 4**m
 
 
-# ---------------------------------------------------------------------------
-# Family dispatch and JSON schedule format
-# ---------------------------------------------------------------------------
+# --- Family dispatch and JSON schedule format --------------------------------
 
 FAMILIES = ("none", "se", "cpmg", "pdd", "icpmg", "udd", "cdd", "cddxx", "cudd", "cpmg-udd", "udd2")
 
 
-def build_sequence(
-    family: str,
-    total_duration: float = 1.0,
-    *,
-    n: int | None = None,
-    m: int | None = None,
-    c: int | None = None,
-    axis: PauliAxis = PauliAxis.Z,
-) -> PulseSequence:
+def build_sequence(family: str, total_duration: float = 1.0, *, n: int | None = None, m: int | None = None,
+                   c: int | None = None, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
     """Construct a schedule by family name; raises ValueError on bad params."""
     family = family.lower().replace("_", "-")
 
@@ -448,63 +476,35 @@ def build_sequence(
             raise ValueError(f"family {family!r} requires --{what}")
         return value
 
-    if family == "none":
-        return PulseSequence(total_duration, (), "free", {"name": "none"})
-    if family == "se":
-        return spin_echo(total_duration, axis)
-    if family == "cpmg":
-        return cpmg(total_duration, axis)
-    if family == "pdd":
-        return pdd(need(n, "n"), total_duration, axis)
-    if family == "icpmg":
-        return icpmg(need(c, "c"), total_duration, axis)
-    if family == "udd":
-        return udd_sequence(need(n, "n"), total_duration, axis)
-    if family == "cdd":
-        return cdd_full(need(m, "m"), total_duration)
-    if family == "cddxx":
-        return cdd_xx(need(n, "n"), total_duration)
-    if family == "cudd":
-        return cudd(need(m, "m"), need(n, "n"), total_duration)
-    if family == "cpmg-udd":
-        return cpmg_udd(need(m, "m"), need(c, "c"), total_duration)
-    if family == "udd2":
-        return udd2_approx(need(n, "n"), total_duration)
-    raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
+    builders = {
+        "none": lambda: PulseSequence(total_duration, (), "free", {"name": "none"}),
+        "se": lambda: spin_echo(total_duration, axis),
+        "cpmg": lambda: cpmg(total_duration, axis),
+        "pdd": lambda: pdd(need(n, "n"), total_duration, axis),
+        "icpmg": lambda: icpmg(need(c, "c"), total_duration, axis),
+        "udd": lambda: udd_sequence(need(n, "n"), total_duration, axis),
+        "cdd": lambda: cdd_full(need(m, "m"), total_duration),
+        "cddxx": lambda: cdd_xx(need(n, "n"), total_duration),
+        "cudd": lambda: cudd(need(m, "m"), need(n, "n"), total_duration),
+        "cpmg-udd": lambda: cpmg_udd(need(m, "m"), need(c, "c"), total_duration),
+        "udd2": lambda: udd2_approx(need(n, "n"), total_duration),
+    }
+    if family not in builders:
+        raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
+    return builders[family]()
 
 
 def schedule_to_dict(seq: PulseSequence) -> dict:
     """JSON-ready dict with deterministic field order; round-trips losslessly."""
-    pulses = []
-    for p in seq.pulses:
-        entry: dict = {"axis": p.axis.value}
-        if p.is_exact:
-            entry["num"] = p.instant.numerator
-            entry["den"] = p.instant.denominator
-        entry["t_frac"] = p.t_frac
-        pulses.append(entry)
-    return {
-        "label": seq.label,
-        "total_duration": seq.total_duration,
-        "family": dict(seq.family),
-        "pulses": pulses,
-    }
+    pulses = [{"axis": p.axis.value, **({"num": p.instant.numerator, "den": p.instant.denominator}
+                                        if p.is_exact else {}), "t_frac": p.t_frac} for p in seq.pulses]
+    return {"label": seq.label, "total_duration": seq.total_duration, "family": dict(seq.family), "pulses": pulses}
 
 
 def schedule_from_dict(data: dict) -> PulseSequence:
-    pulses = []
-    for entry in data["pulses"]:
-        if "num" in entry:
-            instant: Instant = Fraction(entry["num"], entry["den"])
-        else:
-            instant = float(entry["t_frac"])
-        pulses.append(Pulse(instant, PauliAxis(entry["axis"])))
-    return PulseSequence(
-        total_duration=float(data["total_duration"]),
-        pulses=tuple(pulses),
-        label=data.get("label", ""),
-        family=dict(data.get("family", {})),
-    )
+    pulses = [Pulse(Fraction(e["num"], e["den"]) if "num" in e else float(e["t_frac"]), PauliAxis(e["axis"]))
+              for e in data["pulses"]]
+    return PulseSequence(float(data["total_duration"]), pulses, data.get("label", ""), dict(data.get("family", {})))
 
 
 def schedule_to_json(seq: PulseSequence) -> str:

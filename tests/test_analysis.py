@@ -169,7 +169,7 @@ class TestOrderScan:
         rows = evaluate_scan({"name": "cpmg"}, GENERIC, grid)
         assert [r["t"] for r in rows] == [pytest.approx(t) for t in grid]
         assert rows[0]["family"] == "cpmg"
-        assert all(set(r) == {"family", "param", "t", "alpha_t", "E_flip", "E_dephase", "E_total"} for r in rows)
+        assert all(set(r) == {"family", "param", "t", "alpha_t", "E_flip", "E_dephase", "E_total", "floor"} for r in rows)
 
 
 def per_point_scan(family, model_spec, grid, seeds):

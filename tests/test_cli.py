@@ -61,6 +61,13 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "xy8")
         assert code == 2
 
+    def test_non_finite_duration_is_usage_error(self, capsys, tmp_path):
+        out_file = tmp_path / "f.json"
+        code, _, err = run(capsys, "gen", "cdd", "--m", "1", "--t", "nan", "--out", str(out_file))
+        assert code == 2
+        assert "total_duration" in err and "nan" in err
+        assert not out_file.exists()
+
 
 class TestCounts:
     def test_table(self, capsys):
@@ -194,6 +201,23 @@ class TestOrder:
         assert printed_slope(out) == pytest.approx(4.0, abs=0.25)
 
 
+    def test_warns_at_double_floor(self, capsys):
+        # At seed 7 every E_flip point of CDD-4 lies within 1000x of the
+        # double floor: one warning per point, and stdout and the exit code
+        # stay as they were.
+        code, out, err = run(capsys, "order", "cdd", "--m", "4", "--seed", "7")
+        assert code == 0
+        assert out.startswith("E_flip slope:")
+        warnings = err.splitlines()
+        assert len(warnings) == 8
+        assert all(w.startswith("warning: E_flip = ") and w.endswith("use --precision extended") for w in warnings)
+
+    def test_no_warning_above_double_floor(self, capsys, tmp_path):
+        code, _, err = run(capsys, "order", "cudd", "--m", "2", "--n", "2", "--seed", "7",
+                           "--out", str(tmp_path / "scan.csv"), "--no-meta")
+        assert code == 0 and err == ""
+
+
 class TestPredictMagnus:
     def test_ratio_output(self, capsys):
         code, out, _ = run(capsys, "predict-magnus", "--level", "1", "--tau0", "0.01", "--halvings", "2", "--seed", "7")
@@ -273,6 +297,11 @@ class TestCompare:
     def test_no_warning_above_floor(self, capsys):
         code, _, err = run(capsys, "compare", "--seq", "udd,n=2", "--seq", "cpmg,axis=Z", "--t", "0.01", "--seed", "7")
         assert code == 0 and err == ""
+
+    def test_non_finite_duration_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "compare", "--seq", "udd,n=2", "--t", "nan", "--seed", "7")
+        assert code == 2
+        assert "total_duration" in err and "nan" in err
 
     def test_needs_seq(self, capsys):
         code, _, err = run(capsys, "compare", "--t", "0.01")

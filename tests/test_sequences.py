@@ -1,6 +1,9 @@
+import hashlib
 import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -133,10 +136,33 @@ class TestPauliMerge:
         assert len(merged) == 1
         assert merged[0].is_exact and merged[0].axis is Y
 
+    def test_matches_per_pulse_reference(self):
+        # Ties mix exact and float instants, equal in value (k/8) and not
+        # (1/10 against the float 0.1, which sort as equal floats).
+        rng = random.Random(5)
+        pool = [F(k, 8) for k in range(9)] + [k / 8 for k in range(9)] + [F(1, 10), 0.1, 0.3]
+        for _ in range(300):
+            items = [(rng.choice(pool), rng.choice([X, Y, Z])) for _ in range(rng.randint(0, 12))]
+            want = [(type(i), i, a) for i, a in reference_merge(items)]
+            assert [(type(p.instant), p.instant, p.axis) for p in merge_pulses(items)] == want
+
     def test_compose_axes_table(self):
         assert compose_axes(X, X) is PauliAxis.I
         assert compose_axes(Y, Z) is X
         assert compose_axes(PauliAxis.I, Y) is Y
+
+
+def reference_merge(items):
+    # The per-pulse merge: sort by float value, fold each run of exactly
+    # equal neighbours through the Pauli table, keep an exact instant.
+    merged = []
+    for instant, axis in sorted(items, key=lambda p: float(p[0])):
+        if merged and merged[-1][0] == instant:
+            prev, prev_axis = merged[-1]
+            merged[-1] = (prev if isinstance(prev, Fraction) else instant, compose_axes(prev_axis, axis))
+        else:
+            merged.append((instant, PauliAxis(axis)))
+    return [(i, a) for i, a in merged if a is not PauliAxis.I]
 
 
 class TestCddFull:
@@ -198,6 +224,17 @@ class TestConcatenationCompile:
         assert typed_schedule(cdd_xx(level, base=base).pulses) == typed_schedule(want)
         want = merged_per_level(schedule(base), [X, Z, X, Z], level)
         assert typed_schedule(cdd_full(level, base=base).pulses) == typed_schedule(want)
+
+    def test_float_base_instant_on_a_junction_keeps_exact(self):
+        # Base floats 0.0 and 0.5 land exactly on the junctions b/2 and b/4.
+        base = PulseSequence(1.0, (Pulse(0.0, Z), Pulse(0.5, Z)))
+        for level in range(1, 4):
+            want = merged_per_level(schedule(base), [X, X], level)
+            assert typed_schedule(cdd_xx(level, base=base).pulses) == typed_schedule(want)
+            want = merged_per_level(schedule(base), [X, Z, X, Z], level)
+            assert typed_schedule(cdd_full(level, base=base).pulses) == typed_schedule(want)
+        first = cdd_xx(1, base=base).pulses[0]
+        assert first.is_exact and first.instant == 0 and first.axis is Y
 
 
 class TestCddXX:
@@ -381,6 +418,26 @@ class TestPulseSequenceType:
         with pytest.raises(ValueError):
             PulseSequence(0.0, ())
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_duration(self, t):
+        with pytest.raises(ValueError, match="total_duration"):
+            PulseSequence(t, ())
+        with pytest.raises(ValueError, match="total_duration"):
+            cdd_full(2, t)
+        with pytest.raises(ValueError, match="total_duration"):
+            cpmg().with_duration(t)
+
+    def test_common_denominator_overflow_raises(self):
+        with pytest.raises(ValueError, match="overflows int64"):
+            PulseSequence(1.0, (Pulse(F(1, 2**62), Z), Pulse(F(1, 3), Z)))
+        # 2^62 - 1 is odd: one level of two blocks fits in int64, two do not.
+        base = PulseSequence(1.0, (Pulse(F(1, 2**62 - 1), Z),))
+        seq = cdd_xx(1, base=base)
+        assert schedule(seq) == [(F(0), X), (F(1, 2**63 - 2), Z), (F(1, 2), X), (F(2**62, 2**63 - 2), Z)]
+        assert all(x == p.t_frac for x, p in zip(seq.instants.tolist(), seq.pulses))
+        with pytest.raises(ValueError, match="overflows int64"):
+            cdd_xx(2, base=base)
+
     def test_filter_axis(self):
         seq = cudd(2, 1)
         assert seq.filter_axis(Z).pulse_count == 4
@@ -419,6 +476,45 @@ class TestEmittedScheduleInvariants:
         longer = seq.with_duration(4.0)
         assert longer.total_duration == 4.0
         assert [p.instant for p in longer.pulses] == [p.instant for p in seq.pulses]
+
+    def test_with_duration_shares_arrays_and_segment_plan(self):
+        from ddforge.evolution import segment_plan
+
+        seq = cdd_full(3, 1.0)
+        plan = segment_plan(seq)
+        longer = seq.with_duration(2.0)
+        assert segment_plan(longer) is plan
+        assert longer.instants is seq.instants and longer.codes is seq.codes
+        assert (longer.total_duration, seq.total_duration) == (2.0, 1.0)
+
+
+def test_deep_build_and_compose_make_no_pulse(monkeypatch):
+    # build -> sequence_unitary -> F_e reads the arrays; no Pulse is made.
+    from ddforge import bath, evolution
+
+    ops = bath.build_model(bath.ModelSpec(d=4, seed=7))
+
+    def refuse(self):
+        raise AssertionError("a Pulse was made")
+
+    monkeypatch.setattr(Pulse, "__post_init__", refuse)
+    seq = build_sequence("cdd", 0.01, m=7)
+    fe = evolution.entanglement_fidelity(evolution.sequence_unitary(seq, ops))
+    assert seq.pulse_count == 15292 and 0.99 < fe <= 1.0
+    monkeypatch.undo()
+    assert len(seq.pulses) == 15292
+
+
+# sha256 of schedule_to_json at t = 1, recorded from the per-pulse Fraction
+# build that the array build replaced; the key is "family,param=value,...".
+SCHEDULE_DIGESTS = json.loads((Path(__file__).parent / "golden" / "schedule-digests.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(SCHEDULE_DIGESTS))
+def test_schedule_json_digest(key):
+    name, *params = key.split(",")
+    seq = build_sequence(name, 1.0, **{k: int(v) for k, v in (p.split("=") for p in params)})
+    assert hashlib.sha256(schedule_to_json(seq).encode()).hexdigest() == SCHEDULE_DIGESTS[key]
 
 
 class TestBuildSequence:
