@@ -12,7 +12,10 @@ to rounding relative to |W| instead of to 1.
 Factors reduce pairwise, (I + A)(I + B) = I + (A + B + A B) with the later A
 on the left, in chunks of ``stack_points(d)`` segments (256 at d = 4) that
 fold in time order, so rounding grows as log N in the segment count; at
-d = 64 a chunk is one segment and this is the update W <- E + W + E W.  One
+d = 64 a chunk is one segment and this is the update W <- E + W + E W.
+Concatenated schedules repeat their blocks, so each distinct product of a
+level is formed once (``reduction_plan``; CDD-7: 773 products, not 15,291),
+changing no bit.  ``highprec`` reduces by the same plans.  One
 pass composes a whole stack of durations, and as the reduction's shape
 depends on the schedule and d only, each item holds exactly what a
 separate composition gives.
@@ -118,7 +121,7 @@ def control_product(seq: PulseSequence) -> np.ndarray:
 UNITARITY_TOL = 1e-10
 
 # Upper bound on the bytes of complex128 matrices composed in one stack, and
-# on the segment factors of one chunk reduced at once.
+# on the nodes one level of a reduction holds.
 STACK_BYTES = 256 * 1024
 
 
@@ -164,15 +167,66 @@ def _frame_rows(d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.take_along_axis(frames, rows[..., None], axis=-1)
 
 
-def _pairwise(f: np.ndarray) -> np.ndarray:
-    """W with I + W = (I + F_L-1) ... (I + F_0) for a (G, L, n, n) stack of factors in time order."""
-    while f.shape[1] > 1:
-        m = f.shape[1] // 2
-        later, earlier = f[:, 1:2 * m:2], f[:, 0:2 * m:2]
-        paired = later + earlier + later @ earlier
-        # An odd factor out waits, in its place at the end, for the next level.
-        f = np.concatenate([paired, f[:, 2 * m:]], axis=1) if f.shape[1] % 2 else paired
-    return f[:, 0]
+@lru_cache(maxsize=64)
+def reduction_plan(leaves: bytes, chunk: int) -> tuple[tuple, np.ndarray, int]:
+    """(levels, roots, per) reducing int64 leaf ids in chunks of ``chunk``, each distinct product once.
+
+    Level l is (index, m), index = later | earlier | carried over level l - 1's
+    nodes (the leaves at l = 0), and its nodes are the products of its m
+    distinct pairs, then the carried ones.  The chunk roots fold in time order;
+    ``per`` durations reduce at once, so that a level holds at most a chunk of nodes.
+    """
+    ids = np.frombuffer(leaves, dtype=np.int64)
+    lengths = np.minimum(chunk, len(ids) - np.arange(0, len(ids), chunk))
+    count, levels = int(ids.max()) + 1, []
+    while lengths.max() > 1:
+        # Positions 2i, 2i + 1 of a chunk pair, the later on the left; an odd last one is
+        # carried.  Each next-level node takes the even position it starts at.
+        pos = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        paired = pos < np.repeat(lengths - lengths % 2, lengths)
+        keys, products = np.unique(ids[paired][1::2] * count + ids[paired][::2], return_inverse=True)
+        carried, kept = np.unique(ids[~paired], return_inverse=True)
+        starts = paired[pos % 2 == 0]
+        ids = np.empty(len(starts), dtype=np.int64)
+        ids[starts], ids[~starts] = products, len(keys) + kept
+        levels.append((np.concatenate([keys // count, keys % count, carried]), len(keys)))
+        lengths, count = lengths - lengths // 2, len(keys) + len(carried)
+    for index in (ids, *(index for index, _ in levels)):
+        index.flags.writeable = False  # shared by every caller of the cache
+    return tuple(levels), ids, max(1, chunk // max([len(index) - m for index, m in levels], default=1))
+
+
+def reduce_pairwise(plan: tuple, leaves: np.ndarray, product, block: int) -> np.ndarray:
+    """The (G, ...) W with I + W the time-ordered product of I + the (L, G, ...) leaves by ``plan``.
+
+    ``product(later, earlier, out)`` sets and returns out, the deviation of
+    (I + later)(I + earlier) item by item, and may overwrite later; it sees
+    at most ``block`` items (pairs times durations) at once.
+    """
+    (levels, roots, per), groups = plan, []
+    for g in range(0, leaves.shape[1], per):
+        nodes = leaves[:, g:g + per]
+        step = max(1, block // nodes.shape[1])
+        for index, m in levels:
+            new = np.empty((len(index) - m, *nodes.shape[1:]), nodes.dtype)
+            for s in range(0, m, step):
+                e = min(s + step, m)
+                product(nodes.take(index[s:e], axis=0), nodes.take(index[m + s:m + e], axis=0), new[s:e])
+            new[m:] = nodes.take(index[2 * m:], axis=0)
+            nodes = new
+        w = nodes[roots[0]]
+        for r in roots[1:]:
+            w = product(nodes.take(r, axis=0), w, np.empty_like(w))
+        groups.append(w)
+    return np.concatenate(groups)
+
+
+def _product(later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # later earlier + (later + earlier): the bits of (later + earlier) + later earlier, as addition commutes.
+    np.matmul(later, earlier, out=out)
+    later += earlier
+    out += later
+    return out
 
 
 def sequence_deviation(seq: PulseSequence, ops: BathOperators, durations) -> tuple[np.ndarray, list]:
@@ -184,7 +238,7 @@ def sequence_deviation(seq: PulseSequence, ops: BathOperators, durations) -> tup
     """
     plan, durations = segment_plan(seq), np.asarray(durations, dtype=float)
     (evals, evecs), (rows, phases) = ops.eigensystem, _frame_rows(ops.dim)
-    chunk, n, segments = stack_points(ops.dim), 2 * ops.dim, len(plan.pairs)
+    chunk = stack_points(ops.dim)
     expm1 = np.expm1(-1j * (durations[:, None] * plan.gap_values)[..., None] * evals)
     if chunk == 1:
         # Large factors, so one per distinct gap (not per pair), taken into each frame F as F E F^+.
@@ -198,13 +252,9 @@ def sequence_deviation(seq: PulseSequence, ops: BathOperators, durations) -> tup
         # Each (gap, frame) pair's factor V_f expm1(-i lam gap t) V_f^+, V_f = F^+ V.
         v = (evecs[rows] * phases)[plan.pair_frames]
         table = (v * expm1[:, plan.pair_gaps, None, :]) @ np.swapaxes(v.conj(), -1, -2)
-        # Durations reduced together, so that a chunk of factors stays within STACK_BYTES.
-        per = max(1, STACK_BYTES // (16 * n * n * min(chunk, segments)))
-        w = np.empty((len(durations), n, n), dtype=complex)
-        for g in range(0, len(durations), per):
-            for s in range(0, segments, chunk):
-                f = _pairwise(table[g:g + per].take(plan.pairs[s:s + chunk], axis=1))
-                w[g:g + per] = f if s == 0 else f + w[g:g + per] + f @ w[g:g + per]
+        tree = reduction_plan(np.asarray(plan.pairs, dtype=np.int64).tobytes(), chunk)
+        # Half a chunk per product, so that its two gathered operands stay within STACK_BYTES.
+        w = reduce_pairwise(tree, table.swapaxes(0, 1), _product, chunk // 2)
     w.flags.writeable = False
     return w, [_unitarity_error(defect) for defect in _unitarity_defect(w)]
 

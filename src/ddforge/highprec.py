@@ -11,15 +11,17 @@ of (G, 4d, 4d) stacks with one item per duration, so a scan's grid composes
 in one pass.  A product takes three BLAS calls per item on slices of the hi
 parts; the two that carry the leading bits are exact (Ozaki, Ogita, Oishi &
 Rump, Numer. Algorithms 59, 95 (2012)).  Composition is in deviation form in the
-toggling frame: ctrl^+ U = I + W and each segment sets W <- E + W + E W with
+toggling frame: ctrl^+ U = I + W, each segment a factor I + E with
 E = F^+ expm1(-i H dt) F, F the Pauli frame of the pulses so far (an exact
 signed permutation, read from ``evolution.segment_plan``) and expm1 a Taylor
-series summed once per distinct gap.
+series summed once per distinct exact gap; the factors reduce by the double
+engine's memoised pairwise plan (``evolution.reduction_plan``).
 The log is 2 atanh(Z), Z = (2I + W)^-1 W: a double solve refined once, then
 the odd series; eigenphases beyond about 1.4 rad, the +-pi branch cut
 included, raise BranchAmbiguityError.  Each item reports a floor,
-FLOOR_UNIT * |M| * segments; against mpmath at 50 digits, on the 260 stored
-d = 4 reference points, the error stays below 0.8% of it.
+FLOOR_UNIT * |M| * segments, kept from the sequential update (the tree is
+shallower); against mpmath at 50 digits, on the 260 stored d = 4 reference
+points, the error stays below 0.8% of it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .bath import SIGMA, BathOperators, spectral_norm, total_hamiltonian
 from .effective import BranchAmbiguityError, EffectiveHamiltonian, error_functionals, shifted_solve
-from .evolution import _POWERS_OF_I, segment_plan
+from .evolution import _POWERS_OF_I, reduce_pairwise, reduction_plan, segment_plan, stack_points
 from .sequences import CODE_AXIS, PulseSequence
 
 DEFAULT_DPS = 40
@@ -164,17 +166,31 @@ def _conjugate(x, frame: np.ndarray):
 
 # --- composition, log and Pauli split -----------------------------------------
 
+def _segment_gaps(seq: PulseSequence) -> tuple[list, np.ndarray]:
+    """The distinct exact lengths of the nonzero segments, and each one's index into them, in time order."""
+    # Every bound is an integer over den 2^shift: a numerator, or a float M 2^(e - 53), M < 2^53.
+    den, floats = seq.denominator, ~seq.exact
+    mantissas, exponents = np.frexp(seq.instants[floats])
+    shift = max(0, 53 - int(exponents.min(initial=53)))
+    bounds = np.concatenate(([0], seq.numerators, [den])).astype(object) * (1 << shift)
+    bounds[1:-1][floats] = [int(m) * den << (shift + e - 53)
+                            for m, e in zip((mantissas * 2.0**53).tolist(), exponents.tolist())]
+    distinct = {}
+    ids = [distinct.setdefault(step, len(distinct)) for step in np.diff(bounds).tolist() if step > 0]
+    return [Fraction(step, den << shift) for step in distinct], np.array(ids, dtype=np.int64)
+
+
+def _product(later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The deviation of (I + later)(I + earlier) for (..., 2, n, n) stacks of (hi, lo) parts, into out."""
+    e, w = (later[..., 0, :, :], later[..., 1, :, :]), (earlier[..., 0, :, :], earlier[..., 1, :, :])
+    return np.stack(_add(_add(e, w), _matmul(e, w)), axis=-3, out=out)
+
+
 def _compose(seq: PulseSequence, ops: BathOperators, durations: list):
     """W with ctrl^+ U = I + W per duration, the segment count, and the items a series could not reach."""
     d = ops.dim
     plan = segment_plan(seq)
-    # Exact instants from their integer numerators, the others from their floats.
-    instants = zip(seq.numerators.tolist(), seq.exact.tolist(), seq.instants.tolist())
-    bounds = [Fraction(0), *(Fraction(num, seq.denominator) if exact else Fraction(x) for num, exact, x in instants)]
-    bounds.append(Fraction(1))
-    lengths = (b - a for a, b in zip(bounds, bounds[1:]) if b > a)
-    segments = list(zip(lengths, plan.frames.tolist(), plan.phases.tolist()))
-    gaps = sorted({gap for gap, _, _ in segments})
+    gaps, segment_gaps = _segment_gaps(seq)
     h = total_hamiltonian(ops)
     radius = spectral_norm(h)
     scale = 2.0 ** math.ceil(math.log2(radius)) if radius > 0 else 1.0
@@ -190,17 +206,21 @@ def _compose(seq: PulseSequence, ops: BathOperators, durations: list):
     while len(powers) <= extra.max(initial=0):
         coefs.append(_masked(_div(_mul(coefs[-1], x), float(len(coefs) + 1)), (extra >= len(coefs))[..., None, None]))
         powers.append(_matmul(powers[-1], powers[0]))
-    factors = {}
-    for i, gap in enumerate(gaps):
-        factors[gap] = _mul(powers[0], (x[0][i], x[1][i]))
-        for j in range(1, int(extra[i].max(initial=0)) + 1):
-            factors[gap] = _add(factors[gap], _mul(powers[j], (coefs[j][0][i], coefs[j][1][i])))
-    # Segment k's frame is the embedded pulse product before it, phase included.
-    conjugated = {key: _conjugate(factors[key[0]], _frame(CODE_AXIS[key[1]], d, key[2])) for key in set(segments)}
-    w = None
-    for e in (conjugated[key] for key in segments):
-        w = e if w is None else _add(_add(e, w), _matmul(e, w))
-    return w, len(segments), (extra < 0).any(axis=0)
+    # Terms past an item's own last are exact zeros, so each gap takes every power.
+    factors = _mul(powers[0], x)
+    for j in range(1, len(powers)):
+        factors = _add(factors, _mul(powers[j], coefs[j]))
+    # A leaf is a segment's (gap, frame, phase): F^+ E F, F the embedded pulse product before it.
+    keys, leaf_ids = np.unique((segment_gaps * 4 + plan.frames) * 4 + plan.phases, return_inverse=True)
+    leaves = np.empty((len(keys), len(durations), 2, 4 * d, 4 * d))
+    for leaf, key in zip(leaves, keys.tolist()):
+        frame = _frame(CODE_AXIS[key // 4 % 4], d, key % 4)
+        leaf[:, 0], leaf[:, 1] = _conjugate([part[key // 16] for part in factors], frame)
+    del factors, powers  # freed before the reduction's levels of nodes take their place
+    tree = reduction_plan(np.asarray(leaf_ids, dtype=np.int64).tobytes(), stack_points(d))
+    # One pair per product: a double-double product's temporaries are about a hundred times its operands.
+    w = reduce_pairwise(tree, leaves, _product, 1)
+    return (w[:, 0], w[:, 1]), len(segment_gaps), (extra < 0).any(axis=0)
 
 
 def _log(w, errors: list):

@@ -11,11 +11,14 @@ from ddforge.effective import error_functionals, sequence_effective
 from ddforge.evolution import (
     STACK_BYTES,
     UnitaryResult,
+    _product,
     apply_qubit_factor,
     control_product,
     entanglement_fidelity,
     expm_segment,
     pulse_unitary,
+    reduce_pairwise,
+    reduction_plan,
     segment_plan,
     sequence_unitary,
     stack_points,
@@ -264,6 +267,53 @@ class TestStackedComposition:
         for d in range(1, 65):
             n = 2 * d
             assert stack_points(d) == 1 or stack_points(d) * 16 * n * n <= STACK_BYTES
+
+
+def pairwise_reference(leaves: np.ndarray, chunk: int) -> np.ndarray:
+    """The reduction without memoisation: each chunk of (G, L, n, n) leaves pairwise, then the roots in time order."""
+    w = None
+    for s in range(0, leaves.shape[1], chunk):
+        f = leaves[:, s:s + chunk]
+        while f.shape[1] > 1:
+            m = f.shape[1] // 2
+            later, earlier = f[:, 1:2 * m:2], f[:, 0:2 * m:2]
+            paired = later + earlier + later @ earlier
+            f = np.concatenate([paired, f[:, 2 * m:]], axis=1) if f.shape[1] % 2 else paired
+        w = f[:, 0] if w is None else f[:, 0] + w + f[:, 0] @ w
+    return w
+
+
+def plan_products(plan) -> int:
+    """Products a reduction by the plan forms: each level's distinct pairs, then the fold of the chunk roots."""
+    levels, roots, _ = plan
+    return sum(m for _, m in levels) + len(roots) - 1
+
+
+class TestMemoisedReduction:
+    @pytest.mark.parametrize("grid", [1, 8])
+    @pytest.mark.parametrize("d", [4, 16])
+    @pytest.mark.parametrize("length", [1, 2, 3, 255, 256, 257, 513, 1000])
+    def test_bit_equal_to_plain_reduction(self, length, d, grid):
+        # Few distinct leaves, so that pairs repeat within and across chunks;
+        # blocks of 3 and of half a chunk split the levels' products.
+        rng = np.random.default_rng(length * d + grid)
+        n, chunk = 2 * d, stack_points(d)
+        assert chunk == {4: 256, 16: 16}[d]
+        table = 0.05 * (rng.normal(size=(grid, 6, n, n)) + 1j * rng.normal(size=(grid, 6, n, n)))
+        ids = rng.integers(0, 6, size=length)
+        plan = reduction_plan(ids.astype(np.int64).tobytes(), chunk)
+        want = pairwise_reference(table[:, ids], chunk).tobytes()
+        for block in (3, chunk // 2):
+            assert reduce_pairwise(plan, table.swapaxes(0, 1), _product, block).tobytes() == want
+        assert plan_products(plan) <= length - 1
+
+    @pytest.mark.parametrize("name, params, most", [("cdd", {"m": 7}, 800), ("udd2", {"n": 11}, 3400)],
+                             ids=["CDD-7", "UDD2-11"])
+    def test_deep_plans_form_few_products(self, name, params, most):
+        # 15,291 and 19,019 products without memoisation; counts, not times, so
+        # that losing the memoisation fails here rather than only in a benchmark.
+        pairs = segment_plan(build_sequence(name, 1.0, **params)).pairs
+        assert plan_products(reduction_plan(pairs.astype(np.int64).tobytes(), 256)) <= most
 
 
 class TestSequenceUnitary:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -59,6 +60,17 @@ class TestCrossValidation:
         hi = sequence_error_functionals(seq, ops)
         lo = error_functionals(sequence_effective(seq, ops))
         assert hi["E_total"] == pytest.approx(lo["E_total"], rel=1e-6)
+
+    @pytest.mark.parametrize("name, params", [("cdd", {"m": 3}), ("udd", {"n": 3}), ("udd2", {"n": 3}),
+                                              ("cpmg-udd", {"m": 3, "c": 4})])
+    def test_segment_gaps_are_exact(self, name, params):
+        # Exact, float and mixed instants: each gap equals the Fraction difference of its ends.
+        seq = build_sequence(name, 1.0, **params)
+        bounds = [Fraction(0), *(Fraction(int(num), seq.denominator) if exact else Fraction(float(x))
+                                 for num, exact, x in zip(seq.numerators, seq.exact, seq.instants)), Fraction(1)]
+        gaps, ids = highprec._segment_gaps(seq)
+        assert len(set(gaps)) == len(gaps)
+        assert [gaps[i] for i in ids] == [b - a for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 class TestBelowDoubleFloor:
@@ -350,6 +362,22 @@ class TestFloor:
         code = main(["compare", "--seq", "cdd,m=4", "--t", "0.001", "--seed", "7", "--precision", "extended"])
         assert code == 3
         assert "roundoff floor" in capsys.readouterr().err
+
+
+class TestDeepSchedules:
+    @pytest.mark.parametrize("name, params", [("cdd", {"m": 7}), ("udd2", {"n": 11})], ids=["CDD-7", "UDD2-11"])
+    def test_extracts_and_agrees_with_double(self, name, params):
+        ops = build_model(ModelSpec(d=4, seed=7))
+        grid = [at / alpha(ops) for at in (1e-2, 1e-1)]
+        funcs, errors = sequence_error_functionals(build_sequence(name, 1.0, **params), ops, durations=grid)
+        assert errors == [None, None]
+        assert all(np.isfinite(value).all() for value in funcs.values())
+        assert (funcs["floor"] > 0).all()
+        for g, t in enumerate(grid):
+            double = sequence_effective(build_sequence(name, t, **params), ops)
+            for key, value in error_functionals(double).items():
+                if value > double.floor:
+                    assert abs(funcs[key][g] - value) <= double.floor + funcs["floor"][g]
 
 
 class TestLargeBath:
