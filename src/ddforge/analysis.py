@@ -15,7 +15,6 @@ import csv
 import datetime
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,33 +109,12 @@ def _scan_stacks(family_spec, t_grid, per_stack: int) -> list[tuple]:
             for s in range(0, len(t_grid), per_stack)]
 
 
-def _collect(outputs, per_round: int) -> dict:
-    """Merge task outputs, raising the first failure of each round in grid order.
-
-    Tasks arrive one grid stack (or point) at a time across all bath models,
-    so every round of per_round tasks covers whole grid points.  Stacks
-    record their failures instead of raising; checking them at round ends
-    stops a failing scan where evaluating it point by point would, with the
-    same error.
-    """
-    results, pending = {}, []
-    for n, items in enumerate(outputs, 1):
-        pending += items
-        if n % per_round == 0:
-            for _, value in sorted(pending, key=lambda item: item[0]):
-                if isinstance(value, Exception):
-                    raise value
-            results.update(pending)
-            pending = []
-    return results
-
-
-def evaluate_point(seq: PulseSequence, ops, precision: str = "double", dps: int = highprec.DEFAULT_DPS) -> dict:
+def evaluate_point(seq: PulseSequence, ops, precision: str = "double") -> dict:
     """All three residual functionals of one schedule under one model."""
     if precision == "double":
         return error_functionals(sequence_effective(seq, ops))
     if precision == "extended":
-        return highprec.sequence_error_functionals(seq, ops, dps)
+        return highprec.sequence_error_functionals(seq, ops)
     raise ValueError(f"unknown precision {precision!r}")
 
 
@@ -147,8 +125,7 @@ def evaluate_scan(
     *,
     seeds=None,
     precision: str = "double",
-    dps: int = highprec.DEFAULT_DPS,
-    jobs: int = 1,
+    dps=None,
 ) -> list[dict]:
     """Residual functionals across a duration grid, one row per duration.
 
@@ -156,7 +133,8 @@ def evaluate_scan(
     Rows also carry ``floor``, the engine's estimated absolute error of each
     functional, averaged the same way.  Raises BranchAmbiguityError (tagged with the offending duration) when
     eigenphases leave the principal branch; as a guard, alpha * t_max must
-    stay below 1.
+    stay below 1.  ``dps`` is accepted and ignored: both engines carry a
+    fixed precision.
     """
     if precision not in ("double", "extended"):
         raise ValueError(f"unknown precision {precision!r}")
@@ -175,37 +153,32 @@ def evaluate_scan(
 
     stacks = _scan_stacks(family_spec, t_grid, stack_points(model_spec.d))
     sample = stacks[0][0]
-    tasks = [(stack, k) for stack in stacks for k in range(len(models))]
-
-    def run(task):
-        (seq, indices, durations), k = task
-        if precision == "double":
-            eff, errors = sequence_effective(seq, models[k], durations)
-            funcs = {**error_functionals(eff), "floor": eff.floor}
-        else:
-            funcs, errors = highprec.sequence_error_functionals(seq, models[k], dps, durations)
-        return [
-            ((i, k), error if error is not None else {key: float(value[j]) for key, value in funcs.items()})
-            for j, (i, error) in enumerate(zip(indices, errors))
-        ]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = _collect(pool.map(run, tasks), len(models))
-    else:
-        results = _collect(map(run, tasks), len(models))
+    # Per grid point, one entry per bath model: its functionals or the exception it failed with.
+    values = [[] for _ in t_grid]
+    for seq, indices, durations in stacks:
+        for ops in models:
+            if precision == "double":
+                eff, errors = sequence_effective(seq, ops, durations)
+                funcs = {**error_functionals(eff), "floor": eff.floor}
+            else:
+                funcs, errors = highprec.sequence_error_functionals(seq, ops, durations)
+            for j, (i, error) in enumerate(zip(indices, errors)):
+                values[i].append(error if error is not None else {key: float(v[j]) for key, v in funcs.items()})
+        # Stop where a point-by-point scan would: at the first failing (grid point, seed).
+        for value in (value for i in indices for value in values[i]):
+            if isinstance(value, Exception):
+                raise value
 
     rows = []
-    for i, t in enumerate(t_grid):
-        values = [results[(i, k)] for k in range(len(models))]
+    for t, point in zip(t_grid, values):
         row = {
             "family": sample.family.get("name", sample.label),
             "param": _family_param_string(sample.family),
             "t": t,
             "alpha_t": model_alpha * t,
         }
-        for key in values[0]:
-            row[key] = sum(v[key] for v in values) / len(models)
+        for key in point[0]:
+            row[key] = sum(v[key] for v in point) / len(models)
         rows.append(row)
     return rows
 
@@ -218,15 +191,11 @@ def order_scan(
     *,
     seeds=None,
     precision: str = "double",
-    dps: int = highprec.DEFAULT_DPS,
-    jobs: int = 1,
 ) -> OrderFit:
     """Fit the suppression order of one functional for one schedule family."""
     if functional not in FUNCTIONALS:
         raise ValueError(f"functional must be one of {FUNCTIONALS}")
-    rows = evaluate_scan(
-        family_spec, model_spec, t_grid, seeds=seeds, precision=precision, dps=dps, jobs=jobs
-    )
+    rows = evaluate_scan(family_spec, model_spec, t_grid, seeds=seeds, precision=precision)
     return fit_order([r["t"] for r in rows], [r[functional] for r in rows])
 
 

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from . import analysis, bath, effective, evolution, highprec, sequences
+from . import analysis, bath, effective, evolution, sequences
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,13 +48,23 @@ def _add_model_args(parser):
 def _add_common(parser):
     parser.add_argument("--config", default=None, metavar="FILE", help="JSON config with default option values")
     parser.add_argument("--no-meta", action="store_true", help="omit the timestamp header in CSV output")
+    # Added last, so that every numeric option of the command is known: config values must fit their types.
+    parser.set_defaults(option_types={a.dest: a.type for a in parser._actions if a.type in (int, float)})
 
 
-def _load_config(path):
-    if path is None:
+def _load_config(args) -> dict:
+    if args.config is None:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    with open(args.config, encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {args.config} must hold a JSON object, not {type(config).__name__}")
+    for key, value in config.items():
+        kind = args.option_types.get(key)
+        if kind and (isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int)):
+            wanted = "a number" if kind is float else "an integer"
+            raise ValueError(f"config key {key!r} in {args.config} must be {wanted}, got {value!r}")
+    return config
 
 
 def _resolve(args, config, key, default):
@@ -103,13 +113,6 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _dps(args, config) -> int:
-    dps = _resolve(args, config, "dps", None)
-    if dps is not None:
-        print("warning: --dps has no effect; the extended engine always carries double-double", file=sys.stderr)
-    return highprec.DEFAULT_DPS if dps is None else dps
-
-
 # Within this factor of an engine's floor a value's error may reach 1e-3 of it.
 FLOOR_MARGIN = 1e3
 
@@ -129,7 +132,7 @@ def _check_floor(rows, keys) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     t = _resolve(args, config, "t", 1.0)
     seq = sequences.build_sequence(args.family, t, **_family_kwargs(args, config))
     grid = sequences.commensurate_grid(seq)
@@ -147,7 +150,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     spec = _model_spec(args, config)
     model = bath.build_model(spec)
     model_alpha = bath.alpha(model)
@@ -167,15 +170,7 @@ def _cmd_order(args) -> int:
         seeds = [int(s) for s in str(seeds_opt).split(",")]
     functional = "E_" + _resolve(args, config, "functional", "flip")
     args.precision = _resolve(args, config, "precision", "double")
-    rows = analysis.evaluate_scan(
-        family,
-        spec,
-        grid,
-        seeds=seeds,
-        precision=args.precision,
-        dps=_dps(args, config),
-        jobs=_resolve(args, config, "jobs", 1),
-    )
+    rows = analysis.evaluate_scan(family, spec, grid, seeds=seeds, precision=args.precision)
     out = _resolve(args, config, "out", None)
     checked = analysis.FUNCTIONALS if out else (functional,)
     if args.precision == "extended":
@@ -204,7 +199,7 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_counts(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     rows = analysis.count_compare(_resolve(args, config, "m_max", 12))
     print(f"{'m':>3} {'order':>6} {'cdd':>12} {'cudd':>12} {'udd2':>12}")
     for row in rows:
@@ -218,14 +213,14 @@ def _cmd_counts(args) -> int:
 
 
 def _cmd_crossover(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     n = analysis.crossover(_resolve(args, config, "n_max", 40))
     print(f"crossover: n = {n}  ((n+1)^3 = {(n+1)**3} <= 2^n = {2**n})")
     return EXIT_OK
 
 
 def _cmd_predict_magnus(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     # The predictor acts on dephasing generators; default to that preset
     # unless the user pinned a model some other way.
     if args.preset is None and args.model is None and not ({"preset", "model"} & config.keys()):
@@ -261,7 +256,7 @@ def _parse_seq_token(token: str) -> dict:
 
 
 def _cmd_compare(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     spec = _model_spec(args, config)
     model = bath.build_model(spec)
     t = _resolve(args, config, "t", 0.01)
@@ -269,7 +264,6 @@ def _cmd_compare(args) -> int:
     if not tokens:
         raise ValueError("compare needs at least one --seq token, e.g. --seq udd,n=3")
     precision = args.precision = _resolve(args, config, "precision", "double")
-    dps = _dps(args, config)
     print(f"{'label':>20} {'pulses':>7} {'E_flip':>12} {'E_dephase':>12} {'E_total':>12} {'F_e':>12}"
           f" {'F_e(ctrl)':>12}")
     for token in tokens:
@@ -282,7 +276,7 @@ def _cmd_compare(args) -> int:
             for message in _near_floor({**funcs, "floor": eff.floor, "t": t}, analysis.FUNCTIONALS, "double"):
                 print(f"warning: {seq.label}: {message}; use --precision extended", file=sys.stderr)
         else:
-            funcs = analysis.evaluate_point(seq, model, precision, dps)
+            funcs = analysis.evaluate_point(seq, model, precision)
             _check_floor([{**funcs, "t": t}], analysis.FUNCTIONALS)
         fe = evolution.entanglement_fidelity(result)
         # Against the net control rotation, which F_e (against I) reads as a loss.
@@ -322,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_order.add_argument("--points", type=int, default=None, help="grid points (default 8)")
     p_order.add_argument("--seeds", default=None, help="comma-separated seed ensemble")
     p_order.add_argument("--precision", choices=["double", "extended"], default=None)
-    p_order.add_argument("--dps", type=int, default=None, help="deprecated, no effect (must be at least 16)")
-    p_order.add_argument("--jobs", type=int, default=None, help="parallel worker threads over stacks or grid points")
     p_order.add_argument("--out", default=None, metavar="FILE", help="scan CSV output path")
     p_order.add_argument("--summary", default=None, metavar="FILE", help="fit summary JSON output path")
     _add_common(p_order)
@@ -353,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--seq", action="append", default=None, help="schedule token, e.g. udd,n=3 (repeatable)")
     p_cmp.add_argument("--t", type=float, default=None, help="common total duration (default 0.01)")
     p_cmp.add_argument("--precision", choices=["double", "extended"], default=None)
-    p_cmp.add_argument("--dps", type=int, default=None, help="deprecated, no effect (must be at least 16)")
     _add_common(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare, shrink="the duration (--t)")
 

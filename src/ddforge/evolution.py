@@ -82,12 +82,11 @@ _PHASE = np.array([[0, 0, 0, 0], [0, 0, 3, 1], [0, 1, 0, 3], [0, 3, 1, 0]])
 class SegmentPlan:
     """A schedule's nonzero free segments in time order, and its control product ctrl.
 
-    Segment k runs after pulses with product i^phases[k] sigma_(frames[k]), and its
+    Segment k runs after pulses with product sigma_(frames[k]) up to a phase, and its
     (gap, frame) pair p = pairs[k] has the gap gap_values[pair_gaps[p]] and the frame pair_frames[p].
     """
 
     frames: np.ndarray
-    phases: np.ndarray
     gap_values: np.ndarray
     pairs: np.ndarray
     pair_gaps: np.ndarray
@@ -103,12 +102,11 @@ def segment_plan(seq: PulseSequence) -> SegmentPlan:
     bounds = np.concatenate(([0.0], instants, [1.0]))
     # Interval j, before pulse j, runs in the frame of pulses 0..j-1.
     frames = np.concatenate(([0], np.bitwise_xor.accumulate(codes)))
-    phases = np.concatenate(([0], np.cumsum(_PHASE[codes, frames[:-1]]) % 4))
     keep = slice(int(n > 0 and instants[0] == 0), n + (n == 0 or instants[-1] != 1))
     gap_values, gaps = np.unique(np.diff(bounds)[keep], return_inverse=True)
     keys, pairs = np.unique(gaps * 4 + frames[keep], return_inverse=True)
-    ctrl = _POWERS_OF_I[phases[-1]] * SIGMA[CODE_AXIS[frames[-1]]]
-    plan = SegmentPlan(frames[keep], phases[keep], gap_values, pairs, keys // 4, keys % 4, ctrl)
+    ctrl = _POWERS_OF_I[_PHASE[codes, frames[:-1]].sum() % 4] * SIGMA[CODE_AXIS[frames[-1]]]
+    plan = SegmentPlan(frames[keep], gap_values, pairs, keys // 4, keys % 4, ctrl)
     seq._segment_plan = plan
     return plan
 

@@ -34,12 +34,9 @@ import numpy as np
 
 from .bath import SIGMA, BathOperators, spectral_norm, total_hamiltonian
 from .effective import BranchAmbiguityError, EffectiveHamiltonian, error_functionals, shifted_solve
-from .evolution import _POWERS_OF_I, reduce_pairwise, reduction_plan, segment_plan, stack_points
+from .evolution import reduce_pairwise, reduction_plan, segment_plan, stack_points
 from .sequences import CODE_AXIS, PulseSequence
 
-DEFAULT_DPS = 40
-# dps has no effect; fewer digits than a double carries are still refused.
-MIN_DPS = 16
 # Bound on the roundoff per segment, relative to |M|; checked against the mpmath oracle.
 FLOOR_UNIT = 2.0**-104
 # A series stops at its last term above this (natural log), relative to the first.
@@ -154,9 +151,9 @@ def _embed(m: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _frame(axis: str, d: int, phase: int = 0) -> np.ndarray:
-    """i^phase sigma_axis (x) I_d, real-embedded: a signed permutation, so products with it are exact."""
-    return _embed(np.kron(_POWERS_OF_I[phase] * SIGMA[axis], np.eye(d)))
+def _frame(axis: str, d: int) -> np.ndarray:
+    """sigma_axis (x) I_d, real-embedded: a signed permutation, so products with it are exact."""
+    return _embed(np.kron(SIGMA[axis], np.eye(d)))
 
 
 def _conjugate(x, frame: np.ndarray):
@@ -210,12 +207,12 @@ def _compose(seq: PulseSequence, ops: BathOperators, durations: list):
     factors = _mul(powers[0], x)
     for j in range(1, len(powers)):
         factors = _add(factors, _mul(powers[j], coefs[j]))
-    # A leaf is a segment's (gap, frame, phase): F^+ E F, F the embedded pulse product before it.
-    keys, leaf_ids = np.unique((segment_gaps * 4 + plan.frames) * 4 + plan.phases, return_inverse=True)
+    # A leaf is a segment's (gap, frame): F^+ E F, F the embedded pulse product before it, whose
+    # phase cancels in exact arithmetic and is left out.
+    keys, leaf_ids = np.unique(segment_gaps * 4 + plan.frames, return_inverse=True)
     leaves = np.empty((len(keys), len(durations), 2, 4 * d, 4 * d))
     for leaf, key in zip(leaves, keys.tolist()):
-        frame = _frame(CODE_AXIS[key // 4 % 4], d, key % 4)
-        leaf[:, 0], leaf[:, 1] = _conjugate([part[key // 16] for part in factors], frame)
+        leaf[:, 0], leaf[:, 1] = _conjugate([part[key // 4] for part in factors], _frame(CODE_AXIS[key % 4], d))
     del factors, powers  # freed before the reduction's levels of nodes take their place
     tree = reduction_plan(np.asarray(leaf_ids, dtype=np.int64).tobytes(), stack_points(d))
     # One pair per product: a double-double product's temporaries are about a hundred times its operands.
@@ -292,36 +289,33 @@ def _pauli_blocks(log, durations: list) -> list:
     return blocks
 
 
-def _evaluate(seq: PulseSequence, ops: BathOperators, dps: int, durations):
+def _evaluate(seq: PulseSequence, ops: BathOperators, durations):
     """Stacked effective generator, functionals with floors, and per-item errors."""
-    if dps < MIN_DPS:
-        raise ValueError(f"extended precision needs at least {MIN_DPS} digits, got dps={dps}")
     durations = [seq.total_duration] if durations is None else [float(t) for t in durations]
     log, floor, errors = _generators(seq, ops, durations)
     eff = EffectiveHamiltonian(*_pauli_blocks(log, durations), t=np.array(durations))
     return eff, {**error_functionals(eff), "floor": floor}, errors
 
 
-def sequence_effective(seq: PulseSequence, ops: BathOperators, dps: int = DEFAULT_DPS) -> EffectiveHamiltonian:
+def sequence_effective(seq: PulseSequence, ops: BathOperators) -> EffectiveHamiltonian:
     """High-precision effective generator of a schedule under a model.
 
-    The net control rotation is removed, as in the double pipeline.  ``dps``
-    has no effect beyond the check that it is at least MIN_DPS.
+    The net control rotation is removed, as in the double pipeline.
     """
-    eff, _, errors = _evaluate(seq, ops, dps, None)
+    eff, _, errors = _evaluate(seq, ops, None)
     if errors[0] is not None:
         raise errors[0]
     return EffectiveHamiltonian(*(a[0] for _, a in eff.items()), t=seq.total_duration)
 
 
-def sequence_error_functionals(seq: PulseSequence, ops: BathOperators, dps: int = DEFAULT_DPS, durations=None):
+def sequence_error_functionals(seq: PulseSequence, ops: BathOperators, durations=None):
     """E_flip / E_dephase / E_total of a schedule and ``floor``, their estimated absolute error.
 
     With ``durations`` the schedule is re-timed to each of them in one
     stacked pass: each entry is then a (G,) array, and a list holding, per
     item, the exception a separate call would raise, or None, comes with it.
     """
-    _, funcs, errors = _evaluate(seq, ops, dps, durations)
+    _, funcs, errors = _evaluate(seq, ops, durations)
     if durations is not None:
         return funcs, errors
     if errors[0] is not None:

@@ -113,12 +113,6 @@ class TestOrderScan:
         with pytest.raises(ValueError):
             order_scan({"name": "none"}, GENERIC, [1e-3, 2e-3, 4e-3, 8e-3], "E_bogus")
 
-    def test_jobs_match_serial(self):
-        grid = default_t_grid(1.0, points=4)
-        serial = evaluate_scan({"name": "udd", "n": 2}, GENERIC, grid, jobs=1)
-        parallel = evaluate_scan({"name": "udd", "n": 2}, GENERIC, grid, jobs=4)
-        assert serial == parallel
-
     def test_one_schedule_build_per_scan(self, monkeypatch):
         from ddforge import analysis
         from ddforge.sequences import build_sequence
@@ -221,7 +215,6 @@ class TestStackedScan:
         rows = evaluate_scan(lambda t: build_sequence(family["name"], t, **params), GENERIC, grid)
         assert rows == evaluate_scan(family, GENERIC, grid)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize(
         "family, spec, seeds, window",
         [
@@ -235,7 +228,7 @@ class TestStackedScan:
         ids=["free-grid-major", "free-branch"],
     )
     @pytest.mark.parametrize("one_point_stacks", [False, True], ids=["grid-stacks", "point-stacks"])
-    def test_failure_matches_per_point_path(self, monkeypatch, family, spec, seeds, window, jobs, one_point_stacks):
+    def test_failure_matches_per_point_path(self, monkeypatch, family, spec, seeds, window, one_point_stacks):
         # The scan raises what the first failing (grid point, seed) raises
         # on its own, whether a stack holds the grid or one point.
         from ddforge import analysis
@@ -246,7 +239,7 @@ class TestStackedScan:
         with pytest.raises(ArithmeticError) as per_point:
             per_point_scan(family, spec, grid, seeds)
         with pytest.raises(ArithmeticError) as stacked:
-            evaluate_scan(family, spec, grid, seeds=seeds, jobs=jobs)
+            evaluate_scan(family, spec, grid, seeds=seeds)
         assert type(stacked.value) is type(per_point.value)
         assert str(stacked.value) == str(per_point.value)
         assert getattr(stacked.value, "t", None) == getattr(per_point.value, "t", None)

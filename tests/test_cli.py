@@ -160,18 +160,6 @@ class TestOrder:
         assert code == 0
         assert "not defined" in out
 
-    def test_seed_ensemble_and_jobs(self, capsys, tmp_path):
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        for path, jobs in ((serial, "1"), (threaded, "3")):
-            code, _, _ = run(
-                capsys,
-                "order", "none", "--points", "4", "--seeds", "1,2,3",
-                "--jobs", jobs, "--out", str(path), "--no-meta",
-            )
-            assert code == 0
-        assert serial.read_text() == threaded.read_text()
-
     def test_seed_env_fallback(self, capsys, tmp_path, monkeypatch):
         env_csv = tmp_path / "env.csv"
         flag_csv = tmp_path / "flag.csv"
@@ -340,11 +328,10 @@ GOLDEN_COMMANDS = {
     "udd3": ["order", "udd", "--n", "3", "--seed", "7"],
     "cudd22-d16-total": ["order", "cudd", "--m", "2", "--n", "2", "--d", "16", "--seed", "7", "--functional", "total"],
     "cdd3-seeds": ["order", "cdd", "--m", "3", "--seeds", "7,8,9"],
-    "cpmgx-dephasing-jobs2": ["order", "cpmg", "--axis", "X", "--preset", "pure_dephasing",
-                              "--functional", "dephase", "--seed", "3", "--jobs", "2"],
-    "cpmgudd22-seeds-jobs2": ["order", "cpmg-udd", "--m", "2", "--c", "2", "--seeds", "7,8", "--jobs", "2"],
-    "udd2-extended-jobs2": ["order", "udd", "--n", "2", "--precision", "extended", "--points", "4",
-                            "--seed", "7", "--jobs", "2"],
+    "cpmgx-dephasing": ["order", "cpmg", "--axis", "X", "--preset", "pure_dephasing",
+                        "--functional", "dephase", "--seed", "3"],
+    "cpmgudd22-seeds": ["order", "cpmg-udd", "--m", "2", "--c", "2", "--seeds", "7,8"],
+    "udd2-extended": ["order", "udd", "--n", "2", "--precision", "extended", "--points", "4", "--seed", "7"],
 }
 
 
@@ -356,25 +343,45 @@ def test_golden_scan_csv(capsys, tmp_path, name):
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
-class TestDeprecatedDps:
-    @pytest.mark.parametrize("command", [
-        ("order", "udd", "--n", "2", "--precision", "extended", "--points", "4", "--seed", "7"),
-        ("compare", "--seq", "udd,n=2", "--t", "0.01", "--seed", "7", "--precision", "extended"),
-    ], ids=["order", "compare"])
-    def test_accepted_with_a_warning(self, capsys, command):
-        code, plain, err = run(capsys, *command)
-        assert code == 0 and err == ""
-        code, out, err = run(capsys, *command, "--dps", "50")
+@pytest.mark.parametrize("option", [("--dps", "50"), ("--jobs", "2")], ids=["dps", "jobs"])
+def test_removed_options_are_usage_errors(capsys, option):
+    # Both engines carry a fixed precision and scans run serially.
+    code, _, err = run(capsys, "order", "udd", "--n", "2", "--points", "4", "--seed", "7", *option)
+    assert code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("argv", [("predict-magnus", "--halvings", "0"), ("compare", "--seq", "udd,n=2")],
+                             ids=["predict-magnus", "compare"])
+    def test_non_object_is_usage_error(self, capsys, tmp_path, argv):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        code, _, err = run(capsys, *argv, "--config", str(config))
+        assert code == 2
+        assert err == f"error: config file {config} must hold a JSON object, not list\n"
+
+    @pytest.mark.parametrize("value", ['"8"', "8.0", "true"])
+    def test_mistyped_value_is_usage_error(self, capsys, tmp_path, value):
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"points": {value}}}')
+        code, _, err = run(capsys, "order", "udd", "--n", "2", "--seed", "7", "--config", str(config))
+        assert code == 2
+        assert err.startswith("error: config key 'points'") and "must be an integer" in err
+
+    def test_integer_fits_a_float_option(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"tau0": 1, "halvings": 0, "seed": 7}')
+        code, out, _ = run(capsys, "predict-magnus", "--config", str(config))
         assert code == 0
-        assert err.startswith("warning: --dps has no effect")
-        assert out == plain
+        assert out.splitlines()[1].split()[0] == "1"
 
 
 def test_cli_import_leaves_mpmath_out():
-    # mpmath is a test-only oracle; the package must not load it.
+    # mpmath is a test-only oracle and scans run serially; the package must load neither.
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    code = "import sys, ddforge.cli; print('mpmath' in sys.modules)"
+    code = "import sys, ddforge.cli; print('mpmath' in sys.modules, 'concurrent.futures' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"

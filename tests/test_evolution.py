@@ -315,6 +315,24 @@ class TestMemoisedReduction:
         pairs = segment_plan(build_sequence(name, 1.0, **params)).pairs
         assert plan_products(reduction_plan(pairs.astype(np.int64).tobytes(), 256)) <= most
 
+    @pytest.mark.parametrize("name, params, most", [("cdd", {"m": 7}, 800), ("cudd", {"m": 3, "n": 3}, 25)],
+                             ids=["CDD-7", "CUDD(3,3)"])
+    def test_extended_plans_form_few_products(self, monkeypatch, name, params, most):
+        # The extended engine keys its leaves on (exact gap, frame) too: F^+ E F
+        # does not depend on the phase of F.  Keyed on the phase as well, CDD-7
+        # formed 1,206 products and CUDD(3,3) 29.
+        from ddforge import highprec
+
+        plans = []
+
+        def recording_plan(*args):
+            plans.append(reduction_plan(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(highprec, "reduction_plan", recording_plan)
+        highprec._compose(build_sequence(name, 0.01, **params), build_model(ModelSpec(d=4, seed=7)), [0.01])
+        assert len(plans) == 1 and plan_products(plans[0]) <= most
+
 
 class TestSequenceUnitary:
     def test_empty_schedule_is_free_evolution(self):

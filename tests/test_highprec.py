@@ -81,28 +81,6 @@ class TestBelowDoubleFloor:
         e2 = sequence_error_functionals(udd_sequence(4, 2e-3), ops)["E_flip"]
         assert e2 / e1 == pytest.approx(2**5, rel=0.05)
 
-    def test_dps_controls_floor(self, ops):
-        # dps is accepted for compatibility and changes nothing: the engine
-        # always carries double-double.
-        seq = udd_sequence(4, 1e-3)
-        coarse = sequence_error_functionals(seq, ops, dps=30)
-        fine = sequence_error_functionals(seq, ops, dps=50)
-        assert coarse == fine
-
-
-class TestThreadSafety:
-    def test_threaded_extended_scan_matches_serial(self, ops):
-        # Stacks of one scan run on worker threads; the engine keeps no
-        # shared state, so the result cannot depend on the interleaving.
-        from ddforge.analysis import evaluate_scan
-        from ddforge.bath import ModelSpec
-
-        spec = ModelSpec(d=4, seed=7)
-        grid = [1e-3, 2e-3, 4e-3, 8e-3]
-        serial = evaluate_scan({"name": "udd", "n": 3}, spec, grid, precision="extended", jobs=1)
-        threaded = evaluate_scan({"name": "udd", "n": 3}, spec, grid, precision="extended", jobs=4)
-        assert serial == threaded
-
 
 class TestBranchBehaviour:
     def test_large_phase_raises(self, ops):
@@ -216,14 +194,12 @@ def _oracle_blocks(family, model, seq, ops):
 
 
 class TestMatrixLoopIdentity:
-    @pytest.mark.parametrize("dps", [30, 40, 50])
     @pytest.mark.parametrize("model", sorted(IDENTITY_MODELS))
     @pytest.mark.parametrize("family", sorted(IDENTITY_FAMILIES))
-    def test_generator_equals_matrix_loop(self, monkeypatch, family, model, dps):
-        # Every extended point of a two-duration scan, serial and threaded,
-        # has its four Pauli blocks (from the double-double log, before any
-        # rounding) within 1e-28 of the mpmath oracle at 50 digits; dps
-        # changes nothing.
+    def test_generator_equals_matrix_loop(self, monkeypatch, family, model):
+        # Every extended point of a two-duration scan has its four Pauli
+        # blocks (from the double-double log, before any rounding) within
+        # 1e-28 of the mpmath oracle at 50 digits.
         captured = []
         generators = highprec._generators
 
@@ -235,9 +211,8 @@ class TestMatrixLoopIdentity:
         monkeypatch.setattr(highprec, "_generators", spy)
         spec = IDENTITY_MODELS[model]
         grid = default_t_grid(alpha(build_model(spec)), 1e-3, 4e-3, 4)[::3]
-        for jobs in (1, 2):
-            evaluate_scan(IDENTITY_FAMILIES[family], spec, grid, precision="extended", dps=dps, jobs=jobs)
-        assert [durations for _, _, durations, _ in captured] == [list(grid)] * 2
+        evaluate_scan(IDENTITY_FAMILIES[family], spec, grid, precision="extended")
+        assert [durations for _, _, durations, _ in captured] == [list(grid)]
         worst = 0
         with mp.workdps(ORACLE_DPS):
             for seq, ops, durations, (hi, lo) in captured:
@@ -281,25 +256,6 @@ class TestPauliSplit:
 CUDD33_SEED7_E_DEPHASE_AT_3E_4 = 4.368260584930163e-17
 
 
-class TestPrecisionFloor:
-    @pytest.mark.parametrize("dps", [15, 5, 0, -3])
-    def test_too_few_digits_rejected(self, ops, dps):
-        with pytest.raises(ValueError, match="at least 16 digits"):
-            sequence_effective_hp(udd_sequence(2, 0.01), ops, dps=dps)
-
-    def test_sixteen_digits_accepted(self, ops):
-        eff = sequence_effective_hp(udd_sequence(2, 0.01), ops, dps=16)
-        assert eff.t == 0.01
-
-    @pytest.mark.parametrize("dps", ["5", "0", "-3"])
-    def test_cli_exits_with_usage_error(self, capsys, dps):
-        code = main(["order", "udd", "--n", "2", "--precision", "extended", "--points", "4",
-                     "--seed", "7", "--dps", dps])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "at least 16 digits" in err
-
-
 class TestStacking:
     @pytest.mark.parametrize("family", ["udd4", "cudd22", "cdd3", "se"])
     def test_items_equal_single_point_calls(self, ops, family):
@@ -308,7 +264,7 @@ class TestStacking:
         grid = list(default_t_grid(alpha(ops), 1e-3, 1e-2, 5))
         params = dict(IDENTITY_FAMILIES[family])
         seq = build_sequence(params.pop("name"), grid[0], **params)
-        stacked, _, _ = highprec._evaluate(seq, ops, highprec.DEFAULT_DPS, grid)
+        stacked, _, _ = highprec._evaluate(seq, ops, grid)
         funcs, errors = sequence_error_functionals(seq, ops, durations=grid)
         assert errors == [None] * len(grid)
         for g, t in enumerate(grid):
