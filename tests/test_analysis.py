@@ -222,10 +222,12 @@ class TestStackedScan:
             # point 6 and under seed 7 at point 7; grid-major order picks
             # seed 14's error, where seed order would pick seed 7's.
             ({"name": "none"}, ModelSpec(d=2, seed=7, preset="spin_bath(1)"), [7, 14], (0.7, 0.999)),
-            # Free evolution under seed 7 crosses the branch margin at t_max.
+            # Free evolution under seed 7 crosses the branch margin at t_max,
+            # as the last seed of the ensemble and as the first.
             ({"name": "none"}, ModelSpec(d=2, seed=5, preset="spin_bath(1)"), [5, 6, 7], (0.3, 0.999)),
+            ({"name": "none"}, ModelSpec(d=2, seed=7, preset="spin_bath(1)"), [7, 5, 6], (0.3, 0.999)),
         ],
-        ids=["free-grid-major", "free-branch"],
+        ids=["free-grid-major", "free-branch-1", "free-branch-2"],
     )
     @pytest.mark.parametrize("one_point_stacks", [False, True], ids=["grid-stacks", "point-stacks"])
     def test_failure_matches_per_point_path(self, monkeypatch, family, spec, seeds, window, one_point_stacks):

@@ -185,21 +185,23 @@ IDENTITY_MODELS = {
 _ORACLE = {}
 
 
-def _oracle_blocks(family, model, seq, ops):
-    key = (family, model, seq.total_duration)
+def _oracle_blocks(family, model, seq, ops, dps=ORACLE_DPS):
+    key = (family, model, seq.total_duration, dps)
     if key not in _ORACLE:
-        m = _matrix_loop_generator(seq, ops, ORACLE_DPS)
+        m = _matrix_loop_generator(seq, ops, dps)
         _ORACLE[key] = _pauli_sums(lambda i, j: m[i, j], ops.dim)
     return _ORACLE[key]
 
 
 class TestMatrixLoopIdentity:
+    @pytest.mark.parametrize("oracle_dps", [30, 40, 50])
     @pytest.mark.parametrize("model", sorted(IDENTITY_MODELS))
     @pytest.mark.parametrize("family", sorted(IDENTITY_FAMILIES))
-    def test_generator_equals_matrix_loop(self, monkeypatch, family, model):
+    def test_generator_equals_matrix_loop(self, monkeypatch, family, model, oracle_dps):
         # Every extended point of a two-duration scan has its four Pauli
         # blocks (from the double-double log, before any rounding) within
-        # 1e-28 of the mpmath oracle at 50 digits.
+        # 1e-28 of the mpmath oracle at 30, 40 and 50 digits: the agreement
+        # does not hinge on the oracle's working precision.
         captured = []
         generators = highprec._generators
 
@@ -214,11 +216,11 @@ class TestMatrixLoopIdentity:
         evaluate_scan(IDENTITY_FAMILIES[family], spec, grid, precision="extended")
         assert [durations for _, _, durations, _ in captured] == [list(grid)]
         worst = 0
-        with mp.workdps(ORACLE_DPS):
+        with mp.workdps(oracle_dps):
             for seq, ops, durations, (hi, lo) in captured:
                 n = 2 * ops.dim
                 for g, t in enumerate(durations):
-                    reference = _oracle_blocks(family, model, seq.with_duration(t), ops)
+                    reference = _oracle_blocks(family, model, seq.with_duration(t), ops, oracle_dps)
 
                     def entry(i, j):
                         # log = X + iY embeds as [[X, -Y], [Y, X]], and M = i log.
@@ -254,6 +256,18 @@ class TestPauliSplit:
 # perfbench/references/order.json, key 'cudd(m=3,n=3)|generic|d4|seed7|at=3e-04'
 # (mpmath at 50 digits, blocks split and normed in mpmath).
 CUDD33_SEED7_E_DEPHASE_AT_3E_4 = 4.368260584930163e-17
+
+
+class TestPrecisionFloor:
+    @pytest.mark.parametrize("dps", ["5", "0", "-3"])
+    def test_cli_exits_with_usage_error(self, capsys, dps):
+        # The extended engine carries a fixed double-double precision, so
+        # --dps is no option at all: any value is a usage error.
+        code = main(["order", "udd", "--n", "2", "--precision", "extended", "--points", "4",
+                     "--seed", "7", "--dps", dps])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"unrecognized arguments: --dps {dps}" in err
 
 
 class TestStacking:
