@@ -52,19 +52,30 @@ def _add_common(parser):
     parser.set_defaults(option_types={a.dest: a.type for a in parser._actions if a.type in (int, float)})
 
 
+_WANTED = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
+_MODEL_TYPES = {"d": int, "seed": int, "preset": str, "norm_targets": dict}
+
+
+def _check_types(data: dict, types: dict, what: str, path) -> dict:
+    """data, if each value whose key is in types has that type: an int fits float, a JSON boolean neither."""
+    for key, value in data.items():
+        kind = types.get(key)
+        if kind and (isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind)):
+            raise ValueError(f"{what} key {key!r} in {path} must be {_WANTED[kind]}, got {value!r}")
+    return data
+
+
+def _load_object(path, what: str, types: dict) -> dict:
+    """The JSON object in a --config or --model file, its values checked against types."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} file {path} must hold a JSON object, not {type(data).__name__}")
+    return _check_types(data, types, what, path)
+
+
 def _load_config(args) -> dict:
-    if args.config is None:
-        return {}
-    with open(args.config, encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError(f"config file {args.config} must hold a JSON object, not {type(config).__name__}")
-    for key, value in config.items():
-        kind = args.option_types.get(key)
-        if kind and (isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int)):
-            wanted = "a number" if kind is float else "an integer"
-            raise ValueError(f"config key {key!r} in {args.config} must be {wanted}, got {value!r}")
-    return config
+    return {} if args.config is None else _load_object(args.config, "config", args.option_types)
 
 
 def _resolve(args, config, key, default):
@@ -80,8 +91,8 @@ def _model_spec(args, config) -> bath.ModelSpec:
     base = {}
     model_file = _resolve(args, config, "model", None)
     if model_file:
-        with open(model_file, encoding="utf-8") as fh:
-            base = json.load(fh)
+        base = _load_object(model_file, "model", _MODEL_TYPES)
+        _check_types(base.get("norm_targets", {}), dict.fromkeys(bath.GAMMAS, float), "model norm_targets", model_file)
     env_seed = os.environ.get("DDFORGE_SEED")
     seed = _resolve(args, config, "seed", base.get("seed", int(env_seed) if env_seed else 0))
     targets = dict(base.get("norm_targets", {}))
@@ -251,6 +262,8 @@ def _parse_seq_token(token: str) -> dict:
     family = {"name": name}
     for part in parts:
         key, _, value = part.partition("=")
+        if key not in ("n", "m", "c", "axis"):
+            raise ValueError(f"unknown key {key!r} in --seq token {token!r}; expected n, m, c or axis")
         family[key] = sequences.PauliAxis(value) if key == "axis" else int(value)
     return family
 
@@ -264,10 +277,10 @@ def _cmd_compare(args) -> int:
     if not tokens:
         raise ValueError("compare needs at least one --seq token, e.g. --seq udd,n=3")
     precision = args.precision = _resolve(args, config, "precision", "double")
+    families = [_parse_seq_token(token) for token in tokens]
     print(f"{'label':>20} {'pulses':>7} {'E_flip':>12} {'E_dephase':>12} {'E_total':>12} {'F_e':>12}"
           f" {'F_e(ctrl)':>12}")
-    for token in tokens:
-        params = _parse_seq_token(token)
+    for params in families:
         seq = sequences.build_sequence(params.pop("name"), t, **params)
         result = evolution.sequence_unitary(seq, model)
         if precision == "double":

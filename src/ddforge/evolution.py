@@ -165,6 +165,12 @@ def _frame_rows(d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.take_along_axis(frames, rows[..., None], axis=-1)
 
 
+def conjugate_frame(x: np.ndarray, frame: int) -> np.ndarray:
+    """F x F^+ = F^+ x F, F = sigma_frame (x) I_d, for a (..., 2d, 2d) stack: exact signed rows and columns."""
+    rows, phases = _frame_rows(x.shape[-1] // 2)
+    return x[..., rows[frame][:, None], rows[frame]] * (phases[frame] * phases[frame].conj().T)
+
+
 @lru_cache(maxsize=64)
 def reduction_plan(leaves: bytes, chunk: int) -> tuple[tuple, np.ndarray, int]:
     """(levels, roots, per) reducing int64 leaf ids in chunks of ``chunk``, each distinct product once.
@@ -244,7 +250,7 @@ def sequence_deviation(seq: PulseSequence, ops: BathOperators, durations) -> tup
         for gap, frame in zip(plan.pair_gaps[plan.pairs], plan.pair_frames[plan.pairs]):
             if gap not in factors:
                 factors[gap] = (evecs * expm1[:, gap, None, :]) @ evecs.conj().T
-            e = factors[gap][:, rows[frame][:, None], rows[frame]] * (phases[frame] * phases[frame].conj().T)
+            e = conjugate_frame(factors[gap], frame)
             w = e if w is None else e + w + e @ w
     else:
         # Each (gap, frame) pair's factor V_f expm1(-i lam gap t) V_f^+, V_f = F^+ V.

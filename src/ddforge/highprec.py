@@ -6,16 +6,18 @@ arithmetic (each number an unevaluated sum hi + lo of two float64s, about 32
 digits; Dekker, Numer. Math. 18, 224 (1971)) and only rounds the Pauli
 blocks to complex128, which hold even tiny ones to full relative accuracy.
 
-Matrices are real-embedded, X + iY as [[X, -Y], [Y, X]], in (hi, lo) pairs
-of (G, 4d, 4d) stacks with one item per duration, so a scan's grid composes
-in one pass.  A product takes three BLAS calls per item on slices of the hi
-parts; the two that carry the leading bits are exact (Ozaki, Ogita, Oishi &
-Rump, Numer. Algorithms 59, 95 (2012)).  Composition is in deviation form in the
-toggling frame: ctrl^+ U = I + W, each segment a factor I + E with
-E = F^+ expm1(-i H dt) F, F the Pauli frame of the pulses so far (an exact
-signed permutation, read from ``evolution.segment_plan``) and expm1 a Taylor
-series summed once per distinct exact gap; the factors reduce by the double
-engine's memoised pairwise plan (``evolution.reduction_plan``).
+Matrices are (hi, lo) pairs of complex (G, 2d, 2d) stacks with one item per
+duration, so a scan's grid composes in one pass.  A product takes three BLAS
+calls per item on slices of real forms, x's float view times the (4d, 4d)
+real matrix holding y's rows and i times them; the two calls that carry the
+leading bits are exact (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 95
+(2012)).  Composition is in deviation form in the toggling frame:
+ctrl^+ U = I + W, each segment a factor I + E with E = F^+ expm1(-i H dt) F,
+F the Pauli frame of the pulses so far (read from ``evolution.segment_plan``
+and applied as exact signed rows by ``evolution.conjugate_frame``, as in the
+double engine) and expm1 a Taylor series summed once per distinct exact gap;
+the factors reduce by the double engine's memoised pairwise plan
+(``evolution.reduction_plan``).
 The log is 2 atanh(Z), Z = (2I + W)^-1 W: a double solve refined once, then
 the odd series; eigenphases beyond about 1.4 rad, the +-pi branch cut
 included, raise BranchAmbiguityError.  Each item reports a floor,
@@ -28,14 +30,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .bath import SIGMA, BathOperators, spectral_norm, total_hamiltonian
+from .bath import BathOperators, spectral_norm, total_hamiltonian
 from .effective import BranchAmbiguityError, EffectiveHamiltonian, error_functionals, shifted_solve
-from .evolution import reduce_pairwise, reduction_plan, segment_plan, stack_points
-from .sequences import CODE_AXIS, PulseSequence
+from .evolution import conjugate_frame, reduce_pairwise, reduction_plan, segment_plan, stack_points
+from .sequences import PulseSequence
 
 # Bound on the roundoff per segment, relative to |M|; checked against the mpmath oracle.
 FLOOR_UNIT = 2.0**-104
@@ -61,6 +62,8 @@ def _term_counts(log_term, shape) -> np.ndarray:
 
 
 # --- double-double arithmetic on (hi, lo) pairs of arrays ---------------------
+# A complex pair times or over a real one works part by part: numpy multiplies by r + 0i,
+# which rounds the real and the imaginary part each as a real product would.
 
 def _dd(x: Fraction) -> tuple[float, float]:
     hi = float(x)
@@ -105,7 +108,7 @@ def _mul(x, y):
 
 
 def _div(x, y):
-    """x / y for a float divisor."""
+    """x / y for a float divisor; q need only be near x / y, as the remainder x - q y is exact."""
     q = x[0] / y
     p, e = _two_prod(q, y)
     return _fast_two_sum(q, ((x[0] - p) - e + x[1]) / y)
@@ -120,12 +123,13 @@ def _slices(a, axis: int):
     """a = a1 + a2 + a3 with a1, a2 on b-bit grids set per row (axis -1) or column (axis -2), and a2 + a3.
 
     a2 sits on the grid of a1 shifted by b bits, so a sum of 2n products of
-    a1 or a2 with the other operand's b-bit slices fits in 53 bits and BLAS
-    forms it exactly.  a3 is the remainder, below 2^-2b of the top.
+    a1 or a2 with the other operand's b-bit slices, n = a.shape[axis] the
+    contracted dimension, fits in 53 bits and BLAS forms it exactly.  a3 is
+    the remainder, below 2^-2b of the top.
     """
-    bits = (53 - math.ceil(math.log2(2 * a.shape[-1]))) // 2
-    top = np.abs(a).max(axis=axis, keepdims=True)
-    sigma = 0.75 * np.exp2(np.ceil(np.log2(np.where(top == 0, 1.0, top))) + 53 - bits)
+    bits = (53 - math.ceil(math.log2(2 * a.shape[axis]))) // 2
+    # With |a| < 2^e along the axis, adding sigma = 0.75 2^(e + 53 - b) and taking it away rounds to 2^(e - b) steps.
+    sigma = np.ldexp(0.75, np.frexp(np.abs(a).max(axis=axis, keepdims=True))[1] + (53 - bits))
     a1 = (a + sigma) - sigma
     rest = a - a1
     sigma = sigma * 2.0**-bits
@@ -134,31 +138,25 @@ def _slices(a, axis: int):
 
 
 def _matmul(x, y):
-    """x @ y for (..., n, n) stacks, to about 2^-100 of |x| |y|.
+    """x @ y for complex (..., m, n) and (..., n, p) stacks, to about 2^-100 of |x| |y| (Frobenius norms).
 
-    x1 y1 and x1 y2 + x2 y1 come exactly from BLAS; the rest, at 2^-2b and
-    below, is one more BLAS product in double.
+    BLAS multiplies real forms: x's float view (..., m, 2n) by the (..., 2n, 2p)
+    float view of y's rows k and i times them, interleaved, which is the float
+    view of x @ y.  x1 y1 and x1 y2 + x2 y1 come exactly from BLAS; the rest,
+    at 2^-2b and below, is one more BLAS product in double.
     """
-    x1, x2, x3, x23 = _slices(x[0], -1)
-    y1, y2, y3, y23 = _slices(y[0], -2)
+    *stack, n, p = y[0].shape
+    forms = np.empty((2, *stack, n, 2, p), dtype=complex)
+    forms[0, ..., 0, :], forms[1, ..., 0, :] = y
+    np.multiply(forms[..., 0, :], 1j, out=forms[..., 1, :])
+    y_hi, y_lo = forms.view(float).reshape(2, *stack, 2 * n, 2 * p)
+    x_hi, x_lo = x[0].view(float), x[1].view(float)
+    x1, x2, x3, x23 = _slices(x_hi, -1)
+    y1, y2, y3, y23 = _slices(y_hi, -2)
     hi, lo = _two_sum(x1 @ y1, np.concatenate([x1, x2], axis=-1) @ np.concatenate([y2, y1], axis=-2))
-    rest = np.concatenate([x1, x3, x23, x[0], x[1]], axis=-1) @ np.concatenate([y3, y1, y23, y[1], y[0]], axis=-2)
-    return _fast_two_sum(hi, lo + rest)
-
-
-def _embed(m: np.ndarray) -> np.ndarray:
-    return np.block([[m.real, -m.imag], [m.imag, m.real]])
-
-
-@lru_cache(maxsize=None)
-def _frame(axis: str, d: int) -> np.ndarray:
-    """sigma_axis (x) I_d, real-embedded: a signed permutation, so products with it are exact."""
-    return _embed(np.kron(SIGMA[axis], np.eye(d)))
-
-
-def _conjugate(x, frame: np.ndarray):
-    """F^+ x F for an embedded frame F."""
-    return tuple(frame.T @ part @ frame for part in x)
+    rest = np.concatenate([x1, x3, x23, x_hi, x_lo], axis=-1) @ np.concatenate([y3, y1, y23, y_lo, y_hi], axis=-2)
+    hi, lo = _fast_two_sum(hi, lo + rest)
+    return hi.view(complex), lo.view(complex)
 
 
 # --- composition, log and Pauli split -----------------------------------------
@@ -191,7 +189,7 @@ def _compose(seq: PulseSequence, ops: BathOperators, durations: list):
     h = total_hamiltonian(ops)
     radius = spectral_norm(h)
     scale = 2.0 ** math.ceil(math.log2(radius)) if radius > 0 else 1.0
-    k = _embed(-1j * h) / scale  # |k| <= 1
+    k = -1j * h / scale  # |k| <= 1
     # expm1 of k x, x = scale * gap * t, is the sum of x^j k^j / j!; each
     # (gap, duration) item stops at its own last term.
     steps = np.array([[_dd(gap * Fraction(t) * Fraction(scale)) for t in durations] for gap in gaps])
@@ -207,12 +205,11 @@ def _compose(seq: PulseSequence, ops: BathOperators, durations: list):
     factors = _mul(powers[0], x)
     for j in range(1, len(powers)):
         factors = _add(factors, _mul(powers[j], coefs[j]))
-    # A leaf is a segment's (gap, frame): F^+ E F, F the embedded pulse product before it, whose
-    # phase cancels in exact arithmetic and is left out.
+    # A leaf is a segment's (gap, frame): F^+ E F, F the pulse product before it, whose phase
+    # cancels in exact arithmetic and is left out.
     keys, leaf_ids = np.unique(segment_gaps * 4 + plan.frames, return_inverse=True)
-    leaves = np.empty((len(keys), len(durations), 2, 4 * d, 4 * d))
-    for leaf, key in zip(leaves, keys.tolist()):
-        leaf[:, 0], leaf[:, 1] = _conjugate([part[key // 4] for part in factors], _frame(CODE_AXIS[key % 4], d))
+    factors = np.stack(factors, axis=-3)
+    leaves = np.array([conjugate_frame(factors[key // 4], key % 4) for key in keys.tolist()])
     del factors, powers  # freed before the reduction's levels of nodes take their place
     tree = reduction_plan(np.asarray(leaf_ids, dtype=np.int64).tobytes(), stack_points(d))
     # One pair per product: a double-double product's temporaries are about a hundred times its operands.
@@ -226,9 +223,8 @@ def _log(w, errors: list):
     Items the series cannot reach get a BranchAmbiguityError in errors and
     are zeroed, so their powers stay finite; their log is meaningless.
     """
-    n = w[0].shape[-1] // 2
     z0, singular = shifted_solve(w[0])
-    k = -1j * (z0[..., :n, :n] + 1j * z0[..., n:, :n])  # tan(-M/2), Hermitian
+    k = -1j * z0  # tan(-M/2), Hermitian
     lam = np.abs(np.linalg.eigvalsh((k + np.swapaxes(k.conj(), -1, -2)) / 2)).max(axis=-1)
     lam[singular] = np.inf
     phases = 2 * np.arctan(lam)
@@ -256,7 +252,7 @@ def _log(w, errors: list):
 
 
 def _generators(seq: PulseSequence, ops: BathOperators, durations: list):
-    """log(ctrl^+ U) = -i M per duration (double-double, real-embedded), the floors and per-item errors."""
+    """log(ctrl^+ U) = -i M per duration (complex double-double), the floors and per-item errors."""
     w, segments, too_long = _compose(seq, ops, durations)
     errors = [BranchAmbiguityError("a segment is too long for the extended path; shrink the duration")
               if failed else None for failed in too_long]
@@ -269,23 +265,20 @@ def _generators(seq: PulseSequence, ops: BathOperators, durations: list):
 def _pauli_blocks(log, durations: list) -> list:
     """a_g = tr_qubit[(sigma_g (x) I) M] / (2t) for g = 0, x, y, z, as (G, d, d) complex128.
 
-    With S, D = log +- X log X (X swaps the qubit blocks) and M = i log,
-    2t a_0, 2t a_x, 2t a_y, 2t a_z are i S00, i S01, -D01 and i D00.  Each
-    is made Hermitian and divided by 2t in double-double, so a tiny block is
-    not swamped by the rounding of a large one.
+    With M = i log and log's qubit blocks L_ab, 2t a_0, 2t a_x, 2t a_y, 2t a_z
+    are i(L00 + L11), i(L01 + L10), -(L01 - L10) and i(L00 - L11).  Each is
+    made Hermitian and divided by 2t in double-double, so a tiny block is not
+    swamped by the rounding of a large one.
     """
-    n = log[0].shape[-1] // 2
-    d = n // 2
-    swapped = _conjugate(log, _frame("X", d))
-    sums = {1: _add(log, swapped), -1: _add(log, _neg(swapped))}
+    d = log[0].shape[-1] // 2
+    (l00, l01), (l10, l11) = [[tuple(p[..., r:r + d, c:c + d] for p in log) for c in (0, d)] for r in (0, d)]
+    sums = (_add(l00, l11), _add(l01, l10), _add(l01, _neg(l10)), _add(l00, _neg(l11)))
     four_t = 4 * np.asarray(durations, dtype=float)[:, None, None]
     blocks = []
-    for sign, col, times_i in ((1, 0, True), (1, 1, True), (-1, 1, False), (-1, 0, True)):
-        re, im = (tuple(p[..., r:r + d, col * d:(col + 1) * d] for p in sums[sign]) for r in (0, n))
-        re, im = (_neg(im), re) if times_i else (_neg(re), _neg(im))
-        re = _add(re, tuple(np.swapaxes(p, -1, -2) for p in re))
-        im = _add(im, _neg(tuple(np.swapaxes(p, -1, -2) for p in im)))
-        blocks.append(_div(re, four_t)[0] + 1j * _div(im, four_t)[0])
+    for total, phase in zip(sums, (1j, 1j, -1, 1j)):
+        total = (phase * total[0], phase * total[1])
+        total = _add(total, tuple(np.swapaxes(p.conj(), -1, -2) for p in total))
+        blocks.append(_div(total, four_t)[0])
     return blocks
 
 

@@ -296,6 +296,12 @@ class TestCompare:
         assert code == 2
         assert "--seq" in err
 
+    def test_unknown_seq_key_is_usage_error(self, capsys):
+        # Rejected before any row or header is printed.
+        code, out, err = run(capsys, "compare", "--seq", "udd,n=2", "--seq", "udd,k=3", "--seed", "7")
+        assert code == 2 and out == ""
+        assert err == "error: unknown key 'k' in --seq token 'udd,k=3'; expected n, m, c or axis\n"
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -368,6 +374,18 @@ class TestConfigFile:
         code, _, err = run(capsys, "order", "udd", "--n", "2", "--seed", "7", "--config", str(config))
         assert code == 2
         assert err.startswith("error: config key 'points'") and "must be an integer" in err
+
+    @pytest.mark.parametrize("content, message", [
+        ("[1, 2]", "model file {} must hold a JSON object, not list"),
+        ('{"d": "4"}', "model key 'd' in {} must be an integer, got '4'"),
+        ('{"norm_targets": [1]}', "model key 'norm_targets' in {} must be an object, got [1]"),
+    ], ids=["non-object", "mistyped-d", "norm-targets-list"])
+    def test_malformed_model_file_is_usage_error(self, capsys, tmp_path, content, message):
+        model = tmp_path / "model.json"
+        model.write_text(content)
+        code, _, err = run(capsys, "compare", "--seq", "udd,n=2", "--model", str(model))
+        assert code == 2
+        assert err == f"error: {message.format(model)}\n"
 
     def test_integer_fits_a_float_option(self, capsys, tmp_path):
         config = tmp_path / "config.json"

@@ -8,13 +8,13 @@ import pytest
 
 from ddforge import highprec
 from ddforge.analysis import default_t_grid, evaluate_scan
-from ddforge.bath import ModelSpec, alpha, build_model, total_hamiltonian
+from ddforge.bath import SIGMA, ModelSpec, alpha, build_model, total_hamiltonian
 from ddforge.cli import main
 from ddforge.effective import BranchAmbiguityError, error_functionals, sequence_effective
-from ddforge.evolution import control_product, pulse_unitary
+from ddforge.evolution import conjugate_frame, control_product, pulse_unitary
 from ddforge.highprec import sequence_effective as sequence_effective_hp
 from ddforge.highprec import sequence_error_functionals
-from ddforge.sequences import PulseSequence, build_sequence, cdd_full, cudd, udd_sequence
+from ddforge.sequences import CODE_AXIS, PulseSequence, build_sequence, cdd_full, cudd, udd_sequence
 
 REFERENCES = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "references" / "order.json").read_text()
@@ -218,21 +218,54 @@ class TestMatrixLoopIdentity:
         worst = 0
         with mp.workdps(oracle_dps):
             for seq, ops, durations, (hi, lo) in captured:
-                n = 2 * ops.dim
                 for g, t in enumerate(durations):
                     reference = _oracle_blocks(family, model, seq.with_duration(t), ops, oracle_dps)
 
                     def entry(i, j):
-                        # log = X + iY embeds as [[X, -Y], [Y, X]], and M = i log.
-                        x = mp.mpf(hi[g, i, j]) + mp.mpf(lo[g, i, j])
-                        y = mp.mpf(hi[g, n + i, j]) + mp.mpf(lo[g, n + i, j])
-                        return 1j * mp.mpc(x, y)
+                        # log = hi + lo entrywise, complex, and M = i log.
+                        return 1j * (mp.mpc(hi[g, i, j]) + mp.mpc(lo[g, i, j]))
 
                     blocks = _pauli_sums(entry, ops.dim)
                     for key, block in blocks.items():
                         for row, ref_row in zip(block, reference[key]):
                             worst = max(worst, *(abs(a - b) for a, b in zip(row, ref_row)))
         assert worst < 1e-28
+
+
+class TestEnginePieces:
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_matmul_matches_mpmath(self, n):
+        # Complex (hi, lo) stacks whose items lie 2^40 to 2^60 apart and whose entries spread over
+        # a factor 4 on top of their normal scatter; the slicing grids must follow each row and
+        # column.  At 128 a few rows are checked, each against every column.
+        rng = np.random.default_rng(n)
+
+        def stack(exponents):
+            scale = np.exp2(rng.integers(-2, 1, size=(3, n, n)) + np.array(exponents)[:, None, None])
+            hi = (rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))) * scale
+            return highprec._two_sum(hi, hi * rng.normal(size=hi.shape) * 2.0**-54)
+
+        x, y = stack([-60, 0, 60]), stack([40, -20, 0])
+        hi, lo = highprec._matmul(x, y)
+        rows = range(n) if n <= 8 else (0, 41, 86, n - 1)
+        with mp.workdps(40):
+            for g in range(3):
+                bound = 2.0**-100 * np.linalg.norm(x[0][g]) * np.linalg.norm(y[0][g])
+                cols = [[mp.mpc(y[0][g, k, j]) + mp.mpc(y[1][g, k, j]) for k in range(n)] for j in range(n)]
+                for i in rows:
+                    row = [mp.mpc(x[0][g, i, k]) + mp.mpc(x[1][g, i, k]) for k in range(n)]
+                    for j, col in enumerate(cols):
+                        exact = mp.fdot(row, col)
+                        assert abs(exact - mp.mpc(hi[g, i, j]) - mp.mpc(lo[g, i, j])) <= bound, (g, i, j)
+
+    @pytest.mark.parametrize("code", range(4))
+    def test_frame_conjugation_equals_dense_product(self, code):
+        # The signed-row helper both engines use gives exactly the dense F^+ x F.
+        rng = np.random.default_rng(code)
+        d = 3
+        x = rng.normal(size=(2, 5, 2 * d, 2 * d)) + 1j * rng.normal(size=(2, 5, 2 * d, 2 * d))
+        frame = np.kron(SIGMA[CODE_AXIS[code]], np.eye(d))
+        assert conjugate_frame(x, code).tobytes() == (frame.conj().T @ x @ frame).tobytes()
 
 
 class TestSeriesLog:
