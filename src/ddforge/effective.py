@@ -18,11 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bath import _GAMMA_SIGMA, SIGMA, spectral_norm
-from .evolution import UnitaryResult, segment_plan, sequence_deviation, sequence_unitary
+from .evolution import UnitaryResult, segment_count, sequence_deviation, sequence_unitary
 
 BRANCH_MARGIN = 0.1
-# Roundoff per level of the pairwise reduction, relative to |M|: on the 660 points of
-# perfbench/references/order.json (d = 4, 64) errors stay below 0.83 floors (0.16 within 1e6); 2^-52 gave 13.
+# Roundoff per level of the pairwise reduction, relative to |M|: on the 1,000 nonzero values of the 340
+# points of perfbench/references/order.json (d = 4, 64; block path included) errors stay below 0.83 floors
+# (0.14 for values within 1e6 floors); 2^-52 gave 13.
 FLOOR_UNIT = 2.0**-48
 
 
@@ -175,7 +176,7 @@ def _deviation_effective(seq, w: np.ndarray, durations) -> tuple[EffectiveHamilt
                 eigenphase=exc.eigenphase,
                 t=durations[g],
             )
-    levels = max(1, (len(segment_plan(seq).frames) - 1).bit_length())
+    levels = max(1, (segment_count(seq) - 1).bit_length())
     return replace(pauli_decompose(m, np.array(durations)), floor=FLOOR_UNIT * phase * levels), errors
 
 

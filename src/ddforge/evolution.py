@@ -7,29 +7,40 @@ after pulses with Pauli product F gives I + E, E = F^+ expm1(-i H gap t) F,
 formed from the model's one eigensystem (``BathOperators.eigensystem``) once
 per distinct gap and frame, F applied as exact row permutations and
 phases.  Composing W, not U, keeps a decoupled schedule's small deviation
-to rounding relative to |W| instead of to 1.
+to rounding relative to |W| instead of to 1.  ctrl comes from the flat
+pulse codes; a merged pulse's phase is a phase of ctrl and U alike, so it
+never reaches W.
 
 Factors reduce pairwise, (I + A)(I + B) = I + (A + B + A B) with the later A
 on the left, in chunks of ``stack_points(d)`` segments (256 at d = 4) that
 fold in time order, so rounding grows as log N in the segment count; at
 d = 64 a chunk is one segment and this is the update W <- E + W + E W.
-Concatenated schedules repeat their blocks, so each distinct product of a
-level is formed once (``reduction_plan``; CDD-7: 773 products, not 15,291),
-changing no bit.  ``highprec`` reduces by the same plans.  One
-pass composes a whole stack of durations, and as the reduction's shape
-depends on the schedule and d only, each item holds exactly what a
-separate composition gives.
+Repeated blocks repeat products, so each distinct product of a level is
+formed once (``reduction_plan``), changing no bit.
+
+A schedule whose builder recorded its blocks (``PulseSequence.blocks``) and
+that has more segments than one chunk composes by them instead
+(``compose``): its leaf block segment by segment at its own duration, then
+per level the child's W taken into the copies' Pauli frames by exact rows
+(I + F^+ W F is the copy's factor) and the copies reduced by the same plans.
+A CDD level costs 3 products, so CDD-7 takes 21 where the segments took 773,
+and UDD2-11 65 where they took 3,370.  Schedules within one chunk (all those
+of the golden outputs) keep the segment path's bits.  ``highprec`` composes
+by the same plans and the same recursion.  One pass composes a whole stack
+of durations, and as the reduction's shape depends on the schedule and d
+only, each item holds exactly what a separate composition gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .bath import SIGMA, BathOperators
-from .sequences import CODE_AXIS, PauliAxis, PulseSequence
+from .sequences import CODE_AXIS, Blocks, PauliAxis, PulseSequence
 
 HERMITICITY_TOL = 1e-10
 
@@ -80,7 +91,7 @@ _PHASE = np.array([[0, 0, 0, 0], [0, 0, 3, 1], [0, 1, 0, 3], [0, 3, 1, 0]])
 
 @dataclass(frozen=True, eq=False)
 class SegmentPlan:
-    """A schedule's nonzero free segments in time order, and its control product ctrl.
+    """A schedule's nonzero free segments in time order.
 
     Segment k runs after pulses with product sigma_(frames[k]) up to a phase, and its
     (gap, frame) pair p = pairs[k] has the gap gap_values[pair_gaps[p]] and the frame pair_frames[p].
@@ -91,29 +102,46 @@ class SegmentPlan:
     pairs: np.ndarray
     pair_gaps: np.ndarray
     pair_frames: np.ndarray
-    ctrl: np.ndarray
+
+
+def _frames(codes: np.ndarray) -> np.ndarray:
+    """The Pauli code of the pulses before each interval, the n + 1 intervals of n pulses in time order."""
+    return np.concatenate(([0], np.bitwise_xor.accumulate(codes)))
 
 
 def segment_plan(seq: PulseSequence) -> SegmentPlan:
     """The schedule's SegmentPlan, formed from its instants and codes on first use and kept with it."""
     if "_segment_plan" in seq.__dict__:
         return seq.__dict__["_segment_plan"]
-    instants, codes, n = seq.instants, seq.codes, seq.pulse_count
+    instants, n = seq.instants, seq.pulse_count
     bounds = np.concatenate(([0.0], instants, [1.0]))
-    # Interval j, before pulse j, runs in the frame of pulses 0..j-1.
-    frames = np.concatenate(([0], np.bitwise_xor.accumulate(codes)))
+    frames = _frames(seq.codes)
     keep = slice(int(n > 0 and instants[0] == 0), n + (n == 0 or instants[-1] != 1))
     gap_values, gaps = np.unique(np.diff(bounds)[keep], return_inverse=True)
     keys, pairs = np.unique(gaps * 4 + frames[keep], return_inverse=True)
-    ctrl = _POWERS_OF_I[_PHASE[codes, frames[:-1]].sum() % 4] * SIGMA[CODE_AXIS[frames[-1]]]
-    plan = SegmentPlan(frames[keep], gap_values, pairs, keys // 4, keys % 4, ctrl)
+    plan = SegmentPlan(frames[keep], gap_values, pairs, keys // 4, keys % 4)
     seq._segment_plan = plan
     return plan
 
 
+def segment_count(seq: PulseSequence) -> int:
+    """The schedule's nonzero free segments: one more than its pulses, less one per pulse at instant 0 or 1."""
+    n = seq.pulse_count
+    return n + 1 - int(n > 0 and seq.instants[0] == 0) - int(n > 0 and seq.instants[-1] == 1)
+
+
+def _control(seq: PulseSequence) -> np.ndarray:
+    """The control product from the codes, formed on first use and kept with the schedule."""
+    if "_control" not in seq.__dict__:
+        codes, frames = seq.codes, _frames(seq.codes)
+        phase = _PHASE.ravel().take(codes * 4 + frames[:-1]).sum() % 4
+        seq._control = _POWERS_OF_I[phase] * SIGMA[CODE_AXIS[frames[-1]]]
+    return seq.__dict__["_control"]
+
+
 def control_product(seq: PulseSequence) -> np.ndarray:
     """Ordered 2x2 product of the ideal pulse factors alone (phase included): the net control rotation."""
-    return segment_plan(seq).ctrl.copy()
+    return _control(seq).copy()
 
 
 UNITARITY_TOL = 1e-10
@@ -158,17 +186,32 @@ class UnitaryResult:
 
 
 @lru_cache(maxsize=None)
-def _frame_rows(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per Pauli code f, the rows and row phases with (sigma_f (x) I_d) v = v[rows[f]] * phases[f]."""
+def _frame_rows(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per Pauli code f, the rows and row phases with (sigma_f (x) I_d) v = v[rows[f]] * phases[f].
+
+    Then come, per f, the flat (row, column) indices that take a flattened
+    2d x 2d matrix x to F x F^+ up to signs, and those signs, one per pair of
+    qubit rows (a, b): phases[f] phases[f]^+ is constant on each d x d block.
+    """
     frames = np.array([np.kron(SIGMA[axis], np.eye(d)) for axis in CODE_AXIS])
     rows = np.abs(frames).argmax(axis=-1)
-    return rows, np.take_along_axis(frames, rows[..., None], axis=-1)
+    phases = np.take_along_axis(frames, rows[..., None], axis=-1)
+    index = rows[:, :, None] * (2 * d) + rows[:, None, :]
+    qubit_phases = phases[:, ::d]
+    return rows, phases, index.reshape(4, -1), qubit_phases * np.swapaxes(qubit_phases.conj(), -1, -2)
 
 
-def conjugate_frame(x: np.ndarray, frame: int) -> np.ndarray:
-    """F x F^+ = F^+ x F, F = sigma_frame (x) I_d, for a (..., 2d, 2d) stack: exact signed rows and columns."""
-    rows, phases = _frame_rows(x.shape[-1] // 2)
-    return x[..., rows[frame][:, None], rows[frame]] * (phases[frame] * phases[frame].conj().T)
+def conjugate_frame(x: np.ndarray, frame) -> np.ndarray:
+    """F x F^+ = F^+ x F, F = sigma_frame (x) I_d, for a (..., 2d, 2d) stack: exact signed rows and columns.
+
+    ``frame`` is a code, or an array of codes whose axis the result takes just before the matrix axes.
+    """
+    n = x.shape[-1]
+    _, _, index, signs = _frame_rows(n // 2)
+    y = x.reshape(*x.shape[:-2], n * n).take(index[frame], axis=-1)
+    blocks = y.reshape(*y.shape[:-1], 2, n // 2, 2, n // 2)
+    blocks *= signs[frame][..., :, None, :, None]
+    return y.reshape(*y.shape[:-1], n, n)
 
 
 @lru_cache(maxsize=64)
@@ -216,13 +259,14 @@ def reduce_pairwise(plan: tuple, leaves: np.ndarray, product, block: int) -> np.
             for s in range(0, m, step):
                 e = min(s + step, m)
                 product(nodes.take(index[s:e], axis=0), nodes.take(index[m + s:m + e], axis=0), new[s:e])
-            new[m:] = nodes.take(index[2 * m:], axis=0)
+            if len(new) > m:
+                new[m:] = nodes.take(index[2 * m:], axis=0)
             nodes = new
         w = nodes[roots[0]]
         for r in roots[1:]:
             w = product(nodes.take(r, axis=0), w, np.empty_like(w))
         groups.append(w)
-    return np.concatenate(groups)
+    return groups[0] if len(groups) == 1 else np.concatenate(groups)
 
 
 def _product(later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -233,15 +277,40 @@ def _product(later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
-def sequence_deviation(seq: PulseSequence, ops: BathOperators, durations) -> tuple[np.ndarray, list]:
-    """The deviation W = ctrl^+ U - I of a schedule re-timed to each duration.
+def _by_blocks(seq: PulseSequence, d: int) -> bool:
+    """Whether a schedule composes by its recorded blocks: only above one chunk of segments."""
+    return seq.blocks is not None and segment_count(seq) > stack_points(d)
 
-    Returns the read-only (G, 2d, 2d) stack and a list holding, per item, the
-    ValueError its unitarity check (on W + W^+ + W^+ W, to 1e-10) failed
-    with, or None.  A failed item does not stop the others.
+
+def compose(seq: PulseSequence, d: int, leaf, product, block: int) -> np.ndarray:
+    """The (G, ...) deviation W of a schedule, by its blocks or, short or without them, as one leaf.
+
+    ``leaf(flat, copies)`` composes a schedule without blocks segment by
+    segment at 1/copies of each duration.  By blocks, each level takes the
+    child's W into every Pauli frame up to its copies' largest code at once
+    and reduces the copies, each leaf id its frame code, by ``reduction_plan``
+    in one chunk, with ``product`` and ``block`` as in ``reduce_pairwise``.
     """
-    plan, durations = segment_plan(seq), np.asarray(durations, dtype=float)
-    (evals, evecs), (rows, phases) = ops.eigensystem, _frame_rows(ops.dim)
+    if not _by_blocks(seq, d):
+        return leaf(seq, 1)
+    levels, node = [], seq.blocks
+    while isinstance(node, Blocks):
+        levels.append(node.frames)
+        node = node.child
+    w = leaf(node, math.prod(len(frames) for frames in levels))
+    for frames in reversed(levels):
+        # The frames' axis, just before the matrix axes, goes first, as the copies' leaf axis.
+        lead = w.ndim - 2
+        copies = conjugate_frame(w, np.arange(frames.max() + 1)).transpose(lead, *range(lead), lead + 1, lead + 2)
+        plan = reduction_plan(frames.astype(np.int64).tobytes(), max(len(frames), stack_points(d)))
+        w = reduce_pairwise(plan, copies, product, block)
+    return w
+
+
+def _segment_deviation(seq: PulseSequence, ops: BathOperators, durations: np.ndarray) -> np.ndarray:
+    """W of a schedule composed segment by segment, as a writable (G, 2d, 2d) stack."""
+    plan = segment_plan(seq)
+    (evals, evecs), (rows, phases, *_) = ops.eigensystem, _frame_rows(ops.dim)
     chunk = stack_points(ops.dim)
     expm1 = np.expm1(-1j * (durations[:, None] * plan.gap_values)[..., None] * evals)
     if chunk == 1:
@@ -252,13 +321,25 @@ def sequence_deviation(seq: PulseSequence, ops: BathOperators, durations) -> tup
                 factors[gap] = (evecs * expm1[:, gap, None, :]) @ evecs.conj().T
             e = conjugate_frame(factors[gap], frame)
             w = e if w is None else e + w + e @ w
-    else:
-        # Each (gap, frame) pair's factor V_f expm1(-i lam gap t) V_f^+, V_f = F^+ V.
-        v = (evecs[rows] * phases)[plan.pair_frames]
-        table = (v * expm1[:, plan.pair_gaps, None, :]) @ np.swapaxes(v.conj(), -1, -2)
-        tree = reduction_plan(np.asarray(plan.pairs, dtype=np.int64).tobytes(), chunk)
-        # Half a chunk per product, so that its two gathered operands stay within STACK_BYTES.
-        w = reduce_pairwise(tree, table.swapaxes(0, 1), _product, chunk // 2)
+        return w
+    # Each (gap, frame) pair's factor V_f expm1(-i lam gap t) V_f^+, V_f = F^+ V.
+    v = (evecs[rows] * phases)[plan.pair_frames]
+    table = (v * expm1[:, plan.pair_gaps, None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    tree = reduction_plan(np.asarray(plan.pairs, dtype=np.int64).tobytes(), chunk)
+    # Half a chunk per product, so that its two gathered operands stay within STACK_BYTES.
+    return reduce_pairwise(tree, table.swapaxes(0, 1), _product, chunk // 2)
+
+
+def sequence_deviation(seq: PulseSequence, ops: BathOperators, durations) -> tuple[np.ndarray, list]:
+    """The deviation W = ctrl^+ U - I of a schedule re-timed to each duration.
+
+    Returns the read-only (G, 2d, 2d) stack and a list holding, per item, the
+    ValueError its unitarity check (on W + W^+ + W^+ W, to 1e-10) failed
+    with, or None.  A failed item does not stop the others.
+    """
+    durations = np.asarray(durations, dtype=float)
+    w = compose(seq, ops.dim, lambda flat, copies: _segment_deviation(flat, ops, durations / copies),
+                _product, stack_points(ops.dim) // 2)
     w.flags.writeable = False
     return w, [_unitarity_error(defect) for defect in _unitarity_defect(w)]
 
@@ -276,7 +357,7 @@ def sequence_unitary(seq: PulseSequence, ops: BathOperators, durations=None):
     with, or None.  A failed item does not stop the others.
     """
     w, errors = sequence_deviation(seq, ops, [seq.total_duration] if durations is None else durations)
-    u = apply_qubit_factor(segment_plan(seq).ctrl, w + np.eye(w.shape[-1]))
+    u = apply_qubit_factor(_control(seq), w + np.eye(w.shape[-1]))
     if durations is not None:
         u.flags.writeable = False
         return u, errors

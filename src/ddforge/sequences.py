@@ -19,6 +19,13 @@ a grouped XOR of codes) and check them as arrays; the ``Pulse`` objects of
 Concatenation products are read as operator products: the rightmost factor
 acts first in time, which places junction pulses at block starts.  Boundary
 pulses at instant 0 (or 1) are retained; they change the net unitary.
+
+The builders that repeat a block (``_concatenate``, and ``_cells`` with
+outer pulses on cell bounds) record what they iterated as ``blocks``:
+equal-length copies of a child, each in the Pauli frame of the pulses
+before it, down to a flat leaf schedule.  Merging leaves every segment's
+frame as it was (it only composes codes), so the record holds for the
+merged schedule, and ``evolution`` composes long schedules by it.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Iterable, NamedTuple
 
@@ -175,6 +183,25 @@ def _checked(items: _Items) -> _Items:
     return items
 
 
+class Blocks(NamedTuple):
+    """Equal-length copies of ``child`` in time order, copy j in the Pauli frame ``frames[j]``.
+
+    frames[j] is the code of the product of every pulse before copy j's own
+    (junctions and outer pulses included); child is a Blocks or the flat leaf
+    schedule, whose duration is the parent's over the copies at every level.
+    """
+
+    child: "Blocks | PulseSequence"
+    frames: np.ndarray
+
+
+def _copy_frames(heads: np.ndarray, child_code: int) -> np.ndarray:
+    """Frames of copies, each after pulses of its head code: the XOR of the heads so far and of the copies before."""
+    frames = np.bitwise_xor.accumulate(heads)
+    frames[1::2] ^= child_code  # copy j follows j copies, whose product is the child's when j is odd
+    return frames
+
+
 def _pulses(items: _Items) -> tuple[Pulse, ...]:
     arrays = (a.tolist() for a in items[:4])
     return tuple(Pulse(Fraction(num, items.denominator) if exact else instant, CODE_AXIS[code])
@@ -193,6 +220,7 @@ class PulseSequence:
     Invariants: instants strictly increasing in [0, 1]; no identity pulses.
     The arrays (see the module docstring) are read-only and nothing else
     changes after construction, so instances are safe to share across threads.
+    ``blocks`` is the block structure its builder recorded, or None.
     """
 
     def __init__(self, total_duration: float, pulses: Iterable[Pulse], label: str = "", family: dict | None = None):
@@ -205,6 +233,7 @@ class PulseSequence:
         self.total_duration = _duration(total_duration)
         self.instants, self.codes, self.numerators, self.exact, self.denominator = self._arrays = _checked(items)
         self.label, self.family = label, {} if family is None else family
+        self.blocks = None
 
     @property
     def pulses(self) -> tuple[Pulse, ...]:
@@ -260,6 +289,12 @@ def _udd_items(n: int, axis: PauliAxis) -> _Items:
     return _items((x, axis) for x in instants)
 
 
+@lru_cache(maxsize=64)
+def _udd_block(n: int) -> PulseSequence:
+    """The Z-axis Uhrig block of n pulses (free evolution for n = 0), the shared leaf of the schedules repeating it."""
+    return PulseSequence(1.0, _udd_items(n, PauliAxis.Z))
+
+
 def udd_sequence(n: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
     """Uhrig sequence of n pulses about one axis.
 
@@ -293,32 +328,61 @@ def pdd(n: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> P
     return PulseSequence(total_duration, items, f"PDD-{n}", {"name": "pdd", "n": n, "axis": axis.value})
 
 
+def _cycle_items(cycles: int, axis: PauliAxis) -> _Items:
+    """Exact pulses about one axis at the odd multiples of 1/(4*cycles), formed as arrays."""
+    nums, den = np.arange(1, 4 * cycles, 2, dtype=np.int64), _denominator(4 * cycles)
+    return _Items(_ratios(nums, den), np.full(len(nums), _code(axis), np.int8), nums, np.ones(len(nums), bool), den)
+
+
 def icpmg(cycles: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
     """Iterated two-pulse cycles: 2*cycles pulses at odd multiples of 1/(4*cycles)."""
     if cycles < 1:
         raise ValueError("need at least one cycle")
     axis = PauliAxis(axis)
-    items = _items((Fraction(2 * k - 1, 4 * cycles), axis) for k in range(1, 2 * cycles + 1))
+    items = _cycle_items(cycles, axis)
     return PulseSequence(total_duration, items, f"iCPMG-{cycles}", {"name": "icpmg", "c": cycles, "axis": axis.value})
 
 
 # --- Concatenated families ---------------------------------------------------
 
-def _concatenate(items: _Items, junction_axes: str, levels: int) -> _Items:
-    """Iterate p -> (J_1 p)(J_2 p)... with junction pulses at block starts.
+def _concatenate(base: PulseSequence, junction_axes: str, levels: int) -> tuple[_Items, Blocks | None]:
+    """Iterate p -> (J_1 p)(J_2 p)... with junction pulses at block starts, and the blocks iterated.
 
     The written recursion is an operator product, so the rightmost factor
     acts first; per level the junction axes are applied in reversed written
     order.  Coincident pulses merge at every level.
     """
-    heads = [_code(axis) for axis in reversed(junction_axes)]
+    heads = np.array([_code(axis) for axis in reversed(junction_axes)], dtype=np.int8)
     # Each block starts with its junction pulse, at exact relative instant 0 and with its code set per block.
     junction = _items([(Fraction(0), PauliAxis.I)])
+    items, node = base._arrays, base if base.blocks is None else base.blocks
+    code = np.bitwise_xor.reduce(items.codes, initial=0)
     for _ in range(levels):
+        frames = _copy_frames(heads, code)
         blocks = _embed(_cat(junction, items), len(heads))
         blocks.codes[::len(items.codes) + 1] = heads
-        items = _merge(blocks)
-    return items
+        # The level's product is its last copy's frame times the child's.
+        items, node, code = _merge(blocks), Blocks(node, frames), frames[-1] ^ code
+    return items, node if isinstance(node, Blocks) else None
+
+
+def _cells(inner: PulseSequence, cells: int, outer: _Items) -> tuple[_Items, Blocks]:
+    """The inner schedule in each of ``cells`` equal cells plus outer pulses on cell bounds, merged, and its blocks."""
+    bounds, off = np.divmod(outer.numerators * cells, outer.denominator)
+    if not outer.exact.all() or off.any():
+        raise ValueError("outer pulses must lie on cell bounds")
+    # An outer pulse at bound j precedes copy j; one at instant 1 follows every copy.
+    heads = np.zeros(cells, dtype=np.int8)
+    np.bitwise_xor.at(heads, bounds[bounds < cells], outer.codes[bounds < cells])
+    blocks = Blocks(inner, _copy_frames(heads, np.bitwise_xor.reduce(inner.codes, initial=0)))
+    return _merge(_cat(_embed(inner._arrays, cells), outer)), blocks
+
+
+def _built(total_duration: float, built: tuple[_Items, Blocks | None], label: str, family: dict) -> PulseSequence:
+    """The schedule of a builder's (items, blocks), carrying the blocks."""
+    seq = PulseSequence(total_duration, built[0], label, family)
+    seq.blocks = built[1]
+    return seq
 
 
 def _concatenated(level: int, total_duration: float, base: PulseSequence | None, junction_axes: str, label: str,
@@ -327,8 +391,8 @@ def _concatenated(level: int, total_duration: float, base: PulseSequence | None,
         raise ValueError("level must be non-negative")
     if base is not None:
         family["base"] = base.family.get("name", base.label)
-    items = _concatenate(_items([]) if base is None else base._arrays, junction_axes, level)
-    return PulseSequence(total_duration, items, f"{label}-{level}", family)
+    built = _concatenate(_udd_block(0) if base is None else base, junction_axes, level)
+    return _built(total_duration, built, f"{label}-{level}", family)
 
 
 def cdd_full(level: int, total_duration: float = 1.0, base: PulseSequence | None = None) -> PulseSequence:
@@ -359,8 +423,8 @@ def cudd(m: int, n: int, total_duration: float = 1.0) -> PulseSequence:
         raise ValueError("need at least one pulse per block")
     if n < 0:
         raise ValueError("level must be non-negative")
-    items = _concatenate(_udd_items(m, PauliAxis.Z), "XX", n)
-    return PulseSequence(total_duration, items, f"CUDD(m={m},n={n})", {"name": "cudd", "m": m, "n": n})
+    built = _concatenate(_udd_block(m), "XX", n)
+    return _built(total_duration, built, f"CUDD(m={m},n={n})", {"name": "cudd", "m": m, "n": n})
 
 
 def cpmg_udd(m: int, cycles: int = 1, total_duration: float = 1.0) -> PulseSequence:
@@ -374,10 +438,8 @@ def cpmg_udd(m: int, cycles: int = 1, total_duration: float = 1.0) -> PulseSeque
         raise ValueError("need at least one pulse per block")
     if cycles < 1:
         raise ValueError("need at least one cycle")
-    outer = _items((Fraction(2 * k - 1, 4 * cycles), PauliAxis.X) for k in range(1, 2 * cycles + 1))
-    items = _merge(_cat(_embed(_udd_items(m, PauliAxis.Z), 4 * cycles), outer))
-    family = {"name": "cpmg_udd", "m": m, "c": cycles}
-    return PulseSequence(total_duration, items, f"CPMG-UDD(m={m},c={cycles})", family)
+    built = _cells(_udd_block(m), 4 * cycles, _cycle_items(cycles, PauliAxis.X))
+    return _built(total_duration, built, f"CPMG-UDD(m={m},c={cycles})", {"name": "cpmg_udd", "m": m, "c": cycles})
 
 
 # --- Polynomial-timed double layer -------------------------------------------
@@ -407,8 +469,8 @@ def udd2_approx(n: int, total_duration: float = 1.0) -> PulseSequence:
         raise ValueError("need at least one pulse")
     cells = (n + 1) ** 3
     outer = _items((d_approx(Fraction(j, n + 1)), PauliAxis.X) for j in range(1, n + 1))
-    items = _merge(_cat(_embed(_udd_items(n, PauliAxis.Z), cells), outer))
-    return PulseSequence(total_duration, items, f"UDD2-{n}", {"name": "udd2", "n": n})
+    built = _cells(_udd_block(n), cells, outer)
+    return _built(total_duration, built, f"UDD2-{n}", {"name": "udd2", "n": n})
 
 
 # --- Commensurability and pulse-count formulas -------------------------------

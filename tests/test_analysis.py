@@ -268,9 +268,12 @@ class TestStackedScan:
         assert seen == [[0.3], [0.6], [0.999]]
 
     def test_control_product_formed_once_per_scan(self, monkeypatch):
-        # The control product, the frames and the gaps come from one segment
-        # plan, formed once for the schedule a scan builds and kept with it.
-        from ddforge import evolution
+        # The frames and the gaps come from one segment plan, formed once for the
+        # schedule a scan composes segment by segment and kept with it (the control
+        # product comes from the codes).  UDD-3 is composed so; CDD-3 and CDD-4 at
+        # d = 16 (61 and 239 segments, above a chunk of 16) compose by their blocks,
+        # and the plan formed is that of their leaf, which every build shares.
+        from ddforge import evolution, sequences
 
         plans = []
         segment_plan_class = evolution.SegmentPlan
@@ -280,8 +283,10 @@ class TestStackedScan:
             return plans[-1]
 
         monkeypatch.setattr(evolution, "SegmentPlan", counting_plan)
-        evaluate_scan({"name": "cdd", "m": 3}, ModelSpec(d=16, seed=7), default_t_grid(1.0), seeds=[7, 8, 9])
-        assert len(plans) == 1
+        sequences._udd_block.cache_clear()
+        for family in ({"name": "udd", "n": 3}, {"name": "cdd", "m": 3}, {"name": "cdd", "m": 4}):
+            evaluate_scan(family, ModelSpec(d=16, seed=7), default_t_grid(1.0), seeds=[7, 8, 9])
+        assert len(plans) == 2
 
     @pytest.mark.parametrize("d, sizes", [(4, [8, 8]), (64, [1] * 8)])
     def test_stack_sizes(self, monkeypatch, d, sizes):

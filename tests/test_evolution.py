@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -6,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ddforge import evolution, highprec
 from ddforge.bath import SIGMA, BathOperators, ModelSpec, alpha, build_model, total_hamiltonian
-from ddforge.effective import error_functionals, sequence_effective
+from ddforge.effective import FLOOR_UNIT, error_functionals, sequence_effective
 from ddforge.evolution import (
     STACK_BYTES,
     UnitaryResult,
@@ -19,11 +21,14 @@ from ddforge.evolution import (
     pulse_unitary,
     reduce_pairwise,
     reduction_plan,
+    segment_count,
     segment_plan,
+    sequence_deviation,
     sequence_unitary,
     stack_points,
 )
 from ddforge.sequences import (
+    Blocks,
     PauliAxis,
     Pulse,
     PulseSequence,
@@ -31,6 +36,8 @@ from ddforge.sequences import (
     cdd_full,
     cpmg,
     cudd,
+    schedule_from_json,
+    schedule_to_json,
     spin_echo,
     udd_sequence,
 )
@@ -320,9 +327,8 @@ class TestMemoisedReduction:
     def test_extended_plans_form_few_products(self, monkeypatch, name, params, most):
         # The extended engine keys its leaves on (exact gap, frame) too: F^+ E F
         # does not depend on the phase of F.  Keyed on the phase as well, CDD-7
-        # formed 1,206 products and CUDD(3,3) 29.
-        from ddforge import highprec
-
+        # formed 1,206 products and CUDD(3,3) 29.  Without its blocks CDD-7 is
+        # composed segment by segment, as JSON input would be.
         plans = []
 
         def recording_plan(*args):
@@ -330,8 +336,169 @@ class TestMemoisedReduction:
             return plans[-1]
 
         monkeypatch.setattr(highprec, "reduction_plan", recording_plan)
-        highprec._compose(build_sequence(name, 0.01, **params), build_model(ModelSpec(d=4, seed=7)), [0.01])
+        seq = structureless(build_sequence(name, 0.01, **params))
+        highprec._compose(seq, build_model(ModelSpec(d=4, seed=7)), [0.01])
         assert len(plans) == 1 and plan_products(plans[0]) <= most
+
+
+def structureless(seq: PulseSequence) -> PulseSequence:
+    """The same pulses with no recorded blocks, so that every engine composes them segment by segment."""
+    return PulseSequence(seq.total_duration, seq._arrays, seq.label, dict(seq.family))
+
+
+@pytest.fixture
+def by_blocks(monkeypatch):
+    """Every schedule with recorded blocks composes by them, however few its segments."""
+    monkeypatch.setattr(evolution, "_by_blocks", lambda seq, d: seq.blocks is not None)
+
+
+def double_floor(seq: PulseSequence, w: np.ndarray) -> np.ndarray:
+    """The double floor FLOOR_UNIT |M| ceil(log2 segments) per item, with |W| (spectral) for |M|."""
+    return FLOOR_UNIT * max(1, (segment_count(seq) - 1).bit_length()) * np.linalg.norm(w, ord=2, axis=(-2, -1))
+
+
+def family_id(name, params):
+    return f"{name}({','.join(f'{k}={v}' for k, v in params.items())})"
+
+
+BLOCK_FAMILIES = (
+    [("cdd", {"m": m}) for m in range(1, 8)]
+    + [("cddxx", {"n": n}) for n in range(1, 9)]
+    + [("cudd", {"m": m, "n": n}) for m in (1, 2, 3, 4) for n in (1, 3, 5, 8)]
+    + [("cpmg-udd", {"m": m, "c": c}) for m in (1, 2, 3) for c in (1, 2, 16, 64)]
+    + [("udd2", {"n": n}) for n in range(1, 12)]
+)
+# The extended segment path takes about 3 s over the long members, so the
+# extended check leaves out those with more than 1,100 pulses.
+EXTENDED_BLOCK_FAMILIES = [(name, params) for name, params in BLOCK_FAMILIES
+                           if build_sequence(name, 1.0, **params).pulse_count <= 1100]
+WIDE_BLOCK_FAMILIES = [(16, "cdd", {"m": 3}), (16, "cudd", {"m": 3, "n": 3}), (16, "udd2", {"n": 2}),
+                       (16, "cpmg-udd", {"m": 2, "c": 4}), (64, "cdd", {"m": 2}), (64, "cudd", {"m": 2, "n": 2}),
+                       (64, "udd2", {"n": 2}), (64, "cpmg-udd", {"m": 2, "c": 2})]
+DEEP_GRID = (1e-2, 1e-1)
+
+# sha256 of sequence_deviation's W stack at d = 4, seed 7, on GRID: schedules that lost
+# their blocks compose segment by segment, bit for bit as before blocks were recorded.
+STRUCTURELESS_DIGESTS = [
+    ("cdd", {"m": 5}, "json", "e23545379b038fefdfa79f2ecace5770ef352c8debae71efe314a1f29af2aecd"),
+    ("cdd", {"m": 5}, "X", "3b3eba0518f7cffcf40fc34217add029da976de257688af3308a048b232bfd82"),
+    ("udd2", {"n": 4}, "json", "1eae1cacac456416252d91f1a73e80a761fd21fc0561a1640c08d202a5da252e"),
+    ("udd2", {"n": 4}, "Z", "96887c5972f10d827ae7a29b314ed357f0066d5a6a87033d76471930e074eff0"),
+]
+
+
+class TestBlockComposition:
+    @pytest.mark.parametrize("name, params", BLOCK_FAMILIES, ids=[family_id(*f) for f in BLOCK_FAMILIES])
+    def test_double_w_matches_segment_path(self, by_blocks, name, params):
+        ops = build_model(ModelSpec(d=4, seed=7))
+        seq = build_sequence(name, 1.0, **params)
+        assert seq.blocks is not None
+        durations = [at / alpha(ops) for at in DEEP_GRID]
+        w, _ = sequence_deviation(seq, ops, durations)
+        flat, _ = sequence_deviation(structureless(seq), ops, durations)
+        assert (np.abs(w - flat).max(axis=(-2, -1)) <= double_floor(seq, flat)).all()
+
+    @pytest.mark.parametrize("name, params", EXTENDED_BLOCK_FAMILIES,
+                             ids=[family_id(*f) for f in EXTENDED_BLOCK_FAMILIES])
+    def test_extended_w_matches_segment_path(self, by_blocks, name, params):
+        # Within the double floor: with float instants the segment path re-rounds the
+        # parent's instants and the block path scales the leaf's exactly (up to 1.8e-14 apart).
+        ops = build_model(ModelSpec(d=4, seed=7))
+        seq = build_sequence(name, 1.0, **params)
+        durations = [at / alpha(ops) for at in DEEP_GRID]
+        (hi, lo), segments, _ = highprec._compose(seq, ops, durations)
+        (flat_hi, flat_lo), flat_segments, _ = highprec._compose(structureless(seq), ops, durations)
+        assert segments == flat_segments == segment_count(seq)
+        diff = np.abs((hi - flat_hi) + (lo - flat_lo)).max(axis=(-2, -1))
+        assert (diff <= double_floor(seq, flat_hi)).all()
+
+    @pytest.mark.parametrize("levels, base, want", [(3, cudd(2, 2), 5), (2, cdd_full(2), 4), (0, cudd(3, 2), 2)],
+                             ids=["CDD-3(CUDD(2,2))", "CDD-2(CDD-2)", "CDD-0(CUDD(3,2))"])
+    def test_concatenation_over_a_structured_base_chains_its_blocks(self, by_blocks, levels, base, want):
+        ops = build_model(ModelSpec(d=4, seed=7))
+        seq = cdd_full(levels, 0.01, base=base)
+        node, depth = seq.blocks, 0
+        while isinstance(node, Blocks):
+            node, depth = node.child, depth + 1
+        assert depth == want and node.blocks is None
+        w, _ = sequence_deviation(seq, ops, GRID)
+        flat, _ = sequence_deviation(structureless(seq), ops, GRID)
+        assert (np.abs(w - flat).max(axis=(-2, -1)) <= double_floor(seq, flat)).all()
+
+    @pytest.mark.parametrize("d, name, params", WIDE_BLOCK_FAMILIES,
+                             ids=[f"d{d}-{family_id(n, p)}" for d, n, p in WIDE_BLOCK_FAMILIES])
+    def test_wide_baths_take_the_block_path(self, monkeypatch, d, name, params):
+        # Above stack_points(d) segments (16 at d = 16, 1 at d = 64) a structured
+        # schedule composes by its blocks unforced; both engines at d = 16.
+        ops = build_model(ModelSpec(d=d, seed=7))
+        seq = build_sequence(name, 1.0, **params)
+        durations = [at / alpha(ops) for at in DEEP_GRID]
+        leaves = []
+        segment_deviation = evolution._segment_deviation
+
+        def recording(flat, *args):
+            leaves.append(flat)
+            return segment_deviation(flat, *args)
+
+        monkeypatch.setattr(evolution, "_segment_deviation", recording)
+        w, errors = sequence_deviation(seq, ops, durations)
+        assert errors == [None, None] and len(leaves) == 1 and leaves[0].blocks is None
+        flat, _ = sequence_deviation(structureless(seq), ops, durations)
+        assert (np.abs(w - flat).max(axis=(-2, -1)) <= double_floor(seq, flat)).all()
+        if d == 16:
+            (hi, lo), _, _ = highprec._compose(seq, ops, durations)
+            (flat_hi, flat_lo), _, _ = highprec._compose(structureless(seq), ops, durations)
+            assert (np.abs((hi - flat_hi) + (lo - flat_lo)).max(axis=(-2, -1)) <= double_floor(seq, flat_hi)).all()
+
+    def test_short_schedules_keep_the_segment_path(self):
+        # CDD-4's 239 segments fit one d = 4 chunk: its bits are the segment path's, so
+        # the golden outputs stay put.  CDD-5's 957 do not, and it composes by its blocks.
+        ops = build_model(ModelSpec(d=4, seed=7))
+        short, long = cdd_full(4, 0.01), cdd_full(5, 0.01)
+        assert segment_count(short) == 239 <= stack_points(4) < segment_count(long)
+        assert not evolution._by_blocks(short, 4) and evolution._by_blocks(long, 4)
+        w, _ = sequence_deviation(short, ops, GRID)
+        assert w.tobytes() == sequence_deviation(structureless(short), ops, GRID)[0].tobytes()
+
+    @pytest.mark.parametrize("name, params", BLOCK_FAMILIES, ids=[family_id(*f) for f in BLOCK_FAMILIES])
+    def test_control_product_bit_identical(self, name, params):
+        seq = build_sequence(name, 1.0, **params)
+        assert control_product(seq).tobytes() == control_product(structureless(seq)).tobytes()
+
+    @pytest.mark.parametrize("name, params, how, digest", STRUCTURELESS_DIGESTS,
+                             ids=[f"{family_id(n, p)}-{how}" for n, p, how, _ in STRUCTURELESS_DIGESTS])
+    def test_filtered_and_json_schedules_carry_no_blocks(self, name, params, how, digest):
+        ops = build_model(ModelSpec(d=4, seed=7))
+        seq = build_sequence(name, 1.0, **params)
+        assert seq.blocks is not None and seq.with_duration(2.0).blocks is seq.blocks
+        derived = schedule_from_json(schedule_to_json(seq)) if how == "json" else seq.filter_axis(PauliAxis(how))
+        assert derived.blocks is None
+        if how == "json":
+            assert control_product(derived).tobytes() == control_product(seq).tobytes()
+        assert hashlib.sha256(sequence_deviation(derived, ops, GRID)[0].tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name, params, most", [("cdd", {"m": 7}, 3 * 7), ("udd2", {"n": 11}, 65)],
+                             ids=["CDD-7", "UDD2-11"])
+    def test_block_path_product_count(self, monkeypatch, name, params, most):
+        # Counts, not times.  The segment path formed 773 products for CDD-7 and 3,370
+        # (double) or 3,377 (extended) for UDD2-11.  CDD-7's leaf is one free segment
+        # and takes none, each of its seven levels 3; UDD2-11 takes 65, its leaf UDD-11
+        # and the memoised tree over its 1,728 cells.
+        ops = build_model(ModelSpec(d=4, seed=7))
+        seq = build_sequence(name, 0.01, **params)
+        counts = {}
+
+        def counting(engine, product, parts):
+            def wrapped(later, earlier, out):
+                counts[engine] = counts.get(engine, 0) + math.prod(later.shape[:-2]) // parts
+                return product(later, earlier, out)
+            return wrapped
+
+        monkeypatch.setattr(evolution, "_product", counting("double", evolution._product, 1))
+        monkeypatch.setattr(highprec, "_product", counting("extended", highprec._product, 2))
+        sequence_deviation(seq, ops, [0.01])
+        highprec._compose(seq, ops, [0.01])
+        assert counts["double"] == counts["extended"] <= most
 
 
 class TestSequenceUnitary:
