@@ -158,14 +158,14 @@ def _spin_bath_hermitian(rng: np.random.Generator, k: int) -> np.ndarray:
     return out
 
 
-def build_model(spec: ModelSpec, max_dim: int = MAX_DIM) -> BathOperators:
+def build_model(spec: ModelSpec) -> BathOperators:
     """Draw the four bath operators for a spec, scaled to their norm targets.
 
     Deterministic for a given spec: one PCG64 stream drawn in the fixed
     channel order 0, x, y, z.
     """
-    if spec.d > max_dim:
-        raise ValueError(f"bath dimension {spec.d} exceeds the cap {max_dim}")
+    if spec.d > MAX_DIM:
+        raise ValueError(f"bath dimension {spec.d} exceeds the cap {MAX_DIM}")
     rng = np.random.default_rng(spec.seed)
     match = _SPIN_BATH_RE.match(spec.preset)
     ops = {}
@@ -201,11 +201,39 @@ def spec_to_dict(spec: ModelSpec) -> dict:
     }
 
 
+_WANTED = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
+_SPEC_TYPES = {"d": int, "seed": int, "preset": str, "norm_targets": dict}
+
+
+def check_types(data, types: dict, what: str, path) -> dict:
+    """data, if a JSON object whose values at the keys of types have those types, else a ValueError naming the key.
+
+    An int fits float, a boolean neither.  ``path`` is the file data was read from, or None.
+    """
+    if not isinstance(data, dict):
+        source = what if path is None else f"{what} file {path}"
+        raise ValueError(f"{source} must hold a JSON object, not {type(data).__name__}")
+    for key, value in data.items():
+        kind = types.get(key)
+        if kind and (isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind)):
+            where = "" if path is None else f" in {path}"
+            raise ValueError(f"{what} key {key!r}{where} must be {_WANTED[kind]}, got {value!r}")
+    return data
+
+
+def check_spec(data, path) -> dict:
+    """data, if a model spec's JSON object (``check_types``): integer d and seed, a string preset, numeric targets."""
+    check_types(data, _SPEC_TYPES, "model", path)
+    check_types(data.get("norm_targets", {}), dict.fromkeys(GAMMAS, float), "model norm_targets", path)
+    return data
+
+
 def spec_from_dict(data: dict) -> ModelSpec:
+    check_spec(data, None)
     return ModelSpec(
-        d=int(data.get("d", DEFAULT_DIM)),
-        seed=int(data.get("seed", 0)),
-        preset=str(data.get("preset", "generic")),
+        d=data.get("d", DEFAULT_DIM),
+        seed=data.get("seed", 0),
+        preset=data.get("preset", "generic"),
         norm_targets=dict(data.get("norm_targets", {})),
     )
 

@@ -24,7 +24,6 @@ EXIT_USAGE = 2
 EXIT_BRANCH = 3
 EXIT_IO = 4
 
-_MODEL_DEFAULTS = {"d": 4, "preset": "generic"}
 _GRID_DEFAULTS = {"at_min": 1e-3, "at_max": 1e-2, "points": 8}
 
 
@@ -52,30 +51,14 @@ def _add_common(parser):
     parser.set_defaults(option_types={a.dest: a.type for a in parser._actions if a.type in (int, float)})
 
 
-_WANTED = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
-_MODEL_TYPES = {"d": int, "seed": int, "preset": str, "norm_targets": dict}
-
-
-def _check_types(data: dict, types: dict, what: str, path) -> dict:
-    """data, if each value whose key is in types has that type: an int fits float, a JSON boolean neither."""
-    for key, value in data.items():
-        kind = types.get(key)
-        if kind and (isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind)):
-            raise ValueError(f"{what} key {key!r} in {path} must be {_WANTED[kind]}, got {value!r}")
-    return data
-
-
-def _load_object(path, what: str, types: dict) -> dict:
-    """The JSON object in a --config or --model file, its values checked against types."""
+def _load_json(path):
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} file {path} must hold a JSON object, not {type(data).__name__}")
-    return _check_types(data, types, what, path)
+        return json.load(fh)
 
 
 def _load_config(args) -> dict:
-    return {} if args.config is None else _load_object(args.config, "config", args.option_types)
+    return {} if args.config is None else bath.check_types(_load_json(args.config), args.option_types, "config",
+                                                           args.config)
 
 
 def _resolve(args, config, key, default):
@@ -88,24 +71,21 @@ def _resolve(args, config, key, default):
 
 
 def _model_spec(args, config) -> bath.ModelSpec:
-    base = {}
+    """The --model file's keys under flags and config values, read as one spec by ``bath.spec_from_dict``."""
     model_file = _resolve(args, config, "model", None)
-    if model_file:
-        base = _load_object(model_file, "model", _MODEL_TYPES)
-        _check_types(base.get("norm_targets", {}), dict.fromkeys(bath.GAMMAS, float), "model norm_targets", model_file)
+    data = dict(bath.check_spec(_load_json(model_file), model_file)) if model_file else {}
     env_seed = os.environ.get("DDFORGE_SEED")
-    seed = _resolve(args, config, "seed", base.get("seed", int(env_seed) if env_seed else 0))
-    targets = dict(base.get("norm_targets", {}))
-    for g in ("0", "x", "y", "z"):
+    data.setdefault("seed", int(env_seed) if env_seed else 0)
+    targets = data["norm_targets"] = dict(data.get("norm_targets", {}))
+    for key in ("d", "seed", "preset"):
+        value = _resolve(args, config, key, None)
+        if value is not None:
+            data[key] = value
+    for g in bath.GAMMAS:
         value = _resolve(args, config, f"norm_{g}", None)
         if value is not None:
             targets[g] = value
-    return bath.ModelSpec(
-        d=_resolve(args, config, "d", base.get("d", _MODEL_DEFAULTS["d"])),
-        seed=seed,
-        preset=_resolve(args, config, "preset", base.get("preset", _MODEL_DEFAULTS["preset"])),
-        norm_targets=targets,
-    )
+    return bath.spec_from_dict(data)
 
 
 def _family_kwargs(args, config) -> dict:
@@ -172,13 +152,13 @@ def _cmd_order(args) -> int:
         points=_resolve(args, config, "points", _GRID_DEFAULTS["points"]),
     )
     family = {"name": args.family, **_family_kwargs(args, config)}
-    seeds_opt = _resolve(args, config, "seeds", None)
-    if seeds_opt is None:
-        seeds = None
-    elif isinstance(seeds_opt, (list, tuple)):
-        seeds = [int(s) for s in seeds_opt]
-    else:
-        seeds = [int(s) for s in str(seeds_opt).split(",")]
+    seeds = _resolve(args, config, "seeds", None)
+    if seeds is not None:
+        # A JSON list of integers (a boolean is an int too), or integers separated by commas.
+        items = seeds if isinstance(seeds, list) else str(seeds).split(",")
+        if not all(type(s) is int if isinstance(seeds, list) else s.strip().isdecimal() for s in items):
+            raise ValueError(f"seeds must be integers, got {seeds!r}")
+        seeds = [int(s) for s in items]
     functional = "E_" + _resolve(args, config, "functional", "flip")
     args.precision = _resolve(args, config, "precision", "double")
     rows = analysis.evaluate_scan(family, spec, grid, seeds=seeds, precision=args.precision)

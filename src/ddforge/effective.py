@@ -88,14 +88,14 @@ def _principal_logs(w: np.ndarray, margin: float) -> tuple[np.ndarray, list, np.
     return m, errors, np.abs(phases).max(axis=-1)
 
 
-def unitary_log(u: np.ndarray, margin: float = BRANCH_MARGIN) -> np.ndarray:
+def unitary_log(u: np.ndarray) -> np.ndarray:
     """Hermitian M with u = exp(-i M), eigenphases in (-pi, pi).
 
     Raises BranchAmbiguityError when any eigenphase of u comes within
-    ``margin`` of +-pi.  The reconstruction exp(-i M) is verified to 1e-9.
+    BRANCH_MARGIN of +-pi.  The reconstruction exp(-i M) is verified to 1e-9.
     """
     u = np.asarray(u, dtype=complex)
-    m, errors, _ = _principal_logs(u[None] - np.eye(u.shape[-1]), margin)
+    m, errors, _ = _principal_logs(u[None] - np.eye(u.shape[-1]), BRANCH_MARGIN)
     if errors[0] is not None:
         raise errors[0]
     return m[0]

@@ -3,32 +3,31 @@
 A schedule's unitary is U = (ctrl (x) I)(I + W), ctrl the control product of
 its ideal pulses and I + W the ordered product of its free segments in the
 toggling frame (Haeberlen & Waugh, Phys. Rev. 175, 453 (1968)): a segment
-after pulses with Pauli product F gives I + E, E = F^+ expm1(-i H gap t) F,
-formed from the model's one eigensystem (``BathOperators.eigensystem``) once
-per distinct gap and frame, F applied as exact row permutations and
-phases.  Composing W, not U, keeps a decoupled schedule's small deviation
-to rounding relative to |W| instead of to 1.  ctrl comes from the flat
-pulse codes; a merged pulse's phase is a phase of ctrl and U alike, so it
-never reaches W.
+after pulses with Pauli product F gives I + E, E = F^+ expm1(-i H gap t) F.
+Composing W, not U, keeps a decoupled schedule's small deviation to
+rounding relative to |W| instead of to 1.  ctrl comes from the flat pulse
+codes; a merged pulse's phase is a phase of ctrl and U alike, so it never
+reaches W.
 
-Factors reduce pairwise, (I + A)(I + B) = I + (A + B + A B) with the later A
-on the left, in chunks of ``stack_points(d)`` segments (256 at d = 4) that
-fold in time order, so rounding grows as log N in the segment count; at
-d = 64 a chunk is one segment and this is the update W <- E + W + E W.
-Repeated blocks repeat products, so each distinct product of a level is
-formed once (``reduction_plan``), changing no bit.
+``compose`` is the pipeline of both engines, which supply only arithmetic:
+their gaps (float here, exact in ``highprec``), the factors of a schedule's
+distinct (gap, frame) pairs, and their product.  It keys the segments into
+pairs, kept with the schedule, and reduces the factors pairwise,
+(I + A)(I + B) = I + (A + B + A B) with the later A on the left, in chunks
+of ``stack_points(d)`` segments (256 at d = 4; at d = 64 one, the update
+W <- E + W + E W) that fold in time order, so rounding grows as log N in
+the segment count; each distinct product of a level is formed once
+(``reduction_plan``), changing no bit.  Here the factors come from the
+model's one eigensystem (``BathOperators.eigensystem``).
 
 A schedule whose builder recorded its blocks (``PulseSequence.blocks``) and
-that has more segments than one chunk composes by them instead
-(``compose``): its leaf block segment by segment at its own duration, then
-per level the child's W taken into the copies' Pauli frames by exact rows
-(I + F^+ W F is the copy's factor) and the copies reduced by the same plans.
-A CDD level costs 3 products, so CDD-7 takes 21 where the segments took 773,
-and UDD2-11 65 where they took 3,370.  Schedules within one chunk (all those
-of the golden outputs) keep the segment path's bits.  ``highprec`` composes
-by the same plans and the same recursion.  One pass composes a whole stack
-of durations, and as the reduction's shape depends on the schedule and d
-only, each item holds exactly what a separate composition gives.
+that has more segments than one chunk composes by them: its leaf block at
+its own duration, then per level the child's W taken into the copies'
+frames by exact rows (I + F^+ W F is the copy's factor) and the copies
+reduced by the same plans.  A CDD level costs 3 products, so CDD-7 takes 21
+where the segments took 773.  One pass composes a whole stack of
+durations, and as the reduction's shape depends on the schedule and d only,
+each item holds exactly what a separate composition gives.
 """
 
 from __future__ import annotations
@@ -91,14 +90,13 @@ _PHASE = np.array([[0, 0, 0, 0], [0, 0, 3, 1], [0, 1, 0, 3], [0, 3, 1, 0]])
 
 @dataclass(frozen=True, eq=False)
 class SegmentPlan:
-    """A schedule's nonzero free segments in time order.
+    """A schedule's nonzero free segments in time order, keyed into their distinct (gap, frame) pairs.
 
-    Segment k runs after pulses with product sigma_(frames[k]) up to a phase, and its
-    (gap, frame) pair p = pairs[k] has the gap gap_values[pair_gaps[p]] and the frame pair_frames[p].
+    Segment k's pair p = pairs[k] has the gap gaps[pair_gaps[p]], in the form of the engine's gap rule, and
+    the frame pair_frames[p]: the code of the product of the pulses before the segment, up to a phase.
     """
 
-    frames: np.ndarray
-    gap_values: np.ndarray
+    gaps: np.ndarray | list
     pairs: np.ndarray
     pair_gaps: np.ndarray
     pair_frames: np.ndarray
@@ -109,25 +107,33 @@ def _frames(codes: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.bitwise_xor.accumulate(codes)))
 
 
-def segment_plan(seq: PulseSequence) -> SegmentPlan:
-    """The schedule's SegmentPlan, formed from its instants and codes on first use and kept with it."""
-    if "_segment_plan" in seq.__dict__:
-        return seq.__dict__["_segment_plan"]
-    instants, n = seq.instants, seq.pulse_count
-    bounds = np.concatenate(([0.0], instants, [1.0]))
-    frames = _frames(seq.codes)
-    keep = slice(int(n > 0 and instants[0] == 0), n + (n == 0 or instants[-1] != 1))
-    gap_values, gaps = np.unique(np.diff(bounds)[keep], return_inverse=True)
-    keys, pairs = np.unique(gaps * 4 + frames[keep], return_inverse=True)
-    plan = SegmentPlan(frames[keep], gap_values, pairs, keys // 4, keys % 4)
-    seq._segment_plan = plan
-    return plan
+def _kept(seq: PulseSequence) -> slice:
+    """The nonzero intervals: all but the one before a pulse at instant 0 and the one after a pulse at 1."""
+    n, instants = seq.pulse_count, seq.instants
+    return slice(int(n > 0 and instants[0] == 0), n + (n == 0 or instants[-1] != 1))
+
+
+def _float_gaps(seq: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct float lengths of the nonzero segments, as fractions of the duration, and each one's index."""
+    return np.unique(np.diff(np.concatenate(([0.0], seq.instants, [1.0])))[_kept(seq)], return_inverse=True)
+
+
+def _segment_plan(seq: PulseSequence, gaps) -> SegmentPlan:
+    """The schedule's SegmentPlan by a gap rule, formed on first use and kept with the schedule per rule.
+
+    ``gaps(seq)`` gives the distinct segment lengths in an engine's form and each segment's index into them.
+    """
+    plans = seq.__dict__.setdefault("_segment_plans", {})
+    if gaps not in plans:
+        values, ids = gaps(seq)
+        keys, pairs = np.unique(ids * 4 + _frames(seq.codes)[_kept(seq)], return_inverse=True)
+        plans[gaps] = SegmentPlan(values, pairs, keys // 4, keys % 4)
+    return plans[gaps]
 
 
 def segment_count(seq: PulseSequence) -> int:
     """The schedule's nonzero free segments: one more than its pulses, less one per pulse at instant 0 or 1."""
-    n = seq.pulse_count
-    return n + 1 - int(n > 0 and seq.instants[0] == 0) - int(n > 0 and seq.instants[-1] == 1)
+    return len(range(seq.pulse_count + 1)[_kept(seq)])
 
 
 def _control(seq: PulseSequence) -> np.ndarray:
@@ -282,52 +288,54 @@ def _by_blocks(seq: PulseSequence, d: int) -> bool:
     return seq.blocks is not None and segment_count(seq) > stack_points(d)
 
 
-def compose(seq: PulseSequence, d: int, leaf, product, block: int) -> np.ndarray:
+def frame_factors(factors, plan: SegmentPlan) -> np.ndarray:
+    """A plan's (P, ...) pair leaves F^+ E F from its per-gap (..., 2d, 2d) factors E, a sequence indexed by gap.
+
+    One gather of exact signed rows per pair, written into the leaves.  At d = 64, gathering a frame code's
+    pairs at once, or holding the factors as one array, raised the page faults of order-d64 scans by 35-55%.
+    """
+    leaves = np.empty((len(plan.pair_gaps), *factors[0].shape), factors[0].dtype)
+    for leaf, gap, code in zip(leaves, plan.pair_gaps.tolist(), plan.pair_frames.tolist()):
+        leaf[...] = conjugate_frame(factors[gap], code)
+    return leaves
+
+
+def compose(seq: PulseSequence, d: int, gaps, leaves, product, block: int) -> np.ndarray:
     """The (G, ...) deviation W of a schedule, by its blocks or, short or without them, as one leaf.
 
-    ``leaf(flat, copies)`` composes a schedule without blocks segment by
-    segment at 1/copies of each duration.  By blocks, each level takes the
+    An engine supplies its gap rule (``_segment_plan``), ``leaves(plan, copies)``,
+    the (P, G, ...) factors of a plan's pairs at 1/copies of each duration,
+    and ``product`` and ``block`` as in ``reduce_pairwise``.  The leaf's pairs
+    reduce in chunks of ``stack_points(d)``; by blocks, each level takes the
     child's W into every Pauli frame up to its copies' largest code at once
-    and reduces the copies, each leaf id its frame code, by ``reduction_plan``
-    in one chunk, with ``product`` and ``block`` as in ``reduce_pairwise``.
+    and reduces the copies, each leaf id its frame code, in one chunk.
     """
-    if not _by_blocks(seq, d):
-        return leaf(seq, 1)
-    levels, node = [], seq.blocks
+    levels, node = [], seq.blocks if _by_blocks(seq, d) else seq
     while isinstance(node, Blocks):
         levels.append(node.frames)
         node = node.child
-    w = leaf(node, math.prod(len(frames) for frames in levels))
+    plan = _segment_plan(node, gaps)
+    tree = reduction_plan(np.asarray(plan.pairs, dtype=np.int64).tobytes(), stack_points(d))
+    w = reduce_pairwise(tree, leaves(plan, math.prod(len(frames) for frames in levels)), product, block)
     for frames in reversed(levels):
         # The frames' axis, just before the matrix axes, goes first, as the copies' leaf axis.
         lead = w.ndim - 2
         copies = conjugate_frame(w, np.arange(frames.max() + 1)).transpose(lead, *range(lead), lead + 1, lead + 2)
-        plan = reduction_plan(frames.astype(np.int64).tobytes(), max(len(frames), stack_points(d)))
-        w = reduce_pairwise(plan, copies, product, block)
+        tree = reduction_plan(frames.astype(np.int64).tobytes(), max(len(frames), stack_points(d)))
+        w = reduce_pairwise(tree, copies, product, block)
     return w
 
 
-def _segment_deviation(seq: PulseSequence, ops: BathOperators, durations: np.ndarray) -> np.ndarray:
-    """W of a schedule composed segment by segment, as a writable (G, 2d, 2d) stack."""
-    plan = segment_plan(seq)
+def _leaves(ops: BathOperators, plan: SegmentPlan, durations: np.ndarray) -> np.ndarray:
+    """The double engine's factors of a plan's pairs at each duration, as a writable (P, G, 2d, 2d) stack."""
     (evals, evecs), (rows, phases, *_) = ops.eigensystem, _frame_rows(ops.dim)
-    chunk = stack_points(ops.dim)
-    expm1 = np.expm1(-1j * (durations[:, None] * plan.gap_values)[..., None] * evals)
-    if chunk == 1:
-        # Large factors, so one per distinct gap (not per pair), taken into each frame F as F E F^+.
-        factors, w = {}, None
-        for gap, frame in zip(plan.pair_gaps[plan.pairs], plan.pair_frames[plan.pairs]):
-            if gap not in factors:
-                factors[gap] = (evecs * expm1[:, gap, None, :]) @ evecs.conj().T
-            e = conjugate_frame(factors[gap], frame)
-            w = e if w is None else e + w + e @ w
-        return w
-    # Each (gap, frame) pair's factor V_f expm1(-i lam gap t) V_f^+, V_f = F^+ V.
+    expm1 = np.expm1(-1j * (durations[:, None] * plan.gaps)[..., None] * evals)
+    if stack_points(ops.dim) == 1:
+        # Large factors, so one per distinct gap (not per pair), a product each (a 4-d matmul is slower).
+        return frame_factors([(evecs * expm1[:, gap, None, :]) @ evecs.conj().T for gap in range(len(plan.gaps))], plan)
+    # Each pair's factor V_f expm1(-i lam gap t) V_f^+, V_f = F^+ V.
     v = (evecs[rows] * phases)[plan.pair_frames]
-    table = (v * expm1[:, plan.pair_gaps, None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    tree = reduction_plan(np.asarray(plan.pairs, dtype=np.int64).tobytes(), chunk)
-    # Half a chunk per product, so that its two gathered operands stay within STACK_BYTES.
-    return reduce_pairwise(tree, table.swapaxes(0, 1), _product, chunk // 2)
+    return ((v * expm1[:, plan.pair_gaps, None, :]) @ np.swapaxes(v.conj(), -1, -2)).swapaxes(0, 1)
 
 
 def sequence_deviation(seq: PulseSequence, ops: BathOperators, durations) -> tuple[np.ndarray, list]:
@@ -338,32 +346,25 @@ def sequence_deviation(seq: PulseSequence, ops: BathOperators, durations) -> tup
     with, or None.  A failed item does not stop the others.
     """
     durations = np.asarray(durations, dtype=float)
-    w = compose(seq, ops.dim, lambda flat, copies: _segment_deviation(flat, ops, durations / copies),
-                _product, stack_points(ops.dim) // 2)
+    # Half a chunk per product, so that its two gathered operands stay within STACK_BYTES.
+    w = compose(seq, ops.dim, _float_gaps, lambda plan, copies: _leaves(ops, plan, durations / copies), _product,
+                stack_points(ops.dim) // 2)
     w.flags.writeable = False
     return w, [_unitarity_error(defect) for defect in _unitarity_defect(w)]
 
 
-def sequence_unitary(seq: PulseSequence, ops: BathOperators, durations=None):
+def sequence_unitary(seq: PulseSequence, ops: BathOperators) -> UnitaryResult:
     """Time-ordered product of segment exponentials and pulse factors, unitary to 1e-10.
 
     Later factors multiply on the left; zero-length segments (boundary
     pulses) are skipped.  The control product is applied to the deviation
     of ``sequence_deviation`` as exact rows, and the result carries W.
-
-    With ``durations`` the schedule is composed re-timed to each of them in
-    one stacked pass, and the result is the read-only (G, 2d, 2d) stack with
-    a list holding, per item, the ValueError its unitarity check failed
-    with, or None.  A failed item does not stop the others.
     """
-    w, errors = sequence_deviation(seq, ops, [seq.total_duration] if durations is None else durations)
-    u = apply_qubit_factor(_control(seq), w + np.eye(w.shape[-1]))
-    if durations is not None:
-        u.flags.writeable = False
-        return u, errors
+    w, errors = sequence_deviation(seq, ops, [seq.total_duration])
     if errors[0] is not None:
         raise errors[0]
-    return UnitaryResult(u[0], seq.total_duration, seq.pulse_count, seq.label, w[0])
+    u = apply_qubit_factor(_control(seq), w[0] + np.eye(w.shape[-1]))
+    return UnitaryResult(u, seq.total_duration, seq.pulse_count, seq.label, w[0])
 
 
 def entanglement_fidelity(u: UnitaryResult | np.ndarray) -> float:

@@ -11,18 +11,15 @@ duration, so a scan's grid composes in one pass.  A product takes three BLAS
 calls per item on slices of real forms, x's float view times the (4d, 4d)
 real matrix holding y's rows and i times them; the two calls that carry the
 leading bits are exact (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 95
-(2012)).  Composition is in deviation form in the toggling frame:
-ctrl^+ U = I + W, each segment a factor I + E with E = F^+ expm1(-i H dt) F,
-F the Pauli frame of the pulses so far (read from ``evolution.segment_plan``
-and applied as exact signed rows by ``evolution.conjugate_frame``, as in the
-double engine) and expm1 a Taylor series summed once per distinct exact gap;
-the factors reduce by the double engine's memoised pairwise plan
-(``evolution.reduction_plan``).  Above one chunk of segments a schedule with
-recorded blocks takes the double engine's recursion (``evolution.compose``)
-with this engine's leaf and product: its leaf's exact gaps over the copy
-count, then 3 products per CDD level (CDD-7: 21, not 773).  The leaf's float
-instants are then scaled exactly, where the segments re-round each parent
-instant, so for UDD-based leaves the two paths differ near eps |W|.
+(2012)).  Composition is ``evolution.compose``'s, as for the double engine, in
+deviation form in the toggling frame, ctrl^+ U = I + W: this engine gives
+the segments' exact gaps, a factor E = expm1(-i H dt) per distinct exact gap
+(a Taylor series) taken into each (gap, frame) pair's Pauli frame by
+``evolution.frame_factors``, and its product.  Above one chunk a schedule
+with recorded blocks takes 3 products per CDD level (CDD-7: 21, not 773).
+Its leaf's float instants are then scaled exactly, where the segments
+re-round each parent instant, so for UDD-based leaves the two paths differ
+near eps |W|.
 The log is 2 atanh(Z), Z = (2I + W)^-1 W: a double solve refined once, then
 the odd series; eigenphases beyond about 1.4 rad, the +-pi branch cut
 included, raise BranchAmbiguityError.  Each item reports a floor,
@@ -42,8 +39,7 @@ import numpy as np
 
 from .bath import BathOperators, spectral_norm, total_hamiltonian
 from .effective import BranchAmbiguityError, EffectiveHamiltonian, error_functionals, shifted_solve
-from .evolution import (compose, conjugate_frame, reduce_pairwise, reduction_plan, segment_count, segment_plan,
-                        stack_points)
+from .evolution import compose, frame_factors, segment_count
 from .sequences import PulseSequence
 
 # Bound on the roundoff per segment, relative to |M|; checked against the mpmath oracle.
@@ -200,11 +196,10 @@ def _compose(seq: PulseSequence, ops: BathOperators, durations: list):
     k = -1j * h / scale  # |k| <= 1
     too_long = []
 
-    def leaf(flat: PulseSequence, copies: int) -> np.ndarray:
-        gaps, segment_gaps = _segment_gaps(flat)
+    def leaves(plan, copies: int) -> np.ndarray:
         # expm1 of k x, x = scale * gap * t, is the sum of x^j k^j / j!; each
         # (gap, duration) item stops at its own last term.
-        steps = np.array([[_dd(gap / copies * Fraction(t) * Fraction(scale)) for t in durations] for gap in gaps])
+        steps = np.array([[_dd(gap / copies * Fraction(t) * Fraction(scale)) for t in durations] for gap in plan.gaps])
         with np.errstate(divide="ignore"):
             log_x = np.log(steps[..., 0])
         extra = _term_counts(lambda j: j * log_x - math.lgamma(j + 2), log_x.shape)
@@ -221,15 +216,10 @@ def _compose(seq: PulseSequence, ops: BathOperators, durations: list):
             factors = _add(factors, _mul(powers[j], coefs[j]))
         # A leaf is a segment's (gap, frame): F^+ E F, F the pulse product before it, whose phase
         # cancels in exact arithmetic and is left out.
-        keys, leaf_ids = np.unique(segment_gaps * 4 + segment_plan(flat).frames, return_inverse=True)
-        factors = np.stack(factors, axis=-3)
-        leaves = np.array([conjugate_frame(factors[key // 4], key % 4) for key in keys.tolist()])
-        del factors, powers  # freed before the reduction's levels of nodes take their place
-        tree = reduction_plan(np.asarray(leaf_ids, dtype=np.int64).tobytes(), stack_points(ops.dim))
-        # One pair per product: a double-double product's temporaries are about a hundred times its operands.
-        return reduce_pairwise(tree, leaves, _product, 1)
+        return frame_factors(np.stack(factors, axis=-3), plan)
 
-    w = compose(seq, ops.dim, leaf, _product, 1)
+    # One pair per product: a double-double product's temporaries are about a hundred times its operands.
+    w = compose(seq, ops.dim, _segment_gaps, leaves, _product, 1)
     return (w[:, 0], w[:, 1]), segment_count(seq), too_long[0]
 
 

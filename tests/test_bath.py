@@ -9,6 +9,7 @@ from ddforge.bath import (
     ModelSpec,
     alpha,
     build_model,
+    spec_from_dict,
     spec_from_json,
     spec_to_json,
     spectral_norm,
@@ -204,6 +205,23 @@ class TestSpecJson:
         data = json.loads(spec_to_json(ModelSpec(d=4, seed=7)))
         assert list(data) == ["d", "seed", "preset", "norm_targets"]
         assert list(data["norm_targets"]) == ["0", "x", "y", "z"]
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"seed": 2.9}', "model key 'seed' must be an integer, got 2.9"),
+        ('{"d": 4.7}', "model key 'd' must be an integer, got 4.7"),
+        ('{"d": true}', "model key 'd' must be an integer, got True"),
+        ('{"d": "4"}', "model key 'd' must be an integer, got '4'"),
+        ("[1, 2]", "model must hold a JSON object, not list"),
+        ('{"norm_targets": {"x": "0.5"}}', "model norm_targets key 'x' must be a number, got '0.5'"),
+    ], ids=["float-seed", "float-d", "boolean-d", "string-d", "list", "string-target"])
+    def test_mistyped_json_is_rejected(self, text, message):
+        # Read as is, these gave seed 2, d = 4, d = 1 and d = 4, or raised AttributeError or TypeError.
+        with pytest.raises(ValueError) as exc:
+            spec_from_json(text)
+        assert str(exc.value) == message
+
+    def test_integer_targets_and_missing_keys_are_read(self):
+        assert spec_from_dict({"seed": 3, "norm_targets": {"x": 1}}) == ModelSpec(seed=3, norm_targets={"x": 1.0})
 
     def test_spectral_norm_matches_svd(self):
         ops = build_model(ModelSpec(d=6, seed=13, norm_targets={"x": 0.3}))

@@ -387,6 +387,28 @@ class TestConfigFile:
         assert code == 2
         assert err == f"error: {message.format(model)}\n"
 
+    @pytest.mark.parametrize("seeds", ["[7.9, 8.2]", "[true]", '["7"]'], ids=["floats", "boolean", "string"])
+    def test_non_integer_seeds_are_usage_error(self, capsys, tmp_path, seeds):
+        # [7.9, 8.2] ran seeds 7 and 8 and [true] seed 1, each with exit 0.
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"seeds": {seeds}}}')
+        code, out, err = run(capsys, "order", "udd", "--n", "2", "--points", "4", "--config", str(config))
+        assert code == 2 and out == ""
+        assert err == f"error: seeds must be integers, got {json.loads(seeds)!r}\n"
+
+    def test_non_integer_seed_flag_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "order", "udd", "--n", "2", "--points", "4", "--seeds", "7,8.5")
+        assert code == 2
+        assert err == "error: seeds must be integers, got '7,8.5'\n"
+
+    def test_mistyped_model_key_in_config_is_usage_error(self, capsys, tmp_path):
+        # The config's model keys go through the model file's type rule; a numeric preset raised TypeError.
+        config = tmp_path / "config.json"
+        config.write_text('{"preset": 5}')
+        code, _, err = run(capsys, "compare", "--seq", "udd,n=2", "--config", str(config))
+        assert code == 2
+        assert err == "error: model key 'preset' must be a string, got 5\n"
+
     def test_integer_fits_a_float_option(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text('{"tau0": 1, "halvings": 0, "seed": 7}')

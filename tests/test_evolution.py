@@ -15,6 +15,7 @@ from ddforge.evolution import (
     UnitaryResult,
     _product,
     apply_qubit_factor,
+    conjugate_frame,
     control_product,
     entanglement_fidelity,
     expm_segment,
@@ -22,7 +23,6 @@ from ddforge.evolution import (
     reduce_pairwise,
     reduction_plan,
     segment_count,
-    segment_plan,
     sequence_deviation,
     sequence_unitary,
     stack_points,
@@ -187,7 +187,7 @@ class TestCompositionExactness:
         # The pairwise product rounds in another order than the dense loop;
         # both stay within a few ulps per segment of the exact product.
         ops = build_model(ModelSpec(d=d, seed=7))
-        segments = len(segment_plan(seq).frames)
+        segments = segment_count(seq)
         diff = np.abs(sequence_unitary(seq, ops).u - dense_sequence_unitary(seq, ops)).max()
         assert diff <= 16 * segments * np.finfo(float).eps
 
@@ -232,12 +232,14 @@ class TestStackedComposition:
                              ids=["UDD-3", "CUDD(2,2)", "CDD-3"])
     def test_items_bit_equal_to_single_compositions(self, seq, d):
         ops = build_model(ModelSpec(d=d, seed=7))
-        stack, errors = sequence_unitary(seq, ops, GRID)
+        stack, errors = sequence_deviation(seq, ops, GRID)
         assert stack.shape == (len(GRID), 2 * d, 2 * d)
         assert not stack.flags.writeable
         assert errors == [None] * len(GRID)
         for item, t in zip(stack, GRID):
-            assert item.tobytes() == sequence_unitary(seq.with_duration(t), ops).u.tobytes()
+            single = sequence_unitary(seq.with_duration(t), ops)
+            assert item.tobytes() == single.w.tobytes()
+            assert apply_qubit_factor(control_product(seq), item + np.eye(2 * d)).tobytes() == single.u.tobytes()
 
     def test_failed_item_is_recorded_not_raised(self):
         # A scaled eigenvector basis makes every segment factor non-unitary;
@@ -246,7 +248,7 @@ class TestStackedComposition:
         evals, evecs = ops.eigensystem
         ops.__dict__["eigensystem"] = (evals, evecs * 1.001)
         seq = udd_sequence(2, 0.01)
-        _, errors = sequence_unitary(seq, ops, GRID[:3])
+        _, errors = sequence_deviation(seq, ops, GRID[:3])
         for error, t in zip(errors, GRID[:3]):
             with pytest.raises(ValueError) as single:
                 sequence_unitary(seq.with_duration(t), ops)
@@ -259,14 +261,15 @@ class TestStackedComposition:
         ops = build_model(ModelSpec(d=4, seed=7))
         axes = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
         seq = PulseSequence(0.01, tuple(Pulse(Fraction(k, segments), axes[k % 3]) for k in range(1, segments)))
-        assert stack_points(4) == 256 and len(segment_plan(seq).frames) == segments
-        stack, errors = sequence_unitary(seq, ops, GRID)
+        assert stack_points(4) == 256 and segment_count(seq) == segments
+        stack, errors = sequence_deviation(seq, ops, GRID)
         assert errors == [None] * len(GRID)
         for item, t in zip(stack, GRID):
-            single = sequence_unitary(seq.with_duration(t), ops).u
+            single = sequence_unitary(seq.with_duration(t), ops).w
             assert item.tobytes() == single.tobytes()
         dense = dense_sequence_unitary(seq.with_duration(GRID[-1]), ops)
-        assert np.abs(stack[-1] - dense).max() <= 16 * segments * np.finfo(float).eps
+        u = apply_qubit_factor(control_product(seq), stack[-1] + np.eye(8))
+        assert np.abs(u - dense).max() <= 16 * segments * np.finfo(float).eps
 
     def test_stack_size_rule(self):
         assert stack_points(4) >= 8  # a whole default grid in one stack
@@ -319,7 +322,7 @@ class TestMemoisedReduction:
     def test_deep_plans_form_few_products(self, name, params, most):
         # 15,291 and 19,019 products without memoisation; counts, not times, so
         # that losing the memoisation fails here rather than only in a benchmark.
-        pairs = segment_plan(build_sequence(name, 1.0, **params)).pairs
+        pairs = evolution._segment_plan(build_sequence(name, 1.0, **params), evolution._float_gaps).pairs
         assert plan_products(reduction_plan(pairs.astype(np.int64).tobytes(), 256)) <= most
 
     @pytest.mark.parametrize("name, params, most", [("cdd", {"m": 7}, 800), ("cudd", {"m": 3, "n": 3}, 25)],
@@ -335,7 +338,7 @@ class TestMemoisedReduction:
             plans.append(reduction_plan(*args))
             return plans[-1]
 
-        monkeypatch.setattr(highprec, "reduction_plan", recording_plan)
+        monkeypatch.setattr(evolution, "reduction_plan", recording_plan)
         seq = structureless(build_sequence(name, 0.01, **params))
         highprec._compose(seq, build_model(ModelSpec(d=4, seed=7)), [0.01])
         assert len(plans) == 1 and plan_products(plans[0]) <= most
@@ -434,13 +437,13 @@ class TestBlockComposition:
         seq = build_sequence(name, 1.0, **params)
         durations = [at / alpha(ops) for at in DEEP_GRID]
         leaves = []
-        segment_deviation = evolution._segment_deviation
+        plan = evolution._segment_plan
 
         def recording(flat, *args):
             leaves.append(flat)
-            return segment_deviation(flat, *args)
+            return plan(flat, *args)
 
-        monkeypatch.setattr(evolution, "_segment_deviation", recording)
+        monkeypatch.setattr(evolution, "_segment_plan", recording)
         w, errors = sequence_deviation(seq, ops, durations)
         assert errors == [None, None] and len(leaves) == 1 and leaves[0].blocks is None
         flat, _ = sequence_deviation(structureless(seq), ops, durations)
@@ -499,6 +502,52 @@ class TestBlockComposition:
         sequence_deviation(seq, ops, [0.01])
         highprec._compose(seq, ops, [0.01])
         assert counts["double"] == counts["extended"] <= most
+
+
+def sequential_reference(seq: PulseSequence, ops: BathOperators, t: float) -> np.ndarray:
+    """W <- E + W + E W segment by segment: one factor per distinct gap, each segment's frame by conjugate_frame."""
+    evals, evecs = ops.eigensystem
+    gaps = np.diff(np.concatenate(([0.0], seq.instants, [1.0])))
+    frames = np.concatenate(([0], np.bitwise_xor.accumulate(seq.codes)))
+    factors, w = {}, None
+    for gap, frame in zip(gaps.tolist(), frames.tolist()):
+        if gap == 0:
+            continue
+        if gap not in factors:
+            factors[gap] = (evecs * np.expm1(-1j * np.array([t * gap])[:, None] * evals)) @ evecs.conj().T
+        e = conjugate_frame(factors[gap], frame)
+        w = e if w is None else e + w + e @ w
+    return w
+
+
+class TestSequentialEquivalence:
+    # At d = 64 a chunk is one segment, so the reduction by plan is the sequential update;
+    # (E W) + (E + W) differs from (E + W) + E W by one commutative addition only.
+    @pytest.mark.parametrize("at", [1e-3, 1e-2])
+    @pytest.mark.parametrize("seq", [udd_sequence(1), udd_sequence(2), udd_sequence(3),
+                                     schedule_from_json(schedule_to_json(cdd_full(2)))],
+                             ids=["UDD-1", "UDD-2", "UDD-3", "CDD-2-json"])
+    def test_d64_deviation_is_bit_equal_to_sequential_update(self, seq, at):
+        ops = build_model(ModelSpec(d=64, seed=7))
+        t = at / alpha(ops)
+        assert stack_points(64) == 1 and seq.blocks is None
+        w, errors = sequence_deviation(seq, ops, [t])
+        assert errors == [None]
+        assert w[0].tobytes() == sequential_reference(seq, ops, t).tobytes()
+
+    @pytest.mark.parametrize("at", [1e-3, 1e-2])
+    @pytest.mark.parametrize("seq", [cudd(2, 2), build_sequence("udd2", 1.0, n=2)], ids=["CUDD(2,2)", "UDD2-2"])
+    def test_d64_structured_leaf_is_bit_equal_to_sequential_update(self, monkeypatch, seq, at):
+        ops = build_model(ModelSpec(d=64, seed=7))
+        t = at / alpha(ops)
+        results, reduce = [], evolution.reduce_pairwise
+        monkeypatch.setattr(evolution, "reduce_pairwise", lambda *args: results.append(reduce(*args)) or results[-1])
+        sequence_deviation(seq, ops, [t])
+        node, copies = seq.blocks, 1
+        while isinstance(node, Blocks):
+            node, copies = node.child, copies * len(node.frames)
+        assert copies > 1 and len(results) > 1 and segment_count(node) > 1
+        assert results[0][0].tobytes() == sequential_reference(node, ops, t / copies).tobytes()
 
 
 class TestSequenceUnitary:

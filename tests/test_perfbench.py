@@ -46,4 +46,4 @@ def test_tracer_work_counters(inputs, family):
     u = evolution.sequence_unitary(seq, ops)
     assert tracing._sequence_work((family.name, 0.01), dict(family.params), seq) == {"pulses": seq.pulse_count}
     work = tracing._evolution_work((seq, ops), {}, u)
-    assert work == {"pulses": seq.pulse_count, "segments": len(evolution.segment_plan(seq).frames), "n": 2 * ops.dim}
+    assert work == {"pulses": seq.pulse_count, "segments": evolution.segment_count(seq), "n": 2 * ops.dim}

@@ -478,12 +478,12 @@ class TestEmittedScheduleInvariants:
         assert [p.instant for p in longer.pulses] == [p.instant for p in seq.pulses]
 
     def test_with_duration_shares_arrays_and_segment_plan(self):
-        from ddforge.evolution import segment_plan
+        from ddforge.evolution import _float_gaps, _segment_plan
 
         seq = cdd_full(3, 1.0)
-        plan = segment_plan(seq)
+        plan = _segment_plan(seq, _float_gaps)
         longer = seq.with_duration(2.0)
-        assert segment_plan(longer) is plan
+        assert _segment_plan(longer, _float_gaps) is plan
         assert longer.instants is seq.instants and longer.codes is seq.codes
         assert (longer.total_duration, seq.total_duration) == (2.0, 1.0)
 
