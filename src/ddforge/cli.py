@@ -36,7 +36,7 @@ def _add_family_args(parser):
 
 
 def _add_model_args(parser):
-    parser.add_argument("--model", default=None, metavar="FILE", help="model spec JSON file")
+    parser.add_argument("--model", type=str, default=None, metavar="FILE", help="model spec JSON file")
     parser.add_argument("--d", type=int, default=None, help="bath dimension")
     parser.add_argument("--seed", type=int, default=None, help="bath seed (default: DDFORGE_SEED or 0)")
     parser.add_argument("--preset", default=None, help="generic | pure_dephasing | anisotropic | spin_bath(k)")
@@ -47,8 +47,9 @@ def _add_model_args(parser):
 def _add_common(parser):
     parser.add_argument("--config", default=None, metavar="FILE", help="JSON config with default option values")
     parser.add_argument("--no-meta", action="store_true", help="omit the timestamp header in CSV output")
-    # Added last, so that every numeric option of the command is known: config values must fit their types.
-    parser.set_defaults(option_types={a.dest: a.type for a in parser._actions if a.type in (int, float)})
+    # Added last, so that every typed option of the command is known: config values must fit their types.  Options
+    # read as strings declare type=str; --seeds (a list in a config) and --preset (checked with the model) do not.
+    parser.set_defaults(option_types={a.dest: a.type for a in parser._actions if a.type in (int, float, str)})
 
 
 def _load_json(path):
@@ -296,27 +297,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a schedule and write its JSON")
     _add_family_args(p_gen)
     p_gen.add_argument("--t", type=float, default=None, help="total duration (default 1.0)")
-    p_gen.add_argument("--out", default=None, metavar="FILE", help="schedule JSON output path")
+    p_gen.add_argument("--out", type=str, default=None, metavar="FILE", help="schedule JSON output path")
     _add_common(p_gen)
     p_gen.set_defaults(func=_cmd_gen)
 
     p_order = sub.add_parser("order", help="fit the suppression order of a family")
     _add_family_args(p_order)
     _add_model_args(p_order)
-    p_order.add_argument("--functional", choices=["flip", "dephase", "total"], default=None)
+    p_order.add_argument("--functional", type=str, choices=["flip", "dephase", "total"], default=None)
     p_order.add_argument("--at-min", type=float, default=None, help="smallest alpha*t (default 1e-3)")
     p_order.add_argument("--at-max", type=float, default=None, help="largest alpha*t (default 1e-2)")
     p_order.add_argument("--points", type=int, default=None, help="grid points (default 8)")
     p_order.add_argument("--seeds", default=None, help="comma-separated seed ensemble")
-    p_order.add_argument("--precision", choices=["double", "extended"], default=None)
-    p_order.add_argument("--out", default=None, metavar="FILE", help="scan CSV output path")
-    p_order.add_argument("--summary", default=None, metavar="FILE", help="fit summary JSON output path")
+    p_order.add_argument("--precision", type=str, choices=["double", "extended"], default=None)
+    p_order.add_argument("--out", type=str, default=None, metavar="FILE", help="scan CSV output path")
+    p_order.add_argument("--summary", type=str, default=None, metavar="FILE", help="fit summary JSON output path")
     _add_common(p_order)
     p_order.set_defaults(func=_cmd_order, shrink="the duration grid (--at-max)")
 
     p_counts = sub.add_parser("counts", help="pulse-count economics table")
     p_counts.add_argument("--m-max", dest="m_max", type=int, default=None)
-    p_counts.add_argument("--out", default=None, metavar="FILE")
+    p_counts.add_argument("--out", type=str, default=None, metavar="FILE")
     _add_common(p_counts)
     p_counts.set_defaults(func=_cmd_counts)
 
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p_cmp)
     p_cmp.add_argument("--seq", action="append", default=None, help="schedule token, e.g. udd,n=3 (repeatable)")
     p_cmp.add_argument("--t", type=float, default=None, help="common total duration (default 0.01)")
-    p_cmp.add_argument("--precision", choices=["double", "extended"], default=None)
+    p_cmp.add_argument("--precision", type=str, choices=["double", "extended"], default=None)
     _add_common(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare, shrink="the duration (--t)")
 

@@ -12,7 +12,8 @@ reaches W.
 ``compose`` is the pipeline of both engines, which supply only arithmetic:
 their gaps (float here, exact in ``highprec``), the factors of a schedule's
 distinct (gap, frame) pairs, and their product.  It keys the segments into
-pairs, kept with the schedule, and reduces the factors pairwise,
+pairs, kept with the schedule and shared by its re-timed copies (as is the
+control product), and reduces the factors pairwise,
 (I + A)(I + B) = I + (A + B + A B) with the later A on the left, in chunks
 of ``stack_points(d)`` segments (256 at d = 4; at d = 64 one, the update
 W <- E + W + E W) that fold in time order, so rounding grows as log N in
@@ -119,16 +120,16 @@ def _float_gaps(seq: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _segment_plan(seq: PulseSequence, gaps) -> SegmentPlan:
-    """The schedule's SegmentPlan by a gap rule, formed on first use and kept with the schedule per rule.
+    """The schedule's SegmentPlan by a gap rule, formed on first use and kept per rule in ``seq._cache``.
 
     ``gaps(seq)`` gives the distinct segment lengths in an engine's form and each segment's index into them.
     """
-    plans = seq.__dict__.setdefault("_segment_plans", {})
-    if gaps not in plans:
+    cache = seq._cache
+    if gaps not in cache:
         values, ids = gaps(seq)
         keys, pairs = np.unique(ids * 4 + _frames(seq.codes)[_kept(seq)], return_inverse=True)
-        plans[gaps] = SegmentPlan(values, pairs, keys // 4, keys % 4)
-    return plans[gaps]
+        cache[gaps] = SegmentPlan(values, pairs, keys // 4, keys % 4)
+    return cache[gaps]
 
 
 def segment_count(seq: PulseSequence) -> int:
@@ -137,12 +138,13 @@ def segment_count(seq: PulseSequence) -> int:
 
 
 def _control(seq: PulseSequence) -> np.ndarray:
-    """The control product from the codes, formed on first use and kept with the schedule."""
-    if "_control" not in seq.__dict__:
+    """The control product from the codes, formed on first use and kept in ``seq._cache``."""
+    cache = seq._cache
+    if _control not in cache:
         codes, frames = seq.codes, _frames(seq.codes)
         phase = _PHASE.ravel().take(codes * 4 + frames[:-1]).sum() % 4
-        seq._control = _POWERS_OF_I[phase] * SIGMA[CODE_AXIS[frames[-1]]]
-    return seq.__dict__["_control"]
+        cache[_control] = _POWERS_OF_I[phase] * SIGMA[CODE_AXIS[frames[-1]]]
+    return cache[_control]
 
 
 def control_product(seq: PulseSequence) -> np.ndarray:

@@ -26,6 +26,12 @@ equal-length copies of a child, each in the Pauli frame of the pulses
 before it, down to a flat leaf schedule.  Merging leaves every segment's
 frame as it was (it only composes codes), so the record holds for the
 merged schedule, and ``evolution`` composes long schedules by it.
+
+``build_sequence`` builds each (family, parameters) once per process, at
+unit duration, and returns re-timed copies (``with_duration``) of that
+schedule; the copies share its read-only arrays, its blocks and the plans
+the engines keep with it, so a scan over durations or bath seeds builds and
+plans a schedule once.
 """
 
 from __future__ import annotations
@@ -135,10 +141,16 @@ def _embed(items: _Items, nblocks: int) -> _Items:
     """The items rescaled into each of nblocks equal windows, (block + x) / nblocks, block after block."""
     den = _denominator(items.denominator * nblocks)
     block = np.arange(nblocks)[:, None]
-    exact = np.concatenate([items.exact] * nblocks)
+    exact = np.tile(items.exact, nblocks)
     nums = (block * (items.denominator * items.exact) + items.numerators).ravel()
-    instants = np.where(exact, _ratios(nums, den), ((block + items.instants) / nblocks).ravel())
-    return _Items(instants, np.concatenate([items.codes] * nblocks), nums, exact, den)
+    # Each rule only where some item takes it; both are elementwise, so the bits are those of either alone.
+    if items.exact.all():
+        instants = _ratios(nums, den)
+    else:
+        instants = ((block + items.instants) / nblocks).ravel()
+        if items.exact.any():
+            instants[exact] = _ratios(nums[exact], den)
+    return _Items(instants, np.tile(items.codes, nblocks), nums, exact, den)
 
 
 def _steps(items: _Items) -> np.ndarray:
@@ -199,6 +211,7 @@ def _copy_frames(heads: np.ndarray, child_code: int) -> np.ndarray:
     """Frames of copies, each after pulses of its head code: the XOR of the heads so far and of the copies before."""
     frames = np.bitwise_xor.accumulate(heads)
     frames[1::2] ^= child_code  # copy j follows j copies, whose product is the child's when j is odd
+    frames.flags.writeable = False  # shared by every copy of the schedule
     return frames
 
 
@@ -219,8 +232,11 @@ class PulseSequence:
 
     Invariants: instants strictly increasing in [0, 1]; no identity pulses.
     The arrays (see the module docstring) are read-only and nothing else
-    changes after construction, so instances are safe to share across threads.
-    ``blocks`` is the block structure its builder recorded, or None.
+    changes after construction but ``_cache``, which only gains what the
+    engines derive from the pulses alone (segment plans, the control
+    product), so instances are safe to share across threads.  Every
+    ``with_duration`` copy shares ``_cache``.  ``blocks`` is the block
+    structure its builder recorded, or None.
     """
 
     def __init__(self, total_duration: float, pulses: Iterable[Pulse], label: str = "", family: dict | None = None):
@@ -233,7 +249,7 @@ class PulseSequence:
         self.total_duration = _duration(total_duration)
         self.instants, self.codes, self.numerators, self.exact, self.denominator = self._arrays = _checked(items)
         self.label, self.family = label, {} if family is None else family
-        self.blocks = None
+        self.blocks, self._cache = None, {}
 
     @property
     def pulses(self) -> tuple[Pulse, ...]:
@@ -255,7 +271,7 @@ class PulseSequence:
         return PulseSequence(self.total_duration, items, f"{self.label}[{axis.value}]", dict(self.family))
 
     def with_duration(self, total_duration: float) -> "PulseSequence":
-        """The same pulses over another duration, sharing the arrays and whatever is cached with them."""
+        """The same pulses over another duration, sharing the arrays, the blocks and ``_cache``."""
         seq = copy.copy(self)
         seq.total_duration, seq.family = _duration(total_duration), dict(self.family)
         return seq
@@ -530,8 +546,18 @@ FAMILIES = ("none", "se", "cpmg", "pdd", "icpmg", "udd", "cdd", "cddxx", "cudd",
 
 def build_sequence(family: str, total_duration: float = 1.0, *, n: int | None = None, m: int | None = None,
                    c: int | None = None, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
-    """Construct a schedule by family name; raises ValueError on bad params."""
-    family = family.lower().replace("_", "-")
+    """Construct a schedule by family name; raises ValueError on bad params.
+
+    The schedule is built once per process at unit duration (``_unit_schedule``)
+    and handed out re-timed: a copy with its own ``family`` and ``blocks``
+    attributes that shares the read-only arrays and ``_cache``.
+    """
+    return _unit_schedule(family.lower().replace("_", "-"), n, m, c, axis).with_duration(total_duration)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _unit_schedule(family: str, n, m, c, axis) -> PulseSequence:
+    """The schedule of ``build_sequence`` at unit duration, kept per parameters as given; never handed out."""
 
     def need(value, what):
         if value is None:
@@ -539,17 +565,17 @@ def build_sequence(family: str, total_duration: float = 1.0, *, n: int | None = 
         return value
 
     builders = {
-        "none": lambda: PulseSequence(total_duration, (), "free", {"name": "none"}),
-        "se": lambda: spin_echo(total_duration, axis),
-        "cpmg": lambda: cpmg(total_duration, axis),
-        "pdd": lambda: pdd(need(n, "n"), total_duration, axis),
-        "icpmg": lambda: icpmg(need(c, "c"), total_duration, axis),
-        "udd": lambda: udd_sequence(need(n, "n"), total_duration, axis),
-        "cdd": lambda: cdd_full(need(m, "m"), total_duration),
-        "cddxx": lambda: cdd_xx(need(n, "n"), total_duration),
-        "cudd": lambda: cudd(need(m, "m"), need(n, "n"), total_duration),
-        "cpmg-udd": lambda: cpmg_udd(need(m, "m"), need(c, "c"), total_duration),
-        "udd2": lambda: udd2_approx(need(n, "n"), total_duration),
+        "none": lambda: PulseSequence(1.0, (), "free", {"name": "none"}),
+        "se": lambda: spin_echo(axis=axis),
+        "cpmg": lambda: cpmg(axis=axis),
+        "pdd": lambda: pdd(need(n, "n"), axis=axis),
+        "icpmg": lambda: icpmg(need(c, "c"), axis=axis),
+        "udd": lambda: udd_sequence(need(n, "n"), axis=axis),
+        "cdd": lambda: cdd_full(need(m, "m")),
+        "cddxx": lambda: cdd_xx(need(n, "n")),
+        "cudd": lambda: cudd(need(m, "m"), need(n, "n")),
+        "cpmg-udd": lambda: cpmg_udd(need(m, "m"), need(c, "c")),
+        "udd2": lambda: udd2_approx(need(n, "n")),
     }
     if family not in builders:
         raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")

@@ -288,6 +288,23 @@ class TestStackedScan:
             evaluate_scan(family, ModelSpec(d=16, seed=7), default_t_grid(1.0), seeds=[7, 8, 9])
         assert len(plans) == 2
 
+    def test_one_segment_plan_across_seed_scans(self, monkeypatch):
+        # One order scan per bath seed, as in `ddforge order` over a seed pool: every
+        # scan composes a re-timed copy of one built UDD-3, and the copies share its plan.
+        from ddforge import evolution
+
+        plans = []
+        segment_plan_class = evolution.SegmentPlan
+
+        def counting_plan(*args):
+            plans.append(segment_plan_class(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(evolution, "SegmentPlan", counting_plan)
+        for seed in range(7, 17):
+            evaluate_scan({"name": "udd", "n": 3}, ModelSpec(d=4, seed=seed), default_t_grid(1.0))
+        assert len(plans) == 1
+
     @pytest.mark.parametrize("d, sizes", [(4, [8, 8]), (64, [1] * 8)])
     def test_stack_sizes(self, monkeypatch, d, sizes):
         # At d = 4 one stack holds the whole grid per bath model; at d = 64

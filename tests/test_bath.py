@@ -194,6 +194,49 @@ class TestAlpha:
         ops = build_model(ModelSpec(d=4, seed=1, norm_targets={g: 0.0 for g in GAMMAS}))
         assert alpha(ops) == 0.0
 
+    def test_kept_with_the_model(self):
+        ops = build_model(ModelSpec(d=4, seed=1, norm_targets={"x": 0.5, "z": 3.0}))
+        assert "alpha" not in vars(ops)
+        assert alpha(ops) == max(spectral_norm(a) for _, a in ops.items()) == pytest.approx(3.0, abs=1e-10)
+        assert "alpha" in vars(ops)
+
+
+class TestModelMemo:
+    def test_equal_specs_give_one_model(self):
+        spec = ModelSpec(d=4, seed=7, norm_targets={"x": 0.5, "z": 0.25})
+        ops = build_model(spec)
+        assert build_model(spec) is ops
+        assert build_model(ModelSpec(d=4, seed=7, norm_targets={"z": 0.25, "x": 0.5})) is ops
+        assert build_model(ModelSpec(d=4, seed=7, norm_targets={"x": 0.5, "z": 0.25, "0": 1})) is ops
+
+    @pytest.mark.parametrize("other", [
+        ModelSpec(d=8, seed=7, norm_targets={"x": 0.5, "z": 0.25}),
+        ModelSpec(d=4, seed=8, norm_targets={"x": 0.5, "z": 0.25}),
+        ModelSpec(d=4, seed=7, preset="anisotropic", norm_targets={"x": 0.5, "z": 0.025}),
+        ModelSpec(d=4, seed=7, norm_targets={"x": 0.5, "z": 0.5}),
+        ModelSpec(d=4, seed=True, norm_targets={"x": 0.5, "z": 0.25}),
+    ], ids=["d", "seed", "preset", "targets", "seed-type"])
+    def test_any_field_differing_gives_another(self, other):
+        assert build_model(other) is not build_model(ModelSpec(d=4, seed=7, norm_targets={"x": 0.5, "z": 0.25}))
+
+    def test_equals_a_fresh_draw(self):
+        from ddforge import bath
+
+        ops = build_model(ModelSpec(d=4, seed=7))
+        ops.eigensystem
+        bath._model.cache_clear()
+        fresh = build_model(ModelSpec(d=4, seed=7))
+        assert fresh is not ops and "eigensystem" not in vars(fresh)
+        assert [a.tobytes() for _, a in fresh.items()] == [a.tobytes() for _, a in ops.items()]
+
+    def test_failed_build_is_not_cached(self):
+        from ddforge import bath
+
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exceeds the cap 64"):
+                build_model(ModelSpec(d=128, seed=1))
+        assert bath._model.cache_info().currsize == 0
+
 
 class TestSpecJson:
     def test_round_trip(self):

@@ -409,6 +409,29 @@ class TestConfigFile:
         assert code == 2
         assert err == "error: model key 'preset' must be a string, got 5\n"
 
+    @pytest.mark.parametrize("key", ["functional", "out", "summary", "model", "precision"])
+    def test_mistyped_string_option_is_usage_error(self, capsys, tmp_path, key):
+        # {"functional": 5} raised TypeError ("E_" + 5); a numeric out, summary or model
+        # was opened as a file descriptor; precision 5 failed without naming the file.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: 5}))
+        argv = ("order", "udd", "--n", "2", "--points", "4", "--seed", "7", "--config", str(config))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: config key {key!r} in {config} must be a string, got 5\n"
+
+    @pytest.mark.parametrize("argv, key", [
+        (("gen", "cpmg"), "out"),
+        (("counts", "--m-max", "2"), "out"),
+        (("compare", "--seq", "udd,n=2"), "precision"),
+    ], ids=["gen-out", "counts-out", "compare-precision"])
+    def test_mistyped_string_option_of_other_commands(self, capsys, tmp_path, argv, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: [1]}))
+        code, _, err = run(capsys, *argv, "--config", str(config))
+        assert code == 2
+        assert err == f"error: config key {key!r} in {config} must be a string, got [1]\n"
+
     def test_integer_fits_a_float_option(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text('{"tau0": 1, "halvings": 0, "seed": 7}')

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -243,8 +244,9 @@ class TestStackedComposition:
 
     def test_failed_item_is_recorded_not_raised(self):
         # A scaled eigenvector basis makes every segment factor non-unitary;
-        # each item carries the error its own composition raises.
-        ops = build_model(ModelSpec(d=4, seed=7))
+        # each item carries the error its own composition raises.  The basis is
+        # written into a private copy, not into the model build_model shares.
+        ops = dataclasses.replace(build_model(ModelSpec(d=4, seed=7)))
         evals, evecs = ops.eigensystem
         ops.__dict__["eigensystem"] = (evals, evecs * 1.001)
         seq = udd_sequence(2, 0.01)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ddforge.sequences import (
+    FAMILIES,
     PauliAxis,
     Pulse,
     PulseSequence,
@@ -544,6 +545,91 @@ class TestBuildSequence:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             build_sequence("xy8", 1.0)
+
+
+# One member of each family; the builder each name dispatches to, called directly, is the uncached build.
+MEMO_FAMILIES = [
+    ("none", {}, lambda t: PulseSequence(t, (), "free", {"name": "none"})),
+    ("se", {"axis": X}, lambda t: spin_echo(t, X)),
+    ("cpmg", {}, lambda t: cpmg(t)),
+    ("pdd", {"n": 3, "axis": Y}, lambda t: pdd(3, t, Y)),
+    ("icpmg", {"c": 2}, lambda t: icpmg(2, t)),
+    ("udd", {"n": 5}, lambda t: udd_sequence(5, t)),
+    ("cdd", {"m": 5}, lambda t: cdd_full(5, t)),
+    ("cddxx", {"n": 4}, lambda t: cdd_xx(4, t)),
+    ("cudd", {"m": 3, "n": 3}, lambda t: cudd(3, 3, t)),
+    ("cpmg_udd", {"m": 2, "c": 2}, lambda t: cpmg_udd(2, 2, t)),
+    ("udd2", {"n": 3}, lambda t: udd2_approx(3, t)),
+]
+
+
+def block_record(seq):
+    """Every level's copy frames and the leaf's arrays, as bytes."""
+    node, record = seq.blocks, []
+    while node is not None and not isinstance(node, PulseSequence):
+        record.append(node.frames.tobytes())
+        node = node.child
+    return record, None if node is None else [a.tobytes() for a in node._arrays[:4]]
+
+
+class TestBuildMemo:
+    @pytest.mark.parametrize("name, params, fresh", MEMO_FAMILIES, ids=[f[0] for f in MEMO_FAMILIES])
+    def test_hit_equals_fresh_build(self, name, params, fresh):
+        from ddforge import bath, evolution
+
+        ops = bath.build_model(bath.ModelSpec(d=4, seed=7))
+        first = build_sequence(name, 0.01, **params)
+        evolution.sequence_unitary(first, ops)  # forms the plans every later copy shares
+        for t in (0.01, 0.05):
+            hit, want = build_sequence(name, t, **params), fresh(t)
+            assert hit is not first and hit._cache is first._cache
+            assert evolution._control(hit) is evolution._control(first)
+            assert hashlib.sha256(schedule_to_json(hit).encode()).digest() == \
+                hashlib.sha256(schedule_to_json(want).encode()).digest()
+            assert [a.tobytes() for a in hit._arrays[:4]] == [a.tobytes() for a in want._arrays[:4]]
+            assert hit.denominator == want.denominator and hit.total_duration == t
+            assert block_record(hit) == block_record(want)
+            got, ref = evolution.sequence_unitary(hit, ops), evolution.sequence_unitary(want, ops)
+            assert got.w.tobytes() == ref.w.tobytes() and got.u.tobytes() == ref.u.tobytes()
+
+    def test_mutating_a_result_does_not_reach_the_next(self):
+        seq = build_sequence("cdd", 0.5, m=3)
+        seq.family["m"], seq.family["extra"] = 99, True
+        seq.label, seq.blocks = "bogus", None
+        with pytest.raises(ValueError):
+            build_sequence("cdd", 0.5, m=3).blocks.frames[0] = 1
+        again = build_sequence("cdd", 0.5, m=3)
+        assert again.family == {"name": "cdd", "m": 3} and again.label == "CDD-3"
+        assert block_record(again) == block_record(cdd_full(3, 0.5))
+
+    @pytest.mark.parametrize("order", [(True, 1), (1, True)], ids=["bool-first", "int-first"])
+    def test_keys_are_typed(self, order):
+        # n=True built UDD-True and n=1 UDD-1, whichever came first.
+        labels = {type(n): build_sequence("udd", 1.0, n=n).label for n in order}
+        assert labels == {bool: "UDD-True", int: "UDD-1"}
+        assert type(build_sequence("udd", 1.0, n=True).family["n"]) is bool
+
+    @pytest.mark.parametrize("kwargs, message, cached", [
+        ({"family": "udd", "n": 0}, "need at least one pulse", 0),
+        ({"family": "cdd"}, "family 'cdd' requires --m", 0),
+        ({"family": "cudd", "m": 2, "n": -1}, "level must be non-negative", 0),
+        ({"family": "udd", "n": 2, "axis": "Q"}, "'Q' is not a valid PauliAxis", 0),
+        ({"family": "xy8"}, "unknown family 'xy8'; expected one of " + ", ".join(FAMILIES), 0),
+        # The unit schedule is sound and kept; only its re-timing fails.
+        ({"family": "cpmg", "total_duration": -1.0}, "total_duration must be positive and finite, got -1.0", 1),
+        ({"family": "udd", "n": 0, "total_duration": -1.0}, "need at least one pulse", 0),
+    ], ids=["bad-n", "missing-m", "bad-level", "bad-axis", "unknown", "bad-duration", "n-before-duration"])
+    def test_failed_build_is_not_cached(self, kwargs, message, cached):
+        from ddforge import sequences
+
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                build_sequence(**kwargs)
+            assert str(err.value) == message
+        assert sequences._unit_schedule.cache_info().currsize == cached
+
+    def test_axis_unchecked_where_ignored(self):
+        assert build_sequence("cdd", 1.0, m=1, axis="Q").label == "CDD-1"
 
 
 class TestScheduleJson:
