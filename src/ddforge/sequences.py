@@ -143,13 +143,8 @@ def _embed(items: _Items, nblocks: int) -> _Items:
     block = np.arange(nblocks)[:, None]
     exact = np.tile(items.exact, nblocks)
     nums = (block * (items.denominator * items.exact) + items.numerators).ravel()
-    # Each rule only where some item takes it; both are elementwise, so the bits are those of either alone.
-    if items.exact.all():
-        instants = _ratios(nums, den)
-    else:
-        instants = ((block + items.instants) / nblocks).ravel()
-        if items.exact.any():
-            instants[exact] = _ratios(nums[exact], den)
+    instants = ((block + items.instants) / nblocks).ravel()
+    instants[exact] = _ratios(nums[exact], den)
     return _Items(instants, np.tile(items.codes, nblocks), nums, exact, den)
 
 
@@ -550,9 +545,15 @@ def build_sequence(family: str, total_duration: float = 1.0, *, n: int | None = 
 
     The schedule is built once per process at unit duration (``_unit_schedule``)
     and handed out re-timed: a copy with its own ``family`` and ``blocks``
-    attributes that shares the read-only arrays and ``_cache``.
+    attributes that shares the read-only arrays and ``_cache``.  Arguments
+    that cannot key the memo (a list, say) are built and checked uncached.
     """
-    return _unit_schedule(family.lower().replace("_", "-"), n, m, c, axis).with_duration(total_duration)
+    key = (family.lower().replace("_", "-"), n, m, c, axis)
+    try:
+        hash(key)
+    except TypeError:
+        return _unit_schedule.__wrapped__(*key).with_duration(total_duration)
+    return _unit_schedule(*key).with_duration(total_duration)
 
 
 @lru_cache(maxsize=64, typed=True)

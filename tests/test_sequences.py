@@ -631,6 +631,17 @@ class TestBuildMemo:
     def test_axis_unchecked_where_ignored(self):
         assert build_sequence("cdd", 1.0, m=1, axis="Q").label == "CDD-1"
 
+    def test_unhashable_argument_is_built_uncached(self):
+        from ddforge import sequences
+
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^\['Z'\] is not a valid PauliAxis$"):
+                build_sequence("udd", 1.0, n=2, axis=["Z"])
+        seq = build_sequence("cdd", 0.5, m=2, axis=["Z"])
+        assert schedule_to_json(seq) == schedule_to_json(cdd_full(2, 0.5))
+        assert block_record(seq) == block_record(cdd_full(2, 0.5))
+        assert sequences._unit_schedule.cache_info().currsize == 0
+
 
 class TestScheduleJson:
     def test_round_trip_exact(self):
