@@ -49,7 +49,8 @@ def _add_common(parser):
     parser.add_argument("--no-meta", action="store_true", help="omit the timestamp header in CSV output")
     # Added last, so that every typed option of the command is known: config values must fit their types.  Options
     # read as strings declare type=str; --seeds (a list in a config) and --preset (checked with the model) do not.
-    parser.set_defaults(option_types={a.dest: a.type for a in parser._actions if a.type in (int, float, str)})
+    parser.set_defaults(option_types={a.dest: a.type for a in parser._actions if a.type in (int, float, str)},
+                        option_choices={a.dest: a.choices for a in parser._actions if a.option_strings and a.choices})
 
 
 def _load_json(path):
@@ -58,8 +59,14 @@ def _load_json(path):
 
 
 def _load_config(args) -> dict:
-    return {} if args.config is None else bath.check_types(_load_json(args.config), args.option_types, "config",
-                                                           args.config)
+    """The --config file's object, its values checked against the options' types and choices before any work."""
+    config = {} if args.config is None else bath.check_types(_load_json(args.config), args.option_types, "config",
+                                                             args.config)
+    for key, choices in args.option_choices.items():
+        if key in config and config[key] not in choices:
+            raise ValueError(f"config key {key!r} in {args.config} must be one of"
+                             f" {', '.join(map(repr, choices))}, got {config[key]!r}")
+    return config
 
 
 def _resolve(args, config, key, default):

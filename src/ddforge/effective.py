@@ -1,14 +1,17 @@
 """Effective-generator extraction and the concatenation-step predictor.
 
 The principal Hermitian generator M with I + W = exp(-i M) comes from the
-Cayley form: K = -i (2I + W)^-1 W = tan(-M/2) is Hermitian, so one
-eigendecomposition K = V diag(lam) V^+ gives the eigenphases 2 arctan(lam)
-and M = -2 V diag(arctan lam) V^+.  A schedule is logged from its
-toggling-frame deviation W = ctrl^+ U - I, and the reconstruction is checked
-against W, so the error stays near eps |W| with no eigenvalue-gap condition;
-each point reports that floor, FLOOR_UNIT |M| ceil(log2 segments).
-Eigenphases must stay clear of the +-pi branch cut; callers shrink the
-duration when they do not.  All of it runs on (G, 2d, 2d) stacks.
+Cayley form: Z = (2I + W)^-1 W = i tan(-M/2) is anti-Hermitian and
+log(I + W) = 2 atanh Z.  Below |Z|_F = 1/2 (eigenphases within about 0.93
+rad) M is the odd series 2i (Z + Z^3/3 + ...) of ``atanh_series``, which the
+extended engine sums too; above it one eigendecomposition -i Z = V diag(lam)
+V^+ gives the eigenphases 2 arctan(lam) and M.  A schedule is logged from
+its toggling-frame deviation W = ctrl^+ U - I, and Z is checked against W,
+so the error stays near eps |W| with no eigenvalue-gap condition; each
+point reports that floor, FLOOR_UNIT |M| ceil(log2 segments), with |M| a
+bound on the eigenphases.  Eigenphases must stay clear of the +-pi branch
+cut; callers shrink the duration when they do not.  All of it runs on
+(G, 2d, 2d) stacks.
 """
 
 from __future__ import annotations
@@ -22,9 +25,13 @@ from .evolution import UnitaryResult, segment_count, sequence_deviation, sequenc
 
 BRANCH_MARGIN = 0.1
 # Roundoff per level of the pairwise reduction, relative to |M|: on the 1,000 nonzero values of the 340
-# points of perfbench/references/order.json (d = 4, 64; block path included) errors stay below 0.83 floors
-# (0.14 for values within 1e6 floors); 2^-52 gave 13.
+# points of perfbench/references/order.json (d = 4, 64; block path included) errors stay below 0.79 floors
+# (0.006 for values within 1e6 floors); 2^-52 gave 13.
 FLOOR_UNIT = 2.0**-48
+# Below this |Z|_F the log is the atanh series (eigenphases within 2 arctan 1/2, about 0.93 rad); above it, eigh.
+SERIES_BOUND = 0.5
+# Bound on the tail of the double series, relative to its first term.
+_SERIES_TOL = 2.0**-53
 
 
 class BranchAmbiguityError(ArithmeticError):
@@ -55,37 +62,83 @@ def shifted_solve(w: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarra
         return x, singular
 
 
+def atanh_series(z, z2, terms: np.ndarray, product, add, scale):
+    """atanh Z = Z + Z^3/3 + ... per item of a (G, n, n) stack, z2 = Z^2, in an engine's product, add and scale.
+
+    Item g sums terms[g] terms after the first: scale(power, j, live) is power / (2j + 1) where the (G,) mask
+    live holds and exact zeros elsewhere.
+    """
+    total, power = z, z
+    for j in range(1, int(terms.max(initial=0)) + 1):
+        power = product(power, z2)
+        total = add(total, scale(power, j, terms >= j))
+    return total
+
+
+def _series_log(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M = 2i atanh Z for an anti-Hermitian (G, n, n) stack with |Z|_F < 1/2 (Z is overwritten), and |M|.
+
+    Z is normal, so r^2 = |Z^2|_F >= |Z|_2^2: an item stops at the first N
+    with r^(2N+2) / ((2N + 3)(1 - r^2)) <= _SERIES_TOL, a bound on the tail
+    relative to r, and 2 arctan |Z^(2N+1)|_F^(1/(2N+1)) bounds its eigenphases
+    (2 arctan r where N = 0).
+    """
+    z2 = z @ z
+    q, j = np.linalg.norm(z2, axis=(-2, -1))[:, None], np.arange(24)  # q < 1/4 takes at most 23 terms
+    terms = (q ** (j + 1) / ((2 * j + 3) * (1 - q)) > _SERIES_TOL).sum(axis=-1)
+    root, even, odd, term = np.sqrt(q[:, 0]), np.empty_like(z), np.empty_like(z), np.empty_like(z)
+
+    def scale(power, j, live):
+        if (last := terms == j).any():
+            root[last] = (np.linalg.norm(power, axis=(-2, -1)) ** (1 / (2 * j + 1)))[last]
+        np.divide(power, 2 * j + 1, out=term)
+        term[~live] = complex(-0.0, -0.0)  # x + (-0) is x, bit for bit
+        return term
+
+    total = atanh_series(z, z2, terms, lambda power, z2: np.matmul(power, z2, out=odd if power is even else even),
+                         lambda total, term: np.add(total, term, out=total), scale)
+    m = np.swapaxes(total.conj(), -1, -2)
+    np.subtract(total, m, out=m)
+    m *= 1j  # 2i atanh Z, made Hermitian
+    return m, 2 * np.arctan(root)
+
+
 def _principal_logs(w: np.ndarray, margin: float) -> tuple[np.ndarray, list, np.ndarray]:
     """unitary_log of I + W for every W in a (G, n, n) stack, without raising.
 
     Returns the (G, n, n) generators, per matrix the exception unitary_log
-    would raise for it, or None, and the (G,) largest |eigenphase|, |M|.  A
-    failed matrix does not stop the others; its generator is meaningless.
+    would raise for it, or None, and the (G,) bound |M| on the eigenphases.
+    A failed matrix does not stop the others; its generator is meaningless.
     """
-    k, singular = shifted_solve(w)
-    k = -1j * k
-    k = (k + np.swapaxes(k.conj(), -1, -2)) / 2
-    lam, v = np.linalg.eigh(k)
-    v_h = np.swapaxes(v.conj(), -1, -2)
-    phases = 2 * np.arctan(lam)
-    phases[singular] = np.pi
-    errors = []
-    for item in phases:
-        worst = item[np.abs(item).argmax()]
-        if np.abs(worst) > np.pi - margin:
-            errors.append(BranchAmbiguityError(
-                f"eigenphase {worst:+.4f} rad within {margin} of the branch cut; shrink the duration",
-                eigenphase=float(worst),
-            ))
-        else:
-            errors.append(None)
-    m = (v * (-phases)[..., None, :]) @ v_h
-    m = (m + np.swapaxes(m.conj(), -1, -2)) / 2
-    rebuilt = (v * (2j * lam / (1 - 1j * lam))[..., None, :]) @ v_h
-    for g, residual in enumerate(np.abs(rebuilt - w).max(axis=(-2, -1))):
-        if errors[g] is None and residual > 1e-9:
-            errors[g] = ArithmeticError(f"log reconstruction residual {residual:.2e} exceeds 1e-9")
-    return m, errors, np.abs(phases).max(axis=-1)
+    z, singular = shifted_solve(w)
+    z -= np.swapaxes(z.conj(), -1, -2)
+    z *= 0.5  # Z = i tan(-M/2), anti-Hermitian
+    residual = np.abs(w - 2 * z - w @ z).max(axis=(-2, -1))
+    size = np.linalg.norm(z, axis=(-2, -1))
+    size[singular] = np.inf
+    # Items at or above SERIES_BOUND, the branch cut among them, enter the series as zeros and take one eigh.
+    near = np.nonzero(size >= SERIES_BOUND)[0]
+    k = -1j * z[near]  # Hermitian: V diag(lam) V^+
+    z[near] = 0
+    m, phase = _series_log(z)
+    errors = [None] * len(w)
+    if len(near):
+        lam, v = np.linalg.eigh(k)
+        phases = 2 * np.arctan(lam)
+        phases[size[near] == np.inf] = np.pi
+        m_near = (v * (-phases)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+        m[near] = (m_near + np.swapaxes(m_near.conj(), -1, -2)) / 2
+        phase[near] = np.abs(phases).max(axis=-1)
+        for g, item in zip(near, phases):
+            worst = item[np.abs(item).argmax()]
+            if np.abs(worst) > np.pi - margin:
+                errors[g] = BranchAmbiguityError(
+                    f"eigenphase {worst:+.4f} rad within {margin} of the branch cut; shrink the duration",
+                    eigenphase=float(worst),
+                )
+    for g in np.nonzero(residual > 1e-9)[0]:
+        errors[g] = errors[g] or ArithmeticError(f"log reconstruction residual {residual[g]:.2e} exceeds 1e-9")
+    return m, errors, phase
 
 
 def unitary_log(u: np.ndarray) -> np.ndarray:

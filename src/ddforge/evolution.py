@@ -366,7 +366,10 @@ def sequence_unitary(seq: PulseSequence, ops: BathOperators) -> UnitaryResult:
     if errors[0] is not None:
         raise errors[0]
     u = apply_qubit_factor(_control(seq), w[0] + np.eye(w.shape[-1]))
-    return UnitaryResult(u, seq.total_duration, seq.pulse_count, seq.label, w[0])
+    u.flags.writeable = False
+    result = object.__new__(UnitaryResult)  # W passed its unitarity check above; __post_init__ would repeat it
+    result.__dict__.update(u=u, total_duration=seq.total_duration, pulse_count=seq.pulse_count, label=seq.label, w=w[0])
+    return result
 
 
 def entanglement_fidelity(u: UnitaryResult | np.ndarray) -> float:

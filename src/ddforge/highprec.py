@@ -21,13 +21,15 @@ Its leaf's float instants are then scaled exactly, where the segments
 re-round each parent instant, so for UDD-based leaves the two paths differ
 near eps |W|.
 The log is 2 atanh(Z), Z = (2I + W)^-1 W: a double solve refined once, then
-the odd series; eigenphases beyond about 1.4 rad, the +-pi branch cut
-included, raise BranchAmbiguityError.  Each item reports a floor,
-FLOOR_UNIT * |M| * segments, kept from the sequential update (the tree is
-shallower).  Against mpmath at 50 digits, of the 760 nonzero values of the
-260 stored d = 4 reference points it bounds the error of 279 (worst 0.93 of
-it); the other 481, each above 10^15 floors, are off by at most 7 ulps, the
-rounding of the blocks to complex128 and of the double norms.
+the double engine's ``effective.atanh_series`` in double-double, as many
+terms per item as an ``eigvalsh`` of Z asks for; eigenphases beyond about
+1.4 rad, the +-pi branch cut included, raise BranchAmbiguityError.  Each
+item reports a floor, FLOOR_UNIT * |M| * segments, kept from the sequential
+update (the tree is shallower).  Against mpmath at 50 digits, of the 760
+nonzero values of the 260 stored d = 4 reference points it bounds the error
+of 279 (worst 0.93 of it); the other 481, each above 10^15 floors, are off
+by at most 7 ulps, the rounding of the blocks to complex128 and of the
+double norms.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bath import BathOperators, spectral_norm, total_hamiltonian
-from .effective import BranchAmbiguityError, EffectiveHamiltonian, error_functionals, shifted_solve
+from .effective import BranchAmbiguityError, EffectiveHamiltonian, atanh_series, error_functionals, shifted_solve
 from .evolution import compose, frame_factors, segment_count
 from .sequences import PulseSequence
 
@@ -250,10 +252,8 @@ def _log(w, errors: list):
     # One refinement in double-double: Z = Z0 + (2I + W)^-1 (W - 2 Z0 - W Z0).
     residual = _add(_add(w, (-2 * z0, zero)), _neg(_matmul(w, (z0, zero))))
     z = _two_sum(z0, shifted_solve(w[0], residual[0])[0])
-    z2, total, power = _matmul(z, z), z, z
-    for j in range(1, int(terms.max(initial=0)) + 1):
-        power = _matmul(power, z2)
-        total = _add(total, _masked(_div(power, float(2 * j + 1)), (terms >= j)[:, None, None]))
+    total = atanh_series(z, _matmul(z, z), terms, _matmul, _add,
+                         lambda power, j, live: _masked(_div(power, float(2 * j + 1)), live[:, None, None]))
     return (2 * total[0], 2 * total[1]), phases
 
 

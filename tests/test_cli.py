@@ -432,6 +432,23 @@ class TestConfigFile:
         assert code == 2
         assert err == f"error: config key {key!r} in {config} must be a string, got [1]\n"
 
+    @pytest.mark.parametrize("key, value, choices", [
+        ("functional", "bogus", "'flip', 'dephase', 'total'"),
+        ("precision", "bogus", "'double', 'extended'"),
+        ("axis", "Q", "'X', 'Y', 'Z'"),
+    ], ids=["functional", "precision", "axis"])
+    def test_value_outside_choices_is_usage_error(self, capsys, tmp_path, monkeypatch, key, value, choices):
+        # {"functional": "bogus"} ran the whole scan and then failed with "error: 'E_bogus'";
+        # the other two did not name the file.  Each now stops before any scan runs.
+        from ddforge import analysis
+
+        monkeypatch.setattr(analysis, "evaluate_scan", lambda *args, **kwargs: pytest.fail("the scan ran"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, "order", "udd", "--n", "2", "--seed", "7", "--config", str(config))
+        assert code == 2 and out == ""
+        assert err == f"error: config key {key!r} in {config} must be one of {choices}, got {value!r}\n"
+
     def test_integer_fits_a_float_option(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text('{"tau0": 1, "halvings": 0, "seed": 7}')

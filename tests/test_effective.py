@@ -4,9 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ddforge import effective
 from ddforge.bath import SIGMA, BathOperators, ModelSpec, alpha, build_model, spectral_norm
 from ddforge.effective import (
+    BRANCH_MARGIN,
     BranchAmbiguityError,
+    _principal_logs,
     error_functionals,
     magnus_cdd_predict,
     pauli_decompose,
@@ -15,7 +18,7 @@ from ddforge.effective import (
     unitary_effective,
     unitary_log,
 )
-from ddforge.evolution import expm_segment, sequence_unitary
+from ddforge.evolution import expm_segment, sequence_deviation, sequence_unitary
 from ddforge.sequences import PauliAxis, PulseSequence, build_sequence, cdd_full, cdd_xx, cudd, udd_sequence
 
 RNG = np.random.default_rng(77)
@@ -116,6 +119,67 @@ class TestUnitaryLog:
         u = expm_segment(random_hermitian(8, 2.0), 1.0)
         m = unitary_log(u)
         assert np.abs(m - m.conj().T).max() < 1e-14
+
+
+def cayley_size(w):
+    """|Z|_F of Z = (2I + W)^-1 W, the quantity that picks the series log (< 1/2) or eigh."""
+    return np.linalg.norm(np.linalg.solve(w + 2 * np.eye(w.shape[-1]), w))
+
+
+def deviation_with_phases(phases, rng):
+    """W = U - I for U = V diag(exp(-i phases)) V^+, V a random unitary, formed from expm1."""
+    n = len(phases)
+    v = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    return (v * np.expm1(-1j * np.asarray(phases))) @ v.conj().T
+
+
+class TestSeriesLog:
+    def test_stack_on_both_sides_of_switch_equals_separate_calls(self):
+        # Items below and above SERIES_BOUND, and one singular item, in one stack:
+        # every generator, error and |M| bound is the one a call on that item alone gives.
+        rng = np.random.default_rng(5)
+        w = np.stack([deviation_with_phases(rng.uniform(-s, s, 8), rng) for s in (1e-4, 0.05, 2.5, 0.3)]
+                     + [-2 * np.eye(8, dtype=complex)])
+        sizes = [cayley_size(item) for item in w[:4]]
+        assert sizes[0] < sizes[1] < effective.SERIES_BOUND <= sizes[2] and sizes[3] < effective.SERIES_BOUND
+        m, errors, phase = _principal_logs(w, BRANCH_MARGIN)
+        for g in range(len(w)):
+            m_one, errors_one, phase_one = _principal_logs(w[g:g + 1], BRANCH_MARGIN)
+            assert type(errors[g]) is type(errors_one[0])
+            if errors[g] is None:
+                assert m[g].tobytes() == m_one[0].tobytes()
+                assert phase[g].tobytes() == phase_one[0].tobytes()
+        assert errors[:4] == [None] * 4 and type(errors[4]) is BranchAmbiguityError
+
+    @pytest.mark.parametrize("d", [1, 4, 16, 64])
+    @pytest.mark.parametrize("largest", [1e-6, 1e-4, 1e-2, 0.3, 0.9])
+    def test_matches_eigh_within_one_floor(self, monkeypatch, d, largest):
+        # One eigenphase at -largest, the others spread below it, kept small
+        # enough at large phases that |Z|_F < 1/2 and the series is taken.
+        n = 2 * d
+        rng = np.random.default_rng(d)
+        spread = min(1.0, 0.1 / (largest / 2 * np.sqrt(max(n - 1, 1))))
+        phases = np.concatenate(([-largest], largest * spread * rng.uniform(-1, 1, n - 1)))
+        w = deviation_with_phases(phases, rng)[None]
+        assert cayley_size(w[0]) < effective.SERIES_BOUND
+        m, errors, bound = _principal_logs(w, BRANCH_MARGIN)
+        monkeypatch.setattr(effective, "SERIES_BOUND", 0.0)
+        m_eigh, errors_eigh, exact = _principal_logs(w, BRANCH_MARGIN)
+        assert errors == errors_eigh == [None]
+        assert exact[0] == pytest.approx(largest, rel=1e-12)
+        assert np.abs(m - m_eigh).max() <= effective.FLOOR_UNIT * exact[0]
+        assert bound[0] >= exact[0] * (1 - 1e-14)  # an upper bound up to rounding
+        assert np.array_equal(m[0], m[0].conj().T)
+
+    @pytest.mark.parametrize("scale", [0.05, 2.0], ids=["series", "eigh"])
+    def test_non_unitary_input_fails_reconstruction_on_either_path(self, scale):
+        u = expm_segment(random_hermitian(4, scale), 1.0)
+        u[0, 1] += 1e-6
+        w = u - np.eye(4)
+        assert (cayley_size(w) < effective.SERIES_BOUND) == (scale < 1)
+        with pytest.raises(ArithmeticError, match="log reconstruction residual") as err:
+            unitary_log(u)
+        assert type(err.value) is ArithmeticError
 
 
 class TestPauliDecompose:
@@ -248,23 +312,45 @@ class TestStackedExtraction:
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references"
 
 
-def test_floor_bounds_error_against_reference():
-    # Every stored d = 4 point of the mpmath oracle: each functional's error
-    # stays below the floor the double point reports.
+def reference_points(dims):
+    """(key, schedule, model, stored functionals) of each stored oracle point at the given dims ("d4", "d64")."""
     refs = json.loads((REFERENCES / "order.json").read_text())["points"]
     models = {}
     for key, want in refs.items():
         family, preset, dim, seed, at = key.split("|")
-        if dim != "d4":
+        if dim not in dims:
             continue
         name, params = family.rstrip(")").split("(")
         params = {k: PauliAxis(v) if k == "axis" else int(v) for k, v in (p.split("=") for p in params.split(",") if p)}
-        if (seed, preset) not in models:
-            models[seed, preset] = build_model(ModelSpec(d=4, seed=int(seed[4:]), preset=preset))
-        ops = models[seed, preset]
-        eff = sequence_effective(build_sequence(name, float(at[3:]) / alpha(ops), **params), ops)
+        if (dim, seed, preset) not in models:
+            models[dim, seed, preset] = build_model(ModelSpec(d=int(dim[1:]), seed=int(seed[4:]), preset=preset))
+        ops = models[dim, seed, preset]
+        yield key, build_sequence(name, float(at[3:]) / alpha(ops), **params), ops, want
+
+
+def test_floor_bounds_error_against_reference():
+    # Every stored d = 4 point of the mpmath oracle: each functional's error
+    # stays below the floor the double point reports.
+    for key, seq, ops, want in reference_points({"d4"}):
+        eff = sequence_effective(seq, ops)
         for functional, value in error_functionals(eff).items():
             assert abs(value - want[functional]) <= eff.floor, (key, functional)
+
+
+def test_series_bound_on_reference_points(monkeypatch):
+    # On every stored point (d = 4 and 64) the series log's |M| bound lies
+    # between the eigenphases' largest magnitude and 1.3 times it.
+    ratios = []
+    for key, seq, ops, _ in reference_points({"d4", "d64"}):
+        w, _ = sequence_deviation(seq, ops, [seq.total_duration])
+        _, errors, bound = _principal_logs(w, BRANCH_MARGIN)
+        with monkeypatch.context() as patch:
+            patch.setattr(effective, "SERIES_BOUND", 0.0)
+            _, _, exact = _principal_logs(w, BRANCH_MARGIN)
+        assert errors == [None] and cayley_size(w[0]) < effective.SERIES_BOUND, key
+        ratios.append(bound[0] / exact[0])
+    assert len(ratios) == 340
+    assert 1 <= min(ratios) and max(ratios) <= 1.3
 
 
 class TestSpectralNorm:

@@ -619,6 +619,18 @@ class TestUnitaryResultType:
         with pytest.raises(ValueError):
             res.u[0, 0] = 0.0
 
+    def test_sequence_unitary_checks_unitarity_once(self, monkeypatch):
+        # sequence_deviation checks W; the result it carries is not checked again.
+        calls = []
+        defect = evolution._unitarity_defect
+        monkeypatch.setattr(evolution, "_unitarity_defect", lambda w: calls.append(w.shape) or defect(w))
+        res = sequence_unitary(cpmg(0.1), build_model(ModelSpec(d=4, seed=5)))
+        assert calls == [(1, 8, 8)]
+        assert (res.total_duration, res.pulse_count, res.label) == (0.1, 2, "CPMG")
+        assert not res.u.flags.writeable
+        checked = UnitaryResult(res.u, res.total_duration, res.pulse_count, res.label, res.w)
+        assert len(calls) == 2 and repr(checked) == repr(res)
+
 
 class TestControlProduct:
     def test_even_x_count_is_identity(self):
