@@ -2,11 +2,12 @@
 
 An order scan evaluates the residual-coupling functionals of one schedule
 family on a logarithmic duration grid and fits the log-log slope, which
-estimates the suppression order directly.  In either precision a schedule
-built once is composed and extracted for a whole stack of grid durations per
-bath model in one pass (``evolution.stack_points`` durations per stack), by
-the double pipeline or by the double-double engine of ``highprec``.
-Results aggregate in grid order regardless of completion order.
+estimates the suppression order directly.  ``ENGINES`` maps each precision
+to its ``effective.Engine``, the double one or the double-double one of
+``highprec``; scans, single points and the CLI all reach their functionals
+through ``effective.evaluate`` on that engine.  A schedule built once is
+composed and extracted for a whole stack of grid durations per bath model in
+one pass (``evolution.stack_points`` durations per stack).
 """
 
 from __future__ import annotations
@@ -15,19 +16,30 @@ import csv
 import datetime
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import highprec
 from .bath import ModelSpec, alpha, build_model
-from .effective import BranchAmbiguityError, error_functionals, sequence_effective
+from .effective import (DOUBLE, BranchAmbiguityError, Engine, error_functionals, evaluate, point_effective,
+                        sequence_effective)
 from .evolution import stack_points
+from .highprec import EXTENDED
 from .sequences import PulseSequence, build_sequence
 
 FUNCTIONALS = ("E_flip", "E_dephase", "E_total")
 
 CSV_COLUMNS = ("family", "param", "t", "alpha_t", "E_flip", "E_dephase", "E_total")
+
+# The one place a precision string is read.
+ENGINES = {"double": DOUBLE, "extended": EXTENDED}
+
+
+def precision_engine(precision: str) -> Engine:
+    """The engine a precision names; ValueError for any other."""
+    if precision not in ENGINES:
+        raise ValueError(f"unknown precision {precision!r}")
+    return ENGINES[precision]
 
 
 @dataclass(frozen=True)
@@ -110,12 +122,9 @@ def _scan_stacks(family_spec, t_grid, per_stack: int) -> list[tuple]:
 
 
 def evaluate_point(seq: PulseSequence, ops, precision: str = "double") -> dict:
-    """All three residual functionals of one schedule under one model."""
-    if precision == "double":
-        return error_functionals(sequence_effective(seq, ops))
-    if precision == "extended":
-        return highprec.sequence_error_functionals(seq, ops)
-    raise ValueError(f"unknown precision {precision!r}")
+    """All three residual functionals of one schedule under one model, and ``floor``, their estimated absolute error."""
+    eff = point_effective(seq, ops, precision_engine(precision))
+    return {**error_functionals(eff), "floor": eff.floor}
 
 
 def evaluate_scan(
@@ -136,13 +145,11 @@ def evaluate_scan(
     stay below 1.  ``dps`` is accepted and ignored: both engines carry a
     fixed precision.
     """
-    if precision not in ("double", "extended"):
-        raise ValueError(f"unknown precision {precision!r}")
+    engine = precision_engine(precision)
     seeds = [model_spec.seed] if seeds is None else list(seeds)
-    models = []
-    for seed in seeds:
-        spec = ModelSpec(d=model_spec.d, seed=seed, preset=model_spec.preset, norm_targets=model_spec.norm_targets)
-        models.append(build_model(spec))
+    if not seeds:
+        raise ValueError("seeds must hold at least one bath seed, got none")
+    models = [build_model(replace(model_spec, seed=seed)) for seed in seeds]
     model_alpha = alpha(models[0])
     t_grid = [float(t) for t in t_grid]
     if model_alpha * max(t_grid) >= 1.0:
@@ -157,11 +164,8 @@ def evaluate_scan(
     values = [[] for _ in t_grid]
     for seq, indices, durations in stacks:
         for ops in models:
-            if precision == "double":
-                eff, errors = sequence_effective(seq, ops, durations)
-                funcs = {**error_functionals(eff), "floor": eff.floor}
-            else:
-                funcs, errors = highprec.sequence_error_functionals(seq, ops, durations)
+            eff, errors = evaluate(seq, ops, durations, engine)
+            funcs = {**error_functionals(eff), "floor": eff.floor}
             for j, (i, error) in enumerate(zip(indices, errors)):
                 values[i].append(error if error is not None else {key: float(v[j]) for key, v in funcs.items()})
         # Stop where a point-by-point scan would: at the first failing (grid point, seed).

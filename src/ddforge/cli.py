@@ -116,14 +116,21 @@ def _open_out(path):
 FLOOR_MARGIN = 1e3
 
 
-def _near_floor(row, keys, engine: str) -> list:
-    return [f"{key} = {row[key]:.3g} at t={row['t']:g} is within {FLOOR_MARGIN:g}x of the {engine} roundoff"
-            f" floor {row['floor']:.2g}" for key in keys if 0 < row[key] < FLOOR_MARGIN * row["floor"]]
+def _check_floor(rows, keys, engine, prefix="") -> None:
+    """The floor policy for the values of keys within FLOOR_MARGIN of their row's floor.
 
-
-def _check_floor(rows, keys) -> None:
-    for message in (m for row in rows for m in _near_floor(row, keys, "extended engine's")):
-        raise ArithmeticError(f"{message}; not resolved")
+    On the double engine each row with such values warns on one line; on the
+    extended engine the first one fails the command (exit 3).
+    """
+    double = engine is effective.DOUBLE
+    name = "double" if double else "extended engine's"
+    for row in rows:
+        messages = [f"{key} = {row[key]:.3g} at t={row['t']:g} is within {FLOOR_MARGIN:g}x of the {name} roundoff"
+                    f" floor {row['floor']:.2g}" for key in keys if 0 < row[key] < FLOOR_MARGIN * row["floor"]]
+        if messages and not double:
+            raise ArithmeticError(f"{messages[0]}; not resolved")
+        if messages:
+            print(f"warning: {prefix}{'; '.join(messages)}; use --precision extended", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +175,11 @@ def _cmd_order(args) -> int:
             raise ValueError(f"seeds must be integers, got {seeds!r}")
         seeds = [int(s) for s in items]
     functional = "E_" + _resolve(args, config, "functional", "flip")
-    args.precision = _resolve(args, config, "precision", "double")
-    rows = analysis.evaluate_scan(family, spec, grid, seeds=seeds, precision=args.precision)
+    precision = _resolve(args, config, "precision", "double")
+    args.engine = analysis.precision_engine(precision)
+    rows = analysis.evaluate_scan(family, spec, grid, seeds=seeds, precision=precision)
     out = _resolve(args, config, "out", None)
-    checked = analysis.FUNCTIONALS if out else (functional,)
-    if args.precision == "extended":
-        _check_floor(rows, checked)
-    else:
-        for messages in filter(None, (_near_floor(row, checked, "double") for row in rows)):
-            print(f"warning: {'; '.join(messages)}; use --precision extended", file=sys.stderr)
+    _check_floor(rows, analysis.FUNCTIONALS if out else (functional,), args.engine)
     fit = analysis.fit_order([r["t"] for r in rows], [r[functional] for r in rows])
     if out:
         with _open_out(out) as fh:
@@ -264,21 +267,18 @@ def _cmd_compare(args) -> int:
     tokens = args.seq or config.get("seq") or []
     if not tokens:
         raise ValueError("compare needs at least one --seq token, e.g. --seq udd,n=3")
-    precision = args.precision = _resolve(args, config, "precision", "double")
+    engine = args.engine = analysis.precision_engine(_resolve(args, config, "precision", "double"))
     families = [_parse_seq_token(token) for token in tokens]
     print(f"{'label':>20} {'pulses':>7} {'E_flip':>12} {'E_dephase':>12} {'E_total':>12} {'F_e':>12}"
           f" {'F_e(ctrl)':>12}")
     for params in families:
         seq = sequences.build_sequence(params.pop("name"), t, **params)
+        # The double engine takes its W from this unitary, which F_e reads too.
         result = evolution.sequence_unitary(seq, model)
-        if precision == "double":
-            eff = effective.unitary_effective(seq, result)
-            funcs = effective.error_functionals(eff)
-            for message in _near_floor({**funcs, "floor": eff.floor, "t": t}, analysis.FUNCTIONALS, "double"):
-                print(f"warning: {seq.label}: {message}; use --precision extended", file=sys.stderr)
-        else:
-            funcs = analysis.evaluate_point(seq, model, precision)
-            _check_floor([{**funcs, "t": t}], analysis.FUNCTIONALS)
+        eff = effective.point_effective(seq, model, engine, result)
+        funcs = effective.error_functionals(eff)
+        for key in analysis.FUNCTIONALS:  # a warning line per value
+            _check_floor([{**funcs, "floor": eff.floor, "t": t}], (key,), engine, f"{seq.label}: ")
         fe = evolution.entanglement_fidelity(result)
         # Against the net control rotation, which F_e (against I) reads as a loss.
         ctrl = evolution.control_product(seq).conj().T
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_order.add_argument("--at-max", type=float, default=None, help="largest alpha*t (default 1e-2)")
     p_order.add_argument("--points", type=int, default=None, help="grid points (default 8)")
     p_order.add_argument("--seeds", default=None, help="comma-separated seed ensemble")
-    p_order.add_argument("--precision", type=str, choices=["double", "extended"], default=None)
+    p_order.add_argument("--precision", type=str, choices=list(analysis.ENGINES), default=None)
     p_order.add_argument("--out", type=str, default=None, metavar="FILE", help="scan CSV output path")
     p_order.add_argument("--summary", type=str, default=None, metavar="FILE", help="fit summary JSON output path")
     _add_common(p_order)
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p_cmp)
     p_cmp.add_argument("--seq", action="append", default=None, help="schedule token, e.g. udd,n=3 (repeatable)")
     p_cmp.add_argument("--t", type=float, default=None, help="common total duration (default 0.01)")
-    p_cmp.add_argument("--precision", type=str, choices=["double", "extended"], default=None)
+    p_cmp.add_argument("--precision", type=str, choices=list(analysis.ENGINES), default=None)
     _add_common(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare, shrink="the duration (--t)")
 
@@ -362,9 +362,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except effective.BranchAmbiguityError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # order and compare store their resolved precision on args;
+        # order and compare store their resolved engine on args;
         # predict-magnus has no --precision flag.
-        switch = " or use --precision extended" if getattr(args, "precision", None) == "double" else ""
+        switch = " or use --precision extended" if getattr(args, "engine", None) is effective.DOUBLE else ""
         print(f"advice: shrink {args.shrink}{switch}", file=sys.stderr)
         return EXIT_BRANCH
     except ArithmeticError as exc:

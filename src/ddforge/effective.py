@@ -12,16 +12,24 @@ point reports that floor, FLOOR_UNIT |M| ceil(log2 segments), with |M| a
 bound on the eigenphases.  Eigenphases must stay clear of the +-pi branch
 cut; callers shrink the duration when they do not.  All of it runs on
 (G, 2d, 2d) stacks.
+
+Each precision is an ``Engine`` record of its stages: compose W, log it,
+split the Pauli blocks, and the floor per unit |M|.  ``evaluate`` runs one
+engine on a schedule re-timed to a stack of durations, and every functional
+the package reports comes through it.  ``DOUBLE`` is defined here, the
+extended engine in ``highprec``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bath import _GAMMA_SIGMA, SIGMA, spectral_norm
-from .evolution import UnitaryResult, segment_count, sequence_deviation, sequence_unitary
+from .evolution import segment_count, sequence_deviation
+from .evolution import sequence_unitary  # noqa: F401  (rebound here by perfbench/tracing.py and a test)
 
 BRANCH_MARGIN = 0.1
 # Roundoff per level of the pairwise reduction, relative to |M|: on the 1,000 nonzero values of the 340
@@ -219,49 +227,66 @@ def error_functionals(eff: EffectiveHamiltonian) -> dict:
     return values
 
 
-def _deviation_effective(seq, w: np.ndarray, durations) -> tuple[EffectiveHamiltonian, list]:
-    """Stacked generator of a schedule from its (G, 2d, 2d) deviations; branch errors tagged with seq and t."""
-    m, errors, phase = _principal_logs(w, BRANCH_MARGIN)
+@dataclass(frozen=True)
+class Engine:
+    """One precision's stages on (G, 2d, 2d) stacks, as ``evaluate`` runs them.
+
+    compose(seq, ops, durations, unitary) -> (W, per-item errors); unitary is
+    a sequence_unitary of seq, whose W the double engine reads instead of
+    composing.  log(W, errors) -> (generator, |M| bound), its failures filled
+    into the items errors leaves None.  split(generator, t) -> stacked
+    EffectiveHamiltonian.  floor(segments) -> roundoff floor per unit |M|.
+    """
+
+    compose: Callable
+    log: Callable
+    split: Callable
+    floor: Callable
+
+
+def _log(w, errors):
+    m, log_errors, phase = _principal_logs(w, BRANCH_MARGIN)
+    errors[:] = [error or log_error for error, log_error in zip(errors, log_errors)]
+    return m, phase
+
+
+def _compose(seq, ops, durations, unitary):
+    return sequence_deviation(seq, ops, durations) if unitary is None else (unitary.w[None], [None])
+
+
+# FLOOR_UNIT |M| per level of the pairwise reduction: ceil(log2 segments) levels.
+DOUBLE = Engine(_compose, _log, pauli_decompose, lambda segments: FLOOR_UNIT * max(1, (segments - 1).bit_length()))
+
+
+def evaluate(seq, ops, durations, engine: Engine, unitary=None) -> tuple[EffectiveHamiltonian, list]:
+    """The stacked generator of a schedule re-timed to each duration, with its (G,) floor, on one engine.
+
+    The list that comes with it holds, per item, the exception a point at
+    that duration fails with, or None (the item's blocks are then
+    meaningless); branch errors name the schedule and the duration.
+    """
+    durations = [float(t) for t in durations]
+    w, errors = engine.compose(seq, ops, durations, unitary)
+    generator, bound = engine.log(w, errors)
     for g, exc in enumerate(errors):
         if isinstance(exc, BranchAmbiguityError):
-            errors[g] = BranchAmbiguityError(
-                f"{exc} (schedule {seq.label!r} at t={durations[g]:g})",
-                eigenphase=exc.eigenphase,
-                t=durations[g],
-            )
-    levels = max(1, (segment_count(seq) - 1).bit_length())
-    return replace(pauli_decompose(m, np.array(durations)), floor=FLOOR_UNIT * phase * levels), errors
+            errors[g] = BranchAmbiguityError(f"{exc} (schedule {seq.label!r} at t={durations[g]:g})",
+                                             eigenphase=exc.eigenphase, t=durations[g])
+    eff = engine.split(generator, np.array(durations))
+    return replace(eff, floor=bound * engine.floor(segment_count(seq))), errors
 
 
-def unitary_effective(seq, result: UnitaryResult) -> EffectiveHamiltonian:
-    """Effective generator of a schedule (double precision) from the deviation its sequence_unitary carries."""
-    if result.w is None:
-        raise ValueError("the unitary carries no deviation; compose it with sequence_unitary")
-    eff, errors = _deviation_effective(seq, result.w[None], [seq.total_duration])
+def point_effective(seq, ops, engine: Engine, unitary=None) -> EffectiveHamiltonian:
+    """``evaluate`` at the schedule's own duration: one generator with a float floor, or the error it failed with."""
+    eff, errors = evaluate(seq, ops, [seq.total_duration], engine, unitary)
     if errors[0] is not None:
         raise errors[0]
     return EffectiveHamiltonian(*(a[0] for _, a in eff.items()), t=seq.total_duration, floor=float(eff.floor[0]))
 
 
-def sequence_effective(seq, ops, durations=None):
-    """Effective generator of a schedule under a model (double precision).
-
-    Composes the toggling-frame deviation W = ctrl^+ U - I, which the net
-    control rotation (odd pulse counts would park eigenphases on the branch
-    cut) never enters, and splits the principal log of I + W into Pauli
-    blocks.  The generator carries its floor.
-
-    With ``durations`` the schedule is re-timed to each of them and the
-    whole stack is composed and extracted in one pass.  The result is then
-    a stacked EffectiveHamiltonian with a list holding, per item, the
-    exception a separate call at that duration would raise, or None.
-    """
-    if durations is None:
-        return unitary_effective(seq, sequence_unitary(seq, ops))
-    durations = [float(t) for t in durations]
-    w, errors = sequence_deviation(seq, ops, durations)
-    eff, log_errors = _deviation_effective(seq, w, durations)
-    return eff, [log_error if error is None else error for error, log_error in zip(errors, log_errors)]
+def sequence_effective(seq, ops) -> EffectiveHamiltonian:
+    """Effective generator of a schedule under a model, with its floor: ``point_effective`` on the double engine."""
+    return point_effective(seq, ops, DOUBLE)
 
 
 def magnus_cdd_predict(a0: np.ndarray, az: np.ndarray, tau0: float, level: int):

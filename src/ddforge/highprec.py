@@ -30,6 +30,8 @@ nonzero values of the 260 stored d = 4 reference points it bounds the error
 of 279 (worst 0.93 of it); the other 481, each above 10^15 floors, are off
 by at most 7 ulps, the rounding of the blocks to complex128 and of the
 double norms.
+These stages make up ``EXTENDED``, the ``effective.Engine`` that
+``effective.evaluate`` runs for ``precision="extended"``.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from fractions import Fraction
 import numpy as np
 
 from .bath import BathOperators, spectral_norm, total_hamiltonian
-from .effective import BranchAmbiguityError, EffectiveHamiltonian, atanh_series, error_functionals, shifted_solve
-from .evolution import compose, frame_factors, segment_count
+from .effective import (BranchAmbiguityError, EffectiveHamiltonian, Engine, atanh_series, error_functionals,
+                        point_effective, shifted_solve)
+from .evolution import compose, frame_factors
 from .sequences import PulseSequence
 
 # Bound on the roundoff per segment, relative to |M|; checked against the mpmath oracle.
@@ -190,8 +193,8 @@ def _product(later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> np.ndar
     return np.stack(_add(_add(e, w), _matmul(e, w)), axis=-3, out=out)
 
 
-def _compose(seq: PulseSequence, ops: BathOperators, durations: list):
-    """W with ctrl^+ U = I + W per duration, the segment count, and the items a series could not reach."""
+def _compose(seq: PulseSequence, ops: BathOperators, durations: list, unitary=None):
+    """W with ctrl^+ U = I + W per duration and per-item errors; a double ``unitary`` has too few bits and is unread."""
     h = total_hamiltonian(ops)
     radius = spectral_norm(h)
     scale = 2.0 ** math.ceil(math.log2(radius)) if radius > 0 else 1.0
@@ -222,7 +225,9 @@ def _compose(seq: PulseSequence, ops: BathOperators, durations: list):
 
     # One pair per product: a double-double product's temporaries are about a hundred times its operands.
     w = compose(seq, ops.dim, _segment_gaps, leaves, _product, 1)
-    return (w[:, 0], w[:, 1]), segment_count(seq), too_long[0]
+    errors = [BranchAmbiguityError("a segment is too long for the extended path; shrink the duration")
+              if failed else None for failed in too_long[0]]
+    return (w[:, 0], w[:, 1]), errors
 
 
 def _log(w, errors: list):
@@ -257,19 +262,8 @@ def _log(w, errors: list):
     return (2 * total[0], 2 * total[1]), phases
 
 
-def _generators(seq: PulseSequence, ops: BathOperators, durations: list):
-    """log(ctrl^+ U) = -i M per duration (complex double-double), the floors and per-item errors."""
-    w, segments, too_long = _compose(seq, ops, durations)
-    errors = [BranchAmbiguityError("a segment is too long for the extended path; shrink the duration")
-              if failed else None for failed in too_long]
-    log, phases = _log(w, errors)
-    errors = [exc and BranchAmbiguityError(f"{exc} (schedule {seq.label!r} at t={t:g})", eigenphase=exc.eigenphase, t=t)
-              for exc, t in zip(errors, durations)]
-    return log, FLOOR_UNIT * phases * segments, errors
-
-
-def _pauli_blocks(log, durations: list) -> list:
-    """a_g = tr_qubit[(sigma_g (x) I) M] / (2t) for g = 0, x, y, z, as (G, d, d) complex128.
+def _pauli_split(log, t: np.ndarray) -> EffectiveHamiltonian:
+    """a_g = tr_qubit[(sigma_g (x) I) M] / (2t) for g = 0, x, y, z, as (G, d, d) complex128, at the (G,) durations t.
 
     With M = i log and log's qubit blocks L_ab, 2t a_0, 2t a_x, 2t a_y, 2t a_z
     are i(L00 + L11), i(L01 + L10), -(L01 - L10) and i(L00 - L11).  Each is
@@ -279,44 +273,20 @@ def _pauli_blocks(log, durations: list) -> list:
     d = log[0].shape[-1] // 2
     (l00, l01), (l10, l11) = [[tuple(p[..., r:r + d, c:c + d] for p in log) for c in (0, d)] for r in (0, d)]
     sums = (_add(l00, l11), _add(l01, l10), _add(l01, _neg(l10)), _add(l00, _neg(l11)))
-    four_t = 4 * np.asarray(durations, dtype=float)[:, None, None]
+    four_t = 4 * t[:, None, None]
     blocks = []
     for total, phase in zip(sums, (1j, 1j, -1, 1j)):
         total = (phase * total[0], phase * total[1])
         total = _add(total, tuple(np.swapaxes(p.conj(), -1, -2) for p in total))
         blocks.append(_div(total, four_t)[0])
-    return blocks
+    return EffectiveHamiltonian(*blocks, t=t)
 
 
-def _evaluate(seq: PulseSequence, ops: BathOperators, durations):
-    """Stacked effective generator, functionals with floors, and per-item errors."""
-    durations = [seq.total_duration] if durations is None else [float(t) for t in durations]
-    log, floor, errors = _generators(seq, ops, durations)
-    eff = EffectiveHamiltonian(*_pauli_blocks(log, durations), t=np.array(durations))
-    return eff, {**error_functionals(eff), "floor": floor}, errors
+# The extended engine: FLOOR_UNIT |M| per segment, kept from the sequential update.
+EXTENDED = Engine(_compose, _log, _pauli_split, lambda segments: FLOOR_UNIT * segments)
 
 
-def sequence_effective(seq: PulseSequence, ops: BathOperators) -> EffectiveHamiltonian:
-    """High-precision effective generator of a schedule under a model.
-
-    The net control rotation is removed, as in the double pipeline.
-    """
-    eff, _, errors = _evaluate(seq, ops, None)
-    if errors[0] is not None:
-        raise errors[0]
-    return EffectiveHamiltonian(*(a[0] for _, a in eff.items()), t=seq.total_duration)
-
-
-def sequence_error_functionals(seq: PulseSequence, ops: BathOperators, durations=None):
-    """E_flip / E_dephase / E_total of a schedule and ``floor``, their estimated absolute error.
-
-    With ``durations`` the schedule is re-timed to each of them in one
-    stacked pass: each entry is then a (G,) array, and a list holding, per
-    item, the exception a separate call would raise, or None, comes with it.
-    """
-    _, funcs, errors = _evaluate(seq, ops, durations)
-    if durations is not None:
-        return funcs, errors
-    if errors[0] is not None:
-        raise errors[0]
-    return {key: float(value[0]) for key, value in funcs.items()}
+def sequence_error_functionals(seq: PulseSequence, ops: BathOperators) -> dict:
+    """E_flip / E_dephase / E_total of a schedule on the extended engine and ``floor``, their estimated absolute error."""
+    eff = point_effective(seq, ops, EXTENDED)
+    return {**error_functionals(eff), "floor": eff.floor}

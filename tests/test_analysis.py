@@ -150,6 +150,11 @@ class TestOrderScan:
             want = (row_a["E_total"] + row_b["E_total"]) / 2
             assert row_ab["E_total"] == pytest.approx(want, rel=1e-12)
 
+    def test_empty_seed_ensemble_is_value_error(self):
+        # An empty ensemble has no model to read alpha from; it raised IndexError.
+        with pytest.raises(ValueError, match="seeds"):
+            evaluate_scan({"name": "udd", "n": 2}, GENERIC, default_t_grid(1.0, points=4), seeds=[])
+
     def test_pairwise_orders_converge_toward_slope(self):
         grid = default_t_grid(1.0)
         fit = order_scan({"name": "udd", "n": 2}, GENERIC, grid, "E_flip")

@@ -396,6 +396,14 @@ class TestConfigFile:
         assert code == 2 and out == ""
         assert err == f"error: seeds must be integers, got {json.loads(seeds)!r}\n"
 
+    def test_empty_seeds_are_usage_error(self, capsys, tmp_path):
+        # An empty list printed a traceback and exited 1.
+        config = tmp_path / "config.json"
+        config.write_text('{"seeds": []}')
+        code, out, err = run(capsys, "order", "udd", "--n", "2", "--config", str(config))
+        assert code == 2 and out == ""
+        assert err == "error: seeds must hold at least one bath seed, got none\n"
+
     def test_non_integer_seed_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "order", "udd", "--n", "2", "--points", "4", "--seeds", "7,8.5")
         assert code == 2

@@ -411,9 +411,8 @@ class TestBlockComposition:
         ops = build_model(ModelSpec(d=4, seed=7))
         seq = build_sequence(name, 1.0, **params)
         durations = [at / alpha(ops) for at in DEEP_GRID]
-        (hi, lo), segments, _ = highprec._compose(seq, ops, durations)
-        (flat_hi, flat_lo), flat_segments, _ = highprec._compose(structureless(seq), ops, durations)
-        assert segments == flat_segments == segment_count(seq)
+        (hi, lo), _ = highprec._compose(seq, ops, durations)
+        (flat_hi, flat_lo), _ = highprec._compose(structureless(seq), ops, durations)
         diff = np.abs((hi - flat_hi) + (lo - flat_lo)).max(axis=(-2, -1))
         assert (diff <= double_floor(seq, flat_hi)).all()
 
@@ -451,8 +450,8 @@ class TestBlockComposition:
         flat, _ = sequence_deviation(structureless(seq), ops, durations)
         assert (np.abs(w - flat).max(axis=(-2, -1)) <= double_floor(seq, flat)).all()
         if d == 16:
-            (hi, lo), _, _ = highprec._compose(seq, ops, durations)
-            (flat_hi, flat_lo), _, _ = highprec._compose(structureless(seq), ops, durations)
+            (hi, lo), _ = highprec._compose(seq, ops, durations)
+            (flat_hi, flat_lo), _ = highprec._compose(structureless(seq), ops, durations)
             assert (np.abs((hi - flat_hi) + (lo - flat_lo)).max(axis=(-2, -1)) <= double_floor(seq, flat_hi)).all()
 
     def test_short_schedules_keep_the_segment_path(self):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,14 +7,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ddforge import highprec
+from ddforge import analysis, highprec
 from ddforge.analysis import default_t_grid, evaluate_scan
 from ddforge.bath import SIGMA, ModelSpec, alpha, build_model, total_hamiltonian
 from ddforge.cli import main
-from ddforge.effective import BranchAmbiguityError, error_functionals, sequence_effective
+from ddforge.effective import BranchAmbiguityError, error_functionals, evaluate, point_effective, sequence_effective
 from ddforge.evolution import conjugate_frame, control_product, pulse_unitary
-from ddforge.highprec import sequence_effective as sequence_effective_hp
-from ddforge.highprec import sequence_error_functionals
+from ddforge.highprec import EXTENDED, sequence_error_functionals
 from ddforge.sequences import CODE_AXIS, PulseSequence, build_sequence, cdd_full, cudd, udd_sequence
 
 REFERENCES = json.loads(
@@ -50,7 +50,7 @@ class TestCrossValidation:
         # double blocks are good to a few eps of the largest one, a_0.
         seq = cdd_full(2, 0.05)
         lo = sequence_effective(seq, ops)
-        hi = sequence_effective_hp(seq, ops)
+        hi = point_effective(seq, ops, EXTENDED)
         for (g, a), (_, b) in zip(hi.items(), lo.items()):
             assert np.abs(a - b).max() <= 1e-13 * np.abs(lo.a0).max(), g
 
@@ -89,7 +89,7 @@ class TestBranchBehaviour:
 
     def test_effective_duration_normalization(self, ops):
         t = 0.03
-        eff = sequence_effective_hp(udd_sequence(1, t), ops)
+        eff = point_effective(udd_sequence(1, t), ops, EXTENDED)
         assert eff.t == t
         reconstructed = error_functionals(eff)
         assert reconstructed["E_dephase"] == pytest.approx(t * 1.0, rel=1e-2)
@@ -203,14 +203,17 @@ class TestMatrixLoopIdentity:
         # 1e-28 of the mpmath oracle at 30, 40 and 50 digits: the agreement
         # does not hinge on the oracle's working precision.
         captured = []
-        generators = highprec._generators
 
-        def spy(seq, ops, durations):
-            out = generators(seq, ops, durations)
-            captured.append((seq, ops, list(durations), out[0]))
+        def compose(seq, ops, durations, unitary=None):
+            captured.append([seq, ops, list(durations)])
+            return EXTENDED.compose(seq, ops, durations, unitary)
+
+        def log(w, errors):
+            out = EXTENDED.log(w, errors)
+            captured[-1].append(out[0])
             return out
 
-        monkeypatch.setattr(highprec, "_generators", spy)
+        monkeypatch.setitem(analysis.ENGINES, "extended", replace(EXTENDED, compose=compose, log=log))
         spec = IDENTITY_MODELS[model]
         grid = default_t_grid(alpha(build_model(spec)), 1e-3, 4e-3, 4)[::3]
         evaluate_scan(IDENTITY_FAMILIES[family], spec, grid, precision="extended")
@@ -271,7 +274,7 @@ class TestEnginePieces:
 class TestSeriesLog:
     def test_divergence_detected(self, ops):
         with pytest.raises(BranchAmbiguityError, match="series log diverging"):
-            sequence_effective_hp(PulseSequence(2.5, ()), ops)
+            point_effective(PulseSequence(2.5, ()), ops, EXTENDED)
 
 
 class TestPauliSplit:
@@ -304,22 +307,16 @@ class TestPrecisionFloor:
 
 
 class TestStacking:
-    @pytest.mark.parametrize("family", ["udd4", "cudd22", "cdd3", "se"])
-    def test_items_equal_single_point_calls(self, ops, family):
-        # A scan's grid composes as one stack; each item must hold exactly
-        # what a separate call at its duration gives.
+    def test_single_point_carries_the_stacked_floor(self, ops):
+        # A point at its own duration reports the floor its item of a stacked pass does.
+        seq = cudd(2, 2, total_duration=1.0)
         grid = list(default_t_grid(alpha(ops), 1e-3, 1e-2, 5))
-        params = dict(IDENTITY_FAMILIES[family])
-        seq = build_sequence(params.pop("name"), grid[0], **params)
-        stacked, _, _ = highprec._evaluate(seq, ops, grid)
-        funcs, errors = sequence_error_functionals(seq, ops, durations=grid)
+        stacked, errors = evaluate(seq, ops, grid, EXTENDED)
         assert errors == [None] * len(grid)
         for g, t in enumerate(grid):
-            single = sequence_effective_hp(seq.with_duration(t), ops)
-            for (_, a), (_, b) in zip(stacked.items(), single.items()):
-                assert a[g].tobytes() == b.tobytes()
-            point = sequence_error_functionals(seq.with_duration(t), ops)
-            assert point == {key: float(value[g]) for key, value in funcs.items()}
+            single = point_effective(seq.with_duration(t), ops, EXTENDED)
+            assert type(single.floor) is float and single.floor == stacked.floor[g] > 0
+            assert sequence_error_functionals(seq.with_duration(t), ops)["floor"] == single.floor
 
     def test_scan_rows_carry_the_floor(self):
         spec = ModelSpec(d=4, seed=7)
@@ -373,7 +370,8 @@ class TestDeepSchedules:
     def test_extracts_and_agrees_with_double(self, name, params):
         ops = build_model(ModelSpec(d=4, seed=7))
         grid = [at / alpha(ops) for at in (1e-2, 1e-1)]
-        funcs, errors = sequence_error_functionals(build_sequence(name, 1.0, **params), ops, durations=grid)
+        eff, errors = evaluate(build_sequence(name, 1.0, **params), ops, grid, EXTENDED)
+        funcs = {**error_functionals(eff), "floor": eff.floor}
         assert errors == [None, None]
         assert all(np.isfinite(value).all() for value in funcs.values())
         assert (funcs["floor"] > 0).all()

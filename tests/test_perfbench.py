@@ -2,7 +2,7 @@
 
 perfbench/ is imported read-only: the simulate-deep scan path (measure.run_deep),
 its checks against the closed-form pulse counts and the stored F_e references
-(measure.check_deep), and the tracer's work counters.
+(measure.check_deep), and the tracer's sites and work counters.
 """
 
 import sys
@@ -47,3 +47,12 @@ def test_tracer_work_counters(inputs, family):
     assert tracing._sequence_work((family.name, 0.01), dict(family.params), seq) == {"pulses": seq.pulse_count}
     work = tracing._evolution_work((seq, ops), {}, u)
     assert work == {"pulses": seq.pulse_count, "segments": evolution.segment_count(seq), "n": 2 * ops.dim}
+
+
+def test_tracer_resolves_every_site():
+    # Installing the tracer looks up every traced function where the benchmark
+    # rebinds it, so a renamed or deleted one fails here, not only in traced runs.
+    originals = [getattr(mod, attr) for mod, attr, _ in tracing.SITES]
+    with tracing.Tracer().installed():
+        assert all(getattr(mod, attr) is not fn for (mod, attr, _), fn in zip(tracing.SITES, originals))
+    assert [getattr(mod, attr) for mod, attr, _ in tracing.SITES] == originals
