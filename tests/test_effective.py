@@ -20,7 +20,6 @@ from ddforge.effective import (
     sequence_effective,
     unitary_log,
 )
-from ddforge.highprec import EXTENDED
 from ddforge.evolution import expm_segment, sequence_deviation, sequence_unitary
 from ddforge.sequences import PauliAxis, PulseSequence, build_sequence, cdd_full, cdd_xx, cudd, udd_sequence
 
@@ -272,23 +271,18 @@ def symmetrized_norm(a):
     return float(np.abs(np.linalg.eigvalsh((a + a.conj().T) / 2)).max())
 
 
-STACKED = {"UDD-3": udd_sequence(3, 0.01), "UDD-4": udd_sequence(4, 0.01), "CUDD(2,2)": cudd(2, 2, 0.01),
-           "CDD-3": cdd_full(3, 0.01), "SE": build_sequence("se", 0.01)}
-
-
 class TestStackedExtraction:
-    @pytest.mark.parametrize("seq, d, engine", [
-        pytest.param(seq, d, engine, id=f"{label}-{d}{suffix}") for label, seq in STACKED.items() for d in (4, 16)
-        for engine, suffix in ((DOUBLE, ""), (EXTENDED, "-extended"))])
-    def test_items_bit_equal_to_single_extractions(self, seq, d, engine):
-        # A scan's grid composes as one stack on either engine; each item must
-        # hold exactly what a point at its own duration gives, floor included.
+    @pytest.mark.parametrize("d", [4, 16])
+    @SCHEDULES
+    def test_items_bit_equal_to_single_extractions(self, seq, d):
+        # A scan's grid composes as one stack; each item must hold exactly
+        # what a point at its own duration gives, floor included.
         ops = build_model(ModelSpec(d=d, seed=7))
-        eff, errors = evaluate(seq, ops, GRID, engine)
+        eff, errors = evaluate(seq, ops, GRID, DOUBLE)
         assert errors == [None] * len(GRID)
         funcs = error_functionals(eff)
         for g, t in enumerate(GRID):
-            single = point_effective(seq.with_duration(t), ops, engine)
+            single = sequence_effective(seq.with_duration(t), ops)
             assert eff.t[g] == single.t and eff.floor[g] == single.floor
             for (_, block), (_, want) in zip(eff.items(), single.items()):
                 assert block[g].tobytes() == want.tobytes()
@@ -311,15 +305,13 @@ class TestStackedExtraction:
         assert errors[1].eigenphase == single.value.eigenphase
 
     @SCHEDULES
-    def test_unitary_deviation_matches_fresh_evaluation(self, seq):
-        # compare extracts from the W its sequence_unitary carries: the bits of a fresh double evaluation.
+    def test_unitary_effective_matches_sequence_effective(self, seq):
+        # compare extracts from the W its sequence_unitary carries: the bits of a fresh double point.
         ops = build_model(ModelSpec(d=4, seed=7))
-        durations = [seq.total_duration]
-        reused, reused_errors = evaluate(seq, ops, durations, DOUBLE, sequence_unitary(seq, ops))
-        fresh, fresh_errors = evaluate(seq, ops, durations, DOUBLE)
-        assert reused_errors == fresh_errors == [None]
-        assert reused.floor.tobytes() == fresh.floor.tobytes()
-        for (_, got), (_, want) in zip(reused.items(), fresh.items()):
+        from_unitary = point_effective(seq, ops, DOUBLE, sequence_unitary(seq, ops))
+        direct = sequence_effective(seq, ops)
+        assert from_unitary.floor == direct.floor
+        for (_, got), (_, want) in zip(from_unitary.items(), direct.items()):
             assert got.tobytes() == want.tobytes()
 
 

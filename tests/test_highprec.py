@@ -307,16 +307,23 @@ class TestPrecisionFloor:
 
 
 class TestStacking:
-    def test_single_point_carries_the_stacked_floor(self, ops):
-        # A point at its own duration reports the floor its item of a stacked pass does.
-        seq = cudd(2, 2, total_duration=1.0)
+    @pytest.mark.parametrize("family", ["udd4", "cudd22", "cdd3", "se"])
+    def test_items_equal_single_point_calls(self, ops, family):
+        # A scan's grid composes as one stack; each item must hold exactly
+        # what a point at its duration gives, its float floor included.
         grid = list(default_t_grid(alpha(ops), 1e-3, 1e-2, 5))
+        params = dict(IDENTITY_FAMILIES[family])
+        seq = build_sequence(params.pop("name"), grid[0], **params)
         stacked, errors = evaluate(seq, ops, grid, EXTENDED)
         assert errors == [None] * len(grid)
+        funcs = {**error_functionals(stacked), "floor": stacked.floor}
         for g, t in enumerate(grid):
             single = point_effective(seq.with_duration(t), ops, EXTENDED)
             assert type(single.floor) is float and single.floor == stacked.floor[g] > 0
-            assert sequence_error_functionals(seq.with_duration(t), ops)["floor"] == single.floor
+            for (_, a), (_, b) in zip(stacked.items(), single.items()):
+                assert a[g].tobytes() == b.tobytes()
+            point = sequence_error_functionals(seq.with_duration(t), ops)
+            assert point == {key: float(value[g]) for key, value in funcs.items()}
 
     def test_scan_rows_carry_the_floor(self):
         spec = ModelSpec(d=4, seed=7)
