@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -221,6 +222,18 @@ class TestPredictMagnus:
         assert "advice: shrink the base duration (--tau0)\n" in err
         assert "--at-max" not in err and "--precision" not in err
 
+    @pytest.mark.parametrize("option, message", [
+        (("--halvings", "-1"), "--halvings must be non-negative, got -1"),
+        (("--norm-z", "0"), "the dephasing coupling A_z is zero; the predictor needs --norm-z > 0"),
+        (("--level", "-1"), "--level must be non-negative, got -1"),
+        (("--tau0", "-1"), "--tau0 must be positive and finite, got -1.0"),
+    ], ids=["halvings", "norm-z", "level", "tau0"])
+    def test_bad_input_is_usage_error_before_output(self, capsys, option, message):
+        # Each printed the table header first; --halvings -1 then exited 0, --norm-z 0 divided by zero (exit 3).
+        code, out, err = run(capsys, "predict-magnus", "--seed", "7", *option)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestCompare:
     def test_table(self, capsys):
@@ -301,6 +314,30 @@ class TestCompare:
         code, out, err = run(capsys, "compare", "--seq", "udd,n=2", "--seq", "udd,k=3", "--seed", "7")
         assert code == 2 and out == ""
         assert err == "error: unknown key 'k' in --seq token 'udd,k=3'; expected n, m, c or axis\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--seq", "udd,n=2", "--seq", "cdd"), "family 'cdd' requires --m"),
+        (("--seq", "udd,n=2", "--t", "0"), "total_duration must be positive and finite, got 0.0"),
+    ], ids=["missing-param", "zero-duration"])
+    def test_schedule_error_prints_no_rows(self, capsys, argv, message):
+        # Every schedule is built before the header; the UDD-2 row and the header used to come first.
+        code, out, err = run(capsys, "compare", *argv, "--seed", "7")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_control_fidelity_reads_the_deviation(self, capsys):
+        # F_e(ctrl) is F_e of ctrl^+ U = I + W; for odd and even counts it equals the dense ctrl^+ U product.
+        import numpy as np
+
+        from ddforge import bath, evolution, sequences
+
+        code, out, _ = run(capsys, "compare", "--seq", "udd,n=3", "--seq", "cdd,m=2", "--t", "0.3", "--seed", "5")
+        assert code == 0
+        model = bath.build_model(bath.ModelSpec(seed=5))
+        for line, seq in zip(out.splitlines()[1:], (sequences.udd_sequence(3, 0.3), sequences.cdd_full(2, 0.3))):
+            u = evolution.sequence_unitary(seq, model).u
+            ctrl = np.kron(evolution.control_product(seq), np.eye(model.dim))
+            assert line.split()[-1] == f"{evolution.entanglement_fidelity(ctrl.conj().T @ u):.9f}"
 
 
 @pytest.mark.parametrize(
@@ -463,6 +500,166 @@ class TestConfigFile:
         code, out, _ = run(capsys, "predict-magnus", "--config", str(config))
         assert code == 0
         assert out.splitlines()[1].split()[0] == "1"
+
+
+def _called(name, key):
+    """The argument key of the first recorded call of name, or None without one."""
+    return lambda calls, out: calls[name][0][key] if calls[name] else None
+
+
+def _spec_key(name, key):
+    """A field of the ModelSpec handed to name, or one of its resolved norm targets."""
+    def observe(calls, out):
+        spec = calls[name][0]["spec" if name == "build_model" else "model_spec"]
+        return spec.norm_targets[key[-1]] if key.startswith("norm_") else getattr(spec, key)
+    return observe
+
+
+def _axis_value(observe):
+    return lambda calls, out: getattr(axis := observe(calls, out), "value", axis)
+
+
+def _written(calls, out):
+    return [line[len("wrote "):] for line in out.splitlines() if line.startswith("wrote ")]
+
+
+def _slope_name(calls, out):
+    return next(line.split()[0] for line in out.splitlines() if " slope:" in line)
+
+
+def _compare_engine(calls, out):
+    from ddforge import analysis
+
+    return next(name for name, engine in analysis.ENGINES.items() if engine is calls["point_effective"][0]["engine"])
+
+
+def _plain(config, flag, default):
+    """Layers of an option whose config value and flag resolve to themselves, and its built-in default."""
+    return {"flag": (str(flag), flag), "config": (config, config)}, default
+
+
+def _option_cases():
+    """(command, base argv, option, observe, layers, default) for every option that takes a value.
+
+    layers maps each source, highest first, to (what it is given, what the option then resolves to);
+    observe reads the resolved value from the recorded library calls and stdout.
+    """
+    outs = {"flag": ("flag.out", ["flag.out"]), "config": ("config.out", ["config.out"])}, []
+    families = {"n": "udd", "m": "cdd", "c": "icpmg", "axis": "cpmg", "t": "cpmg", "out": "cpmg"}
+    for key, values in [
+        *((key, _plain(2, 3, None)) for key in ("n", "m", "c")),
+        ("axis", ({"flag": ("Y", "Y"), "config": ("X", "X")}, "Z")),
+        ("t", _plain(2.0, 3.0, 1.0)),
+        ("out", outs),
+    ]:
+        observe = _written if key == "out" else _called("build_sequence", "total_duration" if key == "t" else key)
+        yield "gen", (families[key],), key, _axis_value(observe) if key == "axis" else observe, *values
+
+    for key, values in [
+        *((key, _plain(1, 2, None)) for key in ("n", "m", "c")),
+        ("axis", ({"flag": ("Y", "Y"), "config": ("X", "X")}, None)),
+    ]:
+        observe = lambda calls, out, key=key: calls["evaluate_scan"][0]["family_spec"].get(key)
+        yield "order", (families[key],), key, _axis_value(observe) if key == "axis" else observe, *values
+    for key, observe, values in [
+        ("functional", _slope_name, ({"flag": ("total", "E_total"), "config": ("dephase", "E_dephase")}, "E_flip")),
+        ("at_min", _called("default_t_grid", "at_min"), _plain(2e-3, 5e-4, 1e-3)),
+        ("at_max", _called("default_t_grid", "at_max"), _plain(2e-2, 5e-3, 1e-2)),
+        ("points", _called("default_t_grid", "points"), _plain(4, 5, 8)),
+        ("seeds", _called("evaluate_scan", "seeds"), ({"flag": ("5,6", [5, 6]), "config": ([3, 4], [3, 4])}, None)),
+        ("precision", _called("evaluate_scan", "precision"), _plain("extended", "double", "double")),
+        ("out", _written, outs),
+        ("summary", _written, ({"flag": ("flag.json", ["flag.json"]), "config": ("config.json", ["config.json"])}, [])),
+    ]:
+        yield "order", ("none",), key, observe, *values
+
+    yield "counts", (), "m_max", _called("count_compare", "m_max"), *_plain(2, 3, 12)
+    yield "counts", (), "out", _written, *outs
+    yield "crossover", (), "n_max", _called("crossover", "n_max"), *_plain(20, 30, 40)
+
+    for key, observe, values in [
+        ("level", _called("magnus_cdd_predict", "level"), _plain(2, 0, 1)),
+        ("tau0", _called("magnus_cdd_predict", "tau0"), _plain(0.02, 0.005, 0.01)),
+        ("halvings", lambda calls, out: len(calls["magnus_cdd_predict"]) - 1, _plain(1, 2, 3)),
+    ]:
+        yield "predict-magnus", () if key == "halvings" else ("--halvings", "0"), key, observe, *values
+    yield "compare", ("--seq", "udd,n=2"), "t", _called("build_sequence", "total_duration"), *_plain(0.02, 0.005, 0.01)
+    yield "compare", ("--seq", "udd,n=2"), "precision", _compare_engine, *_plain("extended", "double", "double")
+    yield ("compare", (), "seq", lambda calls, out: [call["family"] for call in calls["build_sequence"]],
+           {"flag": ("udd,n=2", ["udd"]), "config": (["cpmg"], ["cpmg"])}, [])
+
+    for command, base, name, presets in [
+        ("order", ("none",), "evaluate_scan", ("pure_dephasing", "anisotropic", "generic")),
+        ("predict-magnus", ("--halvings", "0"), "build_model", ("generic", "anisotropic", "pure_dephasing")),
+        ("compare", ("--seq", "udd,n=2"), "build_model", ("pure_dephasing", "anisotropic", "generic")),
+    ]:
+        # Model files hold only d, which the spec then shows.
+        model = {"flag": ("flag_model.json", 3), "config": ("config_model.json", 2)}, 4
+        yield command, base, "model", _spec_key(name, "d"), *model
+        yield command, base, "d", _spec_key(name, "d"), *_plain(2, 3, 4)
+        yield command, base, "preset", _spec_key(name, "preset"), *_plain(*presets)
+        # The full chain: flag > config > --model file > DDFORGE_SEED > 0.
+        seed = {"flag": ("1", 1), "config": (2, 2), "model": (3, 3), "env": ("4", 4)}
+        yield command, base, "seed", _spec_key(name, "seed"), seed, 0
+        for g in ("0", "x", "y", "z"):
+            # pure_dephasing, predict-magnus's default preset, pins the x and y targets at zero.
+            pinned = command == "predict-magnus" and g in "xy"
+            yield (command, (*base, "--preset", "generic") if pinned else base, f"norm_{g}",
+                   _spec_key(name, f"norm_{g}"), *_plain(0.5, 2.0, 1.0))
+
+
+OPTION_CASES = [
+    pytest.param(command, base, key, observe, {s: layers[s][0] for s in list(layers)[list(layers).index(source):]},
+                 layers[source][1], id=f"{command}-{key}-{source}")
+    for command, base, key, observe, layers, default in _option_cases()
+    for source in layers
+] + [
+    pytest.param(command, base, key, observe, {}, default, id=f"{command}-{key}-default")
+    for command, base, key, observe, layers, default in _option_cases()
+]
+
+
+def _record_library_calls(monkeypatch):
+    """The bound arguments of each library call the commands make, by function name; the calls still run."""
+    from ddforge import analysis, bath, effective, sequences
+
+    calls = {}
+    for module, name in [(sequences, "build_sequence"), (bath, "build_model"), (analysis, "default_t_grid"),
+                         (analysis, "evaluate_scan"), (analysis, "count_compare"), (analysis, "crossover"),
+                         (effective, "magnus_cdd_predict"), (effective, "point_effective")]:
+        calls[name] = []
+
+        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+            bound = inspect.signature(_real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls[_name].append(bound.arguments)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("command, base, key, observe, given, expected", OPTION_CASES)
+def test_option_model(capsys, tmp_path, monkeypatch, command, base, key, observe, given, expected):
+    # Each source is given together with every source below it; the default case gives none of them.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DDFORGE_SEED", raising=False)
+    (tmp_path / "config_model.json").write_text('{"d": 2}')
+    (tmp_path / "flag_model.json").write_text('{"d": 3}')
+    argv = [command, *base]
+    if "flag" in given:
+        argv += ["--" + key.replace("_", "-"), given["flag"]]
+    if "config" in given:
+        (tmp_path / "run.json").write_text(json.dumps({key: given["config"]}))
+        argv += ["--config", "run.json"]
+    if "model" in given:
+        (tmp_path / "seed_model.json").write_text(json.dumps({key: given["model"]}))
+        argv += ["--model", "seed_model.json"]
+    if "env" in given:
+        monkeypatch.setenv("DDFORGE_SEED", given["env"])
+    calls = _record_library_calls(monkeypatch)
+    _, out, err = run(capsys, *argv)
+    assert observe(calls, out) == expected, err
 
 
 def test_cli_import_leaves_mpmath_out():
