@@ -48,8 +48,9 @@ class OrderFit:
 
     ``pairwise_orders`` holds the successive-point estimates
     log(E_{i+1}/E_i) / log(t_{i+1}/t_i), which converge to the fitted slope
-    as the duration shrinks.  All fit fields are None when the functional is
-    identically zero (nothing to suppress).
+    as the duration shrinks.  All fit fields are None when fewer than two
+    values are positive: the functional is identically zero, or its values
+    were rounded to zero (the CLI's floor check tells these apart).
     """
 
     slope: float | None

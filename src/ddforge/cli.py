@@ -59,16 +59,20 @@ def _load_config(args) -> dict:
     """The --config file's object, its values checked against the options' types and choices before any work.
 
     Options read as strings declare type=str; --seeds (a list in a config) and --preset (checked with the model)
-    do not.
+    do not.  A repeatable option (--seq) takes a list of strings.
     """
     if args.config is None:
         return {}
     types = {a.dest: a.type for a in args.options if a.type in (int, float, str)}
     config = bath.check_types(_load_json(args.config), types, "config", args.config)
-    for a in args.options:
-        if a.choices and a.dest in config and config[a.dest] not in a.choices:
+    for a in (a for a in args.options if a.dest in config):
+        value = config[a.dest]
+        if a.choices and value not in a.choices:
             raise ValueError(f"config key {a.dest!r} in {args.config} must be one of"
-                             f" {', '.join(map(repr, a.choices))}, got {config[a.dest]!r}")
+                             f" {', '.join(map(repr, a.choices))}, got {value!r}")
+        if isinstance(a, argparse._AppendAction) and not (
+                isinstance(value, list) and all(isinstance(item, str) for item in value)):
+            raise ValueError(f"config key {a.dest!r} in {args.config} must be a list of strings, got {value!r}")
     return config
 
 
@@ -99,16 +103,18 @@ FLOOR_MARGIN = 1e3
 
 
 def _check_floor(rows, keys, engine, prefix="") -> None:
-    """The floor policy for the values of keys within FLOOR_MARGIN of their row's floor.
+    """The floor policy for the values of keys within FLOOR_MARGIN of their row's positive floor.
 
-    On the double engine each row with such values warns on one line; on the
-    extended engine the first one fails the command (exit 3).
+    An exact 0 counts too: against a positive floor it is a value rounded
+    away, not a proven zero.  On the double engine each row with such values
+    warns on one line; on the extended engine the first one fails the
+    command (exit 3).
     """
     double = engine is effective.DOUBLE
     name = "double" if double else "extended engine's"
     for row in rows:
         messages = [f"{key} = {row[key]:.3g} at t={row['t']:g} is within {FLOOR_MARGIN:g}x of the {name} roundoff"
-                    f" floor {row['floor']:.2g}" for key in keys if 0 < row[key] < FLOOR_MARGIN * row["floor"]]
+                    f" floor {row['floor']:.2g}" for key in keys if row[key] < FLOOR_MARGIN * row["floor"]]
         if messages and not double:
             raise ArithmeticError(f"{messages[0]}; not resolved")
         if messages:
@@ -165,7 +171,7 @@ def _cmd_order(args) -> int:
         print(f"{functional} slope: {fit.slope:.4f}  (r2={fit.r_squared:.6f})")
         print("pairwise orders:", " ".join(f"{p:.3f}" for p in fit.pairwise_orders))
     else:
-        print(f"{functional} slope: not defined (functional identically zero)")
+        print(f"{functional} slope: not defined (fewer than two nonzero values)")
     return EXIT_OK
 
 

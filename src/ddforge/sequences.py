@@ -25,7 +25,7 @@ outer pulses on cell bounds) record what they iterated as ``blocks``:
 equal-length copies of a child, each in the Pauli frame of the pulses
 before it, down to a flat leaf schedule.  Merging leaves every segment's
 frame as it was (it only composes codes), so the record holds for the
-merged schedule, and ``evolution`` composes long schedules by it.
+merged schedule, and ``evolution`` composes schedules by it.
 
 ``build_sequence`` builds each (family, parameters) once per process, at
 unit duration, and returns re-timed copies (``with_duration``) of that

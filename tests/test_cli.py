@@ -201,6 +201,23 @@ class TestOrder:
         assert len(warnings) == 8
         assert all(w.startswith("warning: E_flip = ") and w.endswith("use --precision extended") for w in warnings)
 
+    def test_exact_zero_warns_at_double_floor(self, capsys):
+        # Composed by its blocks, CDD-4's E_dephase (about 1e-39) rounds to exactly 0 at
+        # every point: a value below the floor, not a zero, so each point warns.
+        code, out, err = run(capsys, "order", "cdd", "--m", "4", "--seed", "7", "--functional", "dephase")
+        assert code == 0
+        assert out.startswith("E_dephase slope: not defined") and "identically zero" not in out
+        warnings = err.splitlines()
+        assert len(warnings) == 8
+        assert all(w.startswith("warning: E_dephase = 0 at t=") for w in warnings)
+
+    def test_exact_zero_fails_at_extended_floor(self, capsys):
+        # Extended CDD-6's E_dephase reads exactly 0 against a floor near 1e-31; it is not resolved.
+        code, out, err = run(capsys, "order", "cdd", "--m", "6", "--precision", "extended",
+                             "--functional", "dephase", "--seed", "7")
+        assert code == 3 and out == ""
+        assert err.startswith("error: E_dephase = 0 at t=") and err.endswith("; not resolved\n")
+
     def test_no_warning_above_double_floor(self, capsys, tmp_path):
         code, _, err = run(capsys, "order", "cudd", "--m", "2", "--n", "2", "--seed", "7",
                            "--out", str(tmp_path / "scan.csv"), "--no-meta")
@@ -432,6 +449,15 @@ class TestConfigFile:
         code, out, err = run(capsys, "order", "udd", "--n", "2", "--points", "4", "--config", str(config))
         assert code == 2 and out == ""
         assert err == f"error: seeds must be integers, got {json.loads(seeds)!r}\n"
+
+    @pytest.mark.parametrize("seq", ["[1]", '"udd,n=2"'], ids=["integer-item", "string"])
+    def test_seq_not_a_list_of_strings_is_usage_error(self, capsys, tmp_path, seq):
+        # [1] ended in an AttributeError traceback (exit 1); a bare string was read one character at a time.
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"seq": {seq}}}')
+        code, out, err = run(capsys, "compare", "--seed", "7", "--config", str(config))
+        assert code == 2 and out == ""
+        assert err == f"error: config key 'seq' in {config} must be a list of strings, got {json.loads(seq)!r}\n"
 
     def test_empty_seeds_are_usage_error(self, capsys, tmp_path):
         # An empty list printed a traceback and exited 1.

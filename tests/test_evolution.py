@@ -352,9 +352,17 @@ def structureless(seq: PulseSequence) -> PulseSequence:
 
 
 @pytest.fixture
-def by_blocks(monkeypatch):
-    """Every schedule with recorded blocks composes by them, however few its segments."""
-    monkeypatch.setattr(evolution, "_by_blocks", lambda seq, d: seq.blocks is not None)
+def extended_by_blocks(monkeypatch):
+    """The extended engine composes every schedule with recorded blocks by them, as the double engine does."""
+    monkeypatch.setattr(highprec, "_composed", lambda seq, d: seq if seq.blocks is None else seq.blocks)
+
+
+def block_leaf(seq: PulseSequence) -> PulseSequence:
+    """The flat leaf schedule at the bottom of a schedule's recorded blocks."""
+    node = seq.blocks
+    while isinstance(node, Blocks):
+        node = node.child
+    return node
 
 
 def double_floor(seq: PulseSequence, w: np.ndarray) -> np.ndarray:
@@ -381,6 +389,9 @@ WIDE_BLOCK_FAMILIES = [(16, "cdd", {"m": 3}), (16, "cudd", {"m": 3, "n": 3}), (1
                        (16, "cpmg-udd", {"m": 2, "c": 4}), (64, "cdd", {"m": 2}), (64, "cudd", {"m": 2, "n": 2}),
                        (64, "udd2", {"n": 2}), (64, "cpmg-udd", {"m": 2, "c": 2})]
 DEEP_GRID = (1e-2, 1e-1)
+# Blocked schedules of default ``order`` traffic, each within one d = 4 chunk of segments.
+SHORT_BLOCK_FAMILIES = [("cdd", {"m": 3}), ("cdd", {"m": 4}), ("cudd", {"m": 2, "n": 2}), ("udd2", {"n": 3}),
+                        ("cpmg-udd", {"m": 2, "c": 2})]
 
 # sha256 of sequence_deviation's W stack at d = 4, seed 7, on GRID: schedules that lost
 # their blocks compose segment by segment, bit for bit as before blocks were recorded.
@@ -394,7 +405,7 @@ STRUCTURELESS_DIGESTS = [
 
 class TestBlockComposition:
     @pytest.mark.parametrize("name, params", BLOCK_FAMILIES, ids=[family_id(*f) for f in BLOCK_FAMILIES])
-    def test_double_w_matches_segment_path(self, by_blocks, name, params):
+    def test_double_w_matches_segment_path(self, name, params):
         ops = build_model(ModelSpec(d=4, seed=7))
         seq = build_sequence(name, 1.0, **params)
         assert seq.blocks is not None
@@ -405,7 +416,7 @@ class TestBlockComposition:
 
     @pytest.mark.parametrize("name, params", EXTENDED_BLOCK_FAMILIES,
                              ids=[family_id(*f) for f in EXTENDED_BLOCK_FAMILIES])
-    def test_extended_w_matches_segment_path(self, by_blocks, name, params):
+    def test_extended_w_matches_segment_path(self, extended_by_blocks, name, params):
         # Within the double floor: with float instants the segment path re-rounds the
         # parent's instants and the block path scales the leaf's exactly (up to 1.8e-14 apart).
         ops = build_model(ModelSpec(d=4, seed=7))
@@ -418,7 +429,7 @@ class TestBlockComposition:
 
     @pytest.mark.parametrize("levels, base, want", [(3, cudd(2, 2), 5), (2, cdd_full(2), 4), (0, cudd(3, 2), 2)],
                              ids=["CDD-3(CUDD(2,2))", "CDD-2(CDD-2)", "CDD-0(CUDD(3,2))"])
-    def test_concatenation_over_a_structured_base_chains_its_blocks(self, by_blocks, levels, base, want):
+    def test_concatenation_over_a_structured_base_chains_its_blocks(self, levels, base, want):
         ops = build_model(ModelSpec(d=4, seed=7))
         seq = cdd_full(levels, 0.01, base=base)
         node, depth = seq.blocks, 0
@@ -432,8 +443,8 @@ class TestBlockComposition:
     @pytest.mark.parametrize("d, name, params", WIDE_BLOCK_FAMILIES,
                              ids=[f"d{d}-{family_id(n, p)}" for d, n, p in WIDE_BLOCK_FAMILIES])
     def test_wide_baths_take_the_block_path(self, monkeypatch, d, name, params):
-        # Above stack_points(d) segments (16 at d = 16, 1 at d = 64) a structured
-        # schedule composes by its blocks unforced; both engines at d = 16.
+        # A structured schedule composes by its blocks unforced, in the extended engine
+        # above stack_points(d) segments (16 at d = 16, 1 at d = 64); both engines at d = 16.
         ops = build_model(ModelSpec(d=d, seed=7))
         seq = build_sequence(name, 1.0, **params)
         durations = [at / alpha(ops) for at in DEEP_GRID]
@@ -454,15 +465,33 @@ class TestBlockComposition:
             (flat_hi, flat_lo), _ = highprec._compose(structureless(seq), ops, durations)
             assert (np.abs((hi - flat_hi) + (lo - flat_lo)).max(axis=(-2, -1)) <= double_floor(seq, flat_hi)).all()
 
-    def test_short_schedules_keep_the_segment_path(self):
-        # CDD-4's 239 segments fit one d = 4 chunk: its bits are the segment path's, so
-        # the golden outputs stay put.  CDD-5's 957 do not, and it composes by its blocks.
+    @pytest.mark.parametrize("d", [4, 16])
+    @pytest.mark.parametrize("name, params", SHORT_BLOCK_FAMILIES, ids=[family_id(*f) for f in SHORT_BLOCK_FAMILIES])
+    def test_double_short_schedules_compose_by_blocks(self, monkeypatch, d, name, params):
+        # However few its segments, a schedule with blocks composes from its leaf, and its W
+        # stays within the double floor of the same pulses composed segment by segment.
+        ops = build_model(ModelSpec(d=d, seed=7))
+        seq = build_sequence(name, 1.0, **params)
+        assert segment_count(seq) <= stack_points(4)
+        durations = [at / alpha(ops) for at in (1e-3, 1e-2)]
+        leaves, plan = [], evolution._segment_plan
+        monkeypatch.setattr(evolution, "_segment_plan", lambda flat, *args: leaves.append(flat) or plan(flat, *args))
+        w, errors = sequence_deviation(seq, ops, durations)
+        assert errors == [None, None] and leaves == [block_leaf(seq)]
+        flat, _ = sequence_deviation(structureless(seq), ops, durations)
+        assert (np.abs(w - flat).max(axis=(-2, -1)) <= double_floor(seq, flat)).all()
+
+    @pytest.mark.parametrize("name, params", SHORT_BLOCK_FAMILIES, ids=[family_id(*f) for f in SHORT_BLOCK_FAMILIES])
+    def test_extended_short_schedules_keep_the_flat_pulses(self, name, params):
+        # Up to one chunk (256 segments at d = 4) the extended engine composes the flat pulses,
+        # bit for bit as without blocks, so its references keep their bits (ROADMAP.md item 2).
         ops = build_model(ModelSpec(d=4, seed=7))
-        short, long = cdd_full(4, 0.01), cdd_full(5, 0.01)
-        assert segment_count(short) == 239 <= stack_points(4) < segment_count(long)
-        assert not evolution._by_blocks(short, 4) and evolution._by_blocks(long, 4)
-        w, _ = sequence_deviation(short, ops, GRID)
-        assert w.tobytes() == sequence_deviation(structureless(short), ops, GRID)[0].tobytes()
+        seq = build_sequence(name, 1.0, **params)
+        assert seq.blocks is not None and segment_count(seq) <= stack_points(4)
+        durations = [at / alpha(ops) for at in (1e-3, 1e-2)]
+        (hi, lo), _ = highprec._compose(seq, ops, durations)
+        (flat_hi, flat_lo), _ = highprec._compose(structureless(seq), ops, durations)
+        assert hi.tobytes() == flat_hi.tobytes() and lo.tobytes() == flat_lo.tobytes()
 
     @pytest.mark.parametrize("name, params", BLOCK_FAMILIES, ids=[family_id(*f) for f in BLOCK_FAMILIES])
     def test_control_product_bit_identical(self, name, params):
