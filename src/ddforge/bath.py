@@ -37,20 +37,16 @@ _SPIN_BATH_RE = re.compile(r"^spin_bath\((\d+)\)$")
 
 
 def spectral_norm(a: np.ndarray):
-    """Largest |eigenvalue| of a Hermitian matrix.
+    """Largest |eigenvalue| of a Hermitian matrix, or an array of one per matrix of a (..., d, d) stack.
 
-    A (..., d, d) stack gives an array of one norm per matrix.  Only the
-    lower triangle is read, so the input must be exactly Hermitian.
+    A single matrix goes through as a stack of one.  Only the lower triangle
+    is read, so the input must be exactly Hermitian.
     """
-    if a.ndim > 2:
-        norms = np.zeros(a.shape[:-2])
-        nonzero = np.any(a, axis=(-2, -1))
-        if nonzero.any():
-            norms[nonzero] = np.abs(np.linalg.eigvalsh(a[nonzero])).max(axis=-1)
-        return norms
-    if a.size == 0 or not np.any(a):
-        return 0.0
-    return float(np.abs(np.linalg.eigvalsh(a)).max())
+    norms = np.zeros(a.shape[:-2])
+    nonzero = np.any(a, axis=(-2, -1))
+    if nonzero.any():
+        norms[nonzero] = np.abs(np.linalg.eigvalsh(a[nonzero])).max(axis=-1)
+    return norms if a.ndim > 2 else float(norms)
 
 
 @dataclass(frozen=True)
@@ -76,6 +72,8 @@ class ModelSpec:
         match = _SPIN_BATH_RE.match(self.preset)
         if match:
             k = int(match.group(1))
+            if k < 1:
+                raise ValueError(f"preset {self.preset!r} has no bath spin; spin_bath(k) needs k >= 1")
             if self.d != 2**k:
                 raise ValueError(f"spin_bath({k}) requires d = {2**k}, got {self.d}")
         elif self.preset == "pure_dephasing":

@@ -26,12 +26,15 @@ EXIT_USAGE = 2
 EXIT_BRANCH = 3
 EXIT_IO = 4
 
+# The pulse axes an option or a --seq token may name.
+AXES = ("X", "Y", "Z")
+
 def _add_family_args(parser):
     parser.add_argument("family", choices=sequences.FAMILIES, help="schedule family")
     parser.add_argument("--n", type=int, default=None, help="pulse count / level parameter")
     parser.add_argument("--m", type=int, default=None, help="block pulse count / level parameter")
     parser.add_argument("--c", type=int, default=None, help="cycle count")
-    parser.add_argument("--axis", choices=["X", "Y", "Z"], default=None, help="pulse axis (default Z)")
+    parser.add_argument("--axis", choices=AXES, default=None, help="pulse axis (default Z)")
 
 
 def _add_model_args(parser):
@@ -43,11 +46,18 @@ def _add_model_args(parser):
         parser.add_argument(f"--norm-{g}", type=float, default=None, help=f"norm target for A_{g}")
 
 
-def _add_common(parser):
+def _finish(parser, func, defaults: dict, **extra):
+    """Close a command's parser: name each built-in default in --help, add the common options, set the command.
+
+    ``defaults`` is the one place a default is written; ``main`` reads it after the flags and --config.
+    """
+    for a in (a for a in parser._actions if a.dest in defaults):
+        a.help = f"{a.help or ''} (default {defaults[a.dest]})".lstrip()
     parser.add_argument("--config", default=None, metavar="FILE", help="JSON config with default option values")
     parser.add_argument("--no-meta", action="store_true", help="omit the timestamp header in CSV output")
-    # Added last, so that every option of the command is known to the resolution step in main.
-    parser.set_defaults(options=[a for a in parser._actions if a.option_strings and a.dest != "help"])
+    # Set last, so that every option of the command is known to the resolution step in main.
+    parser.set_defaults(func=func, defaults=defaults, **extra,
+                        options=[a for a in parser._actions if a.option_strings and a.dest != "help"])
 
 
 def _load_json(path):
@@ -222,14 +232,23 @@ def _cmd_predict_magnus(args) -> int:
     return EXIT_OK
 
 
+# What each key of a --seq token takes.
+_SEQ_KEYS = {"n": "an integer", "m": "an integer", "c": "an integer", "axis": "X, Y or Z"}
+
+
 def _parse_seq_token(token: str) -> dict:
     name, *parts = token.split(",")
     family = {"name": name}
     for part in parts:
         key, _, value = part.partition("=")
-        if key not in ("n", "m", "c", "axis"):
+        if key not in _SEQ_KEYS:
             raise ValueError(f"unknown key {key!r} in --seq token {token!r}; expected n, m, c or axis")
-        family[key] = sequences.PauliAxis(value) if key == "axis" else int(value)
+        try:
+            if key == "axis" and value not in AXES:
+                raise ValueError
+            family[key] = sequences.PauliAxis(value) if key == "axis" else int(value)
+        except ValueError:
+            raise ValueError(f"key {key!r} in --seq token {token!r} takes {_SEQ_KEYS[key]}, got {value!r}") from None
     return family
 
 
@@ -275,53 +294,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a schedule and write its JSON")
     _add_family_args(p_gen)
-    p_gen.add_argument("--t", type=float, default=None, help="total duration (default 1.0)")
+    p_gen.add_argument("--t", type=float, default=None, help="total duration")
     p_gen.add_argument("--out", type=str, default=None, metavar="FILE", help="schedule JSON output path")
-    _add_common(p_gen)
-    p_gen.set_defaults(func=_cmd_gen, defaults=dict(t=1.0))
+    _finish(p_gen, _cmd_gen, dict(t=1.0))
 
     p_order = sub.add_parser("order", help="fit the suppression order of a family")
     _add_family_args(p_order)
     _add_model_args(p_order)
     p_order.add_argument("--functional", type=str, choices=["flip", "dephase", "total"], default=None)
-    p_order.add_argument("--at-min", type=float, default=None, help="smallest alpha*t (default 1e-3)")
-    p_order.add_argument("--at-max", type=float, default=None, help="largest alpha*t (default 1e-2)")
-    p_order.add_argument("--points", type=int, default=None, help="grid points (default 8)")
+    p_order.add_argument("--at-min", type=float, default=None, help="smallest alpha*t")
+    p_order.add_argument("--at-max", type=float, default=None, help="largest alpha*t")
+    p_order.add_argument("--points", type=int, default=None, help="grid points")
     p_order.add_argument("--seeds", default=None, help="comma-separated seed ensemble")
     p_order.add_argument("--precision", type=str, choices=list(analysis.ENGINES), default=None)
     p_order.add_argument("--out", type=str, default=None, metavar="FILE", help="scan CSV output path")
     p_order.add_argument("--summary", type=str, default=None, metavar="FILE", help="fit summary JSON output path")
-    _add_common(p_order)
-    p_order.set_defaults(func=_cmd_order, shrink="the duration grid (--at-max)",
-                         defaults=dict(functional="flip", at_min=1e-3, at_max=1e-2, points=8, precision="double"))
+    _finish(p_order, _cmd_order, dict(functional="flip", at_min=1e-3, at_max=1e-2, points=8, precision="double"),
+            shrink="the duration grid (--at-max)")
 
     p_counts = sub.add_parser("counts", help="pulse-count economics table")
     p_counts.add_argument("--m-max", dest="m_max", type=int, default=None)
     p_counts.add_argument("--out", type=str, default=None, metavar="FILE")
-    _add_common(p_counts)
-    p_counts.set_defaults(func=_cmd_counts, defaults=dict(m_max=12))
+    _finish(p_counts, _cmd_counts, dict(m_max=12))
 
     p_cross = sub.add_parser("crossover", help="smallest n with (n+1)^3 <= 2^n")
     p_cross.add_argument("--n-max", dest="n_max", type=int, default=None)
-    _add_common(p_cross)
-    p_cross.set_defaults(func=_cmd_crossover, defaults=dict(n_max=40))
+    _finish(p_cross, _cmd_crossover, dict(n_max=40))
 
     p_magnus = sub.add_parser("predict-magnus", help="concatenation predictor vs extraction")
     _add_model_args(p_magnus)
-    p_magnus.add_argument("--level", type=int, default=None, help="concatenation level (default 1)")
-    p_magnus.add_argument("--tau0", type=float, default=None, help="base block duration (default 0.01)")
-    p_magnus.add_argument("--halvings", type=int, default=None, help="number of tau0 halvings (default 3)")
-    _add_common(p_magnus)
-    p_magnus.set_defaults(func=_cmd_predict_magnus, shrink="the base duration (--tau0)",
-                          defaults=dict(level=1, tau0=0.01, halvings=3))
+    p_magnus.add_argument("--level", type=int, default=None, help="concatenation level")
+    p_magnus.add_argument("--tau0", type=float, default=None, help="base block duration")
+    p_magnus.add_argument("--halvings", type=int, default=None, help="number of tau0 halvings")
+    _finish(p_magnus, _cmd_predict_magnus, dict(level=1, tau0=0.01, halvings=3), shrink="the base duration (--tau0)")
 
     p_cmp = sub.add_parser("compare", help="residual couplings of several schedules at one duration")
     _add_model_args(p_cmp)
     p_cmp.add_argument("--seq", action="append", default=None, help="schedule token, e.g. udd,n=3 (repeatable)")
-    p_cmp.add_argument("--t", type=float, default=None, help="common total duration (default 0.01)")
+    p_cmp.add_argument("--t", type=float, default=None, help="common total duration")
     p_cmp.add_argument("--precision", type=str, choices=list(analysis.ENGINES), default=None)
-    _add_common(p_cmp)
-    p_cmp.set_defaults(func=_cmd_compare, shrink="the duration (--t)", defaults=dict(t=0.01, precision="double"))
+    _finish(p_cmp, _cmd_compare, dict(t=0.01, precision="double"), shrink="the duration (--t)")
 
     return parser
 
@@ -338,21 +350,15 @@ def main(argv=None) -> int:
             if getattr(args, a.dest) is None:
                 setattr(args, a.dest, config.get(a.dest, args.defaults.get(a.dest)))
         return args.func(args)
-    except effective.BranchAmbiguityError as exc:
+    except (ArithmeticError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # predict-magnus has no --precision flag.
-        switch = " or use --precision extended" if getattr(args, "precision", None) == "double" else ""
-        print(f"advice: shrink {args.shrink}{switch}", file=sys.stderr)
-        return EXIT_BRANCH
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BRANCH
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, effective.BranchAmbiguityError):
+            # predict-magnus has no --precision flag.
+            switch = " or use --precision extended" if getattr(args, "precision", None) == "double" else ""
+            print(f"advice: shrink {args.shrink}{switch}", file=sys.stderr)
+        # In this order: a class that is both a ValueError and an OSError is a usage error.
+        return (EXIT_BRANCH if isinstance(exc, ArithmeticError) else
+                EXIT_USAGE if isinstance(exc, (ValueError, KeyError)) else EXIT_IO)
 
 
 if __name__ == "__main__":

@@ -111,7 +111,7 @@ def _series_log(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, 2 * np.arctan(root)
 
 
-def _principal_logs(w: np.ndarray, margin: float) -> tuple[np.ndarray, list, np.ndarray]:
+def _principal_logs(w: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
     """unitary_log of I + W for every W in a (G, n, n) stack, without raising.
 
     Returns the (G, n, n) generators, per matrix the exception unitary_log
@@ -139,9 +139,9 @@ def _principal_logs(w: np.ndarray, margin: float) -> tuple[np.ndarray, list, np.
         phase[near] = np.abs(phases).max(axis=-1)
         for g, item in zip(near, phases):
             worst = item[np.abs(item).argmax()]
-            if np.abs(worst) > np.pi - margin:
+            if np.abs(worst) > np.pi - BRANCH_MARGIN:
                 errors[g] = BranchAmbiguityError(
-                    f"eigenphase {worst:+.4f} rad within {margin} of the branch cut; shrink the duration",
+                    f"eigenphase {worst:+.4f} rad within {BRANCH_MARGIN} of the branch cut; shrink the duration",
                     eigenphase=float(worst),
                 )
     for g in np.nonzero(residual > 1e-9)[0]:
@@ -156,7 +156,7 @@ def unitary_log(u: np.ndarray) -> np.ndarray:
     BRANCH_MARGIN of +-pi.  The reconstruction exp(-i M) is verified to 1e-9.
     """
     u = np.asarray(u, dtype=complex)
-    m, errors, _ = _principal_logs(u[None] - np.eye(u.shape[-1]), BRANCH_MARGIN)
+    m, errors, _ = _principal_logs(u[None] - np.eye(u.shape[-1]))
     if errors[0] is not None:
         raise errors[0]
     return m[0]
@@ -245,7 +245,7 @@ class Engine:
 
 
 def _log(w, errors):
-    m, log_errors, phase = _principal_logs(w, BRANCH_MARGIN)
+    m, log_errors, phase = _principal_logs(w)
     errors[:] = [error or log_error for error, log_error in zip(errors, log_errors)]
     return m, phase
 

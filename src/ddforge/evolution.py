@@ -66,27 +66,6 @@ def pulse_unitary(axis: PauliAxis, d: int) -> np.ndarray:
     return np.kron(SIGMA[axis.value], np.eye(d, dtype=complex))
 
 
-def apply_qubit_factor(q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(q (x) I_d) @ u for a phase times a Pauli matrix q, without a matmul.
-
-    u may be a (..., 2d, 2d) stack; the factor applies to every matrix.
-    Every output row block is one input block times 1, -1, i or -i, so the
-    result holds exactly the values of the dense product.
-    """
-    q, d = np.asarray(q), u.shape[-1] // 2
-    if q.shape != (2, 2) or np.count_nonzero(q) != 2:
-        raise ValueError("expected a phase times a Pauli matrix")
-    cols = np.abs(q).argmax(axis=1)
-    phases = q[(0, 1), cols]
-    if cols[0] == cols[1] or not all(z in (1, -1, 1j, -1j) for z in phases):
-        raise ValueError("expected a phase times a Pauli matrix")
-    if cols.tolist() != [0, 1]:
-        u = u.take(np.concatenate([c * d + np.arange(d) for c in cols]), axis=-2)
-    if np.any(phases != 1):
-        u = u * np.repeat(phases.astype(complex), d)[:, None]
-    return u
-
-
 _POWERS_OF_I = (1, 1j, -1, -1j)
 # sigma_a sigma_b = i^_PHASE[a, b] sigma_(a ^ b) for codes a and b.
 _PHASE = np.array([[0, 0, 0, 0], [0, 0, 3, 1], [0, 1, 0, 3], [0, 3, 1, 0]])
@@ -140,19 +119,19 @@ def segment_count(seq: PulseSequence) -> int:
     return len(range(seq.pulse_count + 1)[_kept(seq)])
 
 
-def _control(seq: PulseSequence) -> np.ndarray:
-    """The control product from the codes, formed on first use and kept in ``seq._cache``."""
+def _control(seq: PulseSequence) -> tuple[int, int]:
+    """(p, f) with control product i^p sigma_f, from the codes, formed on first use and kept in ``seq._cache``."""
     cache = seq._cache
     if _control not in cache:
         codes, frames = seq.codes, _frames(seq.codes)
-        phase = _PHASE.ravel().take(codes * 4 + frames[:-1]).sum() % 4
-        cache[_control] = _POWERS_OF_I[phase] * SIGMA[CODE_AXIS[frames[-1]]]
+        cache[_control] = int(_PHASE.ravel().take(codes * 4 + frames[:-1]).sum() % 4), int(frames[-1])
     return cache[_control]
 
 
 def control_product(seq: PulseSequence) -> np.ndarray:
     """Ordered 2x2 product of the ideal pulse factors alone (phase included): the net control rotation."""
-    return _control(seq).copy()
+    phase, code = _control(seq)
+    return _POWERS_OF_I[phase] * SIGMA[CODE_AXIS[code]]
 
 
 UNITARITY_TOL = 1e-10
@@ -358,12 +337,20 @@ def sequence_unitary(seq: PulseSequence, ops: BathOperators) -> UnitaryResult:
 
     Later factors multiply on the left; zero-length segments (boundary
     pulses) are skipped.  The control product is applied to the deviation
-    of ``sequence_deviation`` as exact rows, and the result carries W.
+    of ``sequence_deviation`` as exact rows (``_frame_rows``), and the result
+    carries W.
     """
     w, errors = sequence_deviation(seq, ops, [seq.total_duration])
     if errors[0] is not None:
         raise errors[0]
-    u = apply_qubit_factor(_control(seq), w[0] + np.eye(w.shape[-1]))
+    d, rows = ops.dim, _frame_rows(ops.dim)[0][_control(seq)[1]]
+    u = (w[0] + np.eye(2 * d))[rows]
+    # Each row's one factor i^p (sigma_f)_(a, b), multiplied only if not 1: times 1 + 0j would turn a
+    # -0.0 real part into +0.0.  Taken from the 2x2 product as one number, as i^p times the row's sign
+    # in two steps can give a zero part the other sign.
+    factors = control_product(seq)[(0, 1), rows[::d] // d]
+    if np.any(factors != 1):
+        u *= np.repeat(factors, d)[:, None]
     u.flags.writeable = False
     result = object.__new__(UnitaryResult)  # W passed its unitarity check above; __post_init__ would repeat it
     result.__dict__.update(u=u, total_duration=seq.total_duration, pulse_count=seq.pulse_count, label=seq.label, w=w[0])

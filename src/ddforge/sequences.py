@@ -500,17 +500,12 @@ def commensurate_grid(seq: PulseSequence) -> int | None:
 def a_n(n: int) -> int:
     """Surviving X-pulse count of the two-block concatenation at level n.
 
-    Closed form (2/3)(2^n - (-1)^n), cross-checked against the recursion
-    a_{k+1} = 2 a_k + 2 (-1)^k.
+    Closed form (2/3)(2^n - (-1)^n) of the recursion a_{k+1} = 2 a_k + 2 (-1)^k,
+    a_0 = 0; the tests check the two agree for n <= 30.
     """
     if n < 0:
         raise ValueError("level must be non-negative")
-    closed = (2 * (2**n - (-1) ** n)) // 3
-    rec = 0
-    for k in range(n):
-        rec = 2 * rec + 2 * (-1) ** k
-    assert rec == closed, "closed form disagrees with recursion"
-    return closed
+    return (2 * (2**n - (-1) ** n)) // 3
 
 
 def cudd_count(m: int, n: int) -> int:

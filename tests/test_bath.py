@@ -45,6 +45,11 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(d=4, seed=1, preset="spin_bath(3)")
 
+    def test_spin_bath_needs_a_spin(self):
+        # spin_bath(0) drew all-zero operators, and scaling them to their targets divided by zero.
+        with pytest.raises(ValueError, match=r"preset 'spin_bath\(0\)' has no bath spin"):
+            ModelSpec(d=1, preset="spin_bath(0)")
+
     def test_rejects_unknown_preset_and_channel(self):
         with pytest.raises(ValueError):
             ModelSpec(seed=1, preset="thermal")

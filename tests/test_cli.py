@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ddforge.cli import main
+from ddforge.cli import build_parser, main
 from ddforge.sequences import cudd, schedule_from_json
 
 
@@ -332,6 +332,17 @@ class TestCompare:
         assert code == 2 and out == ""
         assert err == "error: unknown key 'k' in --seq token 'udd,k=3'; expected n, m, c or axis\n"
 
+    @pytest.mark.parametrize("token, message", [
+        ("udd,n=x", "key 'n' in --seq token 'udd,n=x' takes an integer, got 'x'"),
+        ("udd,n=3,axis=Q", "key 'axis' in --seq token 'udd,n=3,axis=Q' takes X, Y or Z, got 'Q'"),
+        ("udd,n=3,axis=I", "key 'axis' in --seq token 'udd,n=3,axis=I' takes X, Y or Z, got 'I'"),
+    ], ids=["integer", "unknown-axis", "identity-axis"])
+    def test_bad_seq_value_names_token_and_key(self, capsys, token, message):
+        # Each printed only the parser's own message ("invalid literal for int() ...", "'Q' is not a valid PauliAxis").
+        code, out, err = run(capsys, "compare", "--seq", "udd,n=2", "--seq", token, "--seed", "7")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv, message", [
         (("--seq", "udd,n=2", "--seq", "cdd"), "family 'cdd' requires --m"),
         (("--seq", "udd,n=2", "--t", "0"), "total_duration must be positive and finite, got 0.0"),
@@ -355,6 +366,29 @@ class TestCompare:
             u = evolution.sequence_unitary(seq, model).u
             ctrl = np.kron(evolution.control_product(seq), np.eye(model.dim))
             assert line.split()[-1] == f"{evolution.entanglement_fidelity(ctrl.conj().T @ u):.9f}"
+
+
+def test_spin_bath_without_spins_is_usage_error(capsys):
+    # All-zero operators ended in exit 3 with "float division by zero".
+    code, out, err = run(capsys, "order", "udd", "--n", "2", "--preset", "spin_bath(0)", "--d", "1")
+    assert code == 2 and out == ""
+    assert err == "error: preset 'spin_bath(0)' has no bath spin; spin_bath(k) needs k >= 1\n"
+
+
+def test_help_names_every_default(capsys):
+    # The "(default X)" text comes from the command's defaults, the only place a built-in default is written.
+    commands = next(a for a in build_parser()._actions if a.choices and a.dest == "command").choices
+    for name, parser in commands.items():
+        defaults = parser.get_default("defaults")
+        assert main([name, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps long lines
+        options = {a.dest: a for a in parser._actions}
+        assert set(defaults) <= set(options)
+        for key, value in defaults.items():
+            invocation = parser._get_formatter()._format_action_invocation(options[key])
+            help_text = options[key].help
+            assert help_text.endswith(f"(default {value})") and help_text.count("(default") == 1
+            assert f"{invocation} {help_text}" in text, (name, key)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ import pytest
 from ddforge import effective
 from ddforge.bath import SIGMA, BathOperators, ModelSpec, alpha, build_model, spectral_norm
 from ddforge.effective import (
-    BRANCH_MARGIN,
     DOUBLE,
     BranchAmbiguityError,
     _principal_logs,
@@ -103,7 +102,7 @@ class TestUnitaryLog:
         from ddforge.effective import _principal_logs
 
         good = [expm_segment(random_hermitian(4, s), 1.0) for s in (0.5, 2.0)]
-        m, errors, _ = _principal_logs(np.stack([good[0], -np.eye(4, dtype=complex), good[1]]) - np.eye(4), 0.1)
+        m, errors, _ = _principal_logs(np.stack([good[0], -np.eye(4, dtype=complex), good[1]]) - np.eye(4))
         assert errors[0] is None and errors[2] is None
         assert type(errors[1]) is BranchAmbiguityError
         assert errors[1].eigenphase == np.pi
@@ -144,9 +143,9 @@ class TestSeriesLog:
                      + [-2 * np.eye(8, dtype=complex)])
         sizes = [cayley_size(item) for item in w[:4]]
         assert sizes[0] < sizes[1] < effective.SERIES_BOUND <= sizes[2] and sizes[3] < effective.SERIES_BOUND
-        m, errors, phase = _principal_logs(w, BRANCH_MARGIN)
+        m, errors, phase = _principal_logs(w)
         for g in range(len(w)):
-            m_one, errors_one, phase_one = _principal_logs(w[g:g + 1], BRANCH_MARGIN)
+            m_one, errors_one, phase_one = _principal_logs(w[g:g + 1])
             assert type(errors[g]) is type(errors_one[0])
             if errors[g] is None:
                 assert m[g].tobytes() == m_one[0].tobytes()
@@ -164,9 +163,9 @@ class TestSeriesLog:
         phases = np.concatenate(([-largest], largest * spread * rng.uniform(-1, 1, n - 1)))
         w = deviation_with_phases(phases, rng)[None]
         assert cayley_size(w[0]) < effective.SERIES_BOUND
-        m, errors, bound = _principal_logs(w, BRANCH_MARGIN)
+        m, errors, bound = _principal_logs(w)
         monkeypatch.setattr(effective, "SERIES_BOUND", 0.0)
-        m_eigh, errors_eigh, exact = _principal_logs(w, BRANCH_MARGIN)
+        m_eigh, errors_eigh, exact = _principal_logs(w)
         assert errors == errors_eigh == [None]
         assert exact[0] == pytest.approx(largest, rel=1e-12)
         assert np.abs(m - m_eigh).max() <= effective.FLOOR_UNIT * exact[0]
@@ -349,10 +348,10 @@ def test_series_bound_on_reference_points(monkeypatch):
     ratios = []
     for key, seq, ops, _ in reference_points({"d4", "d64"}):
         w, _ = sequence_deviation(seq, ops, [seq.total_duration])
-        _, errors, bound = _principal_logs(w, BRANCH_MARGIN)
+        _, errors, bound = _principal_logs(w)
         with monkeypatch.context() as patch:
             patch.setattr(effective, "SERIES_BOUND", 0.0)
-            _, _, exact = _principal_logs(w, BRANCH_MARGIN)
+            _, _, exact = _principal_logs(w)
         assert errors == [None] and cayley_size(w[0]) < effective.SERIES_BOUND, key
         ratios.append(bound[0] / exact[0])
     assert len(ratios) == 340
@@ -377,6 +376,16 @@ class TestSpectralNorm:
         assert norms.shape == (3,)
         assert [float(x) for x in norms] == [spectral_norm(a) for a in stack]
         assert spectral_norm(stack.reshape(3, 1, 5, 5)).shape == (3, 1)
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 5, 16, 64])
+    def test_single_matrix_is_a_stack_of_one(self, d):
+        # A float with the bits of the stacked path, and of the largest |eigvalsh| of the matrix itself.
+        for a in (random_hermitian(d, 1.5) if d else np.zeros((0, 0), complex), np.zeros((d, d), complex)):
+            got = spectral_norm(a)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == spectral_norm(a[None])[0].tobytes()
+            if a.any():
+                assert got == float(np.abs(np.linalg.eigvalsh(a)).max())
 
 
 class TestMagnusPredictor:

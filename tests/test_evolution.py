@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -15,7 +16,6 @@ from ddforge.evolution import (
     STACK_BYTES,
     UnitaryResult,
     _product,
-    apply_qubit_factor,
     conjugate_frame,
     control_product,
     entanglement_fidelity,
@@ -119,10 +119,6 @@ class TestPulseUnitary:
             pulse_unitary(PauliAxis.I, 2)
 
 
-def random_complex(rows, cols):
-    return RNG.normal(size=(rows, cols)) + 1j * RNG.normal(size=(rows, cols))
-
-
 def dense_sequence_unitary(seq, ops):
     # Reference composition: a fresh eigendecomposition of H and every pulse
     # as a dense (sigma_a (x) I_d) matmul.
@@ -144,40 +140,48 @@ def dense_sequence_unitary(seq, ops):
     return u
 
 
+def controlled_reference(seq: PulseSequence, w: np.ndarray) -> np.ndarray:
+    """U = (ctrl (x) I_d)(I + W) as a dense product."""
+    d = w.shape[-1] // 2
+    return np.kron(control_product(seq), np.eye(d)) @ (w + np.eye(2 * d))
+
+
+def pauli_schedule(q: np.ndarray) -> PulseSequence:
+    """The first schedule of up to four equally spaced pulses whose control product is q."""
+    for n in range(5):
+        for axes in itertools.product((PauliAxis.X, PauliAxis.Y, PauliAxis.Z), repeat=n):
+            seq = PulseSequence(0.05, tuple(Pulse(Fraction(k + 1, n + 1), axis) for k, axis in enumerate(axes)))
+            if np.array_equal(control_product(seq), q):
+                return seq
+    raise AssertionError(f"no schedule of up to four pulses has control product {q}")
+
+
 class TestRowOperations:
+    # sequence_unitary applies the control product to I + W as exact signed rows;
+    # every row holds exactly the values of the dense product.
     @pytest.mark.parametrize("d", [1, 3, 4])
     @pytest.mark.parametrize("axis", [PauliAxis.X, PauliAxis.Y, PauliAxis.Z])
     def test_pulse_equals_dense_product(self, axis, d):
-        u = random_complex(2 * d, 2 * d)
-        assert np.array_equal(apply_qubit_factor(SIGMA[axis.value], u), pulse_unitary(axis, d) @ u)
+        seq = spin_echo(0.05, axis)
+        result = sequence_unitary(seq, build_model(ModelSpec(d=d, seed=3)))
+        assert np.array_equal(np.kron(control_product(seq), np.eye(d)), pulse_unitary(axis, d))
+        assert np.array_equal(result.u, controlled_reference(seq, result.w))
 
     @pytest.mark.parametrize("phase", [1, -1, 1j, -1j])
     @pytest.mark.parametrize("pauli", ["I", "X", "Y", "Z"])
     def test_phased_pauli_equals_dense_product(self, pauli, phase):
-        q = phase * SIGMA[pauli]
-        u = random_complex(6, 6)
-        assert np.array_equal(apply_qubit_factor(q, u), np.kron(q, np.eye(3)) @ u)
+        # Every code and every phase i^p of the control product.
+        seq = pauli_schedule(phase * SIGMA[pauli])
+        for spec in (ModelSpec(d=3, seed=4), ModelSpec(d=2, seed=4, preset="pure_dephasing")):
+            result = sequence_unitary(seq, build_model(spec))
+            assert np.array_equal(result.u, controlled_reference(seq, result.w))
 
     def test_control_frame_removal_is_exact(self):
         ops = build_model(ModelSpec(d=4, seed=5))
         seq = cudd(2, 2, 0.1)
-        u = sequence_unitary(seq, ops).u
+        result = sequence_unitary(seq, ops)
         ctrl = np.kron(control_product(seq), np.eye(4))
-        assert np.array_equal(apply_qubit_factor(control_product(seq).conj().T, u), ctrl.conj().T @ u)
-
-    def test_input_is_not_modified(self):
-        u = random_complex(4, 4)
-        before = u.copy()
-        for pauli in ("X", "Y", "Z"):
-            apply_qubit_factor(SIGMA[pauli], u)
-        assert np.array_equal(u, before)
-
-    @pytest.mark.parametrize(
-        "q", [np.eye(2) * 0.5, np.ones((2, 2)), np.diag([1, 1j + 1]), np.array([[1, 0], [1, 0]]), np.eye(3)]
-    )
-    def test_rejects_non_pauli_factor(self, q):
-        with pytest.raises(ValueError, match="Pauli"):
-            apply_qubit_factor(q, random_complex(4, 4))
+        assert np.array_equal(ctrl.conj().T @ result.u, result.w + np.eye(8))
 
 
 class TestCompositionExactness:
@@ -240,7 +244,7 @@ class TestStackedComposition:
         for item, t in zip(stack, GRID):
             single = sequence_unitary(seq.with_duration(t), ops)
             assert item.tobytes() == single.w.tobytes()
-            assert apply_qubit_factor(control_product(seq), item + np.eye(2 * d)).tobytes() == single.u.tobytes()
+            assert np.array_equal(controlled_reference(seq, item), single.u)
 
     def test_failed_item_is_recorded_not_raised(self):
         # A scaled eigenvector basis makes every segment factor non-unitary;
@@ -270,7 +274,7 @@ class TestStackedComposition:
             single = sequence_unitary(seq.with_duration(t), ops).w
             assert item.tobytes() == single.tobytes()
         dense = dense_sequence_unitary(seq.with_duration(GRID[-1]), ops)
-        u = apply_qubit_factor(control_product(seq), stack[-1] + np.eye(8))
+        u = controlled_reference(seq, stack[-1])
         assert np.abs(u - dense).max() <= 16 * segments * np.finfo(float).eps
 
     def test_stack_size_rule(self):

@@ -382,8 +382,8 @@ class TestCounts:
 
     @pytest.mark.parametrize("n", range(0, 31))
     def test_a_n_recursion_matches_closed_form(self, n):
-        # a_n() asserts recursion == closed form internally; also check the
-        # recurrence step explicitly in exact integer arithmetic.
+        # The closed form against the recurrence step, in exact integer
+        # arithmetic; with a_0 = 0 above, this is the recursion for n <= 30.
         if n:
             assert a_n(n) == 2 * a_n(n - 1) + 2 * (-1) ** (n - 1)
 
