@@ -4,6 +4,9 @@ Builds ideal pi-pulse schedules (Uhrig, CPMG, periodic, concatenated and
 Uhrig-over-Uhrig families) with exact rational timing, composes their exact
 unitaries under dense qubit-bath models, extracts effective generators via
 the principal matrix log, and fits decoherence-suppression orders.
+
+The imports below are the public names, written once; ``import *`` takes
+them and the submodules.
 """
 
 from .analysis import (
@@ -12,7 +15,6 @@ from .analysis import (
     crossover,
     default_t_grid,
     dephasing_bound_constant,
-    evaluate_point,
     evaluate_scan,
     fit_order,
     order_scan,
@@ -33,15 +35,12 @@ from .effective import (
     error_functionals,
     magnus_cdd_predict,
     pauli_decompose,
-    pauli_reassemble,
     sequence_effective,
-    unitary_log,
 )
 from .evolution import (
     UnitaryResult,
     control_product,
     entanglement_fidelity,
-    expm_segment,
     pulse_unitary,
     sequence_unitary,
 )
@@ -62,7 +61,6 @@ from .sequences import (
     cudd_count,
     d_approx,
     icpmg,
-    merge_pulses,
     pdd,
     schedule_from_json,
     schedule_to_json,
@@ -74,62 +72,3 @@ from .sequences import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BathOperators",
-    "BranchAmbiguityError",
-    "EffectiveHamiltonian",
-    "FAMILIES",
-    "ModelSpec",
-    "OrderFit",
-    "PauliAxis",
-    "Pulse",
-    "PulseSequence",
-    "UnitaryResult",
-    "a_n",
-    "alpha",
-    "build_model",
-    "build_sequence",
-    "cdd_count_estimate",
-    "cdd_full",
-    "cdd_xx",
-    "commensurate_grid",
-    "control_product",
-    "count_compare",
-    "cpmg",
-    "cpmg_udd",
-    "crossover",
-    "cudd",
-    "cudd_count",
-    "d_approx",
-    "default_t_grid",
-    "dephasing_bound_constant",
-    "entanglement_fidelity",
-    "error_functionals",
-    "evaluate_point",
-    "evaluate_scan",
-    "expm_segment",
-    "fit_order",
-    "icpmg",
-    "magnus_cdd_predict",
-    "merge_pulses",
-    "order_scan",
-    "pauli_decompose",
-    "pauli_reassemble",
-    "pdd",
-    "pulse_unitary",
-    "schedule_from_json",
-    "schedule_to_json",
-    "sequence_effective",
-    "sequence_unitary",
-    "spec_from_json",
-    "spec_to_json",
-    "spectral_norm",
-    "spin_echo",
-    "total_hamiltonian",
-    "udd2_approx",
-    "udd2_count",
-    "udd_instants",
-    "udd_sequence",
-    "unitary_log",
-]

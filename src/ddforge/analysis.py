@@ -4,10 +4,10 @@ An order scan evaluates the residual-coupling functionals of one schedule
 family on a logarithmic duration grid and fits the log-log slope, which
 estimates the suppression order directly.  ``ENGINES`` maps each precision
 to its ``effective.Engine``, the double one or the double-double one of
-``highprec``; scans, single points and the CLI all reach their functionals
-through ``effective.evaluate`` on that engine.  A schedule built once is
-composed and extracted for a whole stack of grid durations per bath model in
-one pass (``evolution.stack_points`` durations per stack).
+``highprec``; scans and the CLI all reach their functionals through
+``effective.evaluate`` on that engine.  A schedule built once is composed
+and extracted for a whole stack of grid durations per bath model in one
+pass (``evolution.stack_points`` durations per stack).
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bath import ModelSpec, alpha, build_model
-from .effective import (DOUBLE, BranchAmbiguityError, Engine, error_functionals, evaluate, point_effective,
-                        sequence_effective)
+from .bath import ModelSpec, alpha, build_model, spectral_norm
+from .effective import DOUBLE, BranchAmbiguityError, Engine, error_functionals, evaluate, sequence_effective
 from .evolution import stack_points
 from .highprec import EXTENDED
-from .sequences import PulseSequence, build_sequence
+from .sequences import PulseSequence, build_sequence, cdd_count_estimate, cudd_count, udd2_count
 
 FUNCTIONALS = ("E_flip", "E_dephase", "E_total")
 
@@ -122,12 +121,6 @@ def _scan_stacks(family_spec, t_grid, per_stack: int) -> list[tuple]:
             for s in range(0, len(t_grid), per_stack)]
 
 
-def evaluate_point(seq: PulseSequence, ops, precision: str = "double") -> dict:
-    """All three residual functionals of one schedule under one model, and ``floor``, their estimated absolute error."""
-    eff = point_effective(seq, ops, precision_engine(precision))
-    return {**error_functionals(eff), "floor": eff.floor}
-
-
 def evaluate_scan(
     family_spec,
     model_spec: ModelSpec,
@@ -143,8 +136,9 @@ def evaluate_scan(
     Rows also carry ``floor``, the engine's estimated absolute error of each
     functional, averaged the same way.  Raises BranchAmbiguityError (tagged with the offending duration) when
     eigenphases leave the principal branch; as a guard, alpha * t_max must
-    stay below 1.  ``dps`` is accepted and ignored: both engines carry a
-    fixed precision.
+    stay below 1.  ``dps`` is ignored, as both engines carry a fixed
+    precision; it stays only because ``perfbench/measure.py`` passes it,
+    until the benchmark change of ROADMAP.md item 3.
     """
     engine = precision_engine(precision)
     seeds = [model_spec.seed] if seeds is None else list(seeds)
@@ -215,8 +209,6 @@ def count_compare(m_max: int) -> list[dict]:
     pulses, the concatenated-Uhrig construction m 2^m + a_m (level m over
     m-pulse blocks), and the polynomial-timed double layer m(m+1)^3 + m.
     """
-    from .sequences import cdd_count_estimate, cudd_count, udd2_count
-
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     rows = []
@@ -249,8 +241,6 @@ def crossover(n_max: int = 40) -> int:
 
 def dephasing_bound_constant(seq: PulseSequence, ops) -> float:
     """Observed ratio |a_z_eff| / max(|A_z|, t |A_x| |A_y|) (reported, not asserted)."""
-    from .bath import spectral_norm
-
     eff = sequence_effective(seq, ops)
     bound = max(spectral_norm(ops.az), seq.total_duration * spectral_norm(ops.ax) * spectral_norm(ops.ay))
     if bound == 0.0:

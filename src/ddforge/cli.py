@@ -19,6 +19,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import analysis, bath, effective, evolution, sequences
 
 EXIT_OK = 0
@@ -243,6 +245,8 @@ def _parse_seq_token(token: str) -> dict:
         key, _, value = part.partition("=")
         if key not in _SEQ_KEYS:
             raise ValueError(f"unknown key {key!r} in --seq token {token!r}; expected n, m, c or axis")
+        if key in family:
+            raise ValueError(f"key {key!r} repeats in --seq token {token!r}; give each key once")
         try:
             if key == "axis" and value not in AXES:
                 raise ValueError
@@ -253,8 +257,6 @@ def _parse_seq_token(token: str) -> dict:
 
 
 def _cmd_compare(args) -> int:
-    import numpy as np
-
     model = bath.build_model(_model_spec(args))
     if not args.seq:
         raise ValueError("compare needs at least one --seq token, e.g. --seq udd,n=3")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bath import _GAMMA_SIGMA, SIGMA, spectral_norm
+from .bath import spectral_norm
 from .evolution import segment_count, sequence_deviation
 from .evolution import sequence_unitary  # noqa: F401  (rebound here by perfbench/tracing.py and a test)
 
@@ -112,11 +112,13 @@ def _series_log(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _principal_logs(w: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
-    """unitary_log of I + W for every W in a (G, n, n) stack, without raising.
+    """Principal Hermitian M with I + W = exp(-i M) for every W in a (G, n, n) stack, without raising.
 
-    Returns the (G, n, n) generators, per matrix the exception unitary_log
-    would raise for it, or None, and the (G,) bound |M| on the eigenphases.
-    A failed matrix does not stop the others; its generator is meaningless.
+    Returns the (G, n, n) generators, per matrix the error it failed with
+    (a BranchAmbiguityError for an eigenphase within BRANCH_MARGIN of +-pi,
+    an ArithmeticError for a reconstruction residual above 1e-9), or None,
+    and the (G,) bound |M| on the eigenphases.  A failed matrix does not
+    stop the others; its generator is meaningless.
     """
     z, singular = shifted_solve(w)
     z -= np.swapaxes(z.conj(), -1, -2)
@@ -147,19 +149,6 @@ def _principal_logs(w: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
     for g in np.nonzero(residual > 1e-9)[0]:
         errors[g] = errors[g] or ArithmeticError(f"log reconstruction residual {residual[g]:.2e} exceeds 1e-9")
     return m, errors, phase
-
-
-def unitary_log(u: np.ndarray) -> np.ndarray:
-    """Hermitian M with u = exp(-i M), eigenphases in (-pi, pi).
-
-    Raises BranchAmbiguityError when any eigenphase of u comes within
-    BRANCH_MARGIN of +-pi.  The reconstruction exp(-i M) is verified to 1e-9.
-    """
-    u = np.asarray(u, dtype=complex)
-    m, errors, _ = _principal_logs(u[None] - np.eye(u.shape[-1]))
-    if errors[0] is not None:
-        raise errors[0]
-    return m[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,15 +189,6 @@ def pauli_decompose(m: np.ndarray, t=1.0) -> EffectiveHamiltonian:
         az=(m00 - m11) / scale,
         t=t,
     )
-
-
-def pauli_reassemble(eff: EffectiveHamiltonian) -> np.ndarray:
-    """Inverse of pauli_decompose: sum_g sigma_g (x) (a_g t)."""
-    d = eff.a0.shape[0]
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
-    for g, a in eff.items():
-        out += np.kron(SIGMA[_GAMMA_SIGMA[g]], a * eff.t)
-    return out
 
 
 def error_functionals(eff: EffectiveHamiltonian) -> dict:

@@ -45,19 +45,6 @@ import numpy as np
 from .bath import SIGMA, BathOperators
 from .sequences import CODE_AXIS, Blocks, PauliAxis, PulseSequence
 
-HERMITICITY_TOL = 1e-10
-
-
-def expm_segment(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) for Hermitian h via eigendecomposition."""
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("expected a square matrix")
-    if np.abs(h - h.conj().T).max() > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(-1j * evals * dt)) @ evecs.conj().T
-
-
 def pulse_unitary(axis: PauliAxis, d: int) -> np.ndarray:
     """Ideal pi pulse sigma_axis (x) I_d (bare Pauli phase convention)."""
     axis = PauliAxis(axis)

@@ -202,9 +202,8 @@ def _composed(seq: PulseSequence, d: int) -> Blocks | PulseSequence:
     on the flat float instants.  By blocks, extended CUDD(3,3) sheds most of
     its timing tail (E_flip slope 4.98-5.02 on alpha t in [3e-4, 3e-3],
     against 1.64-2.11 flat), and the benchmark's oracle would score those
-    better values as misses.  It goes
-    with the timing floor (ROADMAP.md item 2), when the references are
-    rebuilt from exact instants.
+    better values as misses.  It goes once instants are exact (ROADMAP.md
+    item 1) and the references are rebuilt from them (item 3).
     """
     return seq if seq.blocks is None or segment_count(seq) <= stack_points(d) else seq.blocks
 

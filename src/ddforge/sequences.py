@@ -66,11 +66,6 @@ def _code(axis: PauliAxis) -> int:
     return CODE_AXIS.index(PauliAxis(axis).value)
 
 
-def compose_axes(first: PauliAxis, second: PauliAxis) -> PauliAxis:
-    """Axis of the product of two Pauli rotations, global phase discarded."""
-    return PauliAxis(CODE_AXIS[_code(first) ^ _code(second)])
-
-
 Instant = Fraction | float
 
 
@@ -270,16 +265,6 @@ class PulseSequence:
         seq = copy.copy(self)
         seq.total_duration, seq.family = _duration(total_duration), dict(self.family)
         return seq
-
-
-def merge_pulses(items: Iterable[tuple[Instant, PauliAxis]]) -> tuple[Pulse, ...]:
-    """Sort raw (instant, axis) pairs and merge coincident pulses.
-
-    Coincidence is exact value equality (a Fraction and an equal float merge;
-    the exact representative is kept).  Each coincident group composes
-    through the Pauli algebra; identity results are dropped.
-    """
-    return _pulses(_merge(_items(items)))
 
 
 # --- Uhrig and classic families ----------------------------------------------

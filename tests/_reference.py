@@ -1,0 +1,83 @@
+"""Reference helpers the tests check the package against.
+
+Each is written from its definition (a dense eigendecomposition, the 2x2
+Pauli matrices, a per-pulse merge), except ``unitary_log``, which gives one
+matrix the stacked log of ``effective._principal_logs`` and raises its error.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from ddforge.bath import _GAMMA_SIGMA, SIGMA
+from ddforge.effective import _principal_logs
+from ddforge.sequences import PauliAxis, Pulse
+
+
+def expm_segment(h: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i h dt) for Hermitian h via eigendecomposition."""
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("expected a square matrix")
+    if np.abs(h - h.conj().T).max() > 1e-10:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    evals, evecs = np.linalg.eigh(h)
+    return (evecs * np.exp(-1j * evals * dt)) @ evecs.conj().T
+
+
+def unitary_log(u: np.ndarray) -> np.ndarray:
+    """Hermitian M with u = exp(-i M), eigenphases in (-pi, pi).
+
+    Raises BranchAmbiguityError when any eigenphase of u comes within
+    BRANCH_MARGIN of +-pi.  The reconstruction exp(-i M) is verified to 1e-9.
+    """
+    u = np.asarray(u, dtype=complex)
+    m, errors, _ = _principal_logs(u[None] - np.eye(u.shape[-1]))
+    if errors[0] is not None:
+        raise errors[0]
+    return m[0]
+
+
+def pauli_reassemble(eff) -> np.ndarray:
+    """Inverse of pauli_decompose: sum_g sigma_g (x) (a_g t)."""
+    d = eff.a0.shape[0]
+    out = np.zeros((2 * d, 2 * d), dtype=complex)
+    for g, a in eff.items():
+        out += np.kron(SIGMA[_GAMMA_SIGMA[g]], a * eff.t)
+    return out
+
+
+def compose_axes(first: PauliAxis, second: PauliAxis) -> PauliAxis:
+    """Axis of the product of two Pauli rotations, global phase discarded, from the 2x2 matrices."""
+    product = SIGMA[PauliAxis(first).value] @ SIGMA[PauliAxis(second).value]
+    return next(axis for axis in PauliAxis if abs(np.vdot(SIGMA[axis.value], product)) == 2)
+
+
+def reference_merge(items):
+    # The per-pulse merge: sort by float value, fold each run of exactly
+    # equal neighbours through the Pauli table, keep an exact instant.
+    merged = []
+    for instant, axis in sorted(items, key=lambda p: float(p[0])):
+        if merged and merged[-1][0] == instant:
+            prev, prev_axis = merged[-1]
+            merged[-1] = (prev if isinstance(prev, Fraction) else instant, compose_axes(prev_axis, axis))
+        else:
+            merged.append((instant, PauliAxis(axis)))
+    return [(i, a) for i, a in merged if a is not PauliAxis.I]
+
+
+def merged_per_level(base, junction_axes, levels):
+    # Reference concatenation: the per-pulse merge at every level, with block
+    # windows embedded by Fraction arithmetic, ending in validated Pulses.
+    nblocks = len(junction_axes)
+    current = list(base)
+    for _ in range(levels):
+        nxt = []
+        for b, axis in enumerate(reversed(junction_axes)):
+            nxt.append((Fraction(b, nblocks), axis))
+            for instant, ax in current:
+                if isinstance(instant, Fraction):
+                    nxt.append((Fraction(b, nblocks) + Fraction(1, nblocks) * instant, ax))
+                else:
+                    nxt.append(((b + instant) / nblocks, ax))
+        current = reference_merge(nxt)
+    return [Pulse(i, a) for i, a in reference_merge(current)]

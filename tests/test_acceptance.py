@@ -7,17 +7,16 @@ their residuals sit below the double-precision extraction floor.
 """
 
 import numpy as np
+from _reference import expm_segment, pauli_reassemble, unitary_log
 
 from ddforge.analysis import crossover, evaluate_scan, fit_order, order_scan
 from ddforge.bath import ModelSpec, alpha, build_model, spectral_norm
 from ddforge.effective import (
     magnus_cdd_predict,
     pauli_decompose,
-    pauli_reassemble,
     sequence_effective,
-    unitary_log,
 )
-from ddforge.evolution import expm_segment, sequence_unitary
+from ddforge.evolution import sequence_unitary
 from ddforge.sequences import (
     PauliAxis,
     a_n,

@@ -10,7 +10,6 @@ from ddforge.analysis import (
     crossover,
     default_t_grid,
     dephasing_bound_constant,
-    evaluate_point,
     evaluate_scan,
     fit_order,
     fit_to_dict,
@@ -18,7 +17,7 @@ from ddforge.analysis import (
     write_scan_csv,
 )
 from ddforge.bath import ModelSpec, alpha, build_model
-from ddforge.effective import BranchAmbiguityError
+from ddforge.effective import BranchAmbiguityError, error_functionals, sequence_effective
 from ddforge.sequences import build_sequence, udd_sequence
 
 GENERIC = ModelSpec(d=4, seed=7)
@@ -179,7 +178,7 @@ def per_point_scan(family, model_spec, grid, seeds):
     rows = []
     for t in grid:
         seq = build_sequence(family["name"], float(t), **params)
-        values = [evaluate_point(seq, ops) for ops in models]
+        values = [error_functionals(sequence_effective(seq, ops)) for ops in models]
         rows.append({k: sum(v[k] for v in values) / len(values) for k in ("E_flip", "E_dephase", "E_total")})
     return rows
 

@@ -343,6 +343,14 @@ class TestCompare:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("token, key", [("udd,n=3,n=4", "n"), ("udd,n=3,axis=X,axis=Y", "axis")],
+                             ids=["count", "axis"])
+    def test_repeated_seq_key_is_usage_error(self, capsys, token, key):
+        # The last value won without a word: a UDD-4 row, a Y-axis UDD-3 row, exit 0.
+        code, out, err = run(capsys, "compare", "--seq", "udd,n=2", "--seq", token, "--seed", "7")
+        assert code == 2 and out == ""
+        assert err == f"error: key {key!r} repeats in --seq token {token!r}; give each key once\n"
+
     @pytest.mark.parametrize("argv, message", [
         (("--seq", "udd,n=2", "--seq", "cdd"), "family 'cdd' requires --m"),
         (("--seq", "udd,n=2", "--t", "0"), "total_duration must be positive and finite, got 0.0"),

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _reference import expm_segment, pauli_reassemble, unitary_log
 
 from ddforge import effective
 from ddforge.bath import SIGMA, BathOperators, ModelSpec, alpha, build_model, spectral_norm
@@ -14,12 +15,10 @@ from ddforge.effective import (
     evaluate,
     magnus_cdd_predict,
     pauli_decompose,
-    pauli_reassemble,
     point_effective,
     sequence_effective,
-    unitary_log,
 )
-from ddforge.evolution import expm_segment, sequence_deviation, sequence_unitary
+from ddforge.evolution import sequence_deviation, sequence_unitary
 from ddforge.sequences import PauliAxis, PulseSequence, build_sequence, cdd_full, cdd_xx, cudd, udd_sequence
 
 RNG = np.random.default_rng(77)

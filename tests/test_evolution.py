@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _reference import expm_segment
 
 from ddforge import evolution, highprec
 from ddforge.bath import SIGMA, BathOperators, ModelSpec, alpha, build_model, total_hamiltonian
@@ -19,7 +20,6 @@ from ddforge.evolution import (
     conjugate_frame,
     control_product,
     entanglement_fidelity,
-    expm_segment,
     pulse_unitary,
     reduce_pairwise,
     reduction_plan,

@@ -2,7 +2,9 @@
 
 perfbench/ is imported read-only: the simulate-deep scan path (measure.run_deep),
 its checks against the closed-form pulse counts and the stored F_e references
-(measure.check_deep), and the tracer's sites and work counters.
+(measure.check_deep), the order-d4 and order-extended scan paths
+(measure.run_order, measure.check_order), and the tracer's sites and work
+counters.
 """
 
 import sys
@@ -37,6 +39,18 @@ def test_simulate_deep_scans(inputs, family):
         assert out.status == "ok", out.detail
         assert out.oracle_ok == out.oracle_checked == len(W.DEEP_ALPHA_T)
         assert [pulses for pulses, _ in result] == [measure.expected_pulses(family)] * len(W.DEEP_ALPHA_T)
+
+
+def test_order_scans():
+    # Every order-d4 and order-extended scan, called as the timed passes call it (order-d64 is left out for time).
+    for workload in ("order-d4", "order-extended"):
+        order_inputs = measure.Inputs(workload)
+        for scan in W.order_scans(workload):
+            call = order_inputs.order_call(scan)
+            result = measure.run_order(call, scan.precision)
+            out = measure.Outcome(scan.label, 0.0)
+            measure.check_order(scan, call, result, None, order_inputs, out)
+            assert out.status == "ok", (scan.label, out.detail)
 
 
 @pytest.mark.parametrize("family", W.SIMULATE_DEEP, ids=lambda f: f.label)

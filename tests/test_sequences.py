@@ -6,7 +6,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from _reference import compose_axes, merged_per_level, reference_merge
 
+from ddforge import sequences
 from ddforge.sequences import (
     FAMILIES,
     PauliAxis,
@@ -18,14 +20,12 @@ from ddforge.sequences import (
     cdd_full,
     cdd_xx,
     commensurate_grid,
-    compose_axes,
     cpmg,
     cpmg_udd,
     cudd,
     cudd_count,
     d_approx,
     icpmg,
-    merge_pulses,
     pdd,
     schedule_from_json,
     schedule_to_json,
@@ -120,6 +120,11 @@ class TestClassicSequences:
                 bad(0)
 
 
+def merge_pulses(items):
+    # The package's merge of raw (instant, axis) pairs, as the families run it on their items.
+    return sequences._pulses(sequences._merge(sequences._items(items)))
+
+
 class TestPauliMerge:
     def test_same_axis_cancels(self):
         assert merge_pulses([(F(1, 2), Z), (F(1, 2), Z)]) == ()
@@ -153,19 +158,6 @@ class TestPauliMerge:
         assert compose_axes(PauliAxis.I, Y) is Y
 
 
-def reference_merge(items):
-    # The per-pulse merge: sort by float value, fold each run of exactly
-    # equal neighbours through the Pauli table, keep an exact instant.
-    merged = []
-    for instant, axis in sorted(items, key=lambda p: float(p[0])):
-        if merged and merged[-1][0] == instant:
-            prev, prev_axis = merged[-1]
-            merged[-1] = (prev if isinstance(prev, Fraction) else instant, compose_axes(prev_axis, axis))
-        else:
-            merged.append((instant, PauliAxis(axis)))
-    return [(i, a) for i, a in merged if a is not PauliAxis.I]
-
-
 class TestCddFull:
     def test_level_zero_is_free(self):
         assert cdd_full(0).pulse_count == 0
@@ -186,24 +178,6 @@ class TestCddFull:
         seq = cdd_full(4)
         assert len({p.instant for p in seq.pulses}) == seq.pulse_count
         assert all(p.axis is not PauliAxis.I for p in seq.pulses)
-
-
-def merged_per_level(base, junction_axes, levels):
-    # Reference concatenation: validated Pulses through merge_pulses at every
-    # level, with block windows embedded by Fraction arithmetic.
-    nblocks = len(junction_axes)
-    current = list(base)
-    for _ in range(levels):
-        nxt = []
-        for b, axis in enumerate(reversed(junction_axes)):
-            nxt.append((F(b, nblocks), axis))
-            for instant, ax in current:
-                if isinstance(instant, Fraction):
-                    nxt.append((F(b, nblocks) + F(1, nblocks) * instant, ax))
-                else:
-                    nxt.append(((b + instant) / nblocks, ax))
-        current = [(p.instant, p.axis) for p in merge_pulses(nxt)]
-    return list(merge_pulses(current))
 
 
 def typed_schedule(pulses):
