@@ -74,31 +74,52 @@ def default_t_grid(model_alpha: float, at_min: float = 1e-3, at_max: float = 1e-
     return np.geomspace(at_min / model_alpha, at_max / model_alpha, points)
 
 
+def _centred(zs: list[float]) -> tuple[float, list[float]]:
+    """The mean of zs and their deviations from it; equal entries give exact zeros.
+
+    The mean is taken relative to zs[0], as a correctly rounded mean of n
+    equal floats need not equal them.
+    """
+    mean = zs[0] + math.fsum(z - zs[0] for z in zs) / len(zs)
+    return mean, [z - mean for z in zs]
+
+
 def fit_order(t_grid, values) -> OrderFit:
-    """Fit log E = slope * log t + intercept over the positive entries."""
+    """Fit log E = slope * log t + intercept over the positive entries.
+
+    Centred closed-form least squares: slope = sum(dx dy) / sum(dx^2), with
+    dx, dy the deviations of log t and log E from their means, summed by
+    math.fsum.  Exact zeros are skipped; any value that is not finite and
+    >= 0, or duration that is not finite and > 0, is a ValueError.
+    """
     t_grid = tuple(float(t) for t in t_grid)
     values = [float(v) for v in values]
     if len(values) != len(t_grid):
         raise ValueError("values and t_grid lengths differ")
     if len(t_grid) < 4:
         raise ValueError("order fits need at least 4 grid points")
+    for i, (t, v) in enumerate(zip(t_grid, values)):
+        if not 0.0 < t < math.inf:
+            raise ValueError(f"t_grid[{i}] = {t!r}; durations must be finite and > 0")
+        if not 0.0 <= v < math.inf:
+            raise ValueError(f"values[{i}] = {v!r}; values must be finite and >= 0")
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be strictly increasing")
     pairs = [(t, v) for t, v in zip(t_grid, values) if v > 0.0]
     if len(pairs) < 2:
         return OrderFit(None, None, None, (), t_grid)
-    log_t = np.log([t for t, _ in pairs])
-    log_e = np.log([v for _, v in pairs])
-    slope, intercept = np.polyfit(log_t, log_e, 1)
-    predicted = slope * log_t + intercept
-    ss_res = float(np.sum((log_e - predicted) ** 2))
-    ss_tot = float(np.sum((log_e - log_e.mean()) ** 2))
+    mean_x, dx = _centred([math.log(t) for t, _ in pairs])
+    mean_y, dy = _centred([math.log(v) for _, v in pairs])
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    intercept = mean_y - slope * mean_x
+    ss_res = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
+    ss_tot = math.fsum(b * b for b in dy)
     r_squared = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
     pairwise = tuple(
         math.log(v2 / v1) / math.log(t2 / t1)
         for (t1, v1), (t2, v2) in zip(pairs, pairs[1:])
     )
-    return OrderFit(float(slope), float(intercept), float(r_squared), pairwise, t_grid)
+    return OrderFit(slope, intercept, r_squared, pairwise, t_grid)
 
 
 def _family_param_string(family: dict) -> str:
@@ -160,19 +181,20 @@ def evaluate_scan(
     for seq, indices, durations in stacks:
         for ops in models:
             eff, errors = evaluate(seq, ops, durations, engine)
-            funcs = {**error_functionals(eff), "floor": eff.floor}
+            columns = {key: v.tolist() for key, v in {**error_functionals(eff), "floor": eff.floor}.items()}
             for j, (i, error) in enumerate(zip(indices, errors)):
-                values[i].append(error if error is not None else {key: float(v[j]) for key, v in funcs.items()})
+                values[i].append(error if error is not None else {key: v[j] for key, v in columns.items()})
         # Stop where a point-by-point scan would: at the first failing (grid point, seed).
         for value in (value for i in indices for value in values[i]):
             if isinstance(value, Exception):
                 raise value
 
+    family, param = sample.family.get("name", sample.label), _family_param_string(sample.family)
     rows = []
     for t, point in zip(t_grid, values):
         row = {
-            "family": sample.family.get("name", sample.label),
-            "param": _family_param_string(sample.family),
+            "family": family,
+            "param": param,
             "t": t,
             "alpha_t": model_alpha * t,
         }

@@ -16,8 +16,9 @@ cut; callers shrink the duration when they do not.  All of it runs on
 Each precision is an ``Engine`` record of its stages: compose W, log it,
 split the Pauli blocks, and the floor per unit |M|.  ``evaluate`` runs one
 engine on a schedule re-timed to a stack of durations, and every functional
-the package reports comes through it.  ``DOUBLE`` is defined here, the
-extended engine in ``highprec``.
+the package reports comes through it; ``error_functionals`` takes the three
+block norms of a stack from one stacked ``eigvalsh`` call.  ``DOUBLE`` is
+defined here, the extended engine in ``highprec``.
 """
 
 from __future__ import annotations
@@ -199,8 +200,9 @@ def error_functionals(eff: EffectiveHamiltonian) -> dict:
     log-log axes versus duration these scale directly with the suppression
     order.  A stacked generator gives a (G,) array per functional.
     """
-    e_flip = eff.t * np.maximum(spectral_norm(eff.ax), spectral_norm(eff.ay))
-    e_dephase = eff.t * spectral_norm(eff.az)
+    norm_x, norm_y, norm_z = spectral_norm(np.stack((eff.ax, eff.ay, eff.az)))
+    e_flip = eff.t * np.maximum(norm_x, norm_y)
+    e_dephase = eff.t * norm_z
     values = {"E_flip": e_flip, "E_dephase": e_dephase, "E_total": np.maximum(e_flip, e_dephase)}
     if np.ndim(eff.t) == 0:
         return {key: float(value) for key, value in values.items()}

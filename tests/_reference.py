@@ -1,10 +1,12 @@
 """Reference helpers the tests check the package against.
 
 Each is written from its definition (a dense eigendecomposition, the 2x2
-Pauli matrices, a per-pulse merge), except ``unitary_log``, which gives one
-matrix the stacked log of ``effective._principal_logs`` and raises its error.
+Pauli matrices, a per-pulse merge, an exact rational regression), except
+``unitary_log``, which gives one matrix the stacked log of
+``effective._principal_logs`` and raises its error.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -81,3 +83,17 @@ def merged_per_level(base, junction_axes, levels):
                     nxt.append(((b + instant) / nblocks, ax))
         current = reference_merge(nxt)
     return [Pulse(i, a) for i, a in reference_merge(current)]
+
+
+def exact_slope(t_grid, values) -> float:
+    """Least-squares slope of log E against log t over the positive values, in exact rationals.
+
+    The logs are the float ``math.log`` of each entry; only the regression
+    over them is exact, so the result is the correctly rounded slope of those
+    floats.
+    """
+    pairs = [(Fraction(math.log(t)), Fraction(math.log(v))) for t, v in zip(t_grid, values) if v > 0]
+    mean_x = sum(x for x, _ in pairs) / len(pairs)
+    mean_y = sum(y for _, y in pairs) / len(pairs)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in pairs)
+    return float(sxy / sum((x - mean_x) ** 2 for x, _ in pairs))

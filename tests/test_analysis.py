@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from _reference import exact_slope
 
 from ddforge.analysis import (
     count_compare,
@@ -48,6 +49,39 @@ class TestFitOrder:
         ts = [1e-3, 2e-3, 4e-3, 8e-3]
         fit = fit_order(ts, [t**2 for t in ts[:-1]] + [0.0])
         assert fit.slope == pytest.approx(2.0, abs=1e-10)
+
+    def test_slope_matches_exact_regression(self):
+        # Random grids, orders and noise, against the exact regression over the same float logs.
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            lo = 10 ** rng.uniform(-6, -1)
+            ts = np.geomspace(lo, lo * 10 ** rng.uniform(0.3, 2.0), rng.integers(4, 13))
+            values = 10 ** rng.uniform(-5, 5) * ts ** rng.uniform(0.5, 9.0) * np.exp(rng.normal(0, 0.05, len(ts)))
+            want = exact_slope(ts, values)
+            assert abs(fit_order(ts, values).slope - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("value", [1e-300, 1.0, 3.7e-17, 5e300])
+    def test_constant_values_give_zero_slope(self, value):
+        fit = fit_order([1.0, 2.0, 3.0, 4.0, 5.0], [value] * 5)
+        assert fit.slope == 0.0 and fit.r_squared == 1.0
+        assert fit.intercept == math.log(value)
+
+    @pytest.mark.parametrize(
+        "t_grid, values, match",
+        [
+            ([1.0, 2.0, 3.0, 4.0], [1.0, math.nan, 3.0, 4.0], r"values\[1\] = nan"),
+            ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, math.inf, 4.0], r"values\[2\] = inf"),
+            ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, -4.0], r"values\[3\] = -4.0"),
+            ([0.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], r"t_grid\[0\] = 0.0"),
+            ([-1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], r"t_grid\[0\] = -1.0"),
+            ([1.0, 2.0, 3.0, math.inf], [1.0, 2.0, 3.0, 4.0], r"t_grid\[3\] = inf"),
+            ([1.0, math.nan, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], r"t_grid\[1\] = nan"),
+        ],
+        ids=["nan-value", "inf-value", "negative-value", "zero-t", "negative-t", "inf-t", "nan-t"],
+    )
+    def test_bad_inputs_name_index_and_value(self, t_grid, values, match):
+        with pytest.raises(ValueError, match=match):
+            fit_order(t_grid, values)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import os
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from _reference import exact_slope
 
 from ddforge.cli import build_parser, main
 from ddforge.sequences import cudd, schedule_from_json
@@ -116,6 +118,21 @@ class TestOrder:
         assert "E_total slope" not in out  # default functional is flip
         summary = json.loads(summary_file.read_text())
         assert set(summary) == {"slope", "intercept", "r2", "pairwise"}
+
+    def test_summary_slope_is_exact_regression_of_csv(self, capsys, tmp_path):
+        # The CSV's 17 significant digits round-trip every float, so the fit
+        # can be redone exactly from the file; its last digits are not pinned.
+        csv_file, summary_file = tmp_path / "scan.csv", tmp_path / "fit.json"
+        code, _, _ = run(
+            capsys,
+            "order", "udd", "--n", "3", "--seed", "7",
+            "--out", str(csv_file), "--summary", str(summary_file), "--no-meta",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(csv_file.read_text().splitlines()))
+        want = exact_slope([float(r["t"]) for r in rows], [float(r["E_flip"]) for r in rows])
+        slope = json.loads(summary_file.read_text())["slope"]
+        assert abs(slope - want) <= 1e-14 * abs(want)
 
     def test_total_functional_and_determinism(self, capsys, tmp_path):
         files = []

@@ -228,6 +228,33 @@ class TestErrorFunctionals:
         eff = pauli_decompose(np.kron(SIGMA["X"], np.eye(4)), t=0.5)
         assert error_functionals(eff)["E_flip"] == pytest.approx(1.0)
 
+    @staticmethod
+    def per_block(eff) -> dict:
+        # The functionals from three separate spectral_norm calls, one per block.
+        e_flip = eff.t * np.maximum(spectral_norm(eff.ax), spectral_norm(eff.ay))
+        e_dephase = eff.t * spectral_norm(eff.az)
+        return {"E_flip": e_flip, "E_dephase": e_dephase, "E_total": np.maximum(e_flip, e_dephase)}
+
+    @pytest.mark.parametrize("d, preset", [(4, "generic"), (64, "generic"), (4, "pure_dephasing")])
+    def test_stacked_norms_equal_per_block_norms(self, d, preset):
+        ops = build_model(ModelSpec(d=d, seed=7, preset=preset))
+        eff, errors = evaluate(udd_sequence(3, 0.01), ops, GRID / alpha(ops), DOUBLE)
+        assert errors == [None] * len(GRID)
+        if preset == "pure_dephasing":
+            assert not eff.ax.any() and not eff.ay.any()
+        funcs, want = error_functionals(eff), self.per_block(eff)
+        assert funcs.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(funcs[key], want[key])
+
+    @pytest.mark.parametrize("preset", ["generic", "pure_dephasing"])
+    def test_single_point_gives_floats(self, preset):
+        ops = build_model(ModelSpec(d=4, seed=7, preset=preset))
+        eff = sequence_effective(udd_sequence(3, 0.01 / alpha(ops)), ops)
+        funcs, want = error_functionals(eff), self.per_block(eff)
+        for key in want:
+            assert type(funcs[key]) is float and funcs[key] == want[key]
+
 
 class TestSequenceEffective:
     def test_free_evolution_recovers_hamiltonian(self):
