@@ -84,6 +84,17 @@ def _centred(zs: list[float]) -> tuple[float, list[float]]:
     return mean, [z - mean for z in zs]
 
 
+def _durations(t_grid) -> list[float]:
+    """The grid as floats; ValueError for an empty grid or an entry that is not finite and > 0."""
+    t_grid = [float(t) for t in t_grid]
+    if not t_grid:
+        raise ValueError("t_grid must hold at least one duration, got none")
+    for i, t in enumerate(t_grid):
+        if not 0.0 < t < math.inf:
+            raise ValueError(f"t_grid[{i}] = {t!r}; durations must be finite and > 0")
+    return t_grid
+
+
 def fit_order(t_grid, values) -> OrderFit:
     """Fit log E = slope * log t + intercept over the positive entries.
 
@@ -92,15 +103,13 @@ def fit_order(t_grid, values) -> OrderFit:
     math.fsum.  Exact zeros are skipped; any value that is not finite and
     >= 0, or duration that is not finite and > 0, is a ValueError.
     """
-    t_grid = tuple(float(t) for t in t_grid)
+    t_grid = tuple(_durations(t_grid))
     values = [float(v) for v in values]
     if len(values) != len(t_grid):
         raise ValueError("values and t_grid lengths differ")
     if len(t_grid) < 4:
         raise ValueError("order fits need at least 4 grid points")
-    for i, (t, v) in enumerate(zip(t_grid, values)):
-        if not 0.0 < t < math.inf:
-            raise ValueError(f"t_grid[{i}] = {t!r}; durations must be finite and > 0")
+    for i, v in enumerate(values):
         if not 0.0 <= v < math.inf:
             raise ValueError(f"values[{i}] = {v!r}; values must be finite and >= 0")
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
@@ -157,17 +166,19 @@ def evaluate_scan(
     Rows also carry ``floor``, the engine's estimated absolute error of each
     functional, averaged the same way.  Raises BranchAmbiguityError (tagged with the offending duration) when
     eigenphases leave the principal branch; as a guard, alpha * t_max must
-    stay below 1.  ``dps`` is ignored, as both engines carry a fixed
-    precision; it stays only because ``perfbench/measure.py`` passes it,
-    until the benchmark change of ROADMAP.md item 3.
+    stay below 1.  An empty grid, or any duration that is not finite and
+    > 0, is a ValueError naming it, raised before any composition.  ``dps``
+    is ignored, as both engines carry a fixed precision; it stays only
+    because ``perfbench/measure.py`` passes it, until the benchmark change
+    of ROADMAP.md item 3.
     """
     engine = precision_engine(precision)
+    t_grid = _durations(t_grid)
     seeds = [model_spec.seed] if seeds is None else list(seeds)
     if not seeds:
         raise ValueError("seeds must hold at least one bath seed, got none")
     models = [build_model(replace(model_spec, seed=seed)) for seed in seeds]
     model_alpha = alpha(models[0])
-    t_grid = [float(t) for t in t_grid]
     if model_alpha * max(t_grid) >= 1.0:
         raise BranchAmbiguityError(
             f"alpha * t_max = {model_alpha * max(t_grid):.3g} >= 1; shrink the duration grid",

@@ -55,9 +55,10 @@ class ModelSpec:
 
     preset is one of ``generic``, ``pure_dephasing``, ``anisotropic`` or
     ``spin_bath(k)``.  norm_targets overrides the preset defaults per
-    coupling channel; presets validate their constraints (pure dephasing
-    forces zero x/y targets, anisotropic keeps the z target at most a tenth
-    of the smaller transverse one, spin_bath(k) pins d = 2^k).
+    coupling channel, each finite and >= 0; presets validate their
+    constraints (pure dephasing forces zero x/y targets, anisotropic keeps
+    the z target at most a tenth of the smaller transverse one,
+    spin_bath(k) pins d = 2^k).
     """
 
     d: int = DEFAULT_DIM
@@ -98,8 +99,8 @@ class ModelSpec:
             key = str(key)
             if key not in GAMMAS:
                 raise ValueError(f"unknown coupling channel {key!r}")
-            if value < 0:
-                raise ValueError("norm targets must be non-negative")
+            if not 0 <= value < np.inf:
+                raise ValueError(f"norm target {key!r} = {value!r}; norm targets must be finite and >= 0")
             merged[key] = float(value)
         return merged
 

@@ -20,12 +20,14 @@ Concatenation products are read as operator products: the rightmost factor
 acts first in time, which places junction pulses at block starts.  Boundary
 pulses at instant 0 (or 1) are retained; they change the net unitary.
 
-The builders that repeat a block (``_concatenate``, and ``_cells`` with
-outer pulses on cell bounds) record what they iterated as ``blocks``:
-equal-length copies of a child, each in the Pauli frame of the pulses
-before it, down to a flat leaf schedule.  Merging leaves every segment's
-frame as it was (it only composes codes), so the record holds for the
-merged schedule, and ``evolution`` composes schedules by it.
+The builders that repeat a block (``_concatenate``, ``_cells``) return
+only what they iterated, a ``Blocks`` node: equal-length copies of a child,
+each in the Pauli frame of the pulses before it, down to a flat leaf
+schedule.  The schedule is constructed from its node, which it keeps as
+``blocks``, and one function, ``_flat``, lays out the arrays of any node.
+Merging leaves every segment's frame as it was (it only composes codes), so
+the record holds for the merged schedule, and ``evolution`` composes
+schedules by it.
 
 ``build_sequence`` builds each (family, parameters) once per process, at
 unit duration, and returns re-timed copies (``with_duration``) of that
@@ -126,10 +128,8 @@ def _items(pairs: Iterable[tuple[Instant, PauliAxis]]) -> _Items:
                   np.array(nums, np.int64), np.array([f is not None for _, f, _ in pairs], bool), den)
 
 
-def _cat(*parts: _Items) -> _Items:
-    den = _denominator(lcm(*(p.denominator for p in parts)))
-    scaled = ((p.instants, p.codes, p.numerators * (den // p.denominator), p.exact) for p in parts)
-    return _Items(*map(np.concatenate, zip(*scaled)), den)
+# A copy's head: exact relative instant 0 (numerator 0 over any denominator), its code set per copy.
+_HEAD = _items([(Fraction(0), PauliAxis.I)])
 
 
 def _embed(items: _Items, nblocks: int) -> _Items:
@@ -159,10 +159,13 @@ def _merge(items: _Items) -> _Items:
     A group's instant is exact when any member's is (the members are equal
     in value), and its code is the XOR of theirs.
     """
-    order = np.argsort(items.instants, kind="stable")
-    den, items = items.denominator, [a[order] for a in items[:4]]
+    den, items = items.denominator, list(items[:4])
+    # A non-decreasing array is its own stable sort, and the layouts nearly always give one.
+    if not (items[0][1:] >= items[0][:-1]).all():
+        order = np.argsort(items[0], kind="stable")
+        items = [a[order] for a in items]
     starts = np.concatenate(([True], _steps(_Items(*items, den)) != 0)).nonzero()[0]
-    if len(starts) < len(order):
+    if len(starts) < len(items[0]):
         instants, codes, nums, exact = items
         items = [instants[starts], np.bitwise_xor.reduceat(codes, starts),
                  np.maximum.reduceat(nums, starts), np.logical_or.reduceat(exact, starts)]
@@ -188,9 +191,12 @@ def _checked(items: _Items) -> _Items:
 class Blocks(NamedTuple):
     """Equal-length copies of ``child`` in time order, copy j in the Pauli frame ``frames[j]``.
 
-    frames[j] is the code of the product of every pulse before copy j's own
-    (junctions and outer pulses included); child is a Blocks or the flat leaf
-    schedule, whose duration is the parent's over the copies at every level.
+    Each copy starts with a head pulse (a junction or an outer pulse, or
+    none) at its relative instant 0.  frames[j] is the code of the product of
+    every pulse before copy j's own, its head included, so head j is
+    frames[j] ^ frames[j-1] ^ (the child's product), and head 0 is frames[0].
+    child is a Blocks or the flat leaf schedule, whose duration is the
+    parent's over the copies at every level.
     """
 
     child: "Blocks | PulseSequence"
@@ -203,6 +209,26 @@ def _copy_frames(heads: np.ndarray, child_code: int) -> np.ndarray:
     frames[1::2] ^= child_code  # copy j follows j copies, whose product is the child's when j is odd
     frames.flags.writeable = False  # shared by every copy of the schedule
     return frames
+
+
+def _flat(node: "Blocks | PulseSequence | _Items") -> _Items:
+    """The merged items of a node: a leaf's own (a schedule's, or bare items), or its child's laid out in every copy.
+
+    Each copy holds its head pulse at its exact relative instant 0 (an
+    identity head merges away) and then the child's items, placed by
+    ``_embed``.  A level is merged before the next copies it, so coincident
+    pulses fold once rather than in every copy (``_steps`` resolves each
+    float tie in Python).
+    """
+    if not isinstance(node, Blocks):
+        return node if isinstance(node, _Items) else node._arrays
+    items = _flat(node.child)
+    copy = _Items(*map(np.concatenate, zip(_HEAD[:4], items[:4])), items.denominator)  # a head, then the child's
+    copies = _embed(copy, len(node.frames))
+    # Head j is frames[j] ^ frames[j-1] ^ (the child's product), and head 0 is frames[0].
+    code = np.bitwise_xor.reduce(items.codes, initial=0)
+    copies.codes[::len(items.codes) + 1] = node.frames ^ np.append(code, node.frames[:-1]) ^ code
+    return _merge(copies)
 
 
 def _pulses(items: _Items) -> tuple[Pulse, ...]:
@@ -225,21 +251,22 @@ class PulseSequence:
     changes after construction but ``_cache``, which only gains what the
     engines derive from the pulses alone (segment plans, the control
     product), so instances are safe to share across threads.  Every
-    ``with_duration`` copy shares ``_cache``.  ``blocks`` is the block
-    structure its builder recorded, or None.
+    ``with_duration`` copy shares ``_cache``.  ``blocks`` is the ``Blocks``
+    node its builder constructed it from, or None.
     """
 
     def __init__(self, total_duration: float, pulses: Iterable[Pulse], label: str = "", family: dict | None = None):
-        # The families pass their merged items, from which the pulses are made on first access.
-        if isinstance(pulses, _Items):
-            items, self._pulses = pulses, None
+        # The families pass their merged items or their node (``_flat``); the pulses are made on first access.
+        self.blocks = pulses if isinstance(pulses, Blocks) else None
+        if isinstance(pulses, (_Items, Blocks, PulseSequence)):
+            items, self._pulses = _flat(pulses), None
         else:
             self._pulses = tuple(pulses)
             items = _items((p.instant, p.axis) for p in self._pulses)
         self.total_duration = _duration(total_duration)
         self.instants, self.codes, self.numerators, self.exact, self.denominator = self._arrays = _checked(items)
         self.label, self.family = label, {} if family is None else family
-        self.blocks, self._cache = None, {}
+        self._cache = {}
 
     @property
     def pulses(self) -> tuple[Pulse, ...]:
@@ -324,61 +351,38 @@ def pdd(n: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> P
     return PulseSequence(total_duration, items, f"PDD-{n}", {"name": "pdd", "n": n, "axis": axis.value})
 
 
-def _cycle_items(cycles: int, axis: PauliAxis) -> _Items:
-    """Exact pulses about one axis at the odd multiples of 1/(4*cycles), formed as arrays."""
-    nums, den = np.arange(1, 4 * cycles, 2, dtype=np.int64), _denominator(4 * cycles)
-    return _Items(_ratios(nums, den), np.full(len(nums), _code(axis), np.int8), nums, np.ones(len(nums), bool), den)
-
-
 def icpmg(cycles: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
     """Iterated two-pulse cycles: 2*cycles pulses at odd multiples of 1/(4*cycles)."""
     if cycles < 1:
         raise ValueError("need at least one cycle")
     axis = PauliAxis(axis)
-    items = _cycle_items(cycles, axis)
+    items = _embed(_items([(Fraction(1, 4), axis), (Fraction(3, 4), axis)]), cycles)
     return PulseSequence(total_duration, items, f"iCPMG-{cycles}", {"name": "icpmg", "c": cycles, "axis": axis.value})
 
 
 # --- Concatenated families ---------------------------------------------------
 
-def _concatenate(base: PulseSequence, junction_axes: str, levels: int) -> tuple[_Items, Blocks | None]:
-    """Iterate p -> (J_1 p)(J_2 p)... with junction pulses at block starts, and the blocks iterated.
+def _concatenate(base: PulseSequence, junction_axes: str, levels: int) -> Blocks | PulseSequence:
+    """The node of p -> (J_1 p)(J_2 p)... iterated ``levels`` times over the base (the base's own at level 0).
 
     The written recursion is an operator product, so the rightmost factor
     acts first; per level the junction axes are applied in reversed written
-    order.  Coincident pulses merge at every level.
+    order, each at its block's start.
     """
     heads = np.array([_code(axis) for axis in reversed(junction_axes)], dtype=np.int8)
-    # Each block starts with its junction pulse, at exact relative instant 0 and with its code set per block.
-    junction = _items([(Fraction(0), PauliAxis.I)])
-    items, node = base._arrays, base if base.blocks is None else base.blocks
-    code = np.bitwise_xor.reduce(items.codes, initial=0)
+    node, code = base if base.blocks is None else base.blocks, np.bitwise_xor.reduce(base.codes, initial=0)
     for _ in range(levels):
         frames = _copy_frames(heads, code)
-        blocks = _embed(_cat(junction, items), len(heads))
-        blocks.codes[::len(items.codes) + 1] = heads
         # The level's product is its last copy's frame times the child's.
-        items, node, code = _merge(blocks), Blocks(node, frames), frames[-1] ^ code
-    return items, node if isinstance(node, Blocks) else None
+        node, code = Blocks(node, frames), frames[-1] ^ code
+    return node
 
 
-def _cells(inner: PulseSequence, cells: int, outer: _Items) -> tuple[_Items, Blocks]:
-    """The inner schedule in each of ``cells`` equal cells plus outer pulses on cell bounds, merged, and its blocks."""
-    bounds, off = np.divmod(outer.numerators * cells, outer.denominator)
-    if not outer.exact.all() or off.any():
-        raise ValueError("outer pulses must lie on cell bounds")
-    # An outer pulse at bound j precedes copy j; one at instant 1 follows every copy.
+def _cells(inner: PulseSequence, cells: int, bounds: list[int] | np.ndarray) -> Blocks:
+    """The inner schedule in each of ``cells`` equal cells, with an X pulse on each given cell bound j < cells."""
     heads = np.zeros(cells, dtype=np.int8)
-    np.bitwise_xor.at(heads, bounds[bounds < cells], outer.codes[bounds < cells])
-    blocks = Blocks(inner, _copy_frames(heads, np.bitwise_xor.reduce(inner.codes, initial=0)))
-    return _merge(_cat(_embed(inner._arrays, cells), outer)), blocks
-
-
-def _built(total_duration: float, built: tuple[_Items, Blocks | None], label: str, family: dict) -> PulseSequence:
-    """The schedule of a builder's (items, blocks), carrying the blocks."""
-    seq = PulseSequence(total_duration, built[0], label, family)
-    seq.blocks = built[1]
-    return seq
+    heads[bounds] = _code(PauliAxis.X)  # the pulse at bound j is copy j's head
+    return Blocks(inner, _copy_frames(heads, np.bitwise_xor.reduce(inner.codes, initial=0)))
 
 
 def _concatenated(level: int, total_duration: float, base: PulseSequence | None, junction_axes: str, label: str,
@@ -387,8 +391,8 @@ def _concatenated(level: int, total_duration: float, base: PulseSequence | None,
         raise ValueError("level must be non-negative")
     if base is not None:
         family["base"] = base.family.get("name", base.label)
-    built = _concatenate(_udd_block(0) if base is None else base, junction_axes, level)
-    return _built(total_duration, built, f"{label}-{level}", family)
+    node = _concatenate(_udd_block(0) if base is None else base, junction_axes, level)
+    return PulseSequence(total_duration, node, f"{label}-{level}", family)
 
 
 def cdd_full(level: int, total_duration: float = 1.0, base: PulseSequence | None = None) -> PulseSequence:
@@ -419,8 +423,8 @@ def cudd(m: int, n: int, total_duration: float = 1.0) -> PulseSequence:
         raise ValueError("need at least one pulse per block")
     if n < 0:
         raise ValueError("level must be non-negative")
-    built = _concatenate(_udd_block(m), "XX", n)
-    return _built(total_duration, built, f"CUDD(m={m},n={n})", {"name": "cudd", "m": m, "n": n})
+    node = _concatenate(_udd_block(m), "XX", n)
+    return PulseSequence(total_duration, node, f"CUDD(m={m},n={n})", {"name": "cudd", "m": m, "n": n})
 
 
 def cpmg_udd(m: int, cycles: int = 1, total_duration: float = 1.0) -> PulseSequence:
@@ -434,8 +438,8 @@ def cpmg_udd(m: int, cycles: int = 1, total_duration: float = 1.0) -> PulseSeque
         raise ValueError("need at least one pulse per block")
     if cycles < 1:
         raise ValueError("need at least one cycle")
-    built = _cells(_udd_block(m), 4 * cycles, _cycle_items(cycles, PauliAxis.X))
-    return _built(total_duration, built, f"CPMG-UDD(m={m},c={cycles})", {"name": "cpmg_udd", "m": m, "c": cycles})
+    node = _cells(_udd_block(m), 4 * cycles, np.arange(1, 4 * cycles, 2))
+    return PulseSequence(total_duration, node, f"CPMG-UDD(m={m},c={cycles})", {"name": "cpmg_udd", "m": m, "c": cycles})
 
 
 # --- Polynomial-timed double layer -------------------------------------------
@@ -448,9 +452,7 @@ def d_approx(x: Instant) -> Instant:
     """
     if not 0 <= x <= 1:
         raise ValueError(f"argument {x} outside [0, 1]")
-    if isinstance(x, Fraction):
-        return -2 * x**3 + 3 * x**2
-    return -2.0 * x**3 + 3.0 * x**2
+    return -2 * x**3 + 3 * x**2
 
 
 def udd2_approx(n: int, total_duration: float = 1.0) -> PulseSequence:
@@ -464,9 +466,8 @@ def udd2_approx(n: int, total_duration: float = 1.0) -> PulseSequence:
     if n < 1:
         raise ValueError("need at least one pulse")
     cells = (n + 1) ** 3
-    outer = _items((d_approx(Fraction(j, n + 1)), PauliAxis.X) for j in range(1, n + 1))
-    built = _cells(_udd_block(n), cells, outer)
-    return _built(total_duration, built, f"UDD2-{n}", {"name": "udd2", "n": n})
+    node = _cells(_udd_block(n), cells, [int(cells * d_approx(Fraction(j, n + 1))) for j in range(1, n + 1)])
+    return PulseSequence(total_duration, node, f"UDD2-{n}", {"name": "udd2", "n": n})
 
 
 # --- Commensurability and pulse-count formulas -------------------------------

@@ -85,6 +85,15 @@ def merged_per_level(base, junction_axes, levels):
     return [Pulse(i, a) for i, a in reference_merge(current)]
 
 
+def cells_per_pulse(inner, cells, outer):
+    # Reference cell layout: the inner (instant, axis) pairs in each of
+    # ``cells`` equal cells (Fraction arithmetic where exact, the float
+    # (b + x) / cells otherwise), plus the outer pairs, merged per pulse.
+    items = [(Fraction(b, cells) + instant / cells if isinstance(instant, Fraction) else (b + instant) / cells, axis)
+             for b in range(cells) for instant, axis in inner]
+    return [Pulse(i, a) for i, a in reference_merge(items + list(outer))]
+
+
 def exact_slope(t_grid, values) -> float:
     """Least-squares slope of log E against log t over the positive values, in exact rationals.
 

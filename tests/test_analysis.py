@@ -188,6 +188,26 @@ class TestOrderScan:
         with pytest.raises(ValueError, match="seeds"):
             evaluate_scan({"name": "udd", "n": 2}, GENERIC, default_t_grid(1.0, points=4), seeds=[])
 
+    @pytest.mark.parametrize("grid, match", [
+        ([3e-3, 2e-3, -1e-3, 1e-3], r"^t_grid\[2\] = -0\.001; durations must be finite and > 0$"),
+        ([1e-3, 0.0, 2e-3], r"^t_grid\[1\] = 0\.0; durations must be finite and > 0$"),
+        ([1e-3, math.nan], r"^t_grid\[1\] = nan; durations must be finite and > 0$"),
+        ([math.inf, 1e-3], r"^t_grid\[0\] = inf; durations must be finite and > 0$"),
+        ([], r"^t_grid must hold at least one duration, got none$"),
+    ], ids=["negative", "zero", "nan", "inf", "empty"])
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    def test_bad_grid_names_index_and_value(self, monkeypatch, grid, match, precision):
+        # Only the first duration was checked: a negative one gave a row, a zero or NaN a LinAlgError,
+        # an empty grid "max() arg is an empty sequence".
+        from ddforge import analysis
+
+        def no_composition(*args):
+            raise AssertionError("composed before the grid was checked")
+
+        monkeypatch.setattr(analysis, "evaluate", no_composition)
+        with pytest.raises(ValueError, match=match):
+            evaluate_scan({"name": "udd", "n": 2}, GENERIC, grid, precision=precision)
+
     def test_pairwise_orders_converge_toward_slope(self):
         grid = default_t_grid(1.0)
         fit = order_scan({"name": "udd", "n": 2}, GENERIC, grid, "E_flip")

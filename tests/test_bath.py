@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -57,6 +58,14 @@ class TestModelSpec:
             ModelSpec(seed=1, norm_targets={"w": 1.0})
         with pytest.raises(ValueError):
             ModelSpec(seed=1, norm_targets={"x": -1.0})
+
+
+    @pytest.mark.parametrize("channel, value", [("x", math.nan), ("0", math.inf), ("z", -math.inf)],
+                             ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_norm_target(self, channel, value):
+        # NaN passed the old "value < 0" check and ended in a LinAlgError when the model was drawn.
+        with pytest.raises(ValueError, match=rf"^norm target '{channel}' = {value!r}; norm targets must be finite"):
+            ModelSpec(seed=1, norm_targets={channel: value})
 
 
 class TestBuildModel:

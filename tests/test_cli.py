@@ -400,6 +400,22 @@ def test_spin_bath_without_spins_is_usage_error(capsys):
     assert err == "error: preset 'spin_bath(0)' has no bath spin; spin_bath(k) needs k >= 1\n"
 
 
+@pytest.mark.parametrize("flags, model, shown", [
+    (("--norm-x", "nan"), None, "nan"),
+    (("--norm-x", "inf"), None, "inf"),
+    ((), '{"norm_targets": {"z": 1e999}}', "inf"),
+], ids=["flag-nan", "flag-inf", "model-1e999"])
+def test_non_finite_norm_target_is_usage_error(capsys, tmp_path, flags, model, shown):
+    # Each ended in "error: Eigenvalues did not converge", the inf ones after a RuntimeWarning.
+    if model is not None:
+        (tmp_path / "model.json").write_text(model)
+        flags = ("--model", str(tmp_path / "model.json"))
+    code, out, err = run(capsys, "order", "udd", "--n", "2", *flags)
+    channel = "x" if model is None else "z"
+    assert code == 2 and out == ""
+    assert err == f"error: norm target {channel!r} = {shown}; norm targets must be finite and >= 0\n"
+
+
 def test_help_names_every_default(capsys):
     # The "(default X)" text comes from the command's defaults, the only place a built-in default is written.
     commands = next(a for a in build_parser()._actions if a.choices and a.dest == "command").choices

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from _reference import compose_axes, merged_per_level, reference_merge
+from _reference import cells_per_pulse, compose_axes, merged_per_level, reference_merge
 
 from ddforge import sequences
 from ddforge.sequences import (
@@ -263,6 +263,23 @@ class TestCpmgUdd:
             seq = cpmg_udd(3, c)
             assert seq.axis_count(Z) == 12 * c
             assert seq.axis_count(X) == 2 * c
+
+
+class TestCellsCompile:
+    # The schedule digests pin only hashes, and UDD2 only up to n = 11; these
+    # check the cell families against the per-pulse layout of their definition.
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_udd2_matches_per_pulse_reference(self, n):
+        outer = [(d_approx(F(j, n + 1)), X) for j in range(1, n + 1)]
+        want = cells_per_pulse(schedule(udd_sequence(n)), (n + 1) ** 3, outer)
+        assert typed_schedule(udd2_approx(n).pulses) == typed_schedule(want)
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 64])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_cpmg_udd_matches_per_pulse_reference(self, m, c):
+        outer = [(F(k, 4 * c), X) for k in range(1, 4 * c, 2)]
+        want = cells_per_pulse(schedule(udd_sequence(m)), 4 * c, outer)
+        assert typed_schedule(cpmg_udd(m, c).pulses) == typed_schedule(want)
 
 
 class TestDApprox:

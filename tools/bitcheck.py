@@ -1,0 +1,171 @@
+#!/usr/bin/env python3
+"""Fingerprint what a ddforge tree computes, to check a change for bit-identity.
+
+Usage: ``python tools/bitcheck.py ROOT``, where ROOT is a checkout (this
+repository, or a copy of another commit).  The script imports ``ROOT/src``
+and ``ROOT/perfbench`` (read-only) in this process, on one BLAS thread, and
+prints one line per category: its name, the number of entries and the
+sha256 of their bytes.
+
+- ``order``: every row value and floor and every fitted slope of the
+  benchmark's order scans (order-d4, order-d64, order-extended), as
+  ``float.hex``, or the exception a scan raised.
+- ``deep``: the pulse count, entanglement fidelity and unitary bytes of
+  every simulate-deep point.
+- ``builders``: the flat arrays, label, family and block record (each
+  level's copy frames, then the leaf's arrays) of a sweep over every family
+  builder and over concatenations of structured bases.
+
+It then prints the code lines of each ``src/ddforge`` module and their total,
+counted without docstrings, comments or blank lines.  Run it on two trees
+and compare: equal hashes mean equal bits.
+"""
+
+from __future__ import annotations
+
+import ast
+import hashlib
+import io
+import os
+import sys
+import tokenize
+from pathlib import Path
+
+os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = os.environ["MKL_NUM_THREADS"] = "1"
+
+ORDER_WORKLOADS = ("order-d4", "order-d64", "order-extended")
+
+
+class Category:
+    """A running sha256 over the entries of one category, and their count."""
+
+    def __init__(self, name: str):
+        self.name, self.count, self.digest = name, 0, hashlib.sha256()
+
+    def add(self, *parts) -> None:
+        self.count += 1
+        self.digest.update(repr(parts).encode() + b"\n")
+
+    def line(self) -> str:
+        return f"{self.name:<10} {self.count:>6}  {self.digest.hexdigest()}"
+
+
+def failure(err: Exception) -> tuple:
+    return type(err).__name__, str(err), getattr(err, "t", None)
+
+
+def order_category(measure, workloads) -> Category:
+    out = Category("order")
+    for workload in ORDER_WORKLOADS:
+        inputs = measure.Inputs(workload)
+        for scan in workloads.order_scans(workload):
+            call = inputs.order_call(scan)
+            try:
+                rows, fits = measure.run_order(call, scan.precision)
+            except Exception as err:  # noqa: BLE001 - a raising scan is an entry too
+                out.add(scan.label, failure(err))
+                continue
+            values = [(k, v.hex() if isinstance(v, float) else v) for row in rows for k, v in row.items()]
+            slopes = [(k, None if f.slope is None else f.slope.hex()) for k, f in fits.items()]
+            out.add(scan.label, values, slopes)
+    return out
+
+
+def deep_category(measure, workloads, evolution, sequences) -> Category:
+    out = Category("deep")
+    inputs = measure.Inputs("simulate-deep")
+    for scan in workloads.deep_scans():
+        family, ops, durations = inputs.deep_call(scan)
+        for t in durations:
+            seq = sequences.build_sequence(family.name, t, **dict(family.params))
+            u = evolution.sequence_unitary(seq, ops)
+            out.add(scan.label, t.hex(), seq.pulse_count, evolution.entanglement_fidelity(u).hex(), u.u.tobytes())
+    return out
+
+
+def builder_sweep(sequences):
+    """(name, schedule) for every family setting of the sweep."""
+    s = sequences
+    for name in ("none", "se", "cpmg"):
+        for axis in "XYZ":
+            yield f"{name}-{axis}", s.build_sequence(name, axis=axis)
+    for n in range(1, 21):
+        yield f"udd-{n}", s.udd_sequence(n, axis="XYZ"[n % 3])
+        yield f"pdd-{n}", s.pdd(n, axis="XYZ"[n % 3])
+    for c in (1, 2, 3, 4, 7, 64):
+        yield f"icpmg-{c}", s.icpmg(c, axis="XYZ"[c % 3])
+    for level in range(8):
+        yield f"cdd-{level}", s.cdd_full(level)
+    for level in range(11):
+        yield f"cddxx-{level}", s.cdd_xx(level)
+    for m in range(1, 6):
+        for n in range(7):
+            yield f"cudd-{m},{n}", s.cudd(m, n)
+    for m in range(1, 4):
+        for c in (1, 2, 3, 4, 64):
+            yield f"cpmg-udd-{m},{c}", s.cpmg_udd(m, c)
+    for n in range(1, 16):
+        yield f"udd2-{n}", s.udd2_approx(n)
+    bases = {"udd-1": s.udd_sequence(1), "udd-3": s.udd_sequence(3), "cudd-2,2": s.cudd(2, 2),
+             "cpmg-udd-1,1": s.cpmg_udd(1, 1), "udd2-2": s.udd2_approx(2),
+             "edges": s.PulseSequence(1.0, (s.Pulse(0.0, "Z"), s.Pulse(0.5, "Z")))}
+    for key, base in bases.items():
+        for level in range(4):
+            yield f"cdd-{level}/{key}", s.cdd_full(level, base=base)
+            yield f"cddxx-{level}/{key}", s.cdd_xx(level, base=base)
+
+
+def builders_category(sequences) -> Category:
+    out = Category("builders")
+    for name, seq in builder_sweep(sequences):
+        node, frames = seq.blocks, []
+        while node is not None and not isinstance(node, sequences.PulseSequence):
+            frames.append(node.frames.tobytes())
+            node = node.child
+        leaf = None if node is None else ([a.tobytes() for a in node._arrays[:4]], node.denominator)
+        arrays = [a.tobytes() for a in seq._arrays[:4]]
+        out.add(name, seq.label, sorted(seq.family.items()), arrays, seq.denominator, frames, leaf)
+    return out
+
+
+def code_lines(path: Path) -> int:
+    """Lines holding code: not blank, not only a comment, not part of a docstring."""
+    source = path.read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in skip:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: bitcheck.py ROOT", file=sys.stderr)
+        return 2
+    root = Path(argv[0]).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import measure
+    import workloads
+
+    from ddforge import evolution, sequences
+
+    for category in (order_category(measure, workloads), deep_category(measure, workloads, evolution, sequences),
+                     builders_category(sequences)):
+        print(category.line())
+    modules = {path.stem: code_lines(path) for path in sorted((root / "src" / "ddforge").glob("*.py"))}
+    for name, count in modules.items():
+        print(f"lines {name:<10} {count:>5}")
+    print(f"lines {'total':<10} {sum(modules.values()):>5}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
