@@ -214,7 +214,7 @@ def spec_to_dict(spec: ModelSpec) -> dict:
     }
 
 
-_WANTED = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
+_WANTED = {int: "an integer", float: "a number", str: "a string", dict: "an object", list: "a list"}
 _SPEC_TYPES = {"d": int, "seed": int, "preset": str, "norm_targets": dict}
 
 

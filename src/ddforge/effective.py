@@ -4,8 +4,10 @@ The principal Hermitian generator M with I + W = exp(-i M) comes from the
 Cayley form: Z = (2I + W)^-1 W = i tan(-M/2) is anti-Hermitian and
 log(I + W) = 2 atanh Z.  Below |Z|_F = 1/2 (eigenphases within about 0.93
 rad) M is the odd series 2i (Z + Z^3/3 + ...) of ``atanh_series``, which the
-extended engine sums too; above it one eigendecomposition -i Z = V diag(lam)
-V^+ gives the eigenphases 2 arctan(lam) and M.  A schedule is logged from
+extended engine sums too (each engine sizes it by its own norm, and
+``series_terms`` counts the terms of every series of both); above it one
+eigendecomposition -i Z = V diag(lam) V^+ gives the eigenphases
+2 arctan(lam) and M.  A schedule is logged from
 its toggling-frame deviation W = ctrl^+ U - I, and Z is checked against W,
 so the error stays near eps |W| with no eigenvalue-gap condition; each
 point reports that floor, FLOOR_UNIT |M| ceil(log2 segments), with |M| a
@@ -23,6 +25,7 @@ defined here, the extended engine in ``highprec``.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -71,6 +74,15 @@ def shifted_solve(w: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarra
         return x, singular
 
 
+def series_terms(bounds: np.ndarray, tol: float) -> np.ndarray:
+    """The terms a series keeps per item, from its (..., J) table of bounds, one column per term.
+
+    An item keeps the terms whose bounds lie above tol, and gets -1 where the last column still does.
+    """
+    above = bounds > tol
+    return np.where(above[..., -1], -1, above.sum(axis=-1))
+
+
 def atanh_series(z, z2, terms: np.ndarray, product, add, scale):
     """atanh Z = Z + Z^3/3 + ... per item of a (G, n, n) stack, z2 = Z^2, in an engine's product, add and scale.
 
@@ -94,7 +106,7 @@ def _series_log(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     z2 = z @ z
     q, j = np.linalg.norm(z2, axis=(-2, -1))[:, None], np.arange(24)  # q < 1/4 takes at most 23 terms
-    terms = (q ** (j + 1) / ((2 * j + 3) * (1 - q)) > _SERIES_TOL).sum(axis=-1)
+    terms = series_terms(q ** (j + 1) / ((2 * j + 3) * (1 - q)), _SERIES_TOL)
     root, even, odd, term = np.sqrt(q[:, 0]), np.empty_like(z), np.empty_like(z), np.empty_like(z)
 
     def scale(power, j, live):
@@ -112,14 +124,15 @@ def _series_log(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, 2 * np.arctan(root)
 
 
-def _principal_logs(w: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+def _principal_logs(w: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray]:
     """Principal Hermitian M with I + W = exp(-i M) for every W in a (G, n, n) stack, without raising.
 
-    Returns the (G, n, n) generators, per matrix the error it failed with
-    (a BranchAmbiguityError for an eigenphase within BRANCH_MARGIN of +-pi,
-    an ArithmeticError for a reconstruction residual above 1e-9), or None,
-    and the (G,) bound |M| on the eigenphases.  A failed matrix does not
-    stop the others; its generator is meaningless.
+    Returns the (G, n, n) generators and the (G,) bound |M| on the
+    eigenphases.  A matrix that fails gets its error in the caller's list
+    errors where that holds None: a BranchAmbiguityError for an eigenphase
+    within BRANCH_MARGIN of +-pi, else an ArithmeticError for a
+    reconstruction residual above 1e-9.  A failed matrix does not stop the
+    others; its generator is meaningless.
     """
     z, singular = shifted_solve(w)
     z -= np.swapaxes(z.conj(), -1, -2)
@@ -132,7 +145,6 @@ def _principal_logs(w: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
     k = -1j * z[near]  # Hermitian: V diag(lam) V^+
     z[near] = 0
     m, phase = _series_log(z)
-    errors = [None] * len(w)
     if len(near):
         lam, v = np.linalg.eigh(k)
         phases = 2 * np.arctan(lam)
@@ -143,13 +155,13 @@ def _principal_logs(w: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
         for g, item in zip(near, phases):
             worst = item[np.abs(item).argmax()]
             if np.abs(worst) > np.pi - BRANCH_MARGIN:
-                errors[g] = BranchAmbiguityError(
+                errors[g] = errors[g] or BranchAmbiguityError(
                     f"eigenphase {worst:+.4f} rad within {BRANCH_MARGIN} of the branch cut; shrink the duration",
                     eigenphase=float(worst),
                 )
     for g in np.nonzero(residual > 1e-9)[0]:
         errors[g] = errors[g] or ArithmeticError(f"log reconstruction residual {residual[g]:.2e} exceeds 1e-9")
-    return m, errors, phase
+    return m, phase
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,18 +238,13 @@ class Engine:
     floor: Callable
 
 
-def _log(w, errors):
-    m, log_errors, phase = _principal_logs(w)
-    errors[:] = [error or log_error for error, log_error in zip(errors, log_errors)]
-    return m, phase
-
-
 def _compose(seq, ops, durations, unitary):
     return sequence_deviation(seq, ops, durations) if unitary is None else (unitary.w[None], [None])
 
 
 # FLOOR_UNIT |M| per level of the pairwise reduction: ceil(log2 segments) levels.
-DOUBLE = Engine(_compose, _log, pauli_decompose, lambda segments: FLOOR_UNIT * max(1, (segments - 1).bit_length()))
+DOUBLE = Engine(_compose, _principal_logs, pauli_decompose,
+                lambda segments: FLOOR_UNIT * max(1, (segments - 1).bit_length()))
 
 
 def evaluate(seq, ops, durations, engine: Engine, unitary=None) -> tuple[EffectiveHamiltonian, list]:
@@ -281,8 +288,8 @@ def magnus_cdd_predict(a0: np.ndarray, az: np.ndarray, tau0: float, level: int):
     """
     if level < 0:
         raise ValueError("level must be non-negative")
-    if tau0 <= 0:
-        raise ValueError("tau0 must be positive")
+    if not 0 < tau0 < math.inf:
+        raise ValueError(f"tau0 must be positive and finite, got {tau0}")
     a0_n = np.asarray(a0, dtype=complex)
     az_n = np.asarray(az, dtype=complex)
     tau = float(tau0)

@@ -10,15 +10,16 @@ codes; a merged pulse's phase is a phase of ctrl and U alike, so it never
 reaches W.
 
 ``compose`` is the pipeline of both engines, which supply only arithmetic:
-their gaps (float here, exact in ``highprec``), the factors of a schedule's
-distinct (gap, frame) pairs, and their product.  It keys the segments into
-pairs, kept with the schedule and shared by its re-timed copies (as is the
-control product), and reduces the factors pairwise,
-(I + A)(I + B) = I + (A + B + A B) with the later A on the left, in chunks
-of ``stack_points(d)`` segments (256 at d = 4; at d = 64 one, the update
-W <- E + W + E W) that fold in time order, so rounding grows as log N in
-the segment count; each distinct product of a level is formed once
-(``reduction_plan``), changing no bit.  Here the factors come from the
+their gap rule (``sequences._float_gaps`` here, ``sequences._exact_gaps``
+in ``highprec``; ``sequences._kept`` is the one rule for which segments are
+nonzero), the factors of a schedule's distinct (gap, frame) pairs, and
+their product.  It keys the segments into pairs, kept with the schedule and
+shared by its re-timed copies (as is the control product), and reduces the
+factors pairwise, (I + A)(I + B) = I + (A + B + A B) with the later A on
+the left, in chunks of ``stack_points(d)`` segments (256 at d = 4; at
+d = 64 one, the update W <- E + W + E W) that fold in time order, so
+rounding grows as log N in the segment count; each distinct product of a
+level is formed once (``reduction_plan``), changing no bit.  Here the factors come from the
 model's one eigensystem (``BathOperators.eigensystem``).
 
 A schedule whose builder recorded its blocks (``PulseSequence.blocks``)
@@ -43,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bath import SIGMA, BathOperators
-from .sequences import CODE_AXIS, Blocks, PauliAxis, PulseSequence
+from .sequences import CODE_AXIS, Blocks, PauliAxis, PulseSequence, _float_gaps, _kept
 
 def pulse_unitary(axis: PauliAxis, d: int) -> np.ndarray:
     """Ideal pi pulse sigma_axis (x) I_d (bare Pauli phase convention)."""
@@ -75,17 +76,6 @@ class SegmentPlan:
 def _frames(codes: np.ndarray) -> np.ndarray:
     """The Pauli code of the pulses before each interval, the n + 1 intervals of n pulses in time order."""
     return np.concatenate(([0], np.bitwise_xor.accumulate(codes)))
-
-
-def _kept(seq: PulseSequence) -> slice:
-    """The nonzero intervals: all but the one before a pulse at instant 0 and the one after a pulse at 1."""
-    n, instants = seq.pulse_count, seq.instants
-    return slice(int(n > 0 and instants[0] == 0), n + (n == 0 or instants[-1] != 1))
-
-
-def _float_gaps(seq: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct float lengths of the nonzero segments, as fractions of the duration, and each one's index."""
-    return np.unique(np.diff(np.concatenate(([0.0], seq.instants, [1.0])))[_kept(seq)], return_inverse=True)
 
 
 def _segment_plan(seq: PulseSequence, gaps) -> SegmentPlan:

@@ -13,18 +13,19 @@ real matrix holding y's rows and i times them; the two calls that carry the
 leading bits are exact (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 95
 (2012)).  Composition is ``evolution.compose``'s, as for the double engine, in
 deviation form in the toggling frame, ctrl^+ U = I + W: this engine gives
-the segments' exact gaps, a factor E = expm1(-i H dt) per distinct exact gap
-(a Taylor series) taken into each (gap, frame) pair's Pauli frame by
-``evolution.frame_factors``, and its product.  Unlike the double engine,
-it composes a schedule by its recorded blocks only above one chunk of
-segments (``evolution.stack_points``), where it takes 3 products per CDD
-level (CDD-7: 21, not 773); a shorter one composes from its flat pulses
-(``_composed``).  By blocks the leaf's float instants are scaled exactly,
+its gap rule, the segments' exact gaps (``sequences._exact_gaps``), a factor
+E = expm1(-i H dt) per distinct exact gap (a Taylor series) taken into each
+(gap, frame) pair's Pauli frame by ``evolution.frame_factors``, and its
+product.  Unlike the double engine, it composes a schedule by its recorded
+blocks only above one chunk of segments (``evolution.stack_points``), where
+it takes 3 products per CDD level (CDD-7: 21, not 773); a shorter one
+composes from its flat pulses (``_composed``).  By blocks the leaf's float instants are scaled exactly,
 where the segments re-round each parent instant, so for UDD-based leaves
 the two paths differ near eps |W|.
 The log is 2 atanh(Z), Z = (2I + W)^-1 W: a double solve refined once, then
 the double engine's ``effective.atanh_series`` in double-double, as many
-terms per item as an ``eigvalsh`` of Z asks for; eigenphases beyond about
+terms per item as an ``eigvalsh`` of Z asks for (counted, as the Taylor
+series' terms are, by ``effective.series_terms``); eigenphases beyond about
 1.4 rad, the +-pi branch cut included, raise BranchAmbiguityError.  Each
 item reports a floor, FLOOR_UNIT * |M| * segments, kept from the sequential
 update (the tree is shallower).  Against mpmath at 50 digits, of the 760
@@ -45,31 +46,18 @@ import numpy as np
 
 from .bath import BathOperators, spectral_norm, total_hamiltonian
 from .effective import (BranchAmbiguityError, EffectiveHamiltonian, Engine, atanh_series, error_functionals,
-                        point_effective, shifted_solve)
+                        point_effective, series_terms, shifted_solve)
 from .evolution import compose, frame_factors, segment_count, stack_points
-from .sequences import Blocks, PulseSequence
+from .sequences import Blocks, PulseSequence, _exact_gaps
 
 # Bound on the roundoff per segment, relative to |M|; checked against the mpmath oracle.
 FLOOR_UNIT = 2.0**-104
 # A series stops at its last term above this (natural log), relative to the first.
 _TERM_TOL = math.log(2.0**-107)
-_MAX_TERMS = 200
-
-
-def _term_counts(log_term, shape) -> np.ndarray:
-    """Terms after the first that a series keeps, per item; -1 where _MAX_TERMS do not suffice.
-
-    log_term(j) is log(|term j| / |first term|) for the j-th term after the first.
-    """
-    counts = np.zeros(shape, dtype=int)
-    with np.errstate(invalid="ignore"):
-        for j in range(1, _MAX_TERMS + 1):
-            above = log_term(j) > _TERM_TOL
-            if not above.any():
-                return counts
-            counts[above] = j
-    counts[above] = -1
-    return counts
+# The terms j = 1..200 after the first: the columns of a series' table of log(|term j| / |first term|).
+_TERMS = np.arange(1, 201)
+_LOG_FACTORIALS = np.array([math.lgamma(j + 2) for j in _TERMS.tolist()])  # log (j + 1)!
+_LOG_ODDS = np.array([math.log(2 * j + 1) for j in _TERMS.tolist()])
 
 
 # --- double-double arithmetic on (hi, lo) pairs of arrays ---------------------
@@ -175,20 +163,6 @@ def _matmul(x, y):
 
 # --- composition, log and Pauli split -----------------------------------------
 
-def _segment_gaps(seq: PulseSequence) -> tuple[list, np.ndarray]:
-    """The distinct exact lengths of the nonzero segments, and each one's index into them, in time order."""
-    # Every bound is an integer over den 2^shift: a numerator, or a float M 2^(e - 53), M < 2^53.
-    den, floats = seq.denominator, ~seq.exact
-    mantissas, exponents = np.frexp(seq.instants[floats])
-    shift = max(0, 53 - int(exponents.min(initial=53)))
-    bounds = np.concatenate(([0], seq.numerators, [den])).astype(object) * (1 << shift)
-    bounds[1:-1][floats] = [int(m) * den << (shift + e - 53)
-                            for m, e in zip((mantissas * 2.0**53).tolist(), exponents.tolist())]
-    distinct = {}
-    ids = [distinct.setdefault(step, len(distinct)) for step in np.diff(bounds).tolist() if step > 0]
-    return [Fraction(step, den << shift) for step in distinct], np.array(ids, dtype=np.int64)
-
-
 def _product(later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The deviation of (I + later)(I + earlier) for (..., 2, n, n) stacks of (hi, lo) parts, into out."""
     e, w = (later[..., 0, :, :], later[..., 1, :, :]), (earlier[..., 0, :, :], earlier[..., 1, :, :])
@@ -222,7 +196,7 @@ def _compose(seq: PulseSequence, ops: BathOperators, durations: list, unitary=No
         steps = np.array([[_dd(gap / copies * Fraction(t) * Fraction(scale)) for t in durations] for gap in plan.gaps])
         with np.errstate(divide="ignore"):
             log_x = np.log(steps[..., 0])
-        extra = _term_counts(lambda j: j * log_x - math.lgamma(j + 2), log_x.shape)
+        extra = series_terms(log_x[..., None] * _TERMS - _LOG_FACTORIALS, _TERM_TOL)
         too_long.append((extra < 0).any(axis=0))
         x = (steps[..., 0, None, None], steps[..., 1, None, None])
         coefs, powers = [x], [(k, np.zeros_like(k))]
@@ -239,7 +213,7 @@ def _compose(seq: PulseSequence, ops: BathOperators, durations: list, unitary=No
         return frame_factors(np.stack(factors, axis=-3), plan)
 
     # One pair per product: a double-double product's temporaries are about a hundred times its operands.
-    w = compose(_composed(seq, ops.dim), ops.dim, _segment_gaps, leaves, _product, 1)
+    w = compose(_composed(seq, ops.dim), ops.dim, _exact_gaps, leaves, _product, 1)
     errors = [BranchAmbiguityError("a segment is too long for the extended path; shrink the duration")
               if failed else None for failed in too_long[0]]
     return (w[:, 0], w[:, 1]), errors
@@ -259,7 +233,7 @@ def _log(w, errors: list):
     with np.errstate(divide="ignore"):
         log_lam = np.log(lam)
     # Term j after the first of Z + Z^3/3 + ... is about lam^2j / (2j + 1) of it.
-    extra = _term_counts(lambda j: 2 * j * log_lam - math.log(2 * j + 1), lam.shape)
+    extra = series_terms(2 * _TERMS * log_lam[:, None] - _LOG_ODDS, _TERM_TOL)
     for g in np.nonzero(extra < 0)[0]:
         errors[g] = errors[g] or BranchAmbiguityError(
             "series log diverging: eigenphases too large for the extended path; shrink the duration",

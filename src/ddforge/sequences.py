@@ -9,12 +9,18 @@ concatenation are merged through the single-qubit Pauli algebra modulo
 global phase, so emitted schedules never contain two pulses at one instant
 and never contain an identity pulse.
 
-A schedule is a set of arrays: float64 ``instants`` (what every engine
-reads; an exact instant's is its correctly rounded value), int8 Pauli
-``codes`` (``CODE_AXIS``), and int64 ``numerators`` over one common
-``denominator`` where ``exact``.  Families build, merge (a stable sort and
-a grouped XOR of codes) and check them as arrays; the ``Pulse`` objects of
-``pulses`` are made on first access.
+A schedule is a set of arrays: float64 ``instants`` (an exact instant's is
+its correctly rounded value), int8 Pauli ``codes`` (``CODE_AXIS``), and
+int64 ``numerators`` over one common ``denominator`` where ``exact``.
+Families build, merge (a stable sort and a grouped XOR of codes) and check
+them as arrays; the ``Pulse`` objects of ``pulses`` are made on first
+access.  No other module reads the timing arrays: an instant's exact value
+(``_exact_values``: the numerator, or a float's own binary value, over one
+scale) decides the merge's float ties, and the segments come from here too.
+``_kept`` drops the zero segments at a pulse on instant 0 or 1, and the two
+gap rules give the distinct lengths of the rest: ``_float_gaps`` the float
+differences the double engine composes, ``_exact_gaps`` the exact ones of
+the extended engine.
 
 Concatenation products are read as operator products: the rightmost factor
 acts first in time, which places junction pulses at block starts.  Boundary
@@ -49,6 +55,8 @@ from math import lcm
 from typing import Iterable, NamedTuple
 
 import numpy as np
+
+from .bath import check_types
 
 
 class PauliAxis(str, Enum):
@@ -143,13 +151,31 @@ def _embed(items: _Items, nblocks: int) -> _Items:
     return _Items(instants, np.tile(items.codes, nblocks), nums, exact, den)
 
 
+def _exact_values(items: _Items) -> tuple[np.ndarray, int]:
+    """0, each instant and 1 as integers over one scale, and the scale: an instant's exact value.
+
+    An exact instant gives its numerator, a float its own binary value: a
+    float is M 2^(e - 53) with M < 2^53 an integer, so over den 2^shift,
+    shift the least that makes the smallest one whole, every float is an
+    integer too.
+    """
+    den, floats = items.denominator, ~items.exact
+    mantissas, exponents = np.frexp(items.instants[floats])
+    shift = max(0, 53 - int(exponents.min(initial=53)))
+    values = np.concatenate(([0], items.numerators, [den])).astype(object) * (1 << shift)
+    values[1:-1][floats] = [int(m) * den << (shift + e - 53)
+                            for m, e in zip((mantissas * 2.0**53).tolist(), exponents.tolist())]
+    return values, den << shift
+
+
 def _steps(items: _Items) -> np.ndarray:
     """Sign of each step between neighbouring instants; on a float tie the exact values decide."""
     steps = np.sign(items.instants[1:] - items.instants[:-1])
-    for k in (steps == 0).nonzero()[0]:
-        a, b = (Fraction(int(items.numerators[j]), items.denominator) if items.exact[j]
-                else Fraction(items.instants[j]) for j in (k, k + 1))
-        steps[k] = (a < b) - (b < a)
+    ties = (steps == 0).nonzero()[0]
+    if len(ties):
+        ends = np.concatenate((ties, ties + 1))
+        values = _exact_values(_Items(*(a[ends] for a in items[:4]), items.denominator))[0][1:-1].tolist()
+        steps[ties] = [(a < b) - (b < a) for a, b in zip(values[:len(ties)], values[len(ties):])]
     return steps
 
 
@@ -292,6 +318,27 @@ class PulseSequence:
         seq = copy.copy(self)
         seq.total_duration, seq.family = _duration(total_duration), dict(self.family)
         return seq
+
+
+# --- Segments ----------------------------------------------------------------
+
+def _kept(seq: PulseSequence) -> slice:
+    """The nonzero intervals: all but the one before a pulse at instant 0 and the one after a pulse at 1."""
+    n, instants = seq.pulse_count, seq.instants
+    return slice(int(n > 0 and instants[0] == 0), n + (n == 0 or instants[-1] != 1))
+
+
+def _float_gaps(seq: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct float lengths of the nonzero segments, as fractions of the duration, and each one's index."""
+    return np.unique(np.diff(np.concatenate(([0.0], seq.instants, [1.0])))[_kept(seq)], return_inverse=True)
+
+
+def _exact_gaps(seq: PulseSequence) -> tuple[list[Fraction], np.ndarray]:
+    """The distinct exact lengths of the nonzero segments, and each one's index into them, in time order."""
+    values, scale = _exact_values(seq._arrays)
+    distinct = {}
+    ids = [distinct.setdefault(step, len(distinct)) for step in np.diff(values)[_kept(seq)].tolist()]
+    return [Fraction(step, scale) for step in distinct], np.array(ids, dtype=np.int64)
 
 
 # --- Uhrig and classic families ----------------------------------------------
@@ -571,9 +618,31 @@ def schedule_to_dict(seq: PulseSequence) -> dict:
     return {"label": seq.label, "total_duration": seq.total_duration, "family": dict(seq.family), "pulses": pulses}
 
 
+_SCHEDULE_TYPES = {"label": str, "total_duration": float, "family": dict, "pulses": list}
+_PULSE_TYPES = {"axis": str, "num": int, "den": int, "t_frac": float}
+
+
+def _present(data: dict, keys: tuple, what: str) -> None:
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} lacks key {key!r}")
+
+
+def _pulse_from_dict(entry, index: int) -> Pulse:
+    """An entry's pulse: exact num/den where it has either, else float t_frac; a ValueError names the index and key."""
+    what = f"schedule pulse {index}"
+    check_types(entry, _PULSE_TYPES, what, None)
+    exact = "num" in entry or "den" in entry
+    _present(entry, ("axis", "num", "den") if exact else ("axis", "t_frac"), what)
+    if exact and entry["den"] < 1:
+        raise ValueError(f"{what} key 'den' must be at least 1, got {entry['den']}")
+    return Pulse(Fraction(entry["num"], entry["den"]) if exact else float(entry["t_frac"]), PauliAxis(entry["axis"]))
+
+
 def schedule_from_dict(data: dict) -> PulseSequence:
-    pulses = [Pulse(Fraction(e["num"], e["den"]) if "num" in e else float(e["t_frac"]), PauliAxis(e["axis"]))
-              for e in data["pulses"]]
+    check_types(data, _SCHEDULE_TYPES, "schedule", None)
+    _present(data, ("total_duration", "pulses"), "schedule")
+    pulses = [_pulse_from_dict(entry, index) for index, entry in enumerate(data["pulses"])]
     return PulseSequence(float(data["total_duration"]), pulses, data.get("label", ""), dict(data.get("family", {})))
 
 

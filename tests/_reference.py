@@ -33,7 +33,8 @@ def unitary_log(u: np.ndarray) -> np.ndarray:
     BRANCH_MARGIN of +-pi.  The reconstruction exp(-i M) is verified to 1e-9.
     """
     u = np.asarray(u, dtype=complex)
-    m, errors, _ = _principal_logs(u[None] - np.eye(u.shape[-1]))
+    errors = [None]
+    m, _ = _principal_logs(u[None] - np.eye(u.shape[-1]), errors)
     if errors[0] is not None:
         raise errors[0]
     return m[0]
@@ -92,6 +93,24 @@ def cells_per_pulse(inner, cells, outer):
     items = [(Fraction(b, cells) + instant / cells if isinstance(instant, Fraction) else (b + instant) / cells, axis)
              for b in range(cells) for instant, axis in inner]
     return [Pulse(i, a) for i, a in reference_merge(items + list(outer))]
+
+
+def term_counts(log_term, shape, tol: float, most: int = 200) -> np.ndarray:
+    """Terms after the first that a series keeps, per item, found term by term; -1 where ``most`` do not suffice.
+
+    log_term(j) is log(|term j| / |first term|) for the j-th term after the
+    first.  An item keeps up to its last term above tol; the loop stops at
+    the first j where no item's term is.
+    """
+    counts = np.zeros(shape, dtype=int)
+    with np.errstate(invalid="ignore"):
+        for j in range(1, most + 1):
+            above = log_term(j) > tol
+            if not above.any():
+                return counts
+            counts[above] = j
+    counts[above] = -1
+    return counts
 
 
 def exact_slope(t_grid, values) -> float:

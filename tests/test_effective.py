@@ -101,7 +101,8 @@ class TestUnitaryLog:
         from ddforge.effective import _principal_logs
 
         good = [expm_segment(random_hermitian(4, s), 1.0) for s in (0.5, 2.0)]
-        m, errors, _ = _principal_logs(np.stack([good[0], -np.eye(4, dtype=complex), good[1]]) - np.eye(4))
+        errors = [None] * 3
+        m, _ = _principal_logs(np.stack([good[0], -np.eye(4, dtype=complex), good[1]]) - np.eye(4), errors)
         assert errors[0] is None and errors[2] is None
         assert type(errors[1]) is BranchAmbiguityError
         assert errors[1].eigenphase == np.pi
@@ -142,9 +143,11 @@ class TestSeriesLog:
                      + [-2 * np.eye(8, dtype=complex)])
         sizes = [cayley_size(item) for item in w[:4]]
         assert sizes[0] < sizes[1] < effective.SERIES_BOUND <= sizes[2] and sizes[3] < effective.SERIES_BOUND
-        m, errors, phase = _principal_logs(w)
+        errors = [None] * len(w)
+        m, phase = _principal_logs(w, errors)
         for g in range(len(w)):
-            m_one, errors_one, phase_one = _principal_logs(w[g:g + 1])
+            errors_one = [None]
+            m_one, phase_one = _principal_logs(w[g:g + 1], errors_one)
             assert type(errors[g]) is type(errors_one[0])
             if errors[g] is None:
                 assert m[g].tobytes() == m_one[0].tobytes()
@@ -162,9 +165,10 @@ class TestSeriesLog:
         phases = np.concatenate(([-largest], largest * spread * rng.uniform(-1, 1, n - 1)))
         w = deviation_with_phases(phases, rng)[None]
         assert cayley_size(w[0]) < effective.SERIES_BOUND
-        m, errors, bound = _principal_logs(w)
+        errors, errors_eigh = [None], [None]
+        m, bound = _principal_logs(w, errors)
         monkeypatch.setattr(effective, "SERIES_BOUND", 0.0)
-        m_eigh, errors_eigh, exact = _principal_logs(w)
+        m_eigh, exact = _principal_logs(w, errors_eigh)
         assert errors == errors_eigh == [None]
         assert exact[0] == pytest.approx(largest, rel=1e-12)
         assert np.abs(m - m_eigh).max() <= effective.FLOOR_UNIT * exact[0]
@@ -374,10 +378,11 @@ def test_series_bound_on_reference_points(monkeypatch):
     ratios = []
     for key, seq, ops, _ in reference_points({"d4", "d64"}):
         w, _ = sequence_deviation(seq, ops, [seq.total_duration])
-        _, errors, bound = _principal_logs(w)
+        errors = [None]
+        _, bound = _principal_logs(w, errors)
         with monkeypatch.context() as patch:
             patch.setattr(effective, "SERIES_BOUND", 0.0)
-            _, _, exact = _principal_logs(w)
+            _, exact = _principal_logs(w, [None])
         assert errors == [None] and cayley_size(w[0]) < effective.SERIES_BOUND, key
         ratios.append(bound[0] / exact[0])
     assert len(ratios) == 340
@@ -457,3 +462,9 @@ class TestMagnusPredictor:
             magnus_cdd_predict(a, a, -1.0, 1)
         with pytest.raises(ValueError):
             magnus_cdd_predict(a, a, 0.1, -1)
+
+    @pytest.mark.parametrize("tau0", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_rejects_non_finite_tau0(self, tau0):
+        a = random_hermitian(3)
+        with pytest.raises(ValueError, match=f"tau0 must be positive and finite, got {tau0}"):
+            magnus_cdd_predict(a, a, tau0, 1)

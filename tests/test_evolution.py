@@ -33,6 +33,7 @@ from ddforge.sequences import (
     PauliAxis,
     Pulse,
     PulseSequence,
+    _float_gaps,
     build_sequence,
     cdd_full,
     cpmg,
@@ -328,7 +329,7 @@ class TestMemoisedReduction:
     def test_deep_plans_form_few_products(self, name, params, most):
         # 15,291 and 19,019 products without memoisation; counts, not times, so
         # that losing the memoisation fails here rather than only in a benchmark.
-        pairs = evolution._segment_plan(build_sequence(name, 1.0, **params), evolution._float_gaps).pairs
+        pairs = evolution._segment_plan(build_sequence(name, 1.0, **params), _float_gaps).pairs
         assert plan_products(reduction_plan(pairs.astype(np.int64).tobytes(), 256)) <= most
 
     @pytest.mark.parametrize("name, params, most", [("cdd", {"m": 7}, 800), ("cudd", {"m": 3, "n": 3}, 25)],

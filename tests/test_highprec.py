@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -6,15 +7,18 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from _reference import term_counts
 
 from ddforge import analysis, highprec
 from ddforge.analysis import default_t_grid, evaluate_scan
 from ddforge.bath import SIGMA, ModelSpec, alpha, build_model, total_hamiltonian
 from ddforge.cli import main
-from ddforge.effective import BranchAmbiguityError, error_functionals, evaluate, point_effective, sequence_effective
+from ddforge.effective import (BranchAmbiguityError, error_functionals, evaluate, point_effective, sequence_effective,
+                               series_terms)
 from ddforge.evolution import conjugate_frame, control_product, pulse_unitary
 from ddforge.highprec import EXTENDED, sequence_error_functionals
-from ddforge.sequences import CODE_AXIS, PulseSequence, build_sequence, cdd_full, cudd, udd_sequence
+from ddforge.sequences import (CODE_AXIS, Pulse, PulseSequence, _exact_gaps, _float_gaps, build_sequence, cdd_full,
+                               cudd, schedule_from_json, schedule_to_json, udd_sequence)
 
 REFERENCES = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "references" / "order.json").read_text()
@@ -61,16 +65,50 @@ class TestCrossValidation:
         lo = error_functionals(sequence_effective(seq, ops))
         assert hi["E_total"] == pytest.approx(lo["E_total"], rel=1e-6)
 
-    @pytest.mark.parametrize("name, params", [("cdd", {"m": 3}), ("udd", {"n": 3}), ("udd2", {"n": 3}),
-                                              ("cpmg-udd", {"m": 3, "c": 4})])
-    def test_segment_gaps_are_exact(self, name, params):
-        # Exact, float and mixed instants: each gap equals the Fraction difference of its ends.
-        seq = build_sequence(name, 1.0, **params)
-        bounds = [Fraction(0), *(Fraction(int(num), seq.denominator) if exact else Fraction(float(x))
-                                 for num, exact, x in zip(seq.numerators, seq.exact, seq.instants)), Fraction(1)]
-        gaps, ids = highprec._segment_gaps(seq)
+    @pytest.mark.parametrize("seq", [
+        *(build_sequence(name, 1.0, **params) for name, params in
+          [("cdd", {"m": 3}), ("udd", {"n": 3}), ("udd2", {"n": 3}), ("cpmg-udd", {"m": 3, "c": 4})]),
+        schedule_from_json(schedule_to_json(cdd_full(3))), schedule_from_json(schedule_to_json(cudd(3, 2))),
+        cdd_full(3).filter_axis("X"), cudd(3, 2).filter_axis("Z"),
+        PulseSequence(1.0, (Pulse(Fraction(0), "X"), Pulse(0.3, "Z"), Pulse(Fraction(1), "Y"))),
+        PulseSequence(1.0, (Pulse(0.0, "Z"), Pulse(Fraction(1, 3), "X"), Pulse(2 / 3, "Y"), Pulse(1.0, "X"))),
+    ], ids=["cdd-params0", "udd-params1", "udd2-params2", "cpmg-udd-params3", "json-cdd-3", "json-cudd-3,2",
+            "cdd-3[X]", "cudd-3,2[Z]", "exact-edges", "float-edges"])
+    def test_segment_gaps_are_exact(self, seq):
+        # Exact, float and mixed instants: each exact gap is the difference of its ends' values as the pulses
+        # hold them (a Fraction, or a float read exactly), each float gap that of their floats.
+        bounds = [Fraction(0), *(Fraction(p.instant) for p in seq.pulses), Fraction(1)]
+        kept = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+        gaps, ids = _exact_gaps(seq)
         assert len(set(gaps)) == len(gaps)
-        assert [gaps[i] for i in ids] == [b - a for a, b in zip(bounds, bounds[1:]) if b > a]
+        assert [gaps[i] for i in ids] == [b - a for a, b in kept]
+        gaps, ids = _float_gaps(seq)
+        assert len(set(gaps.tolist())) == len(gaps)
+        assert [gaps[i] for i in ids] == [float(b) - float(a) for a, b in kept]
+
+
+# x = scale * gap * t of a leaf, and lam = |tan(M/2)| of a log: zero, the
+# smallest floats, values up to and past each series' reach, and inf.
+SERIES_GRID = np.array([0.0, 1e-300, 1e-100, 1e-30, 1e-16, 1e-8, 1e-3, 0.1, 0.5, 0.9, 0.99, 1.0, 1.01, 2.0, 10.0,
+                        40.0, 70.0, 1e3, 1e300, np.inf])
+
+
+@pytest.mark.parametrize("series", ["leaves", "log"])
+def test_series_terms_match_the_term_loop(series):
+    # The extended engine's series counted term by term, as it did before one
+    # rule counted every series of both engines from a table of bounds.
+    with np.errstate(divide="ignore"):
+        logs = np.log(SERIES_GRID[:, None] * [1.0, 0.5])
+    if series == "leaves":
+        table, log_term = logs[..., None] * highprec._TERMS - highprec._LOG_FACTORIALS, \
+            lambda j: j * logs - math.lgamma(j + 2)
+    else:
+        table, log_term = 2 * highprec._TERMS * logs[..., None] - highprec._LOG_ODDS, \
+            lambda j: 2 * j * logs - math.log(2 * j + 1)
+    counts = series_terms(table, highprec._TERM_TOL)
+    assert counts.tolist() == term_counts(log_term, logs.shape, highprec._TERM_TOL).tolist()
+    assert counts[0].tolist() == [0, 0] and counts[-1].tolist() == [-1, -1]
+    assert len(set(counts.ravel().tolist())) >= 10
 
 
 class TestBelowDoubleFloor:

@@ -430,6 +430,14 @@ class TestPulseSequenceType:
         with pytest.raises(ValueError, match="overflows int64"):
             cdd_xx(2, base=base)
 
+    def test_mixed_tie_orders_by_exact_value(self):
+        # float(1/3) lies just below 1/3, so the float pulse comes first and
+        # the two pulses share one float instant; the reverse order steps down.
+        seq = PulseSequence(1.0, (Pulse(1 / 3, X), Pulse(F(1, 3), Z)))
+        assert seq.instants[0] == seq.instants[1] and schedule(seq) == [(1 / 3, X), (F(1, 3), Z)]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PulseSequence(1.0, (Pulse(F(1, 3), Z), Pulse(1 / 3, X)))
+
     def test_filter_axis(self):
         seq = cudd(2, 1)
         assert seq.filter_axis(Z).pulse_count == 4
@@ -470,7 +478,8 @@ class TestEmittedScheduleInvariants:
         assert [p.instant for p in longer.pulses] == [p.instant for p in seq.pulses]
 
     def test_with_duration_shares_arrays_and_segment_plan(self):
-        from ddforge.evolution import _float_gaps, _segment_plan
+        from ddforge.evolution import _segment_plan
+        from ddforge.sequences import _float_gaps
 
         seq = cdd_full(3, 1.0)
         plan = _segment_plan(seq, _float_gaps)
@@ -658,3 +667,21 @@ class TestScheduleJson:
     def test_inexact_pulses_omit_num_den(self):
         data = json.loads(schedule_to_json(udd_sequence(3)))
         assert all("num" not in p for p in data["pulses"])
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"axis": "X", "num": 1, "den": 0, "t_frac": 0.5}, "pulse 1 key 'den' must be at least 1, got 0"),
+        ({"num": 1, "den": 2, "t_frac": 0.5}, "pulse 1 lacks key 'axis'"),
+        ({"axis": "X", "num": 1, "t_frac": 0.5}, "pulse 1 lacks key 'den'"),
+        ({"axis": "X"}, "pulse 1 lacks key 't_frac'"),
+        ({"axis": "X", "num": 1.5, "den": 2, "t_frac": 0.75}, "pulse 1 key 'num' must be an integer, got 1.5"),
+        ({"axis": "X", "t_frac": "0.5"}, "pulse 1 key 't_frac' must be a number, got '0.5'"),
+        (None, "schedule key 'pulses' must be a list"),
+    ], ids=["den-0", "no-axis", "no-den", "no-t_frac", "num-float", "t_frac-string", "pulses-object"])
+    def test_malformed_entry_names_index_and_key(self, entry, message):
+        data = json.loads(schedule_to_json(cpmg()))
+        if entry is None:
+            data["pulses"] = {"0": data["pulses"][0]}
+        else:
+            data["pulses"][1] = entry
+        with pytest.raises(ValueError, match=message):
+            schedule_from_json(json.dumps(data))

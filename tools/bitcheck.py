@@ -7,9 +7,10 @@ and ``ROOT/perfbench`` (read-only) in this process, on one BLAS thread, and
 prints one line per category: its name, the number of entries and the
 sha256 of their bytes.
 
-- ``order``: every row value and floor and every fitted slope of the
-  benchmark's order scans (order-d4, order-d64, order-extended), as
-  ``float.hex``, or the exception a scan raised.
+- ``order-d4``, ``order-d64``, ``order-extended``: every row value and
+  floor and every fitted slope of that workload's benchmark order scans, as
+  ``float.hex``, or the exception a scan raised; one line per workload, so
+  that a difference names it.
 - ``deep``: the pulse count, entanglement fidelity and unitary bytes of
   every simulate-deep point.
 - ``builders``: the flat arrays, label, family and block record (each
@@ -47,27 +48,25 @@ class Category:
         self.digest.update(repr(parts).encode() + b"\n")
 
     def line(self) -> str:
-        return f"{self.name:<10} {self.count:>6}  {self.digest.hexdigest()}"
+        return f"{self.name:<14} {self.count:>6}  {self.digest.hexdigest()}"
 
 
 def failure(err: Exception) -> tuple:
     return type(err).__name__, str(err), getattr(err, "t", None)
 
 
-def order_category(measure, workloads) -> Category:
-    out = Category("order")
-    for workload in ORDER_WORKLOADS:
-        inputs = measure.Inputs(workload)
-        for scan in workloads.order_scans(workload):
-            call = inputs.order_call(scan)
-            try:
-                rows, fits = measure.run_order(call, scan.precision)
-            except Exception as err:  # noqa: BLE001 - a raising scan is an entry too
-                out.add(scan.label, failure(err))
-                continue
-            values = [(k, v.hex() if isinstance(v, float) else v) for row in rows for k, v in row.items()]
-            slopes = [(k, None if f.slope is None else f.slope.hex()) for k, f in fits.items()]
-            out.add(scan.label, values, slopes)
+def order_category(measure, workloads, workload: str) -> Category:
+    out, inputs = Category(workload), measure.Inputs(workload)
+    for scan in workloads.order_scans(workload):
+        call = inputs.order_call(scan)
+        try:
+            rows, fits = measure.run_order(call, scan.precision)
+        except Exception as err:  # noqa: BLE001 - a raising scan is an entry too
+            out.add(scan.label, failure(err))
+            continue
+        values = [(k, v.hex() if isinstance(v, float) else v) for row in rows for k, v in row.items()]
+        slopes = [(k, None if f.slope is None else f.slope.hex()) for k, f in fits.items()]
+        out.add(scan.label, values, slopes)
     return out
 
 
@@ -157,13 +156,14 @@ def main(argv: list[str]) -> int:
 
     from ddforge import evolution, sequences
 
-    for category in (order_category(measure, workloads), deep_category(measure, workloads, evolution, sequences),
+    categories = [order_category(measure, workloads, workload) for workload in ORDER_WORKLOADS]
+    for category in (*categories, deep_category(measure, workloads, evolution, sequences),
                      builders_category(sequences)):
         print(category.line())
     modules = {path.stem: code_lines(path) for path in sorted((root / "src" / "ddforge").glob("*.py"))}
     for name, count in modules.items():
-        print(f"lines {name:<10} {count:>5}")
-    print(f"lines {'total':<10} {sum(modules.values()):>5}")
+        print(f"lines {name:<14} {count:>5}")
+    print(f"lines {'total':<14} {sum(modules.values()):>5}")
     return 0
 
 
