@@ -5,9 +5,11 @@ family on a logarithmic duration grid and fits the log-log slope, which
 estimates the suppression order directly.  ``ENGINES`` maps each precision
 to its ``effective.Engine``, the double one or the double-double one of
 ``highprec``; scans and the CLI all reach their functionals through
-``effective.evaluate`` on that engine.  A schedule built once is composed
-and extracted for a whole stack of grid durations per bath model in one
-pass (``evolution.stack_points`` durations per stack).
+``effective.evaluate`` on that engine.  A scan takes its family as one
+dict (a name and ``build_sequence``'s keyword arguments), builds the
+schedule once, and composes and extracts it for a whole stack of grid
+durations per bath model in one pass (``evolution.stack_points`` durations
+per stack).
 """
 
 from __future__ import annotations
@@ -136,21 +138,6 @@ def _family_param_string(family: dict) -> str:
     return ",".join(parts)
 
 
-def _scan_stacks(family_spec, t_grid, per_stack: int) -> list[tuple]:
-    """(schedule, grid indices, durations) stacks covering the grid.
-
-    A dict spec is built once and its grid split into runs of at most
-    per_stack durations.  A callable spec is called once per duration, and
-    each of its schedules is a stack of one at its own duration.
-    """
-    if callable(family_spec):
-        return [(seq, [i], [seq.total_duration]) for i, seq in enumerate(family_spec(t) for t in t_grid)]
-    params = dict(family_spec)
-    base = build_sequence(params.pop("name"), t_grid[0], **params)
-    return [(base, list(range(s, min(s + per_stack, len(t_grid)))), t_grid[s:s + per_stack])
-            for s in range(0, len(t_grid), per_stack)]
-
-
 def evaluate_scan(
     family_spec,
     model_spec: ModelSpec,
@@ -162,6 +149,9 @@ def evaluate_scan(
 ) -> list[dict]:
     """Residual functionals across a duration grid, one row per duration.
 
+    ``family_spec`` is a family dict, its ``name`` and ``build_sequence``'s
+    keyword arguments; the schedule is built once, at the first duration, and
+    its grid evaluated in stacks of ``evolution.stack_points`` durations.
     With several seeds the functionals are averaged over the bath ensemble.
     Rows also carry ``floor``, the engine's estimated absolute error of each
     functional, averaged the same way.  Raises BranchAmbiguityError (tagged with the offending duration) when
@@ -185,22 +175,24 @@ def evaluate_scan(
             t=max(t_grid),
         )
 
-    stacks = _scan_stacks(family_spec, t_grid, stack_points(model_spec.d))
-    sample = stacks[0][0]
+    params = dict(family_spec)
+    seq = build_sequence(params.pop("name"), t_grid[0], **params)
+    per_stack = stack_points(model_spec.d)
     # Per grid point, one entry per bath model: its functionals or the exception it failed with.
     values = [[] for _ in t_grid]
-    for seq, indices, durations in stacks:
+    for start in range(0, len(t_grid), per_stack):
+        points = values[start:start + per_stack]
         for ops in models:
-            eff, errors = evaluate(seq, ops, durations, engine)
+            eff, errors = evaluate(seq, ops, t_grid[start:start + per_stack], engine)
             columns = {key: v.tolist() for key, v in {**error_functionals(eff), "floor": eff.floor}.items()}
-            for j, (i, error) in enumerate(zip(indices, errors)):
-                values[i].append(error if error is not None else {key: v[j] for key, v in columns.items()})
+            for j, (point, error) in enumerate(zip(points, errors)):
+                point.append(error if error is not None else {key: v[j] for key, v in columns.items()})
         # Stop where a point-by-point scan would: at the first failing (grid point, seed).
-        for value in (value for i in indices for value in values[i]):
+        for value in (value for point in points for value in point):
             if isinstance(value, Exception):
                 raise value
 
-    family, param = sample.family.get("name", sample.label), _family_param_string(sample.family)
+    family, param = seq.family.get("name", seq.label), _family_param_string(seq.family)
     rows = []
     for t, point in zip(t_grid, values):
         row = {

@@ -11,11 +11,13 @@ reaches W.
 
 ``compose`` is the pipeline of both engines, which supply only arithmetic:
 their gap rule (``sequences._float_gaps`` here, ``sequences._exact_gaps``
-in ``highprec``; ``sequences._kept`` is the one rule for which segments are
-nonzero), the factors of a schedule's distinct (gap, frame) pairs, and
-their product.  It keys the segments into pairs, kept with the schedule and
-shared by its re-timed copies (as is the control product), and reduces the
-factors pairwise, (I + A)(I + B) = I + (A + B + A B) with the later A on
+in ``highprec``: one distinct-length rule over the segments that
+``sequences._kept`` finds nonzero on exact values, so both engines compose
+the same segments, here with a 0.0 gap where the exact one is tiny), the
+factors of a schedule's distinct (gap, frame) pairs, and their product.  It
+keys the segments into pairs, kept with the schedule and shared by its
+re-timed copies (as is the control product), and reduces the factors
+pairwise, (I + A)(I + B) = I + (A + B + A B) with the later A on
 the left, in chunks of ``stack_points(d)`` segments (256 at d = 4; at
 d = 64 one, the update W <- E + W + E W) that fold in time order, so
 rounding grows as log N in the segment count; each distinct product of a

@@ -17,10 +17,14 @@ them as arrays; the ``Pulse`` objects of ``pulses`` are made on first
 access.  No other module reads the timing arrays: an instant's exact value
 (``_exact_values``: the numerator, or a float's own binary value, over one
 scale) decides the merge's float ties, and the segments come from here too.
-``_kept`` drops the zero segments at a pulse on instant 0 or 1, and the two
-gap rules give the distinct lengths of the rest: ``_float_gaps`` the float
-differences the double engine composes, ``_exact_gaps`` the exact ones of
-the extended engine.
+``_kept`` drops the zero segments at a pulse on instant 0 or 1, decided on
+exact values (an exact instant just below 1 may round to 1.0, and its
+segment is kept), so every engine reads one segment list.  One
+distinct-length rule, ``_distinct_steps`` (a sorted ``np.unique``), gives
+the distinct lengths of those segments to both gap rules: ``_float_gaps``
+applies it to the float instants the double engine composes (a tiny exact
+gap may be 0.0 there), ``_exact_gaps`` to the exact integers of the
+extended engine.
 
 Concatenation products are read as operator products: the rightmost factor
 acts first in time, which places junction pulses at block starts.  Boundary
@@ -39,7 +43,8 @@ schedules by it.
 unit duration, and returns re-timed copies (``with_duration``) of that
 schedule; the copies share its read-only arrays, its blocks and the plans
 the engines keep with it, so a scan over durations or bath seeds builds and
-plans a schedule once.
+plans a schedule once.  The memo is keyed by the arguments as given, so an
+unhashable one (a list) raises its TypeError.
 """
 
 from __future__ import annotations
@@ -323,22 +328,31 @@ class PulseSequence:
 # --- Segments ----------------------------------------------------------------
 
 def _kept(seq: PulseSequence) -> slice:
-    """The nonzero intervals: all but the one before a pulse at instant 0 and the one after a pulse at 1."""
-    n, instants = seq.pulse_count, seq.instants
-    return slice(int(n > 0 and instants[0] == 0), n + (n == 0 or instants[-1] != 1))
+    """The nonzero intervals: all but the one before a pulse at instant 0 and the one after a pulse at 1.
+
+    Decided on exact values.  A positive exact instant is at least 2^-63, so
+    its float is never 0; but one below 1 may round to 1.0, and is told from
+    1 by its numerator, positive and below the denominator (a float's is 0).
+    """
+    n, instants, nums = seq.pulse_count, seq.instants, seq.numerators
+    return slice(int(n > 0 and instants[0] == 0), n + (n == 0 or instants[-1] != 1 or 0 < nums[-1] < seq.denominator))
+
+
+def _distinct_steps(seq: PulseSequence, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct lengths of the nonzero segments between values (0, each instant and 1), and each one's index."""
+    return np.unique(np.diff(values)[_kept(seq)], return_inverse=True)
 
 
 def _float_gaps(seq: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
     """The distinct float lengths of the nonzero segments, as fractions of the duration, and each one's index."""
-    return np.unique(np.diff(np.concatenate(([0.0], seq.instants, [1.0])))[_kept(seq)], return_inverse=True)
+    return _distinct_steps(seq, np.concatenate(([0.0], seq.instants, [1.0])))
 
 
 def _exact_gaps(seq: PulseSequence) -> tuple[list[Fraction], np.ndarray]:
-    """The distinct exact lengths of the nonzero segments, and each one's index into them, in time order."""
+    """The distinct exact lengths of the nonzero segments, and each one's index into them."""
     values, scale = _exact_values(seq._arrays)
-    distinct = {}
-    ids = [distinct.setdefault(step, len(distinct)) for step in np.diff(values)[_kept(seq)].tolist()]
-    return [Fraction(step, scale) for step in distinct], np.array(ids, dtype=np.int64)
+    steps, ids = _distinct_steps(seq, values)  # Python ints, which np.unique sorts exactly
+    return [Fraction(step, scale) for step in steps.tolist()], ids
 
 
 # --- Uhrig and classic families ----------------------------------------------
@@ -573,15 +587,10 @@ def build_sequence(family: str, total_duration: float = 1.0, *, n: int | None = 
 
     The schedule is built once per process at unit duration (``_unit_schedule``)
     and handed out re-timed: a copy with its own ``family`` and ``blocks``
-    attributes that shares the read-only arrays and ``_cache``.  Arguments
-    that cannot key the memo (a list, say) are built and checked uncached.
+    attributes that shares the read-only arrays and ``_cache``.  An argument
+    that cannot key the memo (a list, say) raises the memo's TypeError.
     """
-    key = (family.lower().replace("_", "-"), n, m, c, axis)
-    try:
-        hash(key)
-    except TypeError:
-        return _unit_schedule.__wrapped__(*key).with_duration(total_duration)
-    return _unit_schedule(*key).with_duration(total_duration)
+    return _unit_schedule(family.lower().replace("_", "-"), n, m, c, axis).with_duration(total_duration)
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -629,14 +638,20 @@ def _present(data: dict, keys: tuple, what: str) -> None:
 
 
 def _pulse_from_dict(entry, index: int) -> Pulse:
-    """An entry's pulse: exact num/den where it has either, else float t_frac; a ValueError names the index and key."""
+    """An entry's pulse: exact num/den where it has either, else float t_frac; a ValueError names the index and key.
+
+    An exact entry's t_frac, where it has one, must be the float of num/den, as ``schedule_to_dict`` writes it.
+    """
     what = f"schedule pulse {index}"
     check_types(entry, _PULSE_TYPES, what, None)
     exact = "num" in entry or "den" in entry
     _present(entry, ("axis", "num", "den") if exact else ("axis", "t_frac"), what)
     if exact and entry["den"] < 1:
         raise ValueError(f"{what} key 'den' must be at least 1, got {entry['den']}")
-    return Pulse(Fraction(entry["num"], entry["den"]) if exact else float(entry["t_frac"]), PauliAxis(entry["axis"]))
+    pulse = Pulse(Fraction(entry["num"], entry["den"]) if exact else float(entry["t_frac"]), PauliAxis(entry["axis"]))
+    if exact and entry.get("t_frac", pulse.t_frac) != pulse.t_frac:
+        raise ValueError(f"{what} key 't_frac' is {entry['t_frac']!r}, but num/den {pulse.instant} is {pulse.t_frac!r}")
+    return pulse
 
 
 def schedule_from_dict(data: dict) -> PulseSequence:

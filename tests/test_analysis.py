@@ -133,11 +133,6 @@ class TestOrderScan:
         fit = order_scan({"name": "udd", "n": 2}, PURE_DEPHASING, grid, "E_flip")
         assert not fit.defined
 
-    def test_callable_family(self):
-        grid = default_t_grid(1.0)
-        fit = order_scan(lambda t: udd_sequence(1, t), GENERIC, grid, "E_flip")
-        assert fit.slope == pytest.approx(2.0, abs=0.25)
-
     def test_branch_guard(self):
         with pytest.raises(BranchAmbiguityError, match="alpha"):
             evaluate_scan({"name": "none"}, GENERIC, [0.5, 1.5])
@@ -160,19 +155,9 @@ class TestOrderScan:
         monkeypatch.setattr(analysis, "build_sequence", counting_build)
         rows = evaluate_scan({"name": "cudd", "m": 2, "n": 2}, GENERIC, grid, seeds=[7, 8])
         assert len(calls) == 1
-        per_point = evaluate_scan(lambda t: build_sequence("cudd", t, m=2, n=2), GENERIC, grid, seeds=[7, 8])
-        assert rows == per_point
-
-    def test_callable_called_once_per_duration(self):
-        calls = []
-
-        def family(t):
-            calls.append(t)
-            return udd_sequence(2, t)
-
-        grid = default_t_grid(1.0, points=4)
-        evaluate_scan(family, GENERIC, grid, seeds=[1, 2, 3])
-        assert calls == list(grid)
+        for row, ref in zip(rows, per_point_scan({"name": "cudd", "m": 2, "n": 2}, GENERIC, grid, [7, 8]),
+                            strict=True):
+            assert {key: row[key] for key in ref} == ref
 
     def test_seed_ensemble_mean(self):
         grid = default_t_grid(1.0, points=4)
@@ -265,13 +250,6 @@ class TestStackedScan:
         for row, ref in zip(rows, want):
             for key, value in ref.items():
                 assert np.float64(row[key]).tobytes() == np.float64(value).tobytes()
-
-    @FAMILIES
-    def test_callable_spec_equals_dict_spec(self, family):
-        params = {k: v for k, v in family.items() if k != "name"}
-        grid = default_t_grid(alpha(build_model(GENERIC)))
-        rows = evaluate_scan(lambda t: build_sequence(family["name"], t, **params), GENERIC, grid)
-        assert rows == evaluate_scan(family, GENERIC, grid)
 
     @pytest.mark.parametrize(
         "family, spec, seeds, window",

@@ -15,7 +15,7 @@ from ddforge.bath import SIGMA, ModelSpec, alpha, build_model, total_hamiltonian
 from ddforge.cli import main
 from ddforge.effective import (BranchAmbiguityError, error_functionals, evaluate, point_effective, sequence_effective,
                                series_terms)
-from ddforge.evolution import conjugate_frame, control_product, pulse_unitary
+from ddforge.evolution import conjugate_frame, control_product, pulse_unitary, segment_count
 from ddforge.highprec import EXTENDED, sequence_error_functionals
 from ddforge.sequences import (CODE_AXIS, Pulse, PulseSequence, _exact_gaps, _float_gaps, build_sequence, cdd_full,
                                cudd, schedule_from_json, schedule_to_json, udd_sequence)
@@ -85,6 +85,45 @@ class TestCrossValidation:
         gaps, ids = _float_gaps(seq)
         assert len(set(gaps.tolist())) == len(gaps)
         assert [gaps[i] for i in ids] == [float(b) - float(a) for a, b in kept]
+
+    @pytest.mark.parametrize("name, params", [
+        ("se", {}), ("cpmg", {"axis": "X"}), ("pdd", {"n": 5}), ("pdd", {"n": 7}), ("icpmg", {"c": 3}),
+        ("icpmg", {"c": 4}), ("udd", {"n": 2}), ("cdd", {"m": 3}), ("cddxx", {"n": 5}), ("cudd", {"m": 2, "n": 3}),
+        ("cpmg-udd", {"m": 1, "c": 3}), ("cpmg-udd", {"m": 2, "c": 2}), ("udd2", {"n": 1}), ("udd2", {"n": 2}),
+    ])
+    def test_gap_rules_agree_on_exact_families(self, name, params):
+        # One distinct-length rule sorts both: where every instant's float is its exact value (a power-of-two
+        # denominator up to 2^53), so is every float difference, and the two rules give equal lengths and ids.
+        # Otherwise each segment's float length lies within 2^-52 of its exact one.
+        seq = build_sequence(name, 1.0, **params)
+        assert seq.exact.all()
+        exact, exact_ids = _exact_gaps(seq)
+        floats, float_ids = _float_gaps(seq)
+        if seq.denominator & (seq.denominator - 1) == 0 and seq.denominator <= 2**53:
+            assert [float(gap) for gap in exact] == floats.tolist() and exact_ids.tolist() == float_ids.tolist()
+        else:
+            assert np.abs(np.array([float(exact[i]) for i in exact_ids]) - floats[float_ids]).max() <= 2**-52
+
+
+class TestExactSegmentEnds:
+    # An exact instant below 1 whose float rounds to 1.0 ends a nonzero segment; the float 1.0 read it as zero.
+    NEAR_ONE = Fraction(2**60 - 1, 2**60)
+
+    def test_last_segment_kept(self):
+        seq = PulseSequence(0.01, [Pulse(Fraction(1, 3), "X"), Pulse(self.NEAR_ONE, "Z")])
+        assert seq.instants[-1] == 1.0 and segment_count(seq) == 3
+        gaps, ids = _exact_gaps(seq)
+        assert Fraction(1, 2**60) in gaps and [gaps[i] for i in ids] == [Fraction(1, 3), self.NEAR_ONE - Fraction(1, 3),
+                                                                         Fraction(1, 2**60)]
+
+    def test_extended_engine_composes_it(self, ops):
+        # The Z pulse 2^-60 t before the end leaves a last segment of that length.  Composed, it gives
+        # E_flip = 2^-59 t and leaves E_dephase near CDD-4's (about 4e-38); dropped, both read about 2^-60 t.
+        t = 1e-5 / alpha(ops)
+        seq = PulseSequence(t, [*cdd_full(4).pulses, Pulse(self.NEAR_ONE, "Z")])
+        values = sequence_error_functionals(seq, ops)
+        assert values["E_flip"] == pytest.approx(2**-59 * t, rel=1e-6)
+        assert values["E_dephase"] < 1e-30
 
 
 # x = scale * gap * t of a leaf, and lam = |tan(M/2)| of a log: zero, the

@@ -631,15 +631,13 @@ class TestBuildMemo:
     def test_axis_unchecked_where_ignored(self):
         assert build_sequence("cdd", 1.0, m=1, axis="Q").label == "CDD-1"
 
-    def test_unhashable_argument_is_built_uncached(self):
+    @pytest.mark.parametrize("family, params", [("udd", {"n": 2}), ("cdd", {"m": 2})])
+    def test_unhashable_argument_raises_the_memo_type_error(self, family, params):
+        # A list cannot key the memo; it was built uncached, and read as an axis where the family ignores it.
         from ddforge import sequences
 
-        for _ in range(2):
-            with pytest.raises(ValueError, match=r"^\['Z'\] is not a valid PauliAxis$"):
-                build_sequence("udd", 1.0, n=2, axis=["Z"])
-        seq = build_sequence("cdd", 0.5, m=2, axis=["Z"])
-        assert schedule_to_json(seq) == schedule_to_json(cdd_full(2, 0.5))
-        assert block_record(seq) == block_record(cdd_full(2, 0.5))
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            build_sequence(family, 1.0, axis=["Z"], **params)
         assert sequences._unit_schedule.cache_info().currsize == 0
 
 
@@ -676,7 +674,10 @@ class TestScheduleJson:
         ({"axis": "X", "num": 1.5, "den": 2, "t_frac": 0.75}, "pulse 1 key 'num' must be an integer, got 1.5"),
         ({"axis": "X", "t_frac": "0.5"}, "pulse 1 key 't_frac' must be a number, got '0.5'"),
         (None, "schedule key 'pulses' must be a list"),
-    ], ids=["den-0", "no-axis", "no-den", "no-t_frac", "num-float", "t_frac-string", "pulses-object"])
+        # schedule_to_dict writes an exact entry's t_frac as the float of num/den; a disagreeing one was ignored.
+        ({"axis": "X", "num": 1, "den": 4, "t_frac": 0.9}, r"pulse 1 key 't_frac' is 0\.9, but num/den 1/4 is 0\.25$"),
+    ], ids=["den-0", "no-axis", "no-den", "no-t_frac", "num-float", "t_frac-string", "pulses-object",
+            "t_frac-disagrees"])
     def test_malformed_entry_names_index_and_key(self, entry, message):
         data = json.loads(schedule_to_json(cpmg()))
         if entry is None:
@@ -685,3 +686,9 @@ class TestScheduleJson:
             data["pulses"][1] = entry
         with pytest.raises(ValueError, match=message):
             schedule_from_json(json.dumps(data))
+
+    def test_exact_entry_reads_without_t_frac(self):
+        data = json.loads(schedule_to_json(cpmg()))
+        for entry in data["pulses"]:
+            del entry["t_frac"]
+        assert schedule(schedule_from_json(json.dumps(data))) == schedule(cpmg())

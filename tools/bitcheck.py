@@ -16,6 +16,10 @@ sha256 of their bytes.
 - ``builders``: the flat arrays, label, family and block record (each
   level's copy frames, then the leaf's arrays) of a sweep over every family
   builder and over concatenations of structured bases.
+- ``cli``: the argv, exit code, stdout, stderr and written files (name and
+  bytes) of each ``cli.main`` call in ``CLI_CALLS``, run in this process in
+  a fresh temporary directory with ``DDFORGE_SEED`` unset; file outputs are
+  written with ``--no-meta``.
 
 It then prints the code lines of each ``src/ddforge`` module and their total,
 counted without docstrings, comments or blank lines.  Run it on two trees
@@ -25,10 +29,12 @@ and compare: equal hashes mean equal bits.
 from __future__ import annotations
 
 import ast
+import contextlib
 import hashlib
 import io
 import os
 import sys
+import tempfile
 import tokenize
 from pathlib import Path
 
@@ -127,6 +133,45 @@ def builders_category(sequences) -> Category:
     return out
 
 
+# One call per line: each subcommand, both engines, a seed ensemble, d = 64, and an exit-2 and an exit-3 case.
+CLI_CALLS = (
+    ("gen", "cudd", "--m", "2", "--n", "2", "--t", "0.5", "--out", "cudd.json"),
+    ("gen", "udd", "--n", "5", "--axis", "X", "--out", "udd.json"),
+    ("order", "udd", "--n", "2", "--seed", "7", "--out", "scan.csv", "--summary", "fit.json", "--no-meta"),
+    ("order", "cudd", "--m", "2", "--n", "2", "--seeds", "7,8", "--functional", "total"),
+    ("order", "udd", "--n", "3", "--seed", "7", "--precision", "extended", "--out", "extended.csv", "--no-meta"),
+    ("order", "cpmg", "--d", "64", "--seed", "7", "--points", "4", "--functional", "dephase"),
+    ("compare", "--seq", "udd,n=3", "--seq", "cdd,m=2", "--seq", "cpmg,axis=X", "--seed", "7"),
+    ("compare", "--seq", "udd,n=4", "--seq", "cudd,m=2,n=2", "--seed", "8", "--precision", "extended"),
+    ("counts", "--m-max", "8", "--out", "counts.csv", "--no-meta"),
+    ("crossover",),
+    ("predict-magnus", "--seed", "7", "--halvings", "2"),
+    ("order", "udd", "--n", "0", "--seed", "7"),
+    ("order", "none", "--seed", "7", "--at-max", "2"),
+)
+
+
+def cli_category(cli) -> Category:
+    out = Category("cli")
+    os.environ.pop("DDFORGE_SEED", None)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for argv in CLI_CALLS:
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.main(list(argv))
+                files = []
+                for path in sorted(Path(work).iterdir()):
+                    files.append((path.name, path.read_bytes()))
+                    path.unlink()
+                out.add(argv, code, stdout.getvalue(), stderr.getvalue(), files)
+        finally:
+            os.chdir(home)
+    return out
+
+
 def code_lines(path: Path) -> int:
     """Lines holding code: not blank, not only a comment, not part of a docstring."""
     source = path.read_text()
@@ -154,11 +199,11 @@ def main(argv: list[str]) -> int:
     import measure
     import workloads
 
-    from ddforge import evolution, sequences
+    from ddforge import cli, evolution, sequences
 
     categories = [order_category(measure, workloads, workload) for workload in ORDER_WORKLOADS]
     for category in (*categories, deep_category(measure, workloads, evolution, sequences),
-                     builders_category(sequences)):
+                     builders_category(sequences), cli_category(cli)):
         print(category.line())
     modules = {path.stem: code_lines(path) for path in sorted((root / "src" / "ddforge").glob("*.py"))}
     for name, count in modules.items():
