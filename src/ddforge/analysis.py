@@ -9,15 +9,22 @@ to its ``effective.Engine``, the double one or the double-double one of
 dict (a name and ``build_sequence``'s keyword arguments), builds the
 schedule once, and composes and extracts it for a whole stack of grid
 durations per bath model in one pass (``evolution.stack_points`` durations
-per stack).
+per stack).  A grid of several stacks (d >= 32 on the default grid) runs
+them on a short-lived thread pool of min(stacks, usable cores // BLAS
+threads) workers, each stack with exactly its serial arithmetic, so rows
+and failures are the serial loop's bit for bit; a one-stack scan starts
+no thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import datetime
 import io
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,6 +145,67 @@ def _family_param_string(family: dict) -> str:
     return ",".join(parts)
 
 
+# The thread-count getters of the OpenBLAS builds numpy wheels bundle.
+_BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+def _blas_threads() -> int | None:
+    """Threads of the OpenBLAS bundled with numpy (in ``numpy.libs``), or None where that cannot be read."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    with contextlib.suppress(OSError):
+        for path in (os.path.join(libs, name) for name in os.listdir(libs) if "openblas" in name):
+            for getter in (getattr(ctypes.CDLL(path), name, None) for name in _BLAS_GETTERS):
+                if getter is not None:
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    return getter()
+    return None
+
+
+def _workers(stacks: int) -> int:
+    """Threads for a scan's stacks: min(stacks, usable cores // BLAS threads); 1 if BLAS threads cannot be read.
+
+    Never more threads than cores: on two Xeon cores with BLAS at 2 threads,
+    two workers made d = 64 scans 1.3-1.8x slower than one.
+    """
+    if stacks < 2 or not (blas := _blas_threads()):
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(stacks, cores // blas))
+
+
+def _in_grid_order(evaluate_stack, stacks: list) -> list:
+    """``[evaluate_stack(s) for s in stacks]``, on ``_workers(len(stacks))`` threads when that exceeds one.
+
+    The stacks go in groups of that many: the calling thread evaluates a
+    group's first stack, a short-lived pool the rest, and the results are
+    taken in grid order.  The first stack to raise does so here and no later
+    group is submitted, so a failure is the serial loop's, with at most
+    workers - 1 later stacks composed.  Pool tasks run in copies of the
+    caller's context (its ``np.errstate`` included).  numpy releases the GIL
+    in the dense products and decompositions, and each stack does exactly
+    its serial arithmetic.  Working on the calling thread spares a pool
+    thread's heap (a d = 64 stack's temporaries take 2-3 MB).
+    """
+    workers = _workers(len(stacks))
+    if workers == 1:
+        return [evaluate_stack(stack) for stack in stacks]
+    # Imported here, so that one-stack scans and `import ddforge.cli` load neither.
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
+
+    # The caches the stacks share (seq._cache, reduction_plan, _frame_rows,
+    # ops.eigensystem) are filled with deterministic values, so a race only
+    # repeats work.
+    results = []
+    with ThreadPoolExecutor(workers - 1) as pool:
+        for start in range(0, len(stacks), workers):
+            group = stacks[start:start + workers]
+            futures = [pool.submit(contextvars.copy_context().run, evaluate_stack, stack) for stack in group[1:]]
+            results.append(evaluate_stack(group[0]))
+            results += [future.result() for future in futures]
+    return results
+
+
 def evaluate_scan(
     family_spec,
     model_spec: ModelSpec,
@@ -151,7 +219,9 @@ def evaluate_scan(
 
     ``family_spec`` is a family dict, its ``name`` and ``build_sequence``'s
     keyword arguments; the schedule is built once, at the first duration, and
-    its grid evaluated in stacks of ``evolution.stack_points`` durations.
+    its grid evaluated in stacks of ``evolution.stack_points`` durations,
+    on ``_in_grid_order``'s thread pool when there are several stacks and
+    BLAS leaves cores free.
     With several seeds the functionals are averaged over the bath ensemble.
     Rows also carry ``floor``, the engine's estimated absolute error of each
     functional, averaged the same way.  Raises BranchAmbiguityError (tagged with the offending duration) when
@@ -178,12 +248,12 @@ def evaluate_scan(
     params = dict(family_spec)
     seq = build_sequence(params.pop("name"), t_grid[0], **params)
     per_stack = stack_points(model_spec.d)
-    # Per grid point, one entry per bath model: its functionals or the exception it failed with.
-    values = [[] for _ in t_grid]
-    for start in range(0, len(t_grid), per_stack):
-        points = values[start:start + per_stack]
+
+    def evaluate_stack(durations: list[float]) -> list[list[dict]]:
+        """Per duration, the functionals under each bath model; raises the first failing (duration, seed)."""
+        points = [[] for _ in durations]
         for ops in models:
-            eff, errors = evaluate(seq, ops, t_grid[start:start + per_stack], engine)
+            eff, errors = evaluate(seq, ops, durations, engine)
             columns = {key: v.tolist() for key, v in {**error_functionals(eff), "floor": eff.floor}.items()}
             for j, (point, error) in enumerate(zip(points, errors)):
                 point.append(error if error is not None else {key: v[j] for key, v in columns.items()})
@@ -191,6 +261,10 @@ def evaluate_scan(
         for value in (value for point in points for value in point):
             if isinstance(value, Exception):
                 raise value
+        return points
+
+    stacks = [t_grid[start:start + per_stack] for start in range(0, len(t_grid), per_stack)]
+    values = [point for points in _in_grid_order(evaluate_stack, stacks) for point in points]
 
     family, param = seq.family.get("name", seq.label), _family_param_string(seq.family)
     rows = []

@@ -265,12 +265,16 @@ class TestStackedScan:
         ],
         ids=["free-grid-major", "free-branch-1", "free-branch-2"],
     )
-    @pytest.mark.parametrize("one_point_stacks", [False, True], ids=["grid-stacks", "point-stacks"])
-    def test_failure_matches_per_point_path(self, monkeypatch, family, spec, seeds, window, one_point_stacks):
+    @pytest.mark.parametrize(
+        "one_point_stacks, workers", [(False, 1), (True, 1), (True, 3)], ids=["grid-stacks", "point-stacks", "point-stacks-pooled"]
+    )
+    def test_failure_matches_per_point_path(self, monkeypatch, family, spec, seeds, window, one_point_stacks, workers):
         # The scan raises what the first failing (grid point, seed) raises
-        # on its own, whether a stack holds the grid or one point.
+        # on its own, whether a stack holds the grid or one point, and
+        # whether the stacks run one after another or on three threads.
         from ddforge import analysis
 
+        monkeypatch.setattr(analysis, "_workers", lambda stacks: workers)
         if one_point_stacks:
             monkeypatch.setattr(analysis, "stack_points", lambda d: 1)
         grid = default_t_grid(alpha(build_model(spec)), *window)
@@ -285,7 +289,10 @@ class TestStackedScan:
     def test_failing_scan_stops_after_failing_stack(self, monkeypatch):
         # With one point per stack, the scan stops at the first failing point
         # as the point-by-point path does, instead of finishing the grid.
+        # One worker, so that no later stack is in flight when it fails.
         from ddforge import analysis, effective
+
+        monkeypatch.setattr(analysis, "_workers", lambda stacks: 1)
 
         seen = []
         sequence_deviation = effective.sequence_deviation
@@ -359,6 +366,124 @@ class TestStackedScan:
         grid = default_t_grid(alpha(build_model(spec)))
         evaluate_scan({"name": "udd", "n": 1}, spec, grid, seeds=[8, 9] if d == 4 else None)
         assert seen == sizes
+
+
+def recording_evaluate(monkeypatch):
+    # Records, per evaluated stack, its durations, whether it ran on the main
+    # thread and the floating-point error state it saw.
+    import threading
+
+    from ddforge import analysis
+
+    seen = []
+    evaluate = analysis.evaluate
+
+    def recording(seq, ops, durations, engine):
+        seen.append((list(durations), threading.current_thread() is threading.main_thread(), np.geterr()))
+        return evaluate(seq, ops, durations, engine)
+
+    monkeypatch.setattr(analysis, "evaluate", recording)
+    return seen
+
+
+class TestPooledScan:
+    # A scan of several stacks runs them on the calling thread and a
+    # short-lived thread pool when BLAS leaves cores free; three workers
+    # split eight one-point stacks unevenly.
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    @pytest.mark.parametrize("seeds", [None, [7, 8, 9]], ids=["one-seed", "seeds"])
+    def test_rows_equal_serial_rows(self, monkeypatch, precision, seeds):
+        # The pooled scan runs first, on empty memos and with a short switch
+        # interval, so that its threads race to fill the shared caches; the
+        # serial scan then runs on memos of its own.
+        import sys
+
+        from ddforge import analysis, bath, evolution, sequences
+
+        monkeypatch.setattr(analysis, "stack_points", lambda d: 1)
+        grid = default_t_grid(alpha(build_model(GENERIC)))
+        family = {"name": "cudd", "m": 2, "n": 2}
+        memos = (sequences._unit_schedule, sequences._udd_block, bath._model, evolution.reduction_plan)
+        for memo in memos:
+            memo.cache_clear()
+        monkeypatch.setattr(analysis, "_workers", lambda stacks: 3)
+        seen = recording_evaluate(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = evaluate_scan(family, GENERIC, grid, seeds=seeds, precision=precision)
+        finally:
+            sys.setswitchinterval(interval)
+        assert {on_main for _, on_main, _ in seen} == {True, False}
+        assert sorted(t for durations, _, _ in seen for t in durations) == sorted(list(grid) * len(seeds or [7]))
+        for memo in memos:
+            memo.cache_clear()
+        monkeypatch.setattr(analysis, "_workers", lambda stacks: 1)
+        serial = evaluate_scan(family, GENERIC, grid, seeds=seeds, precision=precision)
+
+        def hexed(rows):
+            return [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()} for row in rows]
+
+        assert hexed(pooled) == hexed(serial)
+
+    def test_pooled_scan_stops_within_workers_of_failing_stack(self, monkeypatch):
+        # Free evolution fails at grid point 3 of 6.  At most three stacks are
+        # in flight, so at most two past the failing one were composed, and
+        # the grid is not finished.
+        from ddforge import analysis
+
+        monkeypatch.setattr(analysis, "_workers", lambda stacks: 3)
+        monkeypatch.setattr(analysis, "stack_points", lambda d: 1)
+        seen = recording_evaluate(monkeypatch)
+        spec = ModelSpec(d=2, seed=7, preset="spin_bath(1)")
+        grid = [0.3, 0.6, 0.999, 0.9991, 0.9993, 0.9995]
+        with pytest.raises(BranchAmbiguityError) as err:
+            evaluate_scan({"name": "none"}, spec, grid)
+        assert err.value.t == 0.999
+        composed = sorted(t for durations, _, _ in seen for t in durations)
+        assert composed[:3] == grid[:3]
+        assert 0.9995 not in composed and len(composed) - 3 <= 2
+
+    def test_one_stack_scan_starts_no_thread(self, monkeypatch):
+        import threading
+
+        from ddforge import analysis
+
+        def refuse(*args):
+            raise AssertionError("a one-stack scan read the BLAS threads or started a thread")
+
+        monkeypatch.setattr(analysis, "_blas_threads", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        rows = evaluate_scan({"name": "udd", "n": 2}, GENERIC, default_t_grid(alpha(build_model(GENERIC))), seeds=[7, 8])
+        assert len(rows) == 8
+
+    @pytest.mark.parametrize(
+        "blas, workers",
+        [(None, [1, 1, 1, 1, 1]), (8, [1, 1, 1, 1, 1]), (9, [1, 1, 1, 1, 1]), (2, [1, 2, 3, 4, 4]), (1, [1, 2, 3, 4, 8])],
+        ids=["unreadable", "blas-equals-cores", "blas-above-cores", "two-per-worker", "one-per-worker"],
+    )
+    def test_worker_rule(self, monkeypatch, blas, workers):
+        # min(stacks, usable cores // BLAS threads) on 8 usable cores, and one
+        # worker whenever the BLAS thread count cannot be read.
+        import os
+
+        from ddforge import analysis
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(analysis, "_blas_threads", lambda: blas)
+        assert [analysis._workers(stacks) for stacks in (1, 2, 3, 4, 8)] == workers
+
+    def test_workers_see_the_callers_error_state(self, monkeypatch):
+        from ddforge import analysis
+
+        monkeypatch.setattr(analysis, "_workers", lambda stacks: 3)
+        monkeypatch.setattr(analysis, "stack_points", lambda d: 1)
+        seen = recording_evaluate(monkeypatch)
+        with np.errstate(divide="ignore", over="ignore"):
+            evaluate_scan({"name": "udd", "n": 2}, GENERIC, default_t_grid(alpha(build_model(GENERIC))))
+        assert len(seen) == 8 and {on_main for _, on_main, _ in seen} == {True, False}
+        assert all(err["divide"] == "ignore" and err["over"] == "ignore" for _, _, err in seen)
 
 
 class TestSuppressionBoundedness:

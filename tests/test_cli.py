@@ -480,7 +480,7 @@ def test_golden_scan_csv(capsys, tmp_path, name):
 
 @pytest.mark.parametrize("option", [("--dps", "50"), ("--jobs", "2")], ids=["dps", "jobs"])
 def test_removed_options_are_usage_errors(capsys, option):
-    # Both engines carry a fixed precision and scans run serially.
+    # Both engines carry a fixed precision, and a scan sizes its own thread pool.
     code, _, err = run(capsys, "order", "udd", "--n", "2", "--points", "4", "--seed", "7", *option)
     assert code == 2
     assert f"unrecognized arguments: {' '.join(option)}" in err
@@ -764,10 +764,51 @@ def test_option_model(capsys, tmp_path, monkeypatch, command, base, key, observe
 
 
 def test_cli_import_leaves_mpmath_out():
-    # mpmath is a test-only oracle and scans run serially; the package must load neither.
+    # mpmath is a test-only oracle, and only a scan of several stacks imports
+    # concurrent.futures, for its thread pool; loading the package must import neither.
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     code = "import sys, ddforge.cli; print('mpmath' in sys.modules, 'concurrent.futures' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False False"
+
+
+POOLED_ORDER = """
+import sys, threading
+from ddforge import analysis, cli
+
+assert analysis._workers(2) >= 2, analysis._workers(2)
+on_main = []
+evaluate = analysis.evaluate
+
+def recording(*args):
+    on_main.append(threading.current_thread() is threading.main_thread())
+    return evaluate(*args)
+
+analysis.evaluate = recording
+argv = ["order", "udd", "--n", "2", "--seed", "7", "--d", "32", "--no-meta", "--out"]
+assert cli.main(argv + [sys.argv[1]]) == 0
+assert set(on_main) == {True, False}, on_main
+analysis._workers = lambda stacks: 1
+assert cli.main(argv + [sys.argv[2]]) == 0
+"""
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1) < 2,
+    reason="needs two usable cores",
+)
+def test_pooled_order_csv_equals_serial_bytes(tmp_path):
+    # With BLAS pinned to one thread, a d = 32 scan (two stacks of four
+    # durations) runs its stacks on a real pool, and its CSV is byte for
+    # byte the one-worker CSV.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("DDFORGE_SEED", None)
+    pooled, serial = tmp_path / "pooled.csv", tmp_path / "serial.csv"
+    result = subprocess.run([sys.executable, "-c", POOLED_ORDER, str(pooled), str(serial)],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert pooled.read_bytes() == serial.read_bytes()
