@@ -53,12 +53,12 @@ def spectral_norm(a: np.ndarray):
 class ModelSpec:
     """Reproducible recipe for one bath model.
 
-    preset is one of ``generic``, ``pure_dephasing``, ``anisotropic`` or
-    ``spin_bath(k)``.  norm_targets overrides the preset defaults per
-    coupling channel, each finite and >= 0; presets validate their
-    constraints (pure dephasing forces zero x/y targets, anisotropic keeps
-    the z target at most a tenth of the smaller transverse one,
-    spin_bath(k) pins d = 2^k).
+    seed is a non-negative integer.  preset is one of ``generic``,
+    ``pure_dephasing``, ``anisotropic`` or ``spin_bath(k)``.  norm_targets
+    overrides the preset defaults per coupling channel, each finite and
+    >= 0; presets validate their constraints (pure dephasing forces zero x/y
+    targets, anisotropic keeps the z target at most a tenth of the smaller
+    transverse one, spin_bath(k) pins d = 2^k).
     """
 
     d: int = DEFAULT_DIM
@@ -67,6 +67,8 @@ class ModelSpec:
     norm_targets: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"model key 'seed' must be a non-negative integer, got {self.seed!r}")
         targets = self.resolved_targets()
         if self.d < 1:
             raise ValueError("bath dimension must be at least 1")

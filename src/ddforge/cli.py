@@ -91,8 +91,11 @@ def _load_config(args) -> dict:
 def _model_spec(args) -> bath.ModelSpec:
     """The resolved model options over the --model file's keys, read as one spec by ``bath.spec_from_dict``."""
     data = dict(bath.check_spec(_load_json(args.model), args.model)) if args.model else {}
-    env_seed = os.environ.get("DDFORGE_SEED")
-    data.setdefault("seed", int(env_seed) if env_seed else 0)
+    env_seed = os.environ.get("DDFORGE_SEED") or "0"
+    try:
+        data.setdefault("seed", int(env_seed))
+    except ValueError:
+        raise ValueError(f"DDFORGE_SEED must be an integer, got {env_seed!r}") from None
     data.update((key, getattr(args, key)) for key in ("d", "seed", "preset") if getattr(args, key) is not None)
     targets = data["norm_targets"] = dict(data.get("norm_targets", {}))
     targets.update((g, getattr(args, f"norm_{g}")) for g in bath.GAMMAS if getattr(args, f"norm_{g}") is not None)

@@ -102,12 +102,19 @@ def _series_log(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Z is normal, so r^2 = |Z^2|_F >= |Z|_2^2: an item stops at the first N
     with r^(2N+2) / ((2N + 3)(1 - r^2)) <= _SERIES_TOL, a bound on the tail
     relative to r, and 2 arctan |Z^(2N+1)|_F^(1/(2N+1)) bounds its eigenphases
-    (2 arctan r where N = 0).
+    (2 arctan r where N = 0).  The squares that make up r^2 underflow below
+    about 1e-162, so where r reads 0 and Z does not vanish, |Z|_F bounds the
+    eigenphases instead, its parts scaled by a power of two near the largest.
     """
     z2 = z @ z
     q, j = np.linalg.norm(z2, axis=(-2, -1))[:, None], np.arange(24)  # q < 1/4 takes at most 23 terms
     terms = series_terms(q ** (j + 1) / ((2 * j + 3) * (1 - q)), _SERIES_TOL)
     root, even, odd, term = np.sqrt(q[:, 0]), np.empty_like(z), np.empty_like(z), np.empty_like(z)
+    lost = np.nonzero((root == 0) & z.any(axis=(-2, -1)))[0]
+    if len(lost):
+        parts = z[lost].view(float)
+        shift = np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
+        root[lost] = np.ldexp(np.linalg.norm(np.ldexp(parts, -shift[:, None, None]), axis=(-2, -1)), shift)
 
     def scale(power, j, live):
         if (last := terms == j).any():

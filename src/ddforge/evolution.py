@@ -10,19 +10,19 @@ codes; a merged pulse's phase is a phase of ctrl and U alike, so it never
 reaches W.
 
 ``compose`` is the pipeline of both engines, which supply only arithmetic:
-their gap rule (``sequences._float_gaps`` here, ``sequences._exact_gaps``
-in ``highprec``: one distinct-length rule over the segments that
-``sequences._kept`` finds nonzero on exact values, so both engines compose
-the same segments, here with a 0.0 gap where the exact one is tiny), the
-factors of a schedule's distinct (gap, frame) pairs, and their product.  It
-keys the segments into pairs, kept with the schedule and shared by its
-re-timed copies (as is the control product), and reduces the factors
-pairwise, (I + A)(I + B) = I + (A + B + A B) with the later A on
-the left, in chunks of ``stack_points(d)`` segments (256 at d = 4; at
+the factors of a schedule's distinct (gap, frame) pairs, and their product.
+Both read one ``SegmentPlan`` per schedule, built on the one gap rule
+(``sequences._exact_gaps``: the exact lengths of the segments that
+``sequences._kept`` finds nonzero), the extended engine its exact gaps and
+this one their correctly rounded floats, formed once with the plan.  The
+plan keys the segments into pairs, is kept with the schedule and shared by
+its re-timed copies (as is the control product), and ``compose`` reduces
+the factors pairwise, (I + A)(I + B) = I + (A + B + A B) with the later A
+on the left, in chunks of ``stack_points(d)`` segments (256 at d = 4; at
 d = 64 one, the update W <- E + W + E W) that fold in time order, so
 rounding grows as log N in the segment count; each distinct product of a
-level is formed once (``reduction_plan``), changing no bit.  Here the factors come from the
-model's one eigensystem (``BathOperators.eigensystem``).
+level is formed once (``reduction_plan``), changing no bit.  Here the
+factors come from the model's one eigensystem (``BathOperators.eigensystem``).
 
 A schedule whose builder recorded its blocks (``PulseSequence.blocks``)
 composes by them, however few its segments: its leaf block at its own
@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bath import SIGMA, BathOperators
-from .sequences import CODE_AXIS, Blocks, PauliAxis, PulseSequence, _float_gaps, _kept
+from .sequences import CODE_AXIS, Blocks, PauliAxis, PulseSequence, _exact_gaps, _kept
 
 def pulse_unitary(axis: PauliAxis, d: int) -> np.ndarray:
     """Ideal pi pulse sigma_axis (x) I_d (bare Pauli phase convention)."""
@@ -65,11 +65,13 @@ _PHASE = np.array([[0, 0, 0, 0], [0, 0, 3, 1], [0, 1, 0, 3], [0, 3, 1, 0]])
 class SegmentPlan:
     """A schedule's nonzero free segments in time order, keyed into their distinct (gap, frame) pairs.
 
-    Segment k's pair p = pairs[k] has the gap gaps[pair_gaps[p]], in the form of the engine's gap rule, and
-    the frame pair_frames[p]: the code of the product of the pulses before the segment, up to a phase.
+    Segment k's pair p = pairs[k] has the exact gap gaps[pair_gaps[p]], a Fraction of the duration, whose
+    correctly rounded float is float_gaps[pair_gaps[p]], and the frame pair_frames[p]: the code of the product
+    of the pulses before the segment, up to a phase.
     """
 
-    gaps: np.ndarray | list
+    gaps: list
+    float_gaps: np.ndarray
     pairs: np.ndarray
     pair_gaps: np.ndarray
     pair_frames: np.ndarray
@@ -80,17 +82,14 @@ def _frames(codes: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.bitwise_xor.accumulate(codes)))
 
 
-def _segment_plan(seq: PulseSequence, gaps) -> SegmentPlan:
-    """The schedule's SegmentPlan by a gap rule, formed on first use and kept per rule in ``seq._cache``.
-
-    ``gaps(seq)`` gives the distinct segment lengths in an engine's form and each segment's index into them.
-    """
+def _segment_plan(seq: PulseSequence) -> SegmentPlan:
+    """The schedule's SegmentPlan, read by every engine, formed on first use and kept in ``seq._cache``."""
     cache = seq._cache
-    if gaps not in cache:
-        values, ids = gaps(seq)
+    if _segment_plan not in cache:
+        gaps, ids = _exact_gaps(seq)
         keys, pairs = np.unique(ids * 4 + _frames(seq.codes)[_kept(seq)], return_inverse=True)
-        cache[gaps] = SegmentPlan(values, pairs, keys // 4, keys % 4)
-    return cache[gaps]
+        cache[_segment_plan] = SegmentPlan(gaps, np.array([float(gap) for gap in gaps]), pairs, keys // 4, keys % 4)
+    return cache[_segment_plan]
 
 
 def segment_count(seq: PulseSequence) -> int:
@@ -258,11 +257,11 @@ def frame_factors(factors, plan: SegmentPlan) -> np.ndarray:
     return leaves
 
 
-def compose(node: Blocks | PulseSequence, d: int, gaps, leaves, product, block: int) -> np.ndarray:
+def compose(node: Blocks | PulseSequence, d: int, leaves, product, block: int) -> np.ndarray:
     """The (G, ...) deviation W of a schedule's blocks, or of a flat schedule (its blocks unread) as one leaf.
 
-    An engine supplies its gap rule (``_segment_plan``), ``leaves(plan, copies)``,
-    the (P, G, ...) factors of a plan's pairs at 1/copies of each duration,
+    An engine supplies ``leaves(plan, copies)``, the (P, G, ...) factors of
+    the pairs of the leaf's ``SegmentPlan`` at 1/copies of each duration,
     and ``product`` and ``block`` as in ``reduce_pairwise``.  The leaf's pairs
     reduce in chunks of ``stack_points(d)``; by blocks, each level takes the
     child's W into every Pauli frame up to its copies' largest code at once
@@ -272,7 +271,7 @@ def compose(node: Blocks | PulseSequence, d: int, gaps, leaves, product, block: 
     while isinstance(node, Blocks):
         levels.append(node.frames)
         node = node.child
-    plan = _segment_plan(node, gaps)
+    plan = _segment_plan(node)
     tree = reduction_plan(np.asarray(plan.pairs, dtype=np.int64).tobytes(), stack_points(d))
     w = reduce_pairwise(tree, leaves(plan, math.prod(len(frames) for frames in levels)), product, block)
     for frames in reversed(levels):
@@ -287,7 +286,7 @@ def compose(node: Blocks | PulseSequence, d: int, gaps, leaves, product, block: 
 def _leaves(ops: BathOperators, plan: SegmentPlan, durations: np.ndarray) -> np.ndarray:
     """The double engine's factors of a plan's pairs at each duration, as a writable (P, G, 2d, 2d) stack."""
     (evals, evecs), (rows, phases, *_) = ops.eigensystem, _frame_rows(ops.dim)
-    expm1 = np.expm1(-1j * (durations[:, None] * plan.gaps)[..., None] * evals)
+    expm1 = np.expm1(-1j * (durations[:, None] * plan.float_gaps)[..., None] * evals)
     if stack_points(ops.dim) == 1:
         # Large factors, so one per distinct gap (not per pair), a product each (a 4-d matmul is slower).
         return frame_factors([(evecs * expm1[:, gap, None, :]) @ evecs.conj().T for gap in range(len(plan.gaps))], plan)
@@ -305,7 +304,7 @@ def sequence_deviation(seq: PulseSequence, ops: BathOperators, durations) -> tup
     """
     durations = np.asarray(durations, dtype=float)
     # Half a chunk per product, so that its two gathered operands stay within STACK_BYTES.
-    w = compose(seq if seq.blocks is None else seq.blocks, ops.dim, _float_gaps,
+    w = compose(seq if seq.blocks is None else seq.blocks, ops.dim,
                 lambda plan, copies: _leaves(ops, plan, durations / copies), _product, stack_points(ops.dim) // 2)
     w.flags.writeable = False
     return w, [_unitarity_error(defect) for defect in _unitarity_defect(w)]

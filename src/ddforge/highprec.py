@@ -12,12 +12,12 @@ calls per item on slices of real forms, x's float view times the (4d, 4d)
 real matrix holding y's rows and i times them; the two calls that carry the
 leading bits are exact (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 95
 (2012)).  Composition is ``evolution.compose``'s, as for the double engine, in
-deviation form in the toggling frame, ctrl^+ U = I + W: this engine gives
-its gap rule, the segments' exact gaps (``sequences._exact_gaps``), a factor
-E = expm1(-i H dt) per distinct exact gap (a Taylor series) taken into each
-(gap, frame) pair's Pauli frame by ``evolution.frame_factors``, and its
-product.  Unlike the double engine, it composes a schedule by its recorded
-blocks only above one chunk of segments (``evolution.stack_points``), where
+deviation form in the toggling frame, ctrl^+ U = I + W, on the one segment
+plan both engines read: this engine gives a factor E = expm1(-i H dt) per
+distinct exact gap (a Taylor series on the plan's ``Fraction`` gaps) taken
+into each (gap, frame) pair's Pauli frame by ``evolution.frame_factors``,
+and its product.  Unlike the double engine, it composes a schedule by its
+recorded blocks only above one chunk of segments (``evolution.stack_points``), where
 it takes 3 products per CDD level (CDD-7: 21, not 773); a shorter one
 composes from its flat pulses (``_composed``).  By blocks the leaf's float instants are scaled exactly,
 where the segments re-round each parent instant, so for UDD-based leaves
@@ -48,7 +48,7 @@ from .bath import BathOperators, spectral_norm, total_hamiltonian
 from .effective import (BranchAmbiguityError, EffectiveHamiltonian, Engine, atanh_series, error_functionals,
                         point_effective, series_terms, shifted_solve)
 from .evolution import compose, frame_factors, segment_count, stack_points
-from .sequences import Blocks, PulseSequence, _exact_gaps
+from .sequences import Blocks, PulseSequence
 
 # Bound on the roundoff per segment, relative to |M|; checked against the mpmath oracle.
 FLOOR_UNIT = 2.0**-104
@@ -213,7 +213,7 @@ def _compose(seq: PulseSequence, ops: BathOperators, durations: list, unitary=No
         return frame_factors(np.stack(factors, axis=-3), plan)
 
     # One pair per product: a double-double product's temporaries are about a hundred times its operands.
-    w = compose(_composed(seq, ops.dim), ops.dim, _exact_gaps, leaves, _product, 1)
+    w = compose(_composed(seq, ops.dim), ops.dim, leaves, _product, 1)
     errors = [BranchAmbiguityError("a segment is too long for the extended path; shrink the duration")
               if failed else None for failed in too_long[0]]
     return (w[:, 0], w[:, 1]), errors

@@ -19,12 +19,11 @@ access.  No other module reads the timing arrays: an instant's exact value
 scale) decides the merge's float ties, and the segments come from here too.
 ``_kept`` drops the zero segments at a pulse on instant 0 or 1, decided on
 exact values (an exact instant just below 1 may round to 1.0, and its
-segment is kept), so every engine reads one segment list.  One
-distinct-length rule, ``_distinct_steps`` (a sorted ``np.unique``), gives
-the distinct lengths of those segments to both gap rules: ``_float_gaps``
-applies it to the float instants the double engine composes (a tiny exact
-gap may be 0.0 there), ``_exact_gaps`` to the exact integers of the
-extended engine.
+segment is kept), so every engine reads one segment list.  One gap rule,
+``_exact_gaps``, gives the distinct exact lengths of those segments (a
+sorted ``np.unique`` of the exact integers) and each segment's index into
+them; every engine composes these, the double one as their correctly
+rounded floats.
 
 Concatenation products are read as operator products: the rightmost factor
 acts first in time, which places junction pulses at block starts.  Boundary
@@ -338,20 +337,11 @@ def _kept(seq: PulseSequence) -> slice:
     return slice(int(n > 0 and instants[0] == 0), n + (n == 0 or instants[-1] != 1 or 0 < nums[-1] < seq.denominator))
 
 
-def _distinct_steps(seq: PulseSequence, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct lengths of the nonzero segments between values (0, each instant and 1), and each one's index."""
-    return np.unique(np.diff(values)[_kept(seq)], return_inverse=True)
-
-
-def _float_gaps(seq: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct float lengths of the nonzero segments, as fractions of the duration, and each one's index."""
-    return _distinct_steps(seq, np.concatenate(([0.0], seq.instants, [1.0])))
-
-
 def _exact_gaps(seq: PulseSequence) -> tuple[list[Fraction], np.ndarray]:
-    """The distinct exact lengths of the nonzero segments, and each one's index into them."""
+    """The distinct exact lengths of the nonzero segments, sorted, and each one's index into them."""
     values, scale = _exact_values(seq._arrays)
-    steps, ids = _distinct_steps(seq, values)  # Python ints, which np.unique sorts exactly
+    # Python ints, which np.unique sorts exactly.
+    steps, ids = np.unique(np.diff(values)[_kept(seq)], return_inverse=True)
     return [Fraction(step, scale) for step in steps.tolist()], ids
 
 

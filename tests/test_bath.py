@@ -60,6 +60,12 @@ class TestModelSpec:
             ModelSpec(seed=1, norm_targets={"x": -1.0})
 
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, "7"])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        # A negative seed used to fail inside numpy's generator, naming neither the key nor the value.
+        with pytest.raises(ValueError, match=rf"^model key 'seed' must be a non-negative integer, got {seed!r}$"):
+            ModelSpec(seed=seed)
+
     @pytest.mark.parametrize("channel, value", [("x", math.nan), ("0", math.inf), ("z", -math.inf)],
                              ids=["nan", "inf", "-inf"])
     def test_rejects_non_finite_norm_target(self, channel, value):

@@ -189,6 +189,26 @@ class TestOrder:
         assert code == 0
         assert env_csv.read_text() == flag_csv.read_text()
 
+    @pytest.mark.parametrize("source, message", [
+        ("flag", "model key 'seed' must be a non-negative integer, got -1"),
+        ("env", "model key 'seed' must be a non-negative integer, got -3"),
+        ("env-text", "DDFORGE_SEED must be an integer, got 'abc'"),
+        ("model", "model key 'seed' must be a non-negative integer, got -2"),
+        ("config", "model key 'seed' must be a non-negative integer, got -4"),
+    ], ids=["flag", "env", "env-text", "model", "config"])
+    def test_bad_seed_is_usage_error_naming_it(self, capsys, tmp_path, monkeypatch, source, message):
+        argv = ["order", "none", "--points", "4"]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source.startswith("env"):
+            monkeypatch.setenv("DDFORGE_SEED", "-3" if source == "env" else "abc")
+        else:
+            path = tmp_path / f"{source}.json"
+            path.write_text(json.dumps({"seed": -2 if source == "model" else -4}))
+            argv += [f"--{source}", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_config_precedence(self, capsys, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"n": 1, "points": 4, "seed": 7, "functional": "flip"}))
@@ -217,6 +237,15 @@ class TestOrder:
         warnings = err.splitlines()
         assert len(warnings) == 8
         assert all(w.startswith("warning: E_flip = ") and w.endswith("use --precision extended") for w in warnings)
+
+    @pytest.mark.parametrize("at_min, at_max", [("1e-100", "1e-99"), ("1e-170", "1e-169")])
+    def test_underflowed_squares_still_warn(self, capsys, at_min, at_max):
+        # Where |Z^2|_F underflows the floor stays positive, so every UDD-2 E_flip point warns:
+        # about 1e-201 here (exactly 0 at 1e-170), its slope 2 is not its order 3.
+        code, out, err = run(capsys, "order", "udd", "--n", "2", "--seed", "7", "--at-min", at_min, "--at-max", at_max)
+        assert code == 0 and out.startswith("E_flip slope:")
+        warnings = err.splitlines()
+        assert len(warnings) == 8 and all(w.startswith("warning: E_flip = ") for w in warnings)
 
     def test_exact_zero_warns_at_double_floor(self, capsys):
         # Composed by its blocks, CDD-4's E_dephase (about 1e-39) rounds to exactly 0 at

@@ -275,6 +275,16 @@ class TestSequenceEffective:
         eff = sequence_effective(udd_sequence(3, 0.01), ops)
         assert error_functionals(eff)["E_dephase"] == pytest.approx(0.01, rel=1e-3)
 
+    @pytest.mark.parametrize("at", [1e-100, 1e-170])
+    def test_floor_stays_positive_where_squares_underflow(self, at):
+        # Below alpha t of about 1e-81 the squares behind |Z^2|_F underflow, and the floor read 0.0.
+        # From |Z|_F it stays positive and scales with t: per unit alpha t within 1.6x of the floor at
+        # 1e-60, where |Z^2|_F holds (|Z|_F bounds the eigenphases less tightly).
+        ops = build_model(ModelSpec(d=4, seed=7))
+        (held, _), (lost, errors) = (evaluate(udd_sequence(2), ops, [x / alpha(ops)], DOUBLE) for x in (1e-60, at))
+        assert errors == [None]
+        assert held.floor[0] / 1e-60 <= lost.floor[0] / at <= 1.6 * held.floor[0] / 1e-60
+
     def test_branch_error_carries_t(self):
         # H = sigma_z x I has eigenvalues +-1, so eigenphases sit at +-t.
         d = 4

@@ -33,7 +33,6 @@ from ddforge.sequences import (
     PauliAxis,
     Pulse,
     PulseSequence,
-    _float_gaps,
     build_sequence,
     cdd_full,
     cpmg,
@@ -329,7 +328,7 @@ class TestMemoisedReduction:
     def test_deep_plans_form_few_products(self, name, params, most):
         # 15,291 and 19,019 products without memoisation; counts, not times, so
         # that losing the memoisation fails here rather than only in a benchmark.
-        pairs = evolution._segment_plan(build_sequence(name, 1.0, **params), _float_gaps).pairs
+        pairs = evolution._segment_plan(build_sequence(name, 1.0, **params)).pairs
         assert plan_products(reduction_plan(pairs.astype(np.int64).tobytes(), 256)) <= most
 
     @pytest.mark.parametrize("name, params, most", [("cdd", {"m": 7}, 800), ("cudd", {"m": 3, "n": 3}, 25)],
@@ -400,10 +399,12 @@ SHORT_BLOCK_FAMILIES = [("cdd", {"m": 3}), ("cdd", {"m": 4}), ("cudd", {"m": 2, 
 
 # sha256 of sequence_deviation's W stack at d = 4, seed 7, on GRID: schedules that lost
 # their blocks compose segment by segment, bit for bit as before blocks were recorded.
+# UDD2-4 from JSON (its X pulses exact multiples of 1/125) composes the float of each exact
+# gap, not a difference of rounded instants: W moved by at most 0.031 FLOOR_UNIT |W|.
 STRUCTURELESS_DIGESTS = [
     ("cdd", {"m": 5}, "json", "e23545379b038fefdfa79f2ecace5770ef352c8debae71efe314a1f29af2aecd"),
     ("cdd", {"m": 5}, "X", "3b3eba0518f7cffcf40fc34217add029da976de257688af3308a048b232bfd82"),
-    ("udd2", {"n": 4}, "json", "1eae1cacac456416252d91f1a73e80a761fd21fc0561a1640c08d202a5da252e"),
+    ("udd2", {"n": 4}, "json", "1f9bc5ddf5975e9432fd19806865fbd469c5af16e744984d6b9f84d188061f6b"),
     ("udd2", {"n": 4}, "Z", "96887c5972f10d827ae7a29b314ed357f0066d5a6a87033d76471930e074eff0"),
 ]
 
@@ -456,9 +457,9 @@ class TestBlockComposition:
         leaves = []
         plan = evolution._segment_plan
 
-        def recording(flat, *args):
+        def recording(flat):
             leaves.append(flat)
-            return plan(flat, *args)
+            return plan(flat)
 
         monkeypatch.setattr(evolution, "_segment_plan", recording)
         w, errors = sequence_deviation(seq, ops, durations)
@@ -480,7 +481,7 @@ class TestBlockComposition:
         assert segment_count(seq) <= stack_points(4)
         durations = [at / alpha(ops) for at in (1e-3, 1e-2)]
         leaves, plan = [], evolution._segment_plan
-        monkeypatch.setattr(evolution, "_segment_plan", lambda flat, *args: leaves.append(flat) or plan(flat, *args))
+        monkeypatch.setattr(evolution, "_segment_plan", lambda flat: leaves.append(flat) or plan(flat))
         w, errors = sequence_deviation(seq, ops, durations)
         assert errors == [None, None] and leaves == [block_leaf(seq)]
         flat, _ = sequence_deviation(structureless(seq), ops, durations)

@@ -13,12 +13,12 @@ from ddforge import analysis, highprec
 from ddforge.analysis import default_t_grid, evaluate_scan
 from ddforge.bath import SIGMA, ModelSpec, alpha, build_model, total_hamiltonian
 from ddforge.cli import main
-from ddforge.effective import (BranchAmbiguityError, error_functionals, evaluate, point_effective, sequence_effective,
-                               series_terms)
-from ddforge.evolution import conjugate_frame, control_product, pulse_unitary, segment_count
+from ddforge.effective import (DOUBLE, BranchAmbiguityError, error_functionals, evaluate, point_effective,
+                               sequence_effective, series_terms)
+from ddforge.evolution import _segment_plan, conjugate_frame, control_product, pulse_unitary, segment_count
 from ddforge.highprec import EXTENDED, sequence_error_functionals
-from ddforge.sequences import (CODE_AXIS, Pulse, PulseSequence, _exact_gaps, _float_gaps, build_sequence, cdd_full,
-                               cudd, schedule_from_json, schedule_to_json, udd_sequence)
+from ddforge.sequences import (CODE_AXIS, Pulse, PulseSequence, _exact_gaps, build_sequence, cdd_full, cudd,
+                               schedule_from_json, schedule_to_json, udd_sequence)
 
 REFERENCES = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "references" / "order.json").read_text()
@@ -76,15 +76,18 @@ class TestCrossValidation:
             "cdd-3[X]", "cudd-3,2[Z]", "exact-edges", "float-edges"])
     def test_segment_gaps_are_exact(self, seq):
         # Exact, float and mixed instants: each exact gap is the difference of its ends' values as the pulses
-        # hold them (a Fraction, or a float read exactly), each float gap that of their floats.
+        # hold them (a Fraction, or a float read exactly), and the double engine composes its correctly
+        # rounded float; between two float instants that is the float difference, which IEEE rounds so.
         bounds = [Fraction(0), *(Fraction(p.instant) for p in seq.pulses), Fraction(1)]
         kept = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
         gaps, ids = _exact_gaps(seq)
         assert len(set(gaps)) == len(gaps)
         assert [gaps[i] for i in ids] == [b - a for a, b in kept]
-        gaps, ids = _float_gaps(seq)
-        assert len(set(gaps.tolist())) == len(gaps)
-        assert [gaps[i] for i in ids] == [float(b) - float(a) for a, b in kept]
+        plan = _segment_plan(seq)
+        floats = plan.float_gaps[plan.pair_gaps[plan.pairs]].tolist()
+        assert floats == [float(b - a) for a, b in kept]
+        held = [(a, b) for a, b in kept if Fraction(float(a)) == a and Fraction(float(b)) == b]
+        assert [float(b - a) for a, b in held] == [float(b) - float(a) for a, b in held]
 
     @pytest.mark.parametrize("name, params", [
         ("se", {}), ("cpmg", {"axis": "X"}), ("pdd", {"n": 5}), ("pdd", {"n": 7}), ("icpmg", {"c": 3}),
@@ -92,17 +95,36 @@ class TestCrossValidation:
         ("cpmg-udd", {"m": 1, "c": 3}), ("cpmg-udd", {"m": 2, "c": 2}), ("udd2", {"n": 1}), ("udd2", {"n": 2}),
     ])
     def test_gap_rules_agree_on_exact_families(self, name, params):
-        # One distinct-length rule sorts both: where every instant's float is its exact value (a power-of-two
-        # denominator up to 2^53), so is every float difference, and the two rules give equal lengths and ids.
-        # Otherwise each segment's float length lies within 2^-52 of its exact one.
+        # One gap rule for both engines: the plan holds the exact lengths, the double engine's view of
+        # them is each one's float, and every segment keeps its exact length's id, one id per length.
         seq = build_sequence(name, 1.0, **params)
         assert seq.exact.all()
-        exact, exact_ids = _exact_gaps(seq)
-        floats, float_ids = _float_gaps(seq)
-        if seq.denominator & (seq.denominator - 1) == 0 and seq.denominator <= 2**53:
-            assert [float(gap) for gap in exact] == floats.tolist() and exact_ids.tolist() == float_ids.tolist()
-        else:
-            assert np.abs(np.array([float(exact[i]) for i in exact_ids]) - floats[float_ids]).max() <= 2**-52
+        exact, ids = _exact_gaps(seq)
+        plan = _segment_plan(seq)
+        assert plan.gaps == exact and len(set(exact)) == len(exact)
+        assert plan.float_gaps.tolist() == [float(gap) for gap in exact]
+        assert plan.pair_gaps[plan.pairs].tolist() == ids.tolist()
+
+    @pytest.mark.parametrize("name, params, how, lengths", [
+        ("pdd", {"n": 5}, "built", 1), ("pdd", {"n": 6}, "built", 1),
+        ("udd2", {"n": 2}, "json", 2), ("cpmg-udd", {"m": 2, "c": 3}, "json", 2),
+    ], ids=["PDD-5", "PDD-6", "UDD2-2-json", "CPMG-UDD(2,3)-json"])
+    def test_flat_plans_hold_one_gap_per_exact_length(self, name, params, how, lengths):
+        # Non-dyadic exact instants: differences of their rounded floats split these into 4, 3, 9 and 11 lengths.
+        seq = build_sequence(name, 1.0, **params)
+        seq = schedule_from_json(schedule_to_json(seq)) if how == "json" else seq
+        assert seq.blocks is None and len(_segment_plan(seq).gaps) == lengths
+
+    def test_both_engines_read_one_plan(self, ops, monkeypatch):
+        # A flat schedule of one chunk: each engine composes its flat pulses, from the one plan kept with it.
+        from ddforge import evolution
+
+        seq, plans, plan = build_sequence("pdd", 0.05, n=5), [], evolution._segment_plan
+        monkeypatch.setattr(evolution, "_segment_plan", lambda flat: plans.append(plan(flat)) or plans[-1])
+        for engine in (DOUBLE, EXTENDED):
+            evaluate(seq, ops, [0.01, 0.02], engine)
+        assert len(plans) == 2 and plans[0] is plans[1] is plan(seq)
+        assert sum(isinstance(value, evolution.SegmentPlan) for value in seq._cache.values()) == 1
 
 
 class TestExactSegmentEnds:

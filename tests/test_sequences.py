@@ -479,12 +479,11 @@ class TestEmittedScheduleInvariants:
 
     def test_with_duration_shares_arrays_and_segment_plan(self):
         from ddforge.evolution import _segment_plan
-        from ddforge.sequences import _float_gaps
 
         seq = cdd_full(3, 1.0)
-        plan = _segment_plan(seq, _float_gaps)
+        plan = _segment_plan(seq)
         longer = seq.with_duration(2.0)
-        assert _segment_plan(longer, _float_gaps) is plan
+        assert _segment_plan(longer) is plan
         assert longer.instants is seq.instants and longer.codes is seq.codes
         assert (longer.total_duration, seq.total_duration) == (2.0, 1.0)
 

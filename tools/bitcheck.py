@@ -16,6 +16,11 @@ sha256 of their bytes.
 - ``builders``: the flat arrays, label, family and block record (each
   level's copy frames, then the leaf's arrays) of a sweep over every family
   builder and over concatenations of structured bases.
+- ``flat-plans``: every double and extended value and floor, as
+  ``float.hex``, or the exception a point failed with, at d = 4, seed 7 on
+  the default grid, of the flat schedules in ``FLAT_PLANS``.  They are
+  composed segment by segment, and some of their exact instants are not
+  dyadic, which no benchmark scan composes.
 - ``cli``: the argv, exit code, stdout, stderr and written files (name and
   bytes) of each ``cli.main`` call in ``CLI_CALLS``, run in this process in
   a fresh temporary directory with ``DDFORGE_SEED`` unset; file outputs are
@@ -85,6 +90,28 @@ def deep_category(measure, workloads, evolution, sequences) -> Category:
             seq = sequences.build_sequence(family.name, t, **dict(family.params))
             u = evolution.sequence_unitary(seq, ops)
             out.add(scan.label, t.hex(), seq.pulse_count, evolution.entanglement_fidelity(u).hex(), u.u.tobytes())
+    return out
+
+
+# Built flat schedules, then block schedules read back from JSON, which lose their blocks.
+FLAT_PLANS = (("pdd", {"n": 5}, False), ("pdd", {"n": 6}, False), ("icpmg", {"c": 3}, False),
+              ("udd2", {"n": 2}, True), ("udd2", {"n": 4}, True), ("cpmg-udd", {"m": 2, "c": 3}, True))
+
+
+def flat_plans_category(sequences, bath, analysis, effective, highprec) -> Category:
+    out = Category("flat-plans")
+    ops = bath.build_model(bath.ModelSpec(d=4, seed=7))
+    grid = analysis.default_t_grid(bath.alpha(ops))
+    for name, params, from_json in FLAT_PLANS:
+        seq = sequences.build_sequence(name, 1.0, **params)
+        if from_json:
+            seq = sequences.schedule_from_json(sequences.schedule_to_json(seq))
+        for engine in (effective.DOUBLE, highprec.EXTENDED):
+            eff, errors = effective.evaluate(seq, ops, grid, engine)
+            values = {**effective.error_functionals(eff), "floor": eff.floor}
+            hexes = [(key, [x.hex() for x in value.tolist()]) for key, value in values.items()]
+            failures = [None if e is None else failure(e) for e in errors]
+            out.add(seq.label, from_json, engine is effective.DOUBLE, hexes, failures)
     return out
 
 
@@ -199,11 +226,12 @@ def main(argv: list[str]) -> int:
     import measure
     import workloads
 
-    from ddforge import cli, evolution, sequences
+    from ddforge import analysis, bath, cli, effective, evolution, highprec, sequences
 
     categories = [order_category(measure, workloads, workload) for workload in ORDER_WORKLOADS]
     for category in (*categories, deep_category(measure, workloads, evolution, sequences),
-                     builders_category(sequences), cli_category(cli)):
+                     builders_category(sequences), flat_plans_category(sequences, bath, analysis, effective, highprec),
+                     cli_category(cli)):
         print(category.line())
     modules = {path.stem: code_lines(path) for path in sorted((root / "src" / "ddforge").glob("*.py"))}
     for name, count in modules.items():
