@@ -24,7 +24,9 @@ import ctypes
 import datetime
 import io
 import math
+import operator
 import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,13 +96,19 @@ def _centred(zs: list[float]) -> tuple[float, list[float]]:
 
 
 def _durations(t_grid) -> list[float]:
-    """The grid as floats; ValueError for an empty grid or an entry that is not finite and > 0."""
+    """The grid as floats; ValueError for an empty grid or an entry that is not finite and > 0, or is subnormal.
+
+    A subnormal duration (below ``sys.float_info.min``) overflows 1/t, and its segments underflow.
+    """
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
         raise ValueError("t_grid must hold at least one duration, got none")
     for i, t in enumerate(t_grid):
         if not 0.0 < t < math.inf:
             raise ValueError(f"t_grid[{i}] = {t!r}; durations must be finite and > 0")
+        if t < sys.float_info.min:
+            raise ValueError(f"t_grid[{i}] = {t!r}; durations must be at least {sys.float_info.min!r}, "
+                             "the smallest normal float")
     return t_grid
 
 
@@ -110,7 +118,8 @@ def fit_order(t_grid, values) -> OrderFit:
     Centred closed-form least squares: slope = sum(dx dy) / sum(dx^2), with
     dx, dy the deviations of log t and log E from their means, summed by
     math.fsum.  Exact zeros are skipped; any value that is not finite and
-    >= 0, or duration that is not finite and > 0, is a ValueError.
+    >= 0, or duration that is not finite and > 0 or is subnormal, is a
+    ValueError.
     """
     t_grid = tuple(_durations(t_grid))
     values = [float(v) for v in values]
@@ -123,20 +132,18 @@ def fit_order(t_grid, values) -> OrderFit:
             raise ValueError(f"values[{i}] = {v!r}; values must be finite and >= 0")
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be strictly increasing")
-    pairs = [(t, v) for t, v in zip(t_grid, values) if v > 0.0]
-    if len(pairs) < 2:
+    ts = [t for t, v in zip(t_grid, values) if v > 0.0]
+    vs = [v for v in values if v > 0.0]
+    if len(vs) < 2:
         return OrderFit(None, None, None, (), t_grid)
-    mean_x, dx = _centred([math.log(t) for t, _ in pairs])
-    mean_y, dy = _centred([math.log(v) for _, v in pairs])
-    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    mean_x, dx = _centred(list(map(math.log, ts)))
+    mean_y, dy = _centred(list(map(math.log, vs)))
+    slope = math.fsum(map(operator.mul, dx, dy)) / math.fsum(map(operator.mul, dx, dx))
     intercept = mean_y - slope * mean_x
     ss_res = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
-    ss_tot = math.fsum(b * b for b in dy)
+    ss_tot = math.fsum(map(operator.mul, dy, dy))
     r_squared = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
-    pairwise = tuple(
-        math.log(v2 / v1) / math.log(t2 / t1)
-        for (t1, v1), (t2, v2) in zip(pairs, pairs[1:])
-    )
+    pairwise = tuple(math.log(v2 / v1) / math.log(t2 / t1) for t1, t2, v1, v2 in zip(ts, ts[1:], vs, vs[1:]))
     return OrderFit(slope, intercept, r_squared, pairwise, t_grid)
 
 
@@ -193,9 +200,10 @@ def _in_grid_order(evaluate_stack, stacks: list) -> list:
     import contextvars
     from concurrent.futures import ThreadPoolExecutor
 
-    # The caches the stacks share (seq._cache, reduction_plan, _frame_rows,
-    # ops.eigensystem) are filled with deterministic values, so a race only
-    # repeats work.
+    # The caches the stacks share (seq._cache with its plans' trees, the
+    # blocks' trees, reduction_plan, _frame_rows, the model's eigensystem and
+    # frame eigenvectors) are filled with deterministic values, so a race
+    # only repeats work.
     results = []
     with ThreadPoolExecutor(workers - 1) as pool:
         for start in range(0, len(stacks), workers):
@@ -234,10 +242,12 @@ def evaluate_scan(
     """
     engine = precision_engine(precision)
     t_grid = _durations(t_grid)
-    seeds = [model_spec.seed] if seeds is None else list(seeds)
-    if not seeds:
-        raise ValueError("seeds must hold at least one bath seed, got none")
-    models = [build_model(replace(model_spec, seed=seed)) for seed in seeds]
+    if seeds is None:
+        models = [build_model(model_spec)]
+    else:
+        models = [build_model(replace(model_spec, seed=seed)) for seed in seeds]
+        if not models:
+            raise ValueError("seeds must hold at least one bath seed, got none")
     model_alpha = alpha(models[0])
     if model_alpha * max(t_grid) >= 1.0:
         raise BranchAmbiguityError(
@@ -249,36 +259,32 @@ def evaluate_scan(
     seq = build_sequence(params.pop("name"), t_grid[0], **params)
     per_stack = stack_points(model_spec.d)
 
-    def evaluate_stack(durations: list[float]) -> list[list[dict]]:
-        """Per duration, the functionals under each bath model; raises the first failing (duration, seed)."""
-        points = [[] for _ in durations]
+    def evaluate_stack(durations: list[float]) -> list[dict]:
+        """Per bath model, the stack's columns of functionals and floor; raises the first failing (duration, seed)."""
+        columns, failures = [], []
         for ops in models:
             eff, errors = evaluate(seq, ops, durations, engine)
-            columns = {key: v.tolist() for key, v in {**error_functionals(eff), "floor": eff.floor}.items()}
-            for j, (point, error) in enumerate(zip(points, errors)):
-                point.append(error if error is not None else {key: v[j] for key, v in columns.items()})
+            columns.append({key: v.tolist() for key, v in {**error_functionals(eff), "floor": eff.floor}.items()})
+            failures.append(errors)
         # Stop where a point-by-point scan would: at the first failing (grid point, seed).
-        for value in (value for point in points for value in point):
-            if isinstance(value, Exception):
-                raise value
-        return points
+        for point in zip(*failures):
+            for error in point:
+                if error is not None:
+                    raise error
+        return columns
 
     stacks = [t_grid[start:start + per_stack] for start in range(0, len(t_grid), per_stack)]
-    values = [point for points in _in_grid_order(evaluate_stack, stacks) for point in points]
+    results = _in_grid_order(evaluate_stack, stacks)
+    # Per model, each key's column over the whole grid; then the ensemble mean, summed in seed order.
+    columns = [{key: [v for result in results for v in result[m][key]] for key in results[0][m]}
+               for m in range(len(models))]
+    means = columns[0] if len(models) == 1 else {
+        key: [sum(point) / len(models) for point in zip(*(column[key] for column in columns))] for key in columns[0]}
 
     family, param = seq.family.get("name", seq.label), _family_param_string(seq.family)
-    rows = []
-    for t, point in zip(t_grid, values):
-        row = {
-            "family": family,
-            "param": param,
-            "t": t,
-            "alpha_t": model_alpha * t,
-        }
-        for key in point[0]:
-            row[key] = sum(v[key] for v in point) / len(models)
-        rows.append(row)
-    return rows
+    head = {"family": family, "param": param}
+    return [{**head, "t": t, "alpha_t": model_alpha * t, **dict(zip(means, point))}
+            for t, *point in zip(t_grid, *means.values())]
 
 
 def order_scan(

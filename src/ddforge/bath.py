@@ -6,8 +6,9 @@ so a model is a pure function of its spec.  Energy units are set so that the
 norm targets are dimensionless.
 
 ``build_model`` draws each spec once per process and returns the same
-read-only ``BathOperators`` for equal specs, so its eigensystem and alpha,
-computed on first use, are shared by every scan under that model.
+read-only ``BathOperators`` for equal specs, so what depends on the model
+alone (its eigensystem, the eigenvectors in each Pauli frame, alpha),
+computed on first use, is shared by every scan under that model.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ SIGMA = {
 
 _GAMMA_SIGMA = {"0": "I", "x": "X", "y": "Y", "z": "Z"}
 
+# Pauli codes: bit 0 marks an X part, bit 1 a Z part; a product, phase aside, XORs them.
+CODE_AXIS = "IXZY"
+
 DEFAULT_DIM = 4
 MAX_DIM = 64
 
@@ -42,11 +46,30 @@ def spectral_norm(a: np.ndarray):
     A single matrix goes through as a stack of one.  Only the lower triangle
     is read, so the input must be exactly Hermitian.
     """
-    norms = np.zeros(a.shape[:-2])
     nonzero = np.any(a, axis=(-2, -1))
-    if nonzero.any():
-        norms[nonzero] = np.abs(np.linalg.eigvalsh(a[nonzero])).max(axis=-1)
+    if nonzero.all():
+        norms = np.abs(np.linalg.eigvalsh(a)).max(axis=-1)
+    else:
+        norms = np.zeros(a.shape[:-2])
+        if nonzero.any():
+            norms[nonzero] = np.abs(np.linalg.eigvalsh(a[nonzero])).max(axis=-1)
     return norms if a.ndim > 2 else float(norms)
+
+
+@lru_cache(maxsize=MAX_DIM)
+def _frame_rows(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per Pauli code f, the rows and row phases with (sigma_f (x) I_d) v = v[rows[f]] * phases[f].
+
+    Then come, per f, the flat (row, column) indices that take a flattened
+    2d x 2d matrix x to F x F^+ up to signs, and those signs, one per pair of
+    qubit rows (a, b): phases[f] phases[f]^+ is constant on each d x d block.
+    """
+    frames = np.array([np.kron(SIGMA[axis], np.eye(d)) for axis in CODE_AXIS])
+    rows = np.abs(frames).argmax(axis=-1)
+    phases = np.take_along_axis(frames, rows[..., None], axis=-1)
+    index = rows[:, :, None] * (2 * d) + rows[:, None, :]
+    qubit_phases = phases[:, ::d]
+    return rows, phases, index.reshape(4, -1), qubit_phases * np.swapaxes(qubit_phases.conj(), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -143,6 +166,20 @@ class BathOperators:
         evals.flags.writeable = False
         evecs.flags.writeable = False
         return evals, evecs
+
+    @cached_property
+    def frame_eigenvectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(F^+ V, its conjugate) per Pauli code f, F = sigma_f (x) I_d, as read-only (4, 2d, 2d) stacks, formed on first use.
+
+        V holds the eigenvectors of ``eigensystem`` and F^+ V their exact signed
+        rows, so a frame's factor F^+ E F = (F^+ V) expm1(-i lam t) (F^+ V)^+
+        takes no product with F.
+        """
+        rows, phases, *_ = _frame_rows(self.dim)
+        vectors = self.eigensystem[1][rows] * phases
+        conjugates = vectors.conj()
+        vectors.flags.writeable = conjugates.flags.writeable = False
+        return vectors, conjugates
 
     @cached_property
     def alpha(self) -> float:

@@ -19,15 +19,24 @@ Each precision is an ``Engine`` record of its stages: compose W, log it,
 split the Pauli blocks, and the floor per unit |M|.  ``evaluate`` runs one
 engine on a schedule re-timed to a stack of durations, and every functional
 the package reports comes through it; ``error_functionals`` takes the three
-block norms of a stack from one stacked ``eigvalsh`` call.  ``DOUBLE`` is
-defined here, the extended engine in ``highprec``.
+block norms of a stack from one stacked ``eigvalsh`` call, on the coupling
+blocks ``pauli_decompose`` writes into one array.  ``DOUBLE`` is defined
+here, the extended engine in ``highprec``.
+
+The log's constants are formed once: 2I once per size, the series' table
+of powers and odd divisors once.  A stack does no work for a branch none
+of its items takes (no item at or above SERIES_BOUND, none singular, none
+whose |Z^2|_F underflows, none done before a term), and branch errors are
+re-tagged only when there are any; the segment count for the floor is kept
+with the schedule (``evolution.segment_count``).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,6 +53,10 @@ FLOOR_UNIT = 2.0**-48
 SERIES_BOUND = 0.5
 # Bound on the tail of the double series, relative to its first term.
 _SERIES_TOL = 2.0**-53
+# The powers j + 1 and the odd divisors 2j + 3 of the double series' table of tail bounds, j = 0..23: q < 1/4
+# takes at most 23 terms.
+_TAIL_POWERS = np.arange(1, 25)
+_TAIL_ODDS = 2 * np.arange(24) + 3
 
 
 class BranchAmbiguityError(ArithmeticError):
@@ -55,13 +68,26 @@ class BranchAmbiguityError(ArithmeticError):
         self.t = t
 
 
+@lru_cache(maxsize=16)
+def _two_eye(n: int) -> np.ndarray:
+    """2I of size n, read-only, formed once per size."""
+    two = 2 * np.eye(n)
+    two.flags.writeable = False
+    return two
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """|x|_F per matrix of a (..., n, n) stack: ``np.linalg.norm``'s own sum, without its wrapper."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1)))
+
+
 def shifted_solve(w: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, list]:
     """(2I + W)^-1 B over a (G, n, n) stack (B = W by default), and the singular items, left zero.
 
     numpy fails a whole stack when one item has an eigenvalue of I + W at -1.
     """
     b = w if b is None else b
-    a = w + 2 * np.eye(w.shape[-1])
+    a = w + _two_eye(w.shape[-1])
     try:
         return np.linalg.solve(a, b), []
     except np.linalg.LinAlgError:
@@ -105,22 +131,29 @@ def _series_log(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (2 arctan r where N = 0).  The squares that make up r^2 underflow below
     about 1e-162, so where r reads 0 and Z does not vanish, |Z|_F bounds the
     eigenphases instead, its parts scaled by a power of two near the largest.
+    A stack does no work for a branch no item takes: no lost item, no item
+    ending at term j, no item done before term j.
     """
     z2 = z @ z
-    q, j = np.linalg.norm(z2, axis=(-2, -1))[:, None], np.arange(24)  # q < 1/4 takes at most 23 terms
-    terms = series_terms(q ** (j + 1) / ((2 * j + 3) * (1 - q)), _SERIES_TOL)
+    q = _frobenius(z2)[:, None]
+    terms = series_terms(q ** _TAIL_POWERS / (_TAIL_ODDS * (1 - q)), _SERIES_TOL)
     root, even, odd, term = np.sqrt(q[:, 0]), np.empty_like(z), np.empty_like(z), np.empty_like(z)
-    lost = np.nonzero((root == 0) & z.any(axis=(-2, -1)))[0]
-    if len(lost):
-        parts = z[lost].view(float)
-        shift = np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
-        root[lost] = np.ldexp(np.linalg.norm(np.ldexp(parts, -shift[:, None, None]), axis=(-2, -1)), shift)
+    if not root.all():
+        lost = np.nonzero((root == 0) & z.any(axis=(-2, -1)))[0]
+        if len(lost):
+            parts = z[lost].view(float)
+            shift = np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
+            root[lost] = np.ldexp(_frobenius(np.ldexp(parts, -shift[:, None, None])), shift)
+    ends = set(terms.tolist())
+    fewest = min(ends, default=0)
 
     def scale(power, j, live):
-        if (last := terms == j).any():
-            root[last] = (np.linalg.norm(power, axis=(-2, -1)) ** (1 / (2 * j + 1)))[last]
+        if j in ends:
+            last = terms == j
+            root[last] = (_frobenius(power) ** (1 / (2 * j + 1)))[last]
         np.divide(power, 2 * j + 1, out=term)
-        term[~live] = complex(-0.0, -0.0)  # x + (-0) is x, bit for bit
+        if j > fewest:
+            term[~live] = complex(-0.0, -0.0)  # x + (-0) is x, bit for bit
         return term
 
     total = atanh_series(z, z2, terms, lambda power, z2: np.matmul(power, z2, out=odd if power is even else even),
@@ -145,12 +178,14 @@ def _principal_logs(w: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray
     z -= np.swapaxes(z.conj(), -1, -2)
     z *= 0.5  # Z = i tan(-M/2), anti-Hermitian
     residual = np.abs(w - 2 * z - w @ z).max(axis=(-2, -1))
-    size = np.linalg.norm(z, axis=(-2, -1))
-    size[singular] = np.inf
+    size = _frobenius(z)
+    if singular:
+        size[singular] = np.inf
     # Items at or above SERIES_BOUND, the branch cut among them, enter the series as zeros and take one eigh.
     near = np.nonzero(size >= SERIES_BOUND)[0]
-    k = -1j * z[near]  # Hermitian: V diag(lam) V^+
-    z[near] = 0
+    if len(near):
+        k = -1j * z[near]  # Hermitian: V diag(lam) V^+
+        z[near] = 0
     m, phase = _series_log(z)
     if len(near):
         lam, v = np.linalg.eigh(k)
@@ -177,7 +212,10 @@ class EffectiveHamiltonian:
 
     A stacked generator holds (G, d, d) blocks and one duration per item in
     the (G,) array t.  ``floor``, when set, estimates the absolute roundoff
-    of the blocks times t, so of each residual functional.
+    of the blocks times t, so of each residual functional.  ``couplings`` is
+    the (3, ..., d, d) stack of a_x, a_y, a_z that ``error_functionals``
+    reads: a view of the one array ``pauli_decompose`` writes, else stacked
+    on first use.
     """
 
     a0: np.ndarray
@@ -190,25 +228,32 @@ class EffectiveHamiltonian:
     def items(self):
         return (("0", self.a0), ("x", self.ax), ("y", self.ay), ("z", self.az))
 
+    @cached_property
+    def couplings(self) -> np.ndarray:
+        return np.stack((self.ax, self.ay, self.az))
+
 
 def pauli_decompose(m: np.ndarray, t=1.0) -> EffectiveHamiltonian:
     """Split a Hermitian 2d x 2d matrix into qubit-Pauli blocks over the bath.
 
     a_g * t = (1/2) tr_qubit[(sigma_g (x) I) m]; the four blocks reassemble
     m exactly by completeness of the Pauli basis.  A (G, 2d, 2d) stack with
-    a (G,) array of durations splits item by item.
+    a (G,) array of durations splits item by item.  The blocks are written
+    into one (4, ..., d, d) array, whose items 1-3 are the ``couplings``.
     """
     d = m.shape[-1] // 2
     m00, m01 = m[..., :d, :d], m[..., :d, d:]
     m10, m11 = m[..., d:, :d], m[..., d:, d:]
-    scale = 2 * np.asarray(t)[..., None, None]
-    return EffectiveHamiltonian(
-        a0=(m00 + m11) / scale,
-        ax=(m01 + m10) / scale,
-        ay=1j * (m01 - m10) / scale,
-        az=(m00 - m11) / scale,
-        t=t,
-    )
+    blocks = np.empty((4, *m.shape[:-2], d, d), dtype=complex)
+    np.add(m00, m11, out=blocks[0])
+    np.add(m01, m10, out=blocks[1])
+    np.subtract(m01, m10, out=blocks[2])
+    np.subtract(m00, m11, out=blocks[3])
+    blocks[2] *= 1j
+    blocks /= 2 * np.asarray(t)[..., None, None]
+    eff = EffectiveHamiltonian(*blocks, t=t)
+    eff.__dict__["couplings"] = blocks[1:]
+    return eff
 
 
 def error_functionals(eff: EffectiveHamiltonian) -> dict:
@@ -219,7 +264,7 @@ def error_functionals(eff: EffectiveHamiltonian) -> dict:
     log-log axes versus duration these scale directly with the suppression
     order.  A stacked generator gives a (G,) array per functional.
     """
-    norm_x, norm_y, norm_z = spectral_norm(np.stack((eff.ax, eff.ay, eff.az)))
+    norm_x, norm_y, norm_z = spectral_norm(eff.couplings)
     e_flip = eff.t * np.maximum(norm_x, norm_y)
     e_dephase = eff.t * norm_z
     values = {"E_flip": e_flip, "E_dephase": e_dephase, "E_total": np.maximum(e_flip, e_dephase)}
@@ -235,8 +280,9 @@ class Engine:
     compose(seq, ops, durations, unitary) -> (W, per-item errors); unitary is
     a sequence_unitary of seq, whose W the double engine reads instead of
     composing.  log(W, errors) -> (generator, |M| bound), its failures filled
-    into the items errors leaves None.  split(generator, t) -> stacked
-    EffectiveHamiltonian.  floor(segments) -> roundoff floor per unit |M|.
+    into the items errors leaves None.  split(generator, t) -> a new stacked
+    EffectiveHamiltonian, whose floor ``evaluate`` sets.  floor(segments) ->
+    roundoff floor per unit |M|.
     """
 
     compose: Callable
@@ -264,12 +310,14 @@ def evaluate(seq, ops, durations, engine: Engine, unitary=None) -> tuple[Effecti
     durations = [float(t) for t in durations]
     w, errors = engine.compose(seq, ops, durations, unitary)
     generator, bound = engine.log(w, errors)
-    for g, exc in enumerate(errors):
-        if isinstance(exc, BranchAmbiguityError):
-            errors[g] = BranchAmbiguityError(f"{exc} (schedule {seq.label!r} at t={durations[g]:g})",
-                                             eigenphase=exc.eigenphase, t=durations[g])
+    if any(errors):
+        for g, exc in enumerate(errors):
+            if isinstance(exc, BranchAmbiguityError):
+                errors[g] = BranchAmbiguityError(f"{exc} (schedule {seq.label!r} at t={durations[g]:g})",
+                                                 eigenphase=exc.eigenphase, t=durations[g])
     eff = engine.split(generator, np.array(durations))
-    return replace(eff, floor=bound * engine.floor(segment_count(seq))), errors
+    object.__setattr__(eff, "floor", bound * engine.floor(segment_count(seq)))
+    return eff, errors
 
 
 def point_effective(seq, ops, engine: Engine, unitary=None) -> EffectiveHamiltonian:

@@ -24,6 +24,16 @@ rounding grows as log N in the segment count; each distinct product of a
 level is formed once (``reduction_plan``), changing no bit.  Here the
 factors come from the model's one eigensystem (``BathOperators.eigensystem``).
 
+What depends on the model alone is formed once per model and kept on it:
+the eigensystem and, per Pauli frame, the eigenvectors' signed rows F^+ V
+and their conjugates (``BathOperators.frame_eigenvectors``).  What depends
+on the schedule alone is kept with it in ``seq._cache`` and shared by its
+re-timed copies: the segment plan, with the leaf's reduction tree per
+chunk length (``SegmentPlan.trees``), the segment count and the control
+product; a ``Blocks`` node keeps its level's tree (``Blocks.trees``).  A
+call then pays only for its durations' arithmetic, and builds its list of
+unitarity errors only when an item fails.
+
 A schedule whose builder recorded its blocks (``PulseSequence.blocks``)
 composes by them, however few its segments: its leaf block at its own
 duration, then per level the child's W taken into the copies' frames by
@@ -40,13 +50,13 @@ one chunk over as its flat pulses (``highprec._composed``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .bath import SIGMA, BathOperators
-from .sequences import CODE_AXIS, Blocks, PauliAxis, PulseSequence, _exact_gaps, _kept
+from .bath import CODE_AXIS, SIGMA, BathOperators, _frame_rows
+from .sequences import Blocks, PauliAxis, PulseSequence, _exact_gaps, _kept
 
 def pulse_unitary(axis: PauliAxis, d: int) -> np.ndarray:
     """Ideal pi pulse sigma_axis (x) I_d (bare Pauli phase convention)."""
@@ -67,7 +77,8 @@ class SegmentPlan:
 
     Segment k's pair p = pairs[k] has the exact gap gaps[pair_gaps[p]], a Fraction of the duration, whose
     correctly rounded float is float_gaps[pair_gaps[p]], and the frame pair_frames[p]: the code of the product
-    of the pulses before the segment, up to a phase.
+    of the pulses before the segment, up to a phase.  ``trees`` keeps the pairs' reduction tree per chunk
+    length, formed on first use (``compose``).
     """
 
     gaps: list
@@ -75,6 +86,7 @@ class SegmentPlan:
     pairs: np.ndarray
     pair_gaps: np.ndarray
     pair_frames: np.ndarray
+    trees: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def _frames(codes: np.ndarray) -> np.ndarray:
@@ -93,8 +105,14 @@ def _segment_plan(seq: PulseSequence) -> SegmentPlan:
 
 
 def segment_count(seq: PulseSequence) -> int:
-    """The schedule's nonzero free segments: one more than its pulses, less one per pulse at instant 0 or 1."""
-    return len(range(seq.pulse_count + 1)[_kept(seq)])
+    """The schedule's nonzero free segments: one more than its pulses, less one per pulse at instant 0 or 1.
+
+    Formed on first use and kept in ``seq._cache``, without forming the segment plan.
+    """
+    cache = seq._cache
+    if segment_count not in cache:
+        cache[segment_count] = len(range(seq.pulse_count + 1)[_kept(seq)])
+    return cache[segment_count]
 
 
 def _control(seq: PulseSequence) -> tuple[int, int]:
@@ -151,22 +169,6 @@ class UnitaryResult:
         if error is not None:
             raise error
         self.u.flags.writeable = False
-
-
-@lru_cache(maxsize=None)
-def _frame_rows(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per Pauli code f, the rows and row phases with (sigma_f (x) I_d) v = v[rows[f]] * phases[f].
-
-    Then come, per f, the flat (row, column) indices that take a flattened
-    2d x 2d matrix x to F x F^+ up to signs, and those signs, one per pair of
-    qubit rows (a, b): phases[f] phases[f]^+ is constant on each d x d block.
-    """
-    frames = np.array([np.kron(SIGMA[axis], np.eye(d)) for axis in CODE_AXIS])
-    rows = np.abs(frames).argmax(axis=-1)
-    phases = np.take_along_axis(frames, rows[..., None], axis=-1)
-    index = rows[:, :, None] * (2 * d) + rows[:, None, :]
-    qubit_phases = phases[:, ::d]
-    return rows, phases, index.reshape(4, -1), qubit_phases * np.swapaxes(qubit_phases.conj(), -1, -2)
 
 
 def conjugate_frame(x: np.ndarray, frame) -> np.ndarray:
@@ -257,6 +259,13 @@ def frame_factors(factors, plan: SegmentPlan) -> np.ndarray:
     return leaves
 
 
+def _tree(trees: dict, ids: np.ndarray, chunk: int) -> tuple:
+    """``reduction_plan`` of ids in chunks of chunk, formed on first use and kept in trees (a plan's or a node's)."""
+    if chunk not in trees:
+        trees[chunk] = reduction_plan(ids.astype(np.int64).tobytes(), chunk)
+    return trees[chunk]
+
+
 def compose(node: Blocks | PulseSequence, d: int, leaves, product, block: int) -> np.ndarray:
     """The (G, ...) deviation W of a schedule's blocks, or of a flat schedule (its blocks unread) as one leaf.
 
@@ -265,34 +274,35 @@ def compose(node: Blocks | PulseSequence, d: int, leaves, product, block: int) -
     and ``product`` and ``block`` as in ``reduce_pairwise``.  The leaf's pairs
     reduce in chunks of ``stack_points(d)``; by blocks, each level takes the
     child's W into every Pauli frame up to its copies' largest code at once
-    and reduces the copies, each leaf id its frame code, in one chunk.
+    and reduces the copies, each leaf id its frame code, in one chunk.  Each
+    reduction tree is kept with the plan or the node it reduces.
     """
     levels = []
     while isinstance(node, Blocks):
-        levels.append(node.frames)
+        levels.append(node)
         node = node.child
     plan = _segment_plan(node)
-    tree = reduction_plan(np.asarray(plan.pairs, dtype=np.int64).tobytes(), stack_points(d))
-    w = reduce_pairwise(tree, leaves(plan, math.prod(len(frames) for frames in levels)), product, block)
-    for frames in reversed(levels):
+    tree = _tree(plan.trees, plan.pairs, stack_points(d))
+    w = reduce_pairwise(tree, leaves(plan, math.prod(len(level.frames) for level in levels)), product, block)
+    for level in reversed(levels):
         # The frames' axis, just before the matrix axes, goes first, as the copies' leaf axis.
-        lead = w.ndim - 2
+        frames, lead = level.frames, w.ndim - 2
         copies = conjugate_frame(w, np.arange(frames.max() + 1)).transpose(lead, *range(lead), lead + 1, lead + 2)
-        tree = reduction_plan(frames.astype(np.int64).tobytes(), max(len(frames), stack_points(d)))
-        w = reduce_pairwise(tree, copies, product, block)
+        w = reduce_pairwise(_tree(level.trees, frames, max(len(frames), stack_points(d))), copies, product, block)
     return w
 
 
 def _leaves(ops: BathOperators, plan: SegmentPlan, durations: np.ndarray) -> np.ndarray:
     """The double engine's factors of a plan's pairs at each duration, as a writable (P, G, 2d, 2d) stack."""
-    (evals, evecs), (rows, phases, *_) = ops.eigensystem, _frame_rows(ops.dim)
+    evals, evecs = ops.eigensystem
     expm1 = np.expm1(-1j * (durations[:, None] * plan.float_gaps)[..., None] * evals)
     if stack_points(ops.dim) == 1:
         # Large factors, so one per distinct gap (not per pair), a product each (a 4-d matmul is slower).
         return frame_factors([(evecs * expm1[:, gap, None, :]) @ evecs.conj().T for gap in range(len(plan.gaps))], plan)
-    # Each pair's factor V_f expm1(-i lam gap t) V_f^+, V_f = F^+ V.
-    v = (evecs[rows] * phases)[plan.pair_frames]
-    return ((v * expm1[:, plan.pair_gaps, None, :]) @ np.swapaxes(v.conj(), -1, -2)).swapaxes(0, 1)
+    # Each pair's factor V_f expm1(-i lam gap t) V_f^+, V_f = F^+ V, from the model's V_f and their conjugates.
+    vectors, conjugates = ops.frame_eigenvectors
+    v = vectors[plan.pair_frames]
+    return ((v * expm1[:, plan.pair_gaps, None, :]) @ np.swapaxes(conjugates[plan.pair_frames], -1, -2)).swapaxes(0, 1)
 
 
 def sequence_deviation(seq: PulseSequence, ops: BathOperators, durations) -> tuple[np.ndarray, list]:
@@ -307,7 +317,10 @@ def sequence_deviation(seq: PulseSequence, ops: BathOperators, durations) -> tup
     w = compose(seq if seq.blocks is None else seq.blocks, ops.dim,
                 lambda plan, copies: _leaves(ops, plan, durations / copies), _product, stack_points(ops.dim) // 2)
     w.flags.writeable = False
-    return w, [_unitarity_error(defect) for defect in _unitarity_defect(w)]
+    defects = _unitarity_defect(w)
+    if not (defects > UNITARITY_TOL).any():
+        return w, [None] * len(w)
+    return w, [_unitarity_error(defect) for defect in defects]
 
 
 def sequence_unitary(seq: PulseSequence, ops: BathOperators) -> UnitaryResult:

@@ -51,7 +51,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -60,7 +60,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .bath import check_types
+from .bath import CODE_AXIS, check_types
 
 
 class PauliAxis(str, Enum):
@@ -70,10 +70,6 @@ class PauliAxis(str, Enum):
     X = "X"
     Y = "Y"
     Z = "Z"
-
-
-# Pauli codes: bit 0 marks an X part, bit 1 a Z part; a product, phase aside, XORs them.
-CODE_AXIS = "IXZY"
 
 
 def _code(axis: PauliAxis) -> int:
@@ -218,7 +214,8 @@ def _checked(items: _Items) -> _Items:
     return items
 
 
-class Blocks(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class Blocks:
     """Equal-length copies of ``child`` in time order, copy j in the Pauli frame ``frames[j]``.
 
     Each copy starts with a head pulse (a junction or an outer pulse, or
@@ -226,11 +223,14 @@ class Blocks(NamedTuple):
     every pulse before copy j's own, its head included, so head j is
     frames[j] ^ frames[j-1] ^ (the child's product), and head 0 is frames[0].
     child is a Blocks or the flat leaf schedule, whose duration is the
-    parent's over the copies at every level.
+    parent's over the copies at every level.  ``trees`` keeps what the
+    engines derive from the frames alone: the reduction tree of the copies
+    per chunk length, formed on first use (``evolution.compose``).
     """
 
     child: "Blocks | PulseSequence"
     frames: np.ndarray
+    trees: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def _copy_frames(heads: np.ndarray, child_code: int) -> np.ndarray:
@@ -279,8 +279,9 @@ class PulseSequence:
     Invariants: instants strictly increasing in [0, 1]; no identity pulses.
     The arrays (see the module docstring) are read-only and nothing else
     changes after construction but ``_cache``, which only gains what the
-    engines derive from the pulses alone (segment plans, the control
-    product), so instances are safe to share across threads.  Every
+    engines derive from the pulses alone (the segment plan with its
+    reduction trees, the segment count, the control product), so instances
+    are safe to share across threads.  Every
     ``with_duration`` copy shares ``_cache``.  ``blocks`` is the ``Blocks``
     node its builder constructed it from, or None.
     """
@@ -340,9 +341,10 @@ def _kept(seq: PulseSequence) -> slice:
 def _exact_gaps(seq: PulseSequence) -> tuple[list[Fraction], np.ndarray]:
     """The distinct exact lengths of the nonzero segments, sorted, and each one's index into them."""
     values, scale = _exact_values(seq._arrays)
-    # Python ints, which np.unique sorts exactly.
-    steps, ids = np.unique(np.diff(values)[_kept(seq)], return_inverse=True)
-    return [Fraction(step, scale) for step in steps.tolist()], ids
+    steps = np.diff(values)[_kept(seq)].tolist()  # Python ints, sorted exactly
+    lengths = sorted(set(steps))
+    index = {step: i for i, step in enumerate(lengths)}
+    return [Fraction(step, scale) for step in lengths], np.array([index[step] for step in steps], dtype=np.intp)
 
 
 # --- Uhrig and classic families ----------------------------------------------

@@ -178,12 +178,14 @@ class TestOrderScan:
         ([1e-3, 0.0, 2e-3], r"^t_grid\[1\] = 0\.0; durations must be finite and > 0$"),
         ([1e-3, math.nan], r"^t_grid\[1\] = nan; durations must be finite and > 0$"),
         ([math.inf, 1e-3], r"^t_grid\[0\] = inf; durations must be finite and > 0$"),
+        ([1e-3, 5e-324], r"^t_grid\[1\] = 5e-324; durations must be at least 2\.2250738585072014e-308, "
+                         r"the smallest normal float$"),
         ([], r"^t_grid must hold at least one duration, got none$"),
-    ], ids=["negative", "zero", "nan", "inf", "empty"])
+    ], ids=["negative", "zero", "nan", "inf", "subnormal", "empty"])
     @pytest.mark.parametrize("precision", ["double", "extended"])
     def test_bad_grid_names_index_and_value(self, monkeypatch, grid, match, precision):
         # Only the first duration was checked: a negative one gave a row, a zero or NaN a LinAlgError,
-        # an empty grid "max() arg is an empty sequence".
+        # an empty grid "max() arg is an empty sequence"; a subnormal one gave RuntimeWarnings and a LinAlgError.
         from ddforge import analysis
 
         def no_composition(*args):

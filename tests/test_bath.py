@@ -239,6 +239,19 @@ class TestModelMemo:
     def test_any_field_differing_gives_another(self, other):
         assert build_model(other) is not build_model(ModelSpec(d=4, seed=7, norm_targets={"x": 0.5, "z": 0.25}))
 
+    def test_frame_eigenvectors_are_signed_rows(self):
+        # Per Pauli code (I, X, Z, Y), F^+ V = F V for F = sigma (x) I_d and its conjugate, formed once per model.
+        from ddforge.bath import CODE_AXIS, SIGMA
+
+        ops = build_model(ModelSpec(d=4, seed=3))
+        vectors, conjugates = ops.frame_eigenvectors
+        evecs = ops.eigensystem[1]
+        for code, axis in enumerate(CODE_AXIS):
+            assert np.array_equal(vectors[code], np.kron(SIGMA[axis], np.eye(4)) @ evecs)
+        assert np.array_equal(conjugates, vectors.conj())
+        assert not vectors.flags.writeable and not conjugates.flags.writeable
+        assert ops.frame_eigenvectors is ops.frame_eigenvectors
+
     def test_equals_a_fresh_draw(self):
         from ddforge import bath
 

@@ -153,6 +153,15 @@ class TestOrder:
         assert code == 3
         assert "shrink" in err
 
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    def test_subnormal_duration_is_usage_error_naming_it(self, capsys, precision):
+        # A subnormal grid printed RuntimeWarnings from the Pauli split, then "Eigenvalues did not converge".
+        code, out, err = run(capsys, "order", "udd", "--n", "2", "--at-min", "1e-310", "--at-max", "1e-309",
+                             "--seed", "7", "--precision", precision)
+        assert code == 2 and out == ""
+        assert err == ("error: t_grid[0] = 1e-310; durations must be at least 2.2250738585072014e-308, "
+                       "the smallest normal float\n")
+
     def test_branch_advice_follows_precision(self, capsys, tmp_path):
         # Switching to extended precision is advice for double runs only,
         # whether the precision came from a flag or from the config file.

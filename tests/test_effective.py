@@ -135,24 +135,32 @@ def deviation_with_phases(phases, rng):
 
 
 class TestSeriesLog:
-    def test_stack_on_both_sides_of_switch_equals_separate_calls(self):
-        # Items below and above SERIES_BOUND, and one singular item, in one stack:
-        # every generator, error and |M| bound is the one a call on that item alone gives.
+    def test_stack_on_both_sides_of_switch_equals_separate_calls(self, monkeypatch):
+        # Items below and above SERIES_BOUND, one whose |Z^2|_F underflows, one
+        # singular item and one that fails its reconstruction, in one stack,
+        # the series items with mixed term counts: every generator, error and
+        # |M| bound is the one a call on that item alone gives, which skips the
+        # branches the other items take.
         rng = np.random.default_rng(5)
-        w = np.stack([deviation_with_phases(rng.uniform(-s, s, 8), rng) for s in (1e-4, 0.05, 2.5, 0.3)]
-                     + [-2 * np.eye(8, dtype=complex)])
-        sizes = [cayley_size(item) for item in w[:4]]
+        w = np.stack([deviation_with_phases(rng.uniform(-s, s, 8), rng) for s in (1e-4, 0.05, 2.5, 0.3, 1e-170)]
+                     + [-2 * np.eye(8, dtype=complex), 0.01 * np.eye(8, dtype=complex)])
+        sizes = [cayley_size(item) for item in w[:5]]
         assert sizes[0] < sizes[1] < effective.SERIES_BOUND <= sizes[2] and sizes[3] < effective.SERIES_BOUND
+        assert w[4].any() and not np.any(w[4] @ w[4])
+        counts, series_terms = [], effective.series_terms
+        monkeypatch.setattr(effective, "series_terms", lambda *args: counts.append(series_terms(*args)) or counts[-1])
         errors = [None] * len(w)
         m, phase = _principal_logs(w, errors)
+        assert len(set(counts[0][[0, 1, 3]].tolist())) == 3
         for g in range(len(w)):
             errors_one = [None]
             m_one, phase_one = _principal_logs(w[g:g + 1], errors_one)
-            assert type(errors[g]) is type(errors_one[0])
+            assert type(errors[g]) is type(errors_one[0]) and str(errors[g]) == str(errors_one[0])
             if errors[g] is None:
                 assert m[g].tobytes() == m_one[0].tobytes()
                 assert phase[g].tobytes() == phase_one[0].tobytes()
-        assert errors[:4] == [None] * 4 and type(errors[4]) is BranchAmbiguityError
+        assert errors[:5] == [None] * 5 and type(errors[5]) is BranchAmbiguityError
+        assert type(errors[6]) is ArithmeticError and phase[4] > 0
 
     @pytest.mark.parametrize("d", [1, 4, 16, 64])
     @pytest.mark.parametrize("largest", [1e-6, 1e-4, 1e-2, 0.3, 0.9])
@@ -250,6 +258,8 @@ class TestErrorFunctionals:
         assert funcs.keys() == want.keys()
         for key in want:
             assert np.array_equal(funcs[key], want[key])
+        # The functionals read x, y and z as one view of the array the split writes.
+        assert np.shares_memory(eff.couplings, eff.ax) and np.array_equal(eff.couplings, [eff.ax, eff.ay, eff.az])
 
     @pytest.mark.parametrize("preset", ["generic", "pure_dephasing"])
     def test_single_point_gives_floats(self, preset):
@@ -412,11 +422,15 @@ class TestSpectralNorm:
             assert got.tobytes() == np.float64(symmetrized_norm(block)).tobytes()
 
     def test_stack_gives_one_norm_per_matrix(self):
-        stack = np.stack([random_hermitian(5, 0.5), np.zeros((5, 5), dtype=complex), random_hermitian(5, 2.0)])
-        norms = spectral_norm(stack)
-        assert norms.shape == (3,)
-        assert [float(x) for x in norms] == [spectral_norm(a) for a in stack]
-        assert spectral_norm(stack.reshape(3, 1, 5, 5)).shape == (3, 1)
+        # With a zero block, as the flip blocks of a pure-dephasing model are, the nonzero ones are
+        # decomposed apart from it; with none, the stack goes whole.  Either way, each norm has the
+        # bits of a call on its matrix alone.
+        for middle in (np.zeros((5, 5), dtype=complex), random_hermitian(5, 1.0)):
+            stack = np.stack([random_hermitian(5, 0.5), middle, random_hermitian(5, 2.0)])
+            norms = spectral_norm(stack)
+            assert norms.shape == (3,)
+            assert [x.tobytes() for x in norms] == [np.float64(spectral_norm(a)).tobytes() for a in stack]
+            assert spectral_norm(stack.reshape(3, 1, 5, 5)).shape == (3, 1)
 
     @pytest.mark.parametrize("d", [0, 1, 2, 5, 16, 64])
     def test_single_matrix_is_a_stack_of_one(self, d):

@@ -247,18 +247,26 @@ class TestStackedComposition:
             assert np.array_equal(controlled_reference(seq, item), single.u)
 
     def test_failed_item_is_recorded_not_raised(self):
-        # A scaled eigenvector basis makes every segment factor non-unitary;
-        # each item carries the error its own composition raises.  The basis is
-        # written into a private copy, not into the model build_model shares.
-        ops = dataclasses.replace(build_model(ModelSpec(d=4, seed=7)))
-        evals, evecs = ops.eigensystem
-        ops.__dict__["eigensystem"] = (evals, evecs * 1.001)
+        # A scaled eigenvector basis makes every segment factor non-unitary, by
+        # more at longer durations: all items fail, or only the middle one.
+        # Each item carries the error its own composition raises, or the W it
+        # gives; a stack builds its list of errors only when some item fails.
+        # The basis is written into private copies, not into the model
+        # build_model shares.
         seq = udd_sequence(2, 0.01)
-        _, errors = sequence_deviation(seq, ops, GRID[:3])
-        for error, t in zip(errors, GRID[:3]):
-            with pytest.raises(ValueError) as single:
-                sequence_unitary(seq.with_duration(t), ops)
-            assert type(error) is ValueError and str(error) == str(single.value)
+        for scale, durations, failed in ((1.001, GRID[:3], [0, 1, 2]), (1 + 1e-8, [1e-3, 1e-1, 2e-3], [1])):
+            ops = dataclasses.replace(build_model(ModelSpec(d=4, seed=7)))
+            evals, evecs = ops.eigensystem
+            ops.__dict__["eigensystem"] = (evals, evecs * scale)
+            stack, errors = sequence_deviation(seq, ops, durations)
+            assert [g for g, error in enumerate(errors) if error is not None] == failed
+            for item, error, t in zip(stack, errors, durations):
+                if error is None:
+                    assert item.tobytes() == sequence_unitary(seq.with_duration(t), ops).w.tobytes()
+                    continue
+                with pytest.raises(ValueError) as single:
+                    sequence_unitary(seq.with_duration(t), ops)
+                assert type(error) is ValueError and str(error) == str(single.value)
 
     @pytest.mark.parametrize("segments", [255, 256, 257, 513])
     def test_items_bit_equal_across_chunk_edges(self, segments):
@@ -322,6 +330,22 @@ class TestMemoisedReduction:
         for block in (3, chunk // 2):
             assert reduce_pairwise(plan, table.swapaxes(0, 1), _product, block).tobytes() == want
         assert plan_products(plan) <= length - 1
+
+    @pytest.mark.parametrize("seq", [udd_sequence(3, 0.01), cudd(2, 2, 0.01)], ids=["flat", "blocks"])
+    def test_trees_kept_with_plan_and_nodes(self, monkeypatch, seq):
+        # Once a schedule has composed, neither engine forms a reduction tree for it or its
+        # re-timed copies again: the leaf's is kept with its plan, each level's with its node.
+        ops = build_model(ModelSpec(d=4, seed=7))
+        first, (hi, lo) = sequence_deviation(seq, ops, GRID)[0], highprec._compose(seq, ops, [0.01])[0]
+
+        def no_tree(*args):
+            raise AssertionError("formed a reduction tree again")
+
+        monkeypatch.setattr(evolution, "reduction_plan", no_tree)
+        again = seq.with_duration(0.02)
+        assert sequence_deviation(again, ops, GRID)[0].tobytes() == first.tobytes()
+        (hi_again, lo_again), _ = highprec._compose(again, ops, [0.01])
+        assert hi_again.tobytes() == hi.tobytes() and lo_again.tobytes() == lo.tobytes()
 
     @pytest.mark.parametrize("name, params, most", [("cdd", {"m": 7}, 800), ("udd2", {"n": 11}, 3400)],
                              ids=["CDD-7", "UDD2-11"])

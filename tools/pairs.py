@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Alternating benchmark runs of two checkouts, and whether a claimed gain meets the pair rule.
+
+Usage: ``python tools/pairs.py PARENT CHANGE --workload W --pairs N``, where
+PARENT and CHANGE are checkouts (this repository, or copies of other
+commits).  Pair i runs ``perfbench/run.py --workload W --seed 7+i --trace 0``
+once in each checkout, from its root, the parent first in even pairs and the
+change first in odd ones, and prints both runs' end-to-end metrics as they
+come.  Then, per end-to-end metric of the parent's ``BENCHMARK.json``, it
+prints each side's quartiles (p25 / median / p75), the pairs the change won
+(a tie counts for neither side), the change of the median, and whether a gain
+meets the rule: the change wins at least nine tenths of the pairs, and its
+median is better than the parent's by more than the distance between the
+parent's quartiles.
+
+The script only starts ``run.py``, which writes its records to
+``perfbench/out/`` in each checkout.  It runs nothing else in the meantime, as
+a second process would share the cores the runs are timed on.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+FIRST_SEED = 7
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(p25, median, p75) of values, inclusive of the extremes; a single value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    low, median, high = statistics.quantiles(values, n=4, method="inclusive")
+    return low, median, high
+
+
+def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> list[dict]:
+    """Per metric of ``BENCHMARK.json``'s end_to_end list, both sides' quartiles, the change's wins and the rule.
+
+    parent[i] and change[i] map each metric's name to its value in pair i.
+    """
+    out = []
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        before, after = [run[name] for run in parent], [run[name] for run in change]
+        wins = sum(b < a if lower else b > a for a, b in zip(before, after))
+        (p25, p50, p75), (c25, c50, c75) = quartiles(before), quartiles(after)
+        gap = p50 - c50 if lower else c50 - p50
+        out.append({"name": name, "unit": metric["unit"], "parent": (p25, p50, p75), "change": (c25, c50, c75),
+                    "wins": wins, "pairs": len(before), "relative": c50 / p50 - 1 if p50 else None,
+                    "gain": wins >= 0.9 * len(before) and gap > p75 - p25})
+    return out
+
+
+def report(rows: list[dict]) -> list[str]:
+    """The lines ``main`` prints for ``summarize``'s rows."""
+    lines = [f"{'metric':<16} {'parent p25 / p50 / p75':>32} {'change p25 / p50 / p75':>32} "
+             f"{'wins':>7} {'median':>8}  gain"]
+    for row in rows:
+        sides = ["{:.4g} / {:.4g} / {:.4g}".format(*row[side]) for side in ("parent", "change")]
+        relative = "n/a" if row["relative"] is None else f"{row['relative']:+.1%}"
+        lines.append(f"{row['name']:<16} {sides[0]:>32} {sides[1]:>32} {row['wins']:>3}/{row['pairs']:<3} "
+                     f"{relative:>8}  {'yes' if row['gain'] else 'no'}  ({row['unit']})")
+    return lines
+
+
+def run_benchmark(root: Path, workload: str, seed: int) -> dict:
+    """The end-to-end metrics of one ``run.py`` run in the checkout at root, by name."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    metrics = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs = {"parent": [], "change": []}
+    for pair in range(args.pairs):
+        seed = FIRST_SEED + pair
+        for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+            runs[side].append(run_benchmark(sides[side], args.workload, seed))
+            values = "  ".join(f"{m['name']} {runs[side][-1][m['name']]:.6g}" for m in metrics)
+            print(f"pair {pair} seed {seed} {side:<6} {values}", flush=True)
+    print("\n".join(report(summarize(metrics, runs["parent"], runs["change"]))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
