@@ -9,11 +9,12 @@ to its ``effective.Engine``, the double one or the double-double one of
 dict (a name and ``build_sequence``'s keyword arguments), builds the
 schedule once, and composes and extracts it for a whole stack of grid
 durations per bath model in one pass (``evolution.stack_points`` durations
-per stack).  A grid of several stacks (d >= 32 on the default grid) runs
-them on a short-lived thread pool of min(stacks, usable cores // BLAS
-threads) workers, each stack with exactly its serial arithmetic, so rows
-and failures are the serial loop's bit for bit; a one-stack scan starts
-no thread.
+per stack).  Each stack makes its own rows, the ensemble mean summed in
+seed order, and the scan joins them in grid order.  A grid of several
+stacks (d >= 32 on the default grid) runs them on a short-lived thread
+pool of min(stacks, usable cores // BLAS threads) workers, each stack with
+exactly its serial arithmetic, so rows and failures are the serial loop's
+bit for bit; a one-stack scan starts no thread.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import io
 import math
 import operator
 import os
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,7 +35,7 @@ from .bath import ModelSpec, alpha, build_model, spectral_norm
 from .effective import DOUBLE, BranchAmbiguityError, Engine, error_functionals, evaluate, sequence_effective
 from .evolution import stack_points
 from .highprec import EXTENDED
-from .sequences import PulseSequence, build_sequence, cdd_count_estimate, cudd_count, udd2_count
+from .sequences import MIN_DURATION, PulseSequence, build_sequence, cdd_count_estimate, cudd_count, udd2_count
 
 FUNCTIONALS = ("E_flip", "E_dephase", "E_total")
 
@@ -98,7 +98,7 @@ def _centred(zs: list[float]) -> tuple[float, list[float]]:
 def _durations(t_grid) -> list[float]:
     """The grid as floats; ValueError for an empty grid or an entry that is not finite and > 0, or is subnormal.
 
-    A subnormal duration (below ``sys.float_info.min``) overflows 1/t, and its segments underflow.
+    This is the schedules' duration rule (``sequences.MIN_DURATION``), in messages that name the grid entry.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
@@ -106,8 +106,8 @@ def _durations(t_grid) -> list[float]:
     for i, t in enumerate(t_grid):
         if not 0.0 < t < math.inf:
             raise ValueError(f"t_grid[{i}] = {t!r}; durations must be finite and > 0")
-        if t < sys.float_info.min:
-            raise ValueError(f"t_grid[{i}] = {t!r}; durations must be at least {sys.float_info.min!r}, "
+        if t < MIN_DURATION:
+            raise ValueError(f"t_grid[{i}] = {t!r}; durations must be at least {MIN_DURATION!r}, "
                              "the smallest normal float")
     return t_grid
 
@@ -229,13 +229,16 @@ def evaluate_scan(
     keyword arguments; the schedule is built once, at the first duration, and
     its grid evaluated in stacks of ``evolution.stack_points`` durations,
     on ``_in_grid_order``'s thread pool when there are several stacks and
-    BLAS leaves cores free.
-    With several seeds the functionals are averaged over the bath ensemble.
-    Rows also carry ``floor``, the engine's estimated absolute error of each
-    functional, averaged the same way.  Raises BranchAmbiguityError (tagged with the offending duration) when
+    BLAS leaves cores free.  Each stack makes its own rows, and the scan
+    joins them in grid order.
+    With several seeds the functionals are averaged over the bath ensemble,
+    summed in seed order.  Rows also carry ``floor``, the engine's estimated
+    absolute error of each functional, averaged the same way.  Raises
+    BranchAmbiguityError (tagged with the offending duration) when
     eigenphases leave the principal branch; as a guard, alpha * t_max must
     stay below 1.  An empty grid, or any duration that is not finite and
-    > 0, is a ValueError naming it, raised before any composition.  ``dps``
+    > 0 or is subnormal, is a ValueError naming it, raised before any
+    composition.  ``dps``
     is ignored, as both engines carry a fixed precision; it stays only
     because ``perfbench/measure.py`` passes it, until the benchmark change
     of ROADMAP.md item 3.
@@ -258,33 +261,28 @@ def evaluate_scan(
     params = dict(family_spec)
     seq = build_sequence(params.pop("name"), t_grid[0], **params)
     per_stack = stack_points(model_spec.d)
+    head = {"family": seq.family.get("name", seq.label), "param": _family_param_string(seq.family)}
 
     def evaluate_stack(durations: list[float]) -> list[dict]:
-        """Per bath model, the stack's columns of functionals and floor; raises the first failing (duration, seed)."""
+        """The stack's rows, each value the ensemble mean summed in seed order.
+
+        Raises the error of the first failing (duration, seed).
+        """
         columns, failures = [], []
         for ops in models:
             eff, errors = evaluate(seq, ops, durations, engine)
             columns.append({key: v.tolist() for key, v in {**error_functionals(eff), "floor": eff.floor}.items()})
             failures.append(errors)
         # Stop where a point-by-point scan would: at the first failing (grid point, seed).
-        for point in zip(*failures):
-            for error in point:
-                if error is not None:
-                    raise error
-        return columns
+        for error in (error for point in zip(*failures) for error in point if error is not None):
+            raise error
+        means = columns[0] if len(models) == 1 else {
+            key: [sum(point) / len(models) for point in zip(*(c[key] for c in columns))] for key in columns[0]}
+        return [{**head, "t": t, "alpha_t": model_alpha * t, **dict(zip(means, point))}
+                for t, *point in zip(durations, *means.values())]
 
     stacks = [t_grid[start:start + per_stack] for start in range(0, len(t_grid), per_stack)]
-    results = _in_grid_order(evaluate_stack, stacks)
-    # Per model, each key's column over the whole grid; then the ensemble mean, summed in seed order.
-    columns = [{key: [v for result in results for v in result[m][key]] for key in results[0][m]}
-               for m in range(len(models))]
-    means = columns[0] if len(models) == 1 else {
-        key: [sum(point) / len(models) for point in zip(*(column[key] for column in columns))] for key in columns[0]}
-
-    family, param = seq.family.get("name", seq.label), _family_param_string(seq.family)
-    head = {"family": family, "param": param}
-    return [{**head, "t": t, "alpha_t": model_alpha * t, **dict(zip(means, point))}
-            for t, *point in zip(t_grid, *means.values())]
+    return [row for rows in _in_grid_order(evaluate_stack, stacks) for row in rows]
 
 
 def order_scan(

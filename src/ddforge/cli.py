@@ -8,14 +8,17 @@ chain is flag > config > --model file > DDFORGE_SEED > 0.  Exit codes: 0
 success, 2 usage error, 3 numeric-domain error (an eigenphase near the branch
 cut, a failed log reconstruction, an extended-precision value too close to
 the engine's roundoff floor to be resolved, or any other ArithmeticError),
-4 I/O error.  A double-precision ``order`` or ``compare`` value that close to
-its floor only warns.
+4 I/O error.  A double-precision ``order``, ``compare`` or ``predict-magnus``
+value that close to its floor only warns; ``predict-magnus`` checks |az_eff|
+and |az_eff - az_pred| times the step's duration, and exits 3 where a value
+it divides by reads 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -219,19 +222,27 @@ def _cmd_predict_magnus(args) -> int:
             raise ValueError(f"--{key} must be non-negative, got {getattr(args, key)}")
     if not 0 < args.tau0 < float("inf"):
         raise ValueError(f"--tau0 must be positive and finite, got {args.tau0}")
+    if (shortest := math.ldexp(args.tau0, -args.halvings)) < sequences.MIN_DURATION:
+        raise ValueError(f"--tau0 / 2^halvings = {shortest!r} must be at least {sequences.MIN_DURATION!r}, "
+                         "the smallest normal float")
     if not model.az.any():
         raise ValueError("the dephasing coupling A_z is zero; the predictor needs --norm-z > 0")
-    print(f"{'tau0':>12} {'|az_pred|':>12} {'|az_eff|':>12} {'rel_dev':>12}")
-    devs = []
+    # Every row is formed before the header, so that a failed one prints no table.
+    lines, devs = [], []
     for k in range(args.halvings + 1):
         tau = args.tau0 / 2**k
         _, az_pred, tau_n = effective.magnus_cdd_predict(model.a0, model.az, tau, args.level)
-        seq = sequences.cdd_xx(args.level, total_duration=tau_n)
-        eff = effective.sequence_effective(seq, model)
-        norm_eff = bath.spectral_norm(eff.az)
-        dev = bath.spectral_norm(eff.az - az_pred) / norm_eff
-        devs.append(dev)
-        print(f"{tau:>12.6g} {bath.spectral_norm(az_pred):>12.4e} {norm_eff:>12.4e} {dev:>12.4e}")
+        eff = effective.sequence_effective(sequences.cdd_xx(args.level, total_duration=tau_n), model)
+        norm_eff, norm_dev = bath.spectral_norm(eff.az), bath.spectral_norm(eff.az - az_pred)
+        # The floor policy of order and compare in double, on both amplitudes times tau_n; a zero divisor fails.
+        if norm_eff == 0 or (k and norm_dev == 0):
+            raise ArithmeticError(f"{'|az_eff|' if norm_eff == 0 else 'rel_dev'} reads 0 at tau0={tau:g}; raise --tau0")
+        if (low := min(norm_eff, norm_dev) * tau_n) < FLOOR_MARGIN * eff.floor:
+            print(f"warning: min(|az_eff|, |az_eff - az_pred|) tau_n = {low:.3g} at tau0={tau:g} is within"
+                  f" {FLOOR_MARGIN:g}x of the double roundoff floor {eff.floor:.2g}; raise --tau0", file=sys.stderr)
+        devs.append(norm_dev / norm_eff)
+        lines.append(f"{tau:>12.6g} {bath.spectral_norm(az_pred):>12.4e} {norm_eff:>12.4e} {devs[-1]:>12.4e}")
+    print(f"{'tau0':>12} {'|az_pred|':>12} {'|az_eff|':>12} {'rel_dev':>12}", *lines, sep="\n")
     for k in range(len(devs) - 1):
         print(f"deviation ratio (tau0/2^{k} vs /2^{k+1}): {devs[k]/devs[k+1]:.3f}")
     return EXIT_OK
@@ -270,9 +281,9 @@ def _cmd_compare(args) -> int:
     print(f"{'label':>20} {'pulses':>7} {'E_flip':>12} {'E_dephase':>12} {'E_total':>12} {'F_e':>12}"
           f" {'F_e(ctrl)':>12}")
     for seq in seqs:
-        # The double engine takes its W from this unitary, which F_e reads too.
+        # F_e reads the unitary; the functionals compose the schedule on the engine.
         result = evolution.sequence_unitary(seq, model)
-        eff = effective.point_effective(seq, model, engine, result)
+        eff = effective.point_effective(seq, model, engine)
         funcs = effective.error_functionals(eff)
         for key in analysis.FUNCTIONALS:  # a warning line per value
             _check_floor([{**funcs, "floor": eff.floor, "t": args.t}], (key,), engine, f"{seq.label}: ")

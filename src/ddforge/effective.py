@@ -15,13 +15,16 @@ bound on the eigenphases.  Eigenphases must stay clear of the +-pi branch
 cut; callers shrink the duration when they do not.  All of it runs on
 (G, 2d, 2d) stacks.
 
-Each precision is an ``Engine`` record of its stages: compose W, log it,
-split the Pauli blocks, and the floor per unit |M|.  ``evaluate`` runs one
-engine on a schedule re-timed to a stack of durations, and every functional
-the package reports comes through it; ``error_functionals`` takes the three
-block norms of a stack from one stacked ``eigvalsh`` call, on the coupling
-blocks ``pauli_decompose`` writes into one array.  ``DOUBLE`` is defined
-here, the extended engine in ``highprec``.
+Each precision is an ``Engine`` record of its stages, each with one
+signature in both engines: compose(seq, ops, durations) gives W, log takes
+its log, split writes the four Pauli blocks into one (4, G, d, d) array,
+and floor gives the floor per unit |M|.  ``evaluate`` runs one engine on a
+schedule re-timed to a stack of durations and builds the
+``EffectiveHamiltonian`` once, blocks and floor together; every functional
+the package reports comes through it.  ``error_functionals`` takes the
+three block norms of a stack from one stacked ``eigvalsh`` call, on the
+couplings, a view of that one array.  ``DOUBLE`` is defined here, the
+extended engine in ``highprec``.
 
 The log's constants are formed once: 2I once per size, the series' table
 of powers and odd divisors once.  A stack does no work for a branch none
@@ -36,11 +39,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .bath import spectral_norm
+from .bath import GAMMAS, spectral_norm
 from .evolution import segment_count, sequence_deviation
 from .evolution import sequence_unitary  # noqa: F401  (rebound here by perfbench/tracing.py and a test)
 
@@ -210,36 +213,32 @@ def _principal_logs(w: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray
 class EffectiveHamiltonian:
     """Pauli-decomposed generator: H_eff = sum_g sigma_g (x) a_g at duration t.
 
-    A stacked generator holds (G, d, d) blocks and one duration per item in
-    the (G,) array t.  ``floor``, when set, estimates the absolute roundoff
-    of the blocks times t, so of each residual functional.  ``couplings`` is
-    the (3, ..., d, d) stack of a_x, a_y, a_z that ``error_functionals``
-    reads: a view of the one array ``pauli_decompose`` writes, else stacked
-    on first use.
+    ``blocks`` is the one (4, ..., d, d) array of a_0, a_x, a_y, a_z, which
+    an engine's split writes; ``a0``, ``ax``, ``ay``, ``az`` and
+    ``couplings`` (a_x, a_y, a_z, as ``error_functionals`` reads them) are
+    views of it.  A stacked generator holds (4, G, d, d) blocks and one
+    duration per item in the (G,) array t.  ``floor``, when set, estimates
+    the absolute roundoff of the blocks times t, so of each residual
+    functional.
     """
 
-    a0: np.ndarray
-    ax: np.ndarray
-    ay: np.ndarray
-    az: np.ndarray
+    blocks: np.ndarray
     t: float | np.ndarray
     floor: float | np.ndarray | None = None
 
+    a0, ax, ay, az = (property(lambda self, g=g: self.blocks[g]) for g in range(4))
+    couplings = property(lambda self: self.blocks[1:])
+
     def items(self):
-        return (("0", self.a0), ("x", self.ax), ("y", self.ay), ("z", self.az))
-
-    @cached_property
-    def couplings(self) -> np.ndarray:
-        return np.stack((self.ax, self.ay, self.az))
+        return tuple(zip(GAMMAS, self.blocks))
 
 
-def pauli_decompose(m: np.ndarray, t=1.0) -> EffectiveHamiltonian:
-    """Split a Hermitian 2d x 2d matrix into qubit-Pauli blocks over the bath.
+def _pauli_blocks(m: np.ndarray, t) -> np.ndarray:
+    """Split a Hermitian 2d x 2d matrix into its qubit-Pauli blocks over the bath, as one (4, ..., d, d) array.
 
     a_g * t = (1/2) tr_qubit[(sigma_g (x) I) m]; the four blocks reassemble
     m exactly by completeness of the Pauli basis.  A (G, 2d, 2d) stack with
-    a (G,) array of durations splits item by item.  The blocks are written
-    into one (4, ..., d, d) array, whose items 1-3 are the ``couplings``.
+    a (G,) array of durations splits item by item.
     """
     d = m.shape[-1] // 2
     m00, m01 = m[..., :d, :d], m[..., :d, d:]
@@ -251,9 +250,12 @@ def pauli_decompose(m: np.ndarray, t=1.0) -> EffectiveHamiltonian:
     np.subtract(m00, m11, out=blocks[3])
     blocks[2] *= 1j
     blocks /= 2 * np.asarray(t)[..., None, None]
-    eff = EffectiveHamiltonian(*blocks, t=t)
-    eff.__dict__["couplings"] = blocks[1:]
-    return eff
+    return blocks
+
+
+def pauli_decompose(m: np.ndarray, t=1.0) -> EffectiveHamiltonian:
+    """The generator of ``_pauli_blocks``' split of m at duration t, without a floor."""
+    return EffectiveHamiltonian(_pauli_blocks(m, t), t)
 
 
 def error_functionals(eff: EffectiveHamiltonian) -> dict:
@@ -277,12 +279,10 @@ def error_functionals(eff: EffectiveHamiltonian) -> dict:
 class Engine:
     """One precision's stages on (G, 2d, 2d) stacks, as ``evaluate`` runs them.
 
-    compose(seq, ops, durations, unitary) -> (W, per-item errors); unitary is
-    a sequence_unitary of seq, whose W the double engine reads instead of
-    composing.  log(W, errors) -> (generator, |M| bound), its failures filled
-    into the items errors leaves None.  split(generator, t) -> a new stacked
-    EffectiveHamiltonian, whose floor ``evaluate`` sets.  floor(segments) ->
-    roundoff floor per unit |M|.
+    compose(seq, ops, durations) -> (W, per-item errors).  log(W, errors) ->
+    (generator, |M| bound), its failures filled into the items errors leaves
+    None.  split(generator, t) -> the (4, G, d, d) Pauli blocks at the (G,)
+    durations t, one array.  floor(segments) -> roundoff floor per unit |M|.
     """
 
     compose: Callable
@@ -291,16 +291,13 @@ class Engine:
     floor: Callable
 
 
-def _compose(seq, ops, durations, unitary):
-    return sequence_deviation(seq, ops, durations) if unitary is None else (unitary.w[None], [None])
-
-
+# sequence_deviation is looked up at each call, so that rebinding it here (a test, a tracer) sees every composition.
 # FLOOR_UNIT |M| per level of the pairwise reduction: ceil(log2 segments) levels.
-DOUBLE = Engine(_compose, _principal_logs, pauli_decompose,
+DOUBLE = Engine(lambda seq, ops, durations: sequence_deviation(seq, ops, durations), _principal_logs, _pauli_blocks,
                 lambda segments: FLOOR_UNIT * max(1, (segments - 1).bit_length()))
 
 
-def evaluate(seq, ops, durations, engine: Engine, unitary=None) -> tuple[EffectiveHamiltonian, list]:
+def evaluate(seq, ops, durations, engine: Engine) -> tuple[EffectiveHamiltonian, list]:
     """The stacked generator of a schedule re-timed to each duration, with its (G,) floor, on one engine.
 
     The list that comes with it holds, per item, the exception a point at
@@ -308,24 +305,23 @@ def evaluate(seq, ops, durations, engine: Engine, unitary=None) -> tuple[Effecti
     meaningless); branch errors name the schedule and the duration.
     """
     durations = [float(t) for t in durations]
-    w, errors = engine.compose(seq, ops, durations, unitary)
+    w, errors = engine.compose(seq, ops, durations)
     generator, bound = engine.log(w, errors)
     if any(errors):
         for g, exc in enumerate(errors):
             if isinstance(exc, BranchAmbiguityError):
                 errors[g] = BranchAmbiguityError(f"{exc} (schedule {seq.label!r} at t={durations[g]:g})",
                                                  eigenphase=exc.eigenphase, t=durations[g])
-    eff = engine.split(generator, np.array(durations))
-    object.__setattr__(eff, "floor", bound * engine.floor(segment_count(seq)))
-    return eff, errors
+    t = np.array(durations)
+    return EffectiveHamiltonian(engine.split(generator, t), t, bound * engine.floor(segment_count(seq))), errors
 
 
-def point_effective(seq, ops, engine: Engine, unitary=None) -> EffectiveHamiltonian:
+def point_effective(seq, ops, engine: Engine) -> EffectiveHamiltonian:
     """``evaluate`` at the schedule's own duration: one generator with a float floor, or the error it failed with."""
-    eff, errors = evaluate(seq, ops, [seq.total_duration], engine, unitary)
+    eff, errors = evaluate(seq, ops, [seq.total_duration], engine)
     if errors[0] is not None:
         raise errors[0]
-    return EffectiveHamiltonian(*(a[0] for _, a in eff.items()), t=seq.total_duration, floor=float(eff.floor[0]))
+    return EffectiveHamiltonian(eff.blocks[:, 0], seq.total_duration, float(eff.floor[0]))
 
 
 def sequence_effective(seq, ops) -> EffectiveHamiltonian:

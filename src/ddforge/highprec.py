@@ -34,7 +34,10 @@ of 279 (worst 0.93 of it); the other 481, each above 10^15 floors, are off
 by at most 7 ulps, the rounding of the blocks to complex128 and of the
 double norms.
 These stages make up ``EXTENDED``, the ``effective.Engine`` that
-``effective.evaluate`` runs for ``precision="extended"``.
+``effective.evaluate`` runs for ``precision="extended"``, with the double
+engine's signatures: ``_compose(seq, ops, durations)`` returns W as a
+(hi, lo) pair, and ``_pauli_split`` writes the rounded blocks into one
+(4, G, d, d) array, as the double split does.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from fractions import Fraction
 import numpy as np
 
 from .bath import BathOperators, spectral_norm, total_hamiltonian
-from .effective import (BranchAmbiguityError, EffectiveHamiltonian, Engine, atanh_series, error_functionals,
-                        point_effective, series_terms, shifted_solve)
+from .effective import (BranchAmbiguityError, Engine, atanh_series, error_functionals, point_effective,
+                        series_terms, shifted_solve)
 from .evolution import compose, frame_factors, segment_count, stack_points
 from .sequences import Blocks, PulseSequence
 
@@ -182,8 +185,8 @@ def _composed(seq: PulseSequence, d: int) -> Blocks | PulseSequence:
     return seq if seq.blocks is None or segment_count(seq) <= stack_points(d) else seq.blocks
 
 
-def _compose(seq: PulseSequence, ops: BathOperators, durations: list, unitary=None):
-    """W with ctrl^+ U = I + W per duration and per-item errors; a double ``unitary`` has too few bits and is unread."""
+def _compose(seq: PulseSequence, ops: BathOperators, durations: list):
+    """W with ctrl^+ U = I + W per duration, as a (hi, lo) pair of (G, 2d, 2d) stacks, and per-item errors."""
     h = total_hamiltonian(ops)
     radius = spectral_norm(h)
     scale = 2.0 ** math.ceil(math.log2(radius)) if radius > 0 else 1.0
@@ -251,24 +254,25 @@ def _log(w, errors: list):
     return (2 * total[0], 2 * total[1]), phases
 
 
-def _pauli_split(log, t: np.ndarray) -> EffectiveHamiltonian:
-    """a_g = tr_qubit[(sigma_g (x) I) M] / (2t) for g = 0, x, y, z, as (G, d, d) complex128, at the (G,) durations t.
+def _pauli_split(log, t: np.ndarray) -> np.ndarray:
+    """a_g = tr_qubit[(sigma_g (x) I) M] / (2t) for g = 0, x, y, z at the (G,) durations t, as one (4, G, d, d) array.
 
     With M = i log and log's qubit blocks L_ab, 2t a_0, 2t a_x, 2t a_y, 2t a_z
     are i(L00 + L11), i(L01 + L10), -(L01 - L10) and i(L00 - L11).  Each is
     made Hermitian and divided by 2t in double-double, so a tiny block is not
-    swamped by the rounding of a large one.
+    swamped by the rounding of a large one, and its high part is written into
+    the array block by block.
     """
     d = log[0].shape[-1] // 2
     (l00, l01), (l10, l11) = [[tuple(p[..., r:r + d, c:c + d] for p in log) for c in (0, d)] for r in (0, d)]
     sums = (_add(l00, l11), _add(l01, l10), _add(l01, _neg(l10)), _add(l00, _neg(l11)))
     four_t = 4 * t[:, None, None]
-    blocks = []
-    for total, phase in zip(sums, (1j, 1j, -1, 1j)):
+    blocks = np.empty((4, *l00[0].shape), dtype=complex)
+    for block, total, phase in zip(blocks, sums, (1j, 1j, -1, 1j)):
         total = (phase * total[0], phase * total[1])
         total = _add(total, tuple(np.swapaxes(p.conj(), -1, -2) for p in total))
-        blocks.append(_div(total, four_t)[0])
-    return EffectiveHamiltonian(*blocks, t=t)
+        block[...] = _div(total, four_t)[0]
+    return blocks
 
 
 # The extended engine: FLOOR_UNIT |M| per segment, kept from the sequential update.

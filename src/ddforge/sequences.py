@@ -267,9 +267,18 @@ def _pulses(items: _Items) -> tuple[Pulse, ...]:
                  for instant, code, num, exact in zip(*arrays))
 
 
+# The shortest duration, the smallest normal float (``sys.float_info.min``): below it 1/t overflows, and a
+# schedule's segments underflow.
+MIN_DURATION = 2.0**-1022
+
+
 def _duration(total_duration: float) -> float:
+    """The one duration rule, of every schedule and every copy: finite, > 0 and at least MIN_DURATION."""
     if not (math.isfinite(total_duration) and total_duration > 0):
         raise ValueError(f"total_duration must be positive and finite, got {total_duration}")
+    if total_duration < MIN_DURATION:
+        raise ValueError(f"total_duration must be at least {MIN_DURATION!r}, the smallest normal float, "
+                         f"got {total_duration}")
     return total_duration
 
 

@@ -25,3 +25,12 @@ def test_bitcheck_prints_every_category():
     for name in CATEGORIES:
         assert any(re.fullmatch(rf"{re.escape(name)} +[1-9][0-9]* +[0-9a-f]{{64}}", line) for line in lines), name
     assert any(re.fullmatch(r"lines total +[1-9][0-9]*", line) for line in lines)
+
+
+def test_bad_checkout_is_one_line_and_exit_2(tmp_path):
+    # A path that is not a checkout raised ModuleNotFoundError for perfbench's `measure`.
+    result = subprocess.run([sys.executable, str(ROOT / "tools" / "bitcheck.py"), str(tmp_path)],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == (f"bitcheck.py: {tmp_path.resolve()} is not a ddforge checkout: "
+                             "it has no src/ddforge/__init__.py\n")

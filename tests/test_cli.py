@@ -299,12 +299,61 @@ class TestPredictMagnus:
         (("--norm-z", "0"), "the dephasing coupling A_z is zero; the predictor needs --norm-z > 0"),
         (("--level", "-1"), "--level must be non-negative, got -1"),
         (("--tau0", "-1"), "--tau0 must be positive and finite, got -1.0"),
-    ], ids=["halvings", "norm-z", "level", "tau0"])
+        (("--tau0", "1e-310", "--halvings", "0"),
+         "--tau0 / 2^halvings = 1e-310 must be at least 2.2250738585072014e-308, the smallest normal float"),
+        (("--tau0", "3e-308", "--halvings", "3"),
+         "--tau0 / 2^halvings = 3.75e-309 must be at least 2.2250738585072014e-308, the smallest normal float"),
+    ], ids=["halvings", "norm-z", "level", "tau0", "tau0-subnormal", "halved-subnormal"])
     def test_bad_input_is_usage_error_before_output(self, capsys, option, message):
-        # Each printed the table header first; --halvings -1 then exited 0, --norm-z 0 divided by zero (exit 3).
+        # Each printed the table header first; --halvings -1 then exited 0, --norm-z 0 divided by zero (exit 3),
+        # and a subnormal duration printed RuntimeWarnings, then "Eigenvalues did not converge".
         code, out, err = run(capsys, "predict-magnus", "--seed", "7", *option)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+    def test_warns_near_double_floor(self, capsys):
+        # At tau0 = 1e-5 the deviation sits within 1000x of the floor, and the ratio reads 0.513 where the
+        # tau^2 law gives 4: each row warns on one line, naming its tau0.  The default run stays quiet.
+        code, out, err = run(capsys, "predict-magnus", "--seed", "7", "--tau0", "1e-5", "--halvings", "1")
+        assert code == 0 and "deviation ratio (tau0/2^0 vs /2^1): 0.513" in out
+        warnings = err.splitlines()
+        assert len(warnings) == 2
+        for line, tau in zip(warnings, ("1e-05", "5e-06")):
+            assert line.startswith("warning: min(|az_eff|, |az_eff - az_pred|) tau_n = ")
+            assert f" at tau0={tau} is within 1000x of the double roundoff floor " in line
+            assert line.endswith("; raise --tau0")
+        code, _, err = run(capsys, "predict-magnus", "--seed", "7")
+        assert code == 0 and err == ""
+
+    def test_zero_amplitude_exits_3_naming_tau0(self, capsys):
+        # At tau0 = 1e-100 |az_eff| reads 0, and the relative deviation divided by zero.
+        code, out, err = run(capsys, "predict-magnus", "--seed", "7", "--tau0", "1e-100")
+        assert code == 3 and out == ""
+        assert err == "error: |az_eff| reads 0 at tau0=1e-100; raise --tau0\n"
+
+    def test_zero_deviation_under_a_ratio_exits_3_naming_tau0(self, capsys, monkeypatch):
+        # A second row whose extraction equals its prediction exactly: the first ratio would divide by zero.
+        from ddforge import effective
+
+        predict, point, predicted = effective.magnus_cdd_predict, effective.sequence_effective, []
+
+        def recording_predict(*args):
+            predicted.append(predict(*args))
+            return predicted[-1]
+
+        def predicted_point(seq, ops):
+            eff = point(seq, ops)
+            if len(predicted) == 2:
+                blocks = eff.blocks.copy()
+                blocks[3] = predicted[-1][1]
+                eff = effective.EffectiveHamiltonian(blocks, eff.t, eff.floor)
+            return eff
+
+        monkeypatch.setattr(effective, "magnus_cdd_predict", recording_predict)
+        monkeypatch.setattr(effective, "sequence_effective", predicted_point)
+        code, out, err = run(capsys, "predict-magnus", "--seed", "7")
+        assert code == 3 and out == ""
+        assert err == "error: rel_dev reads 0 at tau0=0.005; raise --tau0\n"
 
 
 class TestCompare:
@@ -326,7 +375,8 @@ class TestCompare:
         assert "--at-max" not in err
 
     def test_one_composition_per_schedule(self, capsys, monkeypatch):
-        # F_e and the functionals come from the same double-precision unitary.
+        # F_e reads one double-precision unitary per schedule; the functionals compose on the engine
+        # (test_effective.py's test_compare_prints_point_effective_values).
         from ddforge import effective, evolution
 
         calls = []
@@ -370,6 +420,15 @@ class TestCompare:
     def test_no_warning_above_floor(self, capsys):
         code, _, err = run(capsys, "compare", "--seq", "udd,n=2", "--seq", "cpmg,axis=Z", "--t", "0.01", "--seed", "7")
         assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    def test_subnormal_duration_is_usage_error_naming_it(self, capsys, precision):
+        # A subnormal --t printed the header and RuntimeWarnings, then "Eigenvalues did not converge".
+        code, out, err = run(capsys, "compare", "--seq", "udd,n=3", "--t", "1e-310", "--seed", "7",
+                             "--precision", precision)
+        assert code == 2 and out == ""
+        assert err == ("error: total_duration must be at least 2.2250738585072014e-308, the smallest normal float, "
+                       "got 1e-310\n")
 
     def test_non_finite_duration_is_usage_error(self, capsys):
         code, _, err = run(capsys, "compare", "--seq", "udd,n=2", "--t", "nan", "--seed", "7")

@@ -18,7 +18,8 @@ from ddforge.effective import (
     point_effective,
     sequence_effective,
 )
-from ddforge.evolution import sequence_deviation, sequence_unitary
+from ddforge.evolution import sequence_deviation
+from ddforge.highprec import EXTENDED
 from ddforge.sequences import PauliAxis, PulseSequence, build_sequence, cdd_full, cdd_xx, cudd, udd_sequence
 
 RNG = np.random.default_rng(77)
@@ -261,6 +262,21 @@ class TestErrorFunctionals:
         # The functionals read x, y and z as one view of the array the split writes.
         assert np.shares_memory(eff.couplings, eff.ax) and np.array_equal(eff.couplings, [eff.ax, eff.ay, eff.az])
 
+    @pytest.mark.parametrize("point", [False, True], ids=["stack", "point"])
+    @pytest.mark.parametrize("engine", [DOUBLE, EXTENDED], ids=["double", "extended"])
+    def test_blocks_are_one_array_on_both_engines(self, engine, point):
+        # Both engines' splits write the four blocks into one array, and point_effective's generator is
+        # its item 0: a0..az, items() and the couplings the functionals read are views of it.
+        ops = build_model(ModelSpec(d=4, seed=7))
+        seq = udd_sequence(3, 0.01 / alpha(ops))
+        eff = point_effective(seq, ops, engine) if point else evaluate(seq, ops, GRID / alpha(ops), engine)[0]
+        assert eff.blocks.shape == (4, *np.shape(eff.t), 4, 4)
+        assert [name for name, _ in eff.items()] == ["0", "x", "y", "z"]
+        for g, (name, block) in enumerate(eff.items()):
+            assert block is not eff.blocks and np.shares_memory(block, eff.blocks)
+            assert np.array_equal(block, eff.blocks[g]) and np.shares_memory(getattr(eff, f"a{name}"), eff.blocks[g])
+        assert np.shares_memory(eff.couplings, eff.ax) and np.array_equal(eff.couplings, [eff.ax, eff.ay, eff.az])
+
     @pytest.mark.parametrize("preset", ["generic", "pure_dephasing"])
     def test_single_point_gives_floats(self, preset):
         ops = build_model(ModelSpec(d=4, seed=7, preset=preset))
@@ -353,15 +369,41 @@ class TestStackedExtraction:
         assert errors[1].t == single.value.t == durations[1]
         assert errors[1].eigenphase == single.value.eigenphase
 
-    @SCHEDULES
-    def test_unitary_effective_matches_sequence_effective(self, seq):
-        # compare extracts from the W its sequence_unitary carries: the bits of a fresh double point.
-        ops = build_model(ModelSpec(d=4, seed=7))
-        from_unitary = point_effective(seq, ops, DOUBLE, sequence_unitary(seq, ops))
-        direct = sequence_effective(seq, ops)
-        assert from_unitary.floor == direct.floor
-        for (_, got), (_, want) in zip(from_unitary.items(), direct.items()):
-            assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    def test_compare_prints_point_effective_values(self, monkeypatch, capsys, precision):
+        # compare's E columns are error_functionals(point_effective(seq, model, engine)), called with those three
+        # arguments only: the bits of a fresh point on the engine, whose double compose is effective's
+        # sequence_deviation (F_e reads sequence_unitary on its own).
+        from ddforge import analysis, cli
+
+        engine, points, deviations = analysis.ENGINES[precision], [], []
+
+        def recording_point(seq, ops, point_engine):
+            points.append(point_effective(seq, ops, point_engine))
+            return points[-1]
+
+        def recording_deviation(seq, ops, durations):
+            deviations.append(list(durations))
+            return sequence_deviation(seq, ops, durations)
+
+        monkeypatch.setattr(effective, "point_effective", recording_point)
+        monkeypatch.setattr(effective, "sequence_deviation", recording_deviation)
+        code = cli.main(["compare", "--seq", "udd,n=3", "--seq", "cudd,m=2,n=2", "--seq", "cdd,m=3",
+                         "--t", "0.01", "--seed", "7", "--precision", precision])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert deviations == ([[0.01]] * 3 if precision == "double" else [])
+        ops = build_model(ModelSpec(seed=7))
+        rows = out.splitlines()[1:]
+        assert len(rows) == len(points) == 3
+        for seq, row, got in zip([udd_sequence(3, 0.01), cudd(2, 2, 0.01), cdd_full(3, 0.01)], rows, points):
+            want = point_effective(seq, ops, engine)
+            assert got.floor == want.floor
+            for (_, block), (_, ref) in zip(got.items(), want.items()):
+                assert block.tobytes() == ref.tobytes()
+            funcs = error_functionals(want)
+            assert row.split()[0] == seq.label
+            assert row.split()[2:5] == [f"{funcs[key]:.4e}" for key in ("E_flip", "E_dephase", "E_total")]
 
 
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references"

@@ -303,9 +303,9 @@ class TestMatrixLoopIdentity:
         # does not hinge on the oracle's working precision.
         captured = []
 
-        def compose(seq, ops, durations, unitary=None):
+        def compose(seq, ops, durations):
             captured.append([seq, ops, list(durations)])
-            return EXTENDED.compose(seq, ops, durations, unitary)
+            return EXTENDED.compose(seq, ops, durations)
 
         def log(w, errors):
             out = EXTENDED.log(w, errors)

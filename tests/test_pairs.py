@@ -1,11 +1,14 @@
-"""tools/pairs.py's summary of alternating benchmark runs, on canned numbers."""
+"""tools/pairs.py: the summary of alternating benchmark runs on canned numbers, and its failures with runs faked."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
 
-PATH = Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
+PATH = ROOT / "tools" / "pairs.py"
 SPEC = importlib.util.spec_from_file_location("pairs", PATH)
 pairs = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(pairs)
@@ -56,3 +59,36 @@ def test_report_has_a_line_per_metric():
     assert len(lines) == 3
     assert lines[1].split()[0] == "scan_p50_ms" and "2/2" in lines[1] and "-50.0%" in lines[1]
     assert lines[2].split()[0] == "ok_share" and "0/2" in lines[2]
+
+
+def test_bad_checkout_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch):
+    # A path without BENCHMARK.json raised FileNotFoundError; it is named before any run starts.
+    monkeypatch.setattr(pairs, "run_benchmark", lambda *args: pytest.fail("no run may start"))
+    for argv in ([tmp_path, ROOT], [ROOT, tmp_path]):
+        code = pairs.main([*map(str, argv), "--workload", "order-d4", "--pairs", "1"])
+        out, err = capsys.readouterr()
+        side = "parent" if argv[0] == tmp_path else "change"
+        assert code == 2 and out == ""
+        assert err == f"pairs.py: the {side} {tmp_path.resolve()} is not a ddforge checkout: it has no BENCHMARK.json\n"
+
+
+def test_failed_run_names_side_pair_seed_and_stderr(capsys, monkeypatch):
+    # A failed run.py raised CalledProcessError, which hid the side, the pair, the seed and the run's stderr.
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    stderr = "".join(f"line {i}\n" for i in range(20)) + "run.py: error: argument --workload: invalid choice: 'nope'\n"
+    calls = []
+
+    def run_benchmark(root, workload, seed):
+        calls.append(seed)
+        if len(calls) == 4:  # pair 1 runs the change first, then the parent
+            raise subprocess.CalledProcessError(2, ["run.py"], output="", stderr=stderr)
+        return dict.fromkeys(names, 1.0)
+
+    monkeypatch.setattr(pairs, "run_benchmark", run_benchmark)
+    code = pairs.main([str(ROOT), str(ROOT), "--workload", "nope", "--pairs", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1 and calls == [7, 7, 8, 8]
+    assert len(out.splitlines()) == 3 and "metric" not in out
+    lines = err.splitlines()
+    assert lines[0] == "pair 1 seed 8 parent: run.py exited with code 2; the end of its stderr:"
+    assert lines[1:] == stderr.splitlines()[-pairs.STDERR_TAIL:]

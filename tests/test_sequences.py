@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -418,6 +419,16 @@ class TestPulseSequenceType:
             cdd_full(2, t)
         with pytest.raises(ValueError, match="total_duration"):
             cpmg().with_duration(t)
+
+    @pytest.mark.parametrize("t", [5e-324, 1e-310, math.nextafter(sys.float_info.min, 0)])
+    def test_rejects_subnormal_duration(self, t):
+        # The one duration rule: every schedule and every re-timed copy is at least the smallest normal float.
+        message = f"total_duration must be at least {sys.float_info.min!r}, the smallest normal float, got {t}"
+        for make in (lambda: PulseSequence(t, ()), lambda: cdd_full(2, t), lambda: cpmg().with_duration(t)):
+            with pytest.raises(ValueError) as err:
+                make()
+            assert str(err.value) == message
+        assert PulseSequence(sys.float_info.min, ()).total_duration == sys.float_info.min
 
     def test_common_denominator_overflow_raises(self):
         with pytest.raises(ValueError, match="overflows int64"):

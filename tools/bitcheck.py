@@ -5,7 +5,8 @@ Usage: ``python tools/bitcheck.py ROOT``, where ROOT is a checkout (this
 repository, or a copy of another commit).  The script imports ``ROOT/src``
 and ``ROOT/perfbench`` (read-only) in this process, on one BLAS thread, and
 prints one line per category: its name, the number of entries and the
-sha256 of their bytes.
+sha256 of their bytes.  A ROOT without those files gets one line naming
+the first one missing, and exit code 2.
 
 - ``order-d4``, ``order-d64``, ``order-extended``: every row value and
   floor and every fitted slope of that workload's benchmark order scans, as
@@ -46,6 +47,8 @@ from pathlib import Path
 os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = os.environ["MKL_NUM_THREADS"] = "1"
 
 ORDER_WORKLOADS = ("order-d4", "order-d64", "order-extended")
+# The files of a checkout this script imports.
+CHECKOUT = ("src/ddforge/__init__.py", "perfbench/measure.py", "perfbench/workloads.py")
 
 
 class Category:
@@ -222,6 +225,10 @@ def main(argv: list[str]) -> int:
         print("usage: bitcheck.py ROOT", file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
+    missing = [name for name in CHECKOUT if not (root / name).is_file()]
+    if missing:
+        print(f"bitcheck.py: {root} is not a ddforge checkout: it has no {missing[0]}", file=sys.stderr)
+        return 2
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import measure
     import workloads

@@ -13,6 +13,11 @@ meets the rule: the change wins at least nine tenths of the pairs, and its
 median is better than the parent's by more than the distance between the
 parent's quartiles.
 
+A checkout without ``BENCHMARK.json`` or ``perfbench/run.py`` gets one line
+naming it, and exit code 2, before any run.  A run that fails ends the
+script with exit code 1, after a line naming its side, pair, seed and exit
+code, and the last lines of its stderr.
+
 The script only starts ``run.py``, which writes its records to
 ``perfbench/out/`` in each checkout.  It runs nothing else in the meantime, as
 a second process would share the cores the runs are timed on.
@@ -28,6 +33,10 @@ import sys
 from pathlib import Path
 
 FIRST_SEED = 7
+# The files of a checkout this script reads or runs.
+CHECKOUT = ("BENCHMARK.json", "perfbench/run.py")
+# The lines of a failed run's stderr that are printed.
+STDERR_TAIL = 8
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -85,13 +94,24 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    metrics = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, root in sides.items():
+        missing = [name for name in CHECKOUT if not (root / name).is_file()]
+        if missing:
+            print(f"pairs.py: the {side} {root} is not a ddforge checkout: it has no {missing[0]}", file=sys.stderr)
+            return 2
+    metrics = json.loads((sides["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"parent": [], "change": []}
     for pair in range(args.pairs):
         seed = FIRST_SEED + pair
         for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
-            runs[side].append(run_benchmark(sides[side], args.workload, seed))
+            try:
+                runs[side].append(run_benchmark(sides[side], args.workload, seed))
+            except subprocess.CalledProcessError as err:
+                tail = (err.stderr or "").rstrip().splitlines()[-STDERR_TAIL:]
+                print(f"pair {pair} seed {seed} {side}: run.py exited with code {err.returncode}; the end of its stderr:",
+                      *tail, sep="\n", file=sys.stderr)
+                return 1
             values = "  ".join(f"{m['name']} {runs[side][-1][m['name']]:.6g}" for m in metrics)
             print(f"pair {pair} seed {seed} {side:<6} {values}", flush=True)
     print("\n".join(report(summarize(metrics, runs["parent"], runs["change"]))))
