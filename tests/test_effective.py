@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from ddforge.effective import (
     point_effective,
     sequence_effective,
 )
-from ddforge.evolution import sequence_deviation
+from ddforge.evolution import sequence_deviation, sequence_unitary
 from ddforge.highprec import EXTENDED
 from ddforge.sequences import PauliAxis, PulseSequence, build_sequence, cdd_full, cdd_xx, cudd, udd_sequence
 
@@ -368,6 +369,17 @@ class TestStackedExtraction:
         assert str(errors[1]) == str(single.value) and "(schedule 'free' at t=3.09159)" in str(errors[1])
         assert errors[1].t == single.value.t == durations[1]
         assert errors[1].eigenphase == single.value.eigenphase
+
+    @SCHEDULES
+    def test_unitary_effective_matches_sequence_effective(self, seq):
+        # The W a sequence_unitary carries, read in place of composing, extracts to the bits of a fresh double point.
+        ops = build_model(ModelSpec(d=4, seed=7))
+        carried = dataclasses.replace(DOUBLE, compose=lambda seq, ops, durations: (sequence_unitary(seq, ops).w[None], [None]))
+        from_unitary = point_effective(seq, ops, carried)
+        direct = sequence_effective(seq, ops)
+        assert from_unitary.floor == direct.floor
+        for (_, got), (_, want) in zip(from_unitary.items(), direct.items()):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("precision", ["double", "extended"])
     def test_compare_prints_point_effective_values(self, monkeypatch, capsys, precision):
