@@ -35,7 +35,7 @@ from .bath import ModelSpec, alpha, build_model, spectral_norm
 from .effective import DOUBLE, BranchAmbiguityError, Engine, error_functionals, evaluate, sequence_effective
 from .evolution import stack_points
 from .highprec import EXTENDED
-from .sequences import MIN_DURATION, PulseSequence, build_sequence, cdd_count_estimate, cudd_count, udd2_count
+from .sequences import PulseSequence, build_sequence, cdd_count_estimate, check_duration, cudd_count, udd2_count
 
 FUNCTIONALS = ("E_flip", "E_dephase", "E_total")
 
@@ -96,19 +96,15 @@ def _centred(zs: list[float]) -> tuple[float, list[float]]:
 
 
 def _durations(t_grid) -> list[float]:
-    """The grid as floats; ValueError for an empty grid or an entry that is not finite and > 0, or is subnormal.
+    """The grid as floats; ValueError for an empty grid, or for an entry that breaks ``check_duration``, naming it.
 
-    This is the schedules' duration rule (``sequences.MIN_DURATION``), in messages that name the grid entry.
+    The schedules' duration rule, checked here before any composition; an entry that passes costs one comparison.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
         raise ValueError("t_grid must hold at least one duration, got none")
     for i, t in enumerate(t_grid):
-        if not 0.0 < t < math.inf:
-            raise ValueError(f"t_grid[{i}] = {t!r}; durations must be finite and > 0")
-        if t < MIN_DURATION:
-            raise ValueError(f"t_grid[{i}] = {t!r}; durations must be at least {MIN_DURATION!r}, "
-                             "the smallest normal float")
+        check_duration(t, "t_grid", i)
     return t_grid
 
 

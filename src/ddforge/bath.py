@@ -257,24 +257,34 @@ _WANTED = {int: "an integer", float: "a number", str: "a string", dict: "an obje
 _SPEC_TYPES = {"d": int, "seed": int, "preset": str, "norm_targets": dict}
 
 
-def check_types(data, types: dict, what: str, path) -> dict:
-    """data, if a JSON object whose values at the keys of types have those types, else a ValueError naming the key.
+def check_types(data, types: dict, what: str, path, required=()) -> dict:
+    """data, if a JSON object with only the keys of types, their values of those types, and every required key.
 
-    An int fits float, a boolean neither.  ``path`` is the file data was read from, or None.
+    Else a ValueError naming the key, and the file where ``path`` (the file
+    data was read from, or None) names one.  A key whose type is None takes
+    any value.  An int fits float, a boolean neither.
     """
+    source = what if path is None else f"{what} file {path}"
     if not isinstance(data, dict):
-        source = what if path is None else f"{what} file {path}"
         raise ValueError(f"{source} must hold a JSON object, not {type(data).__name__}")
+    where = "" if path is None else f" in {path}"
     for key, value in data.items():
-        kind = types.get(key)
+        if key not in types:
+            raise ValueError(f"unknown {what} key {key!r}{where}; expected one of {', '.join(types)}")
+        kind = types[key]
         if kind and (isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind)):
-            where = "" if path is None else f" in {path}"
             raise ValueError(f"{what} key {key!r}{where} must be {_WANTED[kind]}, got {value!r}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{source} lacks key {key!r}")
     return data
 
 
 def check_spec(data, path) -> dict:
-    """data, if a model spec's JSON object (``check_types``): integer d and seed, a string preset, numeric targets."""
+    """data, if a model spec's JSON object (``check_types``): integer d and seed, a string preset, numeric targets.
+
+    No other key is read, so any other is a ValueError, at the top level and among the targets' channels.
+    """
     check_types(data, _SPEC_TYPES, "model", path)
     check_types(data.get("norm_targets", {}), dict.fromkeys(GAMMAS, float), "model norm_targets", path)
     return data

@@ -4,7 +4,12 @@ Subcommands: gen | order | counts | crossover | predict-magnus | compare.
 Every option is resolved once, before its command runs: a flag, else the
 --config file's value, else the command's built-in default.  The bath model
 puts the resolved model options over the --model file's keys, so the seed
-chain is flag > config > --model file > DDFORGE_SEED > 0.  Exit codes: 0
+chain is flag > config > --model file > DDFORGE_SEED > 0.  Every JSON object
+read goes through ``bath.check_types``: a config key must name an option the
+file sets, and a model key one the spec reads, so a mistyped key is a usage
+error naming it and the file.  A family takes exactly its count parameters,
+and every duration passes ``sequences.check_duration``.  Only ``order`` and
+``counts`` write a CSV, and only they take --no-meta.  Exit codes: 0
 success, 2 usage error, 3 numeric-domain error (an eigenphase near the branch
 cut, a failed log reconstruction, an extended-precision value too close to
 the engine's roundoff floor to be resolved, or any other ArithmeticError),
@@ -51,18 +56,21 @@ def _add_model_args(parser):
         parser.add_argument(f"--norm-{g}", type=float, default=None, help=f"norm target for A_{g}")
 
 
-def _finish(parser, func, defaults: dict, **extra):
-    """Close a command's parser: name each built-in default in --help, add the common options, set the command.
+def _finish(parser, func, defaults: dict, meta=False, **extra):
+    """Close a command's parser: name each built-in default in --help, add --config, set the command.
 
-    ``defaults`` is the one place a default is written; ``main`` reads it after the flags and --config.
+    ``defaults`` is the one place a default is written; ``main`` reads it
+    after the flags and --config.  The options read from --config are the
+    command's own, each None when not given; ``meta`` adds --no-meta, to a
+    command that writes a CSV.
     """
     for a in (a for a in parser._actions if a.dest in defaults):
         a.help = f"{a.help or ''} (default {defaults[a.dest]})".lstrip()
+    options = [a for a in parser._actions if a.option_strings and a.default is None]
     parser.add_argument("--config", default=None, metavar="FILE", help="JSON config with default option values")
-    parser.add_argument("--no-meta", action="store_true", help="omit the timestamp header in CSV output")
-    # Set last, so that every option of the command is known to the resolution step in main.
-    parser.set_defaults(func=func, defaults=defaults, **extra,
-                        options=[a for a in parser._actions if a.option_strings and a.dest != "help"])
+    if meta:
+        parser.add_argument("--no-meta", action="store_true", help="omit the timestamp header in CSV output")
+    parser.set_defaults(func=func, defaults=defaults, options=options, **extra)
 
 
 def _load_json(path):
@@ -71,15 +79,16 @@ def _load_json(path):
 
 
 def _load_config(args) -> dict:
-    """The --config file's object, its values checked against the options' types and choices before any work.
+    """The --config file's object, its keys and values checked against the options' before any work.
 
-    Options read as strings declare type=str; --seeds (a list in a config) and --preset (checked with the model)
-    do not.  A repeatable option (--seq) takes a list of strings.
+    Each key names an option the file may set (``args.options``).  Options
+    read as strings declare type=str; --seeds (a list in a config) and
+    --preset (checked with the model) declare none, and take any value here.
+    A repeatable option (--seq) takes a list of strings.
     """
     if args.config is None:
         return {}
-    types = {a.dest: a.type for a in args.options if a.type in (int, float, str)}
-    config = bath.check_types(_load_json(args.config), types, "config", args.config)
+    config = bath.check_types(_load_json(args.config), {a.dest: a.type for a in args.options}, "config", args.config)
     for a in (a for a in args.options if a.dest in config):
         value = config[a.dest]
         if a.choices and value not in a.choices:
@@ -112,8 +121,12 @@ def _family_kwargs(args) -> dict:
     return out
 
 
-def _open_out(path):
-    return open(path, "w", encoding="utf-8", newline="")
+def _write(path, write) -> None:
+    """Open the output file path, have write(fh) fill it, and say so on stdout; nothing when path is None."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        print(f"wrote {path}")
 
 
 # Within this factor of an engine's floor a value's error may reach 1e-3 of it.
@@ -151,10 +164,7 @@ def _cmd_gen(args) -> int:
     )
     print(f"{seq.label}: {seq.pulse_count} pulses" + (f" ({counts})" if counts else ""))
     print(f"grid: D={grid}" if grid is not None else "grid: not commensurate")
-    if args.out:
-        with _open_out(args.out) as fh:
-            fh.write(sequences.schedule_to_json(seq) + "\n")
-        print(f"wrote {args.out}")
+    _write(args.out, lambda fh: fh.write(sequences.schedule_to_json(seq) + "\n"))
     return EXIT_OK
 
 
@@ -175,16 +185,8 @@ def _cmd_order(args) -> int:
     rows = analysis.evaluate_scan(family, spec, grid, seeds=seeds, precision=args.precision)
     _check_floor(rows, analysis.FUNCTIONALS if args.out else (functional,), engine)
     fit = analysis.fit_order([r["t"] for r in rows], [r[functional] for r in rows])
-    if args.out:
-        with _open_out(args.out) as fh:
-            analysis.write_scan_csv(rows, fh, meta=not args.no_meta)
-        print(f"wrote {args.out}")
-    summary = analysis.fit_to_dict(fit)
-    if args.summary:
-        with _open_out(args.summary) as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.summary}")
+    _write(args.out, lambda fh: analysis.write_scan_csv(rows, fh, meta=not args.no_meta))
+    _write(args.summary, lambda fh: fh.write(json.dumps(analysis.fit_to_dict(fit), indent=2) + "\n"))
     if fit.defined:
         print(f"{functional} slope: {fit.slope:.4f}  (r2={fit.r_squared:.6f})")
         print("pairwise orders:", " ".join(f"{p:.3f}" for p in fit.pairwise_orders))
@@ -198,10 +200,7 @@ def _cmd_counts(args) -> int:
     print(f"{'m':>3} {'order':>6} {'cdd':>12} {'cudd':>12} {'udd2':>12}")
     for row in rows:
         print(f"{row['m']:>3} {row['claimed_order']:>6} {row['cdd']:>12} {row['cudd']:>12} {row['udd2']:>12}")
-    if args.out:
-        with _open_out(args.out) as fh:
-            analysis.write_counts_csv(rows, fh, meta=not args.no_meta)
-        print(f"wrote {args.out}")
+    _write(args.out, lambda fh: analysis.write_counts_csv(rows, fh, meta=not args.no_meta))
     return EXIT_OK
 
 
@@ -220,11 +219,8 @@ def _cmd_predict_magnus(args) -> int:
     for key in ("level", "halvings"):
         if getattr(args, key) < 0:
             raise ValueError(f"--{key} must be non-negative, got {getattr(args, key)}")
-    if not 0 < args.tau0 < float("inf"):
-        raise ValueError(f"--tau0 must be positive and finite, got {args.tau0}")
-    if (shortest := math.ldexp(args.tau0, -args.halvings)) < sequences.MIN_DURATION:
-        raise ValueError(f"--tau0 / 2^halvings = {shortest!r} must be at least {sequences.MIN_DURATION!r}, "
-                         "the smallest normal float")
+    sequences.check_duration(args.tau0, "--tau0")
+    sequences.check_duration(math.ldexp(args.tau0, -args.halvings), "--tau0 / 2^halvings")
     if not model.az.any():
         raise ValueError("the dephasing coupling A_z is zero; the predictor needs --norm-z > 0")
     # Every row is formed before the header, so that a failed one prints no table.
@@ -326,12 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_order.add_argument("--out", type=str, default=None, metavar="FILE", help="scan CSV output path")
     p_order.add_argument("--summary", type=str, default=None, metavar="FILE", help="fit summary JSON output path")
     _finish(p_order, _cmd_order, dict(functional="flip", at_min=1e-3, at_max=1e-2, points=8, precision="double"),
-            shrink="the duration grid (--at-max)")
+            meta=True, shrink="the duration grid (--at-max)")
 
     p_counts = sub.add_parser("counts", help="pulse-count economics table")
     p_counts.add_argument("--m-max", dest="m_max", type=int, default=None)
     p_counts.add_argument("--out", type=str, default=None, metavar="FILE")
-    _finish(p_counts, _cmd_counts, dict(m_max=12))
+    _finish(p_counts, _cmd_counts, dict(m_max=12), meta=True)
 
     p_cross = sub.add_parser("crossover", help="smallest n with (n+1)^3 <= 2^n")
     p_cross.add_argument("--n-max", dest="n_max", type=int, default=None)

@@ -36,7 +36,6 @@ with the schedule (``evolution.segment_count``).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,6 +45,7 @@ import numpy as np
 from .bath import GAMMAS, spectral_norm
 from .evolution import segment_count, sequence_deviation
 from .evolution import sequence_unitary  # noqa: F401  (rebound here by perfbench/tracing.py and a test)
+from .sequences import check_duration
 
 BRANCH_MARGIN = 0.1
 # Roundoff per level of the pairwise reduction, relative to |M|: on the 1,000 nonzero values of the 340
@@ -335,12 +335,12 @@ def magnus_cdd_predict(a0: np.ndarray, az: np.ndarray, tau0: float, level: int):
     Starting from a dephasing generator (a0, az) over a block of duration
     tau0, each step doubles the duration and maps the dephasing operator to
     i (tau/2) [a0, az] while carrying a0 unchanged at leading order.
-    Returns (a0_n, az_n, tau_n) with tau_n = 2^n tau0.
+    Returns (a0_n, az_n, tau_n) with tau_n = 2^n tau0.  tau0 is a duration
+    (``sequences.check_duration``).
     """
     if level < 0:
         raise ValueError("level must be non-negative")
-    if not 0 < tau0 < math.inf:
-        raise ValueError(f"tau0 must be positive and finite, got {tau0}")
+    check_duration(tau0, "tau0")
     a0_n = np.asarray(a0, dtype=complex)
     az_n = np.asarray(az, dtype=complex)
     tau = float(tau0)

@@ -43,7 +43,11 @@ unit duration, and returns re-timed copies (``with_duration``) of that
 schedule; the copies share its read-only arrays, its blocks and the plans
 the engines keep with it, so a scan over durations or bath seeds builds and
 plans a schedule once.  The memo is keyed by the arguments as given, so an
-unhashable one (a list) raises its TypeError.
+unhashable one (a list) raises its TypeError.  A family takes exactly the
+count parameters ``_PARAMS`` names.  Every duration in the package, of a
+schedule, a copy, a scan's grid or the predictor's steps, passes one rule,
+``check_duration``, with one shape of message.  Schedule JSON goes through
+``bath.check_types``, which rejects any key it does not know.
 """
 
 from __future__ import annotations
@@ -272,14 +276,17 @@ def _pulses(items: _Items) -> tuple[Pulse, ...]:
 MIN_DURATION = 2.0**-1022
 
 
-def _duration(total_duration: float) -> float:
-    """The one duration rule, of every schedule and every copy: finite, > 0 and at least MIN_DURATION."""
-    if not (math.isfinite(total_duration) and total_duration > 0):
-        raise ValueError(f"total_duration must be positive and finite, got {total_duration}")
-    if total_duration < MIN_DURATION:
-        raise ValueError(f"total_duration must be at least {MIN_DURATION!r}, the smallest normal float, "
-                         f"got {total_duration}")
-    return total_duration
+def check_duration(t: float, name: str, index: int | None = None) -> float:
+    """t, if a duration: finite, > 0 and at least MIN_DURATION; else a ValueError naming it ``name`` or ``name[index]``.
+
+    The one duration rule, of every schedule and every copy, of a scan's grid and of the predictor's steps, and its
+    only messages.  The passing path formats nothing.
+    """
+    if not MIN_DURATION <= t < math.inf:
+        where = name if index is None else f"{name}[{index}]"
+        rule = f"at least {MIN_DURATION!r}, the smallest normal float" if 0 < t < math.inf else "finite and > 0"
+        raise ValueError(f"{where} = {float(t)!r}; durations must be {rule}")
+    return t
 
 
 class PulseSequence:
@@ -303,7 +310,7 @@ class PulseSequence:
         else:
             self._pulses = tuple(pulses)
             items = _items((p.instant, p.axis) for p in self._pulses)
-        self.total_duration = _duration(total_duration)
+        self.total_duration = check_duration(total_duration, "total_duration")
         self.instants, self.codes, self.numerators, self.exact, self.denominator = self._arrays = _checked(items)
         self.label, self.family = label, {} if family is None else family
         self._cache = {}
@@ -330,7 +337,7 @@ class PulseSequence:
     def with_duration(self, total_duration: float) -> "PulseSequence":
         """The same pulses over another duration, sharing the arrays, the blocks and ``_cache``."""
         seq = copy.copy(self)
-        seq.total_duration, seq.family = _duration(total_duration), dict(self.family)
+        seq.total_duration, seq.family = check_duration(total_duration, "total_duration"), dict(self.family)
         return seq
 
 
@@ -579,12 +586,21 @@ def cdd_count_estimate(m: int) -> int:
 
 # --- Family dispatch and JSON schedule format --------------------------------
 
-FAMILIES = ("none", "se", "cpmg", "pdd", "icpmg", "udd", "cdd", "cddxx", "cudd", "cpmg-udd", "udd2")
+# Each family and the count parameters it takes, every one of them required.  The axis is not among them: the
+# families that read it (se, cpmg, pdd, icpmg, udd) default it to Z, and the others ignore it unchecked.
+_PARAMS = {"none": "", "se": "", "cpmg": "", "pdd": "n", "icpmg": "c", "udd": "n", "cdd": "m", "cddxx": "n",
+           "cudd": "mn", "cpmg-udd": "mc", "udd2": "n"}
+FAMILIES = tuple(_PARAMS)
 
 
 def build_sequence(family: str, total_duration: float = 1.0, *, n: int | None = None, m: int | None = None,
                    c: int | None = None, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
     """Construct a schedule by family name; raises ValueError on bad params.
+
+    A family takes exactly the count parameters (n, m, c) of ``_PARAMS``: a
+    missing one, or one it does not take, is a ValueError raised before
+    anything is built or kept.  The axis is read only where the family has
+    one, and ignored unchecked elsewhere.
 
     The schedule is built once per process at unit duration (``_unit_schedule``)
     and handed out re-timed: a copy with its own ``family`` and ``blocks``
@@ -597,27 +613,24 @@ def build_sequence(family: str, total_duration: float = 1.0, *, n: int | None = 
 @lru_cache(maxsize=64, typed=True)
 def _unit_schedule(family: str, n, m, c, axis) -> PulseSequence:
     """The schedule of ``build_sequence`` at unit duration, kept per parameters as given; never handed out."""
-
-    def need(value, what):
-        if value is None:
-            raise ValueError(f"family {family!r} requires --{what}")
-        return value
-
+    if family not in _PARAMS:
+        raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
+    for key, value in {"m": m, "n": n, "c": c}.items():
+        if (value is None) == (key in _PARAMS[family]):
+            raise ValueError(f"family {family!r} {'requires' if value is None else 'takes no'} --{key}")
     builders = {
         "none": lambda: PulseSequence(1.0, (), "free", {"name": "none"}),
         "se": lambda: spin_echo(axis=axis),
         "cpmg": lambda: cpmg(axis=axis),
-        "pdd": lambda: pdd(need(n, "n"), axis=axis),
-        "icpmg": lambda: icpmg(need(c, "c"), axis=axis),
-        "udd": lambda: udd_sequence(need(n, "n"), axis=axis),
-        "cdd": lambda: cdd_full(need(m, "m")),
-        "cddxx": lambda: cdd_xx(need(n, "n")),
-        "cudd": lambda: cudd(need(m, "m"), need(n, "n")),
-        "cpmg-udd": lambda: cpmg_udd(need(m, "m"), need(c, "c")),
-        "udd2": lambda: udd2_approx(need(n, "n")),
+        "pdd": lambda: pdd(n, axis=axis),
+        "icpmg": lambda: icpmg(c, axis=axis),
+        "udd": lambda: udd_sequence(n, axis=axis),
+        "cdd": lambda: cdd_full(m),
+        "cddxx": lambda: cdd_xx(n),
+        "cudd": lambda: cudd(m, n),
+        "cpmg-udd": lambda: cpmg_udd(m, c),
+        "udd2": lambda: udd2_approx(n),
     }
-    if family not in builders:
-        raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
     return builders[family]()
 
 
@@ -632,21 +645,14 @@ _SCHEDULE_TYPES = {"label": str, "total_duration": float, "family": dict, "pulse
 _PULSE_TYPES = {"axis": str, "num": int, "den": int, "t_frac": float}
 
 
-def _present(data: dict, keys: tuple, what: str) -> None:
-    for key in keys:
-        if key not in data:
-            raise ValueError(f"{what} lacks key {key!r}")
-
-
 def _pulse_from_dict(entry, index: int) -> Pulse:
     """An entry's pulse: exact num/den where it has either, else float t_frac; a ValueError names the index and key.
 
     An exact entry's t_frac, where it has one, must be the float of num/den, as ``schedule_to_dict`` writes it.
     """
     what = f"schedule pulse {index}"
-    check_types(entry, _PULSE_TYPES, what, None)
-    exact = "num" in entry or "den" in entry
-    _present(entry, ("axis", "num", "den") if exact else ("axis", "t_frac"), what)
+    exact = isinstance(entry, dict) and ("num" in entry or "den" in entry)
+    check_types(entry, _PULSE_TYPES, what, None, ("axis", "num", "den") if exact else ("axis", "t_frac"))
     if exact and entry["den"] < 1:
         raise ValueError(f"{what} key 'den' must be at least 1, got {entry['den']}")
     pulse = Pulse(Fraction(entry["num"], entry["den"]) if exact else float(entry["t_frac"]), PauliAxis(entry["axis"]))
@@ -656,8 +662,7 @@ def _pulse_from_dict(entry, index: int) -> Pulse:
 
 
 def schedule_from_dict(data: dict) -> PulseSequence:
-    check_types(data, _SCHEDULE_TYPES, "schedule", None)
-    _present(data, ("total_duration", "pulses"), "schedule")
+    check_types(data, _SCHEDULE_TYPES, "schedule", None, ("total_duration", "pulses"))
     pulses = [_pulse_from_dict(entry, index) for index, entry in enumerate(data["pulses"])]
     return PulseSequence(float(data["total_duration"]), pulses, data.get("label", ""), dict(data.get("family", {})))
 

@@ -289,7 +289,8 @@ class TestSpecJson:
         ('{"d": "4"}', "model key 'd' must be an integer, got '4'"),
         ("[1, 2]", "model must hold a JSON object, not list"),
         ('{"norm_targets": {"x": "0.5"}}', "model norm_targets key 'x' must be a number, got '0.5'"),
-    ], ids=["float-seed", "float-d", "boolean-d", "string-d", "list", "string-target"])
+        ('{"seed": 7, "dim": 8}', "unknown model key 'dim'; expected one of d, seed, preset, norm_targets"),
+    ], ids=["float-seed", "float-d", "boolean-d", "string-d", "list", "string-target", "unknown-key"])
     def test_mistyped_json_is_rejected(self, text, message):
         # Read as is, these gave seed 2, d = 4, d = 1 and d = 4, or raised AttributeError or TypeError.
         with pytest.raises(ValueError) as exc:

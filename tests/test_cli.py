@@ -298,11 +298,12 @@ class TestPredictMagnus:
         (("--halvings", "-1"), "--halvings must be non-negative, got -1"),
         (("--norm-z", "0"), "the dephasing coupling A_z is zero; the predictor needs --norm-z > 0"),
         (("--level", "-1"), "--level must be non-negative, got -1"),
-        (("--tau0", "-1"), "--tau0 must be positive and finite, got -1.0"),
+        (("--tau0", "-1"), "--tau0 = -1.0; durations must be finite and > 0"),
         (("--tau0", "1e-310", "--halvings", "0"),
-         "--tau0 / 2^halvings = 1e-310 must be at least 2.2250738585072014e-308, the smallest normal float"),
+         "--tau0 = 1e-310; durations must be at least 2.2250738585072014e-308, the smallest normal float"),
         (("--tau0", "3e-308", "--halvings", "3"),
-         "--tau0 / 2^halvings = 3.75e-309 must be at least 2.2250738585072014e-308, the smallest normal float"),
+         "--tau0 / 2^halvings = 3.75e-309; durations must be at least 2.2250738585072014e-308, "
+         "the smallest normal float"),
     ], ids=["halvings", "norm-z", "level", "tau0", "tau0-subnormal", "halved-subnormal"])
     def test_bad_input_is_usage_error_before_output(self, capsys, option, message):
         # Each printed the table header first; --halvings -1 then exited 0, --norm-z 0 divided by zero (exit 3),
@@ -427,8 +428,8 @@ class TestCompare:
         code, out, err = run(capsys, "compare", "--seq", "udd,n=3", "--t", "1e-310", "--seed", "7",
                              "--precision", precision)
         assert code == 2 and out == ""
-        assert err == ("error: total_duration must be at least 2.2250738585072014e-308, the smallest normal float, "
-                       "got 1e-310\n")
+        assert err == ("error: total_duration = 1e-310; durations must be at least 2.2250738585072014e-308, "
+                       "the smallest normal float\n")
 
     def test_non_finite_duration_is_usage_error(self, capsys):
         code, _, err = run(capsys, "compare", "--seq", "udd,n=2", "--t", "nan", "--seed", "7")
@@ -467,7 +468,7 @@ class TestCompare:
 
     @pytest.mark.parametrize("argv, message", [
         (("--seq", "udd,n=2", "--seq", "cdd"), "family 'cdd' requires --m"),
-        (("--seq", "udd,n=2", "--t", "0"), "total_duration must be positive and finite, got 0.0"),
+        (("--seq", "udd,n=2", "--t", "0"), "total_duration = 0.0; durations must be finite and > 0"),
     ], ids=["missing-param", "zero-duration"])
     def test_schedule_error_prints_no_rows(self, capsys, argv, message):
         # Every schedule is built before the header; the UDD-2 row and the header used to come first.
@@ -583,6 +584,34 @@ def test_removed_options_are_usage_errors(capsys, option):
     assert f"unrecognized arguments: {' '.join(option)}" in err
 
 
+@pytest.mark.parametrize("argv", [("gen", "cpmg"), ("crossover",), ("predict-magnus", "--halvings", "0"),
+                                  ("compare", "--seq", "udd,n=2", "--seed", "7")],
+                         ids=["gen", "crossover", "predict-magnus", "compare"])
+def test_no_meta_only_where_a_csv_is_written(capsys, argv):
+    # Each accepted --no-meta and did nothing with it, with exit 0; only order and counts write a CSV.
+    code, out, err = run(capsys, *argv, "--no-meta")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --no-meta" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("order", "cdd", "--m", "2", "--axis", "X", "--n", "7", "--seed", "7"), "family 'cdd' takes no --n"),
+    (("order", "udd", "--n", "2", "--c", "3", "--seed", "7"), "family 'udd' takes no --c"),
+    (("gen", "cpmg", "--m", "2"), "family 'cpmg' takes no --m"),
+    (("compare", "--seq", "cdd,m=2,axis=X,n=9", "--seed", "7"), "family 'cdd' takes no --n"),
+    (("compare", "--seq", "udd,n=2", "--seq", "se,c=2", "--seed", "7"), "family 'se' takes no --c"),
+], ids=["order-n", "order-c", "gen-m", "seq-n", "seq-c"])
+def test_parameter_the_family_does_not_take_is_usage_error(capsys, argv, message):
+    # order cdd --n 7 and the cdd,...,n=9 token fitted CDD-2 with exit 0, and the CSV's param column hid the n.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+ORDER_CONFIG_KEYS = ("n, m, c, axis, model, d, seed, preset, norm_0, norm_x, norm_y, norm_z, functional, at_min, "
+                     "at_max, points, seeds, precision, out, summary")
+
+
 class TestConfigFile:
     @pytest.mark.parametrize("argv", [("predict-magnus", "--halvings", "0"), ("compare", "--seq", "udd,n=2")],
                              ids=["predict-magnus", "compare"])
@@ -605,13 +634,34 @@ class TestConfigFile:
         ("[1, 2]", "model file {} must hold a JSON object, not list"),
         ('{"d": "4"}', "model key 'd' in {} must be an integer, got '4'"),
         ('{"norm_targets": [1]}', "model key 'norm_targets' in {} must be an object, got [1]"),
-    ], ids=["non-object", "mistyped-d", "norm-targets-list"])
+        # Ignored: seed 0 ran, with exit 0.
+        ('{"sead": 7}', "unknown model key 'sead' in {}; expected one of d, seed, preset, norm_targets"),
+        # Named the channel, but not the file.
+        ('{"norm_targets": {"w": 1.0}}', "unknown model norm_targets key 'w' in {}; expected one of 0, x, y, z"),
+    ], ids=["non-object", "mistyped-d", "norm-targets-list", "unknown-key", "unknown-channel"])
     def test_malformed_model_file_is_usage_error(self, capsys, tmp_path, content, message):
         model = tmp_path / "model.json"
         model.write_text(content)
         code, _, err = run(capsys, "compare", "--seq", "udd,n=2", "--model", str(model))
         assert code == 2
         assert err == f"error: {message.format(model)}\n"
+
+    @pytest.mark.parametrize("argv, content, key, keys", [
+        (("order", "udd", "--n", "2"), {"seedz": 7, "points": 4}, "seedz", ORDER_CONFIG_KEYS),
+        (("counts", "--m-max", "2", "--out", "counts.csv"), {"no_meta": True}, "no_meta", "m_max, out"),
+        (("order", "udd", "--n", "2"), {"config": "other.json"}, "config", ORDER_CONFIG_KEYS),
+        (("crossover",), {"n_max": 20, "m_max": 3}, "m_max", "n_max"),
+    ], ids=["typo", "no_meta", "config", "other-command"])
+    def test_unknown_key_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, content, key, keys):
+        # {"seedz": 7} ran seed 0, {"no_meta": true} still wrote the timestamp header, and the rest were
+        # ignored too, each with exit 0.  A key must name an option the command reads from the file.
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(content))
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert code == 2 and out == ""
+        assert err == f"error: unknown config key {key!r} in {config}; expected one of {keys}\n"
+        assert not (tmp_path / "counts.csv").exists()
 
     @pytest.mark.parametrize("seeds", ["[7.9, 8.2]", "[true]", '["7"]'], ids=["floats", "boolean", "string"])
     def test_non_integer_seeds_are_usage_error(self, capsys, tmp_path, seeds):

@@ -544,5 +544,5 @@ class TestMagnusPredictor:
     @pytest.mark.parametrize("tau0", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_rejects_non_finite_tau0(self, tau0):
         a = random_hermitian(3)
-        with pytest.raises(ValueError, match=f"tau0 must be positive and finite, got {tau0}"):
+        with pytest.raises(ValueError, match=f"tau0 = {tau0}; durations must be finite and > 0"):
             magnus_cdd_predict(a, a, tau0, 1)

@@ -423,7 +423,8 @@ class TestPulseSequenceType:
     @pytest.mark.parametrize("t", [5e-324, 1e-310, math.nextafter(sys.float_info.min, 0)])
     def test_rejects_subnormal_duration(self, t):
         # The one duration rule: every schedule and every re-timed copy is at least the smallest normal float.
-        message = f"total_duration must be at least {sys.float_info.min!r}, the smallest normal float, got {t}"
+        message = (f"total_duration = {t!r}; durations must be at least {sys.float_info.min!r}, "
+                   "the smallest normal float")
         for make in (lambda: PulseSequence(t, ()), lambda: cdd_full(2, t), lambda: cpmg().with_duration(t)):
             with pytest.raises(ValueError) as err:
                 make()
@@ -626,9 +627,14 @@ class TestBuildMemo:
         ({"family": "udd", "n": 2, "axis": "Q"}, "'Q' is not a valid PauliAxis", 0),
         ({"family": "xy8"}, "unknown family 'xy8'; expected one of " + ", ".join(FAMILIES), 0),
         # The unit schedule is sound and kept; only its re-timing fails.
-        ({"family": "cpmg", "total_duration": -1.0}, "total_duration must be positive and finite, got -1.0", 1),
+        ({"family": "cpmg", "total_duration": -1.0}, "total_duration = -1.0; durations must be finite and > 0", 1),
         ({"family": "udd", "n": 0, "total_duration": -1.0}, "need at least one pulse", 0),
-    ], ids=["bad-n", "missing-m", "bad-level", "bad-axis", "unknown", "bad-duration", "n-before-duration"])
+        # A count parameter the family does not take was ignored, and the schedule kept under it.
+        ({"family": "cdd", "m": 2, "n": 7}, "family 'cdd' takes no --n", 0),
+        ({"family": "udd", "n": 2, "m": 1}, "family 'udd' takes no --m", 0),
+        ({"family": "none", "c": 3, "axis": "X"}, "family 'none' takes no --c", 0),
+    ], ids=["bad-n", "missing-m", "bad-level", "bad-axis", "unknown", "bad-duration", "n-before-duration",
+            "cdd-n", "udd-m", "none-c"])
     def test_failed_build_is_not_cached(self, kwargs, message, cached):
         from ddforge import sequences
 
@@ -696,6 +702,18 @@ class TestScheduleJson:
             data["pulses"][1] = entry
         with pytest.raises(ValueError, match=message):
             schedule_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("pulse, key, message", [
+        (False, "lable", "unknown schedule key 'lable'; expected one of label, total_duration, family, pulses"),
+        (True, "axes", "unknown schedule pulse 1 key 'axes'; expected one of axis, num, den, t_frac"),
+    ], ids=["top-level", "pulse"])
+    def test_unknown_key_is_rejected(self, pulse, key, message):
+        # "lable" was read as an empty label, and an unknown pulse key was dropped.
+        data = json.loads(schedule_to_json(cpmg()))
+        (data["pulses"][1] if pulse else data)[key] = "X"
+        with pytest.raises(ValueError) as err:
+            schedule_from_json(json.dumps(data))
+        assert str(err.value) == message
 
     def test_exact_entry_reads_without_t_frac(self):
         data = json.loads(schedule_to_json(cpmg()))

@@ -26,6 +26,9 @@ the first one missing, and exit code 2.
   bytes) of each ``cli.main`` call in ``CLI_CALLS``, run in this process in
   a fresh temporary directory with ``DDFORGE_SEED`` unset; file outputs are
   written with ``--no-meta``.
+- ``cli-files``: the same for the calls in ``CLI_FILES_CALLS``, which read
+  the config and model files of ``CLI_FILES``, written into their temporary
+  directory first.
 
 It then prints the code lines of each ``src/ddforge`` module and their total,
 counted without docstrings, comments or blank lines.  Run it on two trees
@@ -38,6 +41,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -181,19 +185,37 @@ CLI_CALLS = (
 )
 
 
-def cli_category(cli) -> Category:
-    out = Category("cli")
+# Calls that take their options from a --config file and their bath from a --model file, and those files.
+CLI_FILES_CALLS = (
+    ("order", "udd", "--config", "order.json", "--model", "model.json", "--out", "scan.csv", "--no-meta"),
+    ("compare", "--config", "compare.json", "--model", "model.json"),
+    ("predict-magnus", "--config", "magnus.json", "--model", "dephasing.json"),
+)
+CLI_FILES = {
+    "order.json": {"n": 2, "points": 5, "seeds": [7, 8], "functional": "total", "at_max": 0.005},
+    "compare.json": {"seq": ["udd,n=3", "cdd,m=2"], "t": 0.02, "precision": "extended"},
+    "magnus.json": {"level": 1, "tau0": 0.02, "halvings": 2},
+    "model.json": {"d": 4, "seed": 7, "preset": "generic", "norm_targets": {"x": 0.5, "z": 0.25}},
+    "dephasing.json": {"d": 4, "seed": 8, "preset": "pure_dephasing", "norm_targets": {"z": 0.5}},
+}
+
+
+def cli_category(cli, name: str, calls: tuple, inputs: dict) -> Category:
+    """The calls' fingerprints, run after the inputs (file name: JSON value) are written; they are not outputs."""
+    out = Category(name)
     os.environ.pop("DDFORGE_SEED", None)
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for argv in CLI_CALLS:
+            for file, value in inputs.items():
+                Path(file).write_text(json.dumps(value))
+            for argv in calls:
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                     code = cli.main(list(argv))
                 files = []
-                for path in sorted(Path(work).iterdir()):
+                for path in sorted(p for p in Path(work).iterdir() if p.name not in inputs):
                     files.append((path.name, path.read_bytes()))
                     path.unlink()
                 out.add(argv, code, stdout.getvalue(), stderr.getvalue(), files)
@@ -238,7 +260,8 @@ def main(argv: list[str]) -> int:
     categories = [order_category(measure, workloads, workload) for workload in ORDER_WORKLOADS]
     for category in (*categories, deep_category(measure, workloads, evolution, sequences),
                      builders_category(sequences), flat_plans_category(sequences, bath, analysis, effective, highprec),
-                     cli_category(cli)):
+                     cli_category(cli, "cli", CLI_CALLS, {}),
+                     cli_category(cli, "cli-files", CLI_FILES_CALLS, CLI_FILES)):
         print(category.line())
     modules = {path.stem: code_lines(path) for path in sorted((root / "src" / "ddforge").glob("*.py"))}
     for name, count in modules.items():
