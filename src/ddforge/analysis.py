@@ -197,9 +197,9 @@ def _in_grid_order(evaluate_stack, stacks: list) -> list:
     from concurrent.futures import ThreadPoolExecutor
 
     # The caches the stacks share (seq._cache with its plans' trees, the
-    # blocks' trees, reduction_plan, _frame_rows, the model's eigensystem and
-    # frame eigenvectors) are filled with deterministic values, so a race
-    # only repeats work.
+    # blocks' trees, reduction_plan, _frame_rows, the model's eigensystem,
+    # frame eigenvectors and extended Taylor constants) are filled with
+    # deterministic values, so a race only repeats work.
     results = []
     with ThreadPoolExecutor(workers - 1) as pool:
         for start in range(0, len(stacks), workers):
@@ -233,14 +233,17 @@ def evaluate_scan(
     BranchAmbiguityError (tagged with the offending duration) when
     eigenphases leave the principal branch; as a guard, alpha * t_max must
     stay below 1.  An empty grid, or any duration that is not finite and
-    > 0 or is subnormal, is a ValueError naming it, raised before any
-    composition.  ``dps``
+    > 0 or is subnormal, is a ValueError naming it, and a family usage
+    error is ``build_sequence``'s ValueError, both raised before any bath model
+    is drawn.  ``dps``
     is ignored, as both engines carry a fixed precision; it stays only
     because ``perfbench/measure.py`` passes it, until the benchmark change
     of ROADMAP.md item 3.
     """
     engine = precision_engine(precision)
     t_grid = _durations(t_grid)
+    params = dict(family_spec)
+    seq = build_sequence(params.pop("name"), t_grid[0], **params)
     if seeds is None:
         models = [build_model(model_spec)]
     else:
@@ -254,8 +257,6 @@ def evaluate_scan(
             t=max(t_grid),
         )
 
-    params = dict(family_spec)
-    seq = build_sequence(params.pop("name"), t_grid[0], **params)
     per_stack = stack_points(model_spec.d)
     head = {"family": seq.family.get("name", seq.label), "param": _family_param_string(seq.family)}
 

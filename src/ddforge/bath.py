@@ -7,8 +7,9 @@ norm targets are dimensionless.
 
 ``build_model`` draws each spec once per process and returns the same
 read-only ``BathOperators`` for equal specs, so what depends on the model
-alone (its eigensystem, the eigenvectors in each Pauli frame, alpha),
-computed on first use, is shared by every scan under that model.
+alone (its eigensystem, the eigenvectors in each Pauli frame, alpha, and
+in ``_cache`` the extended engine's constants), computed on first use, is
+shared by every scan under that model.
 """
 
 from __future__ import annotations
@@ -72,6 +73,14 @@ def _frame_rows(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return rows, phases, index.reshape(4, -1), qubit_phases * np.swapaxes(qubit_phases.conj(), -1, -2)
 
 
+def check_seed(seed, what: str = "model", path=None):
+    """seed, if a non-negative integer; else a ValueError naming the key, and the file where path names one."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        where = "" if path is None else f" in {path}"
+        raise ValueError(f"{what} key 'seed'{where} must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Reproducible recipe for one bath model.
@@ -90,8 +99,7 @@ class ModelSpec:
     norm_targets: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"model key 'seed' must be a non-negative integer, got {self.seed!r}")
+        check_seed(self.seed)
         targets = self.resolved_targets()
         if self.d < 1:
             raise ValueError("bath dimension must be at least 1")
@@ -132,12 +140,17 @@ class ModelSpec:
 
 @dataclass(frozen=True, eq=False)
 class BathOperators:
-    """Four Hermitian bath operators of common dimension, read-only."""
+    """Four Hermitian bath operators of common dimension, read-only.
+
+    ``_cache`` only gains what an engine derives from the operators alone,
+    under the engine's own key (``highprec._taylor``).
+    """
 
     a0: np.ndarray
     ax: np.ndarray
     ay: np.ndarray
     az: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         d = self.a0.shape[0]

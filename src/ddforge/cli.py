@@ -8,15 +8,16 @@ chain is flag > config > --model file > DDFORGE_SEED > 0.  Every JSON object
 read goes through ``bath.check_types``: a config key must name an option the
 file sets, and a model key one the spec reads, so a mistyped key is a usage
 error naming it and the file.  A family takes exactly its count parameters,
-and every duration passes ``sequences.check_duration``.  Only ``order`` and
-``counts`` write a CSV, and only they take --no-meta.  Exit codes: 0
-success, 2 usage error, 3 numeric-domain error (an eigenphase near the branch
-cut, a failed log reconstruction, an extended-precision value too close to
-the engine's roundoff floor to be resolved, or any other ArithmeticError),
-4 I/O error.  A double-precision ``order``, ``compare`` or ``predict-magnus``
-value that close to its floor only warns; ``predict-magnus`` checks |az_eff|
-and |az_eff - az_pred| times the step's duration, and exits 3 where a value
-it divides by reads 0.
+and every duration passes ``sequences.check_duration``; a command builds
+its schedules before it draws a bath model, so that a family usage error
+costs no draw.  Only ``order`` and ``counts`` write a CSV, and only they
+take --no-meta.  Exit codes: 0 success, 2 usage error, 3 numeric-domain
+error (an eigenphase near the branch cut, a failed log reconstruction, an
+extended-precision value too close to the engine's roundoff floor to be
+resolved, or any other ArithmeticError), 4 I/O error.  A double-precision
+``order``, ``compare`` or ``predict-magnus`` value that close to its floor
+only warns; ``predict-magnus`` checks |az_eff| and |az_eff - az_pred| times
+the step's duration, and exits 3 where a value it divides by reads 0.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ def _add_model_args(parser):
     parser.add_argument("--model", type=str, default=None, metavar="FILE", help="model spec JSON file")
     parser.add_argument("--d", type=int, default=None, help="bath dimension")
     parser.add_argument("--seed", type=int, default=None, help="bath seed (default: DDFORGE_SEED or 0)")
-    parser.add_argument("--preset", default=None, help="generic | pure_dephasing | anisotropic | spin_bath(k)")
+    parser.add_argument("--preset", type=str, default=None,
+                        help="generic | pure_dephasing | anisotropic | spin_bath(k)")
     for g in ("0", "x", "y", "z"):
         parser.add_argument(f"--norm-{g}", type=float, default=None, help=f"norm target for A_{g}")
 
@@ -82,9 +84,9 @@ def _load_config(args) -> dict:
     """The --config file's object, its keys and values checked against the options' before any work.
 
     Each key names an option the file may set (``args.options``).  Options
-    read as strings declare type=str; --seeds (a list in a config) and
-    --preset (checked with the model) declare none, and take any value here.
-    A repeatable option (--seq) takes a list of strings.
+    read as strings declare type=str; --seeds (a list in a config) declares
+    none, and takes any value here.  A repeatable option (--seq) takes a list
+    of strings, and a seed must pass the model's rule (``bath.check_seed``).
     """
     if args.config is None:
         return {}
@@ -97,6 +99,8 @@ def _load_config(args) -> dict:
         if isinstance(a, argparse._AppendAction) and not (
                 isinstance(value, list) and all(isinstance(item, str) for item in value)):
             raise ValueError(f"config key {a.dest!r} in {args.config} must be a list of strings, got {value!r}")
+    if "seed" in config:
+        bath.check_seed(config["seed"], "config", args.config)
     return config
 
 
@@ -170,9 +174,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_order(args) -> int:
     spec = _model_spec(args)
-    model = bath.build_model(spec)
-    grid = analysis.default_t_grid(bath.alpha(model), at_min=args.at_min, at_max=args.at_max, points=args.points)
-    family = {"name": args.family, **_family_kwargs(args)}
+    params = _family_kwargs(args)
     seeds = args.seeds
     if seeds is not None:
         # A JSON list of integers (a boolean is an int too), or integers separated by commas.
@@ -180,9 +182,13 @@ def _cmd_order(args) -> int:
         if not all(type(s) is int if isinstance(seeds, list) else s.strip().isdecimal() for s in items):
             raise ValueError(f"seeds must be integers, got {seeds!r}")
         seeds = [int(s) for s in items]
+    # A family usage error before any model is drawn; build_sequence memoises it, so the scan only re-times it.
+    sequences.build_sequence(args.family, **params)
+    model = bath.build_model(spec)
+    grid = analysis.default_t_grid(bath.alpha(model), at_min=args.at_min, at_max=args.at_max, points=args.points)
     functional = "E_" + args.functional
     engine = analysis.precision_engine(args.precision)
-    rows = analysis.evaluate_scan(family, spec, grid, seeds=seeds, precision=args.precision)
+    rows = analysis.evaluate_scan({"name": args.family, **params}, spec, grid, seeds=seeds, precision=args.precision)
     _check_floor(rows, analysis.FUNCTIONALS if args.out else (functional,), engine)
     fit = analysis.fit_order([r["t"] for r in rows], [r[functional] for r in rows])
     _write(args.out, lambda fh: analysis.write_scan_csv(rows, fh, meta=not args.no_meta))
@@ -215,12 +221,13 @@ def _cmd_predict_magnus(args) -> int:
     # unless the user pinned a model some other way.
     if args.preset is None and args.model is None:
         args.preset = "pure_dephasing"
-    model = bath.build_model(_model_spec(args))
+    spec = _model_spec(args)
     for key in ("level", "halvings"):
         if getattr(args, key) < 0:
             raise ValueError(f"--{key} must be non-negative, got {getattr(args, key)}")
     sequences.check_duration(args.tau0, "--tau0")
     sequences.check_duration(math.ldexp(args.tau0, -args.halvings), "--tau0 / 2^halvings")
+    model = bath.build_model(spec)
     if not model.az.any():
         raise ValueError("the dephasing coupling A_z is zero; the predictor needs --norm-z > 0")
     # Every row is formed before the header, so that a failed one prints no table.
@@ -267,13 +274,15 @@ def _parse_seq_token(token: str) -> dict:
 
 
 def _cmd_compare(args) -> int:
-    model = bath.build_model(_model_spec(args))
+    spec = _model_spec(args)
     if not args.seq:
         raise ValueError("compare needs at least one --seq token, e.g. --seq udd,n=3")
     engine = analysis.precision_engine(args.precision)
     families = [_parse_seq_token(token) for token in args.seq]
-    # Every schedule is built before the header, so that a usage error prints no rows.
+    # Every schedule is built before the model is drawn and the header printed, so that a usage error
+    # costs no draw and prints no rows.
     seqs = [sequences.build_sequence(params.pop("name"), args.t, **params) for params in families]
+    model = bath.build_model(spec)
     print(f"{'label':>20} {'pulses':>7} {'E_flip':>12} {'E_dephase':>12} {'E_total':>12} {'F_e':>12}"
           f" {'F_e(ctrl)':>12}")
     for seq in seqs:

@@ -26,12 +26,13 @@ factors come from the model's one eigensystem (``BathOperators.eigensystem``).
 
 What depends on the model alone is formed once per model and kept on it:
 the eigensystem and, per Pauli frame, the eigenvectors' signed rows F^+ V
-and their conjugates (``BathOperators.frame_eigenvectors``).  What depends
-on the schedule alone is kept with it in ``seq._cache`` and shared by its
-re-timed copies: the segment plan, with the leaf's reduction tree per
-chunk length (``SegmentPlan.trees``), the segment count and the control
-product; a ``Blocks`` node keeps its level's tree (``Blocks.trees``).  A
-call then pays only for its durations' arithmetic, and builds its list of
+and their conjugates (``BathOperators.frame_eigenvectors``); the extended
+engine keeps its Taylor constants there too (``highprec._taylor``).  What
+depends on the schedule alone is kept with it in ``seq._cache`` and shared
+by its re-timed copies: the segment plan, with the leaf's reduction tree
+per chunk length (``SegmentPlan.trees``), the segment count and the
+control product; a ``Blocks`` node keeps its level's tree
+(``Blocks.trees``).  A call then pays only for its durations' arithmetic, and builds its list of
 unitarity errors only when an item fails.
 
 A schedule whose builder recorded its blocks (``PulseSequence.blocks``)

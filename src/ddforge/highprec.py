@@ -16,7 +16,12 @@ deviation form in the toggling frame, ctrl^+ U = I + W, on the one segment
 plan both engines read: this engine gives a factor E = expm1(-i H dt) per
 distinct exact gap (a Taylor series on the plan's ``Fraction`` gaps) taken
 into each (gap, frame) pair's Pauli frame by ``evolution.frame_factors``,
-and its product.  Unlike the double engine, it composes a schedule by its
+and its product.  The series' model constants (H's power-of-two scale as an
+exact ratio, k = -i H / scale and its powers k^j) are formed once per model
+and kept with it (``_taylor``), the powers grown as a longer series asks for
+them; each step gap t scale / copies is an integer ratio n / d, whose
+double-double comes from two correctly rounded int divisions (``_dd``), with
+no gcd.  Unlike the double engine, it composes a schedule by its
 recorded blocks only above one chunk of segments (``evolution.stack_points``), where
 it takes 3 products per CDD level (CDD-7: 21, not 773); a shorter one
 composes from its flat pulses (``_composed``).  By blocks the leaf's float instants are scaled exactly,
@@ -25,7 +30,8 @@ the two paths differ near eps |W|.
 The log is 2 atanh(Z), Z = (2I + W)^-1 W: a double solve refined once, then
 the double engine's ``effective.atanh_series`` in double-double, as many
 terms per item as an ``eigvalsh`` of Z asks for (counted, as the Taylor
-series' terms are, by ``effective.series_terms``); eigenphases beyond about
+series' terms are, by ``effective.series_terms``), each term's product
+reading Z^2's BLAS forms made once (``_operand``); eigenphases beyond about
 1.4 rad, the +-pi branch cut included, raise BranchAmbiguityError.  Each
 item reports a floor, FLOOR_UNIT * |M| * segments, kept from the sequential
 update (the tree is shallower).  Against mpmath at 50 digits, of the 760
@@ -43,7 +49,6 @@ engine's signatures: ``_compose(seq, ops, durations)`` returns W as a
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -67,9 +72,15 @@ _LOG_ODDS = np.array([math.log(2 * j + 1) for j in _TERMS.tolist()])
 # A complex pair times or over a real one works part by part: numpy multiplies by r + 0i,
 # which rounds the real and the imaginary part each as a real product would.
 
-def _dd(x: Fraction) -> tuple[float, float]:
-    hi = float(x)
-    return hi, float(x - Fraction(hi))
+def _dd(n: int, d: int) -> tuple[float, float]:
+    """(hi, lo) of n / d, d > 0: the correctly rounded quotient and its correctly rounded remainder.
+
+    An int true division rounds correctly, so with hi = a / b exactly, lo =
+    (n b - a d) / (d b) is float(Fraction(n, d) - Fraction(hi)), without a gcd.
+    """
+    hi = n / d
+    a, b = hi.as_integer_ratio()
+    return hi, (n * b - a * d) / (d * b)
 
 
 def _two_sum(a, b):
@@ -150,16 +161,27 @@ def _matmul(x, y):
     view of x @ y.  x1 y1 and x1 y2 + x2 y1 come exactly from BLAS; the rest,
     at 2^-2b and below, is one more BLAS product in double.
     """
+    return _times(x, _operand(y))
+
+
+def _operand(y) -> tuple:
+    """``_matmul``'s right operand y as the three stacks its BLAS calls read, formed once for repeated products."""
     *stack, n, p = y[0].shape
     forms = np.empty((2, *stack, n, 2, p), dtype=complex)
     forms[0, ..., 0, :], forms[1, ..., 0, :] = y
     np.multiply(forms[..., 0, :], 1j, out=forms[..., 1, :])
     y_hi, y_lo = forms.view(float).reshape(2, *stack, 2 * n, 2 * p)
+    y1, y2, y3, y23 = _slices(y_hi, -2)
+    return y1, np.concatenate([y2, y1], axis=-2), np.concatenate([y3, y1, y23, y_lo, y_hi], axis=-2)
+
+
+def _times(x, operand: tuple):
+    """x @ y from y's ``_operand``, as ``_matmul``."""
+    y1, y21, y_rest = operand
     x_hi, x_lo = x[0].view(float), x[1].view(float)
     x1, x2, x3, x23 = _slices(x_hi, -1)
-    y1, y2, y3, y23 = _slices(y_hi, -2)
-    hi, lo = _two_sum(x1 @ y1, np.concatenate([x1, x2], axis=-1) @ np.concatenate([y2, y1], axis=-2))
-    rest = np.concatenate([x1, x3, x23, x_hi, x_lo], axis=-1) @ np.concatenate([y3, y1, y23, y_lo, y_hi], axis=-2)
+    hi, lo = _two_sum(x1 @ y1, np.concatenate([x1, x2], axis=-1) @ y21)
+    rest = np.concatenate([x1, x3, x23, x_hi, x_lo], axis=-1) @ y_rest
     hi, lo = _fast_two_sum(hi, lo + rest)
     return hi.view(complex), lo.view(complex)
 
@@ -185,32 +207,57 @@ def _composed(seq: PulseSequence, d: int) -> Blocks | PulseSequence:
     return seq if seq.blocks is None or segment_count(seq) <= stack_points(d) else seq.blocks
 
 
+def _taylor(ops: BathOperators, count: int = 1) -> tuple[tuple[int, int], tuple]:
+    """The model's Taylor constants: (numerator, denominator) of scale and at least count powers of k.
+
+    scale is the power of two at or above |H|, and the powers k, k^2, ... of
+    k = -i H / scale are (hi, lo) pairs.  Formed on first use and kept in
+    ``ops._cache``.  Powers are grown on demand, each k^j = k^(j-1) k, and a
+    longer tuple replaces the kept one, which is never appended to: a thread
+    holding the kept tuple sees it whole, and a race only repeats work.
+    """
+    cache = ops._cache
+    if _taylor not in cache:
+        h = total_hamiltonian(ops)
+        radius = spectral_norm(h)
+        scale = 2.0 ** math.ceil(math.log2(radius)) if radius > 0 else 1.0
+        k = -1j * h / scale  # |k| <= 1
+        cache[_taylor] = scale.as_integer_ratio(), ((k, np.zeros_like(k)),)
+    ratio, powers = cache[_taylor]
+    if len(powers) < count:
+        grown = list(powers)
+        while len(grown) < count:
+            grown.append(_matmul(grown[-1], grown[0]))
+        powers = tuple(grown)
+        cache[_taylor] = ratio, powers
+    return ratio, powers
+
+
 def _compose(seq: PulseSequence, ops: BathOperators, durations: list):
     """W with ctrl^+ U = I + W per duration, as a (hi, lo) pair of (G, 2d, 2d) stacks, and per-item errors."""
-    h = total_hamiltonian(ops)
-    radius = spectral_norm(h)
-    scale = 2.0 ** math.ceil(math.log2(radius)) if radius > 0 else 1.0
-    k = -1j * h / scale  # |k| <= 1
+    (num, den), _ = _taylor(ops)
+    times = [(t_num * num, t_den * den) for t_num, t_den in (t.as_integer_ratio() for t in durations)]
     too_long = []
 
     def leaves(plan, copies: int) -> np.ndarray:
         # expm1 of k x, x = scale * gap * t, is the sum of x^j k^j / j!; each
         # (gap, duration) item stops at its own last term.
-        steps = np.array([[_dd(gap / copies * Fraction(t) * Fraction(scale)) for t in durations] for gap in plan.gaps])
+        steps = np.array([[_dd(gap.numerator * n, gap.denominator * d * copies) for n, d in times]
+                          for gap in plan.gaps])
         with np.errstate(divide="ignore"):
             log_x = np.log(steps[..., 0])
         extra = series_terms(log_x[..., None] * _TERMS - _LOG_FACTORIALS, _TERM_TOL)
         too_long.append((extra < 0).any(axis=0))
         x = (steps[..., 0, None, None], steps[..., 1, None, None])
-        coefs, powers = [x], [(k, np.zeros_like(k))]
-        while len(powers) <= extra.max(initial=0):
+        coefs = [x]
+        while len(coefs) <= extra.max(initial=0):
             live = (extra >= len(coefs))[..., None, None]
             coefs.append(_masked(_div(_mul(coefs[-1], x), float(len(coefs) + 1)), live))
-            powers.append(_matmul(powers[-1], powers[0]))
-        # Terms past an item's own last are exact zeros, so each gap takes every power.
+        # Terms past an item's own last are exact zeros, so each gap takes every power up to the last item's.
+        _, powers = _taylor(ops, len(coefs))
         factors = _mul(powers[0], x)
-        for j in range(1, len(powers)):
-            factors = _add(factors, _mul(powers[j], coefs[j]))
+        for power, coef in zip(powers[1:], coefs[1:]):
+            factors = _add(factors, _mul(power, coef))
         # A leaf is a segment's (gap, frame): F^+ E F, F the pulse product before it, whose phase
         # cancels in exact arithmetic and is left out.
         return frame_factors(np.stack(factors, axis=-3), plan)
@@ -249,7 +296,8 @@ def _log(w, errors: list):
     # One refinement in double-double: Z = Z0 + (2I + W)^-1 (W - 2 Z0 - W Z0).
     residual = _add(_add(w, (-2 * z0, zero)), _neg(_matmul(w, (z0, zero))))
     z = _two_sum(z0, shifted_solve(w[0], residual[0])[0])
-    total = atanh_series(z, _matmul(z, z), terms, _matmul, _add,
+    # Z^2 is the right operand of every term's product, so its BLAS forms are made once.
+    total = atanh_series(z, _operand(_matmul(z, z)), terms, _times, _add,
                          lambda power, j, live: _masked(_div(power, float(2 * j + 1)), live[:, None, None]))
     return (2 * total[0], 2 * total[1]), phases
 

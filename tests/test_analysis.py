@@ -173,6 +173,15 @@ class TestOrderScan:
         with pytest.raises(ValueError, match="seeds"):
             evaluate_scan({"name": "udd", "n": 2}, GENERIC, default_t_grid(1.0, points=4), seeds=[])
 
+    def test_family_usage_error_draws_no_model(self):
+        # The scan drew its seeds' models before it built the schedule.
+        from ddforge import bath
+
+        misses = bath._model.cache_info().misses
+        with pytest.raises(ValueError, match="^family 'cdd' takes no --n$"):
+            evaluate_scan({"name": "cdd", "m": 2, "n": 7}, GENERIC, default_t_grid(1.0, points=4), seeds=[1, 2, 3])
+        assert bath._model.cache_info().misses == misses
+
     @pytest.mark.parametrize("grid, match", [
         ([3e-3, 2e-3, -1e-3, 1e-3], r"^t_grid\[2\] = -0\.001; durations must be finite and > 0$"),
         ([1e-3, 0.0, 2e-3], r"^t_grid\[1\] = 0\.0; durations must be finite and > 0$"),
@@ -397,8 +406,9 @@ class TestPooledScan:
     @pytest.mark.parametrize("seeds", [None, [7, 8, 9]], ids=["one-seed", "seeds"])
     def test_rows_equal_serial_rows(self, monkeypatch, precision, seeds):
         # The pooled scan runs first, on empty memos and with a short switch
-        # interval, so that its threads race to fill the shared caches; the
-        # serial scan then runs on memos of its own.
+        # interval, so that its threads race to fill the shared caches (fresh
+        # models included, so extended stacks race to grow the Taylor powers);
+        # the serial scan then runs on memos of its own.
         import sys
 
         from ddforge import analysis, bath, evolution, sequences

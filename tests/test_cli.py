@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from _reference import exact_slope
 
+from ddforge import bath
 from ddforge.cli import build_parser, main
 from ddforge.sequences import cudd, schedule_from_json
 
@@ -203,10 +204,11 @@ class TestOrder:
         ("env", "model key 'seed' must be a non-negative integer, got -3"),
         ("env-text", "DDFORGE_SEED must be an integer, got 'abc'"),
         ("model", "model key 'seed' must be a non-negative integer, got -2"),
-        ("config", "model key 'seed' must be a non-negative integer, got -4"),
+        ("config", "config key 'seed' in {path} must be a non-negative integer, got -4"),
     ], ids=["flag", "env", "env-text", "model", "config"])
     def test_bad_seed_is_usage_error_naming_it(self, capsys, tmp_path, monkeypatch, source, message):
-        argv = ["order", "none", "--points", "4"]
+        # A config's seed names the config file, as its mistyped keys do.
+        argv, path = ["order", "none", "--points", "4"], None
         if source == "flag":
             argv += ["--seed", "-1"]
         elif source.startswith("env"):
@@ -216,7 +218,7 @@ class TestOrder:
             path.write_text(json.dumps({"seed": -2 if source == "model" else -4}))
             argv += [f"--{source}", str(path)]
         code, out, err = run(capsys, *argv)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert (code, out, err) == (2, "", f"error: {message.format(path=path)}\n")
 
     def test_config_precedence(self, capsys, tmp_path):
         config = tmp_path / "run.json"
@@ -608,6 +610,18 @@ def test_parameter_the_family_does_not_take_is_usage_error(capsys, argv, message
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("order", "cdd", "--m", "2", "--n", "7", "--d", "64", "--seeds", "1,2,3,4,5,6,7,8"),
+    ("compare", "--seq", "udd,n=2", "--seq", "se,c=2", "--d", "64"),
+], ids=["order-seeds", "compare"])
+def test_family_usage_error_draws_no_model(capsys, argv):
+    # The order call drew its 9 models at d = 64 (418 ms) before the family check failed.
+    misses = bath._model.cache_info().misses
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: family ")
+    assert bath._model.cache_info().misses == misses
+
+
 ORDER_CONFIG_KEYS = ("n, m, c, axis, model, d, seed, preset, norm_0, norm_x, norm_y, norm_z, functional, at_min, "
                      "at_max, points, seeds, precision, out, summary")
 
@@ -695,12 +709,12 @@ class TestConfigFile:
         assert err == "error: seeds must be integers, got '7,8.5'\n"
 
     def test_mistyped_model_key_in_config_is_usage_error(self, capsys, tmp_path):
-        # The config's model keys go through the model file's type rule; a numeric preset raised TypeError.
+        # A numeric preset raised TypeError; a config's model key names the config file, as its other keys do.
         config = tmp_path / "config.json"
         config.write_text('{"preset": 5}')
         code, _, err = run(capsys, "compare", "--seq", "udd,n=2", "--config", str(config))
         assert code == 2
-        assert err == "error: model key 'preset' must be a string, got 5\n"
+        assert err == f"error: config key 'preset' in {config} must be a string, got 5\n"
 
     @pytest.mark.parametrize("key", ["functional", "out", "summary", "model", "precision"])
     def test_mistyped_string_option_is_usage_error(self, capsys, tmp_path, key):
@@ -803,11 +817,12 @@ def _option_cases():
         observe = _written if key == "out" else _called("build_sequence", "total_duration" if key == "t" else key)
         yield "gen", (families[key],), key, _axis_value(observe) if key == "axis" else observe, *values
 
+    # order builds its schedule before it draws a model, so a missing count fails before evaluate_scan.
     for key, values in [
         *((key, _plain(1, 2, None)) for key in ("n", "m", "c")),
-        ("axis", ({"flag": ("Y", "Y"), "config": ("X", "X")}, None)),
+        ("axis", ({"flag": ("Y", "Y"), "config": ("X", "X")}, "Z")),
     ]:
-        observe = lambda calls, out, key=key: calls["evaluate_scan"][0]["family_spec"].get(key)
+        observe = _called("build_sequence", key)
         yield "order", (families[key],), key, _axis_value(observe) if key == "axis" else observe, *values
     for key, observe, values in [
         ("functional", _slope_name, ({"flag": ("total", "E_total"), "config": ("dephase", "E_dephase")}, "E_flip")),

@@ -334,6 +334,12 @@ class TestMatrixLoopIdentity:
         assert worst < 1e-28
 
 
+def _step(gap: Fraction, t: float, scale: float, copies: int) -> tuple[int, int]:
+    """The Taylor step gap * t * scale / copies as ``highprec._compose`` forms it, an unreduced (n, d)."""
+    (t_num, t_den), (s_num, s_den) = t.as_integer_ratio(), scale.as_integer_ratio()
+    return gap.numerator * t_num * s_num, gap.denominator * t_den * s_den * copies
+
+
 class TestEnginePieces:
     @pytest.mark.parametrize("n", [8, 128])
     def test_matmul_matches_mpmath(self, n):
@@ -359,6 +365,48 @@ class TestEnginePieces:
                     for j, col in enumerate(cols):
                         exact = mp.fdot(row, col)
                         assert abs(exact - mp.mpc(hi[g, i, j]) - mp.mpc(lo[g, i, j])) <= bound, (g, i, j)
+
+    @pytest.mark.parametrize("n, d", [
+        (0, 7),
+        _step(Fraction(3, 8), 0.0123, 4.0, 3),
+        _step(Fraction(1, 6), 0.0123, 0.125, 1),
+        (10**400 + 7, 3**900),
+        (2**3000 + 1, 3**2000 * 5),
+    ], ids=["zero", "dyadic", "sixth", "huge", "huge-tiny"])
+    def test_integer_step_equals_fraction_step(self, n, d):
+        # Taylor steps gap * t * scale / copies of a dyadic gap and of PDD-5's 1/6, and integers far beyond a
+        # double's range.  The steps were float(x), float(x - Fraction(float(x))) of x = Fraction(n, d).
+        x = Fraction(n, d)
+        want = (float(x), float(x - Fraction(float(x))))
+        assert [v.hex() for v in highprec._dd(n, d)] == [v.hex() for v in want]
+
+    def test_second_scan_forms_no_hamiltonian_and_no_held_power(self, monkeypatch):
+        # H, its scale and the powers of k are kept with the model: none is formed by build_model, and a
+        # second scan under the same model forms none of them again.
+        spec = ModelSpec(d=4, seed=7)
+        ops = build_model(spec)
+        assert highprec._taylor not in ops._cache
+        formed = {"H": 0, "powers": 0}
+        hamiltonian, matmul = highprec.total_hamiltonian, highprec._matmul
+
+        def counting_hamiltonian(model):
+            formed["H"] += 1
+            return hamiltonian(model)
+
+        def counting_matmul(x, y):
+            kept = ops._cache.get(highprec._taylor)
+            formed["powers"] += kept is not None and y is kept[1][0]
+            return matmul(x, y)
+
+        monkeypatch.setattr(highprec, "total_hamiltonian", counting_hamiltonian)
+        monkeypatch.setattr(highprec, "_matmul", counting_matmul)
+        grid = default_t_grid(alpha(ops), points=4)
+        first = evaluate_scan({"name": "cudd", "m": 2, "n": 2}, spec, grid, precision="extended")
+        powers = ops._cache[highprec._taylor][1]
+        assert formed == {"H": 1, "powers": len(powers) - 1} and len(powers) > 1
+        again = evaluate_scan({"name": "cudd", "m": 2, "n": 2}, spec, grid, precision="extended")
+        assert formed == {"H": 1, "powers": len(powers) - 1}
+        assert ops._cache[highprec._taylor][1] is powers and again == first
 
     @pytest.mark.parametrize("code", range(4))
     def test_frame_conjugation_equals_dense_product(self, code):
