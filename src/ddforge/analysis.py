@@ -74,12 +74,17 @@ class OrderFit:
         return self.slope is not None
 
 
-def default_t_grid(model_alpha: float, at_min: float = 1e-3, at_max: float = 1e-2, points: int = 8) -> np.ndarray:
-    """Log-spaced durations covering alpha*t in [at_min, at_max]."""
+def check_grid(at_min: float, at_max: float, points: int) -> None:
+    """The rule of ``default_t_grid``'s alpha*t bounds and point count, which needs no model: a ValueError if broken."""
     if not 0 < at_min < at_max:
         raise ValueError("need 0 < at_min < at_max")
     if points < 4:
         raise ValueError("need at least 4 grid points")
+
+
+def default_t_grid(model_alpha: float, at_min: float = 1e-3, at_max: float = 1e-2, points: int = 8) -> np.ndarray:
+    """Log-spaced durations covering alpha*t in [at_min, at_max] (``check_grid``)."""
+    check_grid(at_min, at_max, points)
     if model_alpha <= 0:
         raise ValueError("model has zero coupling norm; no natural time scale")
     return np.geomspace(at_min / model_alpha, at_max / model_alpha, points)
@@ -197,7 +202,7 @@ def _in_grid_order(evaluate_stack, stacks: list) -> list:
     from concurrent.futures import ThreadPoolExecutor
 
     # The caches the stacks share (seq._cache with its plans' trees, the
-    # blocks' trees, reduction_plan, _frame_rows, the model's eigensystem,
+    # blocks' codes and trees, reduction_plan, _frame_rows, the model's eigensystem,
     # frame eigenvectors and extended Taylor constants) are filled with
     # deterministic values, so a race only repeats work.
     results = []
@@ -267,7 +272,7 @@ def evaluate_scan(
         """
         columns, failures = [], []
         for ops in models:
-            eff, errors = evaluate(seq, ops, durations, engine)
+            eff, errors = evaluate(seq, ops, durations, engine)[:2]
             columns.append({key: v.tolist() for key, v in {**error_functionals(eff), "floor": eff.floor}.items()})
             failures.append(errors)
         # Stop where a point-by-point scan would: at the first failing (grid point, seed).

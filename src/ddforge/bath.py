@@ -296,9 +296,12 @@ def check_types(data, types: dict, what: str, path, required=()) -> dict:
 def check_spec(data, path) -> dict:
     """data, if a model spec's JSON object (``check_types``): integer d and seed, a string preset, numeric targets.
 
-    No other key is read, so any other is a ValueError, at the top level and among the targets' channels.
+    No other key is read, so any other is a ValueError, at the top level and among the targets' channels.  A
+    seed must pass ``check_seed``, whose message names the file, as a mistyped key's does.
     """
     check_types(data, _SPEC_TYPES, "model", path)
+    if "seed" in data:
+        check_seed(data["seed"], "model", path)
     check_types(data.get("norm_targets", {}), dict.fromkeys(GAMMAS, float), "model norm_targets", path)
     return data
 

@@ -182,8 +182,10 @@ def _cmd_order(args) -> int:
         if not all(type(s) is int if isinstance(seeds, list) else s.strip().isdecimal() for s in items):
             raise ValueError(f"seeds must be integers, got {seeds!r}")
         seeds = [int(s) for s in items]
-    # A family usage error before any model is drawn; build_sequence memoises it, so the scan only re-times it.
+    # A family or grid usage error before any model is drawn; build_sequence memoises the schedule, so the scan
+    # only re-times it.
     sequences.build_sequence(args.family, **params)
+    analysis.check_grid(args.at_min, args.at_max, args.points)
     model = bath.build_model(spec)
     grid = analysis.default_t_grid(bath.alpha(model), at_min=args.at_min, at_max=args.at_max, points=args.points)
     functional = "E_" + args.functional
@@ -286,9 +288,11 @@ def _cmd_compare(args) -> int:
     print(f"{'label':>20} {'pulses':>7} {'E_flip':>12} {'E_dephase':>12} {'E_total':>12} {'F_e':>12}"
           f" {'F_e(ctrl)':>12}")
     for seq in seqs:
-        # F_e reads the unitary; the functionals compose the schedule on the engine.
-        result = evolution.sequence_unitary(seq, model)
-        eff = effective.point_effective(seq, model, engine)
+        # The functionals compose the schedule on the engine; F_e reads U = ctrl (I + W) from the W the double
+        # engine composed, or composes it in double where the engine is extended.
+        eff, w = effective.point_effective(seq, model, engine)
+        result = (evolution.controlled_unitary(seq, w[0]) if engine is effective.DOUBLE
+                  else evolution.sequence_unitary(seq, model))
         funcs = effective.error_functionals(eff)
         for key in analysis.FUNCTIONALS:  # a warning line per value
             _check_floor([{**funcs, "floor": eff.floor, "t": args.t}], (key,), engine, f"{seq.label}: ")

@@ -297,12 +297,14 @@ DOUBLE = Engine(lambda seq, ops, durations: sequence_deviation(seq, ops, duratio
                 lambda segments: FLOOR_UNIT * max(1, (segments - 1).bit_length()))
 
 
-def evaluate(seq, ops, durations, engine: Engine) -> tuple[EffectiveHamiltonian, list]:
+def evaluate(seq, ops, durations, engine: Engine) -> tuple[EffectiveHamiltonian, list, object]:
     """The stacked generator of a schedule re-timed to each duration, with its (G,) floor, on one engine.
 
     The list that comes with it holds, per item, the exception a point at
     that duration fails with, or None (the item's blocks are then
-    meaningless); branch errors name the schedule and the duration.
+    meaningless); branch errors name the schedule and the duration.  Last
+    comes the W the engine composed, so that nothing composes it again: a
+    (G, 2d, 2d) stack in double, the extended engine's (hi, lo) pair of them.
     """
     durations = [float(t) for t in durations]
     w, errors = engine.compose(seq, ops, durations)
@@ -313,20 +315,23 @@ def evaluate(seq, ops, durations, engine: Engine) -> tuple[EffectiveHamiltonian,
                 errors[g] = BranchAmbiguityError(f"{exc} (schedule {seq.label!r} at t={durations[g]:g})",
                                                  eigenphase=exc.eigenphase, t=durations[g])
     t = np.array(durations)
-    return EffectiveHamiltonian(engine.split(generator, t), t, bound * engine.floor(segment_count(seq))), errors
+    return EffectiveHamiltonian(engine.split(generator, t), t, bound * engine.floor(segment_count(seq))), errors, w
 
 
-def point_effective(seq, ops, engine: Engine) -> EffectiveHamiltonian:
-    """``evaluate`` at the schedule's own duration: one generator with a float floor, or the error it failed with."""
-    eff, errors = evaluate(seq, ops, [seq.total_duration], engine)
+def point_effective(seq, ops, engine: Engine) -> tuple[EffectiveHamiltonian, object]:
+    """``evaluate`` at the schedule's own duration: one generator with a float floor, or the error it failed with.
+
+    The generator comes with the one-item W it was extracted from, in the engine's form (``evaluate``).
+    """
+    eff, errors, w = evaluate(seq, ops, [seq.total_duration], engine)
     if errors[0] is not None:
         raise errors[0]
-    return EffectiveHamiltonian(eff.blocks[:, 0], seq.total_duration, float(eff.floor[0]))
+    return EffectiveHamiltonian(eff.blocks[:, 0], seq.total_duration, float(eff.floor[0])), w
 
 
 def sequence_effective(seq, ops) -> EffectiveHamiltonian:
     """Effective generator of a schedule under a model, with its floor: ``point_effective`` on the double engine."""
-    return point_effective(seq, ops, DOUBLE)
+    return point_effective(seq, ops, DOUBLE)[0]
 
 
 def magnus_cdd_predict(a0: np.ndarray, az: np.ndarray, tau0: float, level: int):

@@ -30,10 +30,13 @@ and their conjugates (``BathOperators.frame_eigenvectors``); the extended
 engine keeps its Taylor constants there too (``highprec._taylor``).  What
 depends on the schedule alone is kept with it in ``seq._cache`` and shared
 by its re-timed copies: the segment plan, with the leaf's reduction tree
-per chunk length (``SegmentPlan.trees``), the segment count and the
-control product; a ``Blocks`` node keeps its level's tree
-(``Blocks.trees``).  A call then pays only for its durations' arithmetic, and builds its list of
-unitarity errors only when an item fails.
+per chunk length (``SegmentPlan.trees``), the segment count, the control
+product, and per bath dimension ctrl's rows and row factors
+(``_control_rows``); a ``Blocks`` node keeps per bath dimension its
+level's codes and tree (``_level``), and I is kept per size.  A warm call
+then pays only for its durations' arithmetic: a level whose products fit
+one block gathers both operands with one take (``reduce_pairwise``), and
+the list of unitarity errors is built only when an item fails.
 
 A schedule whose builder recorded its blocks (``PulseSequence.blocks``)
 composes by them, however few its segments: its leaf block at its own
@@ -166,7 +169,7 @@ class UnitaryResult:
     w: np.ndarray | None = None
 
     def __post_init__(self):
-        error = _unitarity_error(_unitarity_defect(self.u - np.eye(len(self.u)) if self.w is None else self.w))
+        error = _unitarity_error(_unitarity_defect(self.u - _identity(len(self.u)) if self.w is None else self.w))
         if error is not None:
             raise error
         self.u.flags.writeable = False
@@ -175,7 +178,7 @@ class UnitaryResult:
 def conjugate_frame(x: np.ndarray, frame) -> np.ndarray:
     """F x F^+ = F^+ x F, F = sigma_frame (x) I_d, for a (..., 2d, 2d) stack: exact signed rows and columns.
 
-    ``frame`` is a code, or an array of codes whose axis the result takes just before the matrix axes.
+    ``frame`` is a code, or a slice or an array of codes whose axis the result takes just before the matrix axes.
     """
     n = x.shape[-1]
     _, _, index, signs = _frame_rows(n // 2)
@@ -219,25 +222,31 @@ def reduce_pairwise(plan: tuple, leaves: np.ndarray, product, block: int) -> np.
 
     ``product(later, earlier, out)`` sets and returns out, the deviation of
     (I + later)(I + earlier) item by item, and may overwrite later; it sees
-    at most ``block`` items (pairs times durations) at once.
+    at most ``block`` items (pairs times durations) at once.  Durations
+    reduce in groups of the plan's ``per``; a level whose products fit one
+    block gathers both operands with one take.
     """
-    (levels, roots, per), groups = plan, []
-    for g in range(0, leaves.shape[1], per):
-        nodes = leaves[:, g:g + per]
-        step = max(1, block // nodes.shape[1])
-        for index, m in levels:
-            new = np.empty((len(index) - m, *nodes.shape[1:]), nodes.dtype)
+    (levels, roots, per), count = plan, leaves.shape[1]
+    if count > per:
+        return np.concatenate([reduce_pairwise(plan, leaves[:, g:g + per], product, block)
+                               for g in range(0, count, per)])
+    nodes, step = leaves, max(1, block // count)
+    for index, m in levels:
+        new = np.empty((len(index) - m, *nodes.shape[1:]), nodes.dtype)
+        if m <= step:
+            pairs = nodes.take(index[:2 * m], axis=0)
+            product(pairs[:m], pairs[m:], new[:m])
+        else:
             for s in range(0, m, step):
                 e = min(s + step, m)
                 product(nodes.take(index[s:e], axis=0), nodes.take(index[m + s:m + e], axis=0), new[s:e])
-            if len(new) > m:
-                new[m:] = nodes.take(index[2 * m:], axis=0)
-            nodes = new
-        w = nodes[roots[0]]
-        for r in roots[1:]:
-            w = product(nodes.take(r, axis=0), w, np.empty_like(w))
-        groups.append(w)
-    return groups[0] if len(groups) == 1 else np.concatenate(groups)
+        if len(new) > m:
+            new[m:] = nodes.take(index[2 * m:], axis=0)
+        nodes = new
+    w = nodes[roots[0]]
+    for r in roots[1:]:
+        w = product(nodes.take(r, axis=0), w, np.empty_like(w))
+    return w
 
 
 def _product(later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -261,10 +270,24 @@ def frame_factors(factors, plan: SegmentPlan) -> np.ndarray:
 
 
 def _tree(trees: dict, ids: np.ndarray, chunk: int) -> tuple:
-    """``reduction_plan`` of ids in chunks of chunk, formed on first use and kept in trees (a plan's or a node's)."""
+    """``reduction_plan`` of ids in chunks of chunk, formed on first use and kept in a plan's trees."""
     if chunk not in trees:
         trees[chunk] = reduction_plan(ids.astype(np.int64).tobytes(), chunk)
     return trees[chunk]
+
+
+def _level(node: Blocks, d: int) -> tuple[slice, tuple]:
+    """(codes, tree) of a level at bath dimension d, formed on first use and kept in ``node._cache``.
+
+    codes slices every Pauli code up to the copies' largest, the frames the child's W is taken into; tree
+    reduces the copies, each leaf id its frame code, in one chunk.
+    """
+    cache = node._cache
+    if d not in cache:
+        frames = node.frames
+        cache[d] = (slice(int(frames.max()) + 1),
+                    reduction_plan(frames.astype(np.int64).tobytes(), max(len(frames), stack_points(d))))
+    return cache[d]
 
 
 def compose(node: Blocks | PulseSequence, d: int, leaves, product, block: int) -> np.ndarray:
@@ -275,8 +298,8 @@ def compose(node: Blocks | PulseSequence, d: int, leaves, product, block: int) -
     and ``product`` and ``block`` as in ``reduce_pairwise``.  The leaf's pairs
     reduce in chunks of ``stack_points(d)``; by blocks, each level takes the
     child's W into every Pauli frame up to its copies' largest code at once
-    and reduces the copies, each leaf id its frame code, in one chunk.  Each
-    reduction tree is kept with the plan or the node it reduces.
+    and reduces the copies (``_level``).  Each reduction tree is kept with
+    the plan or the node it reduces.
     """
     levels = []
     while isinstance(node, Blocks):
@@ -287,9 +310,9 @@ def compose(node: Blocks | PulseSequence, d: int, leaves, product, block: int) -
     w = reduce_pairwise(tree, leaves(plan, math.prod(len(level.frames) for level in levels)), product, block)
     for level in reversed(levels):
         # The frames' axis, just before the matrix axes, goes first, as the copies' leaf axis.
-        frames, lead = level.frames, w.ndim - 2
-        copies = conjugate_frame(w, np.arange(frames.max() + 1)).transpose(lead, *range(lead), lead + 1, lead + 2)
-        w = reduce_pairwise(_tree(level.trees, frames, max(len(frames), stack_points(d))), copies, product, block)
+        (codes, tree), lead = _level(level, d), w.ndim - 2
+        copies = conjugate_frame(w, codes).transpose(lead, *range(lead), lead + 1, lead + 2)
+        w = reduce_pairwise(tree, copies, product, block)
     return w
 
 
@@ -324,29 +347,56 @@ def sequence_deviation(seq: PulseSequence, ops: BathOperators, durations) -> tup
     return w, [_unitarity_error(defect) for defect in defects]
 
 
+def _control_rows(seq: PulseSequence, d: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """ctrl's rows and row factors at bath dimension d, formed on first use and kept in ``seq._cache``.
+
+    ctrl x = x[rows] * factors for a 2d x 2d x: the exact rows of ``_frame_rows`` and each row's one factor
+    i^p (sigma_f)_(a, b), as a (2d, 1) column, or None if every factor is 1: times 1 + 0j would turn a -0.0
+    real part into +0.0.  Taken from the 2x2 product as one number, as i^p times the row's sign in two steps
+    can give a zero part the other sign.
+    """
+    cache, key = seq._cache, (_control_rows, d)
+    if key not in cache:
+        rows = _frame_rows(d)[0][_control(seq)[1]]
+        factors = control_product(seq)[(0, 1), rows[::d] // d]
+        cache[key] = rows, np.repeat(factors, d)[:, None] if np.any(factors != 1) else None
+    return cache[key]
+
+
+@lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    """I of size n, read-only, formed once per size."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def controlled_unitary(seq: PulseSequence, w: np.ndarray) -> UnitaryResult:
+    """U = ctrl (I + W) of a schedule at its own duration, from a deviation W that passed its unitarity check.
+
+    The control product acts on I + W as exact rows (``_control_rows``), and the result carries W.
+    """
+    rows, factors = _control_rows(seq, len(w) // 2)
+    u = (w + _identity(len(w)))[rows]
+    if factors is not None:
+        u *= factors
+    u.flags.writeable = False
+    result = object.__new__(UnitaryResult)  # W passed its unitarity check; __post_init__ would repeat it
+    result.__dict__.update(u=u, total_duration=seq.total_duration, pulse_count=seq.pulse_count, label=seq.label, w=w)
+    return result
+
+
 def sequence_unitary(seq: PulseSequence, ops: BathOperators) -> UnitaryResult:
     """Time-ordered product of segment exponentials and pulse factors, unitary to 1e-10.
 
     Later factors multiply on the left; zero-length segments (boundary
-    pulses) are skipped.  The control product is applied to the deviation
-    of ``sequence_deviation`` as exact rows (``_frame_rows``), and the result
-    carries W.
+    pulses) are skipped.  The deviation of ``sequence_deviation`` goes
+    through ``controlled_unitary``.
     """
     w, errors = sequence_deviation(seq, ops, [seq.total_duration])
     if errors[0] is not None:
         raise errors[0]
-    d, rows = ops.dim, _frame_rows(ops.dim)[0][_control(seq)[1]]
-    u = (w[0] + np.eye(2 * d))[rows]
-    # Each row's one factor i^p (sigma_f)_(a, b), multiplied only if not 1: times 1 + 0j would turn a
-    # -0.0 real part into +0.0.  Taken from the 2x2 product as one number, as i^p times the row's sign
-    # in two steps can give a zero part the other sign.
-    factors = control_product(seq)[(0, 1), rows[::d] // d]
-    if np.any(factors != 1):
-        u *= np.repeat(factors, d)[:, None]
-    u.flags.writeable = False
-    result = object.__new__(UnitaryResult)  # W passed its unitarity check above; __post_init__ would repeat it
-    result.__dict__.update(u=u, total_duration=seq.total_duration, pulse_count=seq.pulse_count, label=seq.label, w=w[0])
-    return result
+    return controlled_unitary(seq, w[0])
 
 
 def entanglement_fidelity(u: UnitaryResult | np.ndarray) -> float:

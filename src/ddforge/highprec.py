@@ -329,5 +329,5 @@ EXTENDED = Engine(_compose, _log, _pauli_split, lambda segments: FLOOR_UNIT * se
 
 def sequence_error_functionals(seq: PulseSequence, ops: BathOperators) -> dict:
     """E_flip / E_dephase / E_total of a schedule on the extended engine and ``floor``, their estimated absolute error."""
-    eff = point_effective(seq, ops, EXTENDED)
+    eff, _ = point_effective(seq, ops, EXTENDED)
     return {**error_functionals(eff), "floor": eff.floor}

@@ -52,7 +52,6 @@ schedule, a copy, a scan's grid or the predictor's steps, passes one rule,
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -227,14 +226,15 @@ class Blocks:
     every pulse before copy j's own, its head included, so head j is
     frames[j] ^ frames[j-1] ^ (the child's product), and head 0 is frames[0].
     child is a Blocks or the flat leaf schedule, whose duration is the
-    parent's over the copies at every level.  ``trees`` keeps what the
-    engines derive from the frames alone: the reduction tree of the copies
-    per chunk length, formed on first use (``evolution.compose``).
+    parent's over the copies at every level.  ``_cache`` keeps what the
+    engines derive from the frames alone, per bath dimension: the codes the
+    child's W is taken into and the copies' reduction tree, formed on first
+    use (``evolution._level``).
     """
 
     child: "Blocks | PulseSequence"
     frames: np.ndarray
-    trees: dict = field(default_factory=dict, init=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def _copy_frames(heads: np.ndarray, child_code: int) -> np.ndarray:
@@ -296,10 +296,11 @@ class PulseSequence:
     The arrays (see the module docstring) are read-only and nothing else
     changes after construction but ``_cache``, which only gains what the
     engines derive from the pulses alone (the segment plan with its
-    reduction trees, the segment count, the control product), so instances
-    are safe to share across threads.  Every
-    ``with_duration`` copy shares ``_cache``.  ``blocks`` is the ``Blocks``
-    node its builder constructed it from, or None.
+    reduction trees, the segment count, the control product and, per bath
+    dimension, its rows and row factors), so instances are safe to share
+    across threads.  Every ``with_duration`` copy shares ``_cache``.
+    ``blocks`` is the ``Blocks`` node its builder constructed it from, or
+    None; each node keeps its own constants (``Blocks._cache``).
     """
 
     def __init__(self, total_duration: float, pulses: Iterable[Pulse], label: str = "", family: dict | None = None):
@@ -336,8 +337,9 @@ class PulseSequence:
 
     def with_duration(self, total_duration: float) -> "PulseSequence":
         """The same pulses over another duration, sharing the arrays, the blocks and ``_cache``."""
-        seq = copy.copy(self)
-        seq.total_duration, seq.family = check_duration(total_duration, "total_duration"), dict(self.family)
+        seq = object.__new__(type(self))
+        seq.__dict__.update(self.__dict__, total_duration=check_duration(total_duration, "total_duration"),
+                            family=dict(self.family))
         return seq
 
 

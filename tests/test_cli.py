@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from _reference import exact_slope
 
-from ddforge import bath
+from ddforge import bath, sequences
 from ddforge.cli import build_parser, main
 from ddforge.sequences import cudd, schedule_from_json
 
@@ -203,11 +203,11 @@ class TestOrder:
         ("flag", "model key 'seed' must be a non-negative integer, got -1"),
         ("env", "model key 'seed' must be a non-negative integer, got -3"),
         ("env-text", "DDFORGE_SEED must be an integer, got 'abc'"),
-        ("model", "model key 'seed' must be a non-negative integer, got -2"),
+        ("model", "model key 'seed' in {path} must be a non-negative integer, got -2"),
         ("config", "config key 'seed' in {path} must be a non-negative integer, got -4"),
     ], ids=["flag", "env", "env-text", "model", "config"])
     def test_bad_seed_is_usage_error_naming_it(self, capsys, tmp_path, monkeypatch, source, message):
-        # A config's seed names the config file, as its mistyped keys do.
+        # A config's or a model file's seed names the file, as its mistyped keys do.
         argv, path = ["order", "none", "--points", "4"], None
         if source == "flag":
             argv += ["--seed", "-1"]
@@ -359,6 +359,41 @@ class TestPredictMagnus:
         assert err == "error: rel_dev reads 0 at tau0=0.005; raise --tau0\n"
 
 
+def compare_compositions(capsys, monkeypatch, precision) -> int:
+    """The number of compositions ``compare`` makes for CDD-3 and UDD-2 at one precision.
+
+    It first checks that each U that F_e was read from holds the bits of sequence_unitary.
+    test_effective.py's test_compare_prints_point_effective_values pins the functionals.
+    """
+    from ddforge import evolution, highprec
+
+    composed, unitaries = [], []
+    compose, controlled_unitary = evolution.compose, evolution.controlled_unitary
+
+    def counting_compose(node, *args):
+        composed.append(node)
+        return compose(node, *args)
+
+    def recording_unitary(seq, w):
+        unitaries.append(controlled_unitary(seq, w))
+        return unitaries[-1]
+
+    argv = ("compare", "--seq", "cdd,m=3", "--seq", "udd,n=2", "--t", "0.01", "--seed", "7", "--precision", precision)
+    for module in (evolution, highprec):
+        monkeypatch.setattr(module, "compose", counting_compose)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.undo()
+    monkeypatch.setattr(evolution, "controlled_unitary", recording_unitary)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.undo()
+    ops = bath.build_model(bath.ModelSpec(seed=7))
+    want = [evolution.sequence_unitary(sequences.build_sequence(name, 0.01, **params), ops)
+            for name, params in (("cdd", {"m": 3}), ("udd", {"n": 2}))]
+    assert [got.label for got in unitaries] == ["CDD-3", "UDD-2"]
+    assert [got.u.tobytes() for got in unitaries] == [result.u.tobytes() for result in want]
+    return len(composed)
+
+
 class TestCompare:
     def test_table(self, capsys):
         code, out, _ = run(
@@ -378,22 +413,13 @@ class TestCompare:
         assert "--at-max" not in err
 
     def test_one_composition_per_schedule(self, capsys, monkeypatch):
-        # F_e reads one double-precision unitary per schedule; the functionals compose on the engine
-        # (test_effective.py's test_compare_prints_point_effective_values).
-        from ddforge import effective, evolution
+        # In double, F_e reads U = ctrl (I + W) from the W the functionals' point composed (a counter on
+        # evolution.compose read 2 per schedule), and U keeps the bits of sequence_unitary.
+        assert compare_compositions(capsys, monkeypatch, "double") == 2
 
-        calls = []
-        sequence_unitary = evolution.sequence_unitary
-
-        def counting_unitary(*args, **kwargs):
-            calls.append(args[0].label)
-            return sequence_unitary(*args, **kwargs)
-
-        for module in (evolution, effective):
-            monkeypatch.setattr(module, "sequence_unitary", counting_unitary)
-        code, _, _ = run(capsys, "compare", "--seq", "cdd,m=3", "--seq", "udd,n=2", "--t", "0.01", "--seed", "7")
-        assert code == 0
-        assert calls == ["CDD-3", "UDD-2"]
+    def test_extended_composes_once_per_engine(self, capsys, monkeypatch):
+        # Extended, each schedule composes once on that engine and once in double, for F_e.
+        assert compare_compositions(capsys, monkeypatch, "extended") == 4
 
     def test_fidelity_against_control_rotation(self, capsys):
         # An odd pulse count leaves a net pi rotation: F_e against the
@@ -619,6 +645,19 @@ def test_family_usage_error_draws_no_model(capsys, argv):
     misses = bath._model.cache_info().misses
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: family ")
+    assert bath._model.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--points", "2"), "need at least 4 grid points"),
+    (("--at-min", "0.02"), "need 0 < at_min < at_max"),
+    (("--at-max", "-1"), "need 0 < at_min < at_max"),
+], ids=["points", "at-min", "at-max"])
+def test_grid_usage_error_draws_no_model(capsys, flags, message):
+    # order drew its model (one bath._model miss) before the grid's bounds and point count were checked.
+    misses = bath._model.cache_info().misses
+    code, out, err = run(capsys, "order", "udd", "--n", "2", *flags, "--d", "64", "--seeds", "1,2")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
     assert bath._model.cache_info().misses == misses
 
 

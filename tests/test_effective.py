@@ -252,7 +252,7 @@ class TestErrorFunctionals:
     @pytest.mark.parametrize("d, preset", [(4, "generic"), (64, "generic"), (4, "pure_dephasing")])
     def test_stacked_norms_equal_per_block_norms(self, d, preset):
         ops = build_model(ModelSpec(d=d, seed=7, preset=preset))
-        eff, errors = evaluate(udd_sequence(3, 0.01), ops, GRID / alpha(ops), DOUBLE)
+        eff, errors, _ = evaluate(udd_sequence(3, 0.01), ops, GRID / alpha(ops), DOUBLE)
         assert errors == [None] * len(GRID)
         if preset == "pure_dephasing":
             assert not eff.ax.any() and not eff.ay.any()
@@ -270,7 +270,7 @@ class TestErrorFunctionals:
         # its item 0: a0..az, items() and the couplings the functionals read are views of it.
         ops = build_model(ModelSpec(d=4, seed=7))
         seq = udd_sequence(3, 0.01 / alpha(ops))
-        eff = point_effective(seq, ops, engine) if point else evaluate(seq, ops, GRID / alpha(ops), engine)[0]
+        eff = point_effective(seq, ops, engine)[0] if point else evaluate(seq, ops, GRID / alpha(ops), engine)[0]
         assert eff.blocks.shape == (4, *np.shape(eff.t), 4, 4)
         assert [name for name, _ in eff.items()] == ["0", "x", "y", "z"]
         for g, (name, block) in enumerate(eff.items()):
@@ -308,7 +308,7 @@ class TestSequenceEffective:
         # From |Z|_F it stays positive and scales with t: per unit alpha t within 1.6x of the floor at
         # 1e-60, where |Z^2|_F holds (|Z|_F bounds the eigenphases less tightly).
         ops = build_model(ModelSpec(d=4, seed=7))
-        (held, _), (lost, errors) = (evaluate(udd_sequence(2), ops, [x / alpha(ops)], DOUBLE) for x in (1e-60, at))
+        (held, _, _), (lost, errors, _) = (evaluate(udd_sequence(2), ops, [x / alpha(ops)], DOUBLE) for x in (1e-60, at))
         assert errors == [None]
         assert held.floor[0] / 1e-60 <= lost.floor[0] / at <= 1.6 * held.floor[0] / 1e-60
 
@@ -344,7 +344,7 @@ class TestStackedExtraction:
         # A scan's grid composes as one stack; each item must hold exactly
         # what a point at its own duration gives, floor included.
         ops = build_model(ModelSpec(d=d, seed=7))
-        eff, errors = evaluate(seq, ops, GRID, DOUBLE)
+        eff, errors, _ = evaluate(seq, ops, GRID, DOUBLE)
         assert errors == [None] * len(GRID)
         funcs = error_functionals(eff)
         for g, t in enumerate(GRID):
@@ -361,7 +361,7 @@ class TestStackedExtraction:
         zero = np.zeros((d, d), dtype=complex)
         ops = BathOperators(a0=zero.copy(), ax=zero.copy(), ay=zero.copy(), az=np.eye(d, dtype=complex))
         durations = [0.5, np.pi - 0.05, 1.0]
-        _, errors = evaluate(PulseSequence(1.0, (), label="free"), ops, durations, DOUBLE)
+        _, errors, _ = evaluate(PulseSequence(1.0, (), label="free"), ops, durations, DOUBLE)
         assert errors[0] is None and errors[2] is None
         with pytest.raises(BranchAmbiguityError) as single:
             sequence_effective(PulseSequence(durations[1], (), label="free"), ops)
@@ -375,7 +375,7 @@ class TestStackedExtraction:
         # The W a sequence_unitary carries, read in place of composing, extracts to the bits of a fresh double point.
         ops = build_model(ModelSpec(d=4, seed=7))
         carried = dataclasses.replace(DOUBLE, compose=lambda seq, ops, durations: (sequence_unitary(seq, ops).w[None], [None]))
-        from_unitary = point_effective(seq, ops, carried)
+        from_unitary, _ = point_effective(seq, ops, carried)
         direct = sequence_effective(seq, ops)
         assert from_unitary.floor == direct.floor
         for (_, got), (_, want) in zip(from_unitary.items(), direct.items()):
@@ -385,7 +385,7 @@ class TestStackedExtraction:
     def test_compare_prints_point_effective_values(self, monkeypatch, capsys, precision):
         # compare's E columns are error_functionals(point_effective(seq, model, engine)), called with those three
         # arguments only: the bits of a fresh point on the engine, whose double compose is effective's
-        # sequence_deviation (F_e reads sequence_unitary on its own).
+        # sequence_deviation (in double, F_e reads that point's W; extended, it composes in double on its own).
         from ddforge import analysis, cli
 
         engine, points, deviations = analysis.ENGINES[precision], [], []
@@ -408,8 +408,8 @@ class TestStackedExtraction:
         ops = build_model(ModelSpec(seed=7))
         rows = out.splitlines()[1:]
         assert len(rows) == len(points) == 3
-        for seq, row, got in zip([udd_sequence(3, 0.01), cudd(2, 2, 0.01), cdd_full(3, 0.01)], rows, points):
-            want = point_effective(seq, ops, engine)
+        for seq, row, (got, _) in zip([udd_sequence(3, 0.01), cudd(2, 2, 0.01), cdd_full(3, 0.01)], rows, points):
+            want, _ = point_effective(seq, ops, engine)
             assert got.floor == want.floor
             for (_, block), (_, ref) in zip(got.items(), want.items()):
                 assert block.tobytes() == ref.tobytes()

@@ -45,6 +45,8 @@ from ddforge.sequences import (
 
 RNG = np.random.default_rng(2024)
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references"
+# The simulate-deep points' bits, which a faster composition must keep: the key is "family,param=value,...@alpha t".
+DEEP_BITS = json.loads((Path(__file__).resolve().parent / "golden" / "deep-bits.json").read_text())
 
 
 def random_hermitian(d, scale=1.0):
@@ -229,6 +231,40 @@ class TestDeepSchedules:
             fe = entanglement_fidelity(sequence_unitary(seq, ops))
             want = refs[f"{label}|generic|d4|seed{seed}|at={at:.0e}"]["F_e"]
             assert abs(fe - want) <= 16 * seq.pulse_count * np.finfo(float).eps
+
+    @pytest.mark.parametrize("key", sorted(DEEP_BITS))
+    def test_bits_match_golden(self, key):
+        # The simulate-deep families at seed 7: pulse count, F_e as float.hex and the sha256 of U's bytes.
+        ops = build_model(ModelSpec(d=4, seed=7))
+        family, at = key.split("@")
+        name, *params = family.split(",")
+        seq = build_sequence(name, float(at) / alpha(ops), **{k: int(v) for k, v in (p.split("=") for p in params)})
+        u = sequence_unitary(seq, ops)
+        got = {"pulses": seq.pulse_count, "fe": entanglement_fidelity(u).hex(),
+               "u_sha256": hashlib.sha256(u.u.tobytes()).hexdigest()}
+        assert got == DEEP_BITS[key]
+
+    def test_retimed_copy_forms_no_control_constants(self, monkeypatch):
+        # ctrl's rows and row factors are kept with the schedule per d, and I per size: a second point on a
+        # re-timed copy reads them and forms neither again, nor an identity matrix.
+        ops = build_model(ModelSpec(d=4, seed=7))
+        seq = build_sequence("cdd", 0.01, m=7)
+        first = sequence_unitary(seq, ops)
+        kept = seq._cache[evolution._control_rows, 4]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("formed a control constant again")
+
+        for name in ("control_product", "_control"):
+            monkeypatch.setattr(evolution, name, refuse)
+        for name in ("eye", "repeat"):
+            monkeypatch.setattr(np, name, refuse)
+        again = seq.with_duration(0.02)
+        second = sequence_unitary(again, ops)
+        monkeypatch.undo()
+        assert again._cache is seq._cache and seq._cache[evolution._control_rows, 4] is kept
+        assert second.u.tobytes() == sequence_unitary(cdd_full(7, 0.02), ops).u.tobytes()
+        assert first.u.tobytes() != second.u.tobytes()
 
 
 class TestStackedComposition:

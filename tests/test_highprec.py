@@ -54,7 +54,7 @@ class TestCrossValidation:
         # double blocks are good to a few eps of the largest one, a_0.
         seq = cdd_full(2, 0.05)
         lo = sequence_effective(seq, ops)
-        hi = point_effective(seq, ops, EXTENDED)
+        hi, _ = point_effective(seq, ops, EXTENDED)
         for (g, a), (_, b) in zip(hi.items(), lo.items()):
             assert np.abs(a - b).max() <= 1e-13 * np.abs(lo.a0).max(), g
 
@@ -188,7 +188,7 @@ class TestBranchBehaviour:
 
     def test_effective_duration_normalization(self, ops):
         t = 0.03
-        eff = point_effective(udd_sequence(1, t), ops, EXTENDED)
+        eff, _ = point_effective(udd_sequence(1, t), ops, EXTENDED)
         assert eff.t == t
         reconstructed = error_functionals(eff)
         assert reconstructed["E_dephase"] == pytest.approx(t * 1.0, rel=1e-2)
@@ -461,11 +461,11 @@ class TestStacking:
         grid = list(default_t_grid(alpha(ops), 1e-3, 1e-2, 5))
         params = dict(IDENTITY_FAMILIES[family])
         seq = build_sequence(params.pop("name"), grid[0], **params)
-        stacked, errors = evaluate(seq, ops, grid, EXTENDED)
+        stacked, errors, _ = evaluate(seq, ops, grid, EXTENDED)
         assert errors == [None] * len(grid)
         funcs = {**error_functionals(stacked), "floor": stacked.floor}
         for g, t in enumerate(grid):
-            single = point_effective(seq.with_duration(t), ops, EXTENDED)
+            single, _ = point_effective(seq.with_duration(t), ops, EXTENDED)
             assert type(single.floor) is float and single.floor == stacked.floor[g] > 0
             for (_, a), (_, b) in zip(stacked.items(), single.items()):
                 assert a[g].tobytes() == b.tobytes()
@@ -524,7 +524,7 @@ class TestDeepSchedules:
     def test_extracts_and_agrees_with_double(self, name, params):
         ops = build_model(ModelSpec(d=4, seed=7))
         grid = [at / alpha(ops) for at in (1e-2, 1e-1)]
-        eff, errors = evaluate(build_sequence(name, 1.0, **params), ops, grid, EXTENDED)
+        eff, errors, _ = evaluate(build_sequence(name, 1.0, **params), ops, grid, EXTENDED)
         funcs = {**error_functionals(eff), "floor": eff.floor}
         assert errors == [None, None]
         assert all(np.isfinite(value).all() for value in funcs.values())

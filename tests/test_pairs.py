@@ -90,5 +90,29 @@ def test_failed_run_names_side_pair_seed_and_stderr(capsys, monkeypatch):
     assert code == 1 and calls == [7, 7, 8, 8]
     assert len(out.splitlines()) == 3 and "metric" not in out
     lines = err.splitlines()
-    assert lines[0] == "pair 1 seed 8 parent: run.py exited with code 2; the end of its stderr:"
+    assert lines[0] == "pair 1 seed 8 parent nope: run.py exited with code 2; the end of its stderr:"
     assert lines[1:] == stderr.splitlines()[-pairs.STDERR_TAIL:]
+
+
+@pytest.mark.parametrize("workload", ["all", "order-d4,simulate-deep"])
+def test_several_workloads_print_a_table_each(capsys, monkeypatch, workload):
+    # Each pair runs every workload on both sides, at the pair's seed, and each workload gets its own table.
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in bench["end_to_end"]]
+    workloads = [w["name"] for w in bench["workloads"]] if workload == "all" else workload.split(",")
+    calls = []
+
+    def run_benchmark(root, name, seed):
+        calls.append((name, seed))
+        return dict.fromkeys(names, 1.0 + workloads.index(name) + 0.5 * (len(calls) % 2))
+
+    monkeypatch.setattr(pairs, "run_benchmark", run_benchmark)
+    assert pairs.main([str(ROOT), str(ROOT), "--workload", workload, "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert sorted(calls) == sorted((name, seed) for name in workloads for seed in (7, 8) for _ in range(2))
+    progress, *tables = out.split("\n\n")
+    assert len(progress.splitlines()) == 2 * 2 * len(workloads)
+    assert [table.splitlines()[0] for table in tables] == [f"{name}:" for name in workloads]
+    for table in tables:
+        rows = table.splitlines()[2:]
+        assert [row.split()[0] for row in rows] == names

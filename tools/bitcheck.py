@@ -114,7 +114,7 @@ def flat_plans_category(sequences, bath, analysis, effective, highprec) -> Categ
         if from_json:
             seq = sequences.schedule_from_json(sequences.schedule_to_json(seq))
         for engine in (effective.DOUBLE, highprec.EXTENDED):
-            eff, errors = effective.evaluate(seq, ops, grid, engine)
+            eff, errors = effective.evaluate(seq, ops, grid, engine)[:2]
             values = {**effective.error_functionals(eff), "floor": eff.floor}
             hexes = [(key, [x.hex() for x in value.tolist()]) for key, value in values.items()]
             failures = [None if e is None else failure(e) for e in errors]

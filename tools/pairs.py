@@ -3,20 +3,22 @@
 
 Usage: ``python tools/pairs.py PARENT CHANGE --workload W --pairs N``, where
 PARENT and CHANGE are checkouts (this repository, or copies of other
-commits).  Pair i runs ``perfbench/run.py --workload W --seed 7+i --trace 0``
-once in each checkout, from its root, the parent first in even pairs and the
-change first in odd ones, and prints both runs' end-to-end metrics as they
-come.  Then, per end-to-end metric of the parent's ``BENCHMARK.json``, it
-prints each side's quartiles (p25 / median / p75), the pairs the change won
-(a tie counts for neither side), the change of the median, and whether a gain
-meets the rule: the change wins at least nine tenths of the pairs, and its
-median is better than the parent's by more than the distance between the
-parent's quartiles.
+commits), and W is a workload, a comma-separated list of them, or ``all``
+(every workload of the parent's ``BENCHMARK.json``).  Pair i runs
+``perfbench/run.py --workload W --seed 7+i --trace 0`` once in each checkout
+per workload, from its root, the parent first in even pairs and the change
+first in odd ones, and prints both runs' end-to-end metrics as they come.
+Then, per workload, it prints a table: per end-to-end metric of the parent's
+``BENCHMARK.json``, each side's quartiles (p25 / median / p75), the pairs the
+change won (a tie counts for neither side), the change of the median, and
+whether a gain meets the rule: the change wins at least nine tenths of the
+pairs, and its median is better than the parent's by more than the distance
+between the parent's quartiles.
 
 A checkout without ``BENCHMARK.json`` or ``perfbench/run.py`` gets one line
 naming it, and exit code 2, before any run.  A run that fails ends the
-script with exit code 1, after a line naming its side, pair, seed and exit
-code, and the last lines of its stderr.
+script with exit code 1, after a line naming its pair, seed, side, workload
+and exit code, and the last lines of its stderr.
 
 The script only starts ``run.py``, which writes its records to
 ``perfbench/out/`` in each checkout.  It runs nothing else in the meantime, as
@@ -26,6 +28,7 @@ a second process would share the cores the runs are timed on.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import statistics
 import subprocess
@@ -89,7 +92,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, help="a workload, a comma-separated list, or all")
     ap.add_argument("--pairs", type=int, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -100,21 +103,27 @@ def main(argv=None) -> int:
         if missing:
             print(f"pairs.py: the {side} {root} is not a ddforge checkout: it has no {missing[0]}", file=sys.stderr)
             return 2
-    metrics = json.loads((sides["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
-    runs = {"parent": [], "change": []}
+    bench = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
+    metrics = bench["end_to_end"]
+    workloads = ([w["name"] for w in bench["workloads"]] if args.workload == "all"
+                 else args.workload.split(","))
+    runs = {workload: {"parent": [], "change": []} for workload in workloads}
     for pair in range(args.pairs):
         seed = FIRST_SEED + pair
-        for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+        for workload, side in itertools.product(workloads, ("parent", "change") if pair % 2 == 0
+                                                 else ("change", "parent")):
             try:
-                runs[side].append(run_benchmark(sides[side], args.workload, seed))
+                runs[workload][side].append(run_benchmark(sides[side], workload, seed))
             except subprocess.CalledProcessError as err:
                 tail = (err.stderr or "").rstrip().splitlines()[-STDERR_TAIL:]
-                print(f"pair {pair} seed {seed} {side}: run.py exited with code {err.returncode}; the end of its stderr:",
-                      *tail, sep="\n", file=sys.stderr)
+                print(f"pair {pair} seed {seed} {side} {workload}: run.py exited with code {err.returncode};"
+                      " the end of its stderr:", *tail, sep="\n", file=sys.stderr)
                 return 1
-            values = "  ".join(f"{m['name']} {runs[side][-1][m['name']]:.6g}" for m in metrics)
-            print(f"pair {pair} seed {seed} {side:<6} {values}", flush=True)
-    print("\n".join(report(summarize(metrics, runs["parent"], runs["change"]))))
+            values = "  ".join(f"{m['name']} {runs[workload][side][-1][m['name']]:.6g}" for m in metrics)
+            print(f"pair {pair} seed {seed} {side:<6} {workload:<15} {values}", flush=True)
+    for workload in workloads:
+        print(f"\n{workload}:", *report(summarize(metrics, runs[workload]["parent"], runs[workload]["change"])),
+              sep="\n")
     return 0
 
 
