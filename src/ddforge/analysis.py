@@ -201,10 +201,8 @@ def _in_grid_order(evaluate_stack, stacks: list) -> list:
     import contextvars
     from concurrent.futures import ThreadPoolExecutor
 
-    # The caches the stacks share (seq._cache with its plans' trees, the
-    # blocks' codes and trees, reduction_plan, _frame_rows, the model's eigensystem,
-    # frame eigenvectors and extended Taylor constants) are filled with
-    # deterministic values, so a race only repeats work.
+    # The constants the stacks share (bath.kept's and the lru_caches') are
+    # filled with deterministic values, so a race only repeats work.
     results = []
     with ThreadPoolExecutor(workers - 1) as pool:
         for start in range(0, len(stacks), workers):

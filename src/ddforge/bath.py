@@ -6,10 +6,8 @@ so a model is a pure function of its spec.  Energy units are set so that the
 norm targets are dimensionless.
 
 ``build_model`` draws each spec once per process and returns the same
-read-only ``BathOperators`` for equal specs, so what depends on the model
-alone (its eigensystem, the eigenvectors in each Pauli frame, alpha, and
-in ``_cache`` the extended engine's constants), computed on first use, is
-shared by every scan under that model.
+read-only ``BathOperators`` for equal specs, so what is derived from the
+model alone, kept with it (``kept``), is shared by every scan under it.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -39,6 +37,27 @@ DEFAULT_DIM = 4
 MAX_DIM = 64
 
 _SPIN_BATH_RE = re.compile(r"^spin_bath\((\d+)\)$")
+
+
+def kept(make):
+    """The one memo rule of a constant derived from one object: ``get(owner, *args)`` gives ``make(owner, *args)``.
+
+    The value is formed on first use and kept in ``owner._cache``, under the
+    key get, or (get, *args) when there are args, so every key names the
+    function that formed it.  The owners (schedules, whose re-timed copies
+    share one ``_cache``, segment plans, ``Blocks`` levels and models) are
+    read-only but for ``_cache``, and a kept value depends on the owner and
+    args alone and is never changed, so threads share it: a race forms an
+    equal value twice, and the first one written is kept.  Memos keyed by
+    plain values (a size, a spec, bytes) are ``lru_cache``s instead.
+    """
+    @wraps(make)
+    def get(owner, *args):
+        cache, key = owner._cache, (get, *args) if args else get
+        if key not in cache:
+            cache.setdefault(key, make(owner, *args))
+        return cache[key]
+    return get
 
 
 def spectral_norm(a: np.ndarray):
@@ -140,11 +159,7 @@ class ModelSpec:
 
 @dataclass(frozen=True, eq=False)
 class BathOperators:
-    """Four Hermitian bath operators of common dimension, read-only.
-
-    ``_cache`` only gains what an engine derives from the operators alone,
-    under the engine's own key (``highprec._taylor``).
-    """
+    """Four Hermitian bath operators of common dimension, read-only; ``_cache`` holds what is ``kept`` with them."""
 
     a0: np.ndarray
     ax: np.ndarray
@@ -167,37 +182,6 @@ class BathOperators:
     @property
     def dim(self) -> int:
         return self.a0.shape[0]
-
-    @cached_property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(evals, evecs) of total_hamiltonian, computed on first use, read-only.
-
-        Every double-precision composition under this model shares it, so H
-        is assembled and diagonalised once per model, not once per schedule.
-        """
-        evals, evecs = np.linalg.eigh(total_hamiltonian(self))
-        evals.flags.writeable = False
-        evecs.flags.writeable = False
-        return evals, evecs
-
-    @cached_property
-    def frame_eigenvectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(F^+ V, its conjugate) per Pauli code f, F = sigma_f (x) I_d, as read-only (4, 2d, 2d) stacks, formed on first use.
-
-        V holds the eigenvectors of ``eigensystem`` and F^+ V their exact signed
-        rows, so a frame's factor F^+ E F = (F^+ V) expm1(-i lam t) (F^+ V)^+
-        takes no product with F.
-        """
-        rows, phases, *_ = _frame_rows(self.dim)
-        vectors = self.eigensystem[1][rows] * phases
-        conjugates = vectors.conj()
-        vectors.flags.writeable = conjugates.flags.writeable = False
-        return vectors, conjugates
-
-    @cached_property
-    def alpha(self) -> float:
-        """Largest spectral norm over the four operators (``bath.alpha``), computed on first use."""
-        return max(spectral_norm(a) for _, a in self.items())
 
 
 def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -252,9 +236,10 @@ def total_hamiltonian(ops: BathOperators) -> np.ndarray:
     return h
 
 
+@kept
 def alpha(ops: BathOperators) -> float:
     """Largest spectral norm over the four bath operators, kept with the model."""
-    return ops.alpha
+    return max(spectral_norm(a) for _, a in ops.items())
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:

@@ -108,10 +108,11 @@ def _model_spec(args) -> bath.ModelSpec:
     """The resolved model options over the --model file's keys, read as one spec by ``bath.spec_from_dict``."""
     data = dict(bath.check_spec(_load_json(args.model), args.model)) if args.model else {}
     env_seed = os.environ.get("DDFORGE_SEED") or "0"
-    try:
-        data.setdefault("seed", int(env_seed))
-    except ValueError:
-        raise ValueError(f"DDFORGE_SEED must be an integer, got {env_seed!r}") from None
+    if not env_seed.strip().isdecimal():
+        raise ValueError(f"DDFORGE_SEED must be a non-negative integer, got {env_seed!r}")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    data.setdefault("seed", int(env_seed))
     data.update((key, getattr(args, key)) for key in ("d", "seed", "preset") if getattr(args, key) is not None)
     targets = data["norm_targets"] = dict(data.get("norm_targets", {}))
     targets.update((g, getattr(args, f"norm_{g}")) for g in bath.GAMMAS if getattr(args, f"norm_{g}") is not None)
@@ -177,10 +178,10 @@ def _cmd_order(args) -> int:
     params = _family_kwargs(args)
     seeds = args.seeds
     if seeds is not None:
-        # A JSON list of integers (a boolean is an int too), or integers separated by commas.
+        # A JSON list of non-negative integers (a boolean is an int too), or such integers separated by commas.
         items = seeds if isinstance(seeds, list) else str(seeds).split(",")
-        if not all(type(s) is int if isinstance(seeds, list) else s.strip().isdecimal() for s in items):
-            raise ValueError(f"seeds must be integers, got {seeds!r}")
+        if not all(type(s) is int and s >= 0 if isinstance(seeds, list) else s.strip().isdecimal() for s in items):
+            raise ValueError(f"seeds must be non-negative integers, got {seeds!r}")
         seeds = [int(s) for s in items]
     # A family or grid usage error before any model is drawn; build_sequence memoises the schedule, so the scan
     # only re-times it.
@@ -288,11 +289,10 @@ def _cmd_compare(args) -> int:
     print(f"{'label':>20} {'pulses':>7} {'E_flip':>12} {'E_dephase':>12} {'E_total':>12} {'F_e':>12}"
           f" {'F_e(ctrl)':>12}")
     for seq in seqs:
-        # The functionals compose the schedule on the engine; F_e reads U = ctrl (I + W) from the W the double
-        # engine composed, or composes it in double where the engine is extended.
+        # The functionals compose the schedule on the engine, and F_e reads U = ctrl (I + W) from that W: the
+        # extended engine's high part.
         eff, w = effective.point_effective(seq, model, engine)
-        result = (evolution.controlled_unitary(seq, w[0]) if engine is effective.DOUBLE
-                  else evolution.sequence_unitary(seq, model))
+        result = evolution.controlled_unitary(seq, (w if engine is effective.DOUBLE else w[0])[0])
         funcs = effective.error_functionals(eff)
         for key in analysis.FUNCTIONALS:  # a warning line per value
             _check_floor([{**funcs, "floor": eff.floor, "t": args.t}], (key,), engine, f"{seq.label}: ")

@@ -26,24 +26,23 @@ three block norms of a stack from one stacked ``eigvalsh`` call, on the
 couplings, a view of that one array.  ``DOUBLE`` is defined here, the
 extended engine in ``highprec``.
 
-The log's constants are formed once: 2I once per size, the series' table
-of powers and odd divisors once.  A stack does no work for a branch none
-of its items takes (no item at or above SERIES_BOUND, none singular, none
-whose |Z^2|_F underflows, none done before a term), and branch errors are
-re-tagged only when there are any; the segment count for the floor is kept
-with the schedule (``evolution.segment_count``).
+The log's constants are formed once: 2I once per size (``evolution._eye``),
+the series' table of powers and odd divisors once.  A stack does no work
+for a branch none of its items takes (no item at or above SERIES_BOUND,
+none singular, none whose |Z^2|_F underflows, none done before a term),
+and branch errors are re-tagged only when there are any; the segment count
+for the floor is kept with the schedule (``bath.kept``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .bath import GAMMAS, spectral_norm
-from .evolution import segment_count, sequence_deviation
+from .evolution import _eye, segment_count, sequence_deviation
 from .evolution import sequence_unitary  # noqa: F401  (rebound here by perfbench/tracing.py and a test)
 from .sequences import check_duration
 
@@ -71,14 +70,6 @@ class BranchAmbiguityError(ArithmeticError):
         self.t = t
 
 
-@lru_cache(maxsize=16)
-def _two_eye(n: int) -> np.ndarray:
-    """2I of size n, read-only, formed once per size."""
-    two = 2 * np.eye(n)
-    two.flags.writeable = False
-    return two
-
-
 def _frobenius(x: np.ndarray) -> np.ndarray:
     """|x|_F per matrix of a (..., n, n) stack: ``np.linalg.norm``'s own sum, without its wrapper."""
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1)))
@@ -90,7 +81,7 @@ def shifted_solve(w: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarra
     numpy fails a whole stack when one item has an eigenvalue of I + W at -1.
     """
     b = w if b is None else b
-    a = w + _two_eye(w.shape[-1])
+    a = w + _eye(w.shape[-1], 2)
     try:
         return np.linalg.solve(a, b), []
     except np.linalg.LinAlgError:

@@ -22,21 +22,14 @@ on the left, in chunks of ``stack_points(d)`` segments (256 at d = 4; at
 d = 64 one, the update W <- E + W + E W) that fold in time order, so
 rounding grows as log N in the segment count; each distinct product of a
 level is formed once (``reduction_plan``), changing no bit.  Here the
-factors come from the model's one eigensystem (``BathOperators.eigensystem``).
+factors come from the model's one eigensystem (``eigensystem``).
 
-What depends on the model alone is formed once per model and kept on it:
-the eigensystem and, per Pauli frame, the eigenvectors' signed rows F^+ V
-and their conjugates (``BathOperators.frame_eigenvectors``); the extended
-engine keeps its Taylor constants there too (``highprec._taylor``).  What
-depends on the schedule alone is kept with it in ``seq._cache`` and shared
-by its re-timed copies: the segment plan, with the leaf's reduction tree
-per chunk length (``SegmentPlan.trees``), the segment count, the control
-product, and per bath dimension ctrl's rows and row factors
-(``_control_rows``); a ``Blocks`` node keeps per bath dimension its
-level's codes and tree (``_level``), and I is kept per size.  A warm call
-then pays only for its durations' arithmetic: a level whose products fit
-one block gathers both operands with one take (``reduce_pairwise``), and
-the list of unitarity errors is built only when an item fails.
+Every constant derived from a model, a schedule, a plan or a block level
+is formed once and kept with it (``bath.kept``), a schedule's shared by
+its re-timed copies.  A warm call then pays only for its durations'
+arithmetic: a level whose products fit one block gathers both operands
+with one take (``reduce_pairwise``), and the list of unitarity errors is
+built only when an item fails.
 
 A schedule whose builder recorded its blocks (``PulseSequence.blocks``)
 composes by them, however few its segments: its leaf block at its own
@@ -59,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bath import CODE_AXIS, SIGMA, BathOperators, _frame_rows
+from .bath import CODE_AXIS, SIGMA, BathOperators, _frame_rows, kept, total_hamiltonian
 from .sequences import Blocks, PauliAxis, PulseSequence, _exact_gaps, _kept
 
 def pulse_unitary(axis: PauliAxis, d: int) -> np.ndarray:
@@ -81,8 +74,7 @@ class SegmentPlan:
 
     Segment k's pair p = pairs[k] has the exact gap gaps[pair_gaps[p]], a Fraction of the duration, whose
     correctly rounded float is float_gaps[pair_gaps[p]], and the frame pair_frames[p]: the code of the product
-    of the pulses before the segment, up to a phase.  ``trees`` keeps the pairs' reduction tree per chunk
-    length, formed on first use (``compose``).
+    of the pulses before the segment, up to a phase.
     """
 
     gaps: list
@@ -90,7 +82,7 @@ class SegmentPlan:
     pairs: np.ndarray
     pair_gaps: np.ndarray
     pair_frames: np.ndarray
-    trees: dict = field(default_factory=dict, init=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def _frames(codes: np.ndarray) -> np.ndarray:
@@ -98,34 +90,28 @@ def _frames(codes: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.bitwise_xor.accumulate(codes)))
 
 
+@kept
 def _segment_plan(seq: PulseSequence) -> SegmentPlan:
-    """The schedule's SegmentPlan, read by every engine, formed on first use and kept in ``seq._cache``."""
-    cache = seq._cache
-    if _segment_plan not in cache:
-        gaps, ids = _exact_gaps(seq)
-        keys, pairs = np.unique(ids * 4 + _frames(seq.codes)[_kept(seq)], return_inverse=True)
-        cache[_segment_plan] = SegmentPlan(gaps, np.array([float(gap) for gap in gaps]), pairs, keys // 4, keys % 4)
-    return cache[_segment_plan]
+    """The schedule's SegmentPlan, read by every engine."""
+    gaps, ids = _exact_gaps(seq)
+    keys, pairs = np.unique(ids * 4 + _frames(seq.codes)[_kept(seq)], return_inverse=True)
+    return SegmentPlan(gaps, np.array([float(gap) for gap in gaps]), pairs, keys // 4, keys % 4)
 
 
+@kept
 def segment_count(seq: PulseSequence) -> int:
     """The schedule's nonzero free segments: one more than its pulses, less one per pulse at instant 0 or 1.
 
-    Formed on first use and kept in ``seq._cache``, without forming the segment plan.
+    Counted without forming the segment plan.
     """
-    cache = seq._cache
-    if segment_count not in cache:
-        cache[segment_count] = len(range(seq.pulse_count + 1)[_kept(seq)])
-    return cache[segment_count]
+    return len(range(seq.pulse_count + 1)[_kept(seq)])
 
 
+@kept
 def _control(seq: PulseSequence) -> tuple[int, int]:
-    """(p, f) with control product i^p sigma_f, from the codes, formed on first use and kept in ``seq._cache``."""
-    cache = seq._cache
-    if _control not in cache:
-        codes, frames = seq.codes, _frames(seq.codes)
-        cache[_control] = int(_PHASE.ravel().take(codes * 4 + frames[:-1]).sum() % 4), int(frames[-1])
-    return cache[_control]
+    """(p, f) with control product i^p sigma_f, from the codes."""
+    codes, frames = seq.codes, _frames(seq.codes)
+    return int(_PHASE.ravel().take(codes * 4 + frames[:-1]).sum() % 4), int(frames[-1])
 
 
 def control_product(seq: PulseSequence) -> np.ndarray:
@@ -169,7 +155,7 @@ class UnitaryResult:
     w: np.ndarray | None = None
 
     def __post_init__(self):
-        error = _unitarity_error(_unitarity_defect(self.u - _identity(len(self.u)) if self.w is None else self.w))
+        error = _unitarity_error(_unitarity_defect(self.u - _eye(len(self.u), 1) if self.w is None else self.w))
         if error is not None:
             raise error
         self.u.flags.writeable = False
@@ -269,25 +255,22 @@ def frame_factors(factors, plan: SegmentPlan) -> np.ndarray:
     return leaves
 
 
-def _tree(trees: dict, ids: np.ndarray, chunk: int) -> tuple:
-    """``reduction_plan`` of ids in chunks of chunk, formed on first use and kept in a plan's trees."""
-    if chunk not in trees:
-        trees[chunk] = reduction_plan(ids.astype(np.int64).tobytes(), chunk)
-    return trees[chunk]
+@kept
+def _tree(plan: SegmentPlan, chunk: int) -> tuple:
+    """``reduction_plan`` of the plan's pairs in chunks of chunk."""
+    return reduction_plan(plan.pairs.astype(np.int64).tobytes(), chunk)
 
 
+@kept
 def _level(node: Blocks, d: int) -> tuple[slice, tuple]:
-    """(codes, tree) of a level at bath dimension d, formed on first use and kept in ``node._cache``.
+    """(codes, tree) of a level at bath dimension d.
 
     codes slices every Pauli code up to the copies' largest, the frames the child's W is taken into; tree
     reduces the copies, each leaf id its frame code, in one chunk.
     """
-    cache = node._cache
-    if d not in cache:
-        frames = node.frames
-        cache[d] = (slice(int(frames.max()) + 1),
-                    reduction_plan(frames.astype(np.int64).tobytes(), max(len(frames), stack_points(d))))
-    return cache[d]
+    frames = node.frames
+    tree = reduction_plan(frames.astype(np.int64).tobytes(), max(len(frames), stack_points(d)))
+    return slice(int(frames.max()) + 1), tree
 
 
 def compose(node: Blocks | PulseSequence, d: int, leaves, product, block: int) -> np.ndarray:
@@ -298,15 +281,14 @@ def compose(node: Blocks | PulseSequence, d: int, leaves, product, block: int) -
     and ``product`` and ``block`` as in ``reduce_pairwise``.  The leaf's pairs
     reduce in chunks of ``stack_points(d)``; by blocks, each level takes the
     child's W into every Pauli frame up to its copies' largest code at once
-    and reduces the copies (``_level``).  Each reduction tree is kept with
-    the plan or the node it reduces.
+    and reduces the copies (``_level``).
     """
     levels = []
     while isinstance(node, Blocks):
         levels.append(node)
         node = node.child
     plan = _segment_plan(node)
-    tree = _tree(plan.trees, plan.pairs, stack_points(d))
+    tree = _tree(plan, stack_points(d))
     w = reduce_pairwise(tree, leaves(plan, math.prod(len(level.frames) for level in levels)), product, block)
     for level in reversed(levels):
         # The frames' axis, just before the matrix axes, goes first, as the copies' leaf axis.
@@ -316,15 +298,38 @@ def compose(node: Blocks | PulseSequence, d: int, leaves, product, block: int) -
     return w
 
 
+@kept
+def eigensystem(ops: BathOperators) -> tuple[np.ndarray, np.ndarray]:
+    """(evals, evecs) of ``bath.total_hamiltonian``, read-only: H is diagonalised once per model, not per schedule."""
+    evals, evecs = np.linalg.eigh(total_hamiltonian(ops))
+    evals.flags.writeable = evecs.flags.writeable = False
+    return evals, evecs
+
+
+@kept
+def frame_eigenvectors(ops: BathOperators) -> tuple[np.ndarray, np.ndarray]:
+    """(F^+ V, its conjugate) per Pauli code f, F = sigma_f (x) I_d, as read-only (4, 2d, 2d) stacks.
+
+    V holds the eigenvectors of ``eigensystem`` and F^+ V their exact signed
+    rows, so a frame's factor F^+ E F = (F^+ V) expm1(-i lam t) (F^+ V)^+
+    takes no product with F.
+    """
+    rows, phases, *_ = _frame_rows(ops.dim)
+    vectors = eigensystem(ops)[1][rows] * phases
+    conjugates = vectors.conj()
+    vectors.flags.writeable = conjugates.flags.writeable = False
+    return vectors, conjugates
+
+
 def _leaves(ops: BathOperators, plan: SegmentPlan, durations: np.ndarray) -> np.ndarray:
     """The double engine's factors of a plan's pairs at each duration, as a writable (P, G, 2d, 2d) stack."""
-    evals, evecs = ops.eigensystem
+    evals, evecs = eigensystem(ops)
     expm1 = np.expm1(-1j * (durations[:, None] * plan.float_gaps)[..., None] * evals)
     if stack_points(ops.dim) == 1:
         # Large factors, so one per distinct gap (not per pair), a product each (a 4-d matmul is slower).
         return frame_factors([(evecs * expm1[:, gap, None, :]) @ evecs.conj().T for gap in range(len(plan.gaps))], plan)
     # Each pair's factor V_f expm1(-i lam gap t) V_f^+, V_f = F^+ V, from the model's V_f and their conjugates.
-    vectors, conjugates = ops.frame_eigenvectors
+    vectors, conjugates = frame_eigenvectors(ops)
     v = vectors[plan.pair_frames]
     return ((v * expm1[:, plan.pair_gaps, None, :]) @ np.swapaxes(conjugates[plan.pair_frames], -1, -2)).swapaxes(0, 1)
 
@@ -347,26 +352,24 @@ def sequence_deviation(seq: PulseSequence, ops: BathOperators, durations) -> tup
     return w, [_unitarity_error(defect) for defect in defects]
 
 
+@kept
 def _control_rows(seq: PulseSequence, d: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """ctrl's rows and row factors at bath dimension d, formed on first use and kept in ``seq._cache``.
+    """ctrl's rows and row factors at bath dimension d.
 
     ctrl x = x[rows] * factors for a 2d x 2d x: the exact rows of ``_frame_rows`` and each row's one factor
     i^p (sigma_f)_(a, b), as a (2d, 1) column, or None if every factor is 1: times 1 + 0j would turn a -0.0
     real part into +0.0.  Taken from the 2x2 product as one number, as i^p times the row's sign in two steps
     can give a zero part the other sign.
     """
-    cache, key = seq._cache, (_control_rows, d)
-    if key not in cache:
-        rows = _frame_rows(d)[0][_control(seq)[1]]
-        factors = control_product(seq)[(0, 1), rows[::d] // d]
-        cache[key] = rows, np.repeat(factors, d)[:, None] if np.any(factors != 1) else None
-    return cache[key]
+    rows = _frame_rows(d)[0][_control(seq)[1]]
+    factors = control_product(seq)[(0, 1), rows[::d] // d]
+    return rows, np.repeat(factors, d)[:, None] if np.any(factors != 1) else None
 
 
 @lru_cache(maxsize=16)
-def _identity(n: int) -> np.ndarray:
-    """I of size n, read-only, formed once per size."""
-    eye = np.eye(n)
+def _eye(n: int, scale: int) -> np.ndarray:
+    """scale I of size n, read-only, formed once per size and scale."""
+    eye = scale * np.eye(n)
     eye.flags.writeable = False
     return eye
 
@@ -377,7 +380,7 @@ def controlled_unitary(seq: PulseSequence, w: np.ndarray) -> UnitaryResult:
     The control product acts on I + W as exact rows (``_control_rows``), and the result carries W.
     """
     rows, factors = _control_rows(seq, len(w) // 2)
-    u = (w + _identity(len(w)))[rows]
+    u = (w + _eye(len(w), 1))[rows]
     if factors is not None:
         u *= factors
     u.flags.writeable = False

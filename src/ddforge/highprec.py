@@ -17,11 +17,11 @@ plan both engines read: this engine gives a factor E = expm1(-i H dt) per
 distinct exact gap (a Taylor series on the plan's ``Fraction`` gaps) taken
 into each (gap, frame) pair's Pauli frame by ``evolution.frame_factors``,
 and its product.  The series' model constants (H's power-of-two scale as an
-exact ratio, k = -i H / scale and its powers k^j) are formed once per model
-and kept with it (``_taylor``), the powers grown as a longer series asks for
-them; each step gap t scale / copies is an integer ratio n / d, whose
-double-double comes from two correctly rounded int divisions (``_dd``), with
-no gcd.  Unlike the double engine, it composes a schedule by its
+exact ratio, k = -i H / scale, and each power k^j as a longer series asks
+for it) are kept with the model (``_scale``, ``_power``); each step gap t
+scale / copies is an integer ratio n / d, whose double-double comes from
+two correctly rounded int divisions (``_dd``), with no gcd.  Unlike the
+double engine, it composes a schedule by its
 recorded blocks only above one chunk of segments (``evolution.stack_points``), where
 it takes 3 products per CDD level (CDD-7: 21, not 773); a shorter one
 composes from its flat pulses (``_composed``).  By blocks the leaf's float instants are scaled exactly,
@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from .bath import BathOperators, spectral_norm, total_hamiltonian
+from .bath import BathOperators, kept, spectral_norm, total_hamiltonian
 from .effective import (BranchAmbiguityError, Engine, atanh_series, error_functionals, point_effective,
                         series_terms, shifted_solve)
 from .evolution import compose, frame_factors, segment_count, stack_points
@@ -207,35 +207,29 @@ def _composed(seq: PulseSequence, d: int) -> Blocks | PulseSequence:
     return seq if seq.blocks is None or segment_count(seq) <= stack_points(d) else seq.blocks
 
 
-def _taylor(ops: BathOperators, count: int = 1) -> tuple[tuple[int, int], tuple]:
-    """The model's Taylor constants: (numerator, denominator) of scale and at least count powers of k.
+@kept
+def _scale(ops: BathOperators) -> tuple[tuple[int, int], tuple]:
+    """The Taylor series' scale, the power of two at or above |H|, as (numerator, denominator), and k = -i H / scale.
 
-    scale is the power of two at or above |H|, and the powers k, k^2, ... of
-    k = -i H / scale are (hi, lo) pairs.  Formed on first use and kept in
-    ``ops._cache``.  Powers are grown on demand, each k^j = k^(j-1) k, and a
-    longer tuple replaces the kept one, which is never appended to: a thread
-    holding the kept tuple sees it whole, and a race only repeats work.
+    k is a (hi, lo) pair, and ``_power(ops, 1)``.
     """
-    cache = ops._cache
-    if _taylor not in cache:
-        h = total_hamiltonian(ops)
-        radius = spectral_norm(h)
-        scale = 2.0 ** math.ceil(math.log2(radius)) if radius > 0 else 1.0
-        k = -1j * h / scale  # |k| <= 1
-        cache[_taylor] = scale.as_integer_ratio(), ((k, np.zeros_like(k)),)
-    ratio, powers = cache[_taylor]
-    if len(powers) < count:
-        grown = list(powers)
-        while len(grown) < count:
-            grown.append(_matmul(grown[-1], grown[0]))
-        powers = tuple(grown)
-        cache[_taylor] = ratio, powers
-    return ratio, powers
+    h = total_hamiltonian(ops)
+    radius = spectral_norm(h)
+    scale = 2.0 ** math.ceil(math.log2(radius)) if radius > 0 else 1.0
+    k = -1j * h / scale  # |k| <= 1
+    return scale.as_integer_ratio(), (k, np.zeros_like(k))
+
+
+@kept
+def _power(ops: BathOperators, j: int) -> tuple:
+    """k^j of ``_scale``'s k, j >= 1, as a (hi, lo) pair: k^(j - 1) k."""
+    k = _scale(ops)[1]
+    return k if j == 1 else _matmul(_power(ops, j - 1), k)
 
 
 def _compose(seq: PulseSequence, ops: BathOperators, durations: list):
     """W with ctrl^+ U = I + W per duration, as a (hi, lo) pair of (G, 2d, 2d) stacks, and per-item errors."""
-    (num, den), _ = _taylor(ops)
+    (num, den), _ = _scale(ops)
     times = [(t_num * num, t_den * den) for t_num, t_den in (t.as_integer_ratio() for t in durations)]
     too_long = []
 
@@ -254,10 +248,9 @@ def _compose(seq: PulseSequence, ops: BathOperators, durations: list):
             live = (extra >= len(coefs))[..., None, None]
             coefs.append(_masked(_div(_mul(coefs[-1], x), float(len(coefs) + 1)), live))
         # Terms past an item's own last are exact zeros, so each gap takes every power up to the last item's.
-        _, powers = _taylor(ops, len(coefs))
-        factors = _mul(powers[0], x)
-        for power, coef in zip(powers[1:], coefs[1:]):
-            factors = _add(factors, _mul(power, coef))
+        factors = _mul(_power(ops, 1), x)
+        for j, coef in enumerate(coefs[1:], 2):
+            factors = _add(factors, _mul(_power(ops, j), coef))
         # A leaf is a segment's (gap, frame): F^+ E F, F the pulse product before it, whose phase
         # cancels in exact arithmetic and is left out.
         return frame_factors(np.stack(factors, axis=-3), plan)

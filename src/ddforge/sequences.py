@@ -226,10 +226,8 @@ class Blocks:
     every pulse before copy j's own, its head included, so head j is
     frames[j] ^ frames[j-1] ^ (the child's product), and head 0 is frames[0].
     child is a Blocks or the flat leaf schedule, whose duration is the
-    parent's over the copies at every level.  ``_cache`` keeps what the
-    engines derive from the frames alone, per bath dimension: the codes the
-    child's W is taken into and the copies' reduction tree, formed on first
-    use (``evolution._level``).
+    parent's over the copies at every level.  ``_cache`` holds what the
+    engines derive from the frames alone (``bath.kept``).
     """
 
     child: "Blocks | PulseSequence"
@@ -295,12 +293,10 @@ class PulseSequence:
     Invariants: instants strictly increasing in [0, 1]; no identity pulses.
     The arrays (see the module docstring) are read-only and nothing else
     changes after construction but ``_cache``, which only gains what the
-    engines derive from the pulses alone (the segment plan with its
-    reduction trees, the segment count, the control product and, per bath
-    dimension, its rows and row factors), so instances are safe to share
-    across threads.  Every ``with_duration`` copy shares ``_cache``.
-    ``blocks`` is the ``Blocks`` node its builder constructed it from, or
-    None; each node keeps its own constants (``Blocks._cache``).
+    engines derive from the pulses alone (``bath.kept``), so instances are
+    safe to share across threads.  Every ``with_duration`` copy shares
+    ``_cache``.  ``blocks`` is the ``Blocks`` node its builder constructed
+    it from, or None; each node keeps its own constants.
     """
 
     def __init__(self, total_duration: float, pulses: Iterable[Pulse], label: str = "", family: dict | None = None):

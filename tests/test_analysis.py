@@ -407,7 +407,7 @@ class TestPooledScan:
     def test_rows_equal_serial_rows(self, monkeypatch, precision, seeds):
         # The pooled scan runs first, on empty memos and with a short switch
         # interval, so that its threads race to fill the shared caches (fresh
-        # models included, so extended stacks race to grow the Taylor powers);
+        # models included, so extended stacks race to form the kept Taylor powers);
         # the serial scan then runs on memos of its own.
         import sys
 

@@ -16,6 +16,7 @@ from ddforge.bath import (
     spectral_norm,
     total_hamiltonian,
 )
+from ddforge.evolution import eigensystem, frame_eigenvectors
 
 
 def svd_norm(a):
@@ -142,16 +143,16 @@ class TestBathOperators:
 class TestEigensystem:
     def test_not_computed_by_build_model(self):
         ops = build_model(ModelSpec(d=4, seed=3))
-        assert "eigensystem" not in vars(ops)
+        assert eigensystem not in ops._cache
 
     def test_matches_total_hamiltonian(self):
         ops = build_model(ModelSpec(d=4, seed=3))
-        evals, evecs = ops.eigensystem
+        evals, evecs = eigensystem(ops)
         ref_evals, ref_evecs = np.linalg.eigh(total_hamiltonian(ops))
         assert np.array_equal(evals, ref_evals) and np.array_equal(evecs, ref_evecs)
 
     def test_read_only(self):
-        evals, evecs = build_model(ModelSpec(d=4, seed=3)).eigensystem
+        evals, evecs = eigensystem(build_model(ModelSpec(d=4, seed=3)))
         with pytest.raises(ValueError):
             evals[0] = 0.0
         with pytest.raises(ValueError):
@@ -176,7 +177,7 @@ class TestEigensystem:
         assert len(calls) == 1
         sequence_unitary(cpmg(0.1), other)
         assert len(calls) == 2
-        assert ops.eigensystem is ops.eigensystem
+        assert eigensystem(ops) is eigensystem(ops)
 
 
 class TestTotalHamiltonian:
@@ -216,9 +217,44 @@ class TestAlpha:
 
     def test_kept_with_the_model(self):
         ops = build_model(ModelSpec(d=4, seed=1, norm_targets={"x": 0.5, "z": 3.0}))
-        assert "alpha" not in vars(ops)
+        assert alpha not in ops._cache
         assert alpha(ops) == max(spectral_norm(a) for _, a in ops.items()) == pytest.approx(3.0, abs=1e-10)
-        assert "alpha" in vars(ops)
+        assert alpha in ops._cache
+
+
+class TestKept:
+    # bath.kept is the one memo rule: make runs once per (owner, args), and every call returns the kept object.
+    class Owner:
+        def __init__(self):
+            self._cache = {}
+
+    def test_make_runs_once_per_owner_and_args(self):
+        from ddforge.bath import kept
+
+        calls = []
+
+        @kept
+        def make(owner, *args):
+            calls.append((owner, args))
+            return object()
+
+        a, b = self.Owner(), self.Owner()
+        first, fourth = make(a), make(a, 4)
+        assert make(a) is first and make(a, 4) is fourth and make(a, 5) is not fourth
+        assert make(b) is not first
+        assert calls == [(a, ()), (a, (4,)), (a, (5,)), (b, ())]
+        assert a._cache.keys() == {make, (make, 4), (make, 5)} and b._cache.keys() == {make}
+
+    def test_retimed_copies_share_entries(self):
+        from ddforge.bath import kept
+        from ddforge.sequences import build_sequence
+
+        calls = []
+        plan = kept(lambda seq, d: calls.append(d) or object())
+        seq = build_sequence("cdd", 0.01, m=3)
+        again = seq.with_duration(0.02)
+        assert plan(again, 4) is plan(seq, 4) is not plan(seq, 8)
+        assert calls == [4, 8]
 
 
 class TestModelMemo:
@@ -244,22 +280,22 @@ class TestModelMemo:
         from ddforge.bath import CODE_AXIS, SIGMA
 
         ops = build_model(ModelSpec(d=4, seed=3))
-        vectors, conjugates = ops.frame_eigenvectors
-        evecs = ops.eigensystem[1]
+        vectors, conjugates = frame_eigenvectors(ops)
+        evecs = eigensystem(ops)[1]
         for code, axis in enumerate(CODE_AXIS):
             assert np.array_equal(vectors[code], np.kron(SIGMA[axis], np.eye(4)) @ evecs)
         assert np.array_equal(conjugates, vectors.conj())
         assert not vectors.flags.writeable and not conjugates.flags.writeable
-        assert ops.frame_eigenvectors is ops.frame_eigenvectors
+        assert frame_eigenvectors(ops) is frame_eigenvectors(ops)
 
     def test_equals_a_fresh_draw(self):
         from ddforge import bath
 
         ops = build_model(ModelSpec(d=4, seed=7))
-        ops.eigensystem
+        eigensystem(ops)
         bath._model.cache_clear()
         fresh = build_model(ModelSpec(d=4, seed=7))
-        assert fresh is not ops and "eigensystem" not in vars(fresh)
+        assert fresh is not ops and eigensystem not in fresh._cache
         assert [a.tobytes() for _, a in fresh.items()] == [a.tobytes() for _, a in ops.items()]
 
     def test_failed_build_is_not_cached(self):

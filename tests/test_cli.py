@@ -200,17 +200,20 @@ class TestOrder:
         assert env_csv.read_text() == flag_csv.read_text()
 
     @pytest.mark.parametrize("source, message", [
-        ("flag", "model key 'seed' must be a non-negative integer, got -1"),
-        ("env", "model key 'seed' must be a non-negative integer, got -3"),
-        ("env-text", "DDFORGE_SEED must be an integer, got 'abc'"),
+        ("flag", "--seed must be a non-negative integer, got -1"),
+        ("env", "DDFORGE_SEED must be a non-negative integer, got '-3'"),
+        ("env-text", "DDFORGE_SEED must be a non-negative integer, got 'abc'"),
         ("model", "model key 'seed' in {path} must be a non-negative integer, got -2"),
         ("config", "config key 'seed' in {path} must be a non-negative integer, got -4"),
-    ], ids=["flag", "env", "env-text", "model", "config"])
+        ("seeds", "seeds must be non-negative integers, got '-1,2'"),
+    ], ids=["flag", "env", "env-text", "model", "config", "seeds"])
     def test_bad_seed_is_usage_error_naming_it(self, capsys, tmp_path, monkeypatch, source, message):
-        # A config's or a model file's seed names the file, as its mistyped keys do.
+        # Each message names where the seed came from: the flag, the variable, or the file, as a mistyped key's does.
         argv, path = ["order", "none", "--points", "4"], None
         if source == "flag":
             argv += ["--seed", "-1"]
+        elif source == "seeds":
+            argv += ["--seeds=-1,2"]
         elif source.startswith("env"):
             monkeypatch.setenv("DDFORGE_SEED", "-3" if source == "env" else "abc")
         else:
@@ -362,7 +365,8 @@ class TestPredictMagnus:
 def compare_compositions(capsys, monkeypatch, precision) -> int:
     """The number of compositions ``compare`` makes for CDD-3 and UDD-2 at one precision.
 
-    It first checks that each U that F_e was read from holds the bits of sequence_unitary.
+    It first checks that each U that F_e was read from holds the bits of ctrl (I + W) of the engine's W:
+    sequence_unitary's in double, and of the extended W's high part in extended.
     test_effective.py's test_compare_prints_point_effective_values pins the functionals.
     """
     from ddforge import evolution, highprec
@@ -387,8 +391,9 @@ def compare_compositions(capsys, monkeypatch, precision) -> int:
     assert run(capsys, *argv)[0] == 0
     monkeypatch.undo()
     ops = bath.build_model(bath.ModelSpec(seed=7))
-    want = [evolution.sequence_unitary(sequences.build_sequence(name, 0.01, **params), ops)
-            for name, params in (("cdd", {"m": 3}), ("udd", {"n": 2}))]
+    seqs = [sequences.build_sequence(name, 0.01, **params) for name, params in (("cdd", {"m": 3}), ("udd", {"n": 2}))]
+    want = [evolution.sequence_unitary(seq, ops) if precision == "double"
+            else evolution.controlled_unitary(seq, highprec._compose(seq, ops, [0.01])[0][0][0]) for seq in seqs]
     assert [got.label for got in unitaries] == ["CDD-3", "UDD-2"]
     assert [got.u.tobytes() for got in unitaries] == [result.u.tobytes() for result in want]
     return len(composed)
@@ -418,8 +423,8 @@ class TestCompare:
         assert compare_compositions(capsys, monkeypatch, "double") == 2
 
     def test_extended_composes_once_per_engine(self, capsys, monkeypatch):
-        # Extended, each schedule composes once on that engine and once in double, for F_e.
-        assert compare_compositions(capsys, monkeypatch, "extended") == 4
+        # Extended, each schedule composes once, on that engine: F_e reads the high part of its W.
+        assert compare_compositions(capsys, monkeypatch, "extended") == 2
 
     def test_fidelity_against_control_rotation(self, capsys):
         # An odd pulse count leaves a net pi rotation: F_e against the
@@ -723,7 +728,7 @@ class TestConfigFile:
         config.write_text(f'{{"seeds": {seeds}}}')
         code, out, err = run(capsys, "order", "udd", "--n", "2", "--points", "4", "--config", str(config))
         assert code == 2 and out == ""
-        assert err == f"error: seeds must be integers, got {json.loads(seeds)!r}\n"
+        assert err == f"error: seeds must be non-negative integers, got {json.loads(seeds)!r}\n"
 
     @pytest.mark.parametrize("seq", ["[1]", '"udd,n=2"'], ids=["integer-item", "string"])
     def test_seq_not_a_list_of_strings_is_usage_error(self, capsys, tmp_path, seq):
@@ -745,7 +750,7 @@ class TestConfigFile:
     def test_non_integer_seed_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "order", "udd", "--n", "2", "--points", "4", "--seeds", "7,8.5")
         assert code == 2
-        assert err == "error: seeds must be integers, got '7,8.5'\n"
+        assert err == "error: seeds must be non-negative integers, got '7,8.5'\n"
 
     def test_mistyped_model_key_in_config_is_usage_error(self, capsys, tmp_path):
         # A numeric preset raised TypeError; a config's model key names the config file, as its other keys do.

@@ -11,7 +11,8 @@ import pytest
 from _reference import expm_segment
 
 from ddforge import evolution, highprec
-from ddforge.bath import SIGMA, BathOperators, ModelSpec, alpha, build_model, total_hamiltonian
+from ddforge.analysis import default_t_grid, evaluate_scan
+from ddforge.bath import SIGMA, BathOperators, ModelSpec, alpha, build_model, kept, total_hamiltonian
 from ddforge.effective import FLOOR_UNIT, error_functionals, sequence_effective
 from ddforge.evolution import (
     STACK_BYTES,
@@ -267,6 +268,38 @@ class TestDeepSchedules:
         assert first.u.tobytes() != second.u.tobytes()
 
 
+class TestKeptConstants:
+    def test_every_key_names_the_kept_function_that_formed_it(self):
+        # After a CDD-7 double scan (by blocks) and an extended CUDD(2,2) scan (flat), every key of a schedule's,
+        # a plan's, a block level's and the model's _cache is a bath.kept function, or a tuple that starts with one.
+        kept_code = kept(lambda owner: None).__code__
+
+        def is_kept(key):
+            return getattr(key[0] if isinstance(key, tuple) else key, "__code__", None) is kept_code
+
+        spec = ModelSpec(d=4, seed=7)
+        ops = build_model(spec)
+        grid = default_t_grid(alpha(ops), points=4)
+        owners = [ops]
+        for (name, params), precision in ((("cdd", {"m": 7}), "double"), (("cudd", {"m": 2, "n": 2}), "extended")):
+            evaluate_scan({"name": name, **params}, spec, grid, precision=precision)
+            node = build_sequence(name, **params)
+            owners.append(node)
+            node = node.blocks or node
+            while isinstance(node, Blocks):
+                owners.append(node)
+                node = node.child
+            owners.append(node)
+        owners += [value for owner in owners for value in owner._cache.values()
+                   if isinstance(value, evolution.SegmentPlan)]
+        # CDD-7's seven levels come after the model and the schedule.
+        assert all(isinstance(level, Blocks) and (evolution._level, 4) in level._cache for level in owners[2:9])
+        assert not isinstance(owners[9], Blocks)
+        assert sum(isinstance(owner, evolution.SegmentPlan) for owner in owners) == 2
+        assert highprec._scale in ops._cache and evolution.eigensystem in ops._cache
+        assert [key for owner in owners for key in owner._cache if not is_kept(key)] == []
+
+
 class TestStackedComposition:
     @pytest.mark.parametrize("d", [4, 16])
     @pytest.mark.parametrize("seq", [udd_sequence(3, 0.01), cudd(2, 2, 0.01), cdd_full(3, 0.01)],
@@ -292,8 +325,8 @@ class TestStackedComposition:
         seq = udd_sequence(2, 0.01)
         for scale, durations, failed in ((1.001, GRID[:3], [0, 1, 2]), (1 + 1e-8, [1e-3, 1e-1, 2e-3], [1])):
             ops = dataclasses.replace(build_model(ModelSpec(d=4, seed=7)))
-            evals, evecs = ops.eigensystem
-            ops.__dict__["eigensystem"] = (evals, evecs * scale)
+            evals, evecs = evolution.eigensystem(ops)
+            ops._cache[evolution.eigensystem] = (evals, evecs * scale)
             stack, errors = sequence_deviation(seq, ops, durations)
             assert [g for g, error in enumerate(errors) if error is not None] == failed
             for item, error, t in zip(stack, errors, durations):
@@ -602,7 +635,7 @@ class TestBlockComposition:
 
 def sequential_reference(seq: PulseSequence, ops: BathOperators, t: float) -> np.ndarray:
     """W <- E + W + E W segment by segment: one factor per distinct gap, each segment's frame by conjugate_frame."""
-    evals, evecs = ops.eigensystem
+    evals, evecs = evolution.eigensystem(ops)
     gaps = np.diff(np.concatenate(([0.0], seq.instants, [1.0])))
     frames = np.concatenate(([0], np.bitwise_xor.accumulate(seq.codes)))
     factors, w = {}, None

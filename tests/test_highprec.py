@@ -385,7 +385,7 @@ class TestEnginePieces:
         # second scan under the same model forms none of them again.
         spec = ModelSpec(d=4, seed=7)
         ops = build_model(spec)
-        assert highprec._taylor not in ops._cache
+        assert highprec._scale not in ops._cache
         formed = {"H": 0, "powers": 0}
         hamiltonian, matmul = highprec.total_hamiltonian, highprec._matmul
 
@@ -394,19 +394,51 @@ class TestEnginePieces:
             return hamiltonian(model)
 
         def counting_matmul(x, y):
-            kept = ops._cache.get(highprec._taylor)
-            formed["powers"] += kept is not None and y is kept[1][0]
+            kept = ops._cache.get(highprec._scale)
+            formed["powers"] += kept is not None and y is kept[1]
             return matmul(x, y)
+
+        def kept_powers():
+            return {key[1]: value for key, value in ops._cache.items()
+                    if isinstance(key, tuple) and key[0] is highprec._power}
 
         monkeypatch.setattr(highprec, "total_hamiltonian", counting_hamiltonian)
         monkeypatch.setattr(highprec, "_matmul", counting_matmul)
         grid = default_t_grid(alpha(ops), points=4)
         first = evaluate_scan({"name": "cudd", "m": 2, "n": 2}, spec, grid, precision="extended")
-        powers = ops._cache[highprec._taylor][1]
-        assert formed == {"H": 1, "powers": len(powers) - 1} and len(powers) > 1
+        powers = kept_powers()
+        assert sorted(powers) == list(range(1, len(powers) + 1)) and len(powers) > 1
+        assert formed == {"H": 1, "powers": len(powers) - 1}
         again = evaluate_scan({"name": "cudd", "m": 2, "n": 2}, spec, grid, precision="extended")
         assert formed == {"H": 1, "powers": len(powers) - 1}
-        assert ops._cache[highprec._taylor][1] is powers and again == first
+        again_powers = kept_powers()
+        assert again_powers.keys() == powers.keys() and all(again_powers[j] is powers[j] for j in powers)
+        assert again == first
+
+    def test_racing_threads_form_the_serial_powers(self):
+        # Eight threads ask a fresh model for k^12 at once; each power is kept whole once written, so every
+        # thread's result holds the bits of a serial call on another fresh copy of the model.
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        model = build_model(ModelSpec(d=4, seed=7))
+        serial = highprec._power(replace(model), 12)
+        ops, start = replace(model), threading.Barrier(8)
+
+        def power(_):
+            start.wait()
+            return highprec._power(ops, 12)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                results = list(pool.map(power, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(hi.tobytes() == serial[0].tobytes() and lo.tobytes() == serial[1].tobytes() for hi, lo in results)
+        assert all(result is results[0] for result in results)
 
     @pytest.mark.parametrize("code", range(4))
     def test_frame_conjugation_equals_dense_product(self, code):

@@ -116,3 +116,28 @@ def test_several_workloads_print_a_table_each(capsys, monkeypatch, workload):
     for table in tables:
         rows = table.splitlines()[2:]
         assert [row.split()[0] for row in rows] == names
+
+
+@pytest.mark.parametrize("verdict, before, after", [
+    ("held", [1.0, 1.02, 0.98, 1.01, 0.99, 1.0], [1.03, 1.0, 1.05, 0.99, 1.04, 1.02]),
+    ("worse", [1.0, 1.02, 0.98, 1.01, 0.99, 1.0], [1.3, 1.28, 1.31, 1.27, 1.3, 1.29]),
+    ("unresolved", [1.0, 0.6, 1.4, 0.7, 1.3, 1.0], [0.9, 0.8, 1.2, 1.1, 1.0, 0.95]),
+], ids=["held", "worse", "unresolved"])
+def test_verdict_against_the_bound(capsys, monkeypatch, verdict, before, after):
+    # A no-gain change must show that each metric held: its median within the bound (25% for scan_p50_ms) of
+    # the parent's, where the parent's quartiles lie within the bound of each other.
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+
+    def run_benchmark(root, workload, seed):
+        pair, first = divmod(len(calls), 2)
+        calls.append(seed)
+        side = before if (pair % 2 == 0) == (first == 0) else after
+        return {**dict.fromkeys(names, 1.0), "scan_p50_ms": side[pair]}
+
+    monkeypatch.setattr(pairs, "run_benchmark", run_benchmark)
+    assert pairs.main([str(ROOT), str(ROOT), "--workload", "order-d4", "--pairs", str(len(before))]) == 0
+    table = capsys.readouterr().out.split("\n\n")[1].splitlines()
+    assert table[1].split()[-1] == "verdict"
+    verdicts = {row.split()[0]: row.split()[-2] for row in table[2:]}
+    assert verdicts == {**dict.fromkeys(names, "held"), "scan_p50_ms": verdict}

@@ -10,10 +10,17 @@ per workload, from its root, the parent first in even pairs and the change
 first in odd ones, and prints both runs' end-to-end metrics as they come.
 Then, per workload, it prints a table: per end-to-end metric of the parent's
 ``BENCHMARK.json``, each side's quartiles (p25 / median / p75), the pairs the
-change won (a tie counts for neither side), the change of the median, and
+change won (a tie counts for neither side), the change of the median,
 whether a gain meets the rule: the change wins at least nine tenths of the
 pairs, and its median is better than the parent's by more than the distance
-between the parent's quartiles.
+between the parent's quartiles, and whether a change that claims no gain
+held the metric, against the metric's relative ``bound``:
+
+- ``worse``: the change's median is worse than the parent's by more than
+  bound times the parent's median;
+- ``unresolved``: the parent's quartiles lie further apart than bound times
+  its median, and not every change run beats every parent run;
+- ``held`` otherwise.
 
 A checkout without ``BENCHMARK.json`` or ``perfbench/run.py`` gets one line
 naming it, and exit code 2, before any run.  A run that fails ends the
@@ -51,7 +58,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> list[dict]:
-    """Per metric of ``BENCHMARK.json``'s end_to_end list, both sides' quartiles, the change's wins and the rule.
+    """Per metric of ``BENCHMARK.json``'s end_to_end list: both sides' quartiles, the wins, the rule, the verdict.
 
     parent[i] and change[i] map each metric's name to its value in pair i.
     """
@@ -62,21 +69,24 @@ def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> li
         wins = sum(b < a if lower else b > a for a, b in zip(before, after))
         (p25, p50, p75), (c25, c50, c75) = quartiles(before), quartiles(after)
         gap = p50 - c50 if lower else c50 - p50
+        bound = metric["bound"] * p50
+        beats_all = max(after) < min(before) if lower else min(after) > max(before)
+        verdict = "worse" if -gap > bound else "unresolved" if p75 - p25 > bound and not beats_all else "held"
         out.append({"name": name, "unit": metric["unit"], "parent": (p25, p50, p75), "change": (c25, c50, c75),
                     "wins": wins, "pairs": len(before), "relative": c50 / p50 - 1 if p50 else None,
-                    "gain": wins >= 0.9 * len(before) and gap > p75 - p25})
+                    "gain": wins >= 0.9 * len(before) and gap > p75 - p25, "verdict": verdict})
     return out
 
 
 def report(rows: list[dict]) -> list[str]:
     """The lines ``main`` prints for ``summarize``'s rows."""
     lines = [f"{'metric':<16} {'parent p25 / p50 / p75':>32} {'change p25 / p50 / p75':>32} "
-             f"{'wins':>7} {'median':>8}  gain"]
+             f"{'wins':>7} {'median':>8}  gain  verdict"]
     for row in rows:
         sides = ["{:.4g} / {:.4g} / {:.4g}".format(*row[side]) for side in ("parent", "change")]
         relative = "n/a" if row["relative"] is None else f"{row['relative']:+.1%}"
         lines.append(f"{row['name']:<16} {sides[0]:>32} {sides[1]:>32} {row['wins']:>3}/{row['pairs']:<3} "
-                     f"{relative:>8}  {'yes' if row['gain'] else 'no'}  ({row['unit']})")
+                     f"{relative:>8}  {'yes' if row['gain'] else 'no':<4}  {row['verdict']:<10}  ({row['unit']})")
     return lines
 
 
