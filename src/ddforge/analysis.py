@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bath import ModelSpec, alpha, build_model, spectral_norm
+from .bath import ModelSpec, alpha, build_model, check_count, spectral_norm
 from .effective import DOUBLE, BranchAmbiguityError, Engine, error_functionals, evaluate, sequence_effective
 from .evolution import stack_points
 from .highprec import EXTENDED
@@ -78,8 +78,7 @@ def check_grid(at_min: float, at_max: float, points: int) -> None:
     """The rule of ``default_t_grid``'s alpha*t bounds and point count, which needs no model: a ValueError if broken."""
     if not 0 < at_min < at_max:
         raise ValueError("need 0 < at_min < at_max")
-    if points < 4:
-        raise ValueError("need at least 4 grid points")
+    check_count(points, "points", 4)
 
 
 def default_t_grid(model_alpha: float, at_min: float = 1e-3, at_max: float = 1e-2, points: int = 8) -> np.ndarray:
@@ -312,10 +311,8 @@ def count_compare(m_max: int) -> list[dict]:
     pulses, the concatenated-Uhrig construction m 2^m + a_m (level m over
     m-pulse blocks), and the polynomial-timed double layer m(m+1)^3 + m.
     """
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
     rows = []
-    for m in range(1, m_max + 1):
+    for m in range(1, check_count(m_max, "m_max", 1) + 1):
         rows.append(
             {
                 "m": m,
@@ -330,9 +327,7 @@ def count_compare(m_max: int) -> list[dict]:
 
 def crossover(n_max: int = 40) -> int:
     """Smallest n with (n+1)^3 <= 2^n; the double layer beats concatenation beyond it."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    for n in range(1, n_max + 1):
+    for n in range(1, check_count(n_max, "n_max", 1) + 1):
         if (n + 1) ** 3 <= 2**n:
             return n
     raise ValueError(f"no crossover up to n_max={n_max}")

@@ -64,15 +64,10 @@ def spectral_norm(a: np.ndarray):
     """Largest |eigenvalue| of a Hermitian matrix, or an array of one per matrix of a (..., d, d) stack.
 
     A single matrix goes through as a stack of one.  Only the lower triangle
-    is read, so the input must be exactly Hermitian.
+    is read, so the input must be exactly Hermitian.  A zero matrix has
+    exact zero eigenvalues, and an empty one the norm 0.0.
     """
-    nonzero = np.any(a, axis=(-2, -1))
-    if nonzero.all():
-        norms = np.abs(np.linalg.eigvalsh(a)).max(axis=-1)
-    else:
-        norms = np.zeros(a.shape[:-2])
-        if nonzero.any():
-            norms[nonzero] = np.abs(np.linalg.eigvalsh(a[nonzero])).max(axis=-1)
+    norms = np.abs(np.linalg.eigvalsh(a)).max(axis=-1, initial=0.0)
     return norms if a.ndim > 2 else float(norms)
 
 
@@ -92,24 +87,17 @@ def _frame_rows(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return rows, phases, index.reshape(4, -1), qubit_phases * np.swapaxes(qubit_phases.conj(), -1, -2)
 
 
-def check_seed(seed, what: str = "model", path=None):
-    """seed, if a non-negative integer; else a ValueError naming the key, and the file where path names one."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        where = "" if path is None else f" in {path}"
-        raise ValueError(f"{what} key 'seed'{where} must be a non-negative integer, got {seed!r}")
-    return seed
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Reproducible recipe for one bath model.
 
-    seed is a non-negative integer.  preset is one of ``generic``,
-    ``pure_dephasing``, ``anisotropic`` or ``spin_bath(k)``.  norm_targets
-    overrides the preset defaults per coupling channel, each finite and
-    >= 0; presets validate their constraints (pure dephasing forces zero x/y
-    targets, anisotropic keeps the z target at most a tenth of the smaller
-    transverse one, spin_bath(k) pins d = 2^k).
+    d and seed are counts (``check_count``), d at least 1.  preset is one
+    of ``generic``, ``pure_dephasing``, ``anisotropic`` or ``spin_bath(k)``.
+    norm_targets overrides the preset defaults per coupling channel, each
+    finite and >= 0; presets validate their constraints (pure dephasing
+    forces zero x/y targets, anisotropic keeps the z target at most a tenth
+    of the smaller transverse one, spin_bath(k), k a count of at least 1,
+    pins d = 2^k).
     """
 
     d: int = DEFAULT_DIM
@@ -118,15 +106,12 @@ class ModelSpec:
     norm_targets: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        check_seed(self.seed)
+        check_count(self.seed, "model key 'seed'")
         targets = self.resolved_targets()
-        if self.d < 1:
-            raise ValueError("bath dimension must be at least 1")
+        check_count(self.d, "model key 'd'", 1)
         match = _SPIN_BATH_RE.match(self.preset)
         if match:
-            k = int(match.group(1))
-            if k < 1:
-                raise ValueError(f"preset {self.preset!r} has no bath spin; spin_bath(k) needs k >= 1")
+            k = check_count(int(match.group(1)), "spin_bath k", 1)
             if self.d != 2**k:
                 raise ValueError(f"spin_bath({k}) requires d = {2**k}, got {self.d}")
         elif self.preset == "pure_dephasing":
@@ -251,8 +236,28 @@ def spec_to_dict(spec: ModelSpec) -> dict:
     }
 
 
+_COUNT_KINDS = {0: "a non-negative integer", 1: "a positive integer"}
+
+
+def check_count(value, name: str, least: int = 0):
+    """value, if a count: an int or a numpy integer, never a bool, of at least ``least``; else a ValueError.
+
+    The one count rule of the package, and its only message, ``{name} must
+    be {kind}, got {value!r}``, with kind "a non-negative integer" (least
+    0), "a positive integer" (least 1) or "an integer >= {least}".  Every
+    pulse count, level, cycle count, seed and grid size a caller passes goes
+    through it, named as the caller named it: a parameter (``n``, ``level``),
+    a model or config key, an option or an environment variable.  Checks of
+    a length (an empty grid or seed list) and the ``MAX_DIM`` cap are not
+    counts.  The passing path formats nothing.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be {_COUNT_KINDS.get(least, f'an integer >= {least}')}, got {value!r}")
+    return value
+
+
 _WANTED = {int: "an integer", float: "a number", str: "a string", dict: "an object", list: "a list"}
-_SPEC_TYPES = {"d": int, "seed": int, "preset": str, "norm_targets": dict}
+_SPEC_TYPES = {"d": int, "seed": None, "preset": str, "norm_targets": dict}
 
 
 def check_types(data, types: dict, what: str, path, required=()) -> dict:
@@ -279,14 +284,14 @@ def check_types(data, types: dict, what: str, path, required=()) -> dict:
 
 
 def check_spec(data, path) -> dict:
-    """data, if a model spec's JSON object (``check_types``): integer d and seed, a string preset, numeric targets.
+    """data, if a model spec's JSON object (``check_types``): integer d, a string preset, numeric targets.
 
-    No other key is read, so any other is a ValueError, at the top level and among the targets' channels.  A
-    seed must pass ``check_seed``, whose message names the file, as a mistyped key's does.
+    No other key is read, so any other is a ValueError, at the top level and among the targets' channels.  The
+    seed is a count (``check_count``), named with the file, as a mistyped key is.
     """
     check_types(data, _SPEC_TYPES, "model", path)
     if "seed" in data:
-        check_seed(data["seed"], "model", path)
+        check_count(data["seed"], "model key 'seed'" + ("" if path is None else f" in {path}"))
     check_types(data.get("norm_targets", {}), dict.fromkeys(GAMMAS, float), "model norm_targets", path)
     return data
 

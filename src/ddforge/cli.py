@@ -8,13 +8,14 @@ chain is flag > config > --model file > DDFORGE_SEED > 0.  Every JSON object
 read goes through ``bath.check_types``: a config key must name an option the
 file sets, and a model key one the spec reads, so a mistyped key is a usage
 error naming it and the file.  A family takes exactly its count parameters,
-and every duration passes ``sequences.check_duration``; a command builds
-its schedules before it draws a bath model, so that a family usage error
-costs no draw.  Only ``order`` and ``counts`` write a CSV, and only they
-take --no-meta.  Exit codes: 0 success, 2 usage error, 3 numeric-domain
-error (an eigenphase near the branch cut, a failed log reconstruction, an
-extended-precision value too close to the engine's roundoff floor to be
-resolved, or any other ArithmeticError), 4 I/O error.  A double-precision
+every count passes ``bath.check_count`` and every duration
+``sequences.check_duration``; a command builds its schedules before it
+draws a bath model, so that a family usage error costs no draw.  Only
+``order`` and ``counts`` write a CSV, and only they take --no-meta.  Exit
+codes: 0 success, 2 usage error, 3 numeric-domain error (an eigenphase near
+the branch cut, a failed log reconstruction, an extended-precision value
+too close to the engine's roundoff floor to be resolved, or any other
+ArithmeticError), 4 I/O error.  A double-precision
 ``order``, ``compare`` or ``predict-magnus`` value that close to its floor
 only warns; ``predict-magnus`` checks |az_eff| and |az_eff - az_pred| times
 the step's duration, and exits 3 where a value it divides by reads 0.
@@ -86,11 +87,13 @@ def _load_config(args) -> dict:
     Each key names an option the file may set (``args.options``).  Options
     read as strings declare type=str; --seeds (a list in a config) declares
     none, and takes any value here.  A repeatable option (--seq) takes a list
-    of strings, and a seed must pass the model's rule (``bath.check_seed``).
+    of strings, and a seed is a count (``bath.check_count``), typed by that
+    rule alone.
     """
     if args.config is None:
         return {}
-    config = bath.check_types(_load_json(args.config), {a.dest: a.type for a in args.options}, "config", args.config)
+    types = {a.dest: None if a.dest == "seed" else a.type for a in args.options}
+    config = bath.check_types(_load_json(args.config), types, "config", args.config)
     for a in (a for a in args.options if a.dest in config):
         value = config[a.dest]
         if a.choices and value not in a.choices:
@@ -100,19 +103,21 @@ def _load_config(args) -> dict:
                 isinstance(value, list) and all(isinstance(item, str) for item in value)):
             raise ValueError(f"config key {a.dest!r} in {args.config} must be a list of strings, got {value!r}")
     if "seed" in config:
-        bath.check_seed(config["seed"], "config", args.config)
+        bath.check_count(config["seed"], f"config key 'seed' in {args.config}")
     return config
 
 
 def _model_spec(args) -> bath.ModelSpec:
-    """The resolved model options over the --model file's keys, read as one spec by ``bath.spec_from_dict``."""
+    """The resolved model options over the --model file's keys, read as one spec by ``bath.spec_from_dict``.
+
+    DDFORGE_SEED is read only where it gives the seed: no flag, config or model file does.
+    """
     data = dict(bath.check_spec(_load_json(args.model), args.model)) if args.model else {}
-    env_seed = os.environ.get("DDFORGE_SEED") or "0"
-    if not env_seed.strip().isdecimal():
-        raise ValueError(f"DDFORGE_SEED must be a non-negative integer, got {env_seed!r}")
-    if args.seed is not None and args.seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-    data.setdefault("seed", int(env_seed))
+    if args.seed is not None:
+        bath.check_count(args.seed, "--seed")
+    elif "seed" not in data:
+        env_seed = os.environ.get("DDFORGE_SEED") or "0"
+        data["seed"] = bath.check_count(int(env_seed) if env_seed.strip().isdecimal() else env_seed, "DDFORGE_SEED")
     data.update((key, getattr(args, key)) for key in ("d", "seed", "preset") if getattr(args, key) is not None)
     targets = data["norm_targets"] = dict(data.get("norm_targets", {}))
     targets.update((g, getattr(args, f"norm_{g}")) for g in bath.GAMMAS if getattr(args, f"norm_{g}") is not None)
@@ -178,11 +183,10 @@ def _cmd_order(args) -> int:
     params = _family_kwargs(args)
     seeds = args.seeds
     if seeds is not None:
-        # A JSON list of non-negative integers (a boolean is an int too), or such integers separated by commas.
-        items = seeds if isinstance(seeds, list) else str(seeds).split(",")
-        if not all(type(s) is int and s >= 0 if isinstance(seeds, list) else s.strip().isdecimal() for s in items):
-            raise ValueError(f"seeds must be non-negative integers, got {seeds!r}")
-        seeds = [int(s) for s in items]
+        # A JSON list of counts, or counts separated by commas, each read as an integer where it is written as one.
+        items = seeds if isinstance(seeds, list) else [
+            int(s) if s.strip().isdecimal() else s for s in str(seeds).split(",")]
+        seeds = [bath.check_count(s, f"seeds[{i}]") for i, s in enumerate(items)]
     # A family or grid usage error before any model is drawn; build_sequence memoises the schedule, so the scan
     # only re-times it.
     sequences.build_sequence(args.family, **params)
@@ -226,8 +230,7 @@ def _cmd_predict_magnus(args) -> int:
         args.preset = "pure_dephasing"
     spec = _model_spec(args)
     for key in ("level", "halvings"):
-        if getattr(args, key) < 0:
-            raise ValueError(f"--{key} must be non-negative, got {getattr(args, key)}")
+        bath.check_count(getattr(args, key), f"--{key}")
     sequences.check_duration(args.tau0, "--tau0")
     sequences.check_duration(math.ldexp(args.tau0, -args.halvings), "--tau0 / 2^halvings")
     model = bath.build_model(spec)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import GAMMAS, spectral_norm
+from .bath import GAMMAS, check_count, spectral_norm
 from .evolution import _eye, segment_count, sequence_deviation
 from .evolution import sequence_unitary  # noqa: F401  (rebound here by perfbench/tracing.py and a test)
 from .sequences import check_duration
@@ -332,10 +332,9 @@ def magnus_cdd_predict(a0: np.ndarray, az: np.ndarray, tau0: float, level: int):
     tau0, each step doubles the duration and maps the dephasing operator to
     i (tau/2) [a0, az] while carrying a0 unchanged at leading order.
     Returns (a0_n, az_n, tau_n) with tau_n = 2^n tau0.  tau0 is a duration
-    (``sequences.check_duration``).
+    (``sequences.check_duration``) and level a count (``bath.check_count``).
     """
-    if level < 0:
-        raise ValueError("level must be non-negative")
+    check_count(level, "level")
     check_duration(tau0, "tau0")
     a0_n = np.asarray(a0, dtype=complex)
     az_n = np.asarray(az, dtype=complex)

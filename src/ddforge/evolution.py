@@ -326,8 +326,9 @@ def _leaves(ops: BathOperators, plan: SegmentPlan, durations: np.ndarray) -> np.
     evals, evecs = eigensystem(ops)
     expm1 = np.expm1(-1j * (durations[:, None] * plan.float_gaps)[..., None] * evals)
     if stack_points(ops.dim) == 1:
-        # Large factors, so one per distinct gap (not per pair), a product each (a 4-d matmul is slower).
-        return frame_factors([(evecs * expm1[:, gap, None, :]) @ evecs.conj().T for gap in range(len(plan.gaps))], plan)
+        # Large factors, so one per distinct gap (not per pair), a product each with one V^+ (a 4-d matmul is slower).
+        vh = evecs.conj().T
+        return frame_factors([(evecs * expm1[:, gap, None, :]) @ vh for gap in range(len(plan.gaps))], plan)
     # Each pair's factor V_f expm1(-i lam gap t) V_f^+, V_f = F^+ V, from the model's V_f and their conjugates.
     vectors, conjugates = frame_eigenvectors(ops)
     v = vectors[plan.pair_frames]

@@ -46,7 +46,9 @@ plans a schedule once.  The memo is keyed by the arguments as given, so an
 unhashable one (a list) raises its TypeError.  A family takes exactly the
 count parameters ``_PARAMS`` names.  Every duration in the package, of a
 schedule, a copy, a scan's grid or the predictor's steps, passes one rule,
-``check_duration``, with one shape of message.  Schedule JSON goes through
+``check_duration``, with one shape of message; every count (a pulse count,
+level, cycle count or denominator) passes ``bath.check_count``, named as
+the parameter that takes it.  Schedule JSON goes through
 ``bath.check_types``, which rejects any key it does not know.
 """
 
@@ -63,7 +65,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .bath import CODE_AXIS, check_types
+from .bath import CODE_AXIS, check_count, check_types
 
 
 class PauliAxis(str, Enum):
@@ -368,9 +370,7 @@ def udd_instants(n: int) -> list[float]:
 
     Strictly increasing and symmetric about 1/2.  n = 0 gives an empty list.
     """
-    if n < 0:
-        raise ValueError("pulse count must be non-negative")
-    return [math.sin(math.pi * j / (2 * (n + 1))) ** 2 for j in range(1, n + 1)]
+    return [math.sin(math.pi * j / (2 * (n + 1))) ** 2 for j in range(1, check_count(n, "n") + 1)]
 
 
 def _udd_items(n: int, axis: PauliAxis) -> _Items:
@@ -390,8 +390,7 @@ def udd_sequence(n: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxi
 
     Instants are exact rationals for n in {1, 2} and floats otherwise.
     """
-    if n < 1:
-        raise ValueError("need at least one pulse")
+    check_count(n, "n", 1)
     axis = PauliAxis(axis)
     return PulseSequence(total_duration, _udd_items(n, axis), f"UDD-{n}", {"name": "udd", "n": n, "axis": axis.value})
 
@@ -411,8 +410,7 @@ def cpmg(total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> PulseSeq
 
 def pdd(n: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
     """Periodic (equidistant) sequence: n pulses at j/(n+1)."""
-    if n < 1:
-        raise ValueError("need at least one pulse")
+    check_count(n, "n", 1)
     axis = PauliAxis(axis)
     items = _items((Fraction(j, n + 1), axis) for j in range(1, n + 1))
     return PulseSequence(total_duration, items, f"PDD-{n}", {"name": "pdd", "n": n, "axis": axis.value})
@@ -420,8 +418,7 @@ def pdd(n: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> P
 
 def icpmg(cycles: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
     """Iterated two-pulse cycles: 2*cycles pulses at odd multiples of 1/(4*cycles)."""
-    if cycles < 1:
-        raise ValueError("need at least one cycle")
+    check_count(cycles, "cycles", 1)
     axis = PauliAxis(axis)
     items = _embed(_items([(Fraction(1, 4), axis), (Fraction(3, 4), axis)]), cycles)
     return PulseSequence(total_duration, items, f"iCPMG-{cycles}", {"name": "icpmg", "c": cycles, "axis": axis.value})
@@ -454,11 +451,9 @@ def _cells(inner: PulseSequence, cells: int, bounds: list[int] | np.ndarray) -> 
 
 def _concatenated(level: int, total_duration: float, base: PulseSequence | None, junction_axes: str, label: str,
                   family: dict) -> PulseSequence:
-    if level < 0:
-        raise ValueError("level must be non-negative")
     if base is not None:
         family["base"] = base.family.get("name", base.label)
-    node = _concatenate(_udd_block(0) if base is None else base, junction_axes, level)
+    node = _concatenate(_udd_block(0) if base is None else base, junction_axes, check_count(level, "level"))
     return PulseSequence(total_duration, node, f"{label}-{level}", family)
 
 
@@ -486,11 +481,7 @@ def cudd(m: int, n: int, total_duration: float = 1.0) -> PulseSequence:
 
     Yields m*2^n Z pulses plus a_n X pulses; each Uhrig block spans t/2^n.
     """
-    if m < 1:
-        raise ValueError("need at least one pulse per block")
-    if n < 0:
-        raise ValueError("level must be non-negative")
-    node = _concatenate(_udd_block(m), "XX", n)
+    node = _concatenate(_udd_block(check_count(m, "m", 1)), "XX", check_count(n, "n"))
     return PulseSequence(total_duration, node, f"CUDD(m={m},n={n})", {"name": "cudd", "m": m, "n": n})
 
 
@@ -501,10 +492,8 @@ def cpmg_udd(m: int, cycles: int = 1, total_duration: float = 1.0) -> PulseSeque
     X pulses sit mid-cycle at odd multiples of 1/(4*cycles).  cycles = 1 is
     the single cycle of total duration four block lengths.
     """
-    if m < 1:
-        raise ValueError("need at least one pulse per block")
-    if cycles < 1:
-        raise ValueError("need at least one cycle")
+    check_count(m, "m", 1)
+    check_count(cycles, "cycles", 1)
     node = _cells(_udd_block(m), 4 * cycles, np.arange(1, 4 * cycles, 2))
     return PulseSequence(total_duration, node, f"CPMG-UDD(m={m},c={cycles})", {"name": "cpmg_udd", "m": m, "c": cycles})
 
@@ -530,9 +519,7 @@ def udd2_approx(n: int, total_duration: float = 1.0) -> PulseSequence:
     grid of (n+1)^3 elementary intervals; every elementary interval carries a
     full inner n-pulse Z-block.  Total pulse count is n(n+1)^3 + n.
     """
-    if n < 1:
-        raise ValueError("need at least one pulse")
-    cells = (n + 1) ** 3
+    cells = (check_count(n, "n", 1) + 1) ** 3
     node = _cells(_udd_block(n), cells, [int(cells * d_approx(Fraction(j, n + 1))) for j in range(1, n + 1)])
     return PulseSequence(total_duration, node, f"UDD2-{n}", {"name": "udd2", "n": n})
 
@@ -556,30 +543,22 @@ def a_n(n: int) -> int:
     Closed form (2/3)(2^n - (-1)^n) of the recursion a_{k+1} = 2 a_k + 2 (-1)^k,
     a_0 = 0; the tests check the two agree for n <= 30.
     """
-    if n < 0:
-        raise ValueError("level must be non-negative")
-    return (2 * (2**n - (-1) ** n)) // 3
+    return (2 * (2 ** check_count(n, "n") - (-1) ** n)) // 3
 
 
 def cudd_count(m: int, n: int) -> int:
     """Total pulses of the concatenated-Uhrig schedule: m 2^n Z plus a_n X."""
-    if m < 1 or n < 0:
-        raise ValueError("need m >= 1 and n >= 0")
-    return m * 2**n + a_n(n)
+    return check_count(m, "m", 1) * 2 ** check_count(n, "n") + a_n(n)
 
 
 def udd2_count(n: int) -> int:
     """Pulse count n(n+1)^3 + n of the polynomial-timed double layer."""
-    if n < 1:
-        raise ValueError("need at least one pulse")
-    return n * (n + 1) ** 3 + n
+    return check_count(n, "n", 1) * (n + 1) ** 3 + n
 
 
 def cdd_count_estimate(m: int) -> int:
     """Nominal 4^m pulse count of full concatenation at level m."""
-    if m < 0:
-        raise ValueError("level must be non-negative")
-    return 4**m
+    return 4 ** check_count(m, "m")
 
 
 # --- Family dispatch and JSON schedule format --------------------------------
@@ -651,8 +630,8 @@ def _pulse_from_dict(entry, index: int) -> Pulse:
     what = f"schedule pulse {index}"
     exact = isinstance(entry, dict) and ("num" in entry or "den" in entry)
     check_types(entry, _PULSE_TYPES, what, None, ("axis", "num", "den") if exact else ("axis", "t_frac"))
-    if exact and entry["den"] < 1:
-        raise ValueError(f"{what} key 'den' must be at least 1, got {entry['den']}")
+    if exact:
+        check_count(entry["den"], f"{what} key 'den'", 1)
     pulse = Pulse(Fraction(entry["num"], entry["den"]) if exact else float(entry["t_frac"]), PauliAxis(entry["axis"]))
     if exact and entry.get("t_frac", pulse.t_frac) != pulse.t_frac:
         raise ValueError(f"{what} key 't_frac' is {entry['t_frac']!r}, but num/den {pulse.instant} is {pulse.t_frac!r}")

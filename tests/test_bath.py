@@ -1,22 +1,49 @@
+import contextlib
+import io
 import json
 import math
+import os
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ddforge import cli
+from ddforge.analysis import check_grid, count_compare, crossover
 from ddforge.bath import (
     GAMMAS,
     BathOperators,
     ModelSpec,
     alpha,
     build_model,
+    check_count,
+    check_spec,
     spec_from_dict,
     spec_from_json,
     spec_to_json,
     spectral_norm,
     total_hamiltonian,
 )
+from ddforge.effective import magnus_cdd_predict
 from ddforge.evolution import eigensystem, frame_eigenvectors
+from ddforge.sequences import (
+    a_n,
+    build_sequence,
+    cdd_count_estimate,
+    cdd_full,
+    cdd_xx,
+    cpmg_udd,
+    cudd,
+    cudd_count,
+    icpmg,
+    pdd,
+    schedule_from_dict,
+    udd2_approx,
+    udd2_count,
+    udd_instants,
+    udd_sequence,
+)
 
 
 def svd_norm(a):
@@ -49,7 +76,7 @@ class TestModelSpec:
 
     def test_spin_bath_needs_a_spin(self):
         # spin_bath(0) drew all-zero operators, and scaling them to their targets divided by zero.
-        with pytest.raises(ValueError, match=r"preset 'spin_bath\(0\)' has no bath spin"):
+        with pytest.raises(ValueError, match=r"^spin_bath k must be a positive integer, got 0$"):
             ModelSpec(d=1, preset="spin_bath(0)")
 
     def test_rejects_unknown_preset_and_channel(self):
@@ -270,8 +297,7 @@ class TestModelMemo:
         ModelSpec(d=4, seed=8, norm_targets={"x": 0.5, "z": 0.25}),
         ModelSpec(d=4, seed=7, preset="anisotropic", norm_targets={"x": 0.5, "z": 0.025}),
         ModelSpec(d=4, seed=7, norm_targets={"x": 0.5, "z": 0.5}),
-        ModelSpec(d=4, seed=True, norm_targets={"x": 0.5, "z": 0.25}),
-    ], ids=["d", "seed", "preset", "targets", "seed-type"])
+    ], ids=["d", "seed", "preset", "targets"])
     def test_any_field_differing_gives_another(self, other):
         assert build_model(other) is not build_model(ModelSpec(d=4, seed=7, norm_targets={"x": 0.5, "z": 0.25}))
 
@@ -319,7 +345,7 @@ class TestSpecJson:
         assert list(data["norm_targets"]) == ["0", "x", "y", "z"]
 
     @pytest.mark.parametrize("text, message", [
-        ('{"seed": 2.9}', "model key 'seed' must be an integer, got 2.9"),
+        ('{"seed": 2.9}', "model key 'seed' must be a non-negative integer, got 2.9"),
         ('{"d": 4.7}', "model key 'd' must be an integer, got 4.7"),
         ('{"d": true}', "model key 'd' must be an integer, got True"),
         ('{"d": "4"}', "model key 'd' must be an integer, got '4'"),
@@ -340,3 +366,86 @@ class TestSpecJson:
         ops = build_model(ModelSpec(d=6, seed=13, norm_targets={"x": 0.3}))
         for _, a in ops.items():
             assert spectral_norm(a) == pytest.approx(svd_norm(a), abs=1e-12)
+
+
+def _cli(*argv, config=None, env=False):
+    """A count site reached through ``cli.main``: call(value) runs argv, each "{}" replaced by the value.
+
+    config(value) is written to c.json first, and env puts the value in DDFORGE_SEED.  A failed run must be a
+    usage error with empty stdout, and raises its error line as a ValueError.
+    """
+    def call(value):
+        if config is not None:
+            Path("c.json").write_text(json.dumps(config(value)))
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"DDFORGE_SEED": str(value)} if env else {}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([a.format(value) for a in argv])
+        if code:
+            assert (code, out.getvalue()) == (2, "")
+            raise ValueError(err.getvalue().removeprefix("error: ").removesuffix("\n"))
+    return call
+
+
+# Every count site: how to reach it, the name its message gives, its least value, and the values it must refuse
+# (None: least - 1, True and 2.5).  Options parsed as integers and counts read from a pattern are never a bool
+# or a float there, and a pulse's den is typed by the schedule's key rule first.
+COUNT_SITES = {
+    "udd_instants": (udd_instants, "n", 0, None),
+    "udd_sequence": (udd_sequence, "n", 1, None),
+    "build_sequence": (lambda v: build_sequence("udd", n=v), "n", 1, None),
+    "pdd": (pdd, "n", 1, None),
+    "udd2_approx": (udd2_approx, "n", 1, None),
+    "udd2_count": (udd2_count, "n", 1, None),
+    "icpmg": (icpmg, "cycles", 1, None),
+    "cdd_full": (cdd_full, "level", 0, None),
+    "cdd_xx": (cdd_xx, "level", 0, None),
+    "cudd-m": (lambda v: cudd(v, 0), "m", 1, None),
+    "cudd-n": (lambda v: cudd(1, v), "n", 0, None),
+    "cudd_count-m": (lambda v: cudd_count(v, 0), "m", 1, None),
+    "cudd_count-n": (lambda v: cudd_count(1, v), "n", 0, None),
+    "cpmg_udd-m": (lambda v: cpmg_udd(v, 1), "m", 1, None),
+    "cpmg_udd-cycles": (lambda v: cpmg_udd(1, v), "cycles", 1, None),
+    "a_n": (a_n, "n", 0, None),
+    "cdd_count_estimate": (cdd_count_estimate, "m", 0, None),
+    "den": (lambda v: schedule_from_dict({"total_duration": 1.0, "pulses": [{"axis": "X", "num": 0, "den": v}]}),
+            "schedule pulse 0 key 'den'", 1, (0,)),
+    "check_grid": (lambda v: check_grid(1e-3, 1e-2, v), "points", 4, None),
+    "count_compare": (count_compare, "m_max", 1, None),
+    "crossover": (crossover, "n_max", 1, None),
+    "model-d": (lambda v: ModelSpec(d=v), "model key 'd'", 1, None),
+    "model-seed": (lambda v: ModelSpec(seed=v), "model key 'seed'", 0, None),
+    "spin_bath": (lambda v: ModelSpec(d=2**v, preset=f"spin_bath({v})"), "spin_bath k", 1, (0,)),
+    "check_spec": (lambda v: check_spec({"seed": v}, "m.json"), "model key 'seed' in m.json", 0, None),
+    "magnus_cdd_predict": (lambda v: magnus_cdd_predict(np.eye(2), np.eye(2), 0.1, v), "level", 0, None),
+    "DDFORGE_SEED": (_cli("order", "none", "--points", "4", env=True), "DDFORGE_SEED", 0, ("-1", "True", "2.5")),
+    "--seed": (_cli("order", "none", "--points", "4", "--seed", "{}"), "--seed", 0, (-1,)),
+    "config-seed": (_cli("order", "none", "--points", "4", "--config", "c.json", config=lambda v: {"seed": v}),
+                    "config key 'seed' in c.json", 0, None),
+    "--seeds": (_cli("order", "none", "--points", "4", "--config", "c.json", config=lambda v: {"seeds": [v]}),
+                "seeds[0]", 0, None),
+    "--level": (_cli("predict-magnus", "--halvings", "0", "--level", "{}"), "--level", 0, (-1,)),
+    "--halvings": (_cli("predict-magnus", "--halvings", "{}"), "--halvings", 0, (-1,)),
+}
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("site", COUNT_SITES)
+    def test_every_site_takes_its_least_and_names_the_rest(self, site, tmp_path, monkeypatch):
+        # Each site had its own message, or none: bools passed (n=True built UDD-True), floats ended in a TypeError.
+        call, name, least, refused = COUNT_SITES[site]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DDFORGE_SEED", raising=False)
+        try:
+            call(least)
+        except ValueError as err:  # past the count: crossover(1) finds no crossover
+            assert str(err) == f"no crossover up to {name}={least}"
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
+        for value in (least - 1, True, 2.5) if refused is None else refused:
+            with pytest.raises(ValueError) as err:
+                call(value)
+            assert str(err.value) == f"{name} must be {kind}, got {value!r}"
+
+    @pytest.mark.parametrize("value", [0, 3, np.int64(3), np.uint8(3)], ids=["zero", "int", "int64", "uint8"])
+    def test_integers_pass_as_given(self, value):
+        assert check_count(value, "n") is value

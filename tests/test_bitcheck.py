@@ -14,7 +14,8 @@ import pytest
 pytest.importorskip("mpmath")
 
 ROOT = Path(__file__).resolve().parents[1]
-CATEGORIES = ("order-d4", "order-d64", "order-extended", "deep", "builders", "flat-plans", "cli", "cli-files")
+CATEGORIES = ("order-d4", "order-d64", "order-extended", "deep", "builders", "flat-plans", "cli", "cli-files",
+              "cli-usage")
 
 
 def test_bitcheck_prints_every_category():

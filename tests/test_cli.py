@@ -205,7 +205,7 @@ class TestOrder:
         ("env-text", "DDFORGE_SEED must be a non-negative integer, got 'abc'"),
         ("model", "model key 'seed' in {path} must be a non-negative integer, got -2"),
         ("config", "config key 'seed' in {path} must be a non-negative integer, got -4"),
-        ("seeds", "seeds must be non-negative integers, got '-1,2'"),
+        ("seeds", "seeds[0] must be a non-negative integer, got '-1'"),
     ], ids=["flag", "env", "env-text", "model", "config", "seeds"])
     def test_bad_seed_is_usage_error_naming_it(self, capsys, tmp_path, monkeypatch, source, message):
         # Each message names where the seed came from: the flag, the variable, or the file, as a mistyped key's does.
@@ -222,6 +222,24 @@ class TestOrder:
             argv += [f"--{source}", str(path)]
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message.format(path=path)}\n")
+
+    @pytest.mark.parametrize("source", ["flag", "config", "model", "env"])
+    def test_seed_variable_is_read_only_when_it_gives_the_seed(self, capsys, tmp_path, monkeypatch, source):
+        # DDFORGE_SEED=abc failed every run, also one whose seed the flag, a config or a model file gave.
+        argv = ["order", "udd", "--n", "2", "--points", "4"]
+        monkeypatch.delenv("DDFORGE_SEED", raising=False)
+        seeded = run(capsys, *argv, "--seed", "7")
+        if source == "flag":
+            argv += ["--seed", "7"]
+        elif source != "env":
+            path = tmp_path / f"{source}.json"
+            path.write_text(json.dumps({"seed": 7}))
+            argv += [f"--{source}", str(path)]
+        monkeypatch.setenv("DDFORGE_SEED", "abc")
+        if source == "env":
+            assert run(capsys, *argv) == (2, "", "error: DDFORGE_SEED must be a non-negative integer, got 'abc'\n")
+        else:
+            assert seeded[0] == 0 and run(capsys, *argv) == seeded
 
     def test_config_precedence(self, capsys, tmp_path):
         config = tmp_path / "run.json"
@@ -300,9 +318,9 @@ class TestPredictMagnus:
         assert "--at-max" not in err and "--precision" not in err
 
     @pytest.mark.parametrize("option, message", [
-        (("--halvings", "-1"), "--halvings must be non-negative, got -1"),
+        (("--halvings", "-1"), "--halvings must be a non-negative integer, got -1"),
         (("--norm-z", "0"), "the dephasing coupling A_z is zero; the predictor needs --norm-z > 0"),
-        (("--level", "-1"), "--level must be non-negative, got -1"),
+        (("--level", "-1"), "--level must be a non-negative integer, got -1"),
         (("--tau0", "-1"), "--tau0 = -1.0; durations must be finite and > 0"),
         (("--tau0", "1e-310", "--halvings", "0"),
          "--tau0 = 1e-310; durations must be at least 2.2250738585072014e-308, the smallest normal float"),
@@ -528,7 +546,7 @@ def test_spin_bath_without_spins_is_usage_error(capsys):
     # All-zero operators ended in exit 3 with "float division by zero".
     code, out, err = run(capsys, "order", "udd", "--n", "2", "--preset", "spin_bath(0)", "--d", "1")
     assert code == 2 and out == ""
-    assert err == "error: preset 'spin_bath(0)' has no bath spin; spin_bath(k) needs k >= 1\n"
+    assert err == "error: spin_bath k must be a positive integer, got 0\n"
 
 
 @pytest.mark.parametrize("flags, model, shown", [
@@ -654,7 +672,7 @@ def test_family_usage_error_draws_no_model(capsys, argv):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (("--points", "2"), "need at least 4 grid points"),
+    (("--points", "2"), "points must be an integer >= 4, got 2"),
     (("--at-min", "0.02"), "need 0 < at_min < at_max"),
     (("--at-max", "-1"), "need 0 < at_min < at_max"),
 ], ids=["points", "at-min", "at-max"])
@@ -728,7 +746,7 @@ class TestConfigFile:
         config.write_text(f'{{"seeds": {seeds}}}')
         code, out, err = run(capsys, "order", "udd", "--n", "2", "--points", "4", "--config", str(config))
         assert code == 2 and out == ""
-        assert err == f"error: seeds must be non-negative integers, got {json.loads(seeds)!r}\n"
+        assert err == f"error: seeds[0] must be a non-negative integer, got {json.loads(seeds)[0]!r}\n"
 
     @pytest.mark.parametrize("seq", ["[1]", '"udd,n=2"'], ids=["integer-item", "string"])
     def test_seq_not_a_list_of_strings_is_usage_error(self, capsys, tmp_path, seq):
@@ -750,7 +768,7 @@ class TestConfigFile:
     def test_non_integer_seed_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "order", "udd", "--n", "2", "--points", "4", "--seeds", "7,8.5")
         assert code == 2
-        assert err == "error: seeds must be non-negative integers, got '7,8.5'\n"
+        assert err == "error: seeds[1] must be a non-negative integer, got '8.5'\n"
 
     def test_mistyped_model_key_in_config_is_usage_error(self, capsys, tmp_path):
         # A numeric preset raised TypeError; a config's model key names the config file, as its other keys do.

@@ -476,15 +476,26 @@ class TestSpectralNorm:
             assert got.tobytes() == np.float64(symmetrized_norm(block)).tobytes()
 
     def test_stack_gives_one_norm_per_matrix(self):
-        # With a zero block, as the flip blocks of a pure-dephasing model are, the nonzero ones are
-        # decomposed apart from it; with none, the stack goes whole.  Either way, each norm has the
-        # bits of a call on its matrix alone.
+        # With a zero block, as the flip blocks of a pure-dephasing model are, or with none, each norm has
+        # the bits of a call on its matrix alone.
         for middle in (np.zeros((5, 5), dtype=complex), random_hermitian(5, 1.0)):
             stack = np.stack([random_hermitian(5, 0.5), middle, random_hermitian(5, 2.0)])
             norms = spectral_norm(stack)
             assert norms.shape == (3,)
             assert [x.tobytes() for x in norms] == [np.float64(spectral_norm(a)).tobytes() for a in stack]
             assert spectral_norm(stack.reshape(3, 1, 5, 5)).shape == (3, 1)
+
+    def test_zero_and_empty_matrices_keep_their_norms(self):
+        # Zero blocks were masked out of the stacked eigvalsh and given 0.0; the whole stack now goes through,
+        # and these are the masked path's values, bit for bit: +0.0 for a zero or empty matrix.
+        empty = spectral_norm(np.zeros((0, 0), complex))
+        assert type(empty) is float and np.float64(empty).tobytes() == np.float64(0.0).tobytes()
+        for stack in (np.zeros((2, 0, 0), complex), np.zeros((3, 4, 4), complex)):
+            assert spectral_norm(stack).tobytes() == np.zeros(len(stack)).tobytes()
+        a = random_hermitian(5, 2.5)
+        mixed = np.stack([a, np.zeros((5, 5), complex), np.diag([0.5, -3.0, 0, 0, 1]).astype(complex), -a])
+        alone = np.abs(np.linalg.eigvalsh(a)).max()
+        assert spectral_norm(mixed).tobytes() == np.array([alone, 0.0, 3.0, alone]).tobytes()
 
     @pytest.mark.parametrize("d", [0, 1, 2, 5, 16, 64])
     def test_single_matrix_is_a_stack_of_one(self, d):

@@ -615,20 +615,23 @@ class TestBuildMemo:
 
     @pytest.mark.parametrize("order", [(True, 1), (1, True)], ids=["bool-first", "int-first"])
     def test_keys_are_typed(self, order):
-        # n=True built UDD-True and n=1 UDD-1, whichever came first.
-        labels = {type(n): build_sequence("udd", 1.0, n=n).label for n in order}
-        assert labels == {bool: "UDD-True", int: "UDD-1"}
-        assert type(build_sequence("udd", 1.0, n=True).family["n"]) is bool
+        # n=True built UDD-True, and an untyped memo would hand it n=1's UDD-1; a bool is no count, built first or not.
+        for n in order:
+            if n is True:
+                with pytest.raises(ValueError, match=r"^n must be a positive integer, got True$"):
+                    build_sequence("udd", 1.0, n=n)
+            else:
+                assert build_sequence("udd", 1.0, n=n).label == "UDD-1"
 
     @pytest.mark.parametrize("kwargs, message, cached", [
-        ({"family": "udd", "n": 0}, "need at least one pulse", 0),
+        ({"family": "udd", "n": 0}, "n must be a positive integer, got 0", 0),
         ({"family": "cdd"}, "family 'cdd' requires --m", 0),
-        ({"family": "cudd", "m": 2, "n": -1}, "level must be non-negative", 0),
+        ({"family": "cudd", "m": 2, "n": -1}, "n must be a non-negative integer, got -1", 0),
         ({"family": "udd", "n": 2, "axis": "Q"}, "'Q' is not a valid PauliAxis", 0),
         ({"family": "xy8"}, "unknown family 'xy8'; expected one of " + ", ".join(FAMILIES), 0),
         # The unit schedule is sound and kept; only its re-timing fails.
         ({"family": "cpmg", "total_duration": -1.0}, "total_duration = -1.0; durations must be finite and > 0", 1),
-        ({"family": "udd", "n": 0, "total_duration": -1.0}, "need at least one pulse", 0),
+        ({"family": "udd", "n": 0, "total_duration": -1.0}, "n must be a positive integer, got 0", 0),
         # A count parameter the family does not take was ignored, and the schedule kept under it.
         ({"family": "cdd", "m": 2, "n": 7}, "family 'cdd' takes no --n", 0),
         ({"family": "udd", "n": 2, "m": 1}, "family 'udd' takes no --m", 0),
@@ -683,7 +686,7 @@ class TestScheduleJson:
         assert all("num" not in p for p in data["pulses"])
 
     @pytest.mark.parametrize("entry, message", [
-        ({"axis": "X", "num": 1, "den": 0, "t_frac": 0.5}, "pulse 1 key 'den' must be at least 1, got 0"),
+        ({"axis": "X", "num": 1, "den": 0, "t_frac": 0.5}, "pulse 1 key 'den' must be a positive integer, got 0"),
         ({"num": 1, "den": 2, "t_frac": 0.5}, "pulse 1 lacks key 'axis'"),
         ({"axis": "X", "num": 1, "t_frac": 0.5}, "pulse 1 lacks key 'den'"),
         ({"axis": "X"}, "pulse 1 lacks key 't_frac'"),

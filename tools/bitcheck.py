@@ -29,6 +29,8 @@ the first one missing, and exit code 2.
 - ``cli-files``: the same for the calls in ``CLI_FILES_CALLS``, which read
   the config and model files of ``CLI_FILES``, written into their temporary
   directory first.
+- ``cli-usage``: the same for the calls in ``CLI_USAGE_CALLS``, one exit-2
+  call per count option, each failing the count rule.
 
 It then prints the code lines of each ``src/ddforge`` module and their total,
 counted without docstrings, comments or blank lines.  Run it on two trees
@@ -185,6 +187,18 @@ CLI_CALLS = (
 )
 
 
+# One call per count option whose value breaks the count rule: each exits 2 naming the count.
+CLI_USAGE_CALLS = (
+    ("order", "cdd", "--m", "-1"),
+    ("order", "cpmg-udd", "--m", "2", "--c", "0"),
+    ("counts", "--m-max", "0"),
+    ("crossover", "--n-max", "0"),
+    ("predict-magnus", "--halvings", "-1"),
+    ("order", "udd", "--n", "2", "--points", "2"),
+    ("order", "udd", "--n", "2", "--seeds", "7,-1"),
+)
+
+
 # Calls that take their options from a --config file and their bath from a --model file, and those files.
 CLI_FILES_CALLS = (
     ("order", "udd", "--config", "order.json", "--model", "model.json", "--out", "scan.csv", "--no-meta"),
@@ -261,7 +275,8 @@ def main(argv: list[str]) -> int:
     for category in (*categories, deep_category(measure, workloads, evolution, sequences),
                      builders_category(sequences), flat_plans_category(sequences, bath, analysis, effective, highprec),
                      cli_category(cli, "cli", CLI_CALLS, {}),
-                     cli_category(cli, "cli-files", CLI_FILES_CALLS, CLI_FILES)):
+                     cli_category(cli, "cli-files", CLI_FILES_CALLS, CLI_FILES),
+                     cli_category(cli, "cli-usage", CLI_USAGE_CALLS, {})):
         print(category.line())
     modules = {path.stem: code_lines(path) for path in sorted((root / "src" / "ddforge").glob("*.py"))}
     for name, count in modules.items():
