@@ -9,12 +9,14 @@ to its ``effective.Engine``, the double one or the double-double one of
 dict (a name and ``build_sequence``'s keyword arguments), builds the
 schedule once, and composes and extracts it for a whole stack of grid
 durations per bath model in one pass (``evolution.stack_points`` durations
-per stack).  Each stack makes its own rows, the ensemble mean summed in
-seed order, and the scan joins them in grid order.  A grid of several
-stacks (d >= 32 on the default grid) runs them on a short-lived thread
-pool of min(stacks, usable cores // BLAS threads) workers, each stack with
-exactly its serial arithmetic, so rows and failures are the serial loop's
-bit for bit; a one-stack scan starts no thread.
+per stack).  Each stack gives its generators, one per bath model, and
+raises its first failure; once every stack has passed, the scan takes each
+model's functionals for the whole grid in one ``error_functionals`` call
+and makes the rows, the ensemble mean summed in seed order.  A grid of
+several stacks (d >= 32 on the default grid) runs them on a short-lived
+thread pool of min(stacks, usable cores // BLAS threads) workers, each
+stack with exactly its serial arithmetic, so rows and failures are the
+serial loop's bit for bit; a one-stack scan starts no thread.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bath import ModelSpec, alpha, build_model, check_count, spectral_norm
-from .effective import DOUBLE, BranchAmbiguityError, Engine, error_functionals, evaluate, sequence_effective
+from .effective import (DOUBLE, BranchAmbiguityError, EffectiveHamiltonian, Engine, error_functionals, evaluate,
+                        sequence_effective)
 from .evolution import stack_points
 from .highprec import EXTENDED
 from .sequences import PulseSequence, build_sequence, cdd_count_estimate, check_duration, cudd_count, udd2_count
@@ -188,10 +191,14 @@ def _in_grid_order(evaluate_stack, stacks: list) -> list:
     taken in grid order.  The first stack to raise does so here and no later
     group is submitted, so a failure is the serial loop's, with at most
     workers - 1 later stacks composed.  Pool tasks run in copies of the
-    caller's context (its ``np.errstate`` included).  numpy releases the GIL
-    in the dense products and decompositions, and each stack does exactly
-    its serial arithmetic.  Working on the calling thread spares a pool
-    thread's heap (a d = 64 stack's temporaries take 2-3 MB).
+    caller's context (its ``np.errstate`` included).  Each stack does
+    exactly its serial arithmetic.  numpy releases the GIL inside the dense
+    products and decompositions, but a loop of small ones still holds it
+    much of the time: with one thread calling ``eigvalsh`` on (3, 64, 64)
+    stacks, the other thread's Python stalled about half the time, so a
+    scan takes its functionals after the pool (``evaluate_scan``).  Working
+    on the calling thread spares a pool thread's heap (a d = 64 stack's
+    temporaries take 2-3 MB).
     """
     workers = _workers(len(stacks))
     if workers == 1:
@@ -227,8 +234,9 @@ def evaluate_scan(
     keyword arguments; the schedule is built once, at the first duration, and
     its grid evaluated in stacks of ``evolution.stack_points`` durations,
     on ``_in_grid_order``'s thread pool when there are several stacks and
-    BLAS leaves cores free.  Each stack makes its own rows, and the scan
-    joins them in grid order.
+    BLAS leaves cores free.  Each model's functionals are taken for the
+    whole grid in one call once every stack has passed (each block still
+    decomposed on its own, so each value has the bits of a call per stack).
     With several seeds the functionals are averaged over the bath ensemble,
     summed in seed order.  Rows also carry ``floor``, the engine's estimated
     absolute error of each functional, averaged the same way.  Raises
@@ -262,26 +270,25 @@ def evaluate_scan(
     per_stack = stack_points(model_spec.d)
     head = {"family": seq.family.get("name", seq.label), "param": _family_param_string(seq.family)}
 
-    def evaluate_stack(durations: list[float]) -> list[dict]:
-        """The stack's rows, each value the ensemble mean summed in seed order.
-
-        Raises the error of the first failing (duration, seed).
-        """
-        columns, failures = [], []
-        for ops in models:
-            eff, errors = evaluate(seq, ops, durations, engine)[:2]
-            columns.append({key: v.tolist() for key, v in {**error_functionals(eff), "floor": eff.floor}.items()})
-            failures.append(errors)
+    def evaluate_stack(durations: list[float]) -> tuple[EffectiveHamiltonian, ...]:
+        """The stack's generators, one per bath model; raises the error of the first failing (duration, seed)."""
+        effs, failures = zip(*(evaluate(seq, ops, durations, engine)[:2] for ops in models))
         # Stop where a point-by-point scan would: at the first failing (grid point, seed).
         for error in (error for point in zip(*failures) for error in point if error is not None):
             raise error
-        means = columns[0] if len(models) == 1 else {
-            key: [sum(point) / len(models) for point in zip(*(c[key] for c in columns))] for key in columns[0]}
-        return [{**head, "t": t, "alpha_t": model_alpha * t, **dict(zip(means, point))}
-                for t, *point in zip(durations, *means.values())]
+        return effs
 
     stacks = [t_grid[start:start + per_stack] for start in range(0, len(t_grid), per_stack)]
-    return [row for rows in _in_grid_order(evaluate_stack, stacks) for row in rows]
+    columns = []
+    # Each model's functionals for the whole grid, from one call, after every stack has raised or passed.
+    for effs in zip(*_in_grid_order(evaluate_stack, stacks)):
+        eff = effs[0] if len(effs) == 1 else EffectiveHamiltonian(
+            np.concatenate([e.blocks for e in effs], axis=1), np.array(t_grid), np.concatenate([e.floor for e in effs]))
+        columns.append({key: v.tolist() for key, v in {**error_functionals(eff), "floor": eff.floor}.items()})
+    means = columns[0] if len(models) == 1 else {
+        key: [sum(point) / len(models) for point in zip(*(c[key] for c in columns))] for key in columns[0]}
+    return [{**head, "t": t, "alpha_t": model_alpha * t, **dict(zip(means, point))}
+            for t, *point in zip(t_grid, *means.values())]
 
 
 def order_scan(

@@ -3,17 +3,25 @@
 The principal Hermitian generator M with I + W = exp(-i M) comes from the
 Cayley form: Z = (2I + W)^-1 W = i tan(-M/2) is anti-Hermitian and
 log(I + W) = 2 atanh Z.  Below |Z|_F = 1/2 (eigenphases within about 0.93
-rad) M is the odd series 2i (Z + Z^3/3 + ...) of ``atanh_series``, which the
+rad) M is the odd series 2i (Z + Z^3/3 + ...) of ``odd_series``, which the
 extended engine sums too (each engine sizes it by its own norm, and
 ``series_terms`` counts the terms of every series of both); above it one
 eigendecomposition -i Z = V diag(lam) V^+ gives the eigenphases
-2 arctan(lam) and M.  A schedule is logged from
-its toggling-frame deviation W = ctrl^+ U - I, and Z is checked against W,
-so the error stays near eps |W| with no eigenvalue-gap condition; each
-point reports that floor, FLOOR_UNIT |M| ceil(log2 segments), with |M| a
-bound on the eigenphases.  Eigenphases must stay clear of the +-pi branch
-cut; callers shrink the duration when they do not.  All of it runs on
-(G, 2d, 2d) stacks.
+2 arctan(lam) and M.  Z is checked against W to 1e-9.  Where one point
+fills a stack (``evolution.stack_points(d) == 1``, d >= 46, the switch of
+the double engine's leaves), the log needs no solve: S = i(W - W^+)/2 is
+sin M, so an item with |S|_F and |(W + W^+)/2|_F below SERIES_BOUND (every
+eigenphase within pi/6) is M = arcsin S, S + S^3/6 + 3 S^5/40 + ..., the
+same driver with arcsin's coefficients, and W's unitarity check stands in
+for the residual; any other item, where sin alone cannot tell theta from
+pi - theta, takes the Cayley log.  Below that switch the Cayley log is
+kept bit for bit (the double golden outputs pin its bytes).  A schedule is
+logged from its toggling-frame deviation W = ctrl^+ U - I, so the error
+stays near eps |W| with no eigenvalue-gap condition; each point reports
+that floor, FLOOR_UNIT |M| ceil(log2 segments), with |M| a bound on the
+eigenphases.  Eigenphases must stay clear of the +-pi branch cut; callers
+shrink the duration when they do not.  All of it runs on (G, 2d, 2d)
+stacks.
 
 Each precision is an ``Engine`` record of its stages, each with one
 signature in both engines: compose(seq, ops, durations) gives W, log takes
@@ -27,22 +35,25 @@ couplings, a view of that one array.  ``DOUBLE`` is defined here, the
 extended engine in ``highprec``.
 
 The log's constants are formed once: 2I once per size (``evolution._eye``),
-the series' table of powers and odd divisors once.  A stack does no work
-for a branch none of its items takes (no item at or above SERIES_BOUND,
-none singular, none whose |Z^2|_F underflows, none done before a term),
+the series' table of powers and both series' divisors once.  A stack does
+no work for a branch none of its items takes (no item at or above
+SERIES_BOUND, none singular, none whose |Z^2|_F or |S^2|_F underflows,
+none done before a term),
 and branch errors are re-tagged only when there are any; the segment count
 for the floor is kept with the schedule (``bath.kept``).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .bath import GAMMAS, check_count, spectral_norm
-from .evolution import _eye, segment_count, sequence_deviation
+from .evolution import _eye, segment_count, sequence_deviation, stack_points
 from .evolution import sequence_unitary  # noqa: F401  (rebound here by perfbench/tracing.py and a test)
 from .sequences import check_duration
 
@@ -51,14 +62,17 @@ BRANCH_MARGIN = 0.1
 # points of perfbench/references/order.json (d = 4, 64; block path included) errors stay below 0.79 floors
 # (0.006 for values within 1e6 floors); 2^-52 gave 13.
 FLOOR_UNIT = 2.0**-48
-# Below this |Z|_F the log is the atanh series (eigenphases within 2 arctan 1/2, about 0.93 rad); above it, eigh.
+# Below this |Z|_F the Cayley log is the atanh series (eigenphases within 2 arctan 1/2, about 0.93 rad); above
+# it, eigh.  At d >= 46 it also bounds |S|_F and |(W + W^+)/2|_F below which the log is the arcsin series.
 SERIES_BOUND = 0.5
 # Bound on the tail of the double series, relative to its first term.
 _SERIES_TOL = 2.0**-53
-# The powers j + 1 and the odd divisors 2j + 3 of the double series' table of tail bounds, j = 0..23: q < 1/4
-# takes at most 23 terms.
+# The divisors 1/c_j of the odd series' coefficients, j = 0..24: atanh's 2j + 1 and arcsin's 4^j (j!)^2 (2j + 1) /
+# (2j)!.  Columns 1..24 divide the table of tail bounds: q < 1/4 takes at most 23 terms of either.
+_ATANH = 2 * np.arange(25) + 1
+_ARCSIN = np.array([float(Fraction(4**j * math.factorial(j) ** 2 * (2 * j + 1), math.factorial(2 * j)))
+                    for j in range(25)])
 _TAIL_POWERS = np.arange(1, 25)
-_TAIL_ODDS = 2 * np.arange(24) + 3
 
 
 class BranchAmbiguityError(ArithmeticError):
@@ -103,39 +117,42 @@ def series_terms(bounds: np.ndarray, tol: float) -> np.ndarray:
     return np.where(above[..., -1], -1, above.sum(axis=-1))
 
 
-def atanh_series(z, z2, terms: np.ndarray, product, add, scale):
-    """atanh Z = Z + Z^3/3 + ... per item of a (G, n, n) stack, z2 = Z^2, in an engine's product, add and scale.
+def odd_series(x, x2, terms: np.ndarray, product, add, scale):
+    """X + c_1 X^3 + c_2 X^5 + ... per item of a (G, n, n) stack, x2 = X^2, in an engine's product, add and scale.
 
-    Item g sums terms[g] terms after the first: scale(power, j, live) is power / (2j + 1) where the (G,) mask
-    live holds and exact zeros elsewhere.
+    Item g sums terms[g] terms after the first: scale(power, j, live) is c_j power where the (G,) mask live holds
+    and exact zeros elsewhere (atanh's c_j = 1/(2j + 1), arcsin's (2j)! / (4^j (j!)^2 (2j + 1))).
     """
-    total, power = z, z
+    total, power = x, x
     for j in range(1, int(terms.max(initial=0)) + 1):
-        power = product(power, z2)
+        power = product(power, x2)
         total = add(total, scale(power, j, terms >= j))
     return total
 
 
-def _series_log(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """M = 2i atanh Z for an anti-Hermitian (G, n, n) stack with |Z|_F < 1/2 (Z is overwritten), and |M|.
+def _series_log(x: np.ndarray, divisors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The odd series of ``divisors`` (``_ATANH`` or ``_ARCSIN``) of a normal (G, n, n) stack, and |M|.
 
-    Z is normal, so r^2 = |Z^2|_F >= |Z|_2^2: an item stops at the first N
-    with r^(2N+2) / ((2N + 3)(1 - r^2)) <= _SERIES_TOL, a bound on the tail
-    relative to r, and 2 arctan |Z^(2N+1)|_F^(1/(2N+1)) bounds its eigenphases
-    (2 arctan r where N = 0).  The squares that make up r^2 underflow below
-    about 1e-162, so where r reads 0 and Z does not vanish, |Z|_F bounds the
-    eigenphases instead, its parts scaled by a power of two near the largest.
-    A stack does no work for a branch no item takes: no lost item, no item
-    ending at term j, no item done before term j.
+    With atanh's, X = Z is anti-Hermitian with |Z|_F < 1/2 and M = 2i atanh Z;
+    with arcsin's, X = S is Hermitian with |S|_F < 1/2 and M = arcsin S.  X is
+    overwritten.  X is normal, so r^2 = |X^2|_F >= |X|_2^2: an item stops at
+    the first N with c_(N+1) r^(2N+2) / (1 - r^2) <= _SERIES_TOL, a bound on
+    the tail relative to r (the c_j fall), and y = |X^(2N+1)|_F^(1/(2N+1))
+    bounds |X|_2 (y = r where N = 0), so 2 arctan y, or arcsin y, its
+    eigenphases.  The squares that make up r^2 underflow below about 1e-162,
+    so where r reads 0 and X does not vanish, y is |X|_F instead, its parts
+    scaled by a power of two near the largest.  A stack does no work for a
+    branch no item takes: no lost item, no item ending at term j, no item
+    done before term j.
     """
-    z2 = z @ z
-    q = _frobenius(z2)[:, None]
-    terms = series_terms(q ** _TAIL_POWERS / (_TAIL_ODDS * (1 - q)), _SERIES_TOL)
-    root, even, odd, term = np.sqrt(q[:, 0]), np.empty_like(z), np.empty_like(z), np.empty_like(z)
+    x2 = x @ x
+    q = _frobenius(x2)[:, None]
+    terms = series_terms(q ** _TAIL_POWERS / (divisors[1:] * (1 - q)), _SERIES_TOL)
+    root, even, odd, term = np.sqrt(q[:, 0]), np.empty_like(x), np.empty_like(x), np.empty_like(x)
     if not root.all():
-        lost = np.nonzero((root == 0) & z.any(axis=(-2, -1)))[0]
+        lost = np.nonzero((root == 0) & x.any(axis=(-2, -1)))[0]
         if len(lost):
-            parts = z[lost].view(float)
+            parts = x[lost].view(float)
             shift = np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
             root[lost] = np.ldexp(_frobenius(np.ldexp(parts, -shift[:, None, None])), shift)
     ends = set(terms.tolist())
@@ -145,29 +162,25 @@ def _series_log(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if j in ends:
             last = terms == j
             root[last] = (_frobenius(power) ** (1 / (2 * j + 1)))[last]
-        np.divide(power, 2 * j + 1, out=term)
+        np.divide(power, divisors[j], out=term)
         if j > fewest:
             term[~live] = complex(-0.0, -0.0)  # x + (-0) is x, bit for bit
         return term
 
-    total = atanh_series(z, z2, terms, lambda power, z2: np.matmul(power, z2, out=odd if power is even else even),
-                         lambda total, term: np.add(total, term, out=total), scale)
+    total = odd_series(x, x2, terms, lambda power, x2: np.matmul(power, x2, out=odd if power is even else even),
+                       lambda total, term: np.add(total, term, out=total), scale)
     m = np.swapaxes(total.conj(), -1, -2)
+    if divisors is _ARCSIN:
+        np.add(total, m, out=m)
+        m *= 0.5  # arcsin S, made Hermitian
+        return m, np.arcsin(root)
     np.subtract(total, m, out=m)
     m *= 1j  # 2i atanh Z, made Hermitian
     return m, 2 * np.arctan(root)
 
 
-def _principal_logs(w: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray]:
-    """Principal Hermitian M with I + W = exp(-i M) for every W in a (G, n, n) stack, without raising.
-
-    Returns the (G, n, n) generators and the (G,) bound |M| on the
-    eigenphases.  A matrix that fails gets its error in the caller's list
-    errors where that holds None: a BranchAmbiguityError for an eigenphase
-    within BRANCH_MARGIN of +-pi, else an ArithmeticError for a
-    reconstruction residual above 1e-9.  A failed matrix does not stop the
-    others; its generator is meaningless.
-    """
+def _cayley_logs(w: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray]:
+    """``_principal_logs`` from the Cayley form Z = (2I + W)^-1 W: the atanh series below SERIES_BOUND, else eigh."""
     z, singular = shifted_solve(w)
     z -= np.swapaxes(z.conj(), -1, -2)
     z *= 0.5  # Z = i tan(-M/2), anti-Hermitian
@@ -180,7 +193,7 @@ def _principal_logs(w: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray
     if len(near):
         k = -1j * z[near]  # Hermitian: V diag(lam) V^+
         z[near] = 0
-    m, phase = _series_log(z)
+    m, phase = _series_log(z, _ATANH)
     if len(near):
         lam, v = np.linalg.eigh(k)
         phases = 2 * np.arctan(lam)
@@ -197,6 +210,41 @@ def _principal_logs(w: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray
                 )
     for g in np.nonzero(residual > 1e-9)[0]:
         errors[g] = errors[g] or ArithmeticError(f"log reconstruction residual {residual[g]:.2e} exceeds 1e-9")
+    return m, phase
+
+
+def _principal_logs(w: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray]:
+    """Principal Hermitian M with I + W = exp(-i M) for every W in a (G, n, n) stack, without raising.
+
+    Returns the (G, n, n) generators and the (G,) bound |M| on the
+    eigenphases.  A matrix that fails gets its error in the caller's list
+    errors where that holds None: a BranchAmbiguityError for an eigenphase
+    within BRANCH_MARGIN of +-pi, else an ArithmeticError for a
+    reconstruction residual above 1e-9.  A failed matrix does not stop the
+    others; its generator is meaningless.
+
+    Where one point fills a stack (``stack_points(d) == 1``, d >= 46), an
+    item with |S|_F and |(W + W^+)/2|_F = |cos M - I|_F below SERIES_BOUND,
+    so every eigenphase within pi/6, is M = arcsin S, S = i(W - W^+)/2 =
+    sin M, with no solve and no residual: W's unitarity check
+    (``evolution.sequence_deviation``, to 1e-10) stands in for it.  Every
+    other item, where sin alone cannot tell theta from pi - theta, and every
+    item at smaller d takes ``_cayley_logs``.
+    """
+    if stack_points(w.shape[-1] // 2) > 1:
+        return _cayley_logs(w, errors)
+    w_h = np.swapaxes(w.conj(), -1, -2)
+    s = w - w_h
+    s *= 0.5j  # S = sin M, exactly Hermitian
+    near = np.nonzero((_frobenius(s) >= SERIES_BOUND) | (_frobenius(w + w_h) >= 2 * SERIES_BOUND))[0]
+    # Items the arcsin series cannot take enter it as zeros and take the Cayley log.
+    s[near] = 0
+    m, phase = _series_log(s, _ARCSIN)
+    if len(near):
+        near_errors = [errors[g] for g in near]
+        m[near], phase[near] = _cayley_logs(w[near], near_errors)
+        for g, error in zip(near, near_errors):
+            errors[g] = error
     return m, phase
 
 

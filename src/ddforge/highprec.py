@@ -28,7 +28,7 @@ composes from its flat pulses (``_composed``).  By blocks the leaf's float insta
 where the segments re-round each parent instant, so for UDD-based leaves
 the two paths differ near eps |W|.
 The log is 2 atanh(Z), Z = (2I + W)^-1 W: a double solve refined once, then
-the double engine's ``effective.atanh_series`` in double-double, as many
+the double engine's ``effective.odd_series`` in double-double, as many
 terms per item as an ``eigvalsh`` of Z asks for (counted, as the Taylor
 series' terms are, by ``effective.series_terms``), each term's product
 reading Z^2's BLAS forms made once (``_operand``); eigenphases beyond about
@@ -53,7 +53,7 @@ import math
 import numpy as np
 
 from .bath import BathOperators, kept, spectral_norm, total_hamiltonian
-from .effective import (BranchAmbiguityError, Engine, atanh_series, error_functionals, point_effective,
+from .effective import (BranchAmbiguityError, Engine, error_functionals, odd_series, point_effective,
                         series_terms, shifted_solve)
 from .evolution import compose, frame_factors, segment_count, stack_points
 from .sequences import Blocks, PulseSequence
@@ -290,7 +290,7 @@ def _log(w, errors: list):
     residual = _add(_add(w, (-2 * z0, zero)), _neg(_matmul(w, (z0, zero))))
     z = _two_sum(z0, shifted_solve(w[0], residual[0])[0])
     # Z^2 is the right operand of every term's product, so its BLAS forms are made once.
-    total = atanh_series(z, _operand(_matmul(z, z)), terms, _times, _add,
+    total = odd_series(z, _operand(_matmul(z, z)), terms, _times, _add,
                          lambda power, j, live: _masked(_div(power, float(2 * j + 1)), live[:, None, None]))
     return (2 * total[0], 2 * total[1]), phases
 

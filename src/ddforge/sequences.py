@@ -48,7 +48,9 @@ count parameters ``_PARAMS`` names.  Every duration in the package, of a
 schedule, a copy, a scan's grid or the predictor's steps, passes one rule,
 ``check_duration``, with one shape of message; every count (a pulse count,
 level, cycle count or denominator) passes ``bath.check_count``, named as
-the parameter that takes it.  Schedule JSON goes through
+the parameter that takes it; ``build_sequence`` checks its n, m and c
+under those names, with each family's least value, before any builder
+runs.  Schedule JSON goes through
 ``bath.check_types``, which rejects any key it does not know.
 """
 
@@ -563,10 +565,11 @@ def cdd_count_estimate(m: int) -> int:
 
 # --- Family dispatch and JSON schedule format --------------------------------
 
-# Each family and the count parameters it takes, every one of them required.  The axis is not among them: the
-# families that read it (se, cpmg, pdd, icpmg, udd) default it to Z, and the others ignore it unchecked.
-_PARAMS = {"none": "", "se": "", "cpmg": "", "pdd": "n", "icpmg": "c", "udd": "n", "cdd": "m", "cddxx": "n",
-           "cudd": "mn", "cpmg-udd": "mc", "udd2": "n"}
+# Each family and the count parameters it takes, every one of them required, with the least value of each.  The
+# axis is not among them: the families that read it (se, cpmg, pdd, icpmg, udd) default it to Z, and the others
+# ignore it unchecked.
+_PARAMS = {"none": {}, "se": {}, "cpmg": {}, "pdd": {"n": 1}, "icpmg": {"c": 1}, "udd": {"n": 1}, "cdd": {"m": 0},
+           "cddxx": {"n": 0}, "cudd": {"m": 1, "n": 0}, "cpmg-udd": {"m": 1, "c": 1}, "udd2": {"n": 1}}
 FAMILIES = tuple(_PARAMS)
 
 
@@ -576,8 +579,10 @@ def build_sequence(family: str, total_duration: float = 1.0, *, n: int | None = 
 
     A family takes exactly the count parameters (n, m, c) of ``_PARAMS``: a
     missing one, or one it does not take, is a ValueError raised before
-    anything is built or kept.  The axis is read only where the family has
-    one, and ignored unchecked elsewhere.
+    anything is built or kept, and so is one below the family's least value
+    (``bath.check_count``, named n, m or c as the CLI flag is, where the
+    builder names its own: ``cdd_full``'s level is m here).  The axis is
+    read only where the family has one, and ignored unchecked elsewhere.
 
     The schedule is built once per process at unit duration (``_unit_schedule``)
     and handed out re-timed: a copy with its own ``family`` and ``blocks``
@@ -592,9 +597,12 @@ def _unit_schedule(family: str, n, m, c, axis) -> PulseSequence:
     """The schedule of ``build_sequence`` at unit duration, kept per parameters as given; never handed out."""
     if family not in _PARAMS:
         raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
-    for key, value in {"m": m, "n": n, "c": c}.items():
+    counts = {"m": m, "n": n, "c": c}
+    for key, value in counts.items():
         if (value is None) == (key in _PARAMS[family]):
             raise ValueError(f"family {family!r} {'requires' if value is None else 'takes no'} --{key}")
+    for key, least in _PARAMS[family].items():
+        check_count(counts[key], key, least)
     builders = {
         "none": lambda: PulseSequence(1.0, (), "free", {"name": "none"}),
         "se": lambda: spin_echo(axis=axis),

@@ -684,6 +684,20 @@ def test_grid_usage_error_draws_no_model(capsys, flags, message):
     assert bath._model.cache_info().misses == misses
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("order", "cdd", "--m", "-1"), "m must be a non-negative integer, got -1"),
+    (("order", "cpmg-udd", "--m", "2", "--c", "0"), "c must be a positive integer, got 0"),
+    (("order", "icpmg", "--c", "0"), "c must be a positive integer, got 0"),
+    (("order", "cddxx", "--n", "-1"), "n must be a non-negative integer, got -1"),
+    (("order", "cudd", "--m", "0", "--n", "2"), "m must be a positive integer, got 0"),
+    (("gen", "udd2", "--n", "0"), "n must be a positive integer, got 0"),
+    (("compare", "--seq", "cdd,m=-1"), "m must be a non-negative integer, got -1"),
+], ids=["cdd-m", "cpmg-udd-c", "icpmg-c", "cddxx-n", "cudd-m", "udd2-n", "compare-cdd-m"])
+def test_count_error_names_the_flag(capsys, argv, message):
+    # cdd, cddxx, icpmg and cpmg-udd named their builders' level and cycles, which no flag is called.
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 ORDER_CONFIG_KEYS = ("n, m, c, axis, model, d, seed, preset, norm_0, norm_x, norm_y, norm_z, functional, at_min, "
                      "at_max, points, seeds, precision, out, summary")
 

@@ -463,6 +463,115 @@ def test_series_bound_on_reference_points(monkeypatch):
     assert 1 <= min(ratios) and max(ratios) <= 1.3
 
 
+def recording_solves(monkeypatch) -> list:
+    # The sizes of the Cayley log's solves, one entry per shifted_solve call.
+    sizes, shifted_solve = [], effective.shifted_solve
+    monkeypatch.setattr(effective, "shifted_solve", lambda w, *b: sizes.append(len(w)) or shifted_solve(w, *b))
+    return sizes
+
+
+class TestArcsinLog:
+    # Where one point fills a stack (d >= 46), an item with |S|_F and |(W + W^+)/2|_F below SERIES_BOUND is logged
+    # as arcsin S, S = i(W - W^+)/2 = sin M, with no solve; every other item, and every item at d = 4, takes the
+    # Cayley log.
+
+    def test_switch_is_one_point_per_stack(self, monkeypatch):
+        from ddforge.evolution import stack_points
+
+        assert stack_points(45) > 1 and stack_points(46) == 1
+        rng = np.random.default_rng(3)
+        solves = recording_solves(monkeypatch)
+        for d in (45, 46):
+            _principal_logs(deviation_with_phases(rng.uniform(-1e-3, 1e-3, 2 * d), rng)[None], [None])
+        assert solves == [1]
+
+    def test_blocks_match_eigh_on_reference_points(self, monkeypatch):
+        # Every stored d = 64 point: no solve, and each Pauli block within one floor of the eigh path's.
+        worst = 0.0
+        for key, seq, ops, _ in reference_points({"d64"}):
+            w, _ = sequence_deviation(seq, ops, [seq.total_duration])
+            t = np.array([seq.total_duration])
+            with monkeypatch.context() as patch:
+                solves = recording_solves(patch)
+                errors = [None]
+                m, bound = _principal_logs(w, errors)
+            assert errors == [None] and solves == [], key
+            with monkeypatch.context() as patch:
+                patch.setattr(effective, "SERIES_BOUND", 0.0)
+                m_eigh, _ = _principal_logs(w, [None])
+            floor = bound[0] * DOUBLE.floor(effective.segment_count(seq))
+            got, want = DOUBLE.split(m, t), DOUBLE.split(m_eigh, t)
+            worst = max(worst, np.abs(got - want).max() * t[0] / floor)
+            assert np.array_equal(m[0], m[0].conj().T), key
+        assert worst <= 1
+
+    def test_stack_on_both_sides_of_switch_equals_separate_calls(self, monkeypatch):
+        # Arcsin items (two term counts, one whose |S^2|_F underflows), an item past pi/2, one near the
+        # branch cut, a singular one and one where |S|_F is small but the phase is near pi, in one stack:
+        # every generator, error and bound is the one a call on that item alone gives.
+        rng = np.random.default_rng(11)
+        n = 128
+        small = [deviation_with_phases(rng.uniform(-s, s, n), rng) for s in (1e-4, 0.02, 1e-170)]
+        far = deviation_with_phases(np.r_[2.0, rng.uniform(-1e-3, 1e-3, n - 1)], rng)
+        cut = deviation_with_phases(np.r_[np.pi - 0.05, np.zeros(n - 1)], rng)
+        w = np.stack([*small, far, cut, -2 * np.eye(n, dtype=complex)])
+        errors = [None] * len(w)
+        m, phase = _principal_logs(w, errors)
+        for g in range(len(w)):
+            errors_one = [None]
+            m_one, phase_one = _principal_logs(w[g:g + 1], errors_one)
+            assert type(errors[g]) is type(errors_one[0]) and str(errors[g]) == str(errors_one[0])
+            if errors[g] is None:
+                assert m[g].tobytes() == m_one[0].tobytes() and phase[g].tobytes() == phase_one[0].tobytes()
+        assert errors[:4] == [None] * 4 and phase[2] > 0
+        assert type(errors[4]) is BranchAmbiguityError and type(errors[5]) is BranchAmbiguityError
+
+    @pytest.mark.parametrize("largest", [2.0, np.pi - 0.3], ids=["beyond-half-pi", "small-sine"])
+    def test_phase_beyond_half_pi_takes_eigh(self, monkeypatch, largest):
+        # sin alone reads pi - 0.3 as 0.3: |(W + W^+)/2|_F sends the item to the Cayley solve and eigh.
+        rng = np.random.default_rng(4)
+        phases = np.r_[largest, rng.uniform(-1e-3, 1e-3, 127)]
+        v = np.linalg.qr(rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128)))[0]
+        w = ((v * np.expm1(-1j * phases)) @ v.conj().T)[None]
+        assert (np.linalg.norm((w - w.conj().swapaxes(-1, -2)) / 2) < effective.SERIES_BOUND) == (largest > 2.5)
+        eighs, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+        solves = recording_solves(monkeypatch)
+        errors = [None]
+        m, bound = _principal_logs(w, errors)
+        assert errors == [None] and solves == [1] and eighs == [(1, 128, 128)]
+        assert np.abs(m[0] - (v * phases) @ v.conj().T).max() < 1e-12
+        assert bound[0] == pytest.approx(largest, rel=1e-12)
+
+    def test_phase_near_branch_cut_raises(self):
+        rng = np.random.default_rng(6)
+        w = deviation_with_phases(np.r_[-(np.pi - 0.05), rng.uniform(-1e-3, 1e-3, 127)], rng)[None]
+        errors = [None]
+        _principal_logs(w, errors)
+        assert type(errors[0]) is BranchAmbiguityError and abs(errors[0].eigenphase) > np.pi - effective.BRANCH_MARGIN
+
+    def test_non_unitary_input_fails_through_evaluate(self, monkeypatch):
+        # The arcsin log checks no residual: W's unitarity check, to 1e-10, fails the point instead.
+        from ddforge import evolution
+
+        leaves = evolution._leaves
+
+        def skewed(*args):
+            factors = leaves(*args)
+            factors[..., 0, 0] += 1e-8
+            return factors
+
+        monkeypatch.setattr(evolution, "_leaves", skewed)
+        solves = recording_solves(monkeypatch)
+        ops = build_model(ModelSpec(d=64, seed=7))
+        seq = udd_sequence(2, 1e-3 / alpha(ops))
+        _, errors, _ = evaluate(seq, ops, [seq.total_duration], DOUBLE)
+        assert solves == [] and type(errors[0]) is ValueError
+        assert str(errors[0]).startswith("matrix is not unitary: defect ")
+        with pytest.raises(ValueError, match="^matrix is not unitary"):
+            sequence_effective(seq, ops)
+
+
 class TestSpectralNorm:
     @pytest.mark.parametrize("d", [4, 16])
     @SCHEDULES

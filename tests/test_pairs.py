@@ -141,3 +141,19 @@ def test_verdict_against_the_bound(capsys, monkeypatch, verdict, before, after):
     assert table[1].split()[-1] == "verdict"
     verdicts = {row.split()[0]: row.split()[-2] for row in table[2:]}
     assert verdicts == {**dict.fromkeys(names, "held"), "scan_p50_ms": verdict}
+
+
+@pytest.mark.parametrize("workload, pairs_asked, warned", [
+    ("order-extended", 10, True), ("order-extended", 20, False), ("order-d4", 10, False),
+    ("order-d4,order-extended", 19, True),
+], ids=["extended-10", "extended-20", "d4-10", "list-19"])
+def test_too_few_pairs_on_order_extended_warns(capsys, monkeypatch, workload, pairs_asked, warned):
+    # With 10 pairs a 15% order-extended gain can misread; the run still goes ahead as asked.
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+    monkeypatch.setattr(pairs, "run_benchmark", lambda root, name, seed: calls.append(seed) or dict.fromkeys(names, 1.0))
+    assert pairs.main([str(ROOT), str(ROOT), "--workload", workload, "--pairs", str(pairs_asked)]) == 0
+    err = capsys.readouterr().err
+    assert len(calls) == 2 * pairs_asked * len(workload.split(","))
+    want = f"pairs.py: warning: order-extended needs at least 20 pairs to read a gain, got {pairs_asked}\n"
+    assert err == (want if warned else "")

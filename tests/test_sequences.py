@@ -636,8 +636,15 @@ class TestBuildMemo:
         ({"family": "cdd", "m": 2, "n": 7}, "family 'cdd' takes no --n", 0),
         ({"family": "udd", "n": 2, "m": 1}, "family 'udd' takes no --m", 0),
         ({"family": "none", "c": 3, "axis": "X"}, "family 'none' takes no --c", 0),
+        # Counts are named as the flags are, n, m or c, not as the builders name them (level, cycles).
+        ({"family": "cdd", "m": -1}, "m must be a non-negative integer, got -1", 0),
+        ({"family": "cddxx", "n": -1}, "n must be a non-negative integer, got -1", 0),
+        ({"family": "icpmg", "c": 0}, "c must be a positive integer, got 0", 0),
+        ({"family": "cpmg-udd", "m": 2, "c": 0}, "c must be a positive integer, got 0", 0),
+        # The family's parameters are all checked for presence before any for its count rule.
+        ({"family": "cdd", "m": -1, "n": 7}, "family 'cdd' takes no --n", 0),
     ], ids=["bad-n", "missing-m", "bad-level", "bad-axis", "unknown", "bad-duration", "n-before-duration",
-            "cdd-n", "udd-m", "none-c"])
+            "cdd-n", "udd-m", "none-c", "cdd-m", "cddxx-n", "icpmg-c", "cpmg-udd-c", "presence-first"])
     def test_failed_build_is_not_cached(self, kwargs, message, cached):
         from ddforge import sequences
 
@@ -646,6 +653,17 @@ class TestBuildMemo:
                 build_sequence(**kwargs)
             assert str(err.value) == message
         assert sequences._unit_schedule.cache_info().currsize == cached
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: cdd_full(-1), "level must be a non-negative integer, got -1"),
+        (lambda: cdd_xx(-1), "level must be a non-negative integer, got -1"),
+        (lambda: icpmg(0), "cycles must be a positive integer, got 0"),
+        (lambda: cpmg_udd(2, 0), "cycles must be a positive integer, got 0"),
+    ], ids=["cdd_full", "cdd_xx", "icpmg", "cpmg_udd"])
+    def test_builders_keep_their_own_names(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
 
     def test_axis_unchecked_where_ignored(self):
         assert build_sequence("cdd", 1.0, m=1, axis="Q").label == "CDD-1"

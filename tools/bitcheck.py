@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Fingerprint what a ddforge tree computes, to check a change for bit-identity.
 
-Usage: ``python tools/bitcheck.py ROOT``, where ROOT is a checkout (this
-repository, or a copy of another commit).  The script imports ``ROOT/src``
-and ``ROOT/perfbench`` (read-only) in this process, on one BLAS thread, and
-prints one line per category: its name, the number of entries and the
-sha256 of their bytes.  A ROOT without those files gets one line naming
-the first one missing, and exit code 2.
+Usage: ``python tools/bitcheck.py ROOT [--against PARENT]``, where ROOT
+and PARENT are checkouts (this repository, or copies of other commits).  The
+script imports ``ROOT/src`` and ``ROOT/perfbench`` (read-only) in this
+process, on one BLAS thread, and prints one line per category: its name,
+the number of entries and the sha256 of their bytes.  A ROOT or PARENT
+without those files gets one line naming the first one missing, and exit
+code 2, before any work.
 
 - ``order-d4``, ``order-d64``, ``order-extended``: every row value and
   floor and every fitted slope of that workload's benchmark order scans, as
@@ -35,6 +36,13 @@ the first one missing, and exit code 2.
 It then prints the code lines of each ``src/ddforge`` module and their total,
 counted without docstrings, comments or blank lines.  Run it on two trees
 and compare: equal hashes mean equal bits.
+
+With ``--against PARENT`` it runs the order workloads of PARENT in a child
+process and, for each order category whose hash differs, prints how far
+the values moved: the largest change of a row value (E_flip, E_dephase,
+E_total) in units of that row's floor at PARENT, and the largest change of
+a fitted slope, each with the scan and functional it was found at, and the
+scans that raise, or fit a slope, on one side only.
 """
 
 from __future__ import annotations
@@ -44,17 +52,23 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import subprocess
 import sys
 import tempfile
 import tokenize
 from pathlib import Path
 
-os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = os.environ["MKL_NUM_THREADS"] = "1"
-
 ORDER_WORKLOADS = ("order-d4", "order-d64", "order-extended")
+FUNCTIONALS = ("E_flip", "E_dephase", "E_total")
 # The files of a checkout this script imports.
 CHECKOUT = ("src/ddforge/__init__.py", "perfbench/measure.py", "perfbench/workloads.py")
+
+
+def one_blas_thread() -> None:
+    """Pin BLAS to one thread; called before the checkout's code, and so numpy, is imported."""
+    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = os.environ["MKL_NUM_THREADS"] = "1"
 
 
 class Category:
@@ -75,7 +89,8 @@ def failure(err: Exception) -> tuple:
     return type(err).__name__, str(err), getattr(err, "t", None)
 
 
-def order_category(measure, workloads, workload: str) -> Category:
+def order_category(measure, workloads, workload: str, scans: dict | None = None) -> Category:
+    """The category's hash; with a dict scans, also each scan's rows and slopes (or None where it raised) by label."""
     out, inputs = Category(workload), measure.Inputs(workload)
     for scan in workloads.order_scans(workload):
         call = inputs.order_call(scan)
@@ -83,11 +98,64 @@ def order_category(measure, workloads, workload: str) -> Category:
             rows, fits = measure.run_order(call, scan.precision)
         except Exception as err:  # noqa: BLE001 - a raising scan is an entry too
             out.add(scan.label, failure(err))
+            if scans is not None:
+                scans[scan.label] = None
             continue
         values = [(k, v.hex() if isinstance(v, float) else v) for row in rows for k, v in row.items()]
         slopes = [(k, None if f.slope is None else f.slope.hex()) for k, f in fits.items()]
         out.add(scan.label, values, slopes)
+        if scans is not None:
+            scans[scan.label] = ([{k: row[k] for k in (*FUNCTIONALS, "floor", "alpha_t")} for row in rows],
+                                 {k: f.slope for k, f in fits.items()})
     return out
+
+
+def order_records(root: str) -> dict:
+    """Per order workload of the checkout at root: its hash and ``order_category``'s scans.  Imports root's code."""
+    one_blas_thread()
+    sys.path[:0] = [str(Path(root) / "src"), str(Path(root) / "perfbench")]
+    import measure
+    import workloads
+
+    records = {}
+    for workload in ORDER_WORKLOADS:
+        scans = {}
+        records[workload] = (order_category(measure, workloads, workload, scans).digest.hexdigest(), scans)
+    return records
+
+
+def parent_records(parent: Path) -> dict:
+    """``order_records`` of the checkout parent, from a child process, so that its code is imported apart."""
+    code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); import bitcheck; "
+            f"print(json.dumps(bitcheck.order_records({str(parent)!r})))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def moved(name: str, parent: dict, change: dict) -> list[str]:
+    """How far one order workload moved, as lines, from ``order_category``'s scans at PARENT and at ROOT."""
+    value, slope, one_sided = (0.0, "none"), (0.0, "none"), []
+    for label, before in parent.items():
+        after = change.get(label)
+        if (before is None) != (after is None):
+            one_sided.append(f"{label} raises")
+        if before is None or after is None:
+            continue
+        for row_before, row_after in zip(before[0], after[0]):
+            for key in FUNCTIONALS:
+                delta, floor = abs(row_after[key] - row_before[key]), row_before["floor"]
+                units = delta / floor if floor else math.inf if delta else 0.0
+                if units > value[0]:
+                    value = (units, f"{label} {key} at alpha_t = {row_before['alpha_t']:.3g}")
+        for key, before_slope in before[1].items():
+            after_slope = after[1][key]
+            if (before_slope is None) != (after_slope is None):
+                one_sided.append(f"{label} {key} slope is defined")
+            elif before_slope is not None and abs(after_slope - before_slope) > slope[0]:
+                slope = (abs(after_slope - before_slope), f"{label} {key}")
+    return ([f"{name} moved: largest value change {value[0]:.3g} floors ({value[1]}), "
+             f"largest slope change {slope[0]:.3g} ({slope[1]})"]
+            + [f"{name} on one side only: {entry}" for entry in one_sided])
 
 
 def deep_category(measure, workloads, evolution, sequences) -> Category:
@@ -191,6 +259,8 @@ CLI_CALLS = (
 CLI_USAGE_CALLS = (
     ("order", "cdd", "--m", "-1"),
     ("order", "cpmg-udd", "--m", "2", "--c", "0"),
+    ("order", "icpmg", "--c", "0"),
+    ("order", "cddxx", "--n", "-1"),
     ("counts", "--m-max", "0"),
     ("crossover", "--n-max", "0"),
     ("predict-magnus", "--halvings", "-1"),
@@ -257,21 +327,24 @@ def code_lines(path: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: bitcheck.py ROOT", file=sys.stderr)
+    if len(argv) not in (1, 3) or argv[1:2] not in ([], ["--against"]):
+        print("usage: bitcheck.py ROOT [--against PARENT]", file=sys.stderr)
         return 2
-    root = Path(argv[0]).resolve()
-    missing = [name for name in CHECKOUT if not (root / name).is_file()]
-    if missing:
-        print(f"bitcheck.py: {root} is not a ddforge checkout: it has no {missing[0]}", file=sys.stderr)
-        return 2
+    root, parent = (Path(path).resolve() for path in (argv[0], argv[-1]))
+    for tree in dict.fromkeys((root, parent)):
+        missing = [name for name in CHECKOUT if not (tree / name).is_file()]
+        if missing:
+            print(f"bitcheck.py: {tree} is not a ddforge checkout: it has no {missing[0]}", file=sys.stderr)
+            return 2
+    one_blas_thread()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import measure
     import workloads
 
     from ddforge import analysis, bath, cli, effective, evolution, highprec, sequences
 
-    categories = [order_category(measure, workloads, workload) for workload in ORDER_WORKLOADS]
+    scans = {workload: {} for workload in ORDER_WORKLOADS}
+    categories = [order_category(measure, workloads, workload, scans[workload]) for workload in ORDER_WORKLOADS]
     for category in (*categories, deep_category(measure, workloads, evolution, sequences),
                      builders_category(sequences), flat_plans_category(sequences, bath, analysis, effective, highprec),
                      cli_category(cli, "cli", CLI_CALLS, {}),
@@ -282,6 +355,10 @@ def main(argv: list[str]) -> int:
     for name, count in modules.items():
         print(f"lines {name:<14} {count:>5}")
     print(f"lines {'total':<14} {sum(modules.values()):>5}")
+    if len(argv) == 3:
+        for category, (digest, before) in zip(categories, parent_records(parent).values()):
+            if category.digest.hexdigest() != digest:
+                print(*moved(category.name, before, scans[category.name]), sep="\n")
     return 0
 
 

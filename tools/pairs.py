@@ -22,6 +22,10 @@ held the metric, against the metric's relative ``bound``:
   its median, and not every change run beats every parent run;
 - ``held`` otherwise.
 
+A run that asks for fewer pairs than a workload needs (``MIN_PAIRS``: 20 on
+order-extended, whose spread let a 15% gain misread over 10) gets a warning
+line on stderr naming the workload, and then runs as asked.
+
 A checkout without ``BENCHMARK.json`` or ``perfbench/run.py`` gets one line
 naming it, and exit code 2, before any run.  A run that fails ends the
 script with exit code 1, after a line naming its pair, seed, side, workload
@@ -47,6 +51,8 @@ FIRST_SEED = 7
 CHECKOUT = ("BENCHMARK.json", "perfbench/run.py")
 # The lines of a failed run's stderr that are printed.
 STDERR_TAIL = 8
+# The fewest pairs whose verdicts a workload's spread lets one read: with 10, a 15% gain on order-extended can misread.
+MIN_PAIRS = {"order-extended": 20}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -117,6 +123,10 @@ def main(argv=None) -> int:
     metrics = bench["end_to_end"]
     workloads = ([w["name"] for w in bench["workloads"]] if args.workload == "all"
                  else args.workload.split(","))
+    for workload in workloads:
+        if args.pairs < MIN_PAIRS.get(workload, 0):
+            print(f"pairs.py: warning: {workload} needs at least {MIN_PAIRS[workload]} pairs to read a gain, "
+                  f"got {args.pairs}", file=sys.stderr)
     runs = {workload: {"parent": [], "change": []} for workload in workloads}
     for pair in range(args.pairs):
         seed = FIRST_SEED + pair
