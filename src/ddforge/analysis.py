@@ -79,8 +79,8 @@ class OrderFit:
 
 def check_grid(at_min: float, at_max: float, points: int) -> None:
     """The rule of ``default_t_grid``'s alpha*t bounds and point count, which needs no model: a ValueError if broken."""
-    if not 0 < at_min < at_max:
-        raise ValueError("need 0 < at_min < at_max")
+    if not 0 < at_min < at_max < math.inf:
+        raise ValueError("need 0 < at_min < at_max < inf")
     check_count(points, "points", 4)
 
 

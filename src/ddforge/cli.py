@@ -7,10 +7,14 @@ puts the resolved model options over the --model file's keys, so the seed
 chain is flag > config > --model file > DDFORGE_SEED > 0.  Every JSON object
 read goes through ``bath.check_types``: a config key must name an option the
 file sets, and a model key one the spec reads, so a mistyped key is a usage
-error naming it and the file.  A family takes exactly its count parameters,
-every count passes ``bath.check_count`` and every duration
-``sequences.check_duration``; a command builds its schedules before it
-draws a bath model, so that a family usage error costs no draw.  Only
+error naming it and the file.  The family values (--n, --m, --c, --axis
+and a --seq token's keys) pass through to ``sequences.build_sequence``,
+whose one family rule decides which each family takes, the axis included,
+and checks every value under its flag's name; a --seq token's build error
+is prefixed with the token.  Every other count passes
+``bath.check_count`` and every duration ``sequences.check_duration``; a
+command builds its schedules before it draws a bath model, so that a
+family usage error costs no draw.  Only
 ``order`` and ``counts`` write a CSV, and only they take --no-meta.  Exit
 codes: 0 success, 2 usage error, 3 numeric-domain error (an eigenphase near
 the branch cut, a failed log reconstruction, an extended-precision value
@@ -38,15 +42,12 @@ EXIT_USAGE = 2
 EXIT_BRANCH = 3
 EXIT_IO = 4
 
-# The pulse axes an option or a --seq token may name.
-AXES = ("X", "Y", "Z")
-
 def _add_family_args(parser):
     parser.add_argument("family", choices=sequences.FAMILIES, help="schedule family")
     parser.add_argument("--n", type=int, default=None, help="pulse count / level parameter")
     parser.add_argument("--m", type=int, default=None, help="block pulse count / level parameter")
     parser.add_argument("--c", type=int, default=None, help="cycle count")
-    parser.add_argument("--axis", choices=AXES, default=None, help="pulse axis (default Z)")
+    parser.add_argument("--axis", choices=sequences.AXES, default=None, help="pulse axis (default Z)")
 
 
 def _add_model_args(parser):
@@ -125,10 +126,7 @@ def _model_spec(args) -> bath.ModelSpec:
 
 
 def _family_kwargs(args) -> dict:
-    out = {key: getattr(args, key) for key in ("n", "m", "c") if getattr(args, key) is not None}
-    if args.axis is not None:
-        out["axis"] = sequences.PauliAxis(args.axis)
-    return out
+    return {key: getattr(args, key) for key in ("n", "m", "c", "axis") if getattr(args, key) is not None}
 
 
 def _write(path, write) -> None:
@@ -233,6 +231,10 @@ def _cmd_predict_magnus(args) -> int:
         bath.check_count(getattr(args, key), f"--{key}")
     sequences.check_duration(args.tau0, "--tau0")
     sequences.check_duration(math.ldexp(args.tau0, -args.halvings), "--tau0 / 2^halvings")
+    # The CDDxx step spans tau0 * 2^level, which overflows where tau0's binary exponent plus level passes 1024.
+    mantissa, exponent = math.frexp(args.tau0)
+    step = math.ldexp(mantissa, exponent + args.level) if exponent + args.level <= 1024 else math.inf
+    sequences.check_duration(step, "--tau0 * 2^level")
     model = bath.build_model(spec)
     if not model.az.any():
         raise ValueError("the dephasing coupling A_z is zero; the predictor needs --norm-z > 0")
@@ -257,25 +259,20 @@ def _cmd_predict_magnus(args) -> int:
     return EXIT_OK
 
 
-# What each key of a --seq token takes.
-_SEQ_KEYS = {"n": "an integer", "m": "an integer", "c": "an integer", "axis": "X, Y or Z"}
-
-
 def _parse_seq_token(token: str) -> dict:
+    """The token's family name and keys; a value ``int`` reads is that int, any other its string."""
     name, *parts = token.split(",")
     family = {"name": name}
     for part in parts:
         key, _, value = part.partition("=")
-        if key not in _SEQ_KEYS:
+        if key not in ("n", "m", "c", "axis"):
             raise ValueError(f"unknown key {key!r} in --seq token {token!r}; expected n, m, c or axis")
         if key in family:
             raise ValueError(f"key {key!r} repeats in --seq token {token!r}; give each key once")
         try:
-            if key == "axis" and value not in AXES:
-                raise ValueError
-            family[key] = sequences.PauliAxis(value) if key == "axis" else int(value)
+            family[key] = int(value)
         except ValueError:
-            raise ValueError(f"key {key!r} in --seq token {token!r} takes {_SEQ_KEYS[key]}, got {value!r}") from None
+            family[key] = value
     return family
 
 
@@ -284,10 +281,16 @@ def _cmd_compare(args) -> int:
     if not args.seq:
         raise ValueError("compare needs at least one --seq token, e.g. --seq udd,n=3")
     engine = analysis.precision_engine(args.precision)
-    families = [_parse_seq_token(token) for token in args.seq]
-    # Every schedule is built before the model is drawn and the header printed, so that a usage error
-    # costs no draw and prints no rows.
-    seqs = [sequences.build_sequence(params.pop("name"), args.t, **params) for params in families]
+    # The common duration is checked before any token, whose prefix then names only its own errors; every schedule
+    # is built before the model is drawn and the header printed, so that a usage error costs no draw and prints no rows.
+    sequences.check_duration(args.t, "total_duration")
+    seqs = []
+    for token in args.seq:
+        params = _parse_seq_token(token)
+        try:
+            seqs.append(sequences.build_sequence(params.pop("name"), args.t, **params))
+        except ValueError as exc:
+            raise ValueError(f"--seq {token!r}: {exc}") from None
     model = bath.build_model(spec)
     print(f"{'label':>20} {'pulses':>7} {'E_flip':>12} {'E_dephase':>12} {'E_total':>12} {'F_e':>12}"
           f" {'F_e(ctrl)':>12}")

@@ -43,15 +43,18 @@ unit duration, and returns re-timed copies (``with_duration``) of that
 schedule; the copies share its read-only arrays, its blocks and the plans
 the engines keep with it, so a scan over durations or bath seeds builds and
 plans a schedule once.  The memo is keyed by the arguments as given, so an
-unhashable one (a list) raises its TypeError.  A family takes exactly the
-count parameters ``_PARAMS`` names.  Every duration in the package, of a
-schedule, a copy, a scan's grid or the predictor's steps, passes one rule,
-``check_duration``, with one shape of message; every count (a pulse count,
-level, cycle count or denominator) passes ``bath.check_count``, named as
-the parameter that takes it; ``build_sequence`` checks its n, m and c
-under those names, with each family's least value, before any builder
-runs.  Schedule JSON goes through
-``bath.check_types``, which rejects any key it does not know.
+unhashable one (a list) raises its TypeError.  One family rule,
+``_FAMILIES``, names each family's builder and the parameters it takes:
+its counts, each one required, and the axis where it reads one; a missing
+count, or any other parameter, is refused before anything is built.  The
+builders name their counts as the CLI's flags are named (n, m, c), so each
+count is checked once, by its builder, and one axis rule, ``AXES`` with
+``_axis``, serves every builder that reads an axis.  Every duration in the
+package, of a schedule, a copy, a scan's grid or the predictor's steps,
+passes one rule, ``check_duration``, with one shape of message; every
+count (a pulse count, level, cycle count or denominator) passes
+``bath.check_count``, named as the parameter that takes it.  Schedule JSON
+goes through ``bath.check_types``, which rejects any key it does not know.
 """
 
 from __future__ import annotations
@@ -81,6 +84,17 @@ class PauliAxis(str, Enum):
 
 def _code(axis: PauliAxis) -> int:
     return CODE_AXIS.index(PauliAxis(axis).value)
+
+
+# The axes a family's pulses may take.
+AXES = ("X", "Y", "Z")
+
+
+def _axis(axis) -> PauliAxis:
+    """The pulse axis of a family that reads one; else a ValueError, the one axis message."""
+    if axis not in AXES:
+        raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
+    return PauliAxis(axis)
 
 
 Instant = Fraction | float
@@ -393,19 +407,19 @@ def udd_sequence(n: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxi
     Instants are exact rationals for n in {1, 2} and floats otherwise.
     """
     check_count(n, "n", 1)
-    axis = PauliAxis(axis)
+    axis = _axis(axis)
     return PulseSequence(total_duration, _udd_items(n, axis), f"UDD-{n}", {"name": "udd", "n": n, "axis": axis.value})
 
 
 def spin_echo(total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
     """Single pi pulse at the midpoint."""
-    axis = PauliAxis(axis)
+    axis = _axis(axis)
     return PulseSequence(total_duration, _items([(Fraction(1, 2), axis)]), "SE", {"name": "se", "axis": axis.value})
 
 
 def cpmg(total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
     """Two-pulse cycle: free t/4, pulse, free t/2, pulse, free t/4."""
-    axis = PauliAxis(axis)
+    axis = _axis(axis)
     items = _items([(Fraction(1, 4), axis), (Fraction(3, 4), axis)])
     return PulseSequence(total_duration, items, "CPMG", {"name": "cpmg", "axis": axis.value})
 
@@ -413,17 +427,17 @@ def cpmg(total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> PulseSeq
 def pdd(n: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
     """Periodic (equidistant) sequence: n pulses at j/(n+1)."""
     check_count(n, "n", 1)
-    axis = PauliAxis(axis)
+    axis = _axis(axis)
     items = _items((Fraction(j, n + 1), axis) for j in range(1, n + 1))
     return PulseSequence(total_duration, items, f"PDD-{n}", {"name": "pdd", "n": n, "axis": axis.value})
 
 
-def icpmg(cycles: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
-    """Iterated two-pulse cycles: 2*cycles pulses at odd multiples of 1/(4*cycles)."""
-    check_count(cycles, "cycles", 1)
-    axis = PauliAxis(axis)
-    items = _embed(_items([(Fraction(1, 4), axis), (Fraction(3, 4), axis)]), cycles)
-    return PulseSequence(total_duration, items, f"iCPMG-{cycles}", {"name": "icpmg", "c": cycles, "axis": axis.value})
+def icpmg(c: int, total_duration: float = 1.0, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
+    """Iterated two-pulse cycles: 2c pulses at odd multiples of 1/(4c)."""
+    check_count(c, "c", 1)
+    axis = _axis(axis)
+    items = _embed(_items([(Fraction(1, 4), axis), (Fraction(3, 4), axis)]), c)
+    return PulseSequence(total_duration, items, f"iCPMG-{c}", {"name": "icpmg", "c": c, "axis": axis.value})
 
 
 # --- Concatenated families ---------------------------------------------------
@@ -455,27 +469,27 @@ def _concatenated(level: int, total_duration: float, base: PulseSequence | None,
                   family: dict) -> PulseSequence:
     if base is not None:
         family["base"] = base.family.get("name", base.label)
-    node = _concatenate(_udd_block(0) if base is None else base, junction_axes, check_count(level, "level"))
+    node = _concatenate(_udd_block(0) if base is None else base, junction_axes, level)
     return PulseSequence(total_duration, node, f"{label}-{level}", family)
 
 
-def cdd_full(level: int, total_duration: float = 1.0, base: PulseSequence | None = None) -> PulseSequence:
-    """Four-block concatenation p -> p X p Z p X p Z over a base schedule.
+def cdd_full(m: int, total_duration: float = 1.0, base: PulseSequence | None = None) -> PulseSequence:
+    """Four-block concatenation p -> p X p Z p X p Z over a base schedule, iterated to level m.
 
     Level 0 returns the base (free evolution when base is None).  Junction
     pulses land at block starts and merge with any coincident base pulses;
     the post-cancellation count grows asymptotically by a factor 4 per level.
     """
-    return _concatenated(level, total_duration, base, "XZXZ", "CDD", {"name": "cdd", "m": level})
+    return _concatenated(check_count(m, "m"), total_duration, base, "XZXZ", "CDD", {"name": "cdd", "m": m})
 
 
-def cdd_xx(level: int, total_duration: float = 1.0, base: PulseSequence | None = None) -> PulseSequence:
-    """Two-block concatenation p -> p X p X; adjacent X pulses cancel.
+def cdd_xx(n: int, total_duration: float = 1.0, base: PulseSequence | None = None) -> PulseSequence:
+    """Two-block concatenation p -> p X p X, iterated to level n; adjacent X pulses cancel.
 
     Over free evolution, level 2 reproduces the two-pulse CPMG cycle and the
     surviving pulse count follows a_n = (2/3)(2^n - (-1)^n).
     """
-    return _concatenated(level, total_duration, base, "XX", "CDDxx", {"name": "cddxx", "n": level})
+    return _concatenated(check_count(n, "n"), total_duration, base, "XX", "CDDxx", {"name": "cddxx", "n": n})
 
 
 def cudd(m: int, n: int, total_duration: float = 1.0) -> PulseSequence:
@@ -487,17 +501,17 @@ def cudd(m: int, n: int, total_duration: float = 1.0) -> PulseSequence:
     return PulseSequence(total_duration, node, f"CUDD(m={m},n={n})", {"name": "cudd", "m": m, "n": n})
 
 
-def cpmg_udd(m: int, cycles: int = 1, total_duration: float = 1.0) -> PulseSequence:
-    """Iterated two-pulse cycles whose free segments carry Uhrig Z-blocks.
+def cpmg_udd(m: int, c: int = 1, total_duration: float = 1.0) -> PulseSequence:
+    """c iterated two-pulse cycles whose free segments carry Uhrig Z-blocks.
 
-    4*cycles blocks of duration t/(4*cycles) each hold an m-pulse Z-block;
-    X pulses sit mid-cycle at odd multiples of 1/(4*cycles).  cycles = 1 is
-    the single cycle of total duration four block lengths.
+    4c blocks of duration t/(4c) each hold an m-pulse Z-block; X pulses sit
+    mid-cycle at odd multiples of 1/(4c).  c = 1 is the single cycle of
+    total duration four block lengths.
     """
     check_count(m, "m", 1)
-    check_count(cycles, "cycles", 1)
-    node = _cells(_udd_block(m), 4 * cycles, np.arange(1, 4 * cycles, 2))
-    return PulseSequence(total_duration, node, f"CPMG-UDD(m={m},c={cycles})", {"name": "cpmg_udd", "m": m, "c": cycles})
+    check_count(c, "c", 1)
+    node = _cells(_udd_block(m), 4 * c, np.arange(1, 4 * c, 2))
+    return PulseSequence(total_duration, node, f"CPMG-UDD(m={m},c={c})", {"name": "cpmg_udd", "m": m, "c": c})
 
 
 # --- Polynomial-timed double layer -------------------------------------------
@@ -565,24 +579,28 @@ def cdd_count_estimate(m: int) -> int:
 
 # --- Family dispatch and JSON schedule format --------------------------------
 
-# Each family and the count parameters it takes, every one of them required, with the least value of each.  The
-# axis is not among them: the families that read it (se, cpmg, pdd, icpmg, udd) default it to Z, and the others
-# ignore it unchecked.
-_PARAMS = {"none": {}, "se": {}, "cpmg": {}, "pdd": {"n": 1}, "icpmg": {"c": 1}, "udd": {"n": 1}, "cdd": {"m": 0},
-           "cddxx": {"n": 0}, "cudd": {"m": 1, "n": 0}, "cpmg-udd": {"m": 1, "c": 1}, "udd2": {"n": 1}}
-FAMILIES = tuple(_PARAMS)
+def _free() -> PulseSequence:
+    return PulseSequence(1.0, (), "free", {"name": "none"})
+
+
+# The one family rule: each family's builder and the parameters it takes, named as the flags are.  Its counts are
+# required, and checked by the builder; the axis, where the family reads one, defaults to Z.
+_FAMILIES = {"none": (_free, ()), "se": (spin_echo, ("axis",)), "cpmg": (cpmg, ("axis",)),
+             "pdd": (pdd, ("n", "axis")), "icpmg": (icpmg, ("c", "axis")), "udd": (udd_sequence, ("n", "axis")),
+             "cdd": (cdd_full, ("m",)), "cddxx": (cdd_xx, ("n",)), "cudd": (cudd, ("m", "n")),
+             "cpmg-udd": (cpmg_udd, ("m", "c")), "udd2": (udd2_approx, ("n",))}
+FAMILIES = tuple(_FAMILIES)
 
 
 def build_sequence(family: str, total_duration: float = 1.0, *, n: int | None = None, m: int | None = None,
-                   c: int | None = None, axis: PauliAxis = PauliAxis.Z) -> PulseSequence:
+                   c: int | None = None, axis: PauliAxis | str | None = None) -> PulseSequence:
     """Construct a schedule by family name; raises ValueError on bad params.
 
-    A family takes exactly the count parameters (n, m, c) of ``_PARAMS``: a
-    missing one, or one it does not take, is a ValueError raised before
-    anything is built or kept, and so is one below the family's least value
-    (``bath.check_count``, named n, m or c as the CLI flag is, where the
-    builder names its own: ``cdd_full``'s level is m here).  The axis is
-    read only where the family has one, and ignored unchecked elsewhere.
+    A family takes exactly the parameters ``_FAMILIES`` names: a missing
+    count, or any parameter it does not take, the axis included, is a
+    ValueError raised before anything is built or kept.  The builder then
+    checks each value it is given (``bath.check_count``, ``_axis``) under
+    the name of its flag; None is no value, and an axis not given is Z.
 
     The schedule is built once per process at unit duration (``_unit_schedule``)
     and handed out re-timed: a copy with its own ``family`` and ``blocks``
@@ -595,28 +613,14 @@ def build_sequence(family: str, total_duration: float = 1.0, *, n: int | None = 
 @lru_cache(maxsize=64, typed=True)
 def _unit_schedule(family: str, n, m, c, axis) -> PulseSequence:
     """The schedule of ``build_sequence`` at unit duration, kept per parameters as given; never handed out."""
-    if family not in _PARAMS:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
-    counts = {"m": m, "n": n, "c": c}
-    for key, value in counts.items():
-        if (value is None) == (key in _PARAMS[family]):
-            raise ValueError(f"family {family!r} {'requires' if value is None else 'takes no'} --{key}")
-    for key, least in _PARAMS[family].items():
-        check_count(counts[key], key, least)
-    builders = {
-        "none": lambda: PulseSequence(1.0, (), "free", {"name": "none"}),
-        "se": lambda: spin_echo(axis=axis),
-        "cpmg": lambda: cpmg(axis=axis),
-        "pdd": lambda: pdd(n, axis=axis),
-        "icpmg": lambda: icpmg(c, axis=axis),
-        "udd": lambda: udd_sequence(n, axis=axis),
-        "cdd": lambda: cdd_full(m),
-        "cddxx": lambda: cdd_xx(n),
-        "cudd": lambda: cudd(m, n),
-        "cpmg-udd": lambda: cpmg_udd(m, c),
-        "udd2": lambda: udd2_approx(n),
-    }
-    return builders[family]()
+    builder, takes = _FAMILIES[family]
+    given = {key: value for key, value in {"m": m, "n": n, "c": c, "axis": axis}.items() if value is not None}
+    for key in ("m", "n", "c", "axis"):
+        if key in given and key not in takes or key in takes and key not in given and key != "axis":
+            raise ValueError(f"family {family!r} {'takes no' if key in given else 'requires'} --{key}")
+    return builder(**given)
 
 
 def schedule_to_dict(seq: PulseSequence) -> dict:

@@ -397,15 +397,15 @@ COUNT_SITES = {
     "pdd": (pdd, "n", 1, None),
     "udd2_approx": (udd2_approx, "n", 1, None),
     "udd2_count": (udd2_count, "n", 1, None),
-    "icpmg": (icpmg, "cycles", 1, None),
-    "cdd_full": (cdd_full, "level", 0, None),
-    "cdd_xx": (cdd_xx, "level", 0, None),
+    "icpmg": (icpmg, "c", 1, None),
+    "cdd_full": (cdd_full, "m", 0, None),
+    "cdd_xx": (cdd_xx, "n", 0, None),
     "cudd-m": (lambda v: cudd(v, 0), "m", 1, None),
     "cudd-n": (lambda v: cudd(1, v), "n", 0, None),
     "cudd_count-m": (lambda v: cudd_count(v, 0), "m", 1, None),
     "cudd_count-n": (lambda v: cudd_count(1, v), "n", 0, None),
     "cpmg_udd-m": (lambda v: cpmg_udd(v, 1), "m", 1, None),
-    "cpmg_udd-cycles": (lambda v: cpmg_udd(1, v), "cycles", 1, None),
+    "cpmg_udd-cycles": (lambda v: cpmg_udd(1, v), "c", 1, None),
     "a_n": (a_n, "n", 0, None),
     "cdd_count_estimate": (cdd_count_estimate, "m", 0, None),
     "den": (lambda v: schedule_from_dict({"total_duration": 1.0, "pulses": [{"axis": "X", "num": 0, "den": v}]}),

@@ -327,7 +327,11 @@ class TestPredictMagnus:
         (("--tau0", "3e-308", "--halvings", "3"),
          "--tau0 / 2^halvings = 3.75e-309; durations must be at least 2.2250738585072014e-308, "
          "the smallest normal float"),
-    ], ids=["halvings", "norm-z", "level", "tau0", "tau0-subnormal", "halved-subnormal"])
+        # The CDDxx step spans tau0 * 2^level; its overflow was blamed on total_duration, which no flag is called.
+        (("--tau0", "1e308"), "--tau0 * 2^level = inf; durations must be finite and > 0"),
+        (("--tau0", "5e307", "--level", "2", "--halvings", "0"),
+         "--tau0 * 2^level = inf; durations must be finite and > 0"),
+    ], ids=["halvings", "norm-z", "level", "tau0", "tau0-subnormal", "halved-subnormal", "step-inf", "step-inf-level-2"])
     def test_bad_input_is_usage_error_before_output(self, capsys, option, message):
         # Each printed the table header first; --halvings -1 then exited 0, --norm-z 0 divided by zero (exit 3),
         # and a subnormal duration printed RuntimeWarnings, then "Eigenvalues did not converge".
@@ -499,12 +503,13 @@ class TestCompare:
         assert err == "error: unknown key 'k' in --seq token 'udd,k=3'; expected n, m, c or axis\n"
 
     @pytest.mark.parametrize("token, message", [
-        ("udd,n=x", "key 'n' in --seq token 'udd,n=x' takes an integer, got 'x'"),
-        ("udd,n=3,axis=Q", "key 'axis' in --seq token 'udd,n=3,axis=Q' takes X, Y or Z, got 'Q'"),
-        ("udd,n=3,axis=I", "key 'axis' in --seq token 'udd,n=3,axis=I' takes X, Y or Z, got 'I'"),
+        ("udd,n=x", "--seq 'udd,n=x': n must be a positive integer, got 'x'"),
+        ("udd,n=3,axis=Q", "--seq 'udd,n=3,axis=Q': axis must be X, Y or Z, got 'Q'"),
+        ("udd,n=3,axis=I", "--seq 'udd,n=3,axis=I': axis must be X, Y or Z, got 'I'"),
     ], ids=["integer", "unknown-axis", "identity-axis"])
     def test_bad_seq_value_names_token_and_key(self, capsys, token, message):
         # Each printed only the parser's own message ("invalid literal for int() ...", "'Q' is not a valid PauliAxis").
+        # The token's values pass through to build_sequence, whose count and axis rules name the key.
         code, out, err = run(capsys, "compare", "--seq", "udd,n=2", "--seq", token, "--seed", "7")
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
@@ -518,7 +523,7 @@ class TestCompare:
         assert err == f"error: key {key!r} repeats in --seq token {token!r}; give each key once\n"
 
     @pytest.mark.parametrize("argv, message", [
-        (("--seq", "udd,n=2", "--seq", "cdd"), "family 'cdd' requires --m"),
+        (("--seq", "udd,n=2", "--seq", "cdd"), "--seq 'cdd': family 'cdd' requires --m"),
         (("--seq", "udd,n=2", "--t", "0"), "total_duration = 0.0; durations must be finite and > 0"),
     ], ids=["missing-param", "zero-duration"])
     def test_schedule_error_prints_no_rows(self, capsys, argv, message):
@@ -649,8 +654,9 @@ def test_no_meta_only_where_a_csv_is_written(capsys, argv):
     (("order", "cdd", "--m", "2", "--axis", "X", "--n", "7", "--seed", "7"), "family 'cdd' takes no --n"),
     (("order", "udd", "--n", "2", "--c", "3", "--seed", "7"), "family 'udd' takes no --c"),
     (("gen", "cpmg", "--m", "2"), "family 'cpmg' takes no --m"),
-    (("compare", "--seq", "cdd,m=2,axis=X,n=9", "--seed", "7"), "family 'cdd' takes no --n"),
-    (("compare", "--seq", "udd,n=2", "--seq", "se,c=2", "--seed", "7"), "family 'se' takes no --c"),
+    (("compare", "--seq", "cdd,m=2,axis=X,n=9", "--seed", "7"),
+     "--seq 'cdd,m=2,axis=X,n=9': family 'cdd' takes no --n"),
+    (("compare", "--seq", "udd,n=2", "--seq", "se,c=2", "--seed", "7"), "--seq 'se,c=2': family 'se' takes no --c"),
 ], ids=["order-n", "order-c", "gen-m", "seq-n", "seq-c"])
 def test_parameter_the_family_does_not_take_is_usage_error(capsys, argv, message):
     # order cdd --n 7 and the cdd,...,n=9 token fitted CDD-2 with exit 0, and the CSV's param column hid the n.
@@ -667,21 +673,32 @@ def test_family_usage_error_draws_no_model(capsys, argv):
     # The order call drew its 9 models at d = 64 (418 ms) before the family check failed.
     misses = bath._model.cache_info().misses
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out == "" and err.startswith("error: family ")
+    assert code == 2 and out == "" and "family " in err
     assert bath._model.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("flags, message", [
     (("--points", "2"), "points must be an integer >= 4, got 2"),
-    (("--at-min", "0.02"), "need 0 < at_min < at_max"),
-    (("--at-max", "-1"), "need 0 < at_min < at_max"),
-], ids=["points", "at-min", "at-max"])
+    (("--at-min", "0.02"), "need 0 < at_min < at_max < inf"),
+    (("--at-max", "-1"), "need 0 < at_min < at_max < inf"),
+    (("--at-max", "inf"), "need 0 < at_min < at_max < inf"),
+], ids=["points", "at-min", "at-max", "at-max-inf"])
 def test_grid_usage_error_draws_no_model(capsys, flags, message):
     # order drew its model (one bath._model miss) before the grid's bounds and point count were checked.
     misses = bath._model.cache_info().misses
     code, out, err = run(capsys, "order", "udd", "--n", "2", *flags, "--d", "64", "--seeds", "1,2")
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert bath._model.cache_info().misses == misses
+
+
+def test_infinite_at_max_prints_only_its_error():
+    # An infinite --at-max reached np.geomspace, which printed a RuntimeWarning before the t_grid[1] error.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = ["order", "udd", "--n", "2", "--at-min", "1e-3", "--at-max", "inf", "--seed", "7"]
+    result = subprocess.run([sys.executable, "-m", "ddforge.cli", *argv], capture_output=True, text=True, env=env,
+                            timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: need 0 < at_min < at_max < inf\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -691,7 +708,7 @@ def test_grid_usage_error_draws_no_model(capsys, flags, message):
     (("order", "cddxx", "--n", "-1"), "n must be a non-negative integer, got -1"),
     (("order", "cudd", "--m", "0", "--n", "2"), "m must be a positive integer, got 0"),
     (("gen", "udd2", "--n", "0"), "n must be a positive integer, got 0"),
-    (("compare", "--seq", "cdd,m=-1"), "m must be a non-negative integer, got -1"),
+    (("compare", "--seq", "cdd,m=-1"), "--seq 'cdd,m=-1': m must be a non-negative integer, got -1"),
 ], ids=["cdd-m", "cpmg-udd-c", "icpmg-c", "cddxx-n", "cudd-m", "udd2-n", "compare-cdd-m"])
 def test_count_error_names_the_flag(capsys, argv, message):
     # cdd, cddxx, icpmg and cpmg-udd named their builders' level and cycles, which no flag is called.
@@ -853,10 +870,6 @@ def _spec_key(name, key):
     return observe
 
 
-def _axis_value(observe):
-    return lambda calls, out: getattr(axis := observe(calls, out), "value", axis)
-
-
 def _written(calls, out):
     return [line[len("wrote "):] for line in out.splitlines() if line.startswith("wrote ")]
 
@@ -884,22 +897,22 @@ def _option_cases():
     """
     outs = {"flag": ("flag.out", ["flag.out"]), "config": ("config.out", ["config.out"])}, []
     families = {"n": "udd", "m": "cdd", "c": "icpmg", "axis": "cpmg", "t": "cpmg", "out": "cpmg"}
+    # The family values pass through as given; an axis not given reaches build_sequence as None, which reads Z.
     for key, values in [
         *((key, _plain(2, 3, None)) for key in ("n", "m", "c")),
-        ("axis", ({"flag": ("Y", "Y"), "config": ("X", "X")}, "Z")),
+        ("axis", _plain("X", "Y", None)),
         ("t", _plain(2.0, 3.0, 1.0)),
         ("out", outs),
     ]:
         observe = _written if key == "out" else _called("build_sequence", "total_duration" if key == "t" else key)
-        yield "gen", (families[key],), key, _axis_value(observe) if key == "axis" else observe, *values
+        yield "gen", (families[key],), key, observe, *values
 
     # order builds its schedule before it draws a model, so a missing count fails before evaluate_scan.
     for key, values in [
         *((key, _plain(1, 2, None)) for key in ("n", "m", "c")),
-        ("axis", ({"flag": ("Y", "Y"), "config": ("X", "X")}, "Z")),
+        ("axis", _plain("X", "Y", None)),
     ]:
-        observe = _called("build_sequence", key)
-        yield "order", (families[key],), key, _axis_value(observe) if key == "axis" else observe, *values
+        yield "order", (families[key],), key, _called("build_sequence", key), *values
     for key, observe, values in [
         ("functional", _slope_name, ({"flag": ("total", "E_total"), "config": ("dephase", "E_dephase")}, "E_flip")),
         ("at_min", _called("default_t_grid", "at_min"), _plain(2e-3, 5e-4, 1e-3)),

@@ -110,8 +110,9 @@ def test_several_workloads_print_a_table_each(capsys, monkeypatch, workload):
     assert pairs.main([str(ROOT), str(ROOT), "--workload", workload, "--pairs", "2"]) == 0
     out = capsys.readouterr().out
     assert sorted(calls) == sorted((name, seed) for name in workloads for seed in (7, 8) for _ in range(2))
-    progress, *tables = out.split("\n\n")
+    progress, *tables, record = out.split("\n\n")
     assert len(progress.splitlines()) == 2 * 2 * len(workloads)
+    assert list(json.loads(record)) == workloads
     assert [table.splitlines()[0] for table in tables] == [f"{name}:" for name in workloads]
     for table in tables:
         rows = table.splitlines()[2:]
@@ -157,3 +158,29 @@ def test_too_few_pairs_on_order_extended_warns(capsys, monkeypatch, workload, pa
     assert len(calls) == 2 * pairs_asked * len(workload.split(","))
     want = f"pairs.py: warning: order-extended needs at least 20 pairs to read a gain, got {pairs_asked}\n"
     assert err == (want if warned else "")
+
+
+def test_last_line_is_the_bench_record(capsys, monkeypatch):
+    # Each PR ran pairs.py, and none committed its record: the change side's medians and verdicts were only printed.
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
+    sides = {"parent": [1.0, 1.1, 0.9, 1.0, 1.2], "change": [2.0, 2.2, 1.8, 2.1, 1.9]}
+    calls = []
+
+    def run_benchmark(root, workload, seed):
+        pair, first = divmod(len(calls), 2)
+        side = "parent" if (pair % 2 == 0) == (first == 0) else "change"
+        calls.append(side)
+        return {**dict.fromkeys(units, 1.0), "scan_p50_ms": sides[side][pair]}
+
+    monkeypatch.setattr(pairs, "run_benchmark", run_benchmark)
+    assert pairs.main([str(ROOT), str(ROOT), "--workload", "order-d4", "--pairs", "5"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-2] == ""
+    record = json.loads(out.splitlines()[-1])
+    assert list(record) == ["order-d4"] and record["order-d4"]["pairs"] == 5
+    metrics = record["order-d4"]["metrics"]
+    assert list(metrics) == list(units)
+    assert metrics["scan_p50_ms"] == {"value": 2.0, "unit": "ms", "verdict": "worse"}
+    assert all(metrics[name] == {"value": 1.0, "unit": unit, "verdict": "held"}
+               for name, unit in units.items() if name != "scan_p50_ms")

@@ -558,6 +558,62 @@ class TestBuildSequence:
             build_sequence("xy8", 1.0)
 
 
+# What each family takes, written apart from sequences._FAMILIES: its counts, each required, and the axis where
+# it reads one; and the builder that names each of them as its flag.
+TAKES = {"none": (None, ""), "se": (spin_echo, "axis"), "cpmg": (cpmg, "axis"), "pdd": (pdd, "n axis"),
+         "icpmg": (icpmg, "c axis"), "udd": (udd_sequence, "n axis"), "cdd": (cdd_full, "m"), "cddxx": (cdd_xx, "n"),
+         "cudd": (cudd, "m n"), "cpmg-udd": (cpmg_udd, "m c"), "udd2": (udd2_approx, "n")}
+GOOD = {"n": 2, "m": 2, "c": 2, "axis": "X"}
+BAD = {"n": -1, "m": -1, "c": -1, "axis": "Q"}
+
+
+class TestFamilyRule:
+    def test_every_family_is_in_the_table(self):
+        assert tuple(TAKES) == FAMILIES
+
+    @pytest.mark.parametrize("key", ["n", "m", "c", "axis"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_each_parameter_is_taken_required_or_refused(self, family, key, capsys):
+        # cdd, cddxx, cudd, cpmg-udd, udd2 and none ignored an axis unchecked, and built their schedule under it.
+        from ddforge import bath, cli
+
+        takes = TAKES[family][1].split()
+        counts = {k: GOOD[k] for k in takes if k != "axis"}
+        if key in takes:
+            assert build_sequence(family, 1.0, **{**counts, key: GOOD[key]}).family[key] == GOOD[key]
+            if key == "axis":
+                assert build_sequence(family, 1.0, **counts).family["axis"] == "Z"
+                assert [build_sequence(family, 1.0, **counts, axis=a).family["axis"] for a in "XYZ"] == list("XYZ")
+                return
+            sequences._unit_schedule.cache_clear()
+            with pytest.raises(ValueError, match=rf"^family {family!r} requires --{key}$"):
+                build_sequence(family, 1.0, **{k: v for k, v in counts.items() if k != key})
+            assert sequences._unit_schedule.cache_info().currsize == 0
+            return
+        with pytest.raises(ValueError, match=rf"^family {family!r} takes no --{key}$"):
+            build_sequence(family, 1.0, **counts, **{key: GOOD[key]})
+        assert sequences._unit_schedule.cache_info().currsize == 0
+        flags = [text for k, v in {**counts, key: GOOD[key]}.items() for text in (f"--{k}", str(v))]
+        assert cli.main(["order", family, *flags, "--seed", "7"]) == 2
+        assert capsys.readouterr() == ("", f"error: family {family!r} takes no --{key}\n")
+        assert bath._model.cache_info().misses == 0
+
+    @pytest.mark.parametrize("family", [f for f in FAMILIES if TAKES[f][0] is not None])
+    def test_builder_names_each_parameter_as_its_flag(self, family):
+        # cdd_full, cdd_xx, icpmg and cpmg_udd named their counts level and cycles, and build_sequence checked
+        # each count again under its flag's name, with its own copy of the least value.
+        builder, takes = TAKES[family]
+        counts = {k: GOOD[k] for k in takes.split() if k != "axis"}
+        for key in takes.split():
+            bad = {**counts, key: BAD[key]}
+            with pytest.raises(ValueError) as direct:
+                builder(**bad)
+            with pytest.raises(ValueError) as built:
+                build_sequence(family, 1.0, **bad)
+            assert str(built.value) == str(direct.value)
+            assert str(direct.value).startswith(f"{key} must be")
+
+
 # One member of each family; the builder each name dispatches to, called directly, is the uncached build.
 MEMO_FAMILIES = [
     ("none", {}, lambda t: PulseSequence(t, (), "free", {"name": "none"})),
@@ -627,7 +683,7 @@ class TestBuildMemo:
         ({"family": "udd", "n": 0}, "n must be a positive integer, got 0", 0),
         ({"family": "cdd"}, "family 'cdd' requires --m", 0),
         ({"family": "cudd", "m": 2, "n": -1}, "n must be a non-negative integer, got -1", 0),
-        ({"family": "udd", "n": 2, "axis": "Q"}, "'Q' is not a valid PauliAxis", 0),
+        ({"family": "udd", "n": 2, "axis": "Q"}, "axis must be X, Y or Z, got 'Q'", 0),
         ({"family": "xy8"}, "unknown family 'xy8'; expected one of " + ", ".join(FAMILIES), 0),
         # The unit schedule is sound and kept; only its re-timing fails.
         ({"family": "cpmg", "total_duration": -1.0}, "total_duration = -1.0; durations must be finite and > 0", 1),
@@ -636,7 +692,7 @@ class TestBuildMemo:
         ({"family": "cdd", "m": 2, "n": 7}, "family 'cdd' takes no --n", 0),
         ({"family": "udd", "n": 2, "m": 1}, "family 'udd' takes no --m", 0),
         ({"family": "none", "c": 3, "axis": "X"}, "family 'none' takes no --c", 0),
-        # Counts are named as the flags are, n, m or c, not as the builders name them (level, cycles).
+        # Counts are named as the flags are, n, m or c, as the builders now name them too (not level, cycles).
         ({"family": "cdd", "m": -1}, "m must be a non-negative integer, got -1", 0),
         ({"family": "cddxx", "n": -1}, "n must be a non-negative integer, got -1", 0),
         ({"family": "icpmg", "c": 0}, "c must be a positive integer, got 0", 0),
@@ -655,22 +711,28 @@ class TestBuildMemo:
         assert sequences._unit_schedule.cache_info().currsize == cached
 
     @pytest.mark.parametrize("build, message", [
-        (lambda: cdd_full(-1), "level must be a non-negative integer, got -1"),
-        (lambda: cdd_xx(-1), "level must be a non-negative integer, got -1"),
-        (lambda: icpmg(0), "cycles must be a positive integer, got 0"),
-        (lambda: cpmg_udd(2, 0), "cycles must be a positive integer, got 0"),
+        (lambda: cdd_full(-1), "m must be a non-negative integer, got -1"),
+        (lambda: cdd_xx(-1), "n must be a non-negative integer, got -1"),
+        (lambda: icpmg(0), "c must be a positive integer, got 0"),
+        (lambda: cpmg_udd(2, 0), "c must be a positive integer, got 0"),
     ], ids=["cdd_full", "cdd_xx", "icpmg", "cpmg_udd"])
     def test_builders_keep_their_own_names(self, build, message):
+        # Each builder keeps its own count check, the only one on the build_sequence path, under the flag's name
+        # (it named level and cycles, and build_sequence checked each count again as m, n or c).
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == message
 
-    def test_axis_unchecked_where_ignored(self):
-        assert build_sequence("cdd", 1.0, m=1, axis="Q").label == "CDD-1"
+    def test_axis_refused_where_ignored(self):
+        # cdd ignored the axis unchecked, and built CDD-1 under any value.
+        for axis in ("Q", "X"):
+            with pytest.raises(ValueError, match=r"^family 'cdd' takes no --axis$"):
+                build_sequence("cdd", 1.0, m=1, axis=axis)
 
     @pytest.mark.parametrize("family, params", [("udd", {"n": 2}), ("cdd", {"m": 2})])
     def test_unhashable_argument_raises_the_memo_type_error(self, family, params):
-        # A list cannot key the memo; it was built uncached, and read as an axis where the family ignores it.
+        # A list cannot key the memo; it was built uncached, and read as an axis where the family ignores it.  The
+        # memo's TypeError comes before the family rule, which would refuse cdd's axis.
         from ddforge import sequences
 
         with pytest.raises(TypeError, match="unhashable type: 'list'"):

@@ -30,8 +30,9 @@ code 2, before any work.
 - ``cli-files``: the same for the calls in ``CLI_FILES_CALLS``, which read
   the config and model files of ``CLI_FILES``, written into their temporary
   directory first.
-- ``cli-usage``: the same for the calls in ``CLI_USAGE_CALLS``, one exit-2
-  call per count option, each failing the count rule.
+- ``cli-usage``: the same for the calls in ``CLI_USAGE_CALLS``, each an
+  exit-2 call: a count option failing the count rule, or a family given a
+  parameter it does not take or a value it refuses.
 
 It then prints the code lines of each ``src/ddforge`` module and their total,
 counted without docstrings, comments or blank lines.  Run it on two trees
@@ -193,11 +194,11 @@ def flat_plans_category(sequences, bath, analysis, effective, highprec) -> Categ
 
 
 def builder_sweep(sequences):
-    """(name, schedule) for every family setting of the sweep."""
+    """(name, schedule) for every family setting of the sweep; ``none`` takes no axis, and is built once per axis."""
     s = sequences
     for name in ("none", "se", "cpmg"):
         for axis in "XYZ":
-            yield f"{name}-{axis}", s.build_sequence(name, axis=axis)
+            yield f"{name}-{axis}", s.build_sequence(name, **({} if name == "none" else {"axis": axis}))
     for n in range(1, 21):
         yield f"udd-{n}", s.udd_sequence(n, axis="XYZ"[n % 3])
         yield f"pdd-{n}", s.pdd(n, axis="XYZ"[n % 3])
@@ -255,7 +256,7 @@ CLI_CALLS = (
 )
 
 
-# One call per count option whose value breaks the count rule: each exits 2 naming the count.
+# Calls that break the count rule or the family rule: each exits 2 naming the count or the parameter.
 CLI_USAGE_CALLS = (
     ("order", "cdd", "--m", "-1"),
     ("order", "cpmg-udd", "--m", "2", "--c", "0"),
@@ -266,6 +267,10 @@ CLI_USAGE_CALLS = (
     ("predict-magnus", "--halvings", "-1"),
     ("order", "udd", "--n", "2", "--points", "2"),
     ("order", "udd", "--n", "2", "--seeds", "7,-1"),
+    ("order", "cdd", "--m", "2", "--axis", "X"),
+    ("gen", "none", "--axis", "Y"),
+    ("compare", "--seq", "cdd,m=2,axis=X"),
+    ("compare", "--seq", "udd,n=x"),
 )
 
 

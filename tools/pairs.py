@@ -22,6 +22,12 @@ held the metric, against the metric's relative ``bound``:
   its median, and not every change run beats every parent run;
 - ``held`` otherwise.
 
+Its last stdout line, after a blank one, is the change's bench record, one
+JSON object in the shape of ``BENCH_<pr>.json``: per workload, the number
+of pairs and, per end-to-end metric, the change side's median as its
+``value``, its ``unit`` and its ``verdict``.  Save that line as the
+change's ``BENCH_<pr>.json``.
+
 A run that asks for fewer pairs than a workload needs (``MIN_PAIRS``: 20 on
 order-extended, whose spread let a 15% gain misread over 10) gets a warning
 line on stderr naming the workload, and then runs as asked.
@@ -141,9 +147,13 @@ def main(argv=None) -> int:
                 return 1
             values = "  ".join(f"{m['name']} {runs[workload][side][-1][m['name']]:.6g}" for m in metrics)
             print(f"pair {pair} seed {seed} {side:<6} {workload:<15} {values}", flush=True)
+    record = {}
     for workload in workloads:
-        print(f"\n{workload}:", *report(summarize(metrics, runs[workload]["parent"], runs[workload]["change"])),
-              sep="\n")
+        rows = summarize(metrics, runs[workload]["parent"], runs[workload]["change"])
+        print(f"\n{workload}:", *report(rows), sep="\n")
+        record[workload] = {"pairs": args.pairs, "metrics": {
+            row["name"]: {"value": row["change"][1], "unit": row["unit"], "verdict": row["verdict"]} for row in rows}}
+    print("", json.dumps(record), sep="\n")
     return 0
 
 
